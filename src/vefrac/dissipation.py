@@ -10,9 +10,14 @@ used by the incremental scheme.
 All three are +infinity when the inclusion H ⊆ K fails; that tag lives in
 CostValue rather than a float sentinel so sums cannot silently launder an
 illegal transition into a finite number.
+
+A hop H -> K is priced once by hop_cost into a HopCost record (new
+length, sweep integral, nucleation count); d, delta and D are views of
+that record.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
@@ -34,6 +39,8 @@ __all__ = [
     "DissipationParams",
     "CostValue",
     "MonotoneChain",
+    "HopCost",
+    "hop_cost",
     "alpha",
     "dist_d",
     "atw_integral",
@@ -180,12 +187,17 @@ def alpha(h: CrackSet, k: CrackSet) -> CostValue:
     return CostValue.finite(float(count))
 
 
-def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
-    """Quasi-distance d(H,K) = H1(K\\H) + lam * alpha(H,K), +inf if H ⊄ K."""
-    a = alpha(h, k)
-    if a.infinite:
-        return a
-    return CostValue.finite(h1_diff(h, k)) + a.scaled(params.lam)
+@functools.lru_cache(maxsize=None)
+def _atw_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1]: ATW_PANELS uniform
+    panels of `order` nodes each, as read-only (nodes, weights)."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    offsets = (np.arange(ATW_PANELS) + 0.5) / ATW_PANELS
+    t = (offsets[:, None] + (0.5 * nodes)[None, :] / ATW_PANELS).ravel()
+    w = np.tile(0.5 * weights / ATW_PANELS, ATW_PANELS)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
@@ -210,10 +222,7 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostVal
     # at a few percent no matter the order. Uniform panels with the
     # requested order per panel stay exact for linear integrands and
     # push the kink error below the dense-sampling oracle's tolerance.
-    nodes, weights = np.polynomial.legendre.leggauss(params.quadrature_order)
-    offsets = (np.arange(ATW_PANELS) + 0.5) / ATW_PANELS
-    t = (offsets[:, None] + (0.5 * nodes)[None, :] / ATW_PANELS).ravel()
-    w = np.tile(0.5 * weights / ATW_PANELS, ATW_PANELS)
+    t, w = _atw_rule(params.quadrature_order)
     a, b = mesh.segment_endpoints(new_ids)
     pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
     ha, hb = mesh.segment_endpoints(h.edge_ids)
@@ -223,23 +232,57 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostVal
     return CostValue.finite(float(math.fsum(per_edge)))
 
 
-def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
-    """Viscous correction delta(H,K) = Delta(H,K) + mu * alpha(H,K)."""
+@dataclass(frozen=True)
+class HopCost:
+    """The priced parts of a hop H -> K with H ⊆ K: the new length
+    h1 = H1(K\\H), the pure sweep integral Delta(H,K) and the nucleation
+    count alpha(H,K). The costs of the hop are views of these three
+    numbers, so d, delta and D agree bit for bit wherever they are read."""
+
+    h1: float
+    sweep: float
+    alpha: float
+
+    def d(self, params: DissipationParams) -> CostValue:
+        """d = H1(K\\H) + lam * alpha."""
+        return CostValue.finite(self.h1 + params.lam * self.alpha)
+
+    def delta(self, params: DissipationParams) -> CostValue:
+        """delta = Delta + mu * alpha."""
+        return CostValue.finite(self.sweep + params.mu * self.alpha)
+
+    def big_d(self, params: DissipationParams) -> CostValue:
+        """D = d + delta, summed in that order."""
+        return self.d(params) + self.delta(params)
+
+
+def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
+    """Price the hop H -> K: one alpha, one sweep integral and one H1
+    difference. None when H ⊄ K, where every cost of the hop is +inf."""
     a = alpha(h, k)
     if a.infinite:
-        return a
-    return atw_integral(h, k, params) + a.scaled(params.mu)
+        return None
+    return HopCost(h1=h1_diff(h, k), sweep=atw_integral(h, k, params).value,
+                   alpha=a.value)
+
+
+def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+    """Quasi-distance d(H,K) = H1(K\\H) + lam * alpha(H,K), +inf if H ⊄ K."""
+    hop = hop_cost(h, k, params)
+    return CostValue.infinity() if hop is None else hop.d(params)
+
+
+def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+    """Viscous correction delta(H,K) = Delta(H,K) + mu * alpha(H,K)."""
+    hop = hop_cost(h, k, params)
+    return CostValue.infinity() if hop is None else hop.delta(params)
 
 
 def big_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
     """Corrected dissipation D = d + delta
     = H1(K\\H) + Delta(H,K) + (lam + mu) * alpha(H,K)."""
-    a = alpha(h, k)
-    if a.infinite:
-        return a
-    return (CostValue.finite(h1_diff(h, k))
-            + atw_integral(h, k, params)
-            + a.scaled(params.lam + params.mu))
+    hop = hop_cost(h, k, params)
+    return CostValue.infinity() if hop is None else hop.big_d(params)
 
 
 def var_along(chain: MonotoneChain | Sequence[CrackSet],

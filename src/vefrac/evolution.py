@@ -14,7 +14,12 @@ refinement study over a list of step sizes, and the factory that wires
 the elastic energy into a RisInstance. The factory caches one FEM solve
 per distinct crack set: the datum scales linearly with the amplitude,
 so E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value.
+bilinear value. It also prices each hop once per source state: the
+scheme asks for the hops out of one state many times over (the step,
+its ledger row, the residual R of a frozen state, the next step from
+it), so the instance keeps one HopCost record per competitor K for the
+most recent source H, and d, delta, alpha and the sweep integral are
+all read from that record.
 """
 from __future__ import annotations
 
@@ -27,10 +32,8 @@ import numpy as np
 from .dissipation import (
     CostValue,
     DissipationParams,
-    alpha as alpha_count,
-    atw_integral,
-    delta_atw,
-    dist_d,
+    HopCost,
+    hop_cost,
 )
 from .elastic import (
     BoundaryLoad,
@@ -39,7 +42,7 @@ from .elastic import (
     solve_on_space,
     split_along_crack,
 )
-from .geometry import CrackSet, Mesh, connected_components, hausdorff
+from .geometry import CrackSet, Mesh, MeshError, connected_components, hausdorff
 from .ve_core import RisInstance, incremental_step, residual_stability
 
 __all__ = [
@@ -334,20 +337,62 @@ class _ScaledEnergyCache:
 _UNIT_AMPLITUDE = LinearAmplitude(1.0, 0.0)
 
 
+class _HopTable:
+    """HopCost records of the hops out of the most recent source state,
+    keyed by the target's bits. Asking for a hop from another source
+    replaces the table, so it never holds more than one state's
+    competitors. Records are pure functions of (H, K, params), which is
+    what lets an instance copied by dataclasses.replace share them."""
+
+    def __init__(self, mesh: Mesh, params: DissipationParams):
+        self.mesh = mesh
+        self.params = params
+        self._source: int | None = None
+        self._hops: dict[int, HopCost | None] = {}
+
+    def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
+        if not (h.mesh is k.mesh is self.mesh):
+            raise MeshError("crack sets belong to different meshes")
+        if h.bits != self._source:
+            self._source = h.bits
+            self._hops = {}
+        hops = self._hops
+        if k.bits not in hops:
+            hops[k.bits] = hop_cost(h, k, self.params)
+        return hops[k.bits]
+
+    def d(self, h: CrackSet, k: CrackSet) -> CostValue:
+        hop = self.hop(h, k)
+        return CostValue.infinity() if hop is None else hop.d(self.params)
+
+    def delta(self, h: CrackSet, k: CrackSet) -> CostValue:
+        hop = self.hop(h, k)
+        return CostValue.infinity() if hop is None else hop.delta(self.params)
+
+    def alpha(self, h: CrackSet, k: CrackSet) -> CostValue:
+        hop = self.hop(h, k)
+        return CostValue.infinity() if hop is None else CostValue.finite(hop.alpha)
+
+    def sweep(self, h: CrackSet, k: CrackSet) -> CostValue:
+        hop = self.hop(h, k)
+        return CostValue.infinity() if hop is None else CostValue.finite(hop.sweep)
+
+
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       pool: CrackSet, budget: int = 3, search: str = "exhaustive",
                       lattice_cap: int = 16, stability_rtol: float = 1e-9) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
     instance the scheme can drive."""
     cache = _ScaledEnergyCache(mesh, load)
+    hops = _HopTable(mesh, params)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        d=lambda h, k: dist_d(h, k, params),
-        delta=lambda h, k: delta_atw(h, k, params),
-        alpha=alpha_count,
-        delta_integral=lambda h, k: atw_integral(h, k, params),
+        d=hops.d,
+        delta=hops.delta,
+        alpha=hops.alpha,
+        delta_integral=hops.sweep,
         params=params,
         budget=budget,
         search=search,

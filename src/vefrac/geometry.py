@@ -120,11 +120,11 @@ def _diameter(vertices: np.ndarray) -> float:
     # direct scan for tiny or degenerate inputs.
     pts = vertices
     if len(pts) > 16:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
+        try:
             pts = vertices[ConvexHull(vertices).vertices]
-        except Exception:
+        except QhullError:
             pts = vertices
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
@@ -321,12 +321,11 @@ class CrackSet:
     @property
     def edge_ids(self) -> tuple:
         """Member edge indices, ascending."""
-        bits, out, i = self.bits, [], 0
+        bits, out = self.bits, []
         while bits:
-            if bits & 1:
-                out.append(i)
-            bits >>= 1
-            i += 1
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return tuple(out)
 
     @property

@@ -25,6 +25,18 @@ def point_segment_distance(p, a, b) -> float:
     return math.hypot(px - qx, py - qy)
 
 
+def edge_ids_per_bit(bits: int) -> tuple:
+    """Set bit positions of a mask, ascending, by testing every bit
+    position up to the highest one."""
+    out, i = [], 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return tuple(out)
+
+
 def bfs_components(edge_pairs):
     """Group edges (given as vertex index pairs) by shared endpoints."""
     edge_pairs = list(edge_pairs)

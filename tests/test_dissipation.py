@@ -11,12 +11,15 @@ from vefrac.benchmarks import rect_grid_mesh
 from vefrac.dissipation import (
     CostValue,
     DissipationParams,
+    HopCost,
     MonotoneChain,
+    _atw_rule,
     alpha,
     atw_integral,
     big_d,
     delta_atw,
     dist_d,
+    hop_cost,
     var_along,
 )
 from vefrac.geometry import CrackSet, MeshError, h1_diff, h1_measure, hausdorff
@@ -221,6 +224,44 @@ def test_ratio_delta_over_d_bounded_by_hausdorff(grid3):
         num = delta_atw(kn, full, PARAMS).value
         den = dist_d(kn, full, PARAMS).value
         assert num / den <= hausdorff(kn, full) + eps
+
+
+# ---------------------------------------------------------------------------
+# hop record
+# ---------------------------------------------------------------------------
+
+def test_hop_cost_views_keep_the_direct_arithmetic(grid3):
+    # d, delta and D read one record; each must equal the sum written
+    # out from the parts, bit for bit.
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        h = CrackSet(grid3, int(rng.integers(0, 2**33)))
+        k = CrackSet(grid3, int(rng.integers(0, 2**33)))
+        if rng.random() < 0.7:
+            k = k.union(h)
+        hop = hop_cost(h, k, PARAMS)
+        if not h.issubset(k):
+            assert hop is None
+            assert dist_d(h, k, PARAMS).infinite
+            assert delta_atw(h, k, PARAMS).infinite
+            assert big_d(h, k, PARAMS).infinite
+            continue
+        a = alpha(h, k).value
+        sweep = atw_integral(h, k, PARAMS).value
+        assert hop == HopCost(h1=h1_diff(h, k), sweep=sweep, alpha=a)
+        d = h1_diff(h, k) + PARAMS.lam * a
+        delta = sweep + PARAMS.mu * a
+        assert dist_d(h, k, PARAMS) == CostValue.finite(d)
+        assert delta_atw(h, k, PARAMS) == CostValue.finite(delta)
+        assert big_d(h, k, PARAMS) == CostValue.finite(d + delta)
+
+
+def test_atw_rule_is_built_once_and_read_only():
+    t, w = _atw_rule(3)
+    assert _atw_rule(3)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    assert math.isclose(float(w.sum()), 1.0, rel_tol=1e-14)
+    assert np.all((t > 0.0) & (t < 1.0))
 
 
 # ---------------------------------------------------------------------------

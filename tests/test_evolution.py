@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vefrac.benchmarks import growth_strip, nucleation_well, square_grid_mesh
 from vefrac.dissipation import (
+    CostValue,
     DissipationParams,
     alpha,
     atw_integral,
+    big_d,
+    delta_atw,
     dist_d,
     var_along,
 )
@@ -25,7 +30,7 @@ from vefrac.evolution import (
     refine_study,
     run_scheme,
 )
-from vefrac.geometry import CrackSet, h1_diff
+from vefrac.geometry import CrackSet, MeshError, h1_diff
 from vefrac.ve_core import audit_balance
 
 PARAMS = DissipationParams(lam=0.1, mu=0.1)
@@ -254,8 +259,83 @@ def test_large_nucleation_price_prevents_growth():
 
 
 # ---------------------------------------------------------------------------
+# hop table
+# ---------------------------------------------------------------------------
+
+def test_hop_table_matches_direct_pricing():
+    inst, _ = well_instance()
+    mesh, params = inst.mesh, inst.params
+    rng = random.Random(17)
+    sources = [CrackSet(mesh, rng.getrandbits(mesh.n_edges) & rng.getrandbits(mesh.n_edges))
+               for _ in range(5)] + [CrackSet.empty(mesh)]
+    # targets shared by every source, so a record keyed by K alone
+    # would be read back for the wrong H
+    shared = [CrackSet(mesh, (1 << mesh.n_edges) - 1), CrackSet.empty(mesh),
+              sources[0].union(sources[1])]
+    pairs = []
+    for h in sources:
+        pairs += [(h, k) for k in shared]
+        for _ in range(12):
+            k = CrackSet(mesh, rng.getrandbits(mesh.n_edges))
+            pairs.append((h, k.union(h) if rng.random() < 0.7 else k))
+    # every pair twice, interleaved, so sources switch and hits repeat
+    order = pairs + pairs
+    rng.shuffle(order)
+    assert any(not h.issubset(k) for h, k in order)
+    for h, k in order:
+        assert inst.d(h, k) == dist_d(h, k, params)
+        assert inst.delta(h, k) == delta_atw(h, k, params)
+        assert inst.alpha(h, k) == alpha(h, k)
+        assert inst.delta_integral(h, k) == atw_integral(h, k, params)
+        assert inst.big_d(h, k) == big_d(h, k, params)
+        if h.issubset(k):
+            parts = (atw_integral(h, k, params).value, alpha(h, k).value)
+        else:
+            parts = (math.inf, math.inf)
+        assert inst.hop_parts(h, k) == parts
+
+
+def test_hop_table_rejects_another_mesh():
+    inst, _ = well_instance()
+    other, _, _ = nucleation_well()
+    h = CrackSet.empty(inst.mesh)
+    k = inst.pool
+    inst.d(h, k)  # the table now holds (empty -> pool)
+    h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
+    for a, b in ((h2, k2), (h, k2), (h2, k)):
+        for cost in (inst.d, inst.delta, inst.alpha, inst.delta_integral):
+            with pytest.raises(MeshError, match="different meshes"):
+                cost(a, b)
+
+
+# ---------------------------------------------------------------------------
 # energetic mode
 # ---------------------------------------------------------------------------
+
+def test_energetic_mode_ignores_a_warm_hop_table():
+    # A VE run fills the hop table with sweep integrals; neither
+    # energetic_mode nor a copy with delta replaced may read them.
+    inst, load = well_instance()
+    part = TimePartition.uniform(load.horizon, 60)
+    k0 = CrackSet.empty(inst.mesh)
+    run_scheme(inst, part, k0)
+
+    def zero_delta(h, k):
+        if not h.issubset(k):
+            return CostValue.infinity()
+        return CostValue.finite(0.0)
+
+    fresh = energetic_mode(fracture_instance(inst.mesh, load, PARAMS, inst.pool),
+                           part, k0)
+    stripped = replace(inst, delta=zero_delta, delta_integral=zero_delta)
+    for evo in (energetic_mode(inst, part, k0),
+                run_scheme(stripped, part, k0),
+                energetic_mode(stripped, part, k0)):
+        assert [s.bits for s in evo.states] == [s.bits for s in fresh.states]
+        for name, column in fresh.ledger.as_dict().items():
+            assert np.array_equal(evo.ledger.as_dict()[name], column), name
+    assert fresh.changing_steps() != run_scheme(inst, part, k0).changing_steps()
+
 
 def test_energetic_jumps_strictly_earlier():
     inst, load = well_instance()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vefrac.geometry import (
     CrackSet,
     MeshError,
     Point2,
+    _diameter,
     build_mesh,
     connected_components,
     dist_point_to_crack,
@@ -40,6 +42,18 @@ def test_unit_square_edge_count_and_diameter(square2):
     assert [tuple(e) for e in square2.edges] == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
     assert square2.edge_tags[1] == INTERIOR  # the diagonal
     assert all(square2.edge_tags[i] == DIRICHLET for i in (0, 2, 3, 4))
+
+
+def test_collinear_diameter_falls_back_to_direct_scan():
+    # More than 16 points take the convex-hull path; collinear points
+    # have no 2-d hull, so qhull refuses them and the direct scan runs.
+    from scipy.spatial import ConvexHull, QhullError
+
+    s = np.linspace(0.0, 3.0, 20)
+    pts = np.column_stack([s, 0.5 * s])
+    with pytest.raises(QhullError):
+        ConvexHull(pts)
+    assert _diameter(pts) == math.hypot(3.0, 1.5)
 
 
 def test_empty_dirichlet_rejected():
@@ -153,6 +167,22 @@ def test_crackset_of_vertex_pairs(square2):
     assert k.edge_ids == (0, 4)
     with pytest.raises(MeshError, match="not a mesh edge"):
         CrackSet.of_vertex_pairs(square2, [(1, 3)])
+
+
+def test_edge_ids_match_per_bit_oracle():
+    mesh = square_grid_mesh(48)  # 7008 edges, as in the `fine` benchmark
+    top = mesh.n_edges - 1
+    rng = random.Random(41)
+    masks = [0, 1, 1 << top, (1 << mesh.n_edges) - 1, 1 | (1 << top)]
+    for _ in range(60):
+        width = rng.randint(1, mesh.n_edges)
+        dense = rng.getrandbits(width)
+        sparse = 0
+        for _ in range(rng.randint(1, 8)):
+            sparse |= 1 << rng.randrange(width)
+        masks += [dense, sparse, sparse | (1 << top)]
+    for bits in masks:
+        assert CrackSet(mesh, bits).edge_ids == oracle.edge_ids_per_bit(bits)
 
 
 def test_cross_mesh_operations_rejected(square2, rect9):

@@ -18,14 +18,16 @@ and the stress intensity factor from an annulus fit).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components as connected_components_graph
 
-from .geometry import CrackSet, Mesh, MeshError, connected_components
+from .geometry import CrackSet, Mesh, MeshError, connected_components, union_groups
 
 __all__ = [
     "ElasticError",
@@ -125,6 +127,109 @@ class BoundaryLoad:
                 f"with {mesh.n_vertices} vertices")
 
 
+class _MeshTables:
+    """Crack-independent tables of one mesh, built once by array
+    operations and shared by every CrackedSpace on that mesh.
+
+    A corner is a (triangle, slot) pair, numbered 3*t + slot. Around each
+    vertex its corners are listed in triangle order, and every interior
+    edge through the vertex links the two corners it joins there. The
+    base fans are those of the empty crack: one per vertex, except at a
+    pinch vertex whose star is already split (two triangles meeting only
+    at that vertex). Base DOF n is the n-th fan in (vertex, smallest
+    triangle) order, the numbering CrackedSpace keeps. The per-vertex
+    walks of a crack read the Python-list copies (`*_list`).
+    """
+
+    def __init__(self, mesh: Mesh):
+        nv, nt, ne = mesh.n_vertices, mesh.n_triangles, mesh.n_edges
+        self.corner_vertex = mesh.triangles.ravel()
+        corner_order = np.argsort(self.corner_vertex, kind="stable")
+        # half-edges h = 3*t + k join the corners at slots k and k+1 mod 3
+        ca = np.arange(3 * nt)
+        cb = ca + np.tile([1, 1, -2], nt)
+        va, vb = self.corner_vertex[ca], self.corner_vertex[cb]
+        c_lo = np.where(va < vb, ca, cb)
+        c_hi = np.where(va < vb, cb, ca)
+        half_edge = np.searchsorted(mesh.edges[:, 0] * nv + mesh.edges[:, 1],
+                                    np.minimum(va, vb) * nv + np.maximum(va, vb))
+        by_edge = np.argsort(half_edge, kind="stable")
+        first = np.searchsorted(half_edge[by_edge], np.arange(ne))
+        owners = np.bincount(half_edge, minlength=ne)
+        self.interior_edges = np.flatnonzero(owners == 2)
+        h1 = by_edge[first[self.interior_edges]]
+        h2 = by_edge[first[self.interior_edges] + 1]
+        self.tri_links = np.column_stack([h1 // 3, h2 // 3])
+        # the corner links of each interior edge at both ends, by vertex
+        link_edge = np.concatenate([self.interior_edges, self.interior_edges])
+        link_corners = np.column_stack([np.concatenate([c_lo[h1], c_hi[h1]]),
+                                        np.concatenate([c_lo[h2], c_hi[h2]])])
+        link_vertex = self.corner_vertex[link_corners[:, 0]]
+        by_vertex = np.argsort(link_vertex, kind="stable")
+        link_corners = link_corners[by_vertex]
+        # the two corners of each Dirichlet edge in its single triangle
+        self.dirichlet_edges = mesh.dirichlet_edges()
+        h = by_edge[first[self.dirichlet_edges]]
+        self.dirichlet_corners = np.column_stack([c_lo[h], c_hi[h]])
+        on_boundary = np.zeros(nv, dtype=bool)
+        on_boundary[mesh.edges[owners == 1]] = True
+        # base fans: the first corner of each fan in (vertex, triangle)
+        # order opens the next DOF
+        fan = _component_labels(3 * nt, link_corners)[corner_order]
+        opens = np.zeros(3 * nt, dtype=bool)
+        opens[np.unique(fan, return_index=True)[1]] = True
+        fan_dof = np.empty(3 * nt, dtype=int)
+        fan_dof[fan[opens]] = np.arange(int(opens.sum()))
+        base_dof = np.empty(3 * nt, dtype=int)
+        base_dof[corner_order] = fan_dof[fan]
+        self.base_fans = np.bincount(self.corner_vertex[corner_order[opens]], minlength=nv)
+        self.base_rank = base_dof - (np.cumsum(self.base_fans) - self.base_fans)[self.corner_vertex]
+        self.base_tri_component = _ordered_labels(_component_labels(nt, self.tri_links))
+        self.base_n_components = int(self.base_tri_component.max()) + 1
+        self.grads = _p1_gradients(mesh)
+        self.local = (np.einsum("tid,tjd->tij", self.grads, self.grads)
+                      * mesh.triangle_areas[:, None, None]).ravel()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.edge_list = mesh.edges.tolist()
+        self.is_interior_list = (owners == 2).tolist()
+        self.on_boundary_list = on_boundary.tolist()
+        self.corner_vertex_list = self.corner_vertex.tolist()
+        self.corner_order_list = corner_order.tolist()
+        self.corner_ptr_list = np.searchsorted(self.corner_vertex[corner_order],
+                                               np.arange(nv + 1)).tolist()
+        self.link_list = list(zip(link_edge[by_vertex].tolist(),
+                                  map(tuple, link_corners.tolist())))
+        self.link_ptr_list = np.searchsorted(link_vertex[by_vertex],
+                                             np.arange(nv + 1)).tolist()
+
+
+_TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
+
+
+def _mesh_tables(mesh: Mesh) -> _MeshTables:
+    tables = _TABLES.get(mesh)
+    if tables is None:
+        tables = _TABLES[mesh] = _MeshTables(mesh)
+    return tables
+
+
+def _component_labels(n: int, links: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n nodes joined by links."""
+    graph = sp.coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
+                          shape=(n, n))
+    return connected_components_graph(graph, directed=False)[1]
+
+
+def _ordered_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel so that labels count up in order of first appearance."""
+    first = np.unique(labels, return_index=True)[1]
+    relabel = np.empty(first.size, dtype=int)
+    relabel[labels[np.sort(first)]] = np.arange(first.size)
+    return relabel[labels]
+
+
 class CrackedSpace:
     """P1 space on the mesh cut along a crack set.
 
@@ -132,110 +237,92 @@ class CrackedSpace:
     two triangles are in the same fan when they share a non-crack edge
     through that vertex. Each fan carries one DOF, so a vertex whose
     star is disconnected by crack edges is duplicated, while a tip
-    vertex (star still connected) keeps a single DOF.
+    vertex (star still connected) keeps a single DOF. DOFs are numbered
+    by vertex, then by the smallest triangle of the fan.
+
+    Only the vertices on the crack can have other fans than the mesh's
+    base fans, so only they are regrouped; every array follows from the
+    per-vertex fan counts and the mesh tables.
     """
 
     def __init__(self, mesh: Mesh, crack: CrackSet):
         self.mesh = mesh
         self.crack = crack
-        self._build_dofs()
-        self._build_components()
-        self._build_dirichlet()
+        tables = _mesh_tables(mesh)
+        crack_ids = crack.edge_ids
+        cracked = np.zeros(mesh.n_edges, dtype=bool)
+        cracked[list(crack_ids)] = True
+        self._build_dofs(tables, crack_ids)
+        self._build_components(tables, crack_ids, cracked)
+        self._build_dirichlet(tables, cracked)
         self._stiffness = None
 
-    def _build_dofs(self):
-        mesh = self.mesh
-        crack_bits = self.crack.bits
-        tri_dofs = np.full((mesh.n_triangles, 3), -1, dtype=int)
-        dof_vertex = []
-        n = 0
-        for v in range(mesh.n_vertices):
-            tris = mesh.vertex_triangles[v]
-            local = {t: i for i, t in enumerate(tris)}
-            parent = list(range(len(tris)))
+    def _build_dofs(self, tables: _MeshTables, crack_ids: tuple):
+        fans = tables.base_fans.copy()
+        rank = tables.base_rank.copy()
+        split = sorted({v for e in crack_ids for v in tables.edge_list[e]})
+        if split:
+            bits = self.crack.bits
+            order, ptr = tables.corner_order_list, tables.corner_ptr_list
+            link_list, link_ptr = tables.link_list, tables.link_ptr_list
+            corners, links = [], []
+            for v in split:
+                corners += order[ptr[v]:ptr[v + 1]]
+                links += [pair for e, pair in link_list[link_ptr[v]:link_ptr[v + 1]]
+                          if not (bits >> e) & 1]
+            # groups come by vertex, then by smallest triangle
+            fans_at, moved, moved_rank = {}, [], []
+            for group in union_groups(corners, links):
+                v = tables.corner_vertex_list[group[0]]
+                r = fans_at.get(v, 0)
+                fans_at[v] = r + 1
+                moved += group
+                moved_rank += [r] * len(group)
+            fans[list(fans_at)] = list(fans_at.values())
+            rank[moved] = moved_rank
+        start = np.zeros(self.mesh.n_vertices + 1, dtype=int)
+        np.cumsum(fans, out=start[1:])
+        self.tri_dofs = (start[tables.corner_vertex] + rank).reshape(-1, 3)
+        self.dof_vertex = np.repeat(np.arange(self.mesh.n_vertices), fans)
+        self.n_dofs = int(start[-1])
 
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for e in mesh.vertex_edges[v]:
-                if (crack_bits >> e) & 1:
-                    continue
-                owners = mesh.edge_triangles[e]
-                if len(owners) == 2:
-                    a, b = find(local[owners[0]]), find(local[owners[1]])
-                    if a != b:
-                        parent[a] = b
-            fan_dof = {}
-            for t in tris:
-                root = find(local[t])
-                if root not in fan_dof:
-                    fan_dof[root] = n
-                    dof_vertex.append(v)
-                    n += 1
-                slot = list(mesh.triangles[t]).index(v)
-                tri_dofs[t, slot] = fan_dof[root]
-        self.tri_dofs = tri_dofs
-        self.dof_vertex = np.asarray(dof_vertex, dtype=int)
-        self.n_dofs = n
-
-    def _build_components(self):
-        mesh = self.mesh
-        crack_bits = self.crack.bits
-        parent = list(range(mesh.n_triangles))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for e in range(mesh.n_edges):
-            if (crack_bits >> e) & 1:
-                continue
-            owners = mesh.edge_triangles[e]
-            if len(owners) == 2:
-                a, b = find(owners[0]), find(owners[1])
-                if a != b:
-                    parent[a] = b
-        labels = {}
-        tri_component = np.empty(mesh.n_triangles, dtype=int)
-        for t in range(mesh.n_triangles):
-            root = find(t)
-            if root not in labels:
-                labels[root] = len(labels)
-            tri_component[t] = labels[root]
-        self.tri_component = tri_component
-        self.n_components = len(labels)
-        dof_component = np.full(self.n_dofs, -1, dtype=int)
-        for t in range(mesh.n_triangles):
-            dof_component[self.tri_dofs[t]] = tri_component[t]
+    def _build_components(self, tables: _MeshTables, crack_ids: tuple, cracked):
+        # Cutting interior edges can split a triangle component only if
+        # they close a loop once all boundary vertices are merged into one
+        # node (-1); a forest of them leaves the base components.
+        on_boundary = tables.on_boundary_list
+        links = []
+        for e in crack_ids:
+            if tables.is_interior_list[e]:
+                a, b = tables.edge_list[e]
+                links.append((-1 if on_boundary[a] else a, -1 if on_boundary[b] else b))
+        nodes = sorted({v for link in links for v in link})
+        if len(links) == len(nodes) - len(union_groups(nodes, links)):
+            self.tri_component = tables.base_tri_component
+            self.n_components = tables.base_n_components
+        else:
+            kept = tables.tri_links[~cracked[tables.interior_edges]]
+            self.tri_component = _ordered_labels(
+                _component_labels(self.mesh.n_triangles, kept))
+            self.n_components = int(self.tri_component.max()) + 1
+        dof_component = np.empty(self.n_dofs, dtype=int)
+        dof_component[self.tri_dofs.ravel()] = np.repeat(self.tri_component, 3)
         self.dof_component = dof_component
 
-    def _build_dirichlet(self):
-        mesh = self.mesh
-        dirichlet = set()
-        for e in mesh.dirichlet_edges():
-            e = int(e)
-            if e in self.crack:
-                continue  # a cracked boundary edge releases its constraint
-            (t,) = mesh.edge_triangles[e]
-            va, vb = map(int, mesh.edges[e])
-            tri = list(mesh.triangles[t])
-            dirichlet.add(int(self.tri_dofs[t, tri.index(va)]))
-            dirichlet.add(int(self.tri_dofs[t, tri.index(vb)]))
-        self.dirichlet_dofs = np.array(sorted(dirichlet), dtype=int)
-        # one pinned DOF per component that the Dirichlet data cannot see
-        seen = set(self.dof_component[self.dirichlet_dofs])
-        pinned = []
-        for comp in range(self.n_components):
-            if comp not in seen:
-                pinned.append(int(np.flatnonzero(self.dof_component == comp)[0]))
-        self.pinned_dofs = np.array(pinned, dtype=int)
+    def _build_dirichlet(self, tables: _MeshTables, cracked):
+        # a cracked boundary edge releases its constraint
+        kept = tables.dirichlet_corners[~cracked[tables.dirichlet_edges]]
         mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = True
+        mask[self.tri_dofs.ravel()[kept]] = True
+        self.dirichlet_dofs = np.flatnonzero(mask)
+        # one pinned DOF per component that the Dirichlet data cannot see
+        seen = np.zeros(self.n_components, dtype=bool)
+        seen[self.dof_component[self.dirichlet_dofs]] = True
+        unseen = np.flatnonzero(~seen)
+        first = np.full(self.n_components, self.n_dofs)
+        if unseen.size:
+            np.minimum.at(first, self.dof_component, np.arange(self.n_dofs))
+        self.pinned_dofs = first[unseen]
         mask[self.pinned_dofs] = True
         self.constrained_mask = mask
 
@@ -252,14 +339,12 @@ class CrackedSpace:
         the fan's triangles. Identifies which side of a crack a
         duplicated DOF lives on."""
         mesh = self.mesh
-        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-        acc = np.zeros((self.n_dofs, 2))
-        cnt = np.zeros(self.n_dofs)
-        for t in range(mesh.n_triangles):
-            for slot in range(3):
-                d = self.tri_dofs[t, slot]
-                acc[d] += centroids[t]
-                cnt[d] += 1
+        centroids = np.repeat(mesh.vertices[mesh.triangles].mean(axis=1), 3, axis=0)
+        dofs = self.tri_dofs.ravel()
+        acc = np.column_stack([
+            np.bincount(dofs, weights=centroids[:, i], minlength=self.n_dofs)
+            for i in range(2)])
+        cnt = np.bincount(dofs, minlength=self.n_dofs).astype(float)
         return acc / cnt[:, None] - self.dof_positions()
 
 
@@ -290,7 +375,7 @@ def energy_on_triangles(space: CrackedSpace, u: np.ndarray, tri_ids) -> float:
     tri_ids = np.asarray(tri_ids, dtype=int)
     if tri_ids.size == 0:
         return 0.0
-    grads = _p1_gradients(space.mesh)[tri_ids]
+    grads = _mesh_tables(space.mesh).grads[tri_ids]
     uv = u[space.tri_dofs[tri_ids]]  # (m, 3)
     g = np.einsum("tid,ti->td", grads, uv)
     area = space.mesh.triangle_areas[tri_ids]
@@ -298,13 +383,9 @@ def energy_on_triangles(space: CrackedSpace, u: np.ndarray, tri_ids) -> float:
 
 
 def _assemble_stiffness(space: CrackedSpace) -> sp.csr_matrix:
-    mesh = space.mesh
-    area = mesh.triangle_areas
-    grads = _p1_gradients(mesh)
-    local = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
     rows = np.repeat(space.tri_dofs, 3, axis=1).ravel()
     cols = np.tile(space.tri_dofs, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+    mat = sp.coo_matrix((_mesh_tables(space.mesh).local, (rows, cols)),
                         shape=(space.n_dofs, space.n_dofs))
     return mat.tocsr()
 
@@ -318,6 +399,28 @@ class EnergySolution:
     u: np.ndarray
     residual: float
     space: CrackedSpace
+
+
+def _reduced_blocks(a: sp.csr_matrix, mask: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The free-free and free-fixed blocks of a CSR matrix, equal array for
+    array to a[free][:, free] and a[free][:, fixed], in one index pass:
+    each kept entry stays in its row order and its column is renumbered
+    within its block."""
+    free = ~mask
+    free_rows = np.flatnonzero(free)
+    position = np.where(free, np.cumsum(free), np.cumsum(mask)) - 1
+    in_free_row = np.repeat(free, np.diff(a.indptr))
+    col_free = free[a.indices]
+    blocks = []
+    for take, n_cols in ((in_free_row & col_free, free_rows.size),
+                         (in_free_row & ~col_free, int(mask.sum()))):
+        taken = np.concatenate(([0], np.cumsum(take)))
+        per_row = taken[a.indptr[1:]] - taken[a.indptr[:-1]]
+        indptr = np.concatenate(([0], np.cumsum(per_row[free_rows]))).astype(a.indptr.dtype)
+        indices = position[a.indices[take]].astype(a.indices.dtype)
+        blocks.append(sp.csr_matrix((a.data[take], indices, indptr),
+                                    shape=(free_rows.size, n_cols)))
+    return blocks[0], blocks[1]
 
 
 def _solve_constrained(space: CrackedSpace, values: np.ndarray,
@@ -335,8 +438,8 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     free = np.flatnonzero(~mask)
     if free.size == 0:
         return u, 0.0
-    aff = a[free][:, free]
-    b = -(a[free][:, np.flatnonzero(mask)] @ u[mask])
+    aff, afx = _reduced_blocks(a, mask)
+    b = -(afx @ u[mask])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0
@@ -364,12 +467,14 @@ def solve_energy(t: float, crack: CrackSet, load: BoundaryLoad) -> EnergySolutio
     return solve_on_space(t, space, load)
 
 
-def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergySolution:
-    """Same as solve_energy, reusing an already-built space."""
+def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad,
+                   rtol: float = CG_RTOL) -> EnergySolution:
+    """Same as solve_energy, reusing an already-built space; rtol is the
+    relative residual at which CG stops."""
     at = load.amplitude(t)
     values = np.zeros(space.n_dofs)
     values[space.dirichlet_dofs] = at * load.profile[space.dof_vertex[space.dirichlet_dofs]]
-    u, residual = _solve_constrained(space, values)
+    u, residual = _solve_constrained(space, values, rtol=rtol)
     energy = 0.5 * float(u @ (space.stiffness() @ u))
     return EnergySolution(energy=energy, u=u, residual=residual, space=space)
 

@@ -116,18 +116,38 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _diameter(vertices: np.ndarray) -> float:
-    # Max pairwise distance is attained on the convex hull; fall back to the
-    # direct scan for tiny or degenerate inputs.
-    pts = vertices
-    if len(pts) > 16:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            pts = vertices[ConvexHull(vertices).vertices]
-        except QhullError:
-            pts = vertices
+    # Max pairwise distance is attained on the convex hull; tiny inputs
+    # take the direct scan.
+    pts = vertices if len(vertices) <= 16 else _convex_hull(vertices)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
+
+
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Corners of the convex hull by Andrew's monotone chain; points on a
+    hull edge are dropped, so collinear input gives its two ends. Points
+    strictly inside the quadrilateral of four extreme points (leftmost,
+    lowest, rightmost, highest; ties broken toward distinct corners)
+    cannot be corners and are discarded before the chain (Akl-Toussaint)."""
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    x, y = pts[:, 0], pts[:, 1]
+    quad = pts[[0, np.lexsort((-x, y))[0], -1, np.lexsort((x, -y))[0]]]
+    inside = np.ones(len(pts), dtype=bool)
+    for p, q in zip(quad, np.roll(quad, -1, axis=0)):
+        inside &= ((q[0] - p[0]) * (pts[:, 1] - p[1])
+                   - (q[1] - p[1]) * (pts[:, 0] - p[0])) > 0
+    rest = pts[~inside].tolist()
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array(chain(rest) + chain(reversed(rest)), dtype=float)
 
 
 def dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,21 +163,56 @@ def dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     return np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
 
 
-def _check_hanging_nodes(vertices, edges, vertex_edges, lengths):
+def _check_hanging_nodes(vertices, edges, lengths):
     # A vertex lying in the interior of a non-incident edge means the
-    # triangulation is not conforming. Scan in chunks to bound memory.
+    # triangulation is not conforming. Vertices are bucketed on a grid of
+    # cells as wide as the longest edge, and each edge is measured only
+    # against the vertices in the (at most 3 x 3) cells its padded bounding
+    # box meets. The distances use the arithmetic of
+    # dist_points_to_segments, and the smallest offending (vertex, edge)
+    # pair is reported, as a scan over all pairs would.
     tol = 1e-12 * max(1.0, float(lengths.max()))
     a = vertices[edges[:, 0]]
     b = vertices[edges[:, 1]]
-    nv = len(vertices)
-    for lo in range(0, nv, 256):
-        hi = min(nv, lo + 256)
-        dmat = dist_points_to_segments(vertices[lo:hi], a, b)
-        for vi, ei in zip(*np.nonzero(dmat <= tol)):
-            v = lo + int(vi)
-            if int(ei) not in vertex_edges[v]:
-                raise MeshError(
-                    f"vertex {v} lies on edge {tuple(edges[int(ei)])}: non-conforming mesh")
+    width = float(lengths.max())
+    origin = vertices.min(axis=0) - width
+    vcell = np.floor((vertices - origin) / width).astype(np.int64)
+    stride = int(vcell[:, 1].max()) + 3
+    vkey = vcell[:, 0] * stride + vcell[:, 1]
+    order = np.argsort(vkey, kind="stable")
+    sorted_keys = vkey[order]
+    pad = 0.25 * width
+    lo = np.floor((np.minimum(a, b) - pad - origin) / width).astype(np.int64)
+    hi = np.floor((np.maximum(a, b) + pad - origin) / width).astype(np.int64)
+    pair_e, pair_keys = [], []
+    for dx in range(3):
+        for dy in range(3):
+            meets = np.flatnonzero((lo[:, 0] + dx <= hi[:, 0]) & (lo[:, 1] + dy <= hi[:, 1]))
+            pair_e.append(meets)
+            pair_keys.append((lo[meets, 0] + dx) * stride + lo[meets, 1] + dy)
+    pair_e = np.concatenate(pair_e)
+    pair_keys = np.concatenate(pair_keys)
+    first = np.searchsorted(sorted_keys, pair_keys, side="left")
+    count = np.searchsorted(sorted_keys, pair_keys, side="right") - first
+    starts = np.cumsum(count) - count
+    slots = np.arange(int(count.sum())) - np.repeat(starts - first, count)
+    ev = np.repeat(pair_e, count)
+    vv = order[slots]
+    keep = (edges[ev, 0] != vv) & (edges[ev, 1] != vv)
+    ev, vv = ev[keep], vv[keep]
+    p = vertices[vv]
+    d = b[ev] - a[ev]
+    l2 = np.einsum("ij,ij->i", d, d)
+    ap = p - a[ev]
+    t = np.einsum("ij,ij->i", ap, d) / l2
+    np.clip(t, 0.0, 1.0, out=t)
+    diff = p - (a[ev] + t[:, None] * d)
+    bad = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)
+    if bad.size:
+        i = bad[np.lexsort((ev[bad], vv[bad]))[0]]
+        v, ei = int(vv[i]), int(ev[i])
+        raise MeshError(
+            f"vertex {v} lies on edge {tuple(edges[ei])}: non-conforming mesh")
 
 
 def _dirichlet_predicate(marker) -> Callable[[int, int, np.ndarray, np.ndarray], bool]:
@@ -253,7 +308,7 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
             vertex_triangles[int(v)].append(ti)
     vertex_triangles = tuple(tuple(t) for t in vertex_triangles)
 
-    _check_hanging_nodes(verts, edges, vertex_edges, lengths)
+    _check_hanging_nodes(verts, edges, lengths)
 
     tags = np.full(len(pairs), INTERIOR, dtype=int)
     predicate = _dirichlet_predicate(dirichlet_marker)
@@ -387,13 +442,14 @@ def h1_diff(h: CrackSet, k: CrackSet) -> float:
     return h1_measure(CrackSet(k.mesh, k.bits & ~h.bits))
 
 
-def connected_components(k: CrackSet) -> list:
-    """Partition of K into maximal vertex-connected edge groups.
+def union_groups(items: Sequence, links: Iterable) -> list[list]:
+    """Groups of `items` joined by the `links` pairs, by a small union-find.
 
-    Components are ordered by their smallest member edge index.
+    Every group lists its members in the order of `items`, and the groups
+    come in the order of their first member; ascending items therefore
+    give groups ordered by their smallest member.
     """
-    edge_ids = k.edge_ids
-    parent = {}
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -401,23 +457,31 @@ def connected_components(k: CrackSet) -> list:
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in links:
         rx, ry = find(x), find(y)
         if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+            parent[ry] = rx
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
-    vertex_owner = {}
+
+def connected_components(k: CrackSet) -> list:
+    """Partition of K into maximal vertex-connected edge groups.
+
+    Components are ordered by their smallest member edge index.
+    """
+    edge_ids = k.edge_ids
+    edges = k.mesh.edges
+    first_edge_at: dict = {}
+    links = []
     for e in edge_ids:
-        parent[e] = e
-        for v in map(int, k.mesh.edges[e]):
-            if v in vertex_owner:
-                union(vertex_owner[v], e)
-            else:
-                vertex_owner[v] = e
-    groups = {}
-    for e in edge_ids:
-        groups.setdefault(find(e), []).append(e)
-    return [CrackSet.of_edges(k.mesh, groups[root]) for root in sorted(groups)]
+        for v in edges[e].tolist():
+            first = first_edge_at.setdefault(v, e)
+            if first != e:
+                links.append((first, e))
+    return [CrackSet.of_edges(k.mesh, group) for group in union_groups(edge_ids, links)]
 
 
 def dist_point_to_crack(x, k: CrackSet) -> float:

@@ -103,7 +103,7 @@ class RisInstance:
         if self.competitor_generator is not None:
             yield from self.competitor_generator(state)
             return
-        available = sorted(set(self.pool.edge_ids) - set(state.edge_ids))
+        available = self.pool.minus(state).edge_ids
         if self.search == "greedy":
             yield state
             for e in available:
@@ -206,7 +206,7 @@ def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSe
         best = best_among([prev])
         while True:
             state = best[1]
-            available = sorted(set(instance.pool.edge_ids) - set(state.edge_ids))
+            available = instance.pool.minus(state).edge_ids
             found = best_among((state.with_edges([e]) for e in available), best)
             if found[1].bits == state.bits:
                 return state
@@ -270,7 +270,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     """
     if not k_minus.issubset(k_plus):
         return JumpCostResult(cost=math.inf, chain=None, hops=(), segments=())
-    gap = sorted(set(k_plus.edge_ids) - set(k_minus.edge_ids))
+    gap = k_plus.minus(k_minus).edge_ids
     g = len(gap)
     if g > instance.lattice_cap:
         raise ValueError(

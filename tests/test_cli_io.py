@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,44 @@ def test_parse_minimal_fills_defaults():
     assert cfg.tol_stability == 1e-9 and cfg.tol_balance == 1e-9
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# README key -> RunConfig field
+_DOCUMENTED_FIELDS = {
+    ("run", "mode"): "mode", ("run", "lambda"): "lam", ("run", "mu"): "mu",
+    ("run", "output"): "output", ("load", "profile"): "profile",
+    ("load", "amplitude"): "amplitude", ("partition", "steps"): "steps",
+    ("partition", "horizon"): "horizon", ("pool", "kind"): "pool_kind",
+    ("search", "mode"): "search", ("search", "budget"): "budget",
+    ("tolerances", "stability"): "tol_stability",
+    ("tolerances", "balance"): "tol_balance",
+    ("tolerances", "solver"): "tol_solver", ("tolerances", "h"): "tol_h",
+}
+
+
+def test_readme_defaults_match_parser():
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| `([^`]*)` \|$",
+                      README.read_text(encoding="utf-8"), flags=re.M)
+    documented = {(sec, key): raw for sec, key, raw in rows}
+    assert set(documented) == set(_DOCUMENTED_FIELDS)
+    cfg = parse_config(MINIMAL)
+    for (sec, key), raw in documented.items():
+        value = getattr(cfg, _DOCUMENTED_FIELDS[(sec, key)])
+        if isinstance(value, str):
+            assert value == raw, (sec, key)
+        else:
+            assert value == float(raw), (sec, key)
+
+
+def test_readme_lists_the_sweepable_parameters():
+    from vefrac.cli_io import _SWEEPABLE
+
+    text = README.read_text(encoding="utf-8")
+    line = re.search(r"`sweep` reruns one config across one of (.*?), each value",
+                     text, flags=re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", line)) == set(_SWEEPABLE)
+
+
 def test_parse_rejects_nonpositive_moduli():
     with pytest.raises(ConfigError, match="^lambda must be positive$"):
         parse_config(MINIMAL + "lambda = 0\n")
@@ -194,6 +234,28 @@ def test_build_run_wires_everything(workdir):
     assert ctx.partition.horizon == 12.0
     assert isinstance(ctx.load.amplitude, LinearAmplitude)
     assert ctx.instance.budget == 3
+
+
+def test_solver_tolerance_reaches_cg(workdir, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    seen = []
+    cg = spla.cg
+
+    def recording_cg(*args, **kwargs):
+        seen.append(kwargs["rtol"])
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", recording_cg)
+    root = workdir["root"]
+    text = (root / "well.ini").read_text() + "\n[tolerances]\nsolver = 1e-7\n"
+    ctx = build_run(parse_config(text), root)
+    seen.clear()
+    ctx.instance.energy(1.0, ctx.pool)
+    assert seen == [1e-7]
+    default = build_run(parse_config((root / "well.ini").read_text()), root)
+    default.instance.energy(1.0, default.pool)
+    assert seen == [1e-7, 1e-10]
 
 
 def test_build_run_all_interior_excludes_grips(workdir):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vefrac.benchmarks import (
+    growth_strip,
     linear_y_profile,
     ramp_load,
     rect_grid_mesh,
@@ -17,14 +18,16 @@ from vefrac.elastic import (
     ElasticError,
     LinearAmplitude,
     TableAmplitude,
+    _reduced_blocks,
     energy_release,
     fit_sif,
     power,
     power_bound_constant,
     solve_energy,
+    solve_on_space,
     split_along_crack,
 )
-from vefrac.geometry import CrackSet
+from vefrac.geometry import CrackSet, build_mesh
 
 import _oracles as oracle
 
@@ -83,6 +86,125 @@ def test_split_matches_fan_oracle(grid4_tb):
         assert space.n_dofs == total
         counts = np.bincount(space.dof_vertex, minlength=grid4_tb.n_vertices)
         assert list(counts) == per_vertex
+
+
+def assert_csr_equal(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def assert_space_matches_reference(mesh, crack):
+    """Every array of the space, its stiffness, the reduced blocks and
+    the CG solve equal the per-vertex reference bit for bit."""
+    space = split_along_crack(mesh, crack)
+    ref = oracle.reference_space(mesh, crack)
+    for name, want in ref.items():
+        got = (space.fan_centroid_offsets() if name == "fan_centroid_offsets"
+               else getattr(space, name))
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+    a = space.stiffness()
+    want_a = oracle.reference_stiffness(mesh, ref["tri_dofs"], ref["n_dofs"])
+    assert_csr_equal(a, want_a)
+    mask = ref["constrained_mask"]
+    for got, want in zip(_reduced_blocks(a, mask), oracle.reference_blocks(want_a, mask)):
+        assert_csr_equal(got, want)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    load = BoundaryLoad(profile=y + 0.25 * x * x, amplitude=LinearAmplitude(0.5, 1.0),
+                        horizon=1.0)
+    sol = solve_on_space(0.75, space, load)
+    values = np.zeros(ref["n_dofs"])
+    dirichlet = ref["dirichlet_dofs"]
+    values[dirichlet] = load.amplitude(0.75) * load.profile[ref["dof_vertex"][dirichlet]]
+    u, residual = oracle.reference_solve(want_a, mask, values)
+    assert np.array_equal(sol.u, u)
+    assert sol.residual == residual
+    assert sol.energy == 0.5 * float(u @ (want_a @ u))
+
+
+def _two_squares_at_a_corner():
+    """Two 2x2 grids meeting only at the origin: a pinch vertex with two
+    fans and no crack."""
+    cells = [(i / 2, j / 2) for j in range(3) for i in range(3)]
+    vertices = cells + [(-x, -y) for x, y in cells[1:]]
+    tris = []
+    for j in range(2):
+        for i in range(2):
+            v = j * 3 + i
+            tris += [(v, v + 1, v + 4), (v, v + 4, v + 3)]
+    lower = [tuple(0 if v == 0 else v + 8 for v in t) for t in tris]
+    return build_mesh(vertices, tris + lower,
+                      lambda pa, pb: pa[1] == pb[1] == 1.0)
+
+
+@pytest.mark.parametrize("mesh_name", ["grid4", "grid9", "strip"])
+def test_space_matches_reference_on_random_cracks(mesh_name):
+    mesh = {"grid4": lambda: square_grid_mesh(4),
+            "grid9": lambda: square_grid_mesh(9, dirichlet="topbottom"),
+            "strip": lambda: growth_strip()[0]}[mesh_name]()
+    rng = np.random.default_rng(11)
+    for size in [0, 1, 2, 3, 4, 6, 9, 14, 25] * 4:
+        ids = rng.choice(mesh.n_edges, size, replace=False)
+        assert_space_matches_reference(mesh, CrackSet.of_edges(mesh, ids))
+
+
+def test_space_matches_reference_on_cuts_rings_and_boundary(grid4_tb):
+    mesh = square_grid_mesh(9, dirichlet="topbottom")
+    through = horizontal_mid_crack(mesh, 9, through=True)
+    centre = 4 * 10 + 4
+    ring = CrackSet.of_edges(mesh, [
+        e for e, (a, b) in enumerate(mesh.edges.tolist())
+        if a != centre and b != centre
+        and mesh.edge_index.get(tuple(sorted((a, centre)))) is not None
+        and mesh.edge_index.get(tuple(sorted((b, centre)))) is not None])
+    assert len(ring.edge_ids) == 6  # the link of an interior vertex
+    boundary = CrackSet.of_edges(mesh, mesh.boundary_edges()[::3])
+    corner_chord = CrackSet.of_vertex_pairs(mesh, [(8, 19)])
+    for crack in (through, ring, boundary, corner_chord, through.union(ring),
+                  ring.union(boundary), through.union(boundary),
+                  horizontal_mid_crack(mesh, 9)):
+        assert_space_matches_reference(mesh, crack)
+    assert split_along_crack(mesh, through).n_components == 2
+    assert split_along_crack(mesh, ring).n_components == 2
+    assert len(split_along_crack(mesh, ring).pinned_dofs) == 1
+    assert split_along_crack(mesh, corner_chord).n_components == 2
+
+
+def test_space_matches_reference_on_a_holed_mesh():
+    # a 3x3 grid without its middle cell: cuts from the outer to the
+    # inner boundary, and rings around the hole
+    full = square_grid_mesh(3, dirichlet="topbottom")
+    keep = [t for t in full.triangles.tolist() if 5 not in t or 10 not in t]
+    mesh = build_mesh(full.vertices, keep, lambda pa, pb: pa[1] == pb[1] == 0.0)
+    hole = [mesh.edge_index[p] for p in [(5, 6), (6, 10), (9, 10), (5, 9)]]
+    rng = np.random.default_rng(8)
+    cracks = [CrackSet.of_edges(mesh, hole),
+              CrackSet.of_vertex_pairs(mesh, [(1, 5)]),
+              CrackSet.of_vertex_pairs(mesh, [(1, 5), (10, 14)])]
+    cracks += [CrackSet.of_edges(mesh, rng.choice(mesh.n_edges, size, replace=False))
+               for size in [1, 2, 3, 4, 6, 8] * 20]
+    for crack in cracks:
+        assert_space_matches_reference(mesh, crack)
+    assert split_along_crack(mesh, cracks[2]).n_components == 2
+
+
+def test_space_matches_reference_on_pinched_and_edgeless_meshes():
+    bow_tie = build_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)],
+                         [(0, 1, 2), (0, 3, 4)],
+                         lambda pa, pb: pa[1] == pb[1] == 0.0 and min(pa[0], pb[0]) >= 0)
+    assert split_along_crack(bow_tie, CrackSet.empty(bow_tie)).n_dofs == 6
+    triangle = build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+                          lambda pa, pb: True)
+    pinched = _two_squares_at_a_corner()
+    assert split_along_crack(pinched, CrackSet.empty(pinched)).n_dofs == pinched.n_vertices + 1
+    for mesh in (bow_tie, triangle, pinched):
+        for bits in range(min(1 << mesh.n_edges, 512)):
+            assert_space_matches_reference(mesh, CrackSet(mesh, bits))
 
 
 def test_dirichlet_release_on_cracked_boundary_edge(grid4_tb):

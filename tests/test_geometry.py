@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vefrac.benchmarks import rect_grid_mesh, square_grid_mesh, unit_square_mesh
+from vefrac.benchmarks import growth_strip, rect_grid_mesh, square_grid_mesh, unit_square_mesh
 from vefrac.geometry import (
     DIRICHLET,
     INTERIOR,
@@ -16,6 +16,7 @@ from vefrac.geometry import (
     CrackSet,
     MeshError,
     Point2,
+    _check_hanging_nodes,
     _diameter,
     build_mesh,
     connected_components,
@@ -45,8 +46,9 @@ def test_unit_square_edge_count_and_diameter(square2):
 
 
 def test_collinear_diameter_falls_back_to_direct_scan():
-    # More than 16 points take the convex-hull path; collinear points
-    # have no 2-d hull, so qhull refuses them and the direct scan runs.
+    # More than 16 points take the convex-hull path. Collinear points
+    # have no 2-d hull: qhull refuses them, the monotone chain keeps the
+    # two ends.
     from scipy.spatial import ConvexHull, QhullError
 
     s = np.linspace(0.0, 3.0, 20)
@@ -54,6 +56,82 @@ def test_collinear_diameter_falls_back_to_direct_scan():
     with pytest.raises(QhullError):
         ConvexHull(pts)
     assert _diameter(pts) == math.hypot(3.0, 1.5)
+
+
+def test_diameter_matches_qhull_hull():
+    meshes = [growth_strip()[0], square_grid_mesh(4, dirichlet="topbottom"),
+              square_grid_mesh(48, dirichlet="topbottom")]
+    clouds = [m.vertices for m in meshes]
+    rng = np.random.default_rng(2)
+    for n in (3, 16, 17, 40, 500):
+        clouds.append(rng.normal(size=(n, 2)) * rng.uniform(0.1, 100.0, 2))
+        clouds.append(rng.uniform(-1.0, 1.0, (n, 2)))
+        clouds.append(rng.integers(-4, 5, (n, 2)).astype(float))  # repeats, ties
+    for n in (17, 30, 200):
+        s = np.sort(rng.uniform(-3.0, 3.0, n))
+        slope = rng.uniform(-2.0, 2.0)
+        clouds.extend([np.column_stack([s, slope * s]),
+                       np.column_stack([np.zeros(n), s]),
+                       np.column_stack([s, np.full(n, 0.5)])])
+    for pts in clouds:
+        assert _diameter(pts) == oracle.qhull_diameter(pts)
+
+
+def _hanging_outcome(check, *args):
+    try:
+        check(*args)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+def test_hanging_node_check_matches_dense_scan():
+    rng = np.random.default_rng(4)
+    for trial in range(150):
+        n = int(rng.integers(2, 12))
+        mesh = square_grid_mesh(n)
+        edges = mesh.edges
+        # a jittered grid, so that edges sit anywhere on the bucket grid
+        base = mesh.vertices + rng.uniform(-0.2, 0.2, mesh.vertices.shape) / n
+        lengths = np.linalg.norm(base[edges[:, 1]] - base[edges[:, 0]], axis=1)
+        planted = [base]
+        for _ in range(int(rng.integers(0, 4))):
+            # the longest edges reach furthest across the bucket grid
+            e = int(rng.choice([rng.integers(0, mesh.n_edges), np.argmax(lengths)]))
+            a, b = base[edges[e]][::rng.choice([1, -1])]
+            where = rng.choice([rng.uniform(0.0, 1.0), 0.99, 1.5, -0.25])  # on, on, beyond, before
+            offset = rng.choice([0.0, 0.0, 3e-13, 1e-9]) * np.array([1.0, -1.0])
+            planted.append((a + where * (b - a) + offset)[None, :])
+        vertices = np.concatenate(planted)
+        order = rng.permutation(len(vertices))
+        vertices = vertices[order]
+        inverse = np.argsort(order)
+        moved = inverse[edges]
+        moved.sort(axis=1)
+        vertex_edges = [[] for _ in range(len(vertices))]
+        for i, (va, vb) in enumerate(moved.tolist()):
+            vertex_edges[va].append(i)
+            vertex_edges[vb].append(i)
+        want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                vertices, moved, vertex_edges, lengths)
+        got = _hanging_outcome(_check_hanging_nodes, vertices, moved, lengths)
+        assert got == want
+
+
+def test_hanging_node_message_names_first_vertex_and_edge():
+    # two T-junctions; both checks report the lowest vertex and its edge
+    vertices = [(0, 0), (2, 0), (0, 2), (1, 0), (1, -1), (0, 1), (-1, 1)]
+    triangles = [(0, 1, 2), (3, 4, 1), (6, 5, 2)]
+    with pytest.raises(MeshError) as exc:
+        build_mesh(vertices, triangles, lambda pa, pb: True)
+    verts = np.array(vertices, dtype=float)
+    pairs = sorted({tuple(sorted((t[i], t[(i + 1) % 3]))) for t in triangles for i in range(3)})
+    edges = np.array(pairs)
+    vertex_edges = [[i for i, p in enumerate(pairs) if v in p] for v in range(len(verts))]
+    lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
+    assert str(exc.value) == _hanging_outcome(oracle.dense_hanging_node_check,
+                                              verts, edges, vertex_edges, lengths)
+    assert str(exc.value).startswith("vertex 3 lies on edge")
 
 
 def test_empty_dirichlet_rejected():

@@ -199,6 +199,63 @@ def test_greedy_agrees_on_separable_drive(grid3):
         incremental_step(0.0, prev, greedy).bits
 
 
+def test_competitor_sequences_match_set_difference(grid3):
+    # the free edges come from the bits; the sequences must equal the
+    # ones built from the sorted set difference, element for element
+    rng = np.random.default_rng(3)
+    full = (1 << grid3.n_edges) - 1
+    for _ in range(40):
+        pool = CrackSet(grid3, int(rng.integers(0, full + 1)) & full)
+        state = CrackSet(grid3, int(rng.integers(0, full + 1)) & int(rng.integers(0, full + 1)))
+        for search, budget in (("exhaustive", 0), ("exhaustive", 2), ("greedy", 3)):
+            inst = RisInstance(pool=pool, energy=lambda t, k: 0.0,
+                               power=lambda t, k: 0.0, d=None, delta=None,
+                               alpha=None, params=PARAMS, budget=budget,
+                               search=search)
+            expected = oracle.competitors_by_sets(pool, state, search, budget)
+            assert [c.bits for c in inst.competitors(state)] == [c.bits for c in expected]
+
+
+def test_greedy_step_examines_set_difference_candidates(grid3):
+    # greedy incremental_step asks, round by round, for the single-edge
+    # supersets of its current best inside the pool, in ascending edge
+    # order; replay the loop on the set-difference candidates
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(-5.0, 0.5, grid3.n_edges)
+    asked = []
+
+    def value(k):
+        return float(sum(weights[e] for e in k.edge_ids))
+
+    def energy(t, k):
+        asked.append(k.bits)
+        return value(k)
+
+    pool = CrackSet.of_edges(grid3, rng.choice(grid3.n_edges, 12, replace=False))
+    prev = CrackSet.of_edges(grid3, [pool.edge_ids[0]])
+    inst = RisInstance(pool=pool, energy=energy, power=lambda t, k: 0.0,
+                       d=lambda h, k: dist_d(h, k, PARAMS),
+                       delta=lambda h, k: delta_atw(h, k, PARAMS),
+                       alpha=alpha, params=PARAMS, search="greedy")
+    result = incremental_step(0.0, prev, inst)
+
+    def key(c):
+        return (value(c) + inst.big_d(prev, c).value, *c.sort_key())
+
+    expected, best = [prev.bits], (key(prev), prev)
+    while True:
+        state = best[1]
+        for cand in oracle.competitors_by_sets(pool, state, "greedy", 0)[1:]:
+            expected.append(cand.bits)
+            if key(cand) < best[0]:
+                best = (key(cand), cand)
+        if best[1].bits == state.bits:
+            break
+    assert asked == expected
+    assert result.bits == state.bits
+    assert len(state.edge_ids) > 2  # several rounds ran
+
+
 # ---------------------------------------------------------------------------
 # transition cost of chains
 # ---------------------------------------------------------------------------

@@ -72,9 +72,9 @@ class RunConfig:
     """Validated run description with defaults already applied.
 
     pool_items holds vertex pairs for kind "pairs" and edge ids for
-    kind "edges"; it is empty for "all-interior". tol_solver is the
-    relative residual at which every CG energy solve stops; tol_h is
-    echoed into archives but read by nothing.
+    kind "edges"; it is empty for "all-interior". The solver and h
+    tolerances are echoed into archives for self-description even
+    where the inner modules pin their own constants.
     """
 
     mesh: str
@@ -336,7 +336,7 @@ def build_run(cfg: RunConfig, base) -> RunContext:
     params = DissipationParams(lam=cfg.lam, mu=cfg.mu)
     instance = fracture_instance(
         mesh, load, params, pool, budget=cfg.budget, search=cfg.search,
-        stability_rtol=cfg.tol_stability, solver_rtol=cfg.tol_solver)
+        stability_rtol=cfg.tol_stability)
     k0 = (CrackSet.of_vertex_pairs(mesh, cfg.initial) if cfg.initial
           else CrackSet.empty(mesh))
     return RunContext(config=cfg, base=str(base), mesh=mesh, load=load,

@@ -401,28 +401,6 @@ class EnergySolution:
     space: CrackedSpace
 
 
-def _reduced_blocks(a: sp.csr_matrix, mask: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The free-free and free-fixed blocks of a CSR matrix, equal array for
-    array to a[free][:, free] and a[free][:, fixed], in one index pass:
-    each kept entry stays in its row order and its column is renumbered
-    within its block."""
-    free = ~mask
-    free_rows = np.flatnonzero(free)
-    position = np.where(free, np.cumsum(free), np.cumsum(mask)) - 1
-    in_free_row = np.repeat(free, np.diff(a.indptr))
-    col_free = free[a.indices]
-    blocks = []
-    for take, n_cols in ((in_free_row & col_free, free_rows.size),
-                         (in_free_row & ~col_free, int(mask.sum()))):
-        taken = np.concatenate(([0], np.cumsum(take)))
-        per_row = taken[a.indptr[1:]] - taken[a.indptr[:-1]]
-        indptr = np.concatenate(([0], np.cumsum(per_row[free_rows]))).astype(a.indptr.dtype)
-        indices = position[a.indices[take]].astype(a.indices.dtype)
-        blocks.append(sp.csr_matrix((a.data[take], indices, indptr),
-                                    shape=(free_rows.size, n_cols)))
-    return blocks[0], blocks[1]
-
-
 def _solve_constrained(space: CrackedSpace, values: np.ndarray,
                        rtol: float = CG_RTOL,
                        mask: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -438,8 +416,8 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     free = np.flatnonzero(~mask)
     if free.size == 0:
         return u, 0.0
-    aff, afx = _reduced_blocks(a, mask)
-    b = -(afx @ u[mask])
+    aff = a[free][:, free]
+    b = -(a[free][:, np.flatnonzero(mask)] @ u[mask])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0
@@ -467,14 +445,12 @@ def solve_energy(t: float, crack: CrackSet, load: BoundaryLoad) -> EnergySolutio
     return solve_on_space(t, space, load)
 
 
-def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad,
-                   rtol: float = CG_RTOL) -> EnergySolution:
-    """Same as solve_energy, reusing an already-built space; rtol is the
-    relative residual at which CG stops."""
+def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergySolution:
+    """Same as solve_energy, reusing an already-built space."""
     at = load.amplitude(t)
     values = np.zeros(space.n_dofs)
     values[space.dirichlet_dofs] = at * load.profile[space.dof_vertex[space.dirichlet_dofs]]
-    u, residual = _solve_constrained(space, values, rtol=rtol)
+    u, residual = _solve_constrained(space, values)
     energy = 0.5 * float(u @ (space.stiffness() @ u))
     return EnergySolution(energy=energy, u=u, residual=residual, space=space)
 

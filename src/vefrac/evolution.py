@@ -36,7 +36,6 @@ from .dissipation import (
     hop_cost,
 )
 from .elastic import (
-    CG_RTOL,
     BoundaryLoad,
     LinearAmplitude,
     power_bound_constant,
@@ -305,14 +304,12 @@ def refine_study(instance: RisInstance, k0: CrackSet, tau_list: Sequence[float],
 class _ScaledEnergyCache:
     """One FEM solve per distinct crack set: with datum a(t) G the
     minimizer scales linearly in a(t), so E(t,K) = a(t)^2 E1(K) and
-    dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing.
-    rtol is the relative residual at which each CG solve stops."""
+    dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing."""
 
-    def __init__(self, mesh: Mesh, load: BoundaryLoad, rtol: float = CG_RTOL):
+    def __init__(self, mesh: Mesh, load: BoundaryLoad):
         load.check_mesh(mesh)
         self.mesh = mesh
         self.load = load
-        self.rtol = rtol
         self.unit = BoundaryLoad(profile=load.profile,
                                  amplitude=_UNIT_AMPLITUDE, horizon=load.horizon)
         self._entries: dict[int, tuple[float, float]] = {}
@@ -321,7 +318,7 @@ class _ScaledEnergyCache:
         got = self._entries.get(k.bits)
         if got is None:
             space = split_along_crack(self.mesh, k)
-            sol = solve_on_space(1.0, space, self.unit, rtol=self.rtol)
+            sol = solve_on_space(1.0, space, self.unit)
             g = self.load.profile[space.dof_vertex]
             p1 = float(g @ (space.stiffness() @ sol.u))
             got = (sol.energy, p1)
@@ -383,12 +380,10 @@ class _HopTable:
 
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       pool: CrackSet, budget: int = 3, search: str = "exhaustive",
-                      lattice_cap: int = 16, stability_rtol: float = 1e-9,
-                      solver_rtol: float = CG_RTOL) -> RisInstance:
+                      lattice_cap: int = 16, stability_rtol: float = 1e-9) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
-    instance the scheme can drive. solver_rtol is the CG stopping
-    tolerance of the energy solves."""
-    cache = _ScaledEnergyCache(mesh, load, rtol=solver_rtol)
+    instance the scheme can drive."""
+    cache = _ScaledEnergyCache(mesh, load)
     hops = _HopTable(mesh, params)
     return RisInstance(
         pool=pool,

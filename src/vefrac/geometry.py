@@ -163,14 +163,20 @@ def dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     return np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
 
 
+# Most (vertex, edge) candidate pairs _check_hanging_nodes measures at once.
+_HANGING_BLOCK = 1 << 16
+
+
 def _check_hanging_nodes(vertices, edges, lengths):
     # A vertex lying in the interior of a non-incident edge means the
     # triangulation is not conforming. Vertices are bucketed on a grid of
     # cells as wide as the longest edge, and each edge is measured only
     # against the vertices in the (at most 3 x 3) cells its padded bounding
-    # box meets. The distances use the arithmetic of
-    # dist_points_to_segments, and the smallest offending (vertex, edge)
-    # pair is reported, as a scan over all pairs would.
+    # box meets. On a graded mesh those cells may hold most vertices, so
+    # the candidate pairs are measured in blocks of bounded size. The
+    # distances use the arithmetic of dist_points_to_segments, and the
+    # smallest offending (vertex, edge) pair is reported, as a scan over
+    # all pairs would.
     tol = 1e-12 * max(1.0, float(lengths.max()))
     a = vertices[edges[:, 0]]
     b = vertices[edges[:, 1]]
@@ -194,6 +200,28 @@ def _check_hanging_nodes(vertices, edges, lengths):
     pair_keys = np.concatenate(pair_keys)
     first = np.searchsorted(sorted_keys, pair_keys, side="left")
     count = np.searchsorted(sorted_keys, pair_keys, side="right") - first
+    ends = np.cumsum(count)
+    lowest = None
+    i = 0
+    while i < len(count):
+        # (edge, cell) pairs i..j-1 hold at most _HANGING_BLOCK candidates,
+        # or one pair alone if its cell holds more
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + _HANGING_BLOCK, side="right")))
+        found = _first_on_edge(vertices, edges, a, b, tol, order,
+                               pair_e[i:j], first[i:j], count[i:j])
+        if found is not None and (lowest is None or found < lowest):
+            lowest = found
+        i = j
+    if lowest is not None:
+        v, e = lowest
+        raise MeshError(
+            f"vertex {v} lies on edge {tuple(edges[e])}: non-conforming mesh")
+
+
+def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
+    """Smallest (vertex, edge) among the candidates of the given (edge,
+    cell) pairs where the vertex lies on the non-incident edge, or None."""
     starts = np.cumsum(count) - count
     slots = np.arange(int(count.sum())) - np.repeat(starts - first, count)
     ev = np.repeat(pair_e, count)
@@ -208,11 +236,10 @@ def _check_hanging_nodes(vertices, edges, lengths):
     np.clip(t, 0.0, 1.0, out=t)
     diff = p - (a[ev] + t[:, None] * d)
     bad = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)
-    if bad.size:
-        i = bad[np.lexsort((ev[bad], vv[bad]))[0]]
-        v, ei = int(vv[i]), int(ev[i])
-        raise MeshError(
-            f"vertex {v} lies on edge {tuple(edges[ei])}: non-conforming mesh")
+    if not bad.size:
+        return None
+    k = bad[np.lexsort((ev[bad], vv[bad]))[0]]
+    return int(vv[k]), int(ev[k])
 
 
 def _dirichlet_predicate(marker) -> Callable[[int, int, np.ndarray, np.ndarray], bool]:

@@ -363,12 +363,6 @@ def reference_stiffness(mesh, tri_dofs, n_dofs):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
 
-def reference_blocks(a, mask):
-    """Free-free and free-fixed blocks by scipy fancy indexing."""
-    free = np.flatnonzero(~mask)
-    return a[free][:, free], a[free][:, np.flatnonzero(mask)]
-
-
 def reference_solve(a, mask, values, rtol=1e-10):
     """Jacobi-preconditioned CG on the reduced system built by fancy
     indexing; returns (field, relative residual)."""
@@ -379,8 +373,8 @@ def reference_solve(a, mask, values, rtol=1e-10):
     free = np.flatnonzero(~mask)
     if free.size == 0:
         return u, 0.0
-    aff, afx = reference_blocks(a, mask)
-    b = -(afx @ u[mask])
+    aff = a[free][:, free]
+    b = -(a[free][:, np.flatnonzero(mask)] @ u[mask])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0

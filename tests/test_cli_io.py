@@ -150,15 +150,6 @@ def test_readme_defaults_match_parser():
             assert value == float(raw), (sec, key)
 
 
-def test_readme_lists_the_sweepable_parameters():
-    from vefrac.cli_io import _SWEEPABLE
-
-    text = README.read_text(encoding="utf-8")
-    line = re.search(r"`sweep` reruns one config across one of (.*?), each value",
-                     text, flags=re.S).group(1)
-    assert set(re.findall(r"`(\w+)`", line)) == set(_SWEEPABLE)
-
-
 def test_parse_rejects_nonpositive_moduli():
     with pytest.raises(ConfigError, match="^lambda must be positive$"):
         parse_config(MINIMAL + "lambda = 0\n")
@@ -234,28 +225,6 @@ def test_build_run_wires_everything(workdir):
     assert ctx.partition.horizon == 12.0
     assert isinstance(ctx.load.amplitude, LinearAmplitude)
     assert ctx.instance.budget == 3
-
-
-def test_solver_tolerance_reaches_cg(workdir, monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    seen = []
-    cg = spla.cg
-
-    def recording_cg(*args, **kwargs):
-        seen.append(kwargs["rtol"])
-        return cg(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "cg", recording_cg)
-    root = workdir["root"]
-    text = (root / "well.ini").read_text() + "\n[tolerances]\nsolver = 1e-7\n"
-    ctx = build_run(parse_config(text), root)
-    seen.clear()
-    ctx.instance.energy(1.0, ctx.pool)
-    assert seen == [1e-7]
-    default = build_run(parse_config((root / "well.ini").read_text()), root)
-    default.instance.energy(1.0, default.pool)
-    assert seen == [1e-7, 1e-10]
 
 
 def test_build_run_all_interior_excludes_grips(workdir):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from vefrac.geometry import (
 )
 
 import _oracles as oracle
+from vefrac import geometry
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,52 @@ def test_hanging_node_check_matches_dense_scan():
                                 vertices, moved, vertex_edges, lengths)
         got = _hanging_outcome(_check_hanging_nodes, vertices, moved, lengths)
         assert got == want
+
+
+def _graded_fan(n, planted=()):
+    """A refined n x n grid on the unit square beside one far vertex joined
+    to every vertex of the grid's right side: the fan's long edges make the
+    bucket cells as wide as the whole grid. Planted points are appended as
+    extra vertices."""
+    mesh = square_grid_mesh(n)
+    far = len(mesh.vertices)
+    right = np.flatnonzero(mesh.vertices[:, 0] == 1.0)
+    vertices = np.concatenate([mesh.vertices, [[3.0, 0.5]], np.reshape(planted, (-1, 2))])
+    edges = np.concatenate([mesh.edges, np.column_stack([right, np.full(right.size, far)])])
+    vertex_edges = [[] for _ in range(len(vertices))]
+    for i, (va, vb) in enumerate(edges.tolist()):
+        vertex_edges[va].append(i)
+        vertex_edges[vb].append(i)
+    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
+    return vertices, edges, vertex_edges, lengths
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_hanging_node_check_on_a_graded_mesh(monkeypatch, block):
+    monkeypatch.setattr(geometry, "_HANGING_BLOCK", block)
+    # on a long fan edge, on grid edges, and off every edge
+    plants = [(), [(2.0, 0.75)], [(0.25, 0.0), (2.0, 0.75)], [(0.25, 0.5), (0.25, 0.0)],
+              [(2.5, 0.9)]]
+    for planted in plants:
+        vertices, edges, vertex_edges, lengths = _graded_fan(6, planted)
+        want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                vertices, edges, vertex_edges, lengths)
+        got = _hanging_outcome(_check_hanging_nodes, vertices, edges, lengths)
+        assert got == want
+    assert got is None
+
+
+def test_hanging_node_check_memory_is_bounded_on_a_graded_mesh():
+    # nearly every (vertex, edge) pair is a candidate here: about 1.1e6
+    # of them, which measured at once would allocate over 100 MB
+    vertices, edges, _, lengths = _graded_fan(24)
+    tracemalloc.start()
+    try:
+        _check_hanging_nodes(vertices, edges, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_hanging_node_message_names_first_vertex_and_edge():

@@ -28,6 +28,7 @@ import numpy as np
 
 from .dissipation import DissipationParams
 from .elastic import (
+    CG_RTOL,
     BoundaryLoad,
     ElasticError,
     LinearAmplitude,
@@ -40,7 +41,6 @@ from .evolution import (
     TimePartition,
     component_bound_check,
     detect_jumps,
-    energetic_mode,
     fracture_instance,
     run_scheme,
 )
@@ -69,15 +69,16 @@ class ArchiveError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description with defaults already applied.
+    """Validated run description. The defaults here are the documented
+    ones, and __post_init__ is the only validator, so a config parsed
+    from text, rebuilt from an archive's echo or edited by a sweep is
+    checked alike. mesh is required; empty means missing.
 
     pool_items holds vertex pairs for kind "pairs" and edge ids for
-    kind "edges"; it is empty for "all-interior". The solver and h
-    tolerances are echoed into archives for self-description even
-    where the inner modules pin their own constants.
+    kind "edges"; it is empty for "all-interior".
     """
 
-    mesh: str
+    mesh: str = ""
     mode: str = "ve"
     lam: float = 1.0
     mu: float = 1.0
@@ -93,19 +94,55 @@ class RunConfig:
     search: str = "exhaustive"
     budget: int = 3
     tol_stability: float = 1e-9
-    tol_solver: float = 1e-10
-    tol_h: float = 1e-8
     tol_balance: float = 1e-9
 
+    def __post_init__(self):
+        if not self.mesh:
+            raise ConfigError("missing mesh")
+        if self.mode not in ("ve", "energetic"):
+            raise ConfigError(f"mode must be 've' or 'energetic', got {self.mode!r}")
+        if self.lam <= 0:
+            raise ConfigError("lambda must be positive")
+        if self.mu <= 0:
+            raise ConfigError("mu must be positive")
+        if self.steps < 1:
+            raise ConfigError("partition needs at least one step")
+        if self.horizon <= 0:
+            raise ConfigError("horizon must be positive")
+        if self.times is not None and len(self.times) < 2:
+            raise ConfigError("explicit times need at least the two endpoints")
+        if self.pool_kind not in ("all-interior", "pairs", "edges"):
+            raise ConfigError(
+                f"pool kind must be all-interior, pairs or edges, got {self.pool_kind!r}")
+        if self.pool_kind == "all-interior":
+            if self.pool_items:
+                raise ConfigError("pool items make no sense with kind all-interior")
+        elif not self.pool_items:
+            raise ConfigError(f"pool kind {self.pool_kind} needs items")
+        if self.search not in ("exhaustive", "greedy"):
+            raise ConfigError(
+                f"search mode must be exhaustive or greedy, got {self.search!r}")
+        if not 0 <= self.budget <= _BUDGET_CAP:
+            raise ConfigError(f"budget must be between 0 and {_BUDGET_CAP}")
+        for key, value in (("stability", self.tol_stability),
+                           ("balance", self.tol_balance)):
+            if value <= 0:
+                raise ConfigError(f"tolerance {key} must be positive")
 
-_KNOWN_KEYS = {
-    "run": {"mesh", "mode", "lambda", "mu", "output"},
-    "load": {"profile", "amplitude"},
-    "partition": {"steps", "horizon", "times"},
-    "pool": {"kind", "items", "initial"},
-    "search": {"mode", "budget"},
-    "tolerances": {"stability", "solver", "h", "balance"},
-}
+
+# Tolerance keys that accept one value only: CG stops at its fixed
+# relative residual and nothing reads an h tolerance. Archives still
+# echo both, so every archive states the constants it was made with.
+_FIXED_TOLERANCES = {"solver": CG_RTOL, "h": 1e-8}
+
+
+def _tolerances(cfg: RunConfig) -> dict:
+    return {"stability": cfg.tol_stability, **_FIXED_TOLERANCES,
+            "balance": cfg.tol_balance}
+
+
+def _text(section: str, key: str, raw: str) -> str:
+    return raw
 
 
 def _number(section: str, key: str, raw: str) -> float:
@@ -122,6 +159,10 @@ def _integer(section: str, key: str, raw: str) -> int:
     except ValueError:
         raise ConfigError(
             f"malformed integer for {section}.{key}: {raw!r}") from None
+
+
+def _numbers(section: str, key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_number(section, key, e) for e in raw.split(",") if e.strip())
 
 
 def _parse_pool_items(kind: str, raw: str):
@@ -142,11 +183,39 @@ def _parse_pool_items(kind: str, raw: str):
     return tuple(ids)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate an INI-like config document.
+def _pairs(section: str, key: str, raw: str) -> tuple:
+    return _parse_pool_items("pairs", raw)
 
-    Unknown sections and keys are rejected by name; missing values get
-    the documented defaults (notably budget 3 and 50 steps).
+
+# config key -> (RunConfig field, reader of the raw text). Pool items
+# are read once the pool kind is known.
+_FIELDS = {
+    ("run", "mesh"): ("mesh", _text),
+    ("run", "mode"): ("mode", _text),
+    ("run", "lambda"): ("lam", _number),
+    ("run", "mu"): ("mu", _number),
+    ("run", "output"): ("output", _text),
+    ("load", "profile"): ("profile", _text),
+    ("load", "amplitude"): ("amplitude", _text),
+    ("partition", "steps"): ("steps", _integer),
+    ("partition", "horizon"): ("horizon", _number),
+    ("partition", "times"): ("times", _numbers),
+    ("pool", "kind"): ("pool_kind", _text),
+    ("pool", "initial"): ("initial", _pairs),
+    ("search", "mode"): ("search", _text),
+    ("search", "budget"): ("budget", _integer),
+    ("tolerances", "stability"): ("tol_stability", _number),
+    ("tolerances", "balance"): ("tol_balance", _number),
+}
+_SECTIONS = {section for section, _ in _FIELDS}
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse an INI-like config document into a RunConfig.
+
+    Unknown sections and keys are rejected by name; each key present is
+    read into its RunConfig field, and every key left out takes the
+    RunConfig default (notably budget 3 and 50 steps).
     """
     parser = configparser.ConfigParser(
         delimiters=("=",), interpolation=None,
@@ -156,90 +225,28 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from None
 
-    values: dict[str, dict[str, str]] = {}
+    fields = {}
+    items = None
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section: {section}")
-        values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _KNOWN_KEYS[section]:
+            raw = raw.strip()
+            if (section, key) in _FIELDS:
+                name, read = _FIELDS[section, key]
+                fields[name] = read(section, key, raw)
+            elif (section, key) == ("pool", "items"):
+                items = raw
+            elif section == "tolerances" and key in _FIXED_TOLERANCES:
+                if _number(section, key, raw) != _FIXED_TOLERANCES[key]:
+                    raise ConfigError(
+                        f"tolerance {key} is fixed at {_FIXED_TOLERANCES[key]:g}")
+            else:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-            values[section][key] = raw.strip()
-
-    def get(section: str, key: str, default=None):
-        return values.get(section, {}).get(key, default)
-
-    mesh = get("run", "mesh")
-    if not mesh:
-        raise ConfigError("missing mesh")
-    mode = get("run", "mode", "ve")
-    if mode not in ("ve", "energetic"):
-        raise ConfigError(f"mode must be 've' or 'energetic', got {mode!r}")
-    lam = _number("run", "lambda", get("run", "lambda", "1"))
-    if lam <= 0:
-        raise ConfigError("lambda must be positive")
-    mu = _number("run", "mu", get("run", "mu", "1"))
-    if mu <= 0:
-        raise ConfigError("mu must be positive")
-
-    steps = _integer("partition", "steps", get("partition", "steps", "50"))
-    if steps < 1:
-        raise ConfigError("partition needs at least one step")
-    horizon = _number("partition", "horizon", get("partition", "horizon", "1"))
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    times = None
-    if get("partition", "times") is not None:
-        entries = [e for e in get("partition", "times").split(",") if e.strip()]
-        times = tuple(_number("partition", "times", e) for e in entries)
-        if len(times) < 2:
-            raise ConfigError("explicit times need at least the two endpoints")
-
-    pool_kind = get("pool", "kind", "all-interior")
-    if pool_kind not in ("all-interior", "pairs", "edges"):
-        raise ConfigError(
-            f"pool kind must be all-interior, pairs or edges, got {pool_kind!r}")
-    items_raw = get("pool", "items")
-    if pool_kind == "all-interior":
-        if items_raw is not None:
-            raise ConfigError("pool items make no sense with kind all-interior")
-        pool_items = ()
-    else:
-        if not items_raw:
-            raise ConfigError(f"pool kind {pool_kind} needs items")
-        pool_items = _parse_pool_items(pool_kind, items_raw)
-
-    initial_raw = get("pool", "initial")
-    initial = (_parse_pool_items("pairs", initial_raw)
-               if initial_raw else ())
-
-    search = get("search", "mode", "exhaustive")
-    if search not in ("exhaustive", "greedy"):
-        raise ConfigError(
-            f"search mode must be exhaustive or greedy, got {search!r}")
-    budget = _integer("search", "budget", get("search", "budget", "3"))
-    if not 0 <= budget <= _BUDGET_CAP:
-        raise ConfigError(f"budget must be between 0 and {_BUDGET_CAP}")
-
-    def tol(key: str, default: str) -> float:
-        v = _number("tolerances", key, get("tolerances", key, default))
-        if v <= 0:
-            raise ConfigError(f"tolerance {key} must be positive")
-        return v
-
-    return RunConfig(
-        mesh=mesh, mode=mode, lam=lam, mu=mu,
-        output=get("run", "output", "out"),
-        profile=get("load", "profile", "builtin:linear-y"),
-        amplitude=get("load", "amplitude", "linear(0, 1)"),
-        steps=steps, horizon=horizon, times=times,
-        pool_kind=pool_kind, pool_items=pool_items, initial=initial,
-        search=search, budget=budget,
-        tol_stability=tol("stability", "1e-9"),
-        tol_solver=tol("solver", "1e-10"),
-        tol_h=tol("h", "1e-8"),
-        tol_balance=tol("balance", "1e-9"),
-    )
+    if items is not None:
+        kind = fields.get("pool_kind", RunConfig.pool_kind)
+        fields["pool_items"] = _parse_pool_items(kind, items)
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,7 @@ def build_run(cfg: RunConfig, base) -> RunContext:
     params = DissipationParams(lam=cfg.lam, mu=cfg.mu)
     instance = fracture_instance(
         mesh, load, params, pool, budget=cfg.budget, search=cfg.search,
-        stability_rtol=cfg.tol_stability)
+        stability_rtol=cfg.tol_stability, viscous=cfg.mode == "ve")
     k0 = (CrackSet.of_vertex_pairs(mesh, cfg.initial) if cfg.initial
           else CrackSet.empty(mesh))
     return RunContext(config=cfg, base=str(base), mesh=mesh, load=load,
@@ -357,8 +364,7 @@ def _config_echo(cfg: RunConfig, base: str) -> dict:
                            for p in cfg.pool_items],
                  "initial": [list(p) for p in cfg.initial]},
         "search": {"mode": cfg.search, "budget": cfg.budget},
-        "tolerances": {"stability": cfg.tol_stability, "solver": cfg.tol_solver,
-                       "h": cfg.tol_h, "balance": cfg.tol_balance},
+        "tolerances": _tolerances(cfg),
     }
 
 
@@ -377,8 +383,7 @@ def _config_from_echo(echo: dict) -> tuple[RunConfig, str]:
         pool_items=tuple(tuple(p) if isinstance(p, list) else p for p in items),
         initial=tuple(tuple(p) for p in pool.get("initial", [])),
         search=search["mode"], budget=search["budget"],
-        tol_stability=tols["stability"], tol_solver=tols["solver"],
-        tol_h=tols["h"], tol_balance=tols["balance"])
+        tol_stability=tols["stability"], tol_balance=tols["balance"])
     return cfg, echo["base"]
 
 
@@ -534,9 +539,7 @@ def collect_audits(evolution: DiscreteEvolution, instance, jumps,
     identities = audit_jump_conditions(evolution, instance, jumps=jumps)
     comp = component_bound_check(evolution, instance)
     return {
-        "tolerances": {"stability": cfg.tol_stability,
-                       "solver": cfg.tol_solver,
-                       "h": cfg.tol_h, "balance": cfg.tol_balance},
+        "tolerances": _tolerances(cfg),
         "balance": {
             "residual": [float(x) for x in balance.residual],
             "residual_alt": [float(x) for x in balance.residual_alt],
@@ -660,12 +663,6 @@ def _load_context(config_path: str) -> RunContext:
     return build_run(cfg, path.parent.resolve())
 
 
-def _drive(ctx: RunContext) -> DiscreteEvolution:
-    if ctx.config.mode == "energetic":
-        return energetic_mode(ctx.instance, ctx.partition, ctx.k0)
-    return run_scheme(ctx.instance, ctx.partition, ctx.k0)
-
-
 def _first_change(evolution: DiscreteEvolution):
     changing = evolution.changing_steps()
     return changing[0] if changing else None
@@ -687,7 +684,7 @@ def _summarize_run(evolution: DiscreteEvolution, jumps) -> list[str]:
 def _cmd_run(args) -> int:
     positional, options = _split_args(args, 1, {"--output"})
     ctx = _load_context(positional[0])
-    evolution = _drive(ctx)
+    evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
     jumps = detect_jumps(evolution)
     audits = collect_audits(evolution, ctx.instance, jumps, ctx.config)
     out_dir = Path(options.get("--output",
@@ -864,7 +861,7 @@ def _cmd_compare(args) -> int:
     reports = []
     for label, cfg_path in zip("AB", positional):
         ctx = _load_context(cfg_path)
-        evolution = _drive(ctx)
+        evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
         first = _first_change(evolution)
         reports.append((label, ctx, evolution, first))
         where = ("never" if first is None
@@ -916,9 +913,8 @@ def _cmd_sweep(args) -> int:
     base_cfg = parse_config(config_path.read_text(encoding="utf-8"))
     for value in values:
         cfg = replace(base_cfg, **{field: value})
-        cfg = parse_config_like(cfg)
         ctx = build_run(cfg, base)
-        evolution = _drive(ctx)
+        evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
         jumps = detect_jumps(evolution)
         audits = collect_audits(evolution, ctx.instance, jumps, cfg)
         out_dir = _resolve(cfg.output, base) / f"sweep-{param}-{value}"
@@ -931,24 +927,6 @@ def _cmd_sweep(args) -> int:
               f"final {evolution.states[-1].cardinality} edge(s), "
               f"jumps {len(jumps)}")
     return 0
-
-
-def parse_config_like(cfg: RunConfig) -> RunConfig:
-    """Re-validate a programmatically tweaked config (sweeps edit
-    fields directly, so the constructor checks must run again)."""
-    if cfg.lam <= 0:
-        raise ConfigError("lambda must be positive")
-    if cfg.mu <= 0:
-        raise ConfigError("mu must be positive")
-    if not 0 <= cfg.budget <= _BUDGET_CAP:
-        raise ConfigError(f"budget must be between 0 and {_BUDGET_CAP}")
-    if cfg.steps < 1:
-        raise ConfigError("partition needs at least one step")
-    if cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if cfg.mode not in ("ve", "energetic"):
-        raise ConfigError(f"mode must be 've' or 'energetic', got {cfg.mode!r}")
-    return cfg
 
 
 _COMMANDS = {

@@ -14,27 +14,23 @@ refinement study over a list of step sizes, and the factory that wires
 the elastic energy into a RisInstance. The factory caches one FEM solve
 per distinct crack set: the datum scales linearly with the amplitude,
 so E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value. It also prices each hop once per source state: the
-scheme asks for the hops out of one state many times over (the step,
-its ledger row, the residual R of a frozen state, the next step from
-it), so the instance keeps one HopCost record per competitor K for the
-most recent source H, and d, delta, alpha and the sweep integral are
-all read from that record.
+bilinear value. Its hop callback prices each hop once per source
+state: the scheme asks for the hops out of one state many times over
+(the step, its ledger row, the residual R of a frozen state, the next
+step from it), so the instance keeps one HopCost record per competitor
+K for the most recent source H. The energetic mode is the same instance
+with its viscous flag off, charging the same records without their
+sweep integral and mu term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dissipation import (
-    CostValue,
-    DissipationParams,
-    HopCost,
-    hop_cost,
-)
+from .dissipation import DissipationParams, HopCost, hop_cost
 from .elastic import (
     BoundaryLoad,
     LinearAmplitude,
@@ -180,10 +176,10 @@ def run_scheme(instance: RisInstance, partition: TimePartition,
         led.energy[i] = instance.energy(t, nxt)
         led.power[i] = instance.power(t, nxt)
         led.power_pre[i] = instance.power(t, prev)
-        led.d[i] = instance.d(prev, nxt).value
-        delta, alph = instance.hop_parts(prev, nxt)
-        led.delta[i] = delta
-        led.alpha[i] = alph
+        charged = instance.charges(prev, nxt)
+        led.d[i] = charged.d
+        led.delta[i] = charged.sweep
+        led.alpha[i] = charged.alpha
         led.r[i] = residual_stability(t, nxt, instance).residual
     return DiscreteEvolution(partition=partition, states=states, ledger=led)
 
@@ -261,15 +257,9 @@ def energetic_mode(instance: RisInstance, partition: TimePartition,
                    k0: CrackSet) -> DiscreteEvolution:
     """Run the classical quasistatic scheme: the viscous correction is
     switched off (delta = 0, no sweep integral, no mu-charge), while d
-    keeps charging new length and lam per nucleation."""
-
-    def zero_delta(h: CrackSet, k: CrackSet) -> CostValue:
-        if not h.issubset(k):
-            return CostValue.infinity()
-        return CostValue.finite(0.0)
-
-    stripped = replace(instance, delta=zero_delta, delta_integral=zero_delta)
-    return run_scheme(stripped, partition, k0)
+    keeps charging new length and lam per nucleation. Audits of the run
+    must be priced by that same non-viscous instance."""
+    return run_scheme(replace(instance, viscous=False), partition, k0)
 
 
 @dataclass(frozen=True)
@@ -342,7 +332,8 @@ class _HopTable:
     keyed by the target's bits. Asking for a hop from another source
     replaces the table, so it never holds more than one state's
     competitors. Records are pure functions of (H, K, params), which is
-    what lets an instance copied by dataclasses.replace share them."""
+    what lets an instance copied by dataclasses.replace (as
+    energetic_mode makes) share them."""
 
     def __init__(self, mesh: Mesh, params: DissipationParams):
         self.mesh = mesh
@@ -361,43 +352,27 @@ class _HopTable:
             hops[k.bits] = hop_cost(h, k, self.params)
         return hops[k.bits]
 
-    def d(self, h: CrackSet, k: CrackSet) -> CostValue:
-        hop = self.hop(h, k)
-        return CostValue.infinity() if hop is None else hop.d(self.params)
-
-    def delta(self, h: CrackSet, k: CrackSet) -> CostValue:
-        hop = self.hop(h, k)
-        return CostValue.infinity() if hop is None else hop.delta(self.params)
-
-    def alpha(self, h: CrackSet, k: CrackSet) -> CostValue:
-        hop = self.hop(h, k)
-        return CostValue.infinity() if hop is None else CostValue.finite(hop.alpha)
-
-    def sweep(self, h: CrackSet, k: CrackSet) -> CostValue:
-        hop = self.hop(h, k)
-        return CostValue.infinity() if hop is None else CostValue.finite(hop.sweep)
-
 
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       pool: CrackSet, budget: int = 3, search: str = "exhaustive",
-                      lattice_cap: int = 16, stability_rtol: float = 1e-9) -> RisInstance:
+                      lattice_cap: int = 16, stability_rtol: float = 1e-9,
+                      viscous: bool = True) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
-    instance the scheme can drive."""
+    instance the scheme can drive; viscous=False gives the energetic
+    scheme."""
     cache = _ScaledEnergyCache(mesh, load)
     hops = _HopTable(mesh, params)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        d=hops.d,
-        delta=hops.delta,
-        alpha=hops.alpha,
-        delta_integral=hops.sweep,
+        hop=hops.hop,
         params=params,
         budget=budget,
         search=search,
         lattice_cap=lattice_cap,
         stability_rtol=stability_rtol,
+        viscous=viscous,
         power_bound=power_bound_constant(load, mesh),
         load=load,
     )

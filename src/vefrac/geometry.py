@@ -216,7 +216,7 @@ def _check_hanging_nodes(vertices, edges, lengths):
     if lowest is not None:
         v, e = lowest
         raise MeshError(
-            f"vertex {v} lies on edge {tuple(edges[e])}: non-conforming mesh")
+            f"vertex {v} lies on edge {tuple(map(int, edges[e]))}: non-conforming mesh")
 
 
 def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):

@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dissipation import alpha, atw_integral
 from .elastic import (
     _solve_constrained,
     energy_on_triangles,
@@ -333,8 +332,8 @@ def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
 
     The displacement is frozen at its global values outside the ball
     and re-minimized inside with each competitor crack; the energies
-    are then compared on the ball's triangles only, against the length,
-    sweep, and nucleation cost of the added edges measured relative to
+    are then compared on the ball's triangles only, against the
+    instance's dissipation D of the added edges measured relative to
     the crack piece inside the ball. Competitors are tuples of new edge
     ids wholly inside the ball (the empty tuple probes the state against
     itself and scores exactly zero); by default every single pool edge
@@ -385,7 +384,6 @@ def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
     loc_ids = [e for e in crack.edge_ids
                if any(tt in ball_set for tt in mesh.edge_triangles[e])]
     h_loc = CrackSet.of_edges(mesh, loc_ids)
-    lam_mu = instance.params.lam + instance.params.mu
 
     normalized: list[tuple[int, ...]] = []
     residuals: list[float] = []
@@ -407,10 +405,7 @@ def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
         mask = ~inner[space.dof_vertex]
         w, _ = _solve_constrained(space, values, mask=mask)
         e_comp = energy_on_triangles(space, w, tri_ids)
-        extended = h_loc.with_edges(new)
-        cost = (float(mesh.edge_lengths[list(new)].sum())
-                + atw_integral(h_loc, extended, instance.params).value
-                + lam_mu * alpha(h_loc, extended).value)
+        cost = instance.charges(h_loc, h_loc.with_edges(new)).big_d
         residuals.append(e_comp + cost - e_base)
 
     return ProbeReport(

@@ -1,9 +1,12 @@
 """Visco-energetic machinery over a finite crack lattice.
 
 Everything here is generic in the driving system: a RisInstance carries
-the energy/power callbacks, the dissipation callbacks d and delta (with
-their nucleation counter alpha), and a competitor generator over an
-admissible edge pool. On top of that we provide
+the energy/power callbacks, one dissipation callback `hop` that prices a
+hop H -> K into a HopCost record (new length, sweep integral, nucleation
+count), the `viscous` flag that turns records into the charged costs
+(the VE dissipation D = d + delta, or D = d for energetic solutions),
+and a competitor generator over an admissible edge pool. On top of that
+we provide
 
   * the residual stability function R and the minimal-set witness M,
   * the viscously corrected incremental minimization step,
@@ -26,15 +29,16 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dissipation import CostValue, DissipationParams, MonotoneChain
+from .dissipation import DissipationParams, HopCost, MonotoneChain
 from .geometry import CrackSet, h1_diff
 
 __all__ = [
     "RisInstance",
+    "HopCharges",
     "StabilityReport",
     "HopLedger",
     "JumpCostResult",
@@ -56,22 +60,34 @@ MAX_COMPETITORS = 500_000
 DEFAULT_LATTICE_CAP = 16
 
 
+class HopCharges(NamedTuple):
+    """What the scheme charges for a hop H -> K with H <= K.
+
+    The transition charge D - H1(K\\H) is sweep + rate * alpha."""
+
+    d: float      # H1(K\H) + lam * alpha
+    big_d: float  # D = d + delta, with delta = sweep + mu * alpha or 0
+    sweep: float  # the sweep integral Delta(H,K) inside D, or 0
+    rate: float   # D's charge per nucleated component: lam + mu, or lam
+    alpha: float  # nucleation count
+
+
 @dataclass
 class RisInstance:
     """The driving system handed to the lattice algorithms.
 
-    d and delta must return CostValue and be +infinity exactly when the
-    inclusion H <= K fails; alpha is the nucleation counter both are
-    built on (kept separate so audits can split a hop into its pure
-    sweep integral and its nucleation charge).
+    hop prices a hop H -> K once into a HopCost record, or returns None
+    exactly when the inclusion H <= K fails (every cost is +infinity
+    there). viscous selects what the records charge: the VE dissipation
+    D = d + delta, with d = H1(K\\H) + lam*alpha and delta = Delta +
+    mu*alpha, or, when False, the energetic D = d. Only charges() reads
+    it, so every algorithm below is the same in both modes.
     """
 
     pool: CrackSet
     energy: Callable[[float, CrackSet], float]
     power: Callable[[float, CrackSet], float]
-    d: Callable[[CrackSet, CrackSet], CostValue]
-    delta: Callable[[CrackSet, CrackSet], CostValue]
-    alpha: Callable[[CrackSet, CrackSet], CostValue]
+    hop: Callable[[CrackSet, CrackSet], HopCost | None]
     params: DissipationParams
     budget: int = 3
     search: str = "exhaustive"
@@ -79,8 +95,7 @@ class RisInstance:
     stability_rtol: float = 1e-9
     power_bound: float | None = None
     competitor_generator: Callable[[CrackSet], Iterable[CrackSet]] | None = None
-    # pure sweep integral of delta; derived as delta - mu*alpha when absent
-    delta_integral: Callable[[CrackSet, CrackSet], CostValue] | None = None
+    viscous: bool = True
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
@@ -120,19 +135,18 @@ class RisInstance:
             for combo in itertools.combinations(available, k):
                 yield state.with_edges(combo)
 
-    def big_d(self, h: CrackSet, k: CrackSet) -> CostValue:
-        return self.d(h, k) + self.delta(h, k)
-
-    def hop_parts(self, h: CrackSet, k: CrackSet) -> tuple[float, float]:
-        """(pure sweep integral Delta, nucleation count alpha) of a hop;
-        (inf, inf) when the inclusion fails."""
-        a = self.alpha(h, k)
-        if a.infinite:
-            return math.inf, math.inf
-        if self.delta_integral is not None:
-            return self.delta_integral(h, k).value, a.value
-        delta = self.delta(h, k)
-        return delta.value - self.params.mu * a.value, a.value
+    def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
+        """The charges of the hop H -> K; None when H <= K fails."""
+        hop = self.hop(h, k)
+        if hop is None:
+            return None
+        lam = self.params.lam
+        d = hop.h1 + lam * hop.alpha
+        if not self.viscous:
+            return HopCharges(d, d, 0.0, lam, hop.alpha)
+        mu = self.params.mu
+        return HopCharges(d, d + (hop.sweep + mu * hop.alpha), hop.sweep,
+                          lam + mu, hop.alpha)
 
 
 @dataclass(frozen=True)
@@ -161,10 +175,10 @@ def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> Stab
     examined = 0
     for comp in instance.competitors(state):
         examined += 1
-        cost = instance.big_d(state, comp)
-        if cost.infinite:
+        charged = instance.charges(state, comp)
+        if charged is None:
             continue
-        value = instance.energy(t, comp) + cost.value
+        value = instance.energy(t, comp) + charged.big_d
         if value < best:
             best = value
             winners = [comp]
@@ -181,7 +195,7 @@ def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> Stab
 
 def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSet:
     """One step of the viscously corrected incremental scheme:
-    argmin over competitors of E(t,K) + d(prev,K) + delta(prev,K).
+    argmin over competitors of E(t,K) + D(prev,K).
 
     Ties break toward fewer edges, then the lexicographically smaller
     edge set. Greedy mode augments one edge at a time to a fixpoint,
@@ -189,10 +203,10 @@ def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSe
     """
 
     def objective(cand: CrackSet) -> float:
-        cost = instance.big_d(prev, cand)
-        if cost.infinite:
+        charged = instance.charges(prev, cand)
+        if charged is None:
             return math.inf
-        return instance.energy(t, cand) + cost.value
+        return instance.energy(t, cand) + charged.big_d
 
     def best_among(cands: Iterable[CrackSet], current_best=None):
         best = current_best
@@ -222,20 +236,22 @@ def _as_chain(chain) -> MonotoneChain:
 def trc_chain(t: float, chain, instance: RisInstance) -> float:
     """Transition cost of a discrete monotone chain at frozen time t:
 
-        sum over hops of [Delta + (lam+mu)*alpha]
-        + sum of R(t, state) over all states except the last.
+        sum over hops of the transition charge D - H1
+        + sum of R(t, state) over all states except the last,
+
+    where D - H1 = Delta + (lam+mu)*alpha in the VE scheme and
+    lam*alpha for energetic solutions.
 
     The start state's R is included literally; for audited solutions the
     left limit is stable and the term vanishes.
     """
     chain = _as_chain(chain)
     total = 0.0
-    lam_mu = instance.params.lam + instance.params.mu
     for a, b in zip(chain.states, chain.states[1:]):
-        delta, alph = instance.hop_parts(a, b)
-        if math.isinf(delta):
+        charged = instance.charges(a, b)
+        if charged is None:
             return math.inf
-        total += delta + lam_mu * alph
+        total += charged.sweep + charged.rate * charged.alpha
     for state in chain.states[:-1]:
         total += residual_stability(t, state, instance).residual
     return total
@@ -245,7 +261,7 @@ def trc_chain(t: float, chain, instance: RisInstance) -> float:
 class HopLedger:
     """Per-hop audit row of an optimal transition chain."""
 
-    delta: float      # pure sweep integral of the hop
+    delta: float      # sweep integral the hop charges (0 when not viscous)
     alpha: float      # nucleation count of the hop
     r_start: float    # residual stability at the hop's starting state
 
@@ -299,7 +315,6 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
         return r_memo[mask]
 
     full = (1 << g) - 1
-    lam_mu = instance.params.lam + instance.params.mu
     # per node: (cost, chain length, path as tuple of masks)
     best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 1, (0,))}
     finished: set[int] = set()
@@ -318,8 +333,8 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
             for j, i in enumerate(free):
                 if (extra >> j) & 1:
                     nxt |= 1 << i
-            delta, alph = instance.hop_parts(state_of(node), state_of(nxt))
-            hop = r_here + delta + lam_mu * alph
+            charged = instance.charges(state_of(node), state_of(nxt))
+            hop = r_here + charged.sweep + charged.rate * charged.alpha
             cand = (cost + hop, length + 1, path + (nxt,))
             known = best.get(nxt)
             if known is None or cand < known:
@@ -327,13 +342,14 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
                 heapq.heappush(heap, (*cand, nxt))
     cost, _, path = best[full]
     chain = MonotoneChain([state_of(m) for m in path])
-    hops = tuple(
-        HopLedger(delta=instance.hop_parts(a, b)[0],
-                  alpha=instance.hop_parts(a, b)[1],
-                  r_start=r_of(m))
-        for (a, b), m in zip(zip(chain.states, chain.states[1:]), path))
+    hops = []
+    for a, b, m in zip(chain.states, chain.states[1:], path):
+        charged = instance.charges(a, b)
+        hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
+                              r_start=r_of(m)))
     segments = tuple(decompose_transition(chain, t, instance))
-    return JumpCostResult(cost=cost, chain=chain, hops=hops, segments=segments)
+    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops),
+                          segments=segments)
 
 
 @dataclass(frozen=True)
@@ -456,7 +472,9 @@ def audit_balance(evolution, instance: RisInstance,
         viscous_part[i] = viscous_part[i - 1]
         if states[i].bits != states[i - 1].bits:
             c = jump_cost(times[i], states[i - 1], states[i], instance).cost
-            a = instance.alpha(states[i - 1], states[i]).value
+            charged = instance.charges(states[i - 1], states[i])
+            # a non-nested step already has an infinite jump cost
+            a = 0.0 if charged is None else charged.alpha
             jumps[i] += c
             lam_sum_alpha[i] += instance.params.lam * a
             viscous_part[i] += c - instance.params.lam * a

@@ -215,7 +215,7 @@ def dense_hanging_node_check(vertices, edges, vertex_edges, lengths):
             v = lo + int(vi)
             if int(ei) not in vertex_edges[v]:
                 raise MeshError(
-                    f"vertex {v} lies on edge {tuple(edges[int(ei)])}: non-conforming mesh")
+                    f"vertex {v} lies on edge {tuple(map(int, edges[int(ei)]))}: non-conforming mesh")
 
 
 def qhull_diameter(vertices) -> float:

@@ -26,7 +26,6 @@ from vefrac.benchmarks import (
 )
 from vefrac.cli_io import collect_audits, parse_config, save_archive
 from vefrac.dissipation import (
-    CostValue,
     DissipationParams,
     alpha,
     atw_integral,
@@ -64,8 +63,8 @@ def benchmark_runs():
     the single-tip growth strip, and the two-tip symmetric strip.
 
     Each run is paired with the instance that drove it; for the
-    energetic mode that is the stripped system (no sweep integral, no
-    mu-charge), since audits balance a run against its own costs."""
+    energetic mode that is the non-viscous system (no sweep integral,
+    no mu-charge), since audits balance a run against its own costs."""
     runs = []
 
     mesh, load, pool = nucleation_well()
@@ -74,13 +73,7 @@ def benchmark_runs():
     inst = fracture_instance(mesh, load, PARAMS, pool, budget=3)
     runs.append(("well-ve", inst, run_scheme(inst, part, k0)))
 
-    def zero_delta(h, k):
-        if not h.issubset(k):
-            return CostValue.infinity()
-        return CostValue.finite(0.0)
-
-    inst_e = replace(fracture_instance(mesh, load, PARAMS, pool, budget=3),
-                     delta=zero_delta, delta_integral=zero_delta)
+    inst_e = replace(inst, viscous=False)
     runs.append(("well-energetic", inst_e, run_scheme(inst_e, part, k0)))
 
     mesh, load, k0, pool, _ = growth_strip(
@@ -338,7 +331,8 @@ def test_06_jump_cost_oracle():
             while e:
                 nxt = m | e
                 outs.append(nxt)
-                hop[(m, nxt)] = inst.hop_parts(states[m], states[nxt])
+                rec = inst.hop(states[m], states[nxt])
+                hop[(m, nxt)] = (rec.sweep, rec.alpha)
                 e = (e - 1) & (full ^ m)
             supersets[m] = outs
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,6 @@ _DOCUMENTED_FIELDS = {
     ("search", "mode"): "search", ("search", "budget"): "budget",
     ("tolerances", "stability"): "tol_stability",
     ("tolerances", "balance"): "tol_balance",
-    ("tolerances", "solver"): "tol_solver", ("tolerances", "h"): "tol_h",
 }
 
 
@@ -208,6 +208,14 @@ def test_parse_validation_grab_bag():
         parse_config(MINIMAL + "\n[partition]\ntimes = 1.0\n")
     with pytest.raises(ConfigError, match="tolerance balance must be positive"):
         parse_config(MINIMAL + "\n[tolerances]\nbalance = 0\n")
+    with pytest.raises(ConfigError, match="^tolerance solver is fixed at 1e-10$"):
+        parse_config(MINIMAL + "\n[tolerances]\nsolver = 1e-12\n")
+    with pytest.raises(ConfigError, match="^tolerance h is fixed at 1e-08$"):
+        parse_config(MINIMAL + "\n[tolerances]\nh = 1e-6\n")
+    parse_config(MINIMAL + "\n[tolerances]\nsolver = 1e-10\nh = 0.00000001\n")
+    # edited configs are validated by the same rules
+    with pytest.raises(ConfigError, match="budget must be between"):
+        replace(parse_config(MINIMAL), budget=40)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +422,17 @@ def test_cli_audit_reports_pass_and_fail(workdir, well_archive, capsys):
     tampered.write_text(json.dumps(doc))
     assert cli_dispatch(["audit", str(tampered)]) == 0
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_audit_passes_an_energetic_archive(workdir, capsys):
+    # an energetic run is audited with the energetic costs that drove it
+    root = workdir["root"]
+    assert cli_dispatch(["run", str(root / "well-e.ini")]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["audit", str(root / "out-e" / "archive.json")]) == 0
+    out = capsys.readouterr().out
+    assert "jump identities: PASS (worst" in out
+    assert out.count("PASS") == 4 and "FAIL" not in out
 
 
 def test_cli_jumpcost(well_archive, capsys):

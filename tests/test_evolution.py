@@ -9,13 +9,13 @@ import pytest
 
 from vefrac.benchmarks import growth_strip, nucleation_well, square_grid_mesh
 from vefrac.dissipation import (
-    CostValue,
     DissipationParams,
     alpha,
     atw_integral,
     big_d,
     delta_atw,
     dist_d,
+    hop_cost,
     var_along,
 )
 from vefrac.elastic import solve_energy
@@ -31,7 +31,7 @@ from vefrac.evolution import (
     run_scheme,
 )
 from vefrac.geometry import CrackSet, MeshError, h1_diff
-from vefrac.ve_core import audit_balance
+from vefrac.ve_core import audit_balance, audit_jump_conditions
 
 PARAMS = DissipationParams(lam=0.1, mu=0.1)
 
@@ -110,8 +110,7 @@ def test_two_well_jump_at_predicted_index():
     for i in range(1, len(evo.states)):
         assert evo.states[i - 1].issubset(evo.states[i])
         prev, cur, t = evo.states[i - 1], evo.states[i], part.times[i]
-        lhs = (inst.energy(t, cur) + inst.d(prev, cur).value
-               + inst.delta(prev, cur).value)
+        lhs = inst.energy(t, cur) + inst.charges(prev, cur).big_d
         assert lhs <= inst.energy(t, prev) + 1e-12 * (1.0 + abs(lhs))
 
 
@@ -283,16 +282,17 @@ def test_hop_table_matches_direct_pricing():
     rng.shuffle(order)
     assert any(not h.issubset(k) for h, k in order)
     for h, k in order:
-        assert inst.d(h, k) == dist_d(h, k, params)
-        assert inst.delta(h, k) == delta_atw(h, k, params)
-        assert inst.alpha(h, k) == alpha(h, k)
-        assert inst.delta_integral(h, k) == atw_integral(h, k, params)
-        assert inst.big_d(h, k) == big_d(h, k, params)
-        if h.issubset(k):
-            parts = (atw_integral(h, k, params).value, alpha(h, k).value)
-        else:
-            parts = (math.inf, math.inf)
-        assert inst.hop_parts(h, k) == parts
+        assert inst.hop(h, k) == hop_cost(h, k, params)
+        charged = inst.charges(h, k)
+        if not h.issubset(k):
+            assert charged is None and big_d(h, k, params).infinite
+            continue
+        assert charged.d == dist_d(h, k, params).value
+        assert charged.big_d == big_d(h, k, params).value
+        assert charged.big_d == (dist_d(h, k, params).value
+                                 + delta_atw(h, k, params).value)
+        assert charged.sweep == atw_integral(h, k, params).value
+        assert charged.alpha == alpha(h, k).value
 
 
 def test_hop_table_rejects_another_mesh():
@@ -300,10 +300,10 @@ def test_hop_table_rejects_another_mesh():
     other, _, _ = nucleation_well()
     h = CrackSet.empty(inst.mesh)
     k = inst.pool
-    inst.d(h, k)  # the table now holds (empty -> pool)
+    inst.hop(h, k)  # the table now holds (empty -> pool)
     h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
     for a, b in ((h2, k2), (h, k2), (h2, k)):
-        for cost in (inst.d, inst.delta, inst.alpha, inst.delta_integral):
+        for cost in (inst.hop, inst.charges):
             with pytest.raises(MeshError, match="different meshes"):
                 cost(a, b)
 
@@ -314,23 +314,21 @@ def test_hop_table_rejects_another_mesh():
 
 def test_energetic_mode_ignores_a_warm_hop_table():
     # A VE run fills the hop table with sweep integrals; neither
-    # energetic_mode nor a copy with delta replaced may read them.
+    # energetic_mode nor a non-viscous copy sharing the table may
+    # charge them.
     inst, load = well_instance()
     part = TimePartition.uniform(load.horizon, 60)
     k0 = CrackSet.empty(inst.mesh)
     run_scheme(inst, part, k0)
 
-    def zero_delta(h, k):
-        if not h.issubset(k):
-            return CostValue.infinity()
-        return CostValue.finite(0.0)
-
     fresh = energetic_mode(fracture_instance(inst.mesh, load, PARAMS, inst.pool),
                            part, k0)
-    stripped = replace(inst, delta=zero_delta, delta_integral=zero_delta)
+    stripped = replace(inst, viscous=False)
     for evo in (energetic_mode(inst, part, k0),
                 run_scheme(stripped, part, k0),
-                energetic_mode(stripped, part, k0)):
+                energetic_mode(stripped, part, k0),
+                run_scheme(fracture_instance(inst.mesh, load, PARAMS, inst.pool,
+                                             viscous=False), part, k0)):
         assert [s.bits for s in evo.states] == [s.bits for s in fresh.states]
         for name, column in fresh.ledger.as_dict().items():
             assert np.array_equal(evo.ledger.as_dict()[name], column), name
@@ -351,6 +349,24 @@ def test_energetic_jumps_strictly_earlier():
     assert ve.changing_steps() == [onset_ve]
     assert onset_e < onset_ve
     assert np.all(qe.ledger.delta == 0.0)
+
+
+def test_energetic_run_passes_its_own_audits():
+    # priced by the non-viscous instance that drove it, an energetic
+    # run balances and meets the jump identities like a VE run
+    inst, load = well_instance()
+    part = TimePartition.uniform(load.horizon, 60)
+    energetic = replace(inst, viscous=False)
+    evo = run_scheme(energetic, part, CrackSet.empty(inst.mesh))
+    jumps = detect_jumps(evo)
+    assert len(jumps) == 1
+    scale = 1.0 + float(np.max(np.abs(evo.ledger.energy)))
+    for audit in audit_jump_conditions(evo, energetic, jumps=jumps):
+        for res in (audit.res_left, audit.res_right, audit.res_across):
+            assert abs(res) <= 2e-9 * scale
+    rep = audit_balance(evo, energetic)
+    assert rep.max_form_difference < 1e-12
+    assert bool(rep.upper_ok.all())
 
 
 def test_energetic_and_ve_agree_on_single_convex_path():

@@ -179,7 +179,7 @@ def test_hanging_node_message_names_first_vertex_and_edge():
     lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
     assert str(exc.value) == _hanging_outcome(oracle.dense_hanging_node_check,
                                               verts, edges, vertex_edges, lengths)
-    assert str(exc.value).startswith("vertex 3 lies on edge")
+    assert str(exc.value) == "vertex 3 lies on edge (0, 1): non-conforming mesh"
 
 
 def test_empty_dirichlet_rejected():

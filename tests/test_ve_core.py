@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,8 @@ from vefrac.dissipation import (
     alpha,
     atw_integral,
     big_d,
-    delta_atw,
     dist_d,
+    hop_cost,
 )
 from vefrac.geometry import CrackSet, h1_diff, h1_measure
 from vefrac.ve_core import (
@@ -51,9 +52,7 @@ def table_instance(mesh, energy_table, pool=None, t_slope=None, **kw):
     kw.setdefault("budget", mesh.n_edges)
     return RisInstance(
         pool=pool, energy=energy, power=power,
-        d=lambda h, k: dist_d(h, k, PARAMS),
-        delta=lambda h, k: delta_atw(h, k, PARAMS),
-        alpha=alpha, params=PARAMS, **kw)
+        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, **kw)
 
 
 def random_table(mesh, seed, scale=1.0):
@@ -125,9 +124,7 @@ def test_exhaustive_budget_overflow(grid3):
     inst = RisInstance(
         pool=CrackSet(grid3, (1 << grid3.n_edges) - 1),
         energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
-        d=lambda h, k: dist_d(h, k, PARAMS),
-        delta=lambda h, k: delta_atw(h, k, PARAMS),
-        alpha=alpha, params=PARAMS, budget=20)
+        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, budget=20)
     with pytest.raises(ValueError, match="exceeds"):
         residual_stability(0.0, CrackSet.empty(grid3), inst)
 
@@ -169,9 +166,9 @@ def test_step_certificate_against_every_competitor(rect9):
     inst = table_instance(rect9, random_table(rect9, 55, scale=4.0))
     prev = CrackSet.of_edges(rect9, [2])
     chosen = incremental_step(0.7, prev, inst)
-    val = inst.energy(0.7, chosen) + inst.big_d(prev, chosen).value
+    val = inst.energy(0.7, chosen) + inst.charges(prev, chosen).big_d
     for comp in inst.competitors(prev):
-        cost = inst.big_d(prev, comp)
+        cost = big_d(prev, comp, PARAMS)
         if cost.infinite:
             continue
         assert val <= inst.energy(0.7, comp) + cost.value + 1e-14
@@ -189,9 +186,7 @@ def test_greedy_agrees_on_separable_drive(grid3):
         return sum(r for e, r in reward.items() if e not in k)
 
     common = dict(energy=energy, power=lambda t, k: 0.0,
-                  d=lambda h, k: dist_d(h, k, PARAMS),
-                  delta=lambda h, k: delta_atw(h, k, PARAMS),
-                  alpha=alpha, params=PARAMS)
+                  hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS)
     exhaustive = RisInstance(pool=pool, budget=3, search="exhaustive", **common)
     greedy = RisInstance(pool=pool, budget=3, search="greedy", **common)
     prev = CrackSet.empty(grid3)
@@ -209,8 +204,8 @@ def test_competitor_sequences_match_set_difference(grid3):
         state = CrackSet(grid3, int(rng.integers(0, full + 1)) & int(rng.integers(0, full + 1)))
         for search, budget in (("exhaustive", 0), ("exhaustive", 2), ("greedy", 3)):
             inst = RisInstance(pool=pool, energy=lambda t, k: 0.0,
-                               power=lambda t, k: 0.0, d=None, delta=None,
-                               alpha=None, params=PARAMS, budget=budget,
+                               power=lambda t, k: 0.0, hop=None,
+                               params=PARAMS, budget=budget,
                                search=search)
             expected = oracle.competitors_by_sets(pool, state, search, budget)
             assert [c.bits for c in inst.competitors(state)] == [c.bits for c in expected]
@@ -234,13 +229,12 @@ def test_greedy_step_examines_set_difference_candidates(grid3):
     pool = CrackSet.of_edges(grid3, rng.choice(grid3.n_edges, 12, replace=False))
     prev = CrackSet.of_edges(grid3, [pool.edge_ids[0]])
     inst = RisInstance(pool=pool, energy=energy, power=lambda t, k: 0.0,
-                       d=lambda h, k: dist_d(h, k, PARAMS),
-                       delta=lambda h, k: delta_atw(h, k, PARAMS),
-                       alpha=alpha, params=PARAMS, search="greedy")
+                       hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS,
+                       search="greedy")
     result = incremental_step(0.0, prev, inst)
 
     def key(c):
-        return (value(c) + inst.big_d(prev, c).value, *c.sort_key())
+        return (value(c) + inst.charges(prev, c).big_d, *c.sort_key())
 
     expected, best = [prev.bits], (key(prev), prev)
     while True:
@@ -274,6 +268,46 @@ def test_trc_two_stable_states_is_hop_cost(rect9):
     expected = (atw_integral(a, b, PARAMS).value
                 + (PARAMS.lam + PARAMS.mu) * alpha(a, b).value)
     assert math.isclose(got, expected, rel_tol=1e-14)
+
+
+def test_charges_read_one_hop_record_in_both_modes(rect9):
+    # D, the ledger parts and the transition charge of a hop all come
+    # from its one HopCost record, with the arithmetic archives were
+    # written with; the energetic instance drops the sweep and mu terms
+    inst = table_instance(rect9, random_table(rect9, 5))
+    energetic = replace(inst, viscous=False)
+    lam, mu = PARAMS.lam, PARAMS.mu
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        h = CrackSet(rect9, int(rng.integers(0, 2**9)))
+        k = CrackSet(rect9, int(rng.integers(0, 2**9)) | (h.bits if rng.random() < 0.8 else 0))
+        hop = hop_cost(h, k, PARAMS)
+        if hop is None:
+            assert inst.charges(h, k) is None and energetic.charges(h, k) is None
+            continue
+        d = hop.h1 + lam * hop.alpha
+        assert d == dist_d(h, k, PARAMS).value
+        assert inst.charges(h, k) == (d, d + (hop.sweep + mu * hop.alpha),
+                                      hop.sweep, lam + mu, hop.alpha)
+        assert inst.charges(h, k).big_d == big_d(h, k, PARAMS).value
+        assert energetic.charges(h, k) == (d, d, 0.0, lam, hop.alpha)
+
+
+def test_energetic_transitions_charge_lam_per_nucleation(rect9):
+    # with every energy flat, every state is stable, so a one-edge
+    # nucleation costs exactly lam in energetic mode and the sweep
+    # integral plus lam + mu in the VE scheme
+    flat = table_instance(rect9, {bits: 0.0 for bits in range(2**9)})
+    energetic = replace(flat, viscous=False)
+    a, b = CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0])
+    assert alpha(a, b).value == 1.0
+    sweep = atw_integral(a, b, PARAMS).value
+    for inst, expected, delta in ((energetic, PARAMS.lam, 0.0),
+                                  (flat, sweep + (PARAMS.lam + PARAMS.mu), sweep)):
+        assert trc_chain(0.0, [a, b], inst) == expected
+        res = jump_cost(0.0, a, b, inst)
+        assert res.cost == expected
+        assert [(h.delta, h.alpha, h.r_start) for h in res.hops] == [(delta, 1.0, 0.0)]
 
 
 def test_trc_matches_termwise_ledger(rect9):

@@ -402,7 +402,6 @@ class EnergySolution:
 
 
 def _solve_constrained(space: CrackedSpace, values: np.ndarray,
-                       rtol: float = CG_RTOL,
                        mask: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Minimize the quadratic form subject to u = values on constrained
     DOFs (by default Dirichlet + pinned; probes pass their own mask).
@@ -423,7 +422,7 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
         return u, 0.0
     diag = aff.diagonal()
     precond = spla.LinearOperator(aff.shape, matvec=lambda x: x / diag)
-    x, info = spla.cg(aff, b, rtol=rtol, atol=0.0, M=precond,
+    x, info = spla.cg(aff, b, rtol=CG_RTOL, atol=0.0, M=precond,
                       maxiter=max(2000, 20 * free.size))
     residual = float(np.linalg.norm(aff @ x - b)) / bnorm
     if info != 0:

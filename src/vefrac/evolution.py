@@ -3,7 +3,8 @@
 run_scheme iterates the viscously corrected incremental minimization
 over a time partition, recording a per-step ledger (energy, power, the
 dissipation split d / Delta / alpha of each hop, and the residual
-stability of the chosen state). The crack history is monotone by
+stability of the chosen state, which is 0 without a second scan when
+the step keeps its state). The crack history is monotone by
 construction and is read back as the right-continuous piecewise
 constant interpolant: the state decided by the minimization at t_i
 holds on [t_i, t_{i+1}).
@@ -180,7 +181,10 @@ def run_scheme(instance: RisInstance, partition: TimePartition,
         led.d[i] = charged.d
         led.delta[i] = charged.sweep
         led.alpha[i] = charged.alpha
-        led.r[i] = residual_stability(t, nxt, instance).residual
+        # a step that stays put has already run R's scan of prev at t,
+        # and prev won it with D(prev, prev) = 0: R is exactly 0
+        if nxt.bits != prev.bits:
+            led.r[i] = residual_stability(t, nxt, instance).residual
     return DiscreteEvolution(partition=partition, states=states, ledger=led)
 
 
@@ -237,15 +241,17 @@ class ComponentBoundReport:
 
 def component_bound_check(evolution: DiscreteEvolution,
                           instance: RisInstance) -> ComponentBoundReport:
-    """Check #components(K(t)) <= h + exp(C_P T)(E_0 + 1)/(lam + mu)
-    with h the component count of the initial state."""
+    """Check #components(K(t)) <= h + exp(C_P T)(E_0 + 1)/rate with h
+    the component count of the initial state and rate the charge per
+    nucleation (lam + mu in the VE scheme, lam when energetic)."""
     if instance.power_bound is None:
         raise ValueError("instance.power_bound (the constant C_P) is required")
-    h = len(connected_components(evolution.states[0]))
+    k0 = evolution.states[0]
+    h = len(connected_components(k0))
     e0 = float(evolution.ledger.energy[0])
     horizon = evolution.partition.horizon
-    lam_mu = instance.params.lam + instance.params.mu
-    bound = h + math.exp(instance.power_bound * horizon) * (e0 + 1.0) / lam_mu
+    rate = instance.charges(k0, k0).rate
+    bound = h + math.exp(instance.power_bound * horizon) * (e0 + 1.0) / rate
     counts = np.array([len(connected_components(k)) for k in evolution.states],
                       dtype=float)
     worst = float(counts.max())
@@ -355,8 +361,7 @@ class _HopTable:
 
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       pool: CrackSet, budget: int = 3, search: str = "exhaustive",
-                      lattice_cap: int = 16, stability_rtol: float = 1e-9,
-                      viscous: bool = True) -> RisInstance:
+                      stability_rtol: float = 1e-9, viscous: bool = True) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
     instance the scheme can drive; viscous=False gives the energetic
     scheme."""
@@ -370,7 +375,6 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         params=params,
         budget=budget,
         search=search,
-        lattice_cap=lattice_cap,
         stability_rtol=stability_rtol,
         viscous=viscous,
         power_bound=power_bound_constant(load, mesh),

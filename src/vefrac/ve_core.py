@@ -5,8 +5,8 @@ the energy/power callbacks, one dissipation callback `hop` that prices a
 hop H -> K into a HopCost record (new length, sweep integral, nucleation
 count), the `viscous` flag that turns records into the charged costs
 (the VE dissipation D = d + delta, or D = d for energetic solutions),
-and a competitor generator over an admissible edge pool. On top of that
-we provide
+and the competitors of a state over an admissible edge pool. On top of
+that we provide
 
   * the residual stability function R and the minimal-set witness M,
   * the viscously corrected incremental minimization step,
@@ -18,6 +18,11 @@ we provide
   * the decomposition of an optimal transition into sliding and viscous
     segments.
 
+The step and R are one minimization, E(t,K') + D(K,K') over the
+competitors K' of K, so one private scan holds that loop and its
+tie-break (fewer edges, then lexicographic). As D(K,K) = 0, a step that
+keeps its state has shown R = 0 there, and run_scheme scans no further.
+
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
 chain, so minimizing over monotone chains is the faithful discrete
@@ -28,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -94,7 +99,6 @@ class RisInstance:
     lattice_cap: int = DEFAULT_LATTICE_CAP
     stability_rtol: float = 1e-9
     power_bound: float | None = None
-    competitor_generator: Callable[[CrackSet], Iterable[CrackSet]] | None = None
     viscous: bool = True
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
@@ -115,9 +119,6 @@ class RisInstance:
 
     def competitors(self, state: CrackSet) -> Iterator[CrackSet]:
         """Supersets of `state` inside the pool; `state` comes first."""
-        if self.competitor_generator is not None:
-            yield from self.competitor_generator(state)
-            return
         available = self.pool.minus(state).edge_ids
         if self.search == "greedy":
             yield state
@@ -163,19 +164,19 @@ class StabilityReport:
         return self.residual == 0.0
 
 
-def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
-    """R(t,K) = E(t,K) - min over competitors K' of E(t,K') + D(K,K').
-
-    K' = K itself is always enumerated and has D = 0, so the minimum
-    never exceeds E(t,K) and R is nonnegative without clamping.
-    """
-    own = instance.energy(t, state)
+def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
+          instance: RisInstance) -> tuple[float, list[CrackSet], int]:
+    """The one competitor loop: min over candidates K of
+    E(t,K) + D(source,K). Returns the minimum, the candidates attaining
+    it sorted by the tie-break (fewer edges, then lexicographic), and
+    the number of candidates examined. A candidate that does not
+    contain `source` costs +infinity and is skipped."""
     best = math.inf
     winners: list[CrackSet] = []
     examined = 0
-    for comp in instance.competitors(state):
+    for comp in candidates:
         examined += 1
-        charged = instance.charges(state, comp)
+        charged = instance.charges(source, comp)
         if charged is None:
             continue
         value = instance.energy(t, comp) + charged.big_d
@@ -184,11 +185,22 @@ def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> Stab
             winners = [comp]
         elif value == best:
             winners.append(comp)
+    winners.sort(key=lambda c: c.sort_key())
+    return best, winners, examined
+
+
+def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
+    """R(t,K) = E(t,K) - min over competitors K' of E(t,K') + D(K,K').
+
+    K' = K itself is always enumerated and has D = 0, so the minimum
+    never exceeds E(t,K) and R is nonnegative without clamping.
+    """
+    own = instance.energy(t, state)
+    best, winners, examined = _scan(t, state, instance.competitors(state), instance)
     if best > own:
         raise AssertionError(
             "competitor enumeration missed the state itself "
             f"(min {best!r} above E = {own!r})")
-    winners.sort(key=lambda c: c.sort_key())
     return StabilityReport(residual=own - best, minimizers=tuple(winners),
                            examined=examined, best_value=best)
 
@@ -198,35 +210,16 @@ def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSe
     argmin over competitors of E(t,K) + D(prev,K).
 
     Ties break toward fewer edges, then the lexicographically smaller
-    edge set. Greedy mode augments one edge at a time to a fixpoint,
-    always measuring the dissipation from `prev`.
+    edge set. Exhaustive mode scans the competitors of `prev` once.
+    Greedy mode rescans the competitors of the current winner, always
+    measuring the dissipation from `prev`, until the winner stays put.
     """
-
-    def objective(cand: CrackSet) -> float:
-        charged = instance.charges(prev, cand)
-        if charged is None:
-            return math.inf
-        return instance.energy(t, cand) + charged.big_d
-
-    def best_among(cands: Iterable[CrackSet], current_best=None):
-        best = current_best
-        for cand in cands:
-            key = (objective(cand), *cand.sort_key())
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best
-
-    if instance.search == "greedy":
-        best = best_among([prev])
-        while True:
-            state = best[1]
-            available = instance.pool.minus(state).edge_ids
-            found = best_among((state.with_edges([e]) for e in available), best)
-            if found[1].bits == state.bits:
-                return state
-            best = found
-    best = best_among(instance.competitors(prev))
-    return best[1]
+    state = prev
+    while True:
+        winner = _scan(t, prev, instance.competitors(state), instance)[1][0]
+        if instance.search != "greedy" or winner.bits == state.bits:
+            return winner
+        state = winner
 
 
 def _as_chain(chain) -> MonotoneChain:
@@ -271,7 +264,6 @@ class JumpCostResult:
     cost: float
     chain: MonotoneChain | None
     hops: tuple[HopLedger, ...]
-    segments: tuple["TransitionSegment", ...]
 
 
 def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
@@ -285,7 +277,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     lexicographically smallest sequence of intermediate sets.
     """
     if not k_minus.issubset(k_plus):
-        return JumpCostResult(cost=math.inf, chain=None, hops=(), segments=())
+        return JumpCostResult(cost=math.inf, chain=None, hops=())
     gap = k_plus.minus(k_minus).edge_ids
     g = len(gap)
     if g > instance.lattice_cap:
@@ -293,9 +285,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
             f"gap of {g} edges exceeds the lattice cap {instance.lattice_cap}; "
             "restrict the lattice or raise the cap")
     if g == 0:
-        chain = MonotoneChain([k_minus])
-        return JumpCostResult(cost=0.0, chain=chain, hops=(),
-                              segments=(TransitionSegment("sliding", 0, 0, (), ()),))
+        return JumpCostResult(cost=0.0, chain=MonotoneChain([k_minus]), hops=())
 
     def to_state(mask: int) -> CrackSet:
         return k_minus.with_edges(gap[i] for i in range(g) if (mask >> i) & 1)
@@ -347,9 +337,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
         charged = instance.charges(a, b)
         hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
                               r_start=r_of(m)))
-    segments = tuple(decompose_transition(chain, t, instance))
-    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops),
-                          segments=segments)
+    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops))
 
 
 @dataclass(frozen=True)
@@ -370,16 +358,16 @@ class TransitionSegment:
 def decompose_transition(chain, t: float, instance: RisInstance) -> list[TransitionSegment]:
     """Split a chain into sliding and viscous segments by the stability
     of its interior states. A single-hop chain has no interior states
-    and counts as one sliding segment."""
+    and counts as one sliding segment. Each state but the last is
+    scanned once; the report of state i - 1 also gives the witnesses M
+    that the recursion check at state i reads."""
     chain = _as_chain(chain)
     n = len(chain) - 1
-    if n <= 0:
+    if n <= 1:
         return [TransitionSegment("sliding", 0, max(n, 0), (), ())]
-    if n == 1:
-        return [TransitionSegment("sliding", 0, 1, (), ())]
-    reports = {i: residual_stability(t, chain[i], instance) for i in range(1, n)}
-    stable = {i: reports[i].residual <= instance.stability_tolerance(
-        instance.energy(t, chain[i])) for i in reports}
+    reports = [residual_stability(t, s, instance) for s in chain.states[:-1]]
+    stable = [r.residual <= instance.stability_tolerance(instance.energy(t, s))
+              for r, s in zip(reports, chain.states)]
     segments: list[TransitionSegment] = []
     start = 1
     while start <= n - 1:
@@ -387,12 +375,9 @@ def decompose_transition(chain, t: float, instance: RisInstance) -> list[Transit
         while stop + 1 <= n - 1 and stable[stop + 1] == stable[start]:
             stop += 1
         label = "sliding" if stable[start] else "viscous"
-        violations = []
-        if label == "viscous":
-            for i in range(start, stop + 1):
-                witnesses = residual_stability(t, chain[i - 1], instance).minimizers
-                if not any(w.bits == chain[i].bits for w in witnesses):
-                    violations.append(i)
+        violations = [] if stable[start] else [
+            i for i in range(start, stop + 1)
+            if not any(w.bits == chain[i].bits for w in reports[i - 1].minimizers)]
         segments.append(TransitionSegment(
             label=label, first=start - 1, last=stop + 1,
             interior_residuals=tuple(reports[i].residual for i in range(start, stop + 1)),

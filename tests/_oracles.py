@@ -245,6 +245,39 @@ def competitors_by_sets(pool, state, search, budget):
     return out
 
 
+def reference_step(t, prev, instance):
+    """The incremental step as a min over (objective, *sort_key) tuples:
+    exhaustive mode takes the smallest key over the competitors of
+    `prev`; greedy mode augments its current best by one pool edge at a
+    time until no single-edge superset has a smaller key, always pricing
+    the dissipation from `prev`."""
+
+    def objective(cand):
+        charged = instance.charges(prev, cand)
+        if charged is None:
+            return math.inf
+        return instance.energy(t, cand) + charged.big_d
+
+    def best_among(cands, current_best=None):
+        best = current_best
+        for cand in cands:
+            key = (objective(cand), *cand.sort_key())
+            if best is None or key < best[0]:
+                best = (key, cand)
+        return best
+
+    if instance.search == "greedy":
+        best = best_among([prev])
+        while True:
+            state = best[1]
+            available = instance.pool.minus(state).edge_ids
+            found = best_among((state.with_edges([e]) for e in available), best)
+            if found[1].bits == state.bits:
+                return state
+            best = found
+    return best_among(instance.competitors(prev))[1]
+
+
 def reference_space(mesh, crack) -> dict:
     """The arrays of the P1 space cut along a crack, by a union-find over
     the star of every vertex and over all triangles: DOF n is the n-th fan

@@ -248,6 +248,20 @@ def test_component_bound_nucleation_run():
     assert rep.slack > 0.0
 
 
+def test_component_bound_follows_the_charged_rate():
+    # the a-priori bound divides by what one nucleation is charged:
+    # lam + mu in the VE scheme, lam alone for energetic solutions
+    inst, load = well_instance()
+    partition = TimePartition.uniform(load.horizon, 30)
+    growth = math.exp(inst.power_bound * load.horizon)
+    for viscous, rate in ((True, PARAMS.lam + PARAMS.mu), (False, PARAMS.lam)):
+        run = replace(inst, viscous=viscous)
+        evo = run_scheme(run, partition, CrackSet.empty(inst.mesh))
+        rep = component_bound_check(evo, run)
+        assert rep.bound == growth * (float(evo.ledger.energy[0]) + 1.0) / rate
+        assert rep.ok
+
+
 def test_large_nucleation_price_prevents_growth():
     heavy = DissipationParams(lam=500.0, mu=500.0)
     inst, load = well_instance(params=heavy)

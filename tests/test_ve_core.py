@@ -10,6 +10,7 @@ import pytest
 from vefrac.benchmarks import rect_grid_mesh
 from vefrac.dissipation import (
     DissipationParams,
+    HopCost,
     MonotoneChain,
     alpha,
     atw_integral,
@@ -17,6 +18,7 @@ from vefrac.dissipation import (
     dist_d,
     hop_cost,
 )
+from vefrac.evolution import TimePartition, run_scheme
 from vefrac.geometry import CrackSet, h1_diff, h1_measure
 from vefrac.ve_core import (
     RisInstance,
@@ -212,9 +214,10 @@ def test_competitor_sequences_match_set_difference(grid3):
 
 
 def test_greedy_step_examines_set_difference_candidates(grid3):
-    # greedy incremental_step asks, round by round, for the single-edge
-    # supersets of its current best inside the pool, in ascending edge
-    # order; replay the loop on the set-difference candidates
+    # greedy incremental_step asks, round by round, for its current best
+    # and then for the single-edge supersets of it inside the pool, in
+    # ascending edge order; replay the loop on the set-difference
+    # candidates
     rng = np.random.default_rng(5)
     weights = rng.uniform(-5.0, 0.5, grid3.n_edges)
     asked = []
@@ -236,9 +239,10 @@ def test_greedy_step_examines_set_difference_candidates(grid3):
     def key(c):
         return (value(c) + inst.charges(prev, c).big_d, *c.sort_key())
 
-    expected, best = [prev.bits], (key(prev), prev)
+    expected, best = [], (key(prev), prev)
     while True:
         state = best[1]
+        expected.append(state.bits)
         for cand in oracle.competitors_by_sets(pool, state, "greedy", 0)[1:]:
             expected.append(cand.bits)
             if key(cand) < best[0]:
@@ -248,6 +252,66 @@ def test_greedy_step_examines_set_difference_candidates(grid3):
     assert asked == expected
     assert result.bits == state.bits
     assert len(state.edge_ids) > 2  # several rounds ran
+
+
+def counted_hop(h, k):
+    """A hop record in whole numbers: one unit of length and of sweep per
+    new edge and one nucleation per hop that adds edges, so competitors
+    adding as many edges tie whenever their energies do."""
+    if not h.issubset(k):
+        return None
+    new = float(len(k.minus(h).edge_ids))
+    return HopCost(h1=new, sweep=new, alpha=float(new > 0))
+
+
+def integer_instance(mesh, seed, hop, **kw):
+    # whole-number energies falling by 3 per cut edge, so greedy search
+    # runs several rounds
+    rng = np.random.default_rng(seed)
+    table = {bits: float(rng.integers(0, 4) - 3 * bin(bits).count("1"))
+             for bits in range(1 << mesh.n_edges)}
+    return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
+                       energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
+                       hop=hop, params=PARAMS, budget=mesh.n_edges, **kw)
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_step_matches_reference_step_on_ties(rect9, search, viscous):
+    # integer energies make many competitors tie on the objective, so
+    # the winner rests on the tie-break (fewer edges, then lexicographic)
+    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
+    tied = moved = 0
+    for seed in range(5):
+        for hop in (real_hop, counted_hop):
+            inst = integer_instance(rect9, seed, hop, search=search, viscous=viscous)
+            for bits in (0, 1, 5, 17, 100, 273):
+                prev = CrackSet(rect9, bits)
+                got = incremental_step(0.0, prev, inst)
+                assert got.bits == oracle.reference_step(0.0, prev, inst).bits
+                # the step's first scan is R's scan of prev
+                tied += len(residual_stability(0.0, prev, inst).minimizers) > 1
+                moved += got.bits != prev.bits
+    assert tied > 0 and moved > 0
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_ledger_r_is_a_fresh_residual(rect9, search, viscous):
+    # a step that stays put records R = 0 without a second scan; it must
+    # be the very float a fresh scan of the state gives
+    rng = np.random.default_rng(12)
+    table = {bits: float(rng.integers(0, 3)) for bits in range(2**9)}
+    slope = {bits: float(bin(bits).count("1")) for bits in range(2**9)}
+    inst = table_instance(rect9, table, t_slope=slope, search=search,
+                          viscous=viscous)
+    partition = TimePartition.uniform(3.0, 12)
+    evo = run_scheme(inst, partition, CrackSet.empty(rect9))
+    for t, k, r in zip(partition.times, evo.states, evo.ledger.r):
+        fresh = residual_stability(float(t), k, inst).residual
+        assert np.float64(r).tobytes() == np.float64(fresh).tobytes()
+    changing = len(evo.changing_steps())
+    assert 0 < changing < 12  # both the moving and the frozen path ran
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +434,7 @@ def test_jump_cost_trivial_and_illegal(rect9):
     res = jump_cost(0.0, k, k, inst)
     assert res.cost == 0.0
     assert len(res.chain) == 1
-    assert res.segments[0].label == "sliding"
+    assert decompose_transition(res.chain, 0.0, inst)[0].label == "sliding"
     bad = jump_cost(0.0, k, CrackSet.of_edges(rect9, [1]), inst)
     assert bad.cost == math.inf and bad.chain is None
 
@@ -457,7 +521,7 @@ def test_decompose_checks_minimum_jump_recursion(rect9):
     inst = table_instance(rect9, table)
     km, kp = CrackSet.empty(rect9), CrackSet(rect9, 3)
     res = jump_cost(0.0, km, kp, inst)
-    for seg in res.segments:
+    for seg in decompose_transition(res.chain, 0.0, inst):
         if seg.label == "viscous":
             assert seg.recursion_violations == ()
     # a hand-made detour through the penalized middle violates it

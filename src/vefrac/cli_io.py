@@ -101,6 +101,13 @@ class RunConfig:
             raise ConfigError("missing mesh")
         if self.mode not in ("ve", "energetic"):
             raise ConfigError(f"mode must be 've' or 'energetic', got {self.mode!r}")
+        for key, value in (("run.lambda", self.lam), ("run.mu", self.mu),
+                           ("partition.horizon", self.horizon),
+                           *(("partition.times", t) for t in self.times or ()),
+                           ("tolerances.stability", self.tol_stability),
+                           ("tolerances.balance", self.tol_balance)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if self.lam <= 0:
             raise ConfigError("lambda must be positive")
         if self.mu <= 0:

@@ -7,20 +7,20 @@ area swept by the increment (an Almgren-Taylor-Wang style integral) plus
 its own nucleation charge mu. Their sum D is the corrected dissipation
 used by the incremental scheme.
 
-All three are +infinity when the inclusion H ⊆ K fails; that tag lives in
-CostValue rather than a float sentinel so sums cannot silently launder an
-illegal transition into a finite number.
+Every cost is a float, and math.inf when the inclusion H ⊆ K fails,
+so sums along a chain stay +infinity once one hop is illegal. None
+marks a missing record only: hop_cost returns None for H ⊄ K.
 
 A hop H -> K is priced once by hop_cost into a HopCost record (new
-length, sweep integral, nucleation count); d, delta and D are views of
-that record.
+length, sweep integral, nucleation count); HopCost.charges turns that
+record into d, delta and D, the only place that arithmetic is written.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +37,9 @@ ATW_PANELS = 16
 
 __all__ = [
     "DissipationParams",
-    "CostValue",
     "MonotoneChain",
     "HopCost",
+    "HopCharges",
     "hop_cost",
     "alpha",
     "dist_d",
@@ -67,72 +67,6 @@ class DissipationParams:
             raise ValueError("mu must be positive")
         if int(self.quadrature_order) != self.quadrature_order or self.quadrature_order < 1:
             raise ValueError("quadrature_order must be an integer >= 1")
-
-
-@dataclass(frozen=True, order=False)
-class CostValue:
-    """Nonnegative cost, possibly +infinity. The infinite state is a tag,
-    not a float, so adding and scaling keep the distinction explicit."""
-
-    value: float = 0.0
-    infinite: bool = False
-
-    def __post_init__(self):
-        if self.infinite:
-            object.__setattr__(self, "value", 0.0)
-        elif not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"finite cost must be a nonnegative real, got {self.value}")
-
-    @classmethod
-    def finite(cls, value: float) -> "CostValue":
-        return cls(float(value), False)
-
-    @classmethod
-    def infinity(cls) -> "CostValue":
-        return cls(0.0, True)
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
-    def as_float(self) -> float:
-        return math.inf if self.infinite else self.value
-
-    def __add__(self, other) -> "CostValue":
-        if isinstance(other, CostValue):
-            if self.infinite or other.infinite:
-                return CostValue.infinity()
-            return CostValue.finite(self.value + other.value)
-        if isinstance(other, (int, float)):
-            return self + CostValue.finite(float(other))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def scaled(self, factor: float) -> "CostValue":
-        if factor < 0:
-            raise ValueError("cost scale factor must be nonnegative")
-        if self.infinite:
-            return CostValue.infinity()
-        return CostValue.finite(factor * self.value)
-
-    def _key(self):
-        return (1, 0.0) if self.infinite else (0, self.value)
-
-    def __lt__(self, other: "CostValue"):
-        return self._key() < other._key()
-
-    def __le__(self, other: "CostValue"):
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "CostValue"):
-        return self._key() > other._key()
-
-    def __ge__(self, other: "CostValue"):
-        return self._key() >= other._key()
-
-    def __repr__(self):
-        return "CostValue(inf)" if self.infinite else f"CostValue({self.value!r})"
 
 
 class MonotoneChain:
@@ -172,19 +106,19 @@ class MonotoneChain:
         return f"MonotoneChain({len(self.states)} states, {self.states[-1].cardinality} edges at end)"
 
 
-def alpha(h: CrackSet, k: CrackSet) -> CostValue:
+def alpha(h: CrackSet, k: CrackSet) -> float:
     """Number of connected components of K sharing no vertex with H,
     when H ⊆ K; +infinity otherwise. This is the count of cracks that
     nucleate away from the existing set in the transition H -> K."""
     _require_same_mesh(h, k)
     if not h.issubset(k):
-        return CostValue.infinity()
+        return math.inf
     if k.is_empty:
-        return CostValue.finite(0.0)
+        return 0.0
     h_vertices = h.vertex_ids()
     count = sum(1 for comp in connected_components(k)
                 if not (comp.vertex_ids() & h_vertices))
-    return CostValue.finite(float(count))
+    return float(count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +134,7 @@ def _atw_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """The pure sweep integral Delta(H,K) = integral over K\\H of
     dist(x, H), by Gauss-Legendre quadrature on each new edge.
 
@@ -209,14 +143,14 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostVal
     """
     _require_same_mesh(h, k)
     if not h.issubset(k):
-        return CostValue.infinity()
+        return math.inf
     mesh = h.mesh
     new_ids = k.minus(h).edge_ids
     if not new_ids:
-        return CostValue.finite(0.0)
+        return 0.0
     lengths = mesh.edge_lengths[list(new_ids)]
     if h.is_empty:
-        return CostValue.finite(mesh.domain_diameter * float(math.fsum(lengths)))
+        return mesh.domain_diameter * math.fsum(lengths)
     # Composite rule: dist(., H) is only piecewise smooth along an edge
     # (the nearest feature of H changes), so a single Gauss panel stalls
     # at a few percent no matter the order. Uniform panels with the
@@ -229,60 +163,75 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostVal
     dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
     dists = dists.reshape(len(new_ids), len(t))
     per_edge = lengths * (dists @ w)
-    return CostValue.finite(float(math.fsum(per_edge)))
+    return math.fsum(per_edge)
+
+
+class HopCharges(NamedTuple):
+    """What a hop H -> K with H ⊆ K is charged.
+
+    The transition charge D - H1(K\\H) is sweep + rate * alpha."""
+
+    d: float      # H1(K\H) + lam * alpha
+    delta: float  # sweep + mu * alpha, or 0 when not viscous
+    big_d: float  # D = d + delta
+    sweep: float  # the sweep integral Delta(H,K) inside D, or 0
+    rate: float   # D's charge per nucleated component: lam + mu, or lam
+    alpha: float  # nucleation count
 
 
 @dataclass(frozen=True)
 class HopCost:
     """The priced parts of a hop H -> K with H ⊆ K: the new length
     h1 = H1(K\\H), the pure sweep integral Delta(H,K) and the nucleation
-    count alpha(H,K). The costs of the hop are views of these three
-    numbers, so d, delta and D agree bit for bit wherever they are read."""
+    count alpha(H,K). charges() turns them into d, delta and D, so the
+    costs agree bit for bit wherever they are read."""
 
     h1: float
     sweep: float
     alpha: float
 
-    def d(self, params: DissipationParams) -> CostValue:
-        """d = H1(K\\H) + lam * alpha."""
-        return CostValue.finite(self.h1 + params.lam * self.alpha)
-
-    def delta(self, params: DissipationParams) -> CostValue:
-        """delta = Delta + mu * alpha."""
-        return CostValue.finite(self.sweep + params.mu * self.alpha)
-
-    def big_d(self, params: DissipationParams) -> CostValue:
-        """D = d + delta, summed in that order."""
-        return self.d(params) + self.delta(params)
+    def charges(self, params: DissipationParams,
+                viscous: bool = True) -> HopCharges:
+        """d = H1(K\\H) + lam * alpha, and either the VE correction
+        delta = Delta + mu * alpha with D = d + delta, or, when not
+        viscous, the energetic delta = 0 with D = d."""
+        lam = params.lam
+        d = self.h1 + lam * self.alpha
+        if not viscous:
+            return HopCharges(d, 0.0, d, 0.0, lam, self.alpha)
+        mu = params.mu
+        delta = self.sweep + mu * self.alpha
+        return HopCharges(d, delta, d + delta, self.sweep, lam + mu,
+                          self.alpha)
 
 
 def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
     """Price the hop H -> K: one alpha, one sweep integral and one H1
     difference. None when H ⊄ K, where every cost of the hop is +inf."""
     a = alpha(h, k)
-    if a.infinite:
+    if a == math.inf:
         return None
-    return HopCost(h1=h1_diff(h, k), sweep=atw_integral(h, k, params).value,
-                   alpha=a.value)
+    return HopCost(h1=h1_diff(h, k), sweep=atw_integral(h, k, params),
+                   alpha=a)
 
 
-def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Quasi-distance d(H,K) = H1(K\\H) + lam * alpha(H,K), +inf if H ⊄ K."""
     hop = hop_cost(h, k, params)
-    return CostValue.infinity() if hop is None else hop.d(params)
+    return math.inf if hop is None else hop.charges(params).d
 
 
-def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Viscous correction delta(H,K) = Delta(H,K) + mu * alpha(H,K)."""
     hop = hop_cost(h, k, params)
-    return CostValue.infinity() if hop is None else hop.delta(params)
+    return math.inf if hop is None else hop.charges(params).delta
 
 
-def big_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> CostValue:
+def big_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Corrected dissipation D = d + delta
     = H1(K\\H) + Delta(H,K) + (lam + mu) * alpha(H,K)."""
     hop = hop_cost(h, k, params)
-    return CostValue.infinity() if hop is None else hop.big_d(params)
+    return math.inf if hop is None else hop.charges(params).big_d
 
 
 def var_along(chain: MonotoneChain | Sequence[CrackSet],
@@ -304,12 +253,10 @@ def var_along(chain: MonotoneChain | Sequence[CrackSet],
         hop = alpha
     elif which == "h1":
         def hop(a, b):
-            if not a.issubset(b):
-                return CostValue.infinity()
-            return CostValue.finite(h1_diff(a, b))
+            return h1_diff(a, b) if a.issubset(b) else math.inf
     else:
         raise ValueError(f"unknown variation kind {which!r}")
-    total = CostValue.finite(0.0)
+    total = 0.0
     for a, b in zip(chain.states, chain.states[1:]):
-        total = total + hop(a, b)
-    return total.as_float()
+        total += hop(a, b)
+    return total

@@ -147,16 +147,6 @@ class DiscreteEvolution:
         return [i for i in range(1, len(self.states))
                 if self.states[i].bits != self.states[i - 1].bits]
 
-    def default_jump_records(self) -> list[JumpRecord]:
-        """Every changing step as an isolated jump, for audits that
-        treat all interpolant discontinuities alike."""
-        times = self.partition.times
-        return [JumpRecord(index=i, time=float(times[i]),
-                           left=self.states[i - 1], at=self.states[i],
-                           right=self.states[i],
-                           magnitude=float(self.ledger.d[i]))
-                for i in self.changing_steps()]
-
 
 def run_scheme(instance: RisInstance, partition: TimePartition,
                k0: CrackSet) -> DiscreteEvolution:

@@ -34,11 +34,11 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dissipation import DissipationParams, HopCost, MonotoneChain
+from .dissipation import DissipationParams, HopCharges, HopCost, MonotoneChain
 from .geometry import CrackSet, h1_diff
 
 __all__ = [
@@ -65,18 +65,6 @@ MAX_COMPETITORS = 500_000
 DEFAULT_LATTICE_CAP = 16
 
 
-class HopCharges(NamedTuple):
-    """What the scheme charges for a hop H -> K with H <= K.
-
-    The transition charge D - H1(K\\H) is sweep + rate * alpha."""
-
-    d: float      # H1(K\H) + lam * alpha
-    big_d: float  # D = d + delta, with delta = sweep + mu * alpha or 0
-    sweep: float  # the sweep integral Delta(H,K) inside D, or 0
-    rate: float   # D's charge per nucleated component: lam + mu, or lam
-    alpha: float  # nucleation count
-
-
 @dataclass
 class RisInstance:
     """The driving system handed to the lattice algorithms.
@@ -86,7 +74,8 @@ class RisInstance:
     there). viscous selects what the records charge: the VE dissipation
     D = d + delta, with d = H1(K\\H) + lam*alpha and delta = Delta +
     mu*alpha, or, when False, the energetic D = d. Only charges() reads
-    it, so every algorithm below is the same in both modes.
+    it, and HopCost.charges does the arithmetic, so every algorithm below
+    is the same in both modes.
     """
 
     pool: CrackSet
@@ -139,15 +128,7 @@ class RisInstance:
     def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
         """The charges of the hop H -> K; None when H <= K fails."""
         hop = self.hop(h, k)
-        if hop is None:
-            return None
-        lam = self.params.lam
-        d = hop.h1 + lam * hop.alpha
-        if not self.viscous:
-            return HopCharges(d, d, 0.0, lam, hop.alpha)
-        mu = self.params.mu
-        return HopCharges(d, d + (hop.sweep + mu * hop.alpha), hop.sweep,
-                          lam + mu, hop.alpha)
+        return None if hop is None else hop.charges(self.params, self.viscous)
 
 
 @dataclass(frozen=True)
@@ -489,11 +470,9 @@ class JumpAudit:
 
 
 def audit_jump_conditions(evolution, instance: RisInstance,
-                          jumps=None) -> list[JumpAudit]:
+                          jumps) -> list[JumpAudit]:
     """Residuals E(t,H) - E(t,K) - H1(K\\H) - c(t,H,K) for the three
     transitions of each jump record. Empty report when nothing jumps."""
-    if jumps is None:
-        jumps = getattr(evolution, "default_jump_records", lambda: [])()
 
     def identity(t, h, k):
         if h.bits == k.bits:

@@ -115,8 +115,8 @@ def test_01_quasi_distance_axioms():
     d_tab, a_tab = {}, {}
     for k in range(1 << ne):
         for h in _submasks(k):
-            d_tab[(h, k)] = dist_d(states[h], states[k], PARAMS).value
-            a_tab[(h, k)] = alpha(states[h], states[k]).value
+            d_tab[(h, k)] = dist_d(states[h], states[k], PARAMS)
+            a_tab[(h, k)] = alpha(states[h], states[k])
 
     identity_bad = sum(1 for k in range(1 << ne) if d_tab[(k, k)] != 0.0)
     separation_bad = sum(1 for (h, k), v in d_tab.items()
@@ -159,7 +159,7 @@ def test_02_higher_order_bound():
         keep = rng.random(len(k_ids)) < 0.5
         h = CrackSet.of_edges(mesh, [e for e, f in zip(k_ids, keep) if f])
         k = CrackSet.of_edges(mesh, k_ids)
-        delta = atw_integral(h, k, PARAMS).value
+        delta = atw_integral(h, k, PARAMS)
         length = h1_diff(h, k)
         slack = hausdorff(h, k, resolution=resolution) * length - delta
         tol = resolution * length + 1e-9 * (1.0 + delta)
@@ -244,17 +244,17 @@ def test_05_scheme_optimality_and_search_agreement():
         for i in range(1, len(partition)):
             t = float(partition.times[i])
             prev, chosen = evo.states[i - 1], evo.states[i]
-            own = energy(t, chosen) + dist_d(prev, chosen, PARAMS).value \
-                + atw_integral(prev, chosen, PARAMS).value \
-                + PARAMS.mu * alpha(prev, chosen).value
+            own = energy(t, chosen) + dist_d(prev, chosen, PARAMS) \
+                + atw_integral(prev, chosen, PARAMS) \
+                + PARAMS.mu * alpha(prev, chosen)
             free = sorted(set(pool.edge_ids) - set(prev.edge_ids))
             for n_extra in range(0, min(budget, len(free)) + 1):
                 for combo in itertools.combinations(free, n_extra):
                     comp = prev.with_edges(combo)
                     value = energy(t, comp) \
-                        + dist_d(prev, comp, PARAMS).value \
-                        + atw_integral(prev, comp, PARAMS).value \
-                        + PARAMS.mu * alpha(prev, comp).value
+                        + dist_d(prev, comp, PARAMS) \
+                        + atw_integral(prev, comp, PARAMS) \
+                        + PARAMS.mu * alpha(prev, comp)
                     compared += 1
                     worst = min(worst, value - own + 1e-12 * (1.0 + abs(value)))
         return evo, worst, compared
@@ -352,7 +352,7 @@ def test_06_jump_cost_oracle():
         cost = jump_cost(t, left, right, inst).cost
         if cost == best[0]:
             exact += 1
-        floor = lam_mu * alpha(left, right).value
+        floor = lam_mu * alpha(left, right)
         if cost >= floor - 1e-12 * (1.0 + cost):
             floor_ok += 1
     ok = exact == len(sizes) and floor_ok == len(sizes)

@@ -191,7 +191,7 @@ initial = 3 4
     assert cfg.initial == ((3, 4),)
 
 
-def test_parse_validation_grab_bag():
+def test_parse_validation_grab_bag(tmp_path, capsys):
     with pytest.raises(ConfigError, match="budget must be between"):
         parse_config(MINIMAL + "\n[search]\nbudget = 40\n")
     with pytest.raises(ConfigError, match="mode must be"):
@@ -216,6 +216,23 @@ def test_parse_validation_grab_bag():
     # edited configs are validated by the same rules
     with pytest.raises(ConfigError, match="budget must be between"):
         replace(parse_config(MINIMAL), budget=40)
+    # non-finite numbers are refused by name, before any rule they would
+    # pass (inf tolerances) or fail misleadingly (inf lambda or horizon)
+    for section, key, raw in (("run", "lambda", "inf"), ("run", "mu", "nan"),
+                              ("partition", "horizon", "inf"),
+                              ("partition", "times", "0, nan, 1"),
+                              ("tolerances", "stability", "nan"),
+                              ("tolerances", "balance", "inf")):
+        text = MINIMAL + ("" if section == "run" else f"\n[{section}]\n")
+        text += f"{key} = {raw}\n"
+        with pytest.raises(ConfigError,
+                           match=f"^{section}.{key} must be a finite number"):
+            parse_config(text)
+        (tmp_path / "bad.ini").write_text(text)
+        assert cli_dispatch(["run", str(tmp_path / "bad.ini")]) == 1
+        assert f"{section}.{key} must be a finite" in capsys.readouterr().out
+    with pytest.raises(ConfigError, match="^run.lambda must be a finite"):
+        replace(parse_config(MINIMAL), lam=float("inf"))
 
 
 # ---------------------------------------------------------------------------

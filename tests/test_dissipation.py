@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from vefrac.benchmarks import rect_grid_mesh
 from vefrac.dissipation import (
-    CostValue,
     DissipationParams,
+    HopCharges,
     HopCost,
     MonotoneChain,
     _atw_rule,
@@ -30,7 +30,7 @@ PARAMS = DissipationParams(lam=0.1, mu=0.1)
 
 
 # ---------------------------------------------------------------------------
-# CostValue and params
+# params
 # ---------------------------------------------------------------------------
 
 def test_params_validation():
@@ -42,50 +42,32 @@ def test_params_validation():
         DissipationParams(lam=1.0, mu=1.0, quadrature_order=0)
 
 
-def test_cost_value_arithmetic():
-    a = CostValue.finite(0.25)
-    b = CostValue.finite(0.5)
-    inf = CostValue.infinity()
-    assert (a + b).value == 0.75
-    assert (a + inf).infinite
-    assert (inf + inf).infinite
-    assert a.scaled(4.0).value == 1.0
-    assert inf.scaled(2.0).infinite
-    assert a < b < inf
-    assert inf.as_float() == math.inf
-    assert (a + 0.75).value == 1.0
-    with pytest.raises(ValueError):
-        CostValue.finite(-1e-3)
-    with pytest.raises(ValueError):
-        CostValue.finite(math.nan)
-
-
 # ---------------------------------------------------------------------------
 # alpha
 # ---------------------------------------------------------------------------
 
 def test_alpha_of_self_is_zero(grid3):
     k = CrackSet.of_edges(grid3, [0, 4, 9])
-    assert alpha(k, k) == CostValue.finite(0.0)
+    assert alpha(k, k) == 0.0
 
 
 def test_alpha_from_empty_counts_components(grid3):
     # three pairwise vertex-disjoint edges
     k = CrackSet.of_vertex_pairs(grid3, [(0, 1), (2, 3), (8, 9)])
-    assert alpha(CrackSet.empty(grid3), k).value == 3.0
+    assert alpha(CrackSet.empty(grid3), k) == 3.0
 
 
 def test_alpha_infinite_without_inclusion(grid3):
     h = CrackSet.of_edges(grid3, [0])
     k = CrackSet.of_edges(grid3, [1, 2])
-    assert alpha(h, k).infinite
+    assert alpha(h, k) == math.inf
 
 
 def test_alpha_counts_only_detached_components(grid3):
     h = CrackSet.of_vertex_pairs(grid3, [(0, 1)])
     # one component touching h at vertex 1, one detached
     k = h.union(CrackSet.of_vertex_pairs(grid3, [(1, 2), (8, 9)]))
-    assert alpha(h, k).value == 1.0
+    assert alpha(h, k) == 1.0
 
 
 @given(h_sel=st.integers(0, 2**9 - 1), extra=st.integers(0, 2**9 - 1))
@@ -95,7 +77,7 @@ def test_alpha_matches_component_scan_oracle(rect9, h_sel, extra):
     k = CrackSet(rect9, h_sel | extra)
     got = alpha(h, k)
     expected = oracle.oracle_alpha(rect9, h.edge_ids, k.edge_ids)
-    assert got.value == float(expected)
+    assert got == float(expected)
 
 
 @given(h_bits=st.integers(0, 2**9 - 1), k_extra=st.integers(0, 2**9 - 1),
@@ -105,7 +87,7 @@ def test_alpha_triangle_inequality(rect9, h_bits, k_extra, l_extra):
     k_bits = h_bits | k_extra
     l_bits = k_bits | l_extra
     h, k, l = (CrackSet(rect9, b) for b in (h_bits, k_bits, l_bits))
-    assert alpha(h, l).value <= alpha(h, k).value + alpha(k, l).value
+    assert alpha(h, l) <= alpha(h, k) + alpha(k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +96,7 @@ def test_alpha_triangle_inequality(rect9, h_bits, k_extra, l_extra):
 
 def test_d_of_self_is_zero(grid3):
     k = CrackSet.of_edges(grid3, [2, 3])
-    assert dist_d(k, k, PARAMS) == CostValue.finite(0.0)
+    assert dist_d(k, k, PARAMS) == 0.0
 
 
 def test_d_far_edge_example():
@@ -123,7 +105,7 @@ def test_d_far_edge_example():
     h = CrackSet.of_vertex_pairs(mesh, [(0, 6)])    # x = 0 side
     k = h.union(CrackSet.of_vertex_pairs(mesh, [(5, 11)]))  # x = 2 side
     got = dist_d(h, k, PARAMS)
-    assert math.isclose(got.value, 0.4 + 0.1 * 1, rel_tol=1e-15)
+    assert math.isclose(got, 0.4 + 0.1 * 1, rel_tol=1e-15)
 
 
 def test_d_separates_points(grid3):
@@ -134,9 +116,9 @@ def test_d_separates_points(grid3):
         h, k = CrackSet(grid3, h_bits), CrackSet(grid3, k_bits)
         if h.bits == k.bits:
             continue
-        assert dist_d(h, k, PARAMS).value > 0.0
+        assert dist_d(h, k, PARAMS) > 0.0
     assert dist_d(CrackSet.of_edges(grid3, [1]),
-                  CrackSet.of_edges(grid3, [2]), PARAMS).infinite
+                  CrackSet.of_edges(grid3, [2]), PARAMS) == math.inf
 
 
 @given(h_bits=st.integers(0, 2**9 - 1), k_extra=st.integers(0, 2**9 - 1),
@@ -146,8 +128,8 @@ def test_d_triangle_inequality(rect9, h_bits, k_extra, l_extra):
     k_bits = h_bits | k_extra
     l_bits = k_bits | l_extra
     h, k, l = (CrackSet(rect9, b) for b in (h_bits, k_bits, l_bits))
-    lhs = dist_d(h, l, PARAMS).value
-    rhs = dist_d(h, k, PARAMS).value + dist_d(k, l, PARAMS).value
+    lhs = dist_d(h, l, PARAMS)
+    rhs = dist_d(h, k, PARAMS) + dist_d(k, l, PARAMS)
     assert lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
@@ -157,7 +139,7 @@ def test_d_triangle_inequality(rect9, h_bits, k_extra, l_extra):
 
 def test_delta_of_self_is_zero(grid3):
     k = CrackSet.of_edges(grid3, [7])
-    assert delta_atw(k, k, PARAMS) == CostValue.finite(0.0)
+    assert delta_atw(k, k, PARAMS) == 0.0
 
 
 def test_delta_collinear_extension_is_half_square(rect9):
@@ -168,23 +150,23 @@ def test_delta_collinear_extension_is_half_square(rect9):
     for order in (1, 2, 3, 5):
         p = DissipationParams(lam=0.1, mu=0.1, quadrature_order=order)
         got = atw_integral(h, k, p)
-        assert math.isclose(got.value, ell * ell / 2.0, rel_tol=1e-14)
+        assert math.isclose(got, ell * ell / 2.0, rel_tol=1e-14)
     # alpha = 0, so delta is the pure integral
-    assert math.isclose(delta_atw(h, k, PARAMS).value, 0.5, rel_tol=1e-14)
+    assert math.isclose(delta_atw(h, k, PARAMS), 0.5, rel_tol=1e-14)
 
 
 def test_delta_from_empty_uses_diameter(rect9):
     k = CrackSet.of_edges(rect9, [0, 1])
     expected = rect9.domain_diameter * h1_measure(k)
-    assert math.isclose(atw_integral(CrackSet.empty(rect9), k, PARAMS).value,
+    assert math.isclose(atw_integral(CrackSet.empty(rect9), k, PARAMS),
                         expected, rel_tol=1e-15)
 
 
 def test_delta_infinite_without_inclusion(rect9):
     h = CrackSet.of_edges(rect9, [0])
     k = CrackSet.of_edges(rect9, [1])
-    assert delta_atw(h, k, PARAMS).infinite
-    assert atw_integral(h, k, PARAMS).infinite
+    assert delta_atw(h, k, PARAMS) == math.inf
+    assert atw_integral(h, k, PARAMS) == math.inf
 
 
 def test_atw_matches_dense_sampling_oracle(grid3):
@@ -197,7 +179,7 @@ def test_atw_matches_dense_sampling_oracle(grid3):
             continue
         dense = oracle.dense_atw_integral(grid3, h.edge_ids, k.edge_ids,
                                           n_per_edge=1000)
-        got = atw_integral(h, k, PARAMS).value
+        got = atw_integral(h, k, PARAMS)
         assert math.isclose(got, dense, rel_tol=1e-3, abs_tol=1e-12)
 
 
@@ -206,7 +188,7 @@ def test_atw_matches_dense_sampling_oracle(grid3):
 def test_higher_order_bound(rect9, h_sel, extra):
     h = CrackSet(rect9, h_sel)
     k = CrackSet(rect9, h_sel | extra)
-    delta = atw_integral(h, k, PARAMS).value
+    delta = atw_integral(h, k, PARAMS)
     haus = hausdorff(h, k)
     growth = h1_diff(h, k)
     eps = rect9.hausdorff_resolution
@@ -220,9 +202,9 @@ def test_ratio_delta_over_d_bounded_by_hausdorff(grid3):
     eps = grid3.hausdorff_resolution
     for n in (1, 2):
         kn = CrackSet.of_vertex_pairs(grid3, bottom[:n])
-        assert alpha(kn, full).value == 0.0
-        num = delta_atw(kn, full, PARAMS).value
-        den = dist_d(kn, full, PARAMS).value
+        assert alpha(kn, full) == 0.0
+        num = delta_atw(kn, full, PARAMS)
+        den = dist_d(kn, full, PARAMS)
         assert num / den <= hausdorff(kn, full) + eps
 
 
@@ -232,7 +214,8 @@ def test_ratio_delta_over_d_bounded_by_hausdorff(grid3):
 
 def test_hop_cost_views_keep_the_direct_arithmetic(grid3):
     # d, delta and D read one record; each must equal the sum written
-    # out from the parts, bit for bit.
+    # out from the parts, bit for bit, in both modes. Every cost is a
+    # plain float, +inf off the inclusion.
     rng = np.random.default_rng(5)
     for _ in range(30):
         h = CrackSet(grid3, int(rng.integers(0, 2**33)))
@@ -240,20 +223,26 @@ def test_hop_cost_views_keep_the_direct_arithmetic(grid3):
         if rng.random() < 0.7:
             k = k.union(h)
         hop = hop_cost(h, k, PARAMS)
+        costs = (alpha(h, k), atw_integral(h, k, PARAMS), dist_d(h, k, PARAMS),
+                 delta_atw(h, k, PARAMS), big_d(h, k, PARAMS),
+                 var_along([h, k], "d", PARAMS), var_along([h, k], "alpha"),
+                 var_along([h, k], "h1"))
+        assert all(type(x) is float for x in costs)
         if not h.issubset(k):
             assert hop is None
-            assert dist_d(h, k, PARAMS).infinite
-            assert delta_atw(h, k, PARAMS).infinite
-            assert big_d(h, k, PARAMS).infinite
+            assert all(x == math.inf for x in costs)
             continue
-        a = alpha(h, k).value
-        sweep = atw_integral(h, k, PARAMS).value
+        a, sweep = costs[0], costs[1]
         assert hop == HopCost(h1=h1_diff(h, k), sweep=sweep, alpha=a)
         d = h1_diff(h, k) + PARAMS.lam * a
         delta = sweep + PARAMS.mu * a
-        assert dist_d(h, k, PARAMS) == CostValue.finite(d)
-        assert delta_atw(h, k, PARAMS) == CostValue.finite(delta)
-        assert big_d(h, k, PARAMS) == CostValue.finite(d + delta)
+        assert costs[2:5] == (d, delta, d + delta)
+        assert hop.charges(PARAMS) == HopCharges(
+            d, delta, d + delta, sweep, PARAMS.lam + PARAMS.mu, a)
+        assert hop.charges(PARAMS, False) == HopCharges(
+            d, 0.0, d, 0.0, PARAMS.lam, a)
+        for viscous in (True, False):
+            assert all(type(x) is float for x in hop.charges(PARAMS, viscous))
 
 
 def test_atw_rule_is_built_once_and_read_only():
@@ -277,18 +266,17 @@ def test_big_d_closed_form(grid3):
         d = dist_d(h, k, PARAMS)
         de = delta_atw(h, k, PARAMS)
         total = big_d(h, k, PARAMS)
-        assert math.isclose(total.value, d.value + de.value,
-                            rel_tol=1e-14, abs_tol=1e-15)
-        closed = (h1_diff(h, k) + atw_integral(h, k, PARAMS).value
-                  + (PARAMS.lam + PARAMS.mu) * alpha(h, k).value)
-        assert math.isclose(total.value, closed, rel_tol=1e-14, abs_tol=1e-15)
+        assert math.isclose(total, d + de, rel_tol=1e-14, abs_tol=1e-15)
+        closed = (h1_diff(h, k) + atw_integral(h, k, PARAMS)
+                  + (PARAMS.lam + PARAMS.mu) * alpha(h, k))
+        assert math.isclose(total, closed, rel_tol=1e-14, abs_tol=1e-15)
 
 
 def test_big_d_collinear_example(rect9):
     h = CrackSet.of_vertex_pairs(rect9, [(0, 1)])
     k = h.union(CrackSet.of_vertex_pairs(rect9, [(1, 2)]))
     got = big_d(h, k, PARAMS)
-    assert math.isclose(got.value, 1.0 + 0.5, rel_tol=1e-14)
+    assert math.isclose(got, 1.0 + 0.5, rel_tol=1e-14)
 
 
 def test_big_d_far_component_example():
@@ -298,7 +286,7 @@ def test_big_d_far_component_example():
     dense = oracle.dense_atw_integral(mesh, h.edge_ids, k.edge_ids,
                                       n_per_edge=2000)
     got = big_d(h, k, PARAMS)
-    assert math.isclose(got.value, 0.4 + dense + 0.2, rel_tol=1e-4)
+    assert math.isclose(got, 0.4 + dense + 0.2, rel_tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +329,7 @@ def test_var_d_matches_explicit_reconstruction(grid3):
         states = [CrackSet(grid3, b) for b in chain_bits]
         ch = MonotoneChain(states)
         got = var_along(ch, "d", PARAMS)
-        jumps = math.fsum(alpha(a, b).value
+        jumps = math.fsum(alpha(a, b)
                           for a, b in zip(states, states[1:]))
         expected = h1_diff(states[0], states[-1]) + PARAMS.lam * jumps
         assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=1e-15)

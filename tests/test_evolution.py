@@ -131,9 +131,9 @@ def test_ledger_matches_dissipation_recomputation():
     evo = run_scheme(inst, part, CrackSet.empty(inst.mesh))
     for i in range(1, len(evo.states)):
         prev, cur = evo.states[i - 1], evo.states[i]
-        assert evo.ledger.d[i] == dist_d(prev, cur, inst.params).value
-        assert evo.ledger.delta[i] == atw_integral(prev, cur, inst.params).value
-        assert evo.ledger.alpha[i] == alpha(prev, cur).value
+        assert evo.ledger.d[i] == dist_d(prev, cur, inst.params)
+        assert evo.ledger.delta[i] == atw_integral(prev, cur, inst.params)
+        assert evo.ledger.alpha[i] == alpha(prev, cur)
 
 
 def test_var_d_reconstruction_of_run():
@@ -160,8 +160,8 @@ def test_smooth_growth_is_monotone_and_onset_bracketed():
     grown = k0.with_edges([nxt])
     drop = (solve_energy(1.0, k0, load).energy
             - solve_energy(1.0, grown, load).energy)
-    cost = (dist_d(k0, grown, inst.params).value
-            + atw_integral(k0, grown, inst.params).value)
+    cost = (dist_d(k0, grown, inst.params)
+            + atw_integral(k0, grown, inst.params))
     t_pred = math.sqrt(cost / drop)
     onset = evo.changing_steps()[0]
     assert part.times[onset - 1] < t_pred <= part.times[onset]
@@ -209,9 +209,9 @@ def test_two_well_single_jump_with_one_nucleation():
     assert rec.left.is_empty
     assert rec.at.bits == inst.pool.bits
     assert rec.right.bits == rec.at.bits
-    assert alpha(rec.left, rec.at).value == 1.0
+    assert alpha(rec.left, rec.at) == 1.0
     assert math.isclose(rec.magnitude,
-                        dist_d(rec.left, rec.at, inst.params).value,
+                        dist_d(rec.left, rec.at, inst.params),
                         rel_tol=1e-15)
 
 
@@ -299,14 +299,14 @@ def test_hop_table_matches_direct_pricing():
         assert inst.hop(h, k) == hop_cost(h, k, params)
         charged = inst.charges(h, k)
         if not h.issubset(k):
-            assert charged is None and big_d(h, k, params).infinite
+            assert charged is None and big_d(h, k, params) == math.inf
             continue
-        assert charged.d == dist_d(h, k, params).value
-        assert charged.big_d == big_d(h, k, params).value
-        assert charged.big_d == (dist_d(h, k, params).value
-                                 + delta_atw(h, k, params).value)
-        assert charged.sweep == atw_integral(h, k, params).value
-        assert charged.alpha == alpha(h, k).value
+        assert charged.d == dist_d(h, k, params)
+        assert charged.big_d == big_d(h, k, params)
+        assert charged.big_d == (dist_d(h, k, params)
+                                 + delta_atw(h, k, params))
+        assert charged.sweep == atw_integral(h, k, params)
+        assert charged.alpha == alpha(h, k)
 
 
 def test_hop_table_rejects_another_mesh():

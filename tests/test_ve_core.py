@@ -73,8 +73,8 @@ def oracle_residual(t, state, instance):
     while True:
         comp = CrackSet(state.mesh, state.bits | sub)
         cost = big_d(state, comp, PARAMS)
-        if not cost.infinite:
-            best = min(best, instance.energy(t, comp) + cost.value)
+        if cost != math.inf:
+            best = min(best, instance.energy(t, comp) + cost)
         if sub == 0:
             break
         sub = (sub - 1) & sup
@@ -146,7 +146,7 @@ def test_step_threshold_for_single_candidate(rect9):
     pool = CrackSet.of_edges(rect9, [e_star])
     cut = CrackSet.of_edges(rect9, [e_star])
     barrier = (h1_measure(cut) + PARAMS.lam
-               + atw_integral(CrackSet.empty(rect9), cut, PARAMS).value
+               + atw_integral(CrackSet.empty(rect9), cut, PARAMS)
                + PARAMS.mu)
 
     def make(c):
@@ -171,9 +171,9 @@ def test_step_certificate_against_every_competitor(rect9):
     val = inst.energy(0.7, chosen) + inst.charges(prev, chosen).big_d
     for comp in inst.competitors(prev):
         cost = big_d(prev, comp, PARAMS)
-        if cost.infinite:
+        if cost == math.inf:
             continue
-        assert val <= inst.energy(0.7, comp) + cost.value + 1e-14
+        assert val <= inst.energy(0.7, comp) + cost + 1e-14
 
 
 def test_greedy_agrees_on_separable_drive(grid3):
@@ -329,8 +329,8 @@ def test_trc_two_stable_states_is_hop_cost(rect9):
     a = CrackSet.empty(rect9)
     b = CrackSet.of_edges(rect9, [0])
     got = trc_chain(0.0, MonotoneChain([a, b]), inst)
-    expected = (atw_integral(a, b, PARAMS).value
-                + (PARAMS.lam + PARAMS.mu) * alpha(a, b).value)
+    expected = (atw_integral(a, b, PARAMS)
+                + (PARAMS.lam + PARAMS.mu) * alpha(a, b))
     assert math.isclose(got, expected, rel_tol=1e-14)
 
 
@@ -350,11 +350,12 @@ def test_charges_read_one_hop_record_in_both_modes(rect9):
             assert inst.charges(h, k) is None and energetic.charges(h, k) is None
             continue
         d = hop.h1 + lam * hop.alpha
-        assert d == dist_d(h, k, PARAMS).value
-        assert inst.charges(h, k) == (d, d + (hop.sweep + mu * hop.alpha),
+        assert d == dist_d(h, k, PARAMS)
+        delta = hop.sweep + mu * hop.alpha
+        assert inst.charges(h, k) == (d, delta, d + delta,
                                       hop.sweep, lam + mu, hop.alpha)
-        assert inst.charges(h, k).big_d == big_d(h, k, PARAMS).value
-        assert energetic.charges(h, k) == (d, d, 0.0, lam, hop.alpha)
+        assert inst.charges(h, k).big_d == big_d(h, k, PARAMS)
+        assert energetic.charges(h, k) == (d, 0.0, d, 0.0, lam, hop.alpha)
 
 
 def test_energetic_transitions_charge_lam_per_nucleation(rect9):
@@ -364,8 +365,8 @@ def test_energetic_transitions_charge_lam_per_nucleation(rect9):
     flat = table_instance(rect9, {bits: 0.0 for bits in range(2**9)})
     energetic = replace(flat, viscous=False)
     a, b = CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0])
-    assert alpha(a, b).value == 1.0
-    sweep = atw_integral(a, b, PARAMS).value
+    assert alpha(a, b) == 1.0
+    sweep = atw_integral(a, b, PARAMS)
     for inst, expected, delta in ((energetic, PARAMS.lam, 0.0),
                                   (flat, sweep + (PARAMS.lam + PARAMS.mu), sweep)):
         assert trc_chain(0.0, [a, b], inst) == expected
@@ -380,8 +381,8 @@ def test_trc_matches_termwise_ledger(rect9):
     got = trc_chain(0.4, states, inst)
     expected = 0.0
     for a, b in zip(states, states[1:]):
-        expected += atw_integral(a, b, PARAMS).value
-        expected += (PARAMS.lam + PARAMS.mu) * alpha(a, b).value
+        expected += atw_integral(a, b, PARAMS)
+        expected += (PARAMS.lam + PARAMS.mu) * alpha(a, b)
     for s in states[:-1]:
         expected += residual_stability(0.4, s, inst).residual
     assert math.isclose(got, expected, rel_tol=1e-13)
@@ -415,8 +416,8 @@ def brute_jump_cost(t, k_minus, k_plus, instance):
 
     def hop(u, v):
         if (u, v) not in hop_memo:
-            a = alpha(state(u), state(v)).value
-            d = atw_integral(state(u), state(v), PARAMS).value
+            a = alpha(state(u), state(v))
+            d = atw_integral(state(u), state(v), PARAMS)
             hop_memo[(u, v)] = d + (PARAMS.lam + PARAMS.mu) * a
         return hop_memo[(u, v)]
 
@@ -468,7 +469,7 @@ def test_jump_cost_lower_bound_and_ledger(rect9):
             continue
         km, kp = CrackSet(rect9, minus_bits), CrackSet(rect9, plus_bits)
         res = jump_cost(0.0, km, kp, inst)
-        floor = (PARAMS.lam + PARAMS.mu) * alpha(km, kp).value
+        floor = (PARAMS.lam + PARAMS.mu) * alpha(km, kp)
         assert res.cost >= floor - 1e-12
         ledger_total = sum(h.delta + (PARAMS.lam + PARAMS.mu) * h.alpha + h.r_start
                            for h in res.hops)

@@ -543,7 +543,7 @@ def collect_audits(evolution: DiscreteEvolution, instance, jumps,
                    cfg: RunConfig) -> dict:
     """Recompute every audit for the archive. Failures become data."""
     balance = audit_balance(evolution, instance, upper_tol=cfg.tol_balance)
-    identities = audit_jump_conditions(evolution, instance, jumps=jumps)
+    identities = audit_jump_conditions(instance, jumps=jumps)
     comp = component_bound_check(evolution, instance)
     return {
         "tolerances": _tolerances(cfg),

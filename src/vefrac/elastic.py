@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components as connected_components_graph
 
-from .geometry import CrackSet, Mesh, MeshError, connected_components, union_groups
+from .geometry import INTERIOR, CrackSet, Mesh, MeshError, connected_components, union_groups
 
 __all__ = [
     "ElasticError",
@@ -131,6 +131,10 @@ class _MeshTables:
     """Crack-independent tables of one mesh, built once by array
     operations and shared by every CrackedSpace on that mesh.
 
+    They read the mesh's topology and do not derive it again: half-edge
+    3*t + k is side k of triangle t, so its edge is `mesh.tri_edges[t, k]`,
+    and the interior edges are those tagged INTERIOR.
+
     A corner is a (triangle, slot) pair, numbered 3*t + slot. Around each
     vertex its corners are listed in triangle order, and every interior
     edge through the vertex links the two corners it joins there. The
@@ -151,12 +155,11 @@ class _MeshTables:
         va, vb = self.corner_vertex[ca], self.corner_vertex[cb]
         c_lo = np.where(va < vb, ca, cb)
         c_hi = np.where(va < vb, cb, ca)
-        half_edge = np.searchsorted(mesh.edges[:, 0] * nv + mesh.edges[:, 1],
-                                    np.minimum(va, vb) * nv + np.maximum(va, vb))
+        half_edge = mesh.tri_edges.ravel()
         by_edge = np.argsort(half_edge, kind="stable")
         first = np.searchsorted(half_edge[by_edge], np.arange(ne))
-        owners = np.bincount(half_edge, minlength=ne)
-        self.interior_edges = np.flatnonzero(owners == 2)
+        is_interior = mesh.edge_tags == INTERIOR
+        self.interior_edges = np.flatnonzero(is_interior)
         h1 = by_edge[first[self.interior_edges]]
         h2 = by_edge[first[self.interior_edges] + 1]
         self.tri_links = np.column_stack([h1 // 3, h2 // 3])
@@ -172,7 +175,7 @@ class _MeshTables:
         h = by_edge[first[self.dirichlet_edges]]
         self.dirichlet_corners = np.column_stack([c_lo[h], c_hi[h]])
         on_boundary = np.zeros(nv, dtype=bool)
-        on_boundary[mesh.edges[owners == 1]] = True
+        on_boundary[mesh.edges[~is_interior]] = True
         # base fans: the first corner of each fan in (vertex, triangle)
         # order opens the next DOF
         fan = _component_labels(3 * nt, link_corners)[corner_order]
@@ -193,7 +196,7 @@ class _MeshTables:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
         self.edge_list = mesh.edges.tolist()
-        self.is_interior_list = (owners == 2).tolist()
+        self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
         self.corner_vertex_list = self.corner_vertex.tolist()
         self.corner_order_list = corner_order.tolist()

@@ -56,6 +56,12 @@ class Mesh:
     Instances are built through :func:`build_mesh`; the fields are
     treated as immutable afterwards. Equality is identity: crack sets
     refer to their mesh by reference and refuse to mix meshes.
+
+    The topology is derived once, there: `tri_edges[t, k]` is the edge
+    of side k of triangle t, which joins its corners k and k + 1 mod 3.
+    An edge belongs to two triangles exactly when its tag is INTERIOR,
+    and to one otherwise. Other layers read incidences from these two
+    arrays rather than deriving their own.
     """
 
     vertices: np.ndarray        # (nv, 2) float
@@ -63,9 +69,7 @@ class Mesh:
     edges: np.ndarray           # (ne, 2) int, sorted pairs in lexicographic order
     edge_lengths: np.ndarray    # (ne,) float
     edge_tags: np.ndarray       # (ne,) int, INTERIOR / DIRICHLET / NEUMANN
-    edge_triangles: tuple       # per edge: tuple of incident triangle indices
-    vertex_edges: tuple         # per vertex: tuple of incident edge indices
-    vertex_triangles: tuple     # per vertex: tuple of incident triangle indices
+    tri_edges: np.ndarray       # (nt, 3) int, read-only: edge of side k (corners k, k+1 mod 3)
     edge_index: dict            # sorted vertex pair -> edge index
     domain_diameter: float
     triangle_areas: np.ndarray  # (nt,) float
@@ -284,8 +288,8 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         raise MeshError("mesh needs at least 3 vertices")
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
-    uniq = {(float(x), float(y)) for x, y in verts}
-    if len(uniq) != len(verts):
+    # -0.0 + 0.0 is 0.0: signed zeros are one point however rows compare
+    if len(np.unique(verts + 0.0, axis=0)) != len(verts):
         raise MeshError("duplicate vertex coordinates")
 
     tris = np.array(triangles, dtype=int)
@@ -293,70 +297,60 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         raise MeshError("triangles must be vertex index triples")
     if tris.min() < 0 or tris.max() >= len(verts):
         raise MeshError("triangle vertex index out of range")
-    for t in tris:
-        if len(set(map(int, t))) != 3:
-            raise MeshError(f"triangle {tuple(t)} repeats a vertex")
+    corners = np.sort(tris, axis=1)
+    repeats = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
+    if repeats.size:
+        raise MeshError(f"triangle {tuple(tris[repeats[0]].tolist())} repeats a vertex")
     areas = _signed_areas(verts, tris)
     bad = np.flatnonzero(areas <= 0)
     if len(bad):
         raise MeshError(f"triangle {int(bad[0])} has non-positive area "
                         "(degenerate or mis-oriented)")
 
-    referenced = set(map(int, tris.ravel()))
-    for v in range(len(verts)):
-        if v not in referenced:
-            raise MeshError(f"vertex {v} is not referenced by any triangle")
+    unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=len(verts)) == 0)
+    if unused.size:
+        raise MeshError(f"vertex {int(unused[0])} is not referenced by any triangle")
 
-    # Deterministic edge enumeration: sorted endpoint pairs, lexicographic.
-    pair_tris: dict = {}
-    for ti, t in enumerate(tris):
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((int(t[i]), int(t[j]))))
-            pair_tris.setdefault(key, []).append(ti)
-    pairs = sorted(pair_tris)
-    edges = np.array(pairs, dtype=int)
-    edge_index = {p: i for i, p in enumerate(pairs)}
-    edge_triangles = tuple(tuple(pair_tris[p]) for p in pairs)
-    for p, owners in zip(pairs, edge_triangles):
-        if len(owners) > 2:
-            raise MeshError(f"edge {p} belongs to {len(owners)} triangles: "
-                            "non-conforming mesh")
+    # Side k of a triangle joins its corners k and k + 1 mod 3. Edges are
+    # the distinct sides as sorted pairs in lexicographic order, which is
+    # the order of the key lo * nv + hi.
+    nv = len(verts)
+    ends = tris[:, [1, 2, 0]]
+    keys, tri_edges = np.unique((np.minimum(tris, ends) * nv + np.maximum(tris, ends)).ravel(),
+                                return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
+    tri_edges = tri_edges.reshape(-1, 3)
+    tri_edges.setflags(write=False)
+    owners = np.bincount(tri_edges.ravel(), minlength=len(edges))
+    shared = np.flatnonzero(owners > 2)
+    if shared.size:
+        e = shared[0]
+        raise MeshError(f"edge {tuple(edges[e].tolist())} belongs to {int(owners[e])} "
+                        "triangles: non-conforming mesh")
+    edge_list = edges.tolist()
+    edge_index = {(va, vb): i for i, (va, vb) in enumerate(edge_list)}
 
     lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
 
-    vertex_edges = [[] for _ in range(len(verts))]
-    for ei, (va, vb) in enumerate(pairs):
-        vertex_edges[va].append(ei)
-        vertex_edges[vb].append(ei)
-    vertex_edges = tuple(tuple(e) for e in vertex_edges)
-    vertex_triangles = [[] for _ in range(len(verts))]
-    for ti, t in enumerate(tris):
-        for v in t:
-            vertex_triangles[int(v)].append(ti)
-    vertex_triangles = tuple(tuple(t) for t in vertex_triangles)
-
     _check_hanging_nodes(verts, edges, lengths)
 
-    tags = np.full(len(pairs), INTERIOR, dtype=int)
+    tags = np.full(len(edges), INTERIOR, dtype=int)
     predicate = _dirichlet_predicate(dirichlet_marker)
-    boundary = [i for i, owners in enumerate(edge_triangles) if len(owners) == 1]
-    boundary_set = set(boundary)
     if hasattr(predicate, "pairs"):
         for p in predicate.pairs:
             if p not in edge_index:
                 raise MeshError(f"dirichlet pair {p} is not a mesh edge")
-            if edge_index[p] not in boundary_set:
+            if owners[edge_index[p]] != 1:
                 raise MeshError(f"dirichlet pair {p} is not a boundary edge")
-    for i in boundary:
-        va, vb = map(int, edges[i])
+    for i in np.flatnonzero(owners == 1).tolist():
+        va, vb = edge_list[i]
         tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
     if not np.any(tags == DIRICHLET):
         raise MeshError("empty Dirichlet set")
 
     return Mesh(vertices=verts, triangles=tris, edges=edges,
-                edge_lengths=lengths, edge_tags=tags,
-                edge_triangles=edge_triangles, vertex_edges=vertex_edges,
-                vertex_triangles=vertex_triangles, edge_index=edge_index,
+                edge_lengths=lengths, edge_tags=tags, tri_edges=tri_edges,
+                edge_index=edge_index,
                 domain_diameter=_diameter(verts),
                 triangle_areas=areas)
 

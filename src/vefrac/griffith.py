@@ -359,11 +359,9 @@ def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
     tri_ids = np.flatnonzero(in_ball)
     if tri_ids.size == 0:
         raise GriffithError("probe ball contains no triangles")
-    ball_set = set(map(int, tri_ids))
-    inner = np.array([
-        bool(mesh.vertex_triangles[v])
-        and all(tt in ball_set for tt in mesh.vertex_triangles[v])
-        for v in range(mesh.n_vertices)])
+    # every vertex has a triangle, so a vertex is inner exactly when no
+    # triangle outside the ball uses it
+    inner = np.bincount(mesh.triangles[~in_ball].ravel(), minlength=mesh.n_vertices) == 0
 
     if competitors is None:
         competitors = []
@@ -381,9 +379,8 @@ def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
     base = solve_energy(t, crack, load)
     e_base = energy_on_triangles(base.space, base.u, tri_ids)
 
-    loc_ids = [e for e in crack.edge_ids
-               if any(tt in ball_set for tt in mesh.edge_triangles[e])]
-    h_loc = CrackSet.of_edges(mesh, loc_ids)
+    ball_edges = set(mesh.tri_edges[in_ball].ravel().tolist())
+    h_loc = CrackSet.of_edges(mesh, ball_edges.intersection(crack.edge_ids))
 
     normalized: list[tuple[int, ...]] = []
     residuals: list[float] = []

@@ -62,7 +62,8 @@ __all__ = [
 
 # Hard ceiling on exhaustively enumerated competitors per step.
 MAX_COMPETITORS = 500_000
-DEFAULT_LATTICE_CAP = 16
+# Largest gap, in edges, whose interval lattice jump_cost searches.
+LATTICE_CAP = 16
 
 
 @dataclass
@@ -85,7 +86,6 @@ class RisInstance:
     params: DissipationParams
     budget: int = 3
     search: str = "exhaustive"
-    lattice_cap: int = DEFAULT_LATTICE_CAP
     stability_rtol: float = 1e-9
     power_bound: float | None = None
     viscous: bool = True
@@ -261,9 +261,9 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
         return JumpCostResult(cost=math.inf, chain=None, hops=())
     gap = k_plus.minus(k_minus).edge_ids
     g = len(gap)
-    if g > instance.lattice_cap:
+    if g > LATTICE_CAP:
         raise ValueError(
-            f"gap of {g} edges exceeds the lattice cap {instance.lattice_cap}; "
+            f"gap of {g} edges exceeds the lattice cap {LATTICE_CAP}; "
             "restrict the lattice or raise the cap")
     if g == 0:
         return JumpCostResult(cost=0.0, chain=MonotoneChain([k_minus]), hops=())
@@ -469,8 +469,7 @@ class JumpAudit:
     res_across: float
 
 
-def audit_jump_conditions(evolution, instance: RisInstance,
-                          jumps) -> list[JumpAudit]:
+def audit_jump_conditions(instance: RisInstance, jumps) -> list[JumpAudit]:
     """Residuals E(t,H) - E(t,K) - H1(K\\H) - c(t,H,K) for the three
     transitions of each jump record. Empty report when nothing jumps."""
 

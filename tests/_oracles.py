@@ -278,17 +278,114 @@ def reference_step(t, prev, instance):
     return best_among(instance.competitors(prev))[1]
 
 
+def reference_mesh_topology(vertices, triangles, dirichlet_marker) -> dict:
+    """build_mesh by plain loops: the same checks in the same order with
+    the same messages, an edge -> owning triangles dict sorted into the
+    edge list, per-vertex incident edges and triangles, and per-element
+    areas and lengths in scalar arithmetic. Returns the mesh's fields
+    plus the incidence tuples `edge_triangles`, `vertex_edges` and
+    `vertex_triangles`."""
+    from vefrac.geometry import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
+                                 _dirichlet_predicate)
+
+    verts = np.array([[float(p[0]), float(p[1])] for p in vertices], dtype=float)
+    if len(verts) < 3:
+        raise MeshError("mesh needs at least 3 vertices")
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("vertex coordinates must be finite")
+    if len({(float(x), float(y)) for x, y in verts}) != len(verts):
+        raise MeshError("duplicate vertex coordinates")
+    tris = np.array(triangles, dtype=int)
+    if tris.ndim != 2 or tris.shape[1] != 3 or len(tris) == 0:
+        raise MeshError("triangles must be vertex index triples")
+    if tris.min() < 0 or tris.max() >= len(verts):
+        raise MeshError("triangle vertex index out of range")
+    tri_list = tris.tolist()
+    for t in tri_list:
+        if len(set(t)) != 3:
+            raise MeshError(f"triangle {tuple(t)} repeats a vertex")
+    xy = verts.tolist()
+    areas = []
+    for a, b, c in tri_list:
+        (ax, ay), (bx, by), (cx, cy) = xy[a], xy[b], xy[c]
+        areas.append(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))
+    for ti, area in enumerate(areas):
+        if area <= 0:
+            raise MeshError(f"triangle {ti} has non-positive area "
+                            "(degenerate or mis-oriented)")
+    referenced = {v for t in tri_list for v in t}
+    for v in range(len(verts)):
+        if v not in referenced:
+            raise MeshError(f"vertex {v} is not referenced by any triangle")
+
+    pair_tris: dict = {}
+    for ti, t in enumerate(tri_list):
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            pair_tris.setdefault(tuple(sorted((t[i], t[j]))), []).append(ti)
+    pairs = sorted(pair_tris)
+    edge_triangles = tuple(tuple(pair_tris[p]) for p in pairs)
+    for p, owners in zip(pairs, edge_triangles):
+        if len(owners) > 2:
+            raise MeshError(f"edge {p} belongs to {len(owners)} triangles: "
+                            "non-conforming mesh")
+    edges = np.array(pairs, dtype=int)
+    edge_index = {p: i for i, p in enumerate(pairs)}
+    lengths = []
+    for va, vb in pairs:
+        dx, dy = xy[vb][0] - xy[va][0], xy[vb][1] - xy[va][1]
+        lengths.append(math.sqrt(dx * dx + dy * dy))
+    lengths = np.array(lengths)
+    vertex_edges = [[] for _ in range(len(verts))]
+    for ei, (va, vb) in enumerate(pairs):
+        vertex_edges[va].append(ei)
+        vertex_edges[vb].append(ei)
+    vertex_triangles = [[] for _ in range(len(verts))]
+    for ti, t in enumerate(tri_list):
+        for v in t:
+            vertex_triangles[v].append(ti)
+
+    dense_hanging_node_check(verts, edges, vertex_edges, lengths)
+
+    predicate = _dirichlet_predicate(dirichlet_marker)
+    boundary = [i for i, owners in enumerate(edge_triangles) if len(owners) == 1]
+    if hasattr(predicate, "pairs"):
+        for p in predicate.pairs:
+            if p not in edge_index:
+                raise MeshError(f"dirichlet pair {p} is not a mesh edge")
+            if edge_index[p] not in boundary:
+                raise MeshError(f"dirichlet pair {p} is not a boundary edge")
+    tags = [INTERIOR] * len(pairs)
+    for i in boundary:
+        va, vb = pairs[i]
+        tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
+    if DIRICHLET not in tags:
+        raise MeshError("empty Dirichlet set")
+    return {
+        "vertices": verts, "triangles": tris, "edges": edges,
+        "edge_index": edge_index, "edge_lengths": lengths,
+        "edge_tags": np.array(tags, dtype=int), "triangle_areas": np.array(areas),
+        "domain_diameter": qhull_diameter(verts),
+        "edge_triangles": edge_triangles,
+        "vertex_edges": tuple(map(tuple, vertex_edges)),
+        "vertex_triangles": tuple(map(tuple, vertex_triangles)),
+    }
+
+
 def reference_space(mesh, crack) -> dict:
     """The arrays of the P1 space cut along a crack, by a union-find over
     the star of every vertex and over all triangles: DOF n is the n-th fan
     met in (vertex, triangle) order; components are labelled in order of
     their smallest triangle."""
+    topo = reference_mesh_topology(
+        mesh.vertices, mesh.triangles,
+        [tuple(map(int, mesh.edges[e])) for e in mesh.dirichlet_edges()])
+    edge_triangles = topo["edge_triangles"]
     crack_bits = crack.bits
     tri_dofs = np.full((mesh.n_triangles, 3), -1, dtype=int)
     dof_vertex = []
     n = 0
     for v in range(mesh.n_vertices):
-        tris = mesh.vertex_triangles[v]
+        tris = topo["vertex_triangles"][v]
         local = {t: i for i, t in enumerate(tris)}
         parent = list(range(len(tris)))
 
@@ -298,10 +395,10 @@ def reference_space(mesh, crack) -> dict:
                 i = parent[i]
             return i
 
-        for e in mesh.vertex_edges[v]:
+        for e in topo["vertex_edges"][v]:
             if (crack_bits >> e) & 1:
                 continue
-            owners = mesh.edge_triangles[e]
+            owners = edge_triangles[e]
             if len(owners) == 2:
                 a, b = find(local[owners[0]]), find(local[owners[1]])
                 if a != b:
@@ -327,7 +424,7 @@ def reference_space(mesh, crack) -> dict:
     for e in range(mesh.n_edges):
         if (crack_bits >> e) & 1:
             continue
-        owners = mesh.edge_triangles[e]
+        owners = edge_triangles[e]
         if len(owners) == 2:
             a, b = find_t(owners[0]), find_t(owners[1])
             if a != b:
@@ -348,7 +445,7 @@ def reference_space(mesh, crack) -> dict:
         e = int(e)
         if e in crack:
             continue
-        (t,) = mesh.edge_triangles[e]
+        (t,) = edge_triangles[e]
         va, vb = map(int, mesh.edges[e])
         tri = list(mesh.triangles[t])
         dirichlet.add(int(tri_dofs[t, tri.index(va)]))

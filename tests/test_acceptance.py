@@ -400,7 +400,7 @@ def test_08_stability_off_jumps():
         tol = inst.stability_tolerance(evo.ledger.energy[i])
         worst = max(worst, evo.ledger.r[i] - tol)
 
-    audits = audit_jump_conditions(evo, inst, jumps=jumps)
+    audits = audit_jump_conditions(inst, jumps=jumps)
     scale = 1.0 + float(np.max(np.abs(evo.ledger.energy)))
     jtol = 2e-9 * scale
     jworst = max((max(abs(a.res_left), abs(a.res_right), abs(a.res_across))

@@ -375,7 +375,7 @@ def test_energetic_run_passes_its_own_audits():
     jumps = detect_jumps(evo)
     assert len(jumps) == 1
     scale = 1.0 + float(np.max(np.abs(evo.ledger.energy)))
-    for audit in audit_jump_conditions(evo, energetic, jumps=jumps):
+    for audit in audit_jump_conditions(energetic, jumps=jumps):
         for res in (audit.res_left, audit.res_right, audit.res_across):
             assert abs(res) <= 2e-9 * scale
     rep = audit_balance(evo, energetic)

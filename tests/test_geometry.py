@@ -213,8 +213,17 @@ def test_degenerate_triangle_rejected():
 
 
 def test_repeated_vertex_rejected():
-    with pytest.raises(MeshError, match="repeats a vertex"):
+    with pytest.raises(MeshError) as exc:
         build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)], lambda pa, pb: True)
+    assert str(exc.value) == "triangle (0, 1, 1) repeats a vertex"
+
+
+@pytest.mark.parametrize("twin", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_signed_zero_duplicates_rejected(twin):
+    # -0.0 == 0.0, so a signed-zero twin of the origin is the same point
+    with pytest.raises(MeshError, match="duplicate vertex coordinates"):
+        build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), twin],
+                   [(0, 1, 2), (3, 1, 2)], lambda pa, pb: True)
 
 
 def test_unreferenced_vertex_rejected():
@@ -266,6 +275,107 @@ def test_topbottom_grid_marker(grid4_tb):
         assert ya == yb and ya in (0.0, 1.0)
     assert len(grid4_tb.dirichlet_edges()) == 8
     assert len(grid4_tb.boundary_edges()) == 16
+
+
+def assert_topology_matches_reference(vertices, triangles, marker):
+    """build_mesh agrees with the loop-based reference on every field it
+    shares with it, and tri_edges names the edge of every side."""
+    ref = oracle.reference_mesh_topology(vertices, triangles, marker)
+    mesh = build_mesh(vertices, triangles, marker)
+    for name in ("edges", "edge_lengths", "edge_tags", "triangle_areas"):
+        got, want = getattr(mesh, name), ref[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mesh.edge_index == ref["edge_index"]
+    assert mesh.domain_diameter == ref["domain_diameter"]
+    owners = [[] for _ in range(mesh.n_edges)]
+    for t, sides in enumerate(mesh.tri_edges.tolist()):
+        for e in sides:
+            owners[e].append(t)
+    assert tuple(map(tuple, owners)) == ref["edge_triangles"]
+    tris = mesh.triangles
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2), axis=2)
+    assert np.array_equal(mesh.edges[mesh.tri_edges], sides)
+    assert not mesh.tri_edges.flags.writeable
+    return mesh
+
+
+def _jittered_grid(rng, nx, ny):
+    """A jittered grid with shuffled vertex numbering, triangle order and
+    corner rotation, so that the edge enumeration is far from the
+    insertion order."""
+    mesh = rect_grid_mesh(nx, ny)
+    h = min(1.0 / nx, 1.0 / ny)
+    vertices = mesh.vertices + rng.uniform(-0.2, 0.2, mesh.vertices.shape) * h
+    perm = rng.permutation(mesh.n_vertices)
+    inverse = np.argsort(perm)
+    triangles = inverse[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    shift = rng.integers(0, 3, len(triangles))
+    triangles = np.array([np.roll(t, -k) for t, k in zip(triangles, shift)])
+    return vertices[perm], triangles
+
+
+def test_topology_matches_reference_on_the_bench_meshes():
+    for mesh in (growth_strip()[0], square_grid_mesh(4, dirichlet="topbottom"),
+                 square_grid_mesh(48, dirichlet="topbottom")):
+        pairs = [tuple(p) for p in mesh.edges[mesh.dirichlet_edges()].tolist()]
+        assert_topology_matches_reference(mesh.vertices, mesh.triangles, pairs)
+
+
+def test_topology_matches_reference_on_jittered_grids():
+    rng = np.random.default_rng(17)
+    markers = [lambda pa, pb: True, ("bbox", -1.0, -1.0, 2.0, 0.1),
+               lambda pa, pb: pa[0] + pb[0] < 0.7]
+    for trial in range(24):
+        vertices, triangles = _jittered_grid(rng, *rng.integers(1, 7, 2))
+        assert_topology_matches_reference(vertices, triangles, markers[trial % 3])
+
+
+def test_topology_matches_reference_on_holed_and_pinched_meshes():
+    # a 3x3 grid without its middle cell, and two triangles meeting at a vertex
+    full = square_grid_mesh(3)
+    holed = [t for t in full.triangles.tolist() if 5 not in t or 10 not in t]
+    mesh = assert_topology_matches_reference(full.vertices, holed, lambda pa, pb: True)
+    assert mesh.n_edges == 32 and len(mesh.boundary_edges()) == 16
+    mesh = assert_topology_matches_reference(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)],
+        [(0, 1, 2), (0, 3, 4)],
+        lambda pa, pb: pa[1] == pb[1] == 0.0 and min(pa[0], pb[0]) >= 0)
+    assert list(mesh.boundary_edges()) == list(range(6))
+
+
+def test_invalid_meshes_fail_like_the_reference():
+    every = lambda pa, pb: True  # noqa: E731
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    cases = [
+        (square, [(0, 1, 1), (0, 2, 2)], every),                        # repeated vertex
+        (square + [(5, 5)], [(0, 1, 2), (0, 2, 3)], every),             # unreferenced vertex
+        ([(0, 0), (1, 0), (0, 1), (0, -1), (0.5, 2)],
+         [(0, 1, 2), (0, 3, 1), (0, 1, 4)], every),                     # edge in 3 triangles
+        ([(0, 0), (2, 0), (0, 2), (1, 0), (1, -1)],
+         [(0, 1, 2), (3, 4, 1)], every),                                # hanging node
+        (square, [(0, 1, 2), (0, 2, 3)], [(0, 2)]),                     # pair not on the boundary
+        (square, [(0, 1, 2), (0, 2, 3)], [(1, 3)]),                     # pair not an edge
+        (square, [(0, 1, 2), (0, 2, 3)], lambda pa, pb: False),         # empty Dirichlet set
+        (square, [(0, 1, 2), (0, 3, 2)], every),                        # mis-oriented
+        (square, [(0, 1, 4)], every),                                   # index out of range
+    ]
+    # several offenders of one kind: both report the first
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        vertices, triangles = _jittered_grid(rng, 3, 3)
+        for t in rng.choice(len(triangles), 3, replace=False):
+            k = rng.integers(0, 3)
+            triangles[t, (k + 1) % 3] = triangles[t, k]
+        cases.append((vertices, triangles, every))
+        vertices, triangles = _jittered_grid(rng, 3, 3)
+        for v in sorted(rng.choice(len(vertices), 2, replace=False), reverse=True):
+            triangles = np.where(triangles >= v, triangles + 1, triangles)
+            vertices = np.insert(vertices, v, [10.0 + v, 10.0], axis=0)
+        cases.append((vertices, triangles, every))
+    for vertices, triangles, marker in cases:
+        got = _hanging_outcome(build_mesh, vertices, triangles, marker)
+        want = _hanging_outcome(oracle.reference_mesh_topology, vertices, triangles, marker)
+        assert want is not None and got == want
 
 
 def test_point2_requires_finite():

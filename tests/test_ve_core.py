@@ -440,10 +440,21 @@ def test_jump_cost_trivial_and_illegal(rect9):
     assert bad.cost == math.inf and bad.chain is None
 
 
-def test_jump_cost_cap(rect9):
-    inst = table_instance(rect9, random_table(rect9, 21), lattice_cap=2)
-    with pytest.raises(ValueError, match="lattice cap"):
-        jump_cost(0.0, CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0, 1, 3]), inst)
+def test_jump_cost_cap():
+    # a 17-edge gap is refused before any energy is evaluated
+    mesh = rect_grid_mesh(4, 4)
+
+    def energy(t, k):
+        raise AssertionError("energy evaluated past the lattice cap")
+
+    inst = RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1), energy=energy,
+                       power=lambda t, k: 0.0, hop=lambda h, k: hop_cost(h, k, PARAMS),
+                       params=PARAMS)
+    k_minus = CrackSet.of_edges(mesh, [0])
+    with pytest.raises(ValueError) as exc:
+        jump_cost(0.0, k_minus, k_minus.with_edges(range(1, 18)), inst)
+    assert str(exc.value) == ("gap of 17 edges exceeds the lattice cap 16; "
+                              "restrict the lattice or raise the cap")
 
 
 def test_jump_cost_equals_brute_force(rect9):
@@ -591,11 +602,9 @@ def test_audit_balance_forms_agree(rect9):
 
 def test_audit_jump_conditions_empty_and_manual(rect9):
     inst = table_instance(rect9, random_table(rect9, 14))
-    evo = _toy_evolution(rect9, [0.0, 1.0],
-                         [CrackSet.empty(rect9), CrackSet.empty(rect9)])
-    assert audit_jump_conditions(evo, inst, jumps=[]) == []
+    assert audit_jump_conditions(inst, jumps=[]) == []
     k0, k1 = CrackSet.empty(rect9), CrackSet(rect9, 1)
-    audits = audit_jump_conditions(evo, inst, jumps=[_record(0.7, k0, k1, k1)])
+    audits = audit_jump_conditions(inst, jumps=[_record(0.7, k0, k1, k1)])
     assert len(audits) == 1
     a = audits[0]
     assert a.res_right == 0.0  # at == right

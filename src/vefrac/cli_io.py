@@ -101,13 +101,15 @@ class RunConfig:
             raise ConfigError("missing mesh")
         if self.mode not in ("ve", "energetic"):
             raise ConfigError(f"mode must be 've' or 'energetic', got {self.mode!r}")
-        for key, value in (("run.lambda", self.lam), ("run.mu", self.mu),
-                           ("partition.horizon", self.horizon),
-                           *(("partition.times", t) for t in self.times or ()),
-                           ("tolerances.stability", self.tol_stability),
-                           ("tolerances.balance", self.tol_balance)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        # a non-finite number is refused by its config key, before any
+        # rule it would pass (inf tolerances) or fail misleadingly
+        for (section, key), (name, read) in _FIELDS.items():
+            if read is _number or read is _numbers:
+                value = getattr(self, name)
+                for x in (value or ()) if read is _numbers else (value,):
+                    if not math.isfinite(x):
+                        raise ConfigError(
+                            f"{section}.{key} must be a finite number, got {x!r}")
         if self.lam <= 0:
             raise ConfigError("lambda must be positive")
         if self.mu <= 0:
@@ -131,9 +133,8 @@ class RunConfig:
                 f"search mode must be exhaustive or greedy, got {self.search!r}")
         if not 0 <= self.budget <= _BUDGET_CAP:
             raise ConfigError(f"budget must be between 0 and {_BUDGET_CAP}")
-        for key, value in (("stability", self.tol_stability),
-                           ("balance", self.tol_balance)):
-            if value <= 0:
+        for (section, key), (name, _) in _FIELDS.items():
+            if section == "tolerances" and name and getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {key} must be positive")
 
 
@@ -141,11 +142,6 @@ class RunConfig:
 # relative residual and nothing reads an h tolerance. Archives still
 # echo both, so every archive states the constants it was made with.
 _FIXED_TOLERANCES = {"solver": CG_RTOL, "h": 1e-8}
-
-
-def _tolerances(cfg: RunConfig) -> dict:
-    return {"stability": cfg.tol_stability, **_FIXED_TOLERANCES,
-            "balance": cfg.tol_balance}
 
 
 def _text(section: str, key: str, raw: str) -> str:
@@ -194,8 +190,15 @@ def _pairs(section: str, key: str, raw: str) -> tuple:
     return _parse_pool_items("pairs", raw)
 
 
-# config key -> (RunConfig field, reader of the raw text). Pool items
-# are read once the pool kind is known.
+def _fixed(section: str, key: str, raw: str) -> None:
+    if _number(section, key, raw) != _FIXED_TOLERANCES[key]:
+        raise ConfigError(f"tolerance {key} is fixed at {_FIXED_TOLERANCES[key]:g}")
+
+
+# Every config key, in the order of the archive's config echo -> its
+# RunConfig field (None for a fixed tolerance, echoed as its constant)
+# and the reader of its raw text. Pool items are kept as text until the
+# pool kind is known.
 _FIELDS = {
     ("run", "mesh"): ("mesh", _text),
     ("run", "mode"): ("mode", _text),
@@ -208,13 +211,19 @@ _FIELDS = {
     ("partition", "horizon"): ("horizon", _number),
     ("partition", "times"): ("times", _numbers),
     ("pool", "kind"): ("pool_kind", _text),
+    ("pool", "items"): ("pool_items", _text),
     ("pool", "initial"): ("initial", _pairs),
     ("search", "mode"): ("search", _text),
     ("search", "budget"): ("budget", _integer),
     ("tolerances", "stability"): ("tol_stability", _number),
+    ("tolerances", "solver"): (None, _fixed),
+    ("tolerances", "h"): (None, _fixed),
     ("tolerances", "balance"): ("tol_balance", _number),
 }
 _SECTIONS = {section for section, _ in _FIELDS}
+# Keys added after the first archives were written; an echo without
+# one rebuilds with the RunConfig default.
+_LATER_KEYS = {("pool", "initial")}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -233,26 +242,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unparseable config: {exc}") from None
 
     fields = {}
-    items = None
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section: {section}")
         for key, raw in parser.items(section):
-            raw = raw.strip()
-            if (section, key) in _FIELDS:
-                name, read = _FIELDS[section, key]
-                fields[name] = read(section, key, raw)
-            elif (section, key) == ("pool", "items"):
-                items = raw
-            elif section == "tolerances" and key in _FIXED_TOLERANCES:
-                if _number(section, key, raw) != _FIXED_TOLERANCES[key]:
-                    raise ConfigError(
-                        f"tolerance {key} is fixed at {_FIXED_TOLERANCES[key]:g}")
-            else:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-    if items is not None:
+            name, read = _FIELDS[section, key]
+            value = read(section, key, raw.strip())
+            if name is not None:
+                fields[name] = value
+    if "pool_items" in fields:
         kind = fields.get("pool_kind", RunConfig.pool_kind)
-        fields["pool_items"] = _parse_pool_items(kind, items)
+        fields["pool_items"] = _parse_pool_items(kind, fields["pool_items"])
     return RunConfig(**fields)
 
 
@@ -358,45 +360,44 @@ def build_run(cfg: RunConfig, base) -> RunContext:
                       k0=k0)
 
 
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _echo_sections(cfg: RunConfig) -> dict:
+    sections = {}
+    for (section, key), (name, _) in _FIELDS.items():
+        value = _FIXED_TOLERANCES[key] if name is None else getattr(cfg, name)
+        sections.setdefault(section, {})[key] = _lists(value)
+    return sections
+
+
 def _config_echo(cfg: RunConfig, base: str) -> dict:
-    return {
-        "base": base,
-        "run": {"mesh": cfg.mesh, "mode": cfg.mode, "lambda": cfg.lam,
-                "mu": cfg.mu, "output": cfg.output},
-        "load": {"profile": cfg.profile, "amplitude": cfg.amplitude},
-        "partition": {"steps": cfg.steps, "horizon": cfg.horizon,
-                      "times": list(cfg.times) if cfg.times is not None else None},
-        "pool": {"kind": cfg.pool_kind,
-                 "items": [list(p) if isinstance(p, tuple) else p
-                           for p in cfg.pool_items],
-                 "initial": [list(p) for p in cfg.initial]},
-        "search": {"mode": cfg.search, "budget": cfg.budget},
-        "tolerances": _tolerances(cfg),
-    }
+    return {"base": base, **_echo_sections(cfg)}
 
 
 def _config_from_echo(echo: dict) -> tuple[RunConfig, str]:
-    run, load = echo["run"], echo["load"]
-    part, pool = echo["partition"], echo["pool"]
-    search, tols = echo["search"], echo["tolerances"]
-    items = pool["items"]
-    cfg = RunConfig(
-        mesh=run["mesh"], mode=run["mode"], lam=run["lambda"], mu=run["mu"],
-        output=run["output"], profile=load["profile"],
-        amplitude=load["amplitude"], steps=part["steps"],
-        horizon=part["horizon"],
-        times=tuple(part["times"]) if part["times"] is not None else None,
-        pool_kind=pool["kind"],
-        pool_items=tuple(tuple(p) if isinstance(p, list) else p for p in items),
-        initial=tuple(tuple(p) for p in pool.get("initial", [])),
-        search=search["mode"], budget=search["budget"],
-        tol_stability=tols["stability"], tol_balance=tols["balance"])
-    return cfg, echo["base"]
+    fields = {}
+    for (section, key), (name, _) in _FIELDS.items():
+        if name is None or (section, key) in _LATER_KEYS and key not in echo[section]:
+            continue
+        fields[name] = _tuples(echo[section][key])
+    return RunConfig(**fields), echo["base"]
 
 
 # ---------------------------------------------------------------------------
 # archives
 # ---------------------------------------------------------------------------
+
+# archive step key -> StepLedger column, in the order a step is written
+# (after its time "t" and its crack "edges")
+_LEDGER = (("E", "energy"), ("power", "power"), ("power_pre", "power_pre"),
+           ("d", "d"), ("Delta", "delta"), ("alpha", "alpha"), ("R", "r"))
+
 
 @dataclass
 class EvolutionArchive:
@@ -414,10 +415,7 @@ class EvolutionArchive:
         """Rebuild the run on its mesh; exact because floats round-trip."""
         states = [CrackSet.of_edges(mesh, s["edges"]) for s in self.steps]
         cols = {name: np.array([float(s[key]) for s in self.steps])
-                for name, key in (("energy", "E"), ("power", "power"),
-                                  ("power_pre", "power_pre"), ("d", "d"),
-                                  ("delta", "Delta"), ("alpha", "alpha"),
-                                  ("r", "R"))}
+                for key, name in _LEDGER}
         return DiscreteEvolution(
             partition=TimePartition(self.times.copy()),
             states=states, ledger=StepLedger(**cols))
@@ -432,20 +430,14 @@ class EvolutionArchive:
 
 
 def _document(evolution: DiscreteEvolution, audits, config, jumps, griffith) -> dict:
-    led = evolution.ledger
+    columns = [(key, getattr(evolution.ledger, name)) for key, name in _LEDGER]
     times = evolution.partition.times
     steps = []
     for i, state in enumerate(evolution.states):
         steps.append({
             "t": float(times[i]),
             "edges": [int(e) for e in sorted(state.edge_ids)],
-            "E": float(led.energy[i]),
-            "power": float(led.power[i]),
-            "power_pre": float(led.power_pre[i]),
-            "d": float(led.d[i]),
-            "Delta": float(led.delta[i]),
-            "alpha": float(led.alpha[i]),
-            "R": float(led.r[i]),
+            **{key: float(col[i]) for key, col in columns},
         })
     jump_docs = []
     for rec in (jumps or []):
@@ -546,7 +538,7 @@ def collect_audits(evolution: DiscreteEvolution, instance, jumps,
     identities = audit_jump_conditions(instance, jumps=jumps)
     comp = component_bound_check(evolution, instance)
     return {
-        "tolerances": _tolerances(cfg),
+        "tolerances": _echo_sections(cfg)["tolerances"],
         "balance": {
             "residual": [float(x) for x in balance.residual],
             "residual_alt": [float(x) for x in balance.residual_alt],
@@ -660,19 +652,39 @@ def _split_args(args, n_positional, flags):
     return positional, options
 
 
-def _load_context(config_path: str) -> RunContext:
+def _read_config(config_path: str) -> tuple[RunConfig, Path]:
+    """The config of a file and the directory its paths resolve against."""
     path = Path(config_path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    cfg = parse_config(text)
-    return build_run(cfg, path.parent.resolve())
+    return parse_config(text), path.parent.resolve()
+
+
+def _run_to_archive(ctx: RunContext, out_dir: Path):
+    """Drive the run, detect its jumps, recompute its audits and write
+    them with the config echo to out_dir/archive.json. Returns the
+    evolution, the jumps, the audits and the archive path."""
+    evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
+    jumps = detect_jumps(evolution)
+    audits = collect_audits(evolution, ctx.instance, jumps, ctx.config)
+    path = save_archive(evolution, audits, out_dir / "archive.json",
+                        config=_config_echo(ctx.config, ctx.base), jumps=jumps)
+    return evolution, jumps, audits, path
 
 
 def _first_change(evolution: DiscreteEvolution):
     changing = evolution.changing_steps()
     return changing[0] if changing else None
+
+
+def _growth(evolution: DiscreteEvolution) -> str:
+    first = _first_change(evolution)
+    where = ("never" if first is None
+             else f"step {first} (t={evolution.partition.times[first]:.6g})")
+    return (f"first growth {where}, "
+            f"final {evolution.states[-1].cardinality} edge(s)")
 
 
 def _summarize_run(evolution: DiscreteEvolution, jumps) -> list[str]:
@@ -690,15 +702,10 @@ def _summarize_run(evolution: DiscreteEvolution, jumps) -> list[str]:
 
 def _cmd_run(args) -> int:
     positional, options = _split_args(args, 1, {"--output"})
-    ctx = _load_context(positional[0])
-    evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
-    jumps = detect_jumps(evolution)
-    audits = collect_audits(evolution, ctx.instance, jumps, ctx.config)
+    ctx = build_run(*_read_config(positional[0]))
     out_dir = Path(options.get("--output",
                                _resolve(ctx.config.output, Path(ctx.base))))
-    path = save_archive(evolution, audits, out_dir / "archive.json",
-                        config=_config_echo(ctx.config, ctx.base),
-                        jumps=jumps)
+    evolution, jumps, audits, path = _run_to_archive(ctx, out_dir)
     for line in _summarize_run(evolution, jumps):
         print(line)
     bal = audits["balance"]
@@ -865,17 +872,13 @@ def _cmd_griffith(args) -> int:
 
 def _cmd_compare(args) -> int:
     positional, _ = _split_args(args, 2, {})
-    reports = []
+    firsts = []
     for label, cfg_path in zip("AB", positional):
-        ctx = _load_context(cfg_path)
+        ctx = build_run(*_read_config(cfg_path))
         evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
-        first = _first_change(evolution)
-        reports.append((label, ctx, evolution, first))
-        where = ("never" if first is None
-                 else f"step {first} (t={ctx.partition.times[first]:.6g})")
-        print(f"{label} [{ctx.config.mode}]: first growth {where}, "
-              f"final {evolution.states[-1].cardinality} edge(s)")
-    (_, _, _, fa), (_, _, _, fb) = reports
+        firsts.append(_first_change(evolution))
+        print(f"{label} [{ctx.config.mode}]: {_growth(evolution)}")
+    fa, fb = firsts
     if fa == fb:
         print("both runs first move at the same step"
               if fa is not None else "neither run moves")
@@ -885,13 +888,14 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# sweep parameter -> its config key
 _SWEEPABLE = {
-    "lambda": ("lam", float),
-    "mu": ("mu", float),
-    "budget": ("budget", int),
-    "steps": ("steps", int),
-    "horizon": ("horizon", float),
-    "mode": ("mode", str),
+    "lambda": ("run", "lambda"),
+    "mu": ("run", "mu"),
+    "budget": ("search", "budget"),
+    "steps": ("partition", "steps"),
+    "horizon": ("partition", "horizon"),
+    "mode": ("run", "mode"),
 }
 
 
@@ -905,34 +909,19 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(
             f"unknown sweep parameter {param!r}; pick one of "
             + ", ".join(sorted(_SWEEPABLE)))
-    field, convert = _SWEEPABLE[param]
-    try:
-        values = [convert(v.strip()) for v in options["--values"].split(",")
-                  if v.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"malformed sweep values {options['--values']!r}") from None
+    section, key = _SWEEPABLE[param]
+    field, read = _FIELDS[section, key]
+    values = [read(section, key, v.strip())
+              for v in options["--values"].split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    config_path = Path(positional[0])
-    base = config_path.parent.resolve()
-    base_cfg = parse_config(config_path.read_text(encoding="utf-8"))
+    base_cfg, base = _read_config(positional[0])
     for value in values:
-        cfg = replace(base_cfg, **{field: value})
-        ctx = build_run(cfg, base)
-        evolution = run_scheme(ctx.instance, ctx.partition, ctx.k0)
-        jumps = detect_jumps(evolution)
-        audits = collect_audits(evolution, ctx.instance, jumps, cfg)
-        out_dir = _resolve(cfg.output, base) / f"sweep-{param}-{value}"
-        save_archive(evolution, audits, out_dir / "archive.json",
-                     config=_config_echo(cfg, str(base)), jumps=jumps)
-        first = _first_change(evolution)
-        where = ("never" if first is None
-                 else f"step {first} (t={ctx.partition.times[first]:.6g})")
-        print(f"{param}={value}: first growth {where}, "
-              f"final {evolution.states[-1].cardinality} edge(s), "
-              f"jumps {len(jumps)}")
+        ctx = build_run(replace(base_cfg, **{field: value}), base)
+        out_dir = _resolve(ctx.config.output, base) / f"sweep-{param}-{value}"
+        evolution, jumps, _, _ = _run_to_archive(ctx, out_dir)
+        print(f"{param}={value}: {_growth(evolution)}, jumps {len(jumps)}")
     return 0
 
 

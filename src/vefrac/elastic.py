@@ -418,8 +418,9 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     free = np.flatnonzero(~mask)
     if free.size == 0:
         return u, 0.0
-    aff = a[free][:, free]
-    b = -(a[free][:, np.flatnonzero(mask)] @ u[mask])
+    rows = a[free]
+    aff = rows[:, free]
+    b = -(rows[:, np.flatnonzero(mask)] @ u[mask])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0

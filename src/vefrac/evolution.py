@@ -26,7 +26,7 @@ sweep integral and mu term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,8 +108,7 @@ class StepLedger:
     r: np.ndarray
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("energy", "power", "power_pre", "d", "delta", "alpha", "r")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

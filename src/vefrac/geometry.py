@@ -246,30 +246,38 @@ def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
     return int(vv[k]), int(ev[k])
 
 
+@dataclass(frozen=True)
+class _DirichletSelector:
+    """The boundary edges whose endpoints are a listed vertex pair or
+    lie together inside one of the boxes (xmin, ymin, xmax, ymax).
+    build_mesh checks every listed pair against the boundary."""
+
+    pairs: frozenset = frozenset()
+    boxes: tuple = ()
+
+    def __call__(self, va, vb, pa, pb) -> bool:
+        if (min(va, vb), max(va, vb)) in self.pairs:
+            return True
+        return any(xmin <= pa[0] <= xmax and ymin <= pa[1] <= ymax
+                   and xmin <= pb[0] <= xmax and ymin <= pb[1] <= ymax
+                   for xmin, ymin, xmax, ymax in self.boxes)
+
+
 def _dirichlet_predicate(marker) -> Callable[[int, int, np.ndarray, np.ndarray], bool]:
     """Normalize the marker argument to a predicate on boundary edges.
 
     Accepted forms: a callable on the two endpoint coordinate arrays, a
-    bounding box tuple ("bbox", xmin, ymin, xmax, ymax), or an iterable of
-    explicit vertex index pairs.
+    bounding box tuple ("bbox", xmin, ymin, xmax, ymax), an iterable of
+    explicit vertex index pairs, or a _DirichletSelector.
     """
+    if isinstance(marker, _DirichletSelector):
+        return marker
     if callable(marker):
         return lambda va, vb, pa, pb: bool(marker(pa, pb))
     if isinstance(marker, tuple) and len(marker) == 5 and marker[0] == "bbox":
-        _, xmin, ymin, xmax, ymax = marker
-
-        def inside(va, vb, pa, pb):
-            return (xmin <= pa[0] <= xmax and ymin <= pa[1] <= ymax
-                    and xmin <= pb[0] <= xmax and ymin <= pb[1] <= ymax)
-
-        return inside
-    pairs = {tuple(sorted(map(int, p))) for p in marker}
-
-    def listed(va, vb, pa, pb):
-        return tuple(sorted((va, vb))) in pairs
-
-    listed.pairs = pairs  # kept for validation against the boundary
-    return listed
+        return _DirichletSelector(boxes=(marker[1:],))
+    return _DirichletSelector(
+        pairs=frozenset(tuple(sorted(map(int, p))) for p in marker))
 
 
 def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
@@ -336,12 +344,11 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
 
     tags = np.full(len(edges), INTERIOR, dtype=int)
     predicate = _dirichlet_predicate(dirichlet_marker)
-    if hasattr(predicate, "pairs"):
-        for p in predicate.pairs:
-            if p not in edge_index:
-                raise MeshError(f"dirichlet pair {p} is not a mesh edge")
-            if owners[edge_index[p]] != 1:
-                raise MeshError(f"dirichlet pair {p} is not a boundary edge")
+    for p in getattr(predicate, "pairs", ()):
+        if p not in edge_index:
+            raise MeshError(f"dirichlet pair {p} is not a mesh edge")
+        if owners[edge_index[p]] != 1:
+            raise MeshError(f"dirichlet pair {p} is not a boundary edge")
     for i in np.flatnonzero(owners == 1).tolist():
         va, vb = edge_list[i]
         tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
@@ -597,26 +604,11 @@ def parse_mesh_text(text: str) -> Mesh:
         else:
             raise MeshError(f"unknown mesh file directive {kind!r}")
 
-    explicit = {tuple(sorted(p)) for p in pairs}
-    if not bboxes and not explicit:
+    if not bboxes and not pairs:
         raise MeshError("mesh file declares no dirichlet selector")
-    if explicit and not bboxes:
-        return build_mesh(verts, tris, explicit)
-
-    coord_to_idx = {(float(x), float(y)): i for i, (x, y) in enumerate(verts)}
-
-    def marker(pa, pb):
-        for (xmin, ymin, xmax, ymax) in bboxes:
-            if (xmin <= pa[0] <= xmax and ymin <= pa[1] <= ymax
-                    and xmin <= pb[0] <= xmax and ymin <= pb[1] <= ymax):
-                return True
-        if explicit:
-            ia = coord_to_idx[(float(pa[0]), float(pa[1]))]
-            ib = coord_to_idx[(float(pb[0]), float(pb[1]))]
-            return tuple(sorted((ia, ib))) in explicit
-        return False
-
-    return build_mesh(verts, tris, marker)
+    selector = _DirichletSelector(
+        pairs=frozenset(tuple(sorted(p)) for p in pairs), boxes=tuple(bboxes))
+    return build_mesh(verts, tris, selector)
 
 
 def read_mesh(path) -> Mesh:

@@ -367,7 +367,7 @@ def decompose_transition(chain, t: float, instance: RisInstance) -> list[Transit
     return segments
 
 
-def jump_variation(evolution, jumps, instance: RisInstance) -> float:
+def jump_variation(jumps, instance: RisInstance) -> float:
     """Total cost charged at the jumps: c(t, left, at) + c(t, at, right)
     per jump record (either half drops out when the states agree)."""
     total = 0.0

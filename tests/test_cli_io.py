@@ -512,6 +512,20 @@ def test_cli_sweep(workdir, capsys):
     assert "lambda must be positive" in capsys.readouterr().out
 
 
+def test_cli_sweep_reads_values_and_config_like_run(workdir, capsys):
+    ini = str(workdir["root"] / "well.ini")
+    for param, values, message in (
+            ("lambda", "0.1,tiny", "malformed number for run.lambda: 'tiny'"),
+            ("budget", "2,many", "malformed integer for search.budget: 'many'"),
+            ("steps", "1.5", "malformed integer for partition.steps: '1.5'")):
+        assert cli_dispatch(["sweep", ini, "--param", param,
+                             "--values", values]) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+    assert cli_dispatch(["sweep", "no-such-file.ini", "--param", "mu",
+                         "--values", "1"]) == 1
+    assert "error: cannot read config" in capsys.readouterr().out
+
+
 def test_cli_usage_and_unknowns(capsys):
     assert cli_dispatch([]) == 1
     assert "usage:" in capsys.readouterr().out
@@ -544,3 +558,112 @@ def test_cli_exit_codes_by_failure_kind(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "read_mesh", other_elastic)
     assert cli_dispatch(["run", str(root / "well.ini")]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the run record: config echo and archive bytes of the CLI
+# ---------------------------------------------------------------------------
+
+ECHO_CONFIGS = {
+    "pairs-times-initial-table": MINIMAL + """
+mode = energetic
+lambda = 0.25
+output = elsewhere
+
+[load]
+profile = prof.txt
+amplitude = table(amp.tab)
+
+[partition]
+times = 0, 0.5, 1.25
+
+[pool]
+kind = pairs
+items = 3 4, 4 5
+initial = 3 4
+
+[search]
+mode = greedy
+budget = 0
+
+[tolerances]
+stability = 1e-7
+balance = 2e-9
+""",
+    "edges-uniform": MINIMAL + """
+[partition]
+steps = 7
+horizon = 2.5
+
+[pool]
+kind = edges
+items = 9 4, 12
+""",
+    "all-interior": MINIMAL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_CONFIGS))
+def test_config_echo_round_trips(name):
+    from vefrac.cli_io import _config_echo, _config_from_echo
+
+    cfg = parse_config(ECHO_CONFIGS[name])
+    echo = _config_echo(cfg, "/some/base")
+    assert _config_from_echo(echo) == (cfg, "/some/base")
+    # as read back from an archive file, where every tuple is a list
+    assert _config_from_echo(json.loads(json.dumps(echo))) == (cfg, "/some/base")
+
+
+def test_config_echo_without_initial_still_loads():
+    from vefrac.cli_io import _config_echo, _config_from_echo
+
+    cfg = parse_config(ECHO_CONFIGS["edges-uniform"])
+    echo = json.loads(json.dumps(_config_echo(cfg, ".")))
+    del echo["pool"]["initial"]
+    assert _config_from_echo(echo) == (cfg, ".")
+
+
+# sha256 of the archives that `vefrac run` and `vefrac sweep` write for
+# WELL_INI, with the echoed config directory replaced by "." as
+# bench/run.py does. The echo and every ledger column are in the bytes.
+CLI_DIGESTS = {
+    "run":
+        "47dda7ad8dd308f825046039104cb1979cfdcaf5205203fe1a914dc113eb531e",
+    "sweep-lambda-0.05":
+        "ff3565551d9b421ce4a83632f9717b38ff167a71ff1744af27621579968e7c52",
+    "sweep-budget-2":
+        "b1d6520693f9c56ee9cad1bb33e1e473a64cba06284eb74084fd7eaf45b23bf7",
+    "sweep-mode-energetic":
+        "f985d521a98994476c060af8250db599ce8e924fdeabdd6533281707dc26327f",
+}
+
+
+def _cli_archive_digest(root: Path, archive: Path) -> str:
+    import hashlib
+
+    text = archive.read_text(encoding="utf-8")
+    echo = '"base": ' + json.dumps(str(root.resolve()))
+    assert echo in text
+    normalized = text.replace(echo, '"base": "."', 1)
+    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(workdir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    (root / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
+    (root / "well.ini").write_text(WELL_INI.format(mode="ve", output="out"))
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_archive_matches_pinned_digest(pinned_dir, name, capsys):
+    argv = ["run", str(pinned_dir / "well.ini")]
+    archive = pinned_dir / "out" / "archive.json"
+    if name != "run":
+        _, param, value = name.split("-", 2)
+        argv = ["sweep", argv[1], "--param", param, "--values", value]
+        archive = pinned_dir / "out" / name / "archive.json"
+    assert cli_dispatch(argv) == 0
+    capsys.readouterr()
+    assert _cli_archive_digest(pinned_dir, archive) == CLI_DIGESTS[name]

@@ -650,6 +650,30 @@ def test_mesh_file_bbox_selector():
     assert list(mesh.dirichlet_edges()) == [0]
 
 
+SQUARE_TEXT = "\n".join([
+    "ve-mesh 1",
+    "v 0.0 0.0", "v 1.0 0.0", "v 1.0 1.0", "v 0.0 1.0",
+    "t 0 1 2", "t 0 2 3", ""])
+
+
+def test_mesh_file_pairs_are_checked_beside_a_bbox():
+    bottom = "dirichlet bbox -1 -1 2 0.1\n"
+    for pairs, message in (("0 9", "not a mesh edge"),
+                           ("0 2", "not a boundary edge")):
+        with pytest.raises(MeshError, match=f"dirichlet pair .* {message}"):
+            parse_mesh_text(SQUARE_TEXT + f"dirichlet pairs {pairs}\n")
+        with pytest.raises(MeshError, match=f"dirichlet pair .* {message}"):
+            parse_mesh_text(SQUARE_TEXT + bottom + f"dirichlet pairs {pairs}\n")
+
+
+def test_mesh_file_bbox_and_pairs_select_their_union():
+    mesh = parse_mesh_text(SQUARE_TEXT + "dirichlet bbox -1 -1 2 0.1\n"
+                           "dirichlet pairs 3 2\n")
+    assert [tuple(mesh.edges[e].tolist()) for e in mesh.dirichlet_edges()] == \
+        [(0, 1), (2, 3)]
+    assert mesh.edge_tags[mesh.edge_index[(0, 3)]] == NEUMANN
+
+
 def test_mesh_file_bad_header():
     with pytest.raises(MeshError, match="unsupported mesh format"):
         parse_mesh_text("ve-mesh 2\nv 0 0\n")

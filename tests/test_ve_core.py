@@ -555,7 +555,7 @@ def _record(time, left, at, right):
 
 def test_jump_variation_no_jumps(rect9):
     inst = table_instance(rect9, random_table(rect9, 2))
-    assert jump_variation(None, [], inst) == 0.0
+    assert jump_variation([], inst) == 0.0
 
 
 def test_jump_variation_single_and_multi(rect9):
@@ -565,11 +565,11 @@ def test_jump_variation_single_and_multi(rect9):
     k2 = CrackSet.of_edges(rect9, [0, 1])
     single = [_record(0.5, k0, k1, k1)]
     expected = jump_cost(0.5, k0, k1, inst).cost
-    assert math.isclose(jump_variation(None, single, inst), expected,
+    assert math.isclose(jump_variation(single, inst), expected,
                         rel_tol=1e-13)
     merged = [_record(0.5, k0, k1, k2)]
     expected2 = expected + jump_cost(0.5, k1, k2, inst).cost
-    assert math.isclose(jump_variation(None, merged, inst), expected2,
+    assert math.isclose(jump_variation(merged, inst), expected2,
                         rel_tol=1e-13)
 
 

@@ -168,7 +168,9 @@ def _numbers(section: str, key: str, raw: str) -> tuple[float, ...]:
     return tuple(_number(section, key, e) for e in raw.split(",") if e.strip())
 
 
-def _parse_pool_items(kind: str, raw: str):
+def _pool_items(kind: str, section: str, key: str, raw: str):
+    """Vertex pairs for kind "pairs", edge ids otherwise; errors name
+    section.key."""
     groups = [g.strip() for g in raw.split(",") if g.strip()]
     if kind == "pairs":
         pairs = []
@@ -176,18 +178,18 @@ def _parse_pool_items(kind: str, raw: str):
             parts = g.split()
             if len(parts) != 2:
                 raise ConfigError(
-                    f"pool pairs need two vertex ids per group, got {g!r}")
-            pairs.append((_integer("pool", "items", parts[0]),
-                          _integer("pool", "items", parts[1])))
+                    f"{section}.{key} pairs need two vertex ids per group, got {g!r}")
+            pairs.append((_integer(section, key, parts[0]),
+                          _integer(section, key, parts[1])))
         return tuple(pairs)
     ids = []
     for g in groups:
-        ids.extend(_integer("pool", "items", p) for p in g.split())
+        ids.extend(_integer(section, key, p) for p in g.split())
     return tuple(ids)
 
 
 def _pairs(section: str, key: str, raw: str) -> tuple:
-    return _parse_pool_items("pairs", raw)
+    return _pool_items("pairs", section, key, raw)
 
 
 def _fixed(section: str, key: str, raw: str) -> None:
@@ -254,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
                 fields[name] = value
     if "pool_items" in fields:
         kind = fields.get("pool_kind", RunConfig.pool_kind)
-        fields["pool_items"] = _parse_pool_items(kind, fields["pool_items"])
+        fields["pool_items"] = _pool_items(kind, "pool", "items", fields["pool_items"])
     return RunConfig(**fields)
 
 
@@ -383,9 +385,17 @@ def _config_echo(cfg: RunConfig, base: str) -> dict:
 def _config_from_echo(echo: dict) -> tuple[RunConfig, str]:
     fields = {}
     for (section, key), (name, _) in _FIELDS.items():
-        if name is None or (section, key) in _LATER_KEYS and key not in echo[section]:
+        if name is None:
             continue
-        fields[name] = _tuples(echo[section][key])
+        try:
+            value = echo[section][key]
+        except KeyError:
+            if (section, key) in _LATER_KEYS:
+                continue
+            raise ArchiveError(f"archive config echo lacks {section}.{key}") from None
+        fields[name] = _tuples(value)
+    if "base" not in echo:
+        raise ArchiveError("archive config echo lacks base")
     return RunConfig(**fields), echo["base"]
 
 
@@ -801,6 +811,8 @@ def _cmd_jumpcost(args) -> int:
         for i, hop in enumerate(result.hops):
             print(f"hop {i}: Delta={hop.delta:.6g} alpha={hop.alpha:.0f} "
                   f"R={hop.r_start:.6g}")
+        print(f"lattice nodes: {result.expanded} expanded, "
+              f"{result.pruned} pruned")
     return 0
 
 
@@ -917,8 +929,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
 
     base_cfg, base = _read_config(positional[0])
-    for value in values:
-        ctx = build_run(replace(base_cfg, **{field: value}), base)
+    # every swept config is validated before the first run
+    configs = [replace(base_cfg, **{field: value}) for value in values]
+    for value, cfg in zip(values, configs):
+        ctx = build_run(cfg, base)
         out_dir = _resolve(ctx.config.output, base) / f"sweep-{param}-{value}"
         evolution, jumps, _, _ = _run_to_archive(ctx, out_dir)
         print(f"{param}={value}: {_growth(evolution)}, jumps {len(jumps)}")

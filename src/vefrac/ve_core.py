@@ -20,8 +20,10 @@ that we provide
 
 The step and R are one minimization, E(t,K') + D(K,K') over the
 competitors K' of K, so one private scan holds that loop and its
-tie-break (fewer edges, then lexicographic). As D(K,K) = 0, a step that
-keeps its state has shown R = 0 there, and run_scheme scans no further.
+tie-break (fewer edges, then lexicographic). The step's first scan is
+R's scan of its old state, and every complete scan is kept in the
+instance's residual memo, so a step that keeps its state has shown
+R = 0 there and the audits read R(t_i, K_{i-1}) without scanning again.
 
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -76,7 +78,12 @@ class RisInstance:
     D = d + delta, with d = H1(K\\H) + lam*alpha and delta = Delta +
     mu*alpha, or, when False, the energetic D = d. Only charges() reads
     it, and HopCost.charges does the arithmetic, so every algorithm below
-    is the same in both modes.
+    is the same in both modes. Records are nonnegative, which is what
+    lets jump_cost cut off a lattice node from part of its scan.
+
+    residuals memoizes R(t,K) reports by (t, K.bits) and assumes energy
+    and hop are pure. dataclasses.replace starts the copy with an empty
+    memo, since the copy may charge differently.
     """
 
     pool: CrackSet
@@ -92,6 +99,8 @@ class RisInstance:
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
+    residuals: dict[tuple[float, int], StabilityReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.budget < 0:
@@ -125,6 +134,13 @@ class RisInstance:
             for combo in itertools.combinations(available, k):
                 yield state.with_edges(combo)
 
+    def is_competitor(self, state: CrackSet, k: CrackSet) -> bool:
+        """Whether a superset k of `state` is one of competitors(state),
+        decided without enumerating them."""
+        new = k.minus(state)
+        limit = 1 if self.search == "greedy" else self.budget
+        return new.issubset(self.pool) and new.cardinality <= limit
+
     def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
         """The charges of the hop H -> K; None when H <= K fails."""
         hop = self.hop(h, k)
@@ -146,44 +162,83 @@ class StabilityReport:
 
 
 def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
-          instance: RisInstance) -> tuple[float, list[CrackSet], int]:
+          instance: RisInstance, stop: Callable[[float], bool] | None = None,
+          ) -> tuple[float, list[CrackSet], int, float | None] | None:
     """The one competitor loop: min over candidates K of
     E(t,K) + D(source,K). Returns the minimum, the candidates attaining
-    it sorted by the tie-break (fewer edges, then lexicographic), and
-    the number of candidates examined. A candidate that does not
-    contain `source` costs +infinity and is skipped."""
+    it sorted by the tie-break (fewer edges, then lexicographic), the
+    number of candidates examined, and E(t, source) when the source is
+    a candidate (None otherwise). A candidate that does not contain
+    `source` costs +infinity and is skipped. With `stop`, the scan ends
+    at the first value v with stop(v) true and returns None."""
     best = math.inf
     winners: list[CrackSet] = []
     examined = 0
+    own = None
     for comp in candidates:
         examined += 1
         charged = instance.charges(source, comp)
         if charged is None:
             continue
-        value = instance.energy(t, comp) + charged.big_d
+        energy = instance.energy(t, comp)
+        if comp.bits == source.bits:
+            own = energy
+        value = energy + charged.big_d
+        if stop is not None and stop(value):
+            return None
         if value < best:
             best = value
             winners = [comp]
         elif value == best:
             winners.append(comp)
     winners.sort(key=lambda c: c.sort_key())
-    return best, winners, examined
+    return best, winners, examined, own
+
+
+def _residual(t: float, state: CrackSet, instance: RisInstance,
+              witness: CrackSet | None = None,
+              cut: Callable[[float], bool] | None = None) -> StabilityReport | None:
+    """R(t,K) through the instance's residual memo; a scan that runs to
+    the end is memoized. With `cut`, `witness` (a competitor of K, or
+    None) is scanned first, and the scan gives up, returning None, at
+    the first competitor value v with cut(E(t,K) - v) true. Every value
+    bounds the minimum from above, so E(t,K) - v bounds R from below."""
+    key = (t, state.bits)
+    report = instance.residuals.get(key)
+    if report is not None:
+        return report
+    candidates, stop = instance.competitors(state), None
+    if cut is not None:
+        own = instance.energy(t, state)
+
+        def stop(value: float) -> bool:
+            return cut(own - value)
+
+        if witness is not None:
+            candidates = itertools.chain(
+                [witness], (c for c in candidates if c.bits != witness.bits))
+    scanned = _scan(t, state, candidates, instance, stop)
+    if scanned is None:
+        return None
+    best, winners, examined, own = scanned
+    if own is None or best > own:
+        raise AssertionError(
+            "competitor enumeration missed the state itself "
+            f"(min {best!r} above E = {own!r})")
+    report = StabilityReport(residual=own - best, minimizers=tuple(winners),
+                             examined=examined, best_value=best)
+    instance.residuals[key] = report
+    return report
 
 
 def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
     """R(t,K) = E(t,K) - min over competitors K' of E(t,K') + D(K,K').
 
     K' = K itself is always enumerated and has D = 0, so the minimum
-    never exceeds E(t,K) and R is nonnegative without clamping.
+    never exceeds E(t,K) and R is nonnegative without clamping. Each
+    (t, K) is scanned once per instance.
     """
-    own = instance.energy(t, state)
-    best, winners, examined = _scan(t, state, instance.competitors(state), instance)
-    if best > own:
-        raise AssertionError(
-            "competitor enumeration missed the state itself "
-            f"(min {best!r} above E = {own!r})")
-    return StabilityReport(residual=own - best, minimizers=tuple(winners),
-                           examined=examined, best_value=best)
+    return _residual(t, state, instance)
 
 
 def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSet:
@@ -191,16 +246,16 @@ def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSe
     argmin over competitors of E(t,K) + D(prev,K).
 
     Ties break toward fewer edges, then the lexicographically smaller
-    edge set. Exhaustive mode scans the competitors of `prev` once.
-    Greedy mode rescans the competitors of the current winner, always
-    measuring the dissipation from `prev`, until the winner stays put.
+    edge set. The first scan is R's scan of `prev`, so it also gives
+    R(t, prev); exhaustive mode needs no other. Greedy mode rescans the
+    competitors of the current winner, always measuring the dissipation
+    from `prev`, until the winner stays put.
     """
-    state = prev
-    while True:
-        winner = _scan(t, prev, instance.competitors(state), instance)[1][0]
-        if instance.search != "greedy" or winner.bits == state.bits:
-            return winner
+    state, winner = prev, residual_stability(t, prev, instance).minimizers[0]
+    while instance.search == "greedy" and winner.bits != state.bits:
         state = winner
+        winner = _scan(t, prev, instance.competitors(state), instance)[1][0]
+    return winner
 
 
 def _as_chain(chain) -> MonotoneChain:
@@ -242,9 +297,15 @@ class HopLedger:
 
 @dataclass(frozen=True)
 class JumpCostResult:
+    """The jump cost with its optimal chain and per-hop ledger. expanded
+    counts the lattice nodes whose full R was taken and whose successors
+    were pushed; pruned counts those cut off by part of their scan."""
+
     cost: float
     chain: MonotoneChain | None
     hops: tuple[HopLedger, ...]
+    expanded: int = 0
+    pruned: int = 0
 
 
 def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
@@ -256,6 +317,16 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     into every outgoing hop, so the final state's R is not charged, as
     in the transition-cost sum. Ties prefer shorter chains, then the
     lexicographically smallest sequence of intermediate sets.
+
+    K- is scanned in full, which prices the direct hop to K+ and so
+    gives a best known cost C. An intermediate node reached at cost c
+    scans its competitors, K+ first when it is one, only until some
+    value v has c + (E(t, node) - v) > C. R(node) >= E(t, node) - v and
+    the charges are nonnegative, so under monotone rounding every chain
+    through the node costs strictly more than C: the node is cut off
+    without its full R or its successors. Only strict excess is cut, so
+    the cost, the chain, its tie-break and every r_start are those of
+    the full search. Nodes on the returned chain all had their full R.
     """
     if not k_minus.issubset(k_plus):
         return JumpCostResult(cost=math.inf, chain=None, hops=())
@@ -278,13 +349,9 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
             states[mask] = to_state(mask)
         return states[mask]
 
+    # R of every expanded node
     r_memo: dict[int, float] = {}
-
-    def r_of(mask: int) -> float:
-        if mask not in r_memo:
-            r_memo[mask] = residual_stability(t, state_of(mask), instance).residual
-        return r_memo[mask]
-
+    pruned = 0
     full = (1 << g) - 1
     # per node: (cost, chain length, path as tuple of masks)
     best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 1, (0,))}
@@ -297,14 +364,25 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
         finished.add(node)
         if node == full:
             break
-        r_here = r_of(node)
+        here = state_of(node)
+        if node == 0:
+            report = residual_stability(t, here, instance)
+        else:
+            bound = best[full][0]
+            witness = k_plus if instance.is_competitor(here, k_plus) else None
+            report = _residual(t, here, instance, witness,
+                               cut=lambda drop: cost + drop > bound)
+            if report is None:
+                pruned += 1
+                continue
+        r_here = r_memo[node] = report.residual
         free = [i for i in range(g) if not (node >> i) & 1]
         for extra in range(1, 1 << len(free)):
             nxt = node
             for j, i in enumerate(free):
                 if (extra >> j) & 1:
                     nxt |= 1 << i
-            charged = instance.charges(state_of(node), state_of(nxt))
+            charged = instance.charges(here, state_of(nxt))
             hop = r_here + charged.sweep + charged.rate * charged.alpha
             cand = (cost + hop, length + 1, path + (nxt,))
             known = best.get(nxt)
@@ -317,8 +395,9 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     for a, b, m in zip(chain.states, chain.states[1:], path):
         charged = instance.charges(a, b)
         hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
-                              r_start=r_of(m)))
-    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops))
+                              r_start=r_memo[m]))
+    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops),
+                          expanded=len(r_memo), pruned=pruned)
 
 
 @dataclass(frozen=True)

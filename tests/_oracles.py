@@ -515,3 +515,84 @@ def reference_solve(a, mask, values, rtol=1e-10):
     assert info == 0
     u[free] = x
     return u, float(np.linalg.norm(aff @ x - b)) / bnorm
+
+
+def reference_jump_cost(t, k_minus, k_plus, instance):
+    """VE jump cost c(t, K-, K+): minimum transition cost over monotone
+    chains in the interval lattice between K- and K+.
+
+    Shortest path over gap bitmasks: the node weight R(t, .) is folded
+    into every outgoing hop, so the final state's R is not charged, as
+    in the transition-cost sum. Ties prefer shorter chains, then the
+    lexicographically smallest sequence of intermediate sets.
+    """
+    # The unpruned search: every node it expands gets a full
+    # residual_stability scan.
+    import heapq
+
+    from vefrac.dissipation import MonotoneChain
+    from vefrac.ve_core import (LATTICE_CAP, HopLedger, JumpCostResult,
+                                residual_stability)
+
+    if not k_minus.issubset(k_plus):
+        return JumpCostResult(cost=math.inf, chain=None, hops=())
+    gap = k_plus.minus(k_minus).edge_ids
+    g = len(gap)
+    if g > LATTICE_CAP:
+        raise ValueError(
+            f"gap of {g} edges exceeds the lattice cap {LATTICE_CAP}; "
+            "restrict the lattice or raise the cap")
+    if g == 0:
+        return JumpCostResult(cost=0.0, chain=MonotoneChain([k_minus]), hops=())
+
+    def to_state(mask: int) -> CrackSet:
+        return k_minus.with_edges(gap[i] for i in range(g) if (mask >> i) & 1)
+
+    states: dict[int, CrackSet] = {}
+
+    def state_of(mask: int) -> CrackSet:
+        if mask not in states:
+            states[mask] = to_state(mask)
+        return states[mask]
+
+    r_memo: dict[int, float] = {}
+
+    def r_of(mask: int) -> float:
+        if mask not in r_memo:
+            r_memo[mask] = residual_stability(t, state_of(mask), instance).residual
+        return r_memo[mask]
+
+    full = (1 << g) - 1
+    # per node: (cost, chain length, path as tuple of masks)
+    best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 1, (0,))}
+    finished: set[int] = set()
+    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 1, (0,), 0)]
+    while heap:
+        cost, length, path, node = heapq.heappop(heap)
+        if node in finished:
+            continue
+        finished.add(node)
+        if node == full:
+            break
+        r_here = r_of(node)
+        free = [i for i in range(g) if not (node >> i) & 1]
+        for extra in range(1, 1 << len(free)):
+            nxt = node
+            for j, i in enumerate(free):
+                if (extra >> j) & 1:
+                    nxt |= 1 << i
+            charged = instance.charges(state_of(node), state_of(nxt))
+            hop = r_here + charged.sweep + charged.rate * charged.alpha
+            cand = (cost + hop, length + 1, path + (nxt,))
+            known = best.get(nxt)
+            if known is None or cand < known:
+                best[nxt] = cand
+                heapq.heappush(heap, (*cand, nxt))
+    cost, _, path = best[full]
+    chain = MonotoneChain([state_of(m) for m in path])
+    hops = []
+    for a, b, m in zip(chain.states, chain.states[1:], path):
+        charged = instance.charges(a, b)
+        hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
+                              r_start=r_of(m)))
+    return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops))

@@ -171,6 +171,19 @@ def test_parse_rejects_malformed_numbers():
         parse_config(MINIMAL + "\n[search]\nbudget = many\n")
 
 
+def test_parse_names_pool_initial_in_its_errors():
+    pool = "\n[pool]\nkind = pairs\nitems = 3 4\n"
+    with pytest.raises(ConfigError,
+                       match=r"^malformed integer for pool\.initial: 'x'$"):
+        parse_config(MINIMAL + pool + "initial = 1 x\n")
+    with pytest.raises(ConfigError,
+                       match=r"^pool\.initial pairs need two vertex ids per group"):
+        parse_config(MINIMAL + pool + "initial = 1 2 3\n")
+    with pytest.raises(ConfigError,
+                       match=r"^malformed integer for pool\.items: 'y'$"):
+        parse_config(MINIMAL + "\n[pool]\nkind = pairs\nitems = 3 y\n")
+
+
 def test_parse_requires_mesh():
     with pytest.raises(ConfigError, match="missing mesh"):
         parse_config("[run]\nmode = ve\n")
@@ -463,6 +476,40 @@ def test_cli_jumpcost(well_archive, capsys):
     assert "needs --right" in capsys.readouterr().out
 
 
+def test_cli_jumpcost_reports_lattice_nodes(well_archive, capsys):
+    # the node counts are deterministic: two calls print the same line
+    lines = []
+    for _ in range(2):
+        assert cli_dispatch(["jumpcost", str(well_archive), "--time", "6.5",
+                             "--left", "", "--right", "29,32"]) == 0
+        out = capsys.readouterr().out
+        lines.append([ln for ln in out.splitlines()
+                      if ln.startswith("lattice nodes:")])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
+    assert re.fullmatch(r"lattice nodes: [1-9]\d* expanded, \d+ pruned",
+                        lines[0][0])
+
+
+def test_cli_names_a_key_missing_from_the_config_echo(well_archive, tmp_path,
+                                                      capsys):
+    doc = json.loads(well_archive.read_text())
+    for drop, key in ((("run", "mu"), "run.mu"), (("search",), "search.mode"),
+                      (("base",), "base")):
+        broken = json.loads(json.dumps(doc))
+        parent = broken["config"]
+        for name in drop[:-1]:
+            parent = parent[name]
+        del parent[drop[-1]]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        for argv in (["jumpcost", str(path), "--time", "6.5", "--left", "",
+                      "--right", "29,32"],
+                     ["griffith", str(path), "--paths", "29,32"]):
+            assert cli_dispatch(argv) == 1
+            assert capsys.readouterr().out == (
+                f"error: archive config echo lacks {key}\n")
+
+
 def test_cli_griffith_updates_archive(workdir, capsys):
     root = workdir["root"]
     assert cli_dispatch(["run", str(root / "strip.ini")]) == 0
@@ -524,6 +571,15 @@ def test_cli_sweep_reads_values_and_config_like_run(workdir, capsys):
     assert cli_dispatch(["sweep", "no-such-file.ini", "--param", "mu",
                          "--values", "1"]) == 1
     assert "error: cannot read config" in capsys.readouterr().out
+
+
+def test_cli_sweep_checks_every_value_before_the_first_run(workdir, capsys):
+    root = workdir["root"]
+    assert cli_dispatch(["sweep", str(root / "well.ini"), "--param", "mode",
+                         "--values", "ve,frantic"]) == 1
+    assert capsys.readouterr().out == (
+        "error: mode must be 've' or 'energetic', got 'frantic'\n")
+    assert not (root / "out" / "sweep-mode-ve").exists()
 
 
 def test_cli_usage_and_unknowns(capsys):

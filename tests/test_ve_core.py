@@ -21,6 +21,7 @@ from vefrac.dissipation import (
 from vefrac.evolution import TimePartition, run_scheme
 from vefrac.geometry import CrackSet, h1_diff, h1_measure
 from vefrac.ve_core import (
+    MAX_COMPETITORS,
     RisInstance,
     audit_balance,
     audit_jump_conditions,
@@ -270,9 +271,10 @@ def integer_instance(mesh, seed, hop, **kw):
     rng = np.random.default_rng(seed)
     table = {bits: float(rng.integers(0, 4) - 3 * bin(bits).count("1"))
              for bits in range(1 << mesh.n_edges)}
+    kw.setdefault("budget", mesh.n_edges)
     return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
                        energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
-                       hop=hop, params=PARAMS, budget=mesh.n_edges, **kw)
+                       hop=hop, params=PARAMS, **kw)
 
 
 @pytest.mark.parametrize("viscous", [True, False])
@@ -494,6 +496,154 @@ def test_single_hop_never_beats_optimum(rect9):
     res = jump_cost(0.1, km, kp, inst)
     direct = trc_chain(0.1, [km, kp], inst)
     assert res.cost <= direct + 1e-14
+
+
+def single_edge_hop(h, k):
+    """A hop whose transition charge is 0 for one new edge and 2 for
+    each further one, so one-edge chains win and tie with each other
+    whenever the R of their states add up alike."""
+    if not h.issubset(k):
+        return None
+    new = float(len(k.minus(h).edge_ids))
+    return HopCost(h1=new, sweep=2.0 * max(new - 1.0, 0.0), alpha=0.0)
+
+
+def assert_same_jump_cost(t, k_minus, k_plus, inst):
+    """jump_cost on `inst` against the unpruned search on a copy of it
+    with an empty residual memo: cost, chain and hop ledger must be the
+    same floats and sets."""
+    expected = oracle.reference_jump_cost(t, k_minus, k_plus, replace(inst))
+    got = jump_cost(t, k_minus, k_plus, inst)
+    assert got.cost == expected.cost
+    assert [s.bits for s in got.chain] == [s.bits for s in expected.chain]
+    assert got.hops == expected.hops
+    return got
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search,budget", [("exhaustive", 9), ("exhaustive", 2),
+                                           ("exhaustive", 1), ("greedy", 3)])
+def test_jump_cost_matches_the_unpruned_search(rect9, search, budget, viscous):
+    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
+    rng = np.random.default_rng(17)
+    pruned = outside = 0
+    for seed in range(3):
+        for hop in (real_hop, counted_hop, single_edge_hop):
+            inst = integer_instance(rect9, seed, hop, search=search,
+                                    budget=budget, viscous=viscous)
+            for case in range(6):
+                minus_bits = int(rng.integers(0, 2**9)) & int(rng.integers(0, 2**9))
+                plus_bits = minus_bits | int(rng.integers(0, 2**9))
+                if not 2 <= bin(plus_bits & ~minus_bits).count("1") <= 5:
+                    continue
+                km, kp = CrackSet(rect9, minus_bits), CrackSet(rect9, plus_bits)
+                if case % 2:
+                    # the start node's R then comes from the step's scan
+                    incremental_step(0.0, km, inst)
+                outside += not inst.is_competitor(km, kp)
+                pruned += assert_same_jump_cost(0.0, km, kp, inst).pruned
+    assert pruned > 0
+    # a gap wider than the budget: K+ is no competitor of the start node
+    assert (outside > 0) == (search == "greedy" or budget < 5)
+
+
+def test_jump_cost_keeps_a_tie_at_the_bound(rect9):
+    # gap {0, 1}: the chain through {1} is found first at cost 2, and the
+    # chain through {0} ties it exactly. Its node {0} reaches the bound
+    # (c + E - v == C at the witness K+) but must not be cut off: the
+    # tie-break prefers the path through the smaller mask {0}.
+    weight = {0: 1.0, 1: 0.0}
+
+    def hop(h, k):
+        if not h.issubset(k):
+            return None
+        new = k.minus(h).edge_ids
+        sweep = sum(weight[e] for e in new) + 2.0 * max(len(new) - 1, 0)
+        return HopCost(h1=float(len(new)), sweep=sweep, alpha=0.0)
+
+    table = {0b00: 3.0, 0b01: 2.0, 0b10: 3.0, 0b11: 0.0}
+    km, kp = CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0, 1])
+    inst = RisInstance(pool=kp, energy=lambda t, k: table[k.bits],
+                       power=lambda t, k: 0.0, hop=hop, params=PARAMS)
+    got = assert_same_jump_cost(0.0, km, kp, inst)
+    assert got.cost == 2.0
+    assert [s.bits for s in got.chain] == [0b00, 0b01, 0b11]
+    assert (got.expanded, got.pruned) == (3, 0)
+
+
+def test_jump_cost_overflow_raises_as_the_unpruned_search(grid3):
+    inst = RisInstance(
+        pool=CrackSet(grid3, (1 << grid3.n_edges) - 1),
+        energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
+        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, budget=20)
+    km = CrackSet.of_edges(grid3, [0])
+    kp = km.with_edges([1, 2])
+    messages = []
+    for search in (oracle.reference_jump_cost, jump_cost):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_COMPETITORS}") as exc:
+            search(0.0, km, kp, replace(inst))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def pruning_case(mesh):
+    """A two-edge jump whose intermediate states are far above both
+    ends: the direct hop is the best chain, and each intermediate node
+    is cut off by its witness K+ alone."""
+    km = CrackSet.of_edges(mesh, [0])
+    kp = km.with_edges([3, 6])
+    table = {bits: 10.0 for bits in range(2**9)}
+    table[km.bits] = table[kp.bits] = 0.0
+    return table_instance(mesh, table), km, kp
+
+
+def test_jump_cost_counts_expanded_and_pruned_nodes(rect9):
+    inst, km, kp = pruning_case(rect9)
+    first = assert_same_jump_cost(0.0, km, kp, inst)
+    assert [s.bits for s in first.chain] == [km.bits, kp.bits]
+    assert (first.expanded, first.pruned) == (1, 2)
+    # the counts repeat exactly, on the same instance and on a fresh one
+    for again in (jump_cost(0.0, km, kp, inst), jump_cost(0.0, km, kp, replace(inst))):
+        assert (again.cost, again.hops, again.expanded, again.pruned) == (
+            first.cost, first.hops, first.expanded, first.pruned)
+
+
+def test_pruned_node_stops_at_its_witness(rect9):
+    inst, km, kp = pruning_case(rect9)
+    asked = []
+    energy = inst.energy
+    counted = replace(inst, energy=lambda t, k: asked.append(k.bits) or energy(t, k))
+    residual_stability(0.0, km, counted)
+    asked.clear()
+    jump_cost(0.0, km, kp, counted)
+    # each intermediate node reads its own energy and then K+'s, and stops
+    middle = [km.with_edges([3]).bits, km.with_edges([6]).bits]
+    assert sorted(asked[0::2]) == middle
+    assert asked[1::2] == [kp.bits, kp.bits]
+    # a pruned node leaves no report behind
+    assert set(counted.residuals) == {(0.0, km.bits)}
+
+
+def test_residual_memo_hands_the_step_scan_to_the_audit(rect9):
+    inst = table_instance(rect9, {bits: 5.0 - 2.0 * bin(bits).count("1")
+                                  for bits in range(2**9)})
+    asked = []
+    energy = inst.energy
+    counted = replace(inst, energy=lambda t, k: asked.append(k.bits) or energy(t, k))
+    prev = CrackSet.of_edges(rect9, [2])
+    nxt = incremental_step(0.5, prev, counted)
+    assert nxt.bits != prev.bits
+    report = counted.residuals[0.5, prev.bits]
+    assert report.minimizers[0].bits == nxt.bits
+    asked.clear()
+    assert residual_stability(0.5, prev, counted) is report
+    assert asked == []
+    # the copy made by dataclasses.replace (as energetic_mode does) keeps
+    # no report of the instance it was copied from
+    energetic = replace(counted, viscous=False)
+    assert energetic.residuals == {} and counted.residuals
+    fresh = residual_stability(0.5, prev, replace(inst))
+    assert fresh == report
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,12 @@ def _parse_amplitude(spec: str, base: Path):
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"linear amplitude needs two coefficients: {spec!r}")
-        return LinearAmplitude(_number("load", "amplitude", parts[0]),
-                               _number("load", "amplitude", parts[1]))
+        coefficients = [_number("load", "amplitude", p) for p in parts]
+        for x in coefficients:
+            if not math.isfinite(x):
+                raise ConfigError(
+                    f"load.amplitude must be a finite number, got {x!r}")
+        return LinearAmplitude(*coefficients)
     table_path = _resolve(body.strip(), base)
     rows = []
     for ln in table_path.read_text(encoding="utf-8").splitlines():
@@ -302,7 +306,7 @@ def _parse_amplitude(spec: str, base: Path):
         parts = ln.replace(",", " ").split()
         if len(parts) != 2:
             raise ConfigError(f"amplitude table rows need two values: {ln!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+        rows.append(tuple(_number("load", "amplitude", p) for p in parts))
     return TableAmplitude([r[0] for r in rows], [r[1] for r in rows])
 
 
@@ -315,7 +319,7 @@ def _read_profile(spec: str, mesh: Mesh, base: Path) -> np.ndarray:
     for ln in _resolve(spec, base).read_text(encoding="utf-8").splitlines():
         ln = ln.split("#", 1)[0].strip()
         if ln:
-            vals.append(float(ln))
+            vals.append(_number("load", "profile", ln))
     return np.array(vals, dtype=float)
 
 
@@ -506,12 +510,14 @@ def save_archive(evolution: DiscreteEvolution, audits, path,
                  griffith: dict | None = None) -> Path:
     """Write the run as a schema-tagged JSON document and return the
     path. Floats carry 17 significant digits, so loading is lossless;
-    key order and newlines are fixed, so reruns are byte-identical."""
-    doc = _document(evolution, audits, config, jumps, griffith)
+    key order and newlines are fixed, so reruns are byte-identical. The
+    document is serialized before the file is opened, so a save that
+    fails leaves an existing archive as it was."""
+    text = _json_text(_document(evolution, audits, config, jumps, griffith)) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(doc) + "\n")
+        fh.write(text)
     return path
 
 

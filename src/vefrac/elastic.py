@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +57,6 @@ class LinearAmplitude:
 
     c0: float
     c1: float
-    approximate: bool = field(default=False, init=False)
 
     def __call__(self, t: float) -> float:
         return self.c0 + self.c1 * t
@@ -72,8 +71,6 @@ class LinearAmplitude:
 class TableAmplitude:
     """Tabulated a(t): piecewise-linear values, piecewise-constant
     derivative (taken from the interval right of t, left at the end)."""
-
-    approximate = True
 
     def __init__(self, times: Sequence[float], values: Sequence[float]):
         t = np.asarray(times, dtype=float)
@@ -420,7 +417,8 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
         return u, 0.0
     rows = a[free]
     aff = rows[:, free]
-    b = -(rows[:, np.flatnonzero(mask)] @ u[mask])
+    # u is +0 on the free DOFs, so only the constrained columns add
+    b = -(rows @ u)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0

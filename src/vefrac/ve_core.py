@@ -154,11 +154,6 @@ class StabilityReport:
     residual: float
     minimizers: tuple[CrackSet, ...]
     examined: int
-    best_value: float
-
-    @property
-    def is_stable(self) -> bool:
-        return self.residual == 0.0
 
 
 def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
@@ -226,7 +221,7 @@ def _residual(t: float, state: CrackSet, instance: RisInstance,
             "competitor enumeration missed the state itself "
             f"(min {best!r} above E = {own!r})")
     report = StabilityReport(residual=own - best, minimizers=tuple(winners),
-                             examined=examined, best_value=best)
+                             examined=examined)
     instance.residuals[key] = report
     return report
 
@@ -313,10 +308,11 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     """VE jump cost c(t, K-, K+): minimum transition cost over monotone
     chains in the interval lattice between K- and K+.
 
-    Shortest path over gap bitmasks: the node weight R(t, .) is folded
-    into every outgoing hop, so the final state's R is not charged, as
-    in the transition-cost sum. Ties prefer shorter chains, then the
-    lexicographically smallest sequence of intermediate sets.
+    Shortest path over the crack bitmasks between K- and K+; a node's
+    successors add a nonempty submask of K+ \\ node. The node weight
+    R(t, .) is folded into every outgoing hop, so the final state's R is
+    not charged, as in the transition-cost sum. Ties prefer shorter
+    chains, then the smaller tuple of node bitmasks.
 
     K- is scanned in full, which prices the direct hop to K+ and so
     gives a best known cost C. An intermediate node reached at cost c
@@ -326,46 +322,34 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     through the node costs strictly more than C: the node is cut off
     without its full R or its successors. Only strict excess is cut, so
     the cost, the chain, its tie-break and every r_start are those of
-    the full search. Nodes on the returned chain all had their full R.
+    the full search. Nodes on the returned chain all had their full R,
+    so their r_start is read from the instance's residual memo.
     """
     if not k_minus.issubset(k_plus):
         return JumpCostResult(cost=math.inf, chain=None, hops=())
-    gap = k_plus.minus(k_minus).edge_ids
-    g = len(gap)
+    g = k_plus.minus(k_minus).cardinality
     if g > LATTICE_CAP:
         raise ValueError(
             f"gap of {g} edges exceeds the lattice cap {LATTICE_CAP}; "
             "restrict the lattice or raise the cap")
     if g == 0:
         return JumpCostResult(cost=0.0, chain=MonotoneChain([k_minus]), hops=())
-
-    def to_state(mask: int) -> CrackSet:
-        return k_minus.with_edges(gap[i] for i in range(g) if (mask >> i) & 1)
-
-    states: dict[int, CrackSet] = {}
-
-    def state_of(mask: int) -> CrackSet:
-        if mask not in states:
-            states[mask] = to_state(mask)
-        return states[mask]
-
-    # R of every expanded node
-    r_memo: dict[int, float] = {}
-    pruned = 0
-    full = (1 << g) - 1
-    # per node: (cost, chain length, path as tuple of masks)
-    best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 1, (0,))}
+    mesh, start, full = k_minus.mesh, k_minus.bits, k_plus.bits
+    expanded = pruned = 0
+    # per node: (cost, chain length, path of node bitmasks ending at it)
+    best: dict[int, tuple[float, int, tuple[int, ...]]] = {start: (0.0, 1, (start,))}
     finished: set[int] = set()
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 1, (0,), 0)]
+    heap = [best[start]]
     while heap:
-        cost, length, path, node = heapq.heappop(heap)
+        cost, length, path = heapq.heappop(heap)
+        node = path[-1]
         if node in finished:
             continue
         finished.add(node)
         if node == full:
             break
-        here = state_of(node)
-        if node == 0:
+        here = CrackSet(mesh, node)
+        if node == start:
             report = residual_stability(t, here, instance)
         else:
             bound = best[full][0]
@@ -375,29 +359,28 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
             if report is None:
                 pruned += 1
                 continue
-        r_here = r_memo[node] = report.residual
-        free = [i for i in range(g) if not (node >> i) & 1]
-        for extra in range(1, 1 << len(free)):
-            nxt = node
-            for j, i in enumerate(free):
-                if (extra >> j) & 1:
-                    nxt |= 1 << i
-            charged = instance.charges(here, state_of(nxt))
-            hop = r_here + charged.sweep + charged.rate * charged.alpha
+        expanded += 1
+        rest = full & ~node
+        sub = rest
+        while sub:
+            nxt = node | sub
+            charged = instance.charges(here, CrackSet(mesh, nxt))
+            hop = report.residual + charged.sweep + charged.rate * charged.alpha
             cand = (cost + hop, length + 1, path + (nxt,))
             known = best.get(nxt)
             if known is None or cand < known:
                 best[nxt] = cand
-                heapq.heappush(heap, (*cand, nxt))
+                heapq.heappush(heap, cand)
+            sub = (sub - 1) & rest
     cost, _, path = best[full]
-    chain = MonotoneChain([state_of(m) for m in path])
+    chain = MonotoneChain([CrackSet(mesh, m) for m in path])
     hops = []
-    for a, b, m in zip(chain.states, chain.states[1:], path):
+    for a, b in zip(chain.states, chain.states[1:]):
         charged = instance.charges(a, b)
         hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
-                              r_start=r_memo[m]))
+                              r_start=instance.residuals[t, a.bits].residual))
     return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops),
-                          expanded=len(r_memo), pruned=pruned)
+                          expanded=expanded, pruned=pruned)
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,29 @@ def test_build_run_rejects_bad_specs(workdir):
                   root)
 
 
+@pytest.mark.parametrize("amplitude,profile,message", [
+    ("linear(nan, 1)", "builtin:linear-y",
+     "load.amplitude must be a finite number, got nan"),
+    ("linear(0, inf)", "builtin:linear-y",
+     "load.amplitude must be a finite number, got inf"),
+    ("table(amp.tab)", "builtin:linear-y",
+     "malformed number for load.amplitude: 'x'"),
+    ("linear(0, 1)", "prof.txt", "malformed number for load.profile: 'x'"),
+], ids=["nan-coefficient", "inf-coefficient", "table-row", "profile-line"])
+def test_cli_refuses_a_bad_load_before_running(workdir, tmp_path, capsys,
+                                               amplitude, profile, message):
+    (tmp_path / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
+    (tmp_path / "amp.tab").write_text("0 0\n1 x\n")
+    (tmp_path / "prof.txt").write_text("0\nx\n")
+    ini = WELL_INI.format(mode="ve", output="out").replace(
+        "amplitude = linear(0, 1)", f"amplitude = {amplitude}").replace(
+        "profile = builtin:linear-y", f"profile = {profile}")
+    (tmp_path / "run.ini").write_text(ini)
+    assert cli_dispatch(["run", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().out.strip() == f"error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # archives
 # ---------------------------------------------------------------------------
@@ -389,6 +412,13 @@ def test_archive_refuses_non_finite(workdir, tmp_path):
         ledger=StepLedger(*(np.full(2, np.inf) for _ in range(7))))
     with pytest.raises(ArchiveError, match="non-finite"):
         save_archive(evo, None, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+    # a failed save leaves an existing archive as it was
+    good = replace(evo, ledger=StepLedger(*(np.zeros(2) for _ in range(7))))
+    before = save_archive(good, None, tmp_path / "kept.json").read_bytes()
+    with pytest.raises(ArchiveError, match="non-finite"):
+        save_archive(evo, None, tmp_path / "kept.json")
+    assert (tmp_path / "kept.json").read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

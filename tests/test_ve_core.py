@@ -547,6 +547,33 @@ def test_jump_cost_matches_the_unpruned_search(rect9, search, budget, viscous):
     assert (outside > 0) == (search == "greedy" or budget < 5)
 
 
+def test_jump_cost_reads_every_r_start_from_the_residual_memo(rect9):
+    # greedy, gaps of 3 to 5 edges: K+ is no competitor of a node that
+    # lacks two or more of its edges, so such nodes scan without a witness
+    rng = np.random.default_rng(23)
+    cases = unwitnessed = 0
+    for seed in range(3):
+        for hop in (counted_hop, single_edge_hop):
+            for _ in range(8):
+                minus_bits = int(rng.integers(0, 2**9)) & int(rng.integers(0, 2**9))
+                plus_bits = minus_bits | int(rng.integers(0, 2**9))
+                if not 3 <= bin(plus_bits & ~minus_bits).count("1") <= 5:
+                    continue
+                inst = integer_instance(rect9, seed, hop, search="greedy")
+                km, kp = CrackSet(rect9, minus_bits), CrackSet(rect9, plus_bits)
+                got = assert_same_jump_cost(0.0, km, kp, inst)
+                # the memo holds the start node and every expanded node
+                assert (0.0, km.bits) in inst.residuals
+                assert len(inst.residuals) == got.expanded
+                for ledger, state in zip(got.hops, got.chain.states):
+                    assert ledger.r_start == inst.residuals[0.0, state.bits].residual
+                unwitnessed += sum(
+                    not inst.is_competitor(CrackSet(rect9, bits), kp)
+                    for _, bits in inst.residuals if bits != km.bits)
+                cases += 1
+    assert cases > 0 and unwitnessed > 0
+
+
 def test_jump_cost_keeps_a_tie_at_the_bound(rect9):
     # gap {0, 1}: the chain through {1} is found first at cost 2, and the
     # chain through {0} ties it exactly. Its node {0} reaches the bound

@@ -150,10 +150,13 @@ def _text(section: str, key: str, raw: str) -> str:
 
 def _number(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
         raise ConfigError(
             f"malformed number for {section}.{key}: {raw!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {x!r}")
+    return x
 
 
 def _integer(section: str, key: str, raw: str) -> int:
@@ -291,12 +294,7 @@ def _parse_amplitude(spec: str, base: Path):
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"linear amplitude needs two coefficients: {spec!r}")
-        coefficients = [_number("load", "amplitude", p) for p in parts]
-        for x in coefficients:
-            if not math.isfinite(x):
-                raise ConfigError(
-                    f"load.amplitude must be a finite number, got {x!r}")
-        return LinearAmplitude(*coefficients)
+        return LinearAmplitude(*(_number("load", "amplitude", p) for p in parts))
     table_path = _resolve(body.strip(), base)
     rows = []
     for ln in table_path.read_text(encoding="utf-8").splitlines():
@@ -643,7 +641,8 @@ subcommands:
                                       rerun the config across one parameter
 
 exit codes: 0 success (audits report FAIL as data), 1 validation error,
-2 numerical failure.
+2 numerical failure (CG did not converge, or an energy fell below the
+energy floor).
 """
 
 
@@ -954,6 +953,10 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
 }
 
+# ElasticError messages that report a failed computation (exit 2), not
+# an input the run cannot take (exit 1)
+_NUMERICAL_FAILURES = ("CG failed", "energy floor")
+
 _VALIDATION_ERRORS = (ConfigError, ArchiveError, MeshError, GriffithError,
                       ValueError, OSError)
 
@@ -975,7 +978,7 @@ def cli_dispatch(argv) -> int:
     try:
         return handler(argv[1:])
     except ElasticError as exc:
-        if str(exc).startswith("CG failed"):
+        if str(exc).startswith(_NUMERICAL_FAILURES):
             print(f"numerical failure: {exc}")
             return 2
         print(f"error: {exc}")

@@ -34,6 +34,7 @@ import numpy as np
 from .dissipation import DissipationParams, HopCost, hop_cost
 from .elastic import (
     BoundaryLoad,
+    ElasticError,
     LinearAmplitude,
     power_bound_constant,
     solve_on_space,
@@ -291,10 +292,11 @@ class _ScaledEnergyCache:
     minimizer scales linearly in a(t), so E(t,K) = a(t)^2 E1(K) and
     dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing."""
 
-    def __init__(self, mesh: Mesh, load: BoundaryLoad):
+    def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
         self.mesh = mesh
         self.load = load
+        self.floor = floor
         self.unit = BoundaryLoad(profile=load.profile,
                                  amplitude=_UNIT_AMPLITUDE, horizon=load.horizon)
         self._entries: dict[int, tuple[float, float]] = {}
@@ -312,7 +314,13 @@ class _ScaledEnergyCache:
 
     def energy(self, t: float, k: CrackSet) -> float:
         a = self.load.amplitude(t)
-        return a * a * self._entry(k)[0]
+        value = a * a * self._entry(k)[0]
+        if value < self.floor:
+            # the scans skip competitors on the promise E >= floor
+            raise ElasticError(
+                f"energy floor {self.floor!r} undercut: E = {float(value)!r} "
+                f"at t = {float(t)!r} on crack edges {list(k.edge_ids)}")
+        return value
 
     def power(self, t: float, k: CrackSet) -> float:
         a = self.load.amplitude(t)
@@ -320,6 +328,11 @@ class _ScaledEnergyCache:
 
 
 _UNIT_AMPLITUDE = LinearAmplitude(1.0, 0.0)
+
+# Lower bound on every elastic energy. E = 0.5 u.Au is nonnegative up to
+# rounding, and the most negative value seen on any workload or test is
+# -2.0e-15, so this leaves 500x room while still catching a broken solve.
+ENERGY_FLOOR = -1e-12
 
 
 class _HopTable:
@@ -353,8 +366,10 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       stability_rtol: float = 1e-9, viscous: bool = True) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
     instance the scheme can drive; viscous=False gives the energetic
-    scheme."""
-    cache = _ScaledEnergyCache(mesh, load)
+    scheme. Its energies are declared, and checked, to be at least
+    ENERGY_FLOOR, which lets the competitor scans skip whatever D alone
+    prices out."""
+    cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
     hops = _HopTable(mesh, params)
     return RisInstance(
         pool=pool,
@@ -366,6 +381,7 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         search=search,
         stability_rtol=stability_rtol,
         viscous=viscous,
+        energy_floor=ENERGY_FLOOR,
         power_bound=power_bound_constant(load, mesh),
         load=load,
     )

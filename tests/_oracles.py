@@ -245,6 +245,36 @@ def competitors_by_sets(pool, state, search, budget):
     return out
 
 
+def reference_scan(t, source, candidates, instance, stop=None):
+    """The competitor loop without any skipping: min over candidates K of
+    E(t,K) + D(source,K), pricing and evaluating every candidate in the
+    given order. Returns (minimum, winners sorted by the tie-break,
+    candidates examined, E(t, source) or None), or None at the first
+    value v with stop(v) true."""
+    best = math.inf
+    winners = []
+    examined = 0
+    own = None
+    for comp in candidates:
+        examined += 1
+        charged = instance.charges(source, comp)
+        if charged is None:
+            continue
+        energy = instance.energy(t, comp)
+        if comp.bits == source.bits:
+            own = energy
+        value = energy + charged.big_d
+        if stop is not None and stop(value):
+            return None
+        if value < best:
+            best = value
+            winners = [comp]
+        elif value == best:
+            winners.append(comp)
+    winners.sort(key=lambda c: c.sort_key())
+    return best, winners, examined, own
+
+
 def reference_step(t, prev, instance):
     """The incremental step as a min over (objective, *sort_key) tuples:
     exhaustive mode takes the smallest key over the competitors of

@@ -316,12 +316,18 @@ def test_build_run_rejects_bad_specs(workdir):
     ("table(amp.tab)", "builtin:linear-y",
      "malformed number for load.amplitude: 'x'"),
     ("linear(0, 1)", "prof.txt", "malformed number for load.profile: 'x'"),
-], ids=["nan-coefficient", "inf-coefficient", "table-row", "profile-line"])
+    ("table(nan.tab)", "builtin:linear-y",
+     "load.amplitude must be a finite number, got nan"),
+    ("linear(0, 1)", "nan.txt", "load.profile must be a finite number, got nan"),
+], ids=["nan-coefficient", "inf-coefficient", "table-row", "profile-line",
+        "nan-table-row", "nan-profile-line"])
 def test_cli_refuses_a_bad_load_before_running(workdir, tmp_path, capsys,
                                                amplitude, profile, message):
     (tmp_path / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
     (tmp_path / "amp.tab").write_text("0 0\n1 x\n")
     (tmp_path / "prof.txt").write_text("0\nx\n")
+    (tmp_path / "nan.tab").write_text("0 0\n1 nan\n")
+    (tmp_path / "nan.txt").write_text("0\nnan\n")
     ini = WELL_INI.format(mode="ve", output="out").replace(
         "amplitude = linear(0, 1)", f"amplitude = {amplitude}").replace(
         "profile = builtin:linear-y", f"profile = {profile}")
@@ -644,6 +650,19 @@ def test_cli_exit_codes_by_failure_kind(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "read_mesh", other_elastic)
     assert cli_dispatch(["run", str(root / "well.ini")]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_exits_2_when_an_energy_undercuts_the_floor(workdir, capsys,
+                                                      monkeypatch):
+    # the scans skip competitors on the promise E >= floor; a run whose
+    # energies break it is a numerical failure, reported with the floor
+    import vefrac.evolution as evolution
+
+    monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
+    root = workdir["root"]
+    assert cli_dispatch(["run", str(root / "well.ini")]) == 2
+    assert capsys.readouterr().out.startswith(
+        "numerical failure: energy floor 1.0 undercut: E = ")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from vefrac.dissipation import (
     hop_cost,
     var_along,
 )
-from vefrac.elastic import solve_energy
+from vefrac.elastic import ElasticError, solve_energy
 from vefrac.evolution import (
     DiscreteEvolution,
     JumpRecord,
@@ -269,6 +269,19 @@ def test_large_nucleation_price_prevents_growth():
                      CrackSet.empty(inst.mesh))
     assert np.all(evo.ledger.alpha == 0.0)
     assert all(k.is_empty for k in evo.states)
+
+
+def test_energy_below_the_floor_raises(monkeypatch):
+    import vefrac.evolution as evolution
+
+    inst, _ = well_instance()
+    assert inst.energy_floor == evolution.ENERGY_FLOOR == -1e-12
+    # every energy of the well run is >= 0; a floor above them must trip
+    monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
+    inst, _ = well_instance()
+    assert inst.energy_floor == 1.0
+    with pytest.raises(ElasticError, match=r"^energy floor 1\.0 undercut: E = 0\.0 "):
+        run_scheme(inst, TimePartition.uniform(1.0, 2), CrackSet.empty(inst.mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vefrac.benchmarks import rect_grid_mesh
+from vefrac.benchmarks import ramp_load, rect_grid_mesh
 from vefrac.dissipation import (
     DissipationParams,
     HopCost,
@@ -18,11 +18,12 @@ from vefrac.dissipation import (
     dist_d,
     hop_cost,
 )
-from vefrac.evolution import TimePartition, run_scheme
+from vefrac.evolution import TimePartition, fracture_instance, run_scheme
 from vefrac.geometry import CrackSet, h1_diff, h1_measure
 from vefrac.ve_core import (
     MAX_COMPETITORS,
     RisInstance,
+    _scan,
     audit_balance,
     audit_jump_conditions,
     decompose_transition,
@@ -314,6 +315,167 @@ def test_ledger_r_is_a_fresh_residual(rect9, search, viscous):
         assert np.float64(r).tobytes() == np.float64(fresh).tobytes()
     changing = len(evo.changing_steps())
     assert 0 < changing < 12  # both the moving and the frozen path ran
+
+
+# ---------------------------------------------------------------------------
+# the competitor scan in dissipation order
+# ---------------------------------------------------------------------------
+
+def float_bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+def assert_same_scan(got, expected):
+    """Minimum, ordered winners, examined count and E(t, source) as the
+    same floats and sets; or both scans stopped."""
+    if expected is None:
+        assert got is None
+        return
+    best, winners, examined, own = got
+    assert float_bits(best) == float_bits(expected[0])
+    assert [w.bits for w in winners] == [w.bits for w in expected[1]]
+    assert examined == expected[2]
+    assert float_bits(own) == float_bits(expected[3])
+
+
+def grid_fracture_instance(seed, search, viscous):
+    """The elastic instance on a small grid gripped at top and bottom,
+    with a random pool of eight interior edges."""
+    rng = np.random.default_rng(seed)
+    mesh = rect_grid_mesh(int(rng.integers(2, 4)), int(rng.integers(2, 4)),
+                          dirichlet="topbottom")
+    interior = sorted(set(range(mesh.n_edges)) - set(map(int, mesh.dirichlet_edges())))
+    pool = CrackSet.of_edges(mesh, rng.choice(interior, 8, replace=False))
+    load = ramp_load(mesh, horizon=1.0, c1=float(rng.uniform(1.0, 4.0)))
+    return fracture_instance(mesh, load, PARAMS, pool, budget=3, search=search,
+                             viscous=viscous)
+
+
+def small_table_instance(mesh, seed, hop, floor, **kw):
+    """Whole-number energies 0..3, so values tie often, with the floor
+    0 declared or not."""
+    rng = np.random.default_rng(seed)
+    table = {bits: float(rng.integers(0, 4)) for bits in range(1 << mesh.n_edges)}
+    return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
+                       energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
+                       hop=hop, params=PARAMS, budget=3, energy_floor=floor, **kw)
+
+
+def scan_cases(rect9, search, viscous):
+    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
+    for seed in range(3):
+        yield grid_fracture_instance(seed, search, viscous)
+        for hop in (real_hop, counted_hop):
+            for floor in (None, 0.0):
+                yield small_table_instance(rect9, seed, hop, floor, search=search,
+                                           viscous=viscous)
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, viscous):
+    # every scan the scheme and the audits make: R's full scan (the
+    # step's first), greedy's rescans priced from an earlier state, and
+    # jump_cost's cut scans, with and without K+ moved to the front
+    skipped = cut = 0
+    for case, inst in enumerate(scan_cases(rect9, search, viscous)):
+        asked = []
+        energy = inst.energy
+        inst = replace(inst, energy=lambda t, k: asked.append(k.bits) or energy(t, k))
+        rng = np.random.default_rng(case)
+        pool = inst.pool.edge_ids
+        mesh = inst.mesh
+
+        def both(t, source, candidates, stop=None):
+            candidates = list(candidates)
+            asked.clear()
+            expected = oracle.reference_scan(t, source, candidates, inst, stop)
+            reference_asks = list(asked)
+            asked.clear()
+            got = _scan(t, source, candidates, inst, stop)
+            assert_same_scan(got, expected)
+            if inst.energy_floor is None:
+                assert asked == reference_asks
+            else:
+                assert set(asked) <= set(reference_asks)
+            return expected, len(reference_asks) - len(asked)
+
+        for _ in range(3):
+            t = float(rng.uniform(0.2, 1.0))
+            state = CrackSet.of_edges(
+                mesh, rng.choice(pool, int(rng.integers(0, 3)), replace=False))
+            expected, saved = both(t, state, inst.competitors(state))
+            skipped += saved
+            report = residual_stability(t, state, inst)
+            assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
+            assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
+            assert report.examined == expected[2]
+            free = inst.pool.minus(state).edge_ids
+            later = state.with_edges([free[int(rng.integers(0, len(free)))]])
+            skipped += both(t, state, inst.competitors(later))[1]
+            # cut scans stop where c + (E(t, state) - v) exceeds a bound;
+            # the bound equal to R is the tie at the bound, never cut
+            own, r = expected[3], expected[3] - expected[0]
+            competitors = list(inst.competitors(state))
+            witness = competitors[int(rng.integers(0, len(competitors)))]
+            front = [witness] + [c for c in competitors if c.bits != witness.bits]
+            for bound in (r, 0.5 * r, 0.0):
+                for order in (competitors, front):
+                    scanned, _ = both(t, state, order,
+                                      stop=lambda v, b=bound: 0.0 + (own - v) > b)
+                    cut += scanned is None
+    assert skipped > 0 and cut > 0
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_jump_cost_with_a_floor_matches_the_plain_search(rect9, search, viscous):
+    # jump_cost on a floored instance against the unpruned lattice search
+    # on a copy whose scans evaluate every competitor in order
+    for seed in range(2):
+        inst = grid_fracture_instance(seed, search, viscous)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(3):
+            gap = rng.choice(inst.pool.edge_ids, 4, replace=False)
+            km = CrackSet.of_edges(inst.mesh, gap[:int(rng.integers(0, 2))])
+            kp = km.with_edges(gap[1:])
+            t = float(rng.uniform(0.2, 1.0))
+            expected = oracle.reference_jump_cost(
+                t, km, kp, replace(inst, energy_floor=None))
+            got = jump_cost(t, km, kp, inst)
+            assert float_bits(got.cost) == float_bits(expected.cost)
+            assert [s.bits for s in got.chain] == [s.bits for s in expected.chain]
+            assert got.hops == expected.hops
+
+
+def test_scan_keeps_an_exact_tie_between_different_dissipations(rect9):
+    # {0} costs E 1 + D 2 and {1} costs E 2 + D 1: both 3.0 exactly. D
+    # order meets {1} first, the tie-break still lists {0} first, and
+    # {2} (D 4 above the best 3 over the floor 0) is never evaluated
+    weight = {0: 2.0, 1: 1.0, 2: 4.0}
+
+    def hop(h, k):
+        if not h.issubset(k):
+            return None
+        return HopCost(h1=sum(weight[e] for e in k.minus(h).edge_ids),
+                       sweep=0.0, alpha=0.0)
+
+    table = {0b000: 5.0, 0b001: 1.0, 0b010: 2.0, 0b100: 0.0}
+    asked = []
+    inst = RisInstance(pool=CrackSet.of_edges(rect9, [0, 1, 2]),
+                       energy=lambda t, k: asked.append(k.bits) or table[k.bits],
+                       power=lambda t, k: 0.0, hop=hop, params=PARAMS, budget=1,
+                       energy_floor=0.0)
+    empty = CrackSet.empty(rect9)
+    expected = oracle.reference_scan(0.0, empty, inst.competitors(empty), inst)
+    assert asked == [0b000, 0b001, 0b010, 0b100]
+    asked.clear()
+    report = residual_stability(0.0, empty, inst)
+    assert asked == [0b000, 0b010, 0b001]
+    assert [m.bits for m in report.minimizers] == [0b001, 0b010]
+    assert [w.bits for w in expected[1]] == [0b001, 0b010]
+    assert report.residual == expected[3] - expected[0] == 2.0
+    assert report.examined == expected[2] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import (
+    coo_tocsr,
+    csr_diagonal,
+    csr_has_sorted_indices,
+    csr_matvec,
+    csr_sort_indices,
+    csr_sum_duplicates,
+)
 from scipy.sparse.csgraph import connected_components as connected_components_graph
 
 from .geometry import INTERIOR, CrackSet, Mesh, MeshError, connected_components, union_groups
@@ -45,6 +52,7 @@ __all__ = [
 ]
 
 CG_RTOL = 1e-10
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class ElasticError(Exception):
@@ -255,6 +263,7 @@ class CrackedSpace:
         self._build_dofs(tables, crack_ids)
         self._build_components(tables, crack_ids, cracked)
         self._build_dirichlet(tables, cracked)
+        self._csr = None
         self._stiffness = None
 
     def _build_dofs(self, tables: _MeshTables, crack_ids: tuple):
@@ -326,9 +335,18 @@ class CrackedSpace:
         mask[self.pinned_dofs] = True
         self.constrained_mask = mask
 
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stiffness as raw CSR arrays (indptr, indices, data), the
+        bytes `coo_matrix(...).tocsr()` would hold."""
+        if self._csr is None:
+            self._csr = _assemble_csr(self)
+        return self._csr
+
     def stiffness(self) -> sp.csr_matrix:
         if self._stiffness is None:
-            self._stiffness = _assemble_stiffness(self)
+            indptr, indices, data = self.csr_arrays()
+            self._stiffness = sp.csr_matrix((data, indices, indptr),
+                                            shape=(self.n_dofs, self.n_dofs))
         return self._stiffness
 
     def dof_positions(self) -> np.ndarray:
@@ -382,23 +400,91 @@ def energy_on_triangles(space: CrackedSpace, u: np.ndarray, tri_ids) -> float:
     return 0.5 * float(np.einsum("td,td,t->", g, g, area))
 
 
-def _assemble_stiffness(space: CrackedSpace) -> sp.csr_matrix:
-    rows = np.repeat(space.tri_dofs, 3, axis=1).ravel()
-    cols = np.tile(space.tri_dofs, (1, 3)).ravel()
-    mat = sp.coo_matrix((_mesh_tables(space.mesh).local, (rows, cols)),
-                        shape=(space.n_dofs, space.n_dofs))
-    return mat.tocsr()
+def _assemble_csr(space: CrackedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the element matrices with the kernels `coo_matrix.tocsr`
+    calls, in its order, so the CSR bytes are scipy's own: bucket by row,
+    sort each row's columns unless all rows are sorted already, then sum
+    duplicates in place."""
+    n = space.n_dofs
+    local = _mesh_tables(space.mesh).local
+    idx = np.int32 if max(local.size, n) <= _INT32_MAX else np.int64
+    tri_dofs = space.tri_dofs.astype(idx)
+    # entry 9*t + 3*i + j of the element matrices is (slot i, slot j)
+    rows = tri_dofs[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    cols = tri_dofs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    indptr = np.empty(n + 1, dtype=idx)
+    indices = np.empty(local.size, dtype=idx)
+    data = np.empty(local.size)
+    coo_tocsr(n, n, local.size, rows, cols, local, indptr, indices, data)
+    if not csr_has_sorted_indices(n, indptr, indices):
+        csr_sort_indices(n, indptr, indices, data)
+    csr_sum_duplicates(n, n, indptr, indices, data)
+    nnz = int(indptr[-1])
+    return indptr, indices[:nnz], data[:nnz]
 
 
 @dataclass(frozen=True)
 class EnergySolution:
-    """Energy value, nodal field per DOF, solver residual, and the space
-    the field lives on."""
+    """Energy value, nodal field per DOF, solver residual, the space the
+    field lives on, and the stiffness times the field (`au` = A u)."""
 
     energy: float
     u: np.ndarray
     residual: float
     space: CrackedSpace
+    au: np.ndarray
+
+
+def _matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """A x for a square CSR matrix, as `csr_matrix @ x` computes it."""
+    y = np.zeros(x.size)
+    csr_matvec(x.size, x.size, indptr, indices, data, x, y)
+    return y
+
+
+def _free_block(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                free_mask: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The free x free block of a square CSR matrix as `a[free][:, free]`
+    holds it: the kept entries copied in row order, columns renumbered."""
+    kept = (np.repeat(free_mask, indptr[1:] - indptr[:-1])
+            & free_mask[indices]).nonzero()[0]
+    renumber = np.empty(free_mask.size, dtype=np.intp)
+    renumber[free] = np.arange(free.size)
+    starts = indptr[np.concatenate((free, [free_mask.size]))]
+    return np.searchsorted(kept, starts), renumber[indices[kept]], data[kept]
+
+
+def _cg_maxiter(n_free: int) -> int:
+    return max(2000, 20 * n_free)
+
+
+def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+        b: np.ndarray, diag: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
+    """`spla.cg(A, b, rtol=CG_RTOL, atol=0, M=x -> x / diag, maxiter)` on
+    a CSR matrix, operation for operation, so x and info are scipy's bit
+    for bit: the same products, reductions and updates in the same order,
+    without its operator wrappers."""
+    atol = max(0.0, CG_RTOL * math.sqrt(b.dot(b)))
+    x = np.zeros(b.size)
+    r = b.copy()
+    p = rho_prev = None
+    for iteration in range(maxiter):
+        if math.sqrt(r.dot(r)) < atol:
+            return x, 0
+        z = r / diag
+        rho_cur = r.dot(z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z
+        q = _matvec(indptr, indices, data, p)
+        alpha = rho_cur / p.dot(q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+    return x, maxiter
 
 
 def _solve_constrained(space: CrackedSpace, values: np.ndarray,
@@ -407,26 +493,28 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     DOFs (by default Dirichlet + pinned; probes pass their own mask).
     Returns the full field and the relative residual of the reduced
     system."""
-    a = space.stiffness()
+    indptr, indices, data = space.csr_arrays()
     if mask is None:
         mask = space.constrained_mask
-    u = np.zeros(space.n_dofs)
+    n = space.n_dofs
+    u = np.zeros(n)
     u[mask] = values[mask]
-    free = np.flatnonzero(~mask)
+    free_mask = ~mask
+    free = free_mask.nonzero()[0]
     if free.size == 0:
         return u, 0.0
-    rows = a[free]
-    aff = rows[:, free]
-    # u is +0 on the free DOFs, so only the constrained columns add
-    b = -(rows @ u)
-    bnorm = float(np.linalg.norm(b))
+    # u is +0 on the free DOFs, so only the constrained columns add; a
+    # row's sum does not depend on which other rows are computed
+    b = -_matvec(indptr, indices, data, u)[free]
+    bnorm = math.sqrt(b.dot(b))
     if bnorm == 0.0:
         return u, 0.0
-    diag = aff.diagonal()
-    precond = spla.LinearOperator(aff.shape, matvec=lambda x: x / diag)
-    x, info = spla.cg(aff, b, rtol=CG_RTOL, atol=0.0, M=precond,
-                      maxiter=max(2000, 20 * free.size))
-    residual = float(np.linalg.norm(aff @ x - b)) / bnorm
+    diag = np.empty(n)
+    csr_diagonal(0, n, n, indptr, indices, data, diag)
+    block = _free_block(indptr, indices, data, free_mask, free)
+    x, info = _cg(*block, b, diag[free], _cg_maxiter(free.size))
+    res = _matvec(*block, x) - b
+    residual = math.sqrt(res.dot(res)) / bnorm
     if info != 0:
         raise ElasticError(f"CG failed to converge (info={info}, residual={residual:.3e})")
     u[free] = x
@@ -452,8 +540,9 @@ def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergyS
     values = np.zeros(space.n_dofs)
     values[space.dirichlet_dofs] = at * load.profile[space.dof_vertex[space.dirichlet_dofs]]
     u, residual = _solve_constrained(space, values)
-    energy = 0.5 * float(u @ (space.stiffness() @ u))
-    return EnergySolution(energy=energy, u=u, residual=residual, space=space)
+    au = _matvec(*space.csr_arrays(), u)
+    return EnergySolution(energy=0.5 * float(u @ au), u=u, residual=residual,
+                          space=space, au=au)
 
 
 def power(t: float, crack: CrackSet, load: BoundaryLoad,
@@ -469,7 +558,7 @@ def power(t: float, crack: CrackSet, load: BoundaryLoad,
         solution = solve_energy(t, crack, load)
     space = solution.space
     g = load.profile[space.dof_vertex]
-    return load.amplitude.derivative(t) * float(g @ (space.stiffness() @ solution.u))
+    return load.amplitude.derivative(t) * float(g @ solution.au)
 
 
 def power_bound_constant(load: BoundaryLoad, mesh: Mesh) -> float:

@@ -523,25 +523,38 @@ def reference_stiffness(mesh, tri_dofs, n_dofs):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
 
-def reference_solve(a, mask, values, rtol=1e-10):
-    """Jacobi-preconditioned CG on the reduced system built by fancy
-    indexing; returns (field, relative residual)."""
-    import scipy.sparse.linalg as spla
-
+def reference_reduced_system(a, mask, values):
+    """The field fixed on the constrained DOFs (zero elsewhere), the free
+    DOFs, and the reduced system on them built by fancy indexing: the
+    free x free block and the right-hand side."""
     u = np.zeros(len(mask))
     u[mask] = values[mask]
     free = np.flatnonzero(~mask)
-    if free.size == 0:
-        return u, 0.0
     aff = a[free][:, free]
     b = -(a[free][:, np.flatnonzero(mask)] @ u[mask])
+    return u, free, aff, b
+
+
+def reference_cg(aff, b, maxiter, rtol=1e-10):
+    """scipy's CG with the Jacobi preconditioner x -> x / diag(aff);
+    returns (x, info)."""
+    import scipy.sparse.linalg as spla
+
+    diag = aff.diagonal()
+    precond = spla.LinearOperator(aff.shape, matvec=lambda x: x / diag)
+    return spla.cg(aff, b, rtol=rtol, atol=0.0, M=precond, maxiter=maxiter)
+
+
+def reference_solve(a, mask, values, rtol=1e-10):
+    """Jacobi-preconditioned CG on the reduced system built by fancy
+    indexing; returns (field, relative residual)."""
+    u, free, aff, b = reference_reduced_system(a, mask, values)
+    if free.size == 0:
+        return u, 0.0
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u, 0.0
-    diag = aff.diagonal()
-    precond = spla.LinearOperator(aff.shape, matvec=lambda x: x / diag)
-    x, info = spla.cg(aff, b, rtol=rtol, atol=0.0, M=precond,
-                      maxiter=max(2000, 20 * free.size))
+    x, info = reference_cg(aff, b, max(2000, 20 * free.size), rtol=rtol)
     assert info == 0
     u[free] = x
     return u, float(np.linalg.norm(aff @ x - b)) / bnorm

@@ -652,6 +652,17 @@ def test_cli_exit_codes_by_failure_kind(workdir, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().out
 
 
+def test_cli_exits_2_when_cg_hits_its_cap(workdir, capsys, monkeypatch):
+    import vefrac.elastic as elastic
+
+    monkeypatch.setattr(elastic, "_cg_maxiter", lambda n_free: 1)
+    root = workdir["root"]
+    assert cli_dispatch(["run", str(root / "well.ini")]) == 2
+    assert re.fullmatch(
+        r"numerical failure: CG failed to converge \(info=1, residual=\d\.\d{3}e[+-]\d\d\)\n",
+        capsys.readouterr().out)
+
+
 def test_cli_exits_2_when_an_energy_undercuts_the_floor(workdir, capsys,
                                                       monkeypatch):
     # the scans skip competitors on the promise E >= floor; a run whose

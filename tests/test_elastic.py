@@ -13,6 +13,7 @@ from vefrac.benchmarks import (
     square_grid_mesh,
     unit_square_mesh,
 )
+from vefrac import elastic
 from vefrac.elastic import (
     BoundaryLoad,
     ElasticError,
@@ -110,6 +111,9 @@ def assert_space_matches_reference(mesh, crack):
     a = space.stiffness()
     want_a = oracle.reference_stiffness(mesh, ref["tri_dofs"], ref["n_dofs"])
     assert_csr_equal(a, want_a)
+    for got, name in zip(space.csr_arrays(), ("indptr", "indices", "data")):
+        want = getattr(want_a, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     mask = ref["constrained_mask"]
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     load = BoundaryLoad(profile=y + 0.25 * x * x, amplitude=LinearAmplitude(0.5, 1.0),
@@ -119,9 +123,11 @@ def assert_space_matches_reference(mesh, crack):
     dirichlet = ref["dirichlet_dofs"]
     values[dirichlet] = load.amplitude(0.75) * load.profile[ref["dof_vertex"][dirichlet]]
     u, residual = oracle.reference_solve(want_a, mask, values)
-    assert np.array_equal(sol.u, u)
+    assert sol.u.tobytes() == u.tobytes()
     assert sol.residual == residual
+    assert sol.au.tobytes() == (want_a @ u).tobytes()
     assert sol.energy == 0.5 * float(u @ (want_a @ u))
+    return space
 
 
 def _two_squares_at_a_corner():
@@ -202,6 +208,117 @@ def test_space_matches_reference_on_pinched_and_edgeless_meshes():
     for mesh in (bow_tie, triangle, pinched):
         for bits in range(min(1 << mesh.n_edges, 512)):
             assert_space_matches_reference(mesh, CrackSet(mesh, bits))
+
+
+# ---------------------------------------------------------------------------
+# the FEM solve against scipy: CSR assembly, reduced blocks, Jacobi-CG
+# ---------------------------------------------------------------------------
+
+def _ring(mesh, centre):
+    """The link of an interior vertex: cutting it frees the vertex's fan
+    as a component no Dirichlet datum sees."""
+    edges = mesh.edges.tolist()
+    star = {b if a == centre else a for a, b in edges if centre in (a, b)}
+    return CrackSet.of_edges(mesh, [e for e, (a, b) in enumerate(edges)
+                                    if a in star and b in star])
+
+
+def _workload_mesh(name):
+    """The mesh of a benchmark workload and a crack of the kind its run
+    meets."""
+    if name == "grid":
+        mesh = square_grid_mesh(4, dirichlet="topbottom")
+        return mesh, CrackSet.of_vertex_pairs(mesh, [(11, 12), (12, 13)])
+    if name == "strip":
+        mesh, _, k0, _, _ = growth_strip(pool_span=10)
+        return mesh, k0
+    mesh = square_grid_mesh(48, dirichlet="topbottom")
+    return mesh, CrackSet.of_vertex_pairs(mesh, [(1198, 1199), (1199, 1200)])
+
+
+@pytest.mark.parametrize("mesh_name", ["grid", "strip"])
+def test_solve_matches_reference_on_workload_meshes(mesh_name):
+    mesh, crack = _workload_mesh(mesh_name)
+    rng = np.random.default_rng(29)
+    interior = [v for v in range(mesh.n_vertices)
+                if 0 < mesh.vertices[v, 1] < 1 and 0 < mesh.vertices[v, 0]
+                < mesh.vertices[:, 0].max()]
+    cracks = [crack, _ring(mesh, interior[len(interior) // 2])]
+    for size in [1, 2, 3, 5, 8, 13] * 6:
+        picked = CrackSet.of_edges(mesh, rng.choice(mesh.n_edges, size, replace=False))
+        cracks += [picked, picked.union(_ring(mesh, int(rng.choice(interior))))]
+    pinned = sum(len(assert_space_matches_reference(mesh, k).pinned_dofs) > 0
+                 for k in cracks)
+    assert pinned >= 36
+    assert len(split_along_crack(mesh, cracks[1]).pinned_dofs) == 1
+
+
+def test_solve_early_returns_match_reference(grid4_tb, monkeypatch):
+    def no_cg(*args):
+        raise AssertionError("CG must not run")
+
+    monkeypatch.setattr(elastic, "_cg", no_cg)
+    space = split_along_crack(grid4_tb, CrackSet.of_vertex_pairs(grid4_tb, [(11, 12)]))
+    want_a = oracle.reference_stiffness(grid4_tb, space.tri_dofs, space.n_dofs)
+    values = np.random.default_rng(3).normal(size=space.n_dofs)
+    # every DOF constrained: the field is the data
+    everything = np.ones(space.n_dofs, dtype=bool)
+    u, residual = elastic._solve_constrained(space, values, mask=everything)
+    want_u, want_residual = oracle.reference_solve(want_a, everything, values)
+    assert u.tobytes() == want_u.tobytes() == values.tobytes()
+    assert residual == want_residual == 0.0
+    # zero data: b = 0
+    zero = np.zeros(space.n_dofs)
+    u, residual = elastic._solve_constrained(space, zero)
+    want_u, want_residual = oracle.reference_solve(want_a, space.constrained_mask, zero)
+    assert u.tobytes() == want_u.tobytes() == zero.tobytes()
+    assert residual == want_residual == 0.0
+    load = ramp_load(grid4_tb)
+    sol = solve_on_space(0.0, space, load)
+    assert sol.energy == 0.0 and sol.residual == 0.0 and not sol.u.any()
+
+
+@pytest.mark.parametrize("mesh_name", ["grid", "strip", "fine"])
+def test_cg_matches_scipy_at_every_iteration_cap(mesh_name):
+    """The CG copy stops where scipy's CG stops and holds its iterate
+    bit for bit, for maxiter = 1, 2, ... up to convergence."""
+    mesh, crack = _workload_mesh(mesh_name)
+    space = split_along_crack(mesh, crack)
+    a = oracle.reference_stiffness(mesh, space.tri_dofs, space.n_dofs)
+    values = np.zeros(space.n_dofs)
+    values[space.dirichlet_dofs] = linear_y_profile(mesh)[space.dof_vertex[space.dirichlet_dofs]]
+    mask = space.constrained_mask
+    _, free, aff, b = oracle.reference_reduced_system(a, mask, values)
+    block = elastic._free_block(*space.csr_arrays(), ~mask, free)
+    for got, name in zip(block, ("indptr", "indices", "data")):
+        assert np.array_equal(got, getattr(aff, name)), name
+    assert block[2].tobytes() == aff.data.tobytes()
+    diag = aff.diagonal()
+    for cap in range(1, 10_000):
+        x, info = elastic._cg(*block, b, diag, cap)
+        want_x, want_info = oracle.reference_cg(aff, b, cap)
+        assert x.tobytes() == want_x.tobytes(), cap
+        assert info == want_info, cap
+        if info == 0:
+            break
+    assert info == 0 and cap > 5
+
+
+def test_solve_stops_at_its_iteration_cap(monkeypatch):
+    mesh, crack = _workload_mesh("grid")
+    space = split_along_crack(mesh, crack)
+    load = ramp_load(mesh)
+    a = oracle.reference_stiffness(mesh, space.tri_dofs, space.n_dofs)
+    values = np.zeros(space.n_dofs)
+    values[space.dirichlet_dofs] = load.profile[space.dof_vertex[space.dirichlet_dofs]]
+    _, _, aff, b = oracle.reference_reduced_system(a, space.constrained_mask, values)
+    x, info = oracle.reference_cg(aff, b, 1)
+    assert info == 1
+    residual = float(np.linalg.norm(aff @ x - b)) / float(np.linalg.norm(b))
+    monkeypatch.setattr(elastic, "_cg_maxiter", lambda n_free: 1)
+    with pytest.raises(ElasticError) as err:
+        solve_on_space(1.0, space, load)
+    assert str(err.value) == f"CG failed to converge (info=1, residual={residual:.3e})"
 
 
 def test_dirichlet_release_on_cracked_boundary_edge(grid4_tb):

@@ -340,6 +340,34 @@ def test_probe_identity_is_exactly_zero(strip):
     assert rep2.residuals == (0.0,)
 
 
+def test_probe_solves_match_the_reference(strip, monkeypatch):
+    # the probes re-minimize inside the ball under their own mask
+    import _oracles as oracle
+    from vefrac import griffith
+
+    calls = []
+    solve = griffith._solve_constrained
+
+    def recorded(space, values, mask=None):
+        got = solve(space, values, mask=mask)
+        calls.append((space, values, mask, got))
+        return got
+
+    monkeypatch.setattr(griffith, "_solve_constrained", recorded)
+    mesh, _, _, _, _, inst, evo = strip
+    for j in (5, 30, 45):
+        state = evo.states[j]
+        local_stability_probe(float(evo.partition.times[j]), state,
+                              _tip_point(mesh, state), 0.3, inst)
+    assert len(calls) >= 3
+    for space, values, mask, (u, residual) in calls:
+        assert mask is not None and mask.sum() < space.n_dofs
+        a = oracle.reference_stiffness(mesh, space.tri_dofs, space.n_dofs)
+        want_u, want_residual = oracle.reference_solve(a, mask, values)
+        assert u.tobytes() == want_u.tobytes()
+        assert residual == want_residual
+
+
 def test_probe_accepts_stable_states(strip):
     mesh, _, _, _, _, inst, evo = strip
     for j in (5, 15, 30, 45):

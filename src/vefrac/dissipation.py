@@ -11,13 +11,18 @@ Every cost is a float, and math.inf when the inclusion H ⊆ K fails,
 so sums along a chain stay +infinity once one hop is illegal. None
 marks a missing record only: hop_cost returns None for H ⊄ K.
 
-A hop H -> K is priced once by hop_cost into a HopCost record (new
-length, sweep integral, nucleation count); HopCost.charges turns that
-record into d, delta and D, the only place that arithmetic is written.
+A hop H -> K is priced into a HopCost record (new length, sweep
+integral, nucleation count) by a HopPricer of its source H, which keeps
+what every hop out of H shares: H's vertices and segments and a table of
+quadrature distance rows per new edge. hop_cost, atw_integral and alpha
+read one fresh pricer; the fracture instance keeps the pricer of its
+current source. HopCost.charges turns a record into d, delta and D, the
+only place that arithmetic is written.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -27,9 +32,9 @@ import numpy as np
 from .geometry import (
     CrackSet,
     _require_same_mesh,
-    connected_components,
     dist_points_to_segments,
     h1_diff,
+    union_groups,
 )
 
 # Uniform panels per edge in the composite ATW quadrature.
@@ -41,6 +46,7 @@ __all__ = [
     "HopCost",
     "HopCharges",
     "hop_cost",
+    "HopPricer",
     "alpha",
     "dist_d",
     "atw_integral",
@@ -109,16 +115,14 @@ class MonotoneChain:
 def alpha(h: CrackSet, k: CrackSet) -> float:
     """Number of connected components of K sharing no vertex with H,
     when H ⊆ K; +infinity otherwise. This is the count of cracks that
-    nucleate away from the existing set in the transition H -> K."""
-    _require_same_mesh(h, k)
-    if not h.issubset(k):
-        return math.inf
-    if k.is_empty:
-        return 0.0
-    h_vertices = h.vertex_ids()
-    count = sum(1 for comp in connected_components(k)
-                if not (comp.vertex_ids() & h_vertices))
-    return float(count)
+    nucleate away from the existing set in the transition H -> K.
+
+    Such a component holds no edge of H, so it is also a component of
+    the new edges K \\ H, and a component of the new edges that touches
+    no vertex of H is one of K. alpha is therefore the number of
+    components of K \\ H touching no vertex of H, which is how
+    HopPricer counts it."""
+    return HopPricer(h).alpha(k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,29 +145,7 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     Distance to the empty set is the domain diameter, so
     Delta(empty, K) = diam * H1(K) without any quadrature error.
     """
-    _require_same_mesh(h, k)
-    if not h.issubset(k):
-        return math.inf
-    mesh = h.mesh
-    new_ids = k.minus(h).edge_ids
-    if not new_ids:
-        return 0.0
-    lengths = mesh.edge_lengths[list(new_ids)]
-    if h.is_empty:
-        return mesh.domain_diameter * math.fsum(lengths)
-    # Composite rule: dist(., H) is only piecewise smooth along an edge
-    # (the nearest feature of H changes), so a single Gauss panel stalls
-    # at a few percent no matter the order. Uniform panels with the
-    # requested order per panel stay exact for linear integrands and
-    # push the kink error below the dense-sampling oracle's tolerance.
-    t, w = _atw_rule(params.quadrature_order)
-    a, b = mesh.segment_endpoints(new_ids)
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    ha, hb = mesh.segment_endpoints(h.edge_ids)
-    dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
-    dists = dists.reshape(len(new_ids), len(t))
-    per_edge = lengths * (dists @ w)
-    return math.fsum(per_edge)
+    return HopPricer(h, params).sweep(k)
 
 
 class HopCharges(NamedTuple):
@@ -208,11 +190,107 @@ class HopCost:
 def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
     """Price the hop H -> K: one alpha, one sweep integral and one H1
     difference. None when H ⊄ K, where every cost of the hop is +inf."""
-    a = alpha(h, k)
-    if a == math.inf:
-        return None
-    return HopCost(h1=h1_diff(h, k), sweep=atw_integral(h, k, params),
-                   alpha=a)
+    return HopPricer(h, params).hop(k)
+
+
+class HopPricer:
+    """Prices the hops H -> K out of one source H.
+
+    Every quantity of a hop is read off its new edges K \\ H. h1 is the
+    fsum of their lengths. alpha counts their components that touch no
+    vertex of H, by a union-find in which H's vertices are one node.
+    The sweep integral weighs, per new edge, the distances dist(., H)
+    at the quadrature points of `_atw_rule` (a row) by the rule's
+    weights. A row is computed point by point, so its bits do not depend
+    on the batch it was computed in, and rows are kept per edge. The
+    weighted sum `rows @ w` is a gemv whose rounding depends on how many
+    rows it takes, so each hop runs it on the block of its own new
+    edges, in ascending order, as pricing that hop alone would.
+
+    A hop computes the rows of its new edges that no earlier hop of
+    this source needed, in one batch. params may be None for a pricer
+    that only counts alpha.
+    """
+
+    def __init__(self, h: CrackSet, params: DissipationParams | None = None):
+        self.source = h
+        self.params = params
+        mesh = self.mesh = h.mesh
+        self._h_ids = h.edge_ids
+        self._h_vertices = frozenset(mesh.edges[list(self._h_ids)].ravel().tolist())
+        self._slots: dict[int, int] = {}
+        self._rows = np.empty((0, 0))
+
+    def _new_edges(self, k: CrackSet) -> tuple | None:
+        """Edge ids of K \\ H, ascending; None when H ⊄ K."""
+        _require_same_mesh(self.source, k)
+        h = self.source.bits
+        if k.bits & h != h:
+            return None
+        return CrackSet(self.mesh, k.bits & ~h).edge_ids
+
+    def hop(self, k: CrackSet) -> HopCost | None:
+        """The HopCost record of H -> K; None when H ⊄ K."""
+        new_ids = self._new_edges(k)
+        if new_ids is None:
+            return None
+        lengths = self.mesh.edge_lengths[list(new_ids)]
+        return HopCost(h1=math.fsum(lengths),
+                       sweep=self._sweep(new_ids, lengths),
+                       alpha=self._alpha(new_ids))
+
+    def alpha(self, k: CrackSet) -> float:
+        """alpha(H, K), +infinity when H ⊄ K."""
+        new_ids = self._new_edges(k)
+        return math.inf if new_ids is None else self._alpha(new_ids)
+
+    def sweep(self, k: CrackSet) -> float:
+        """Delta(H, K), +infinity when H ⊄ K."""
+        new_ids = self._new_edges(k)
+        if new_ids is None:
+            return math.inf
+        return self._sweep(new_ids, self.mesh.edge_lengths[list(new_ids)])
+
+    def _alpha(self, new_ids: tuple) -> float:
+        h_vertices = self._h_vertices
+        # -1 stands for all of H's vertices at once
+        links = [(-1 if a in h_vertices else a, -1 if b in h_vertices else b)
+                 for a, b in self.mesh.edges[list(new_ids)].tolist()]
+        nodes = list(dict.fromkeys(itertools.chain.from_iterable(links)))
+        count = len(union_groups(nodes, links))
+        if -1 in nodes:
+            count -= 1
+        return float(count)
+
+    def _sweep(self, new_ids: tuple, lengths: np.ndarray) -> float:
+        if not new_ids:
+            return 0.0
+        if self.source.is_empty:
+            return self.mesh.domain_diameter * math.fsum(lengths)
+        # Composite rule: dist(., H) is only piecewise smooth along an edge
+        # (the nearest feature of H changes), so a single Gauss panel stalls
+        # at a few percent no matter the order. Uniform panels with the
+        # requested order per panel stay exact for linear integrands and
+        # push the kink error below the dense-sampling oracle's tolerance.
+        t, w = _atw_rule(self.params.quadrature_order)
+        self._fill(new_ids, t)
+        slots = self._slots
+        dists = self._rows[[slots[e] for e in new_ids]]
+        return math.fsum(lengths * (dists @ w))
+
+    def _fill(self, edge_ids: tuple, t: np.ndarray) -> None:
+        """Compute the missing rows of `edge_ids` in one batch."""
+        missing = [e for e in edge_ids if e not in self._slots]
+        if not missing:
+            return
+        a, b = self.mesh.segment_endpoints(missing)
+        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        ha, hb = self.mesh.segment_endpoints(self._h_ids)
+        dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
+        rows = dists.reshape(len(missing), len(t))
+        self._rows = np.concatenate([self._rows, rows]) if self._slots else rows
+        for e in missing:
+            self._slots[e] = len(self._slots)
 
 
 def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:

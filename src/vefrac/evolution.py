@@ -19,9 +19,12 @@ bilinear value. Its hop callback prices each hop once per source
 state: the scheme asks for the hops out of one state many times over
 (the step, its ledger row, the residual R of a frozen state, the next
 step from it), so the instance keeps one HopCost record per competitor
-K for the most recent source H. The energetic mode is the same instance
-with its viscous flag off, charging the same records without their
-sweep integral and mu term.
+K for the most recent source H. The records come from one HopPricer of
+H, which keeps the ATW distance rows of the new edges its hops have
+needed and prices each hop from the rows of its new edges, bit for bit
+as hop_cost does. The energetic mode is the same instance with its
+viscous flag off, charging the same records without their sweep
+integral and mu term.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dissipation import DissipationParams, HopCost, hop_cost
+from .dissipation import DissipationParams, HopCost, HopPricer
 from .elastic import (
     BoundaryLoad,
     ElasticError,
@@ -337,27 +340,28 @@ ENERGY_FLOOR = -1e-12
 
 class _HopTable:
     """HopCost records of the hops out of the most recent source state,
-    keyed by the target's bits. Asking for a hop from another source
-    replaces the table, so it never holds more than one state's
-    competitors. Records are pure functions of (H, K, params), which is
-    what lets an instance copied by dataclasses.replace (as
-    energetic_mode makes) share them."""
+    keyed by the target's bits, and the HopPricer they come from. Asking
+    for a hop from another source replaces both, so the table never
+    holds more than one state's competitors. Records are pure functions
+    of (H, K, params), which is what lets an instance copied by
+    dataclasses.replace (as energetic_mode makes) share them."""
 
     def __init__(self, mesh: Mesh, params: DissipationParams):
         self.mesh = mesh
         self.params = params
-        self._source: int | None = None
+        self._pricer: HopPricer | None = None
         self._hops: dict[int, HopCost | None] = {}
 
     def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
         if not (h.mesh is k.mesh is self.mesh):
             raise MeshError("crack sets belong to different meshes")
-        if h.bits != self._source:
-            self._source = h.bits
+        pricer = self._pricer
+        if pricer is None or h.bits != pricer.source.bits:
+            pricer = self._pricer = HopPricer(h, self.params)
             self._hops = {}
         hops = self._hops
         if k.bits not in hops:
-            hops[k.bits] = hop_cost(h, k, self.params)
+            hops[k.bits] = pricer.hop(k)
         return hops[k.bits]
 
 

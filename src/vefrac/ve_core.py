@@ -130,22 +130,24 @@ class RisInstance:
 
     def competitors(self, state: CrackSet) -> Iterator[CrackSet]:
         """Supersets of `state` inside the pool; `state` comes first."""
-        available = self.pool.minus(state).edge_ids
+        mesh, base = state.mesh, state.bits
+        masks = [1 << e for e in self.pool.minus(state).edge_ids]
         if self.search == "greedy":
             yield state
-            for e in available:
-                yield state.with_edges([e])
+            for mask in masks:
+                yield CrackSet(mesh, base | mask)
             return
-        budget = min(self.budget, len(available))
-        total = sum(math.comb(len(available), k) for k in range(budget + 1))
+        budget = min(self.budget, len(masks))
+        total = sum(math.comb(len(masks), k) for k in range(budget + 1))
         if total > MAX_COMPETITORS:
             raise ValueError(
-                f"budget {self.budget} over a pool of {len(available)} free edges "
+                f"budget {self.budget} over a pool of {len(masks)} free edges "
                 f"enumerates {total} competitors; exceeds {MAX_COMPETITORS}")
         yield state
         for k in range(1, budget + 1):
-            for combo in itertools.combinations(available, k):
-                yield state.with_edges(combo)
+            for combo in itertools.combinations(masks, k):
+                # the masks are distinct single bits, so their sum is their union
+                yield CrackSet(mesh, base | sum(combo))
 
     def is_competitor(self, state: CrackSet, k: CrackSet) -> bool:
         """Whether a superset k of `state` is one of competitors(state),

@@ -639,3 +639,83 @@ def reference_jump_cost(t, k_minus, k_plus, instance):
         hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
                               r_start=r_of(m)))
     return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops))
+
+
+def reference_competitors(instance, state):
+    """Competitor sequence of an instance, each built from its edge ids
+    by CrackSet.with_edges: the state, then every admissible superset in
+    the order the search mode enumerates them."""
+    from vefrac.ve_core import MAX_COMPETITORS
+
+    available = instance.pool.minus(state).edge_ids
+    if instance.search == "greedy":
+        yield state
+        for e in available:
+            yield state.with_edges([e])
+        return
+    budget = min(instance.budget, len(available))
+    total = sum(math.comb(len(available), k) for k in range(budget + 1))
+    if total > MAX_COMPETITORS:
+        raise ValueError(
+            f"budget {instance.budget} over a pool of {len(available)} free edges "
+            f"enumerates {total} competitors; exceeds {MAX_COMPETITORS}")
+    yield state
+    for k in range(1, budget + 1):
+        for combo in itertools.combinations(available, k):
+            yield state.with_edges(combo)
+
+
+def reference_alpha(h, k) -> float:
+    """Number of connected components of K sharing no vertex with H,
+    when H is contained in K; +infinity otherwise, by a component scan
+    of all of K."""
+    from vefrac.geometry import _require_same_mesh, connected_components
+
+    _require_same_mesh(h, k)
+    if not h.issubset(k):
+        return math.inf
+    if k.is_empty:
+        return 0.0
+    h_vertices = h.vertex_ids()
+    count = sum(1 for comp in connected_components(k)
+                if not (comp.vertex_ids() & h_vertices))
+    return float(count)
+
+
+def reference_atw_integral(h, k, params) -> float:
+    """Delta(H,K) by the composite Gauss-Legendre rule, measured on the
+    new edges of this one hop in one batch."""
+    from vefrac.dissipation import _atw_rule
+    from vefrac.geometry import _require_same_mesh, dist_points_to_segments
+
+    _require_same_mesh(h, k)
+    if not h.issubset(k):
+        return math.inf
+    mesh = h.mesh
+    new_ids = k.minus(h).edge_ids
+    if not new_ids:
+        return 0.0
+    lengths = mesh.edge_lengths[list(new_ids)]
+    if h.is_empty:
+        return mesh.domain_diameter * math.fsum(lengths)
+    t, w = _atw_rule(params.quadrature_order)
+    a, b = mesh.segment_endpoints(new_ids)
+    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    ha, hb = mesh.segment_endpoints(h.edge_ids)
+    dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
+    dists = dists.reshape(len(new_ids), len(t))
+    per_edge = lengths * (dists @ w)
+    return math.fsum(per_edge)
+
+
+def reference_hop_cost(h, k, params):
+    """The HopCost of H -> K from reference_alpha, h1_diff and
+    reference_atw_integral; None when H is not contained in K."""
+    from vefrac.dissipation import HopCost
+    from vefrac.geometry import h1_diff
+
+    a = reference_alpha(h, k)
+    if a == math.inf:
+        return None
+    return HopCost(h1=h1_diff(h, k), sweep=reference_atw_integral(h, k, params),
+                   alpha=a)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vefrac.benchmarks import rect_grid_mesh
+from vefrac.benchmarks import rect_grid_mesh, square_grid_mesh
 from vefrac.dissipation import (
     DissipationParams,
     HopCharges,
     HopCost,
+    HopPricer,
     MonotoneChain,
     _atw_rule,
     alpha,
@@ -243,6 +245,117 @@ def test_hop_cost_views_keep_the_direct_arithmetic(grid3):
             d, 0.0, d, 0.0, PARAMS.lam, a)
         for viscous in (True, False):
             assert all(type(x) is float for x in hop.charges(PARAMS, viscous))
+
+
+def assert_same_record(got, expected):
+    """h1, sweep and alpha equal with ==, or both records None."""
+    if expected is None:
+        assert got is None
+        return
+    assert type(got) is HopCost
+    assert (got.h1, got.sweep, got.alpha) == (expected.h1, expected.sweep,
+                                              expected.alpha)
+    assert all(type(x) is float for x in (got.h1, got.sweep, got.alpha))
+
+
+def assert_prices_as_reference(pricer, k):
+    """Every reading of one pricer, and the public functions, against
+    the reference pricing of the hop."""
+    h = pricer.source
+    expected = oracle.reference_hop_cost(h, k, PARAMS)
+    assert_same_record(pricer.hop(k), expected)
+    assert_same_record(hop_cost(h, k, PARAMS), expected)
+    ref_alpha = oracle.reference_alpha(h, k)
+    ref_sweep = oracle.reference_atw_integral(h, k, PARAMS)
+    assert pricer.alpha(k) == alpha(h, k) == ref_alpha
+    assert pricer.sweep(k) == atw_integral(h, k, PARAMS) == ref_sweep
+
+
+@pytest.mark.parametrize("mesh", [rect_grid_mesh(6, 3, width=2.0, height=1.0),
+                                  square_grid_mesh(4, dirichlet="topbottom")],
+                         ids=["rect", "grid"])
+def test_pricer_matches_reference_on_random_crack_sets(mesh):
+    # one pricer per source, asked for many targets in turn, so a hop
+    # reads rows filled by earlier hops beside rows it fills itself
+    rng = np.random.default_rng(23)
+    n = mesh.n_edges
+    for _ in range(25):
+        h = CrackSet(mesh, int(rng.integers(0, 2**n)) & int(rng.integers(0, 2**n))
+                     & int(rng.integers(0, 2**n)))
+        pool = int(rng.integers(0, 2**n))
+        pricer = HopPricer(h, PARAMS)
+        for _ in range(12):
+            new = int(rng.integers(0, 2**n))
+            for _ in range(int(rng.integers(0, 3))):
+                new &= int(rng.integers(0, 2**n))
+            if rng.random() < 0.6:
+                new &= pool
+            k = CrackSet(mesh, new | (h.bits if rng.random() < 0.85 else 0))
+            assert_prices_as_reference(pricer, k)
+
+
+def test_pricer_edge_cases(grid3):
+    empty = CrackSet.empty(grid3)
+    h = CrackSet.of_edges(grid3, [0, 4, 9])
+    k = h.union(CrackSet.of_edges(grid3, [20, 31]))
+    for source, target in ((empty, empty), (empty, h), (h, h), (h, k),
+                           (k, h), (h, CrackSet.of_edges(grid3, [0, 4])),
+                           (h, empty)):
+        # a fresh pricer, and one whose rows are all filled already
+        warm = HopPricer(source, PARAMS)
+        warm.sweep(CrackSet(grid3, (1 << grid3.n_edges) - 1))
+        for pricer in (HopPricer(source, PARAMS), warm):
+            assert_prices_as_reference(pricer, target)
+    assert HopPricer(h, PARAMS).hop(h) == HopCost(0.0, 0.0, 0.0)
+    assert HopPricer(k, PARAMS).hop(h) is None
+    assert HopPricer(k).alpha(h) == math.inf
+    assert HopPricer(k, PARAMS).sweep(h) == math.inf
+    # from the empty set the sweep is the diameter times the new length
+    assert HopPricer(empty, PARAMS).sweep(h) == \
+        grid3.domain_diameter * math.fsum(grid3.edge_lengths[list(h.edge_ids)])
+
+
+def test_pricer_counts_new_edges_by_how_they_meet_h(grid3):
+    # H has two components on the bottom row: (0,1) and (2,3)
+    h = CrackSet.of_vertex_pairs(grid3, [(0, 1), (2, 3)])
+    shapes = {
+        "touches H at one end": ([(1, 5)], 0.0),
+        "separate component": ([(9, 10)], 1.0),
+        "bridges two components of H": ([(1, 2)], 0.0),
+        "path bridging through new vertices": ([(1, 5), (5, 6), (6, 2)], 0.0),
+        "two separate components": ([(8, 12), (10, 11)], 2.0),
+        "separate plus touching": ([(9, 13), (3, 7)], 1.0),
+    }
+    pricer = HopPricer(h, PARAMS)
+    for name, (pairs, count) in shapes.items():
+        k = h.union(CrackSet.of_vertex_pairs(grid3, pairs))
+        assert pricer.alpha(k) == count, name
+        assert_prices_as_reference(pricer, k)
+
+
+def test_rows_do_not_depend_on_the_batch_that_fills_them():
+    # The same rows filled all in one batch, hop by hop in order, and
+    # hop by hop in reverse order give identical records. A table of
+    # per-edge weighted sums would not: a k-row gemv does not round
+    # each row as a one-row gemv does.
+    mesh = square_grid_mesh(4, dirichlet="topbottom")
+    interior = [e for e in range(mesh.n_edges) if e not in set(mesh.dirichlet_edges())]
+    pool = CrackSet.of_edges(mesh, interior)
+    h = CrackSet.of_vertex_pairs(mesh, [(11, 12), (12, 13), (6, 7)])
+    free = pool.minus(h).edge_ids
+    targets = [h.with_edges(c) for size in (1, 2, 3)
+               for c in itertools.combinations(free, size)][::7]
+    expected = [oracle.reference_hop_cost(h, k, PARAMS) for k in targets]
+    batched = HopPricer(h, PARAMS)
+    batched.sweep(pool.union(h))
+    records = {"one batch": [batched.hop(k) for k in targets]}
+    in_order = HopPricer(h, PARAMS)
+    records["hop by hop"] = [in_order.hop(k) for k in targets]
+    reversed_ = HopPricer(h, PARAMS)
+    records["hop by hop, reversed"] = [reversed_.hop(k) for k in targets[::-1]][::-1]
+    for name, got in records.items():
+        for record, ref in zip(got, expected):
+            assert_same_record(record, ref)
 
 
 def test_atw_rule_is_built_once_and_read_only():

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vefrac.benchmarks import growth_strip, nucleation_well, square_grid_mesh
+from vefrac.cli_io import _run_to_archive, build_run, parse_config
 from vefrac.dissipation import (
     DissipationParams,
     alpha,
@@ -32,6 +36,8 @@ from vefrac.evolution import (
 )
 from vefrac.geometry import CrackSet, MeshError, h1_diff
 from vefrac.ve_core import audit_balance, audit_jump_conditions
+
+import _oracles as oracle
 
 PARAMS = DissipationParams(lam=0.1, mu=0.1)
 
@@ -320,6 +326,46 @@ def test_hop_table_matches_direct_pricing():
                                  + delta_atw(h, k, params))
         assert charged.sweep == atw_integral(h, k, params)
         assert charged.alpha == alpha(h, k)
+
+
+def _bench_workloads():
+    """bench/workloads.py, which writes the benchmark's inputs."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_workload_hops_match_the_reference_pricing(workload, tmp_path):
+    # every hop a benchmark run looks up, in the step, the ledger and the
+    # audits, is the record the reference pricing gives, bit for bit
+    inputs = _bench_workloads().generate(workload, tmp_path, 1)
+    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
+                    inputs.config.parent.resolve())
+    inst = ctx.instance
+    table_hop = inst.hop
+    records = {}
+
+    def hop(h, k):
+        record = table_hop(h, k)
+        records.setdefault((h.bits, k.bits), (h, k, record))
+        return record
+
+    inst.hop = hop
+    _run_to_archive(ctx, tmp_path / "out")
+    assert len(records) > 10
+    for h, k, record in records.values():
+        expected = oracle.reference_hop_cost(h, k, inst.params)
+        if expected is None:
+            assert record is None
+            continue
+        assert (record.h1, record.sweep, record.alpha) == \
+            (expected.h1, expected.sweep, expected.alpha)
 
 
 def test_hop_table_rejects_another_mesh():

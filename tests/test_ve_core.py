@@ -215,6 +215,35 @@ def test_competitor_sequences_match_set_difference(grid3):
             assert [c.bits for c in inst.competitors(state)] == [c.bits for c in expected]
 
 
+def test_competitor_bitmasks_match_the_reference_enumeration(grid3):
+    # the same bit sequence as building each competitor from its edge
+    # ids, in both modes, at budget 0, past the free-edge count and on
+    # an empty free pool
+    full = CrackSet(grid3, (1 << grid3.n_edges) - 1)
+    state = CrackSet.of_edges(grid3, [0, 5, 17])
+    pools = {"six free": state.with_edges([2, 9, 11, 20, 26, 32]),
+             "no free": state, "state only in part": CrackSet.of_edges(grid3, [5, 8, 30])}
+    for pool in pools.values():
+        free = pool.minus(state).cardinality
+        for search in ("exhaustive", "greedy"):
+            for budget in (0, 2, free + 3):
+                inst = RisInstance(pool=pool, energy=lambda t, k: 0.0,
+                                   power=lambda t, k: 0.0, hop=None,
+                                   params=PARAMS, budget=budget, search=search)
+                got = [c.bits for c in inst.competitors(state)]
+                expected = [c.bits for c in oracle.reference_competitors(inst, state)]
+                assert got == expected
+                assert got[0] == state.bits
+    big = RisInstance(pool=full, energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
+                      hop=None, params=PARAMS, budget=6)
+    messages = []
+    for enumerate_ in (big.competitors, lambda s: oracle.reference_competitors(big, s)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_COMPETITORS}") as exc:
+            next(iter(enumerate_(state)))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 def test_greedy_step_examines_set_difference_candidates(grid3):
     # greedy incremental_step asks, round by round, for its current best
     # and then for the single-edge supersets of it inside the pool, in

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -177,6 +178,7 @@ class _MeshTables:
         link_corners = link_corners[by_vertex]
         # the two corners of each Dirichlet edge in its single triangle
         self.dirichlet_edges = mesh.dirichlet_edges()
+        self.dirichlet_bits = sum(1 << e for e in self.dirichlet_edges.tolist())
         h = by_edge[first[self.dirichlet_edges]]
         self.dirichlet_corners = np.column_stack([c_lo[h], c_hi[h]])
         on_boundary = np.zeros(nv, dtype=bool)
@@ -193,7 +195,6 @@ class _MeshTables:
         self.base_fans = np.bincount(self.corner_vertex[corner_order[opens]], minlength=nv)
         self.base_rank = base_dof - (np.cumsum(self.base_fans) - self.base_fans)[self.corner_vertex]
         self.base_tri_component = _ordered_labels(_component_labels(nt, self.tri_links))
-        self.base_n_components = int(self.base_tri_component.max()) + 1
         self.grads = _p1_gradients(mesh)
         self.local = (np.einsum("tid,tjd->tij", self.grads, self.grads)
                       * mesh.triangle_areas[:, None, None]).ravel()
@@ -251,18 +252,29 @@ class CrackedSpace:
     Only the vertices on the crack can have other fans than the mesh's
     base fans, so only they are regrouped; every array follows from the
     per-vertex fan counts and the mesh tables.
+
+    The constructor builds the fan numbering (`tri_dofs`, `dof_vertex`,
+    `n_dofs`) and `key`; the triangle components and the Dirichlet and
+    pinned DOFs are built on first read. `key` is the fan numbering's
+    bytes and the crack's Dirichlet edges, and two spaces with equal
+    keys are the same space: equal stiffness, constraints and data.
+    The stiffness reads `tri_dofs` alone. `dof_vertex` is the vertex of
+    each DOF's corners. `dirichlet_dofs` are the DOFs at the corners of
+    the Dirichlet edges the crack leaves. Two triangles are in one
+    component exactly when a chain of triangles sharing a DOF joins
+    them: an uncracked interior edge puts its two triangles in one fan
+    at both of its ends, and the triangles of a fan are joined through
+    its uncracked edges. So the components, their first DOFs, the
+    pinned DOFs and `constrained_mask` follow from the key too.
     """
 
     def __init__(self, mesh: Mesh, crack: CrackSet):
         self.mesh = mesh
         self.crack = crack
-        tables = _mesh_tables(mesh)
-        crack_ids = crack.edge_ids
-        cracked = np.zeros(mesh.n_edges, dtype=bool)
-        cracked[list(crack_ids)] = True
-        self._build_dofs(tables, crack_ids)
-        self._build_components(tables, crack_ids, cracked)
-        self._build_dirichlet(tables, cracked)
+        self._tables = tables = _mesh_tables(mesh)
+        self._crack_ids = crack.edge_ids
+        self._build_dofs(tables, self._crack_ids)
+        self.key = (self.tri_dofs.tobytes(), crack.bits & tables.dirichlet_bits)
         self._csr = None
         self._stiffness = None
 
@@ -295,35 +307,51 @@ class CrackedSpace:
         self.dof_vertex = np.repeat(np.arange(self.mesh.n_vertices), fans)
         self.n_dofs = int(start[-1])
 
-    def _build_components(self, tables: _MeshTables, crack_ids: tuple, cracked):
+    @cached_property
+    def _cracked(self) -> np.ndarray:
+        cracked = np.zeros(self.mesh.n_edges, dtype=bool)
+        cracked[list(self._crack_ids)] = True
+        return cracked
+
+    @cached_property
+    def tri_component(self) -> np.ndarray:
         # Cutting interior edges can split a triangle component only if
         # they close a loop once all boundary vertices are merged into one
         # node (-1); a forest of them leaves the base components.
+        tables = self._tables
         on_boundary = tables.on_boundary_list
         links = []
-        for e in crack_ids:
+        for e in self._crack_ids:
             if tables.is_interior_list[e]:
                 a, b = tables.edge_list[e]
                 links.append((-1 if on_boundary[a] else a, -1 if on_boundary[b] else b))
         nodes = sorted({v for link in links for v in link})
         if len(links) == len(nodes) - len(union_groups(nodes, links)):
-            self.tri_component = tables.base_tri_component
-            self.n_components = tables.base_n_components
-        else:
-            kept = tables.tri_links[~cracked[tables.interior_edges]]
-            self.tri_component = _ordered_labels(
-                _component_labels(self.mesh.n_triangles, kept))
-            self.n_components = int(self.tri_component.max()) + 1
+            return tables.base_tri_component
+        kept = tables.tri_links[~self._cracked[tables.interior_edges]]
+        return _ordered_labels(_component_labels(self.mesh.n_triangles, kept))
+
+    @cached_property
+    def n_components(self) -> int:
+        return int(self.tri_component.max()) + 1
+
+    @cached_property
+    def dof_component(self) -> np.ndarray:
         dof_component = np.empty(self.n_dofs, dtype=int)
         dof_component[self.tri_dofs.ravel()] = np.repeat(self.tri_component, 3)
-        self.dof_component = dof_component
+        return dof_component
 
-    def _build_dirichlet(self, tables: _MeshTables, cracked):
+    @cached_property
+    def dirichlet_dofs(self) -> np.ndarray:
         # a cracked boundary edge releases its constraint
-        kept = tables.dirichlet_corners[~cracked[tables.dirichlet_edges]]
+        tables = self._tables
+        kept = tables.dirichlet_corners[~self._cracked[tables.dirichlet_edges]]
         mask = np.zeros(self.n_dofs, dtype=bool)
         mask[self.tri_dofs.ravel()[kept]] = True
-        self.dirichlet_dofs = np.flatnonzero(mask)
+        return np.flatnonzero(mask)
+
+    @cached_property
+    def pinned_dofs(self) -> np.ndarray:
         # one pinned DOF per component that the Dirichlet data cannot see
         seen = np.zeros(self.n_components, dtype=bool)
         seen[self.dof_component[self.dirichlet_dofs]] = True
@@ -331,9 +359,14 @@ class CrackedSpace:
         first = np.full(self.n_components, self.n_dofs)
         if unseen.size:
             np.minimum.at(first, self.dof_component, np.arange(self.n_dofs))
-        self.pinned_dofs = first[unseen]
+        return first[unseen]
+
+    @cached_property
+    def constrained_mask(self) -> np.ndarray:
+        mask = np.zeros(self.n_dofs, dtype=bool)
+        mask[self.dirichlet_dofs] = True
         mask[self.pinned_dofs] = True
-        self.constrained_mask = mask
+        return mask
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stiffness as raw CSR arrays (indptr, indices, data), the

@@ -13,8 +13,9 @@ Also here: jump detection on the discrete history, the connected-
 component bound, the energetic (non-viscous) comparison mode, the
 refinement study over a list of step sizes, and the factory that wires
 the elastic energy into a RisInstance. The factory caches one FEM solve
-per distinct crack set: the datum scales linearly with the amplitude,
-so E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
+per distinct cracked space (fan numbering plus released Dirichlet
+edges): the datum scales linearly with the amplitude, so
+E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
 bilinear value. Its hop callback prices each hop once per source
 state: the scheme asks for the hops out of one state many times over
 (the step, its ledger row, the residual R of a frozen state, the next
@@ -291,9 +292,15 @@ def refine_study(instance: RisInstance, k0: CrackSet, tau_list: Sequence[float],
 
 
 class _ScaledEnergyCache:
-    """One FEM solve per distinct crack set: with datum a(t) G the
+    """One FEM solve per distinct cracked space: with datum a(t) G the
     minimizer scales linearly in a(t), so E(t,K) = a(t)^2 E1(K) and
-    dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing."""
+    dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing.
+
+    E1 and p1 depend on K only through the space cut along K, so a crack
+    set missing from the per-set memo builds its fan numbering and looks
+    its `CrackedSpace.key` up in a second memo; only a new space is
+    solved. Many competitors share a space: an isolated interior edge,
+    for one, leaves the stars of both of its ends connected."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
@@ -303,15 +310,17 @@ class _ScaledEnergyCache:
         self.unit = BoundaryLoad(profile=load.profile,
                                  amplitude=_UNIT_AMPLITUDE, horizon=load.horizon)
         self._entries: dict[int, tuple[float, float]] = {}
+        self._by_space: dict[tuple[bytes, int], tuple[float, float]] = {}
 
     def _entry(self, k: CrackSet) -> tuple[float, float]:
         got = self._entries.get(k.bits)
         if got is None:
             space = split_along_crack(self.mesh, k)
-            sol = solve_on_space(1.0, space, self.unit)
-            g = self.load.profile[space.dof_vertex]
-            p1 = float(g @ sol.au)
-            got = (sol.energy, p1)
+            got = self._by_space.get(space.key)
+            if got is None:
+                sol = solve_on_space(1.0, space, self.unit)
+                g = self.load.profile[space.dof_vertex]
+                got = self._by_space[space.key] = (sol.energy, float(g @ sol.au))
             self._entries[k.bits] = got
         return got
 

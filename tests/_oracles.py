@@ -719,3 +719,17 @@ def reference_hop_cost(h, k, params):
         return None
     return HopCost(h1=h1_diff(h, k), sweep=reference_atw_integral(h, k, params),
                    alpha=a)
+
+
+def reference_energy_entry(mesh, load, k):
+    """(E1, p1) of one crack set from a space built and solved for that
+    set alone: the energy at unit amplitude and the pairing of the
+    profile with A u."""
+    from vefrac.elastic import BoundaryLoad, LinearAmplitude, solve_on_space, split_along_crack
+
+    unit = BoundaryLoad(profile=load.profile, amplitude=LinearAmplitude(1.0, 0.0),
+                        horizon=load.horizon)
+    space = split_along_crack(mesh, k)
+    sol = solve_on_space(1.0, space, unit)
+    g = load.profile[space.dof_vertex]
+    return sol.energy, float(g @ sol.au)

@@ -676,6 +676,35 @@ def test_cli_exits_2_when_an_energy_undercuts_the_floor(workdir, capsys,
         "numerical failure: energy floor 1.0 undercut: E = ")
 
 
+def test_cli_exits_2_when_an_undercut_is_served_from_the_space_memo(
+        workdir, capsys, monkeypatch):
+    # a lone interior edge of the well leaves every star connected, so
+    # it has the empty crack's space: warmed with it, the cache serves
+    # the run's first energy, E(0, {}) = 0, without a solve of its own
+    import vefrac.evolution as evolution
+    from vefrac.elastic import solve_on_space
+
+    solved = []
+
+    def counted(t, space, load):
+        solved.append(space.crack.bits)
+        return solve_on_space(t, space, load)
+
+    class WarmCache(evolution._ScaledEnergyCache):
+        def __init__(self, mesh, load, floor):
+            super().__init__(mesh, load, floor)
+            self._entry(CrackSet.of_vertex_pairs(mesh, [(11, 12)]))
+
+    monkeypatch.setattr(evolution, "solve_on_space", counted)
+    monkeypatch.setattr(evolution, "_ScaledEnergyCache", WarmCache)
+    monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
+    assert cli_dispatch(["run", str(workdir["root"] / "well.ini")]) == 2
+    assert capsys.readouterr().out.startswith(
+        "numerical failure: energy floor 1.0 undercut: E = 0.0 at t = 0.0 "
+        "on crack edges []")
+    assert len(solved) == 1 and solved[0] != 0
+
+
 # ---------------------------------------------------------------------------
 # the run record: config echo and archive bytes of the CLI
 # ---------------------------------------------------------------------------

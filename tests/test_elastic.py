@@ -27,6 +27,7 @@ from vefrac.elastic import (
     solve_on_space,
     split_along_crack,
 )
+from vefrac.evolution import ENERGY_FLOOR, _ScaledEnergyCache
 from vefrac.geometry import CrackSet, build_mesh
 
 import _oracles as oracle
@@ -331,6 +332,121 @@ def test_dirichlet_release_on_cracked_boundary_edge(grid4_tb):
     # vertex 0 only touches Dirichlet edge (0,1); cracked -> unconstrained
     dofs_of_v0 = np.flatnonzero(space.dof_vertex == 0)
     assert not any(d in space.dirichlet_dofs for d in dofs_of_v0)
+
+
+# ---------------------------------------------------------------------------
+# the space key, and one solve per cracked space
+# ---------------------------------------------------------------------------
+
+_LAZY = ("tri_component", "n_components", "dof_component", "dirichlet_dofs",
+         "pinned_dofs", "constrained_mask")
+
+
+def _skewed_load(mesh):
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    return BoundaryLoad(profile=y + 0.25 * x * x, amplitude=LinearAmplitude(0.5, 1.0),
+                        horizon=1.0)
+
+
+def _space_sharing_cracks(mesh, seed):
+    """Random crack sets, rings that cut off a component no datum sees,
+    and cracked Dirichlet edges, each also with one more random edge:
+    many of them share a space."""
+    rng = np.random.default_rng(seed)
+    boundary = set(mesh.edges[mesh.boundary_edges()].ravel().tolist())
+    interior = [v for v in range(mesh.n_vertices) if v not in boundary]
+    dirichlet = mesh.dirichlet_edges()
+    cracks = [CrackSet.empty(mesh), _ring(mesh, interior[len(interior) // 2])]
+    for size in [1, 2, 3, 5, 8] * 4:
+        picked = CrackSet.of_edges(mesh, rng.choice(mesh.n_edges, size, replace=False))
+        cracks += [picked, picked.union(_ring(mesh, int(rng.choice(interior)))),
+                   picked.with_edges(rng.choice(dirichlet, 2, replace=False))]
+    return cracks + [k.with_edges([int(rng.integers(mesh.n_edges))]) for k in cracks]
+
+
+def _assert_same_space(first, space):
+    assert first.n_dofs == space.n_dofs
+    for name in ("tri_dofs", "dof_vertex", "dirichlet_dofs", "constrained_mask"):
+        assert np.array_equal(getattr(first, name), getattr(space, name)), name
+    assert set(first.pinned_dofs.tolist()) == set(space.pinned_dofs.tolist())
+    for a, b in zip(first.csr_arrays(), space.csr_arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ["grid", "strip"])
+def test_equal_space_keys_give_equal_spaces(mesh_name):
+    mesh, _ = _workload_mesh(mesh_name)
+    first_of, cracks_of = {}, {}
+    for crack in _space_sharing_cracks(mesh, 5):
+        space = split_along_crack(mesh, crack)
+        cracks_of.setdefault(space.key, set()).add(crack.bits)
+        _assert_same_space(first_of.setdefault(space.key, space), space)
+    shared = sum(len(bits) > 1 for bits in cracks_of.values())
+    assert shared >= 10
+    assert sum(len(space.pinned_dofs) > 0 for space in first_of.values()) >= 10
+
+
+def test_a_released_dirichlet_edge_changes_the_key(grid4_tb):
+    # vertex 0 touches one Dirichlet edge, (0, 1): cracking it frees the
+    # vertex without regrouping any fan, so tri_dofs alone cannot tell
+    # the two spaces apart
+    empty = CrackSet.empty(grid4_tb)
+    released = CrackSet.of_vertex_pairs(grid4_tb, [(0, 1)])
+    slit = CrackSet.of_vertex_pairs(grid4_tb, [(11, 12)])
+    spaces = [split_along_crack(grid4_tb, k) for k in (empty, released, slit)]
+    assert len({space.tri_dofs.tobytes() for space in spaces}) == 1
+    assert spaces[1].key != spaces[0].key == spaces[2].key
+    assert len(spaces[1].dirichlet_dofs) == len(spaces[0].dirichlet_dofs) - 1
+    load = _skewed_load(grid4_tb)
+    cache = _ScaledEnergyCache(grid4_tb, load, ENERGY_FLOOR)
+    entries = [cache._entry(k) for k in (empty, released, slit)]
+    assert entries == [oracle.reference_energy_entry(grid4_tb, load, k)
+                       for k in (empty, released, slit)]
+    assert entries[1][0] < entries[0][0] == entries[2][0]
+    assert len(cache._by_space) == 2
+
+
+def test_lazy_space_attributes_match_the_reference_in_any_order():
+    mesh, crack = _workload_mesh("grid")
+    for k in _space_sharing_cracks(mesh, 7)[:12] + [crack]:
+        ref = oracle.reference_space(mesh, k)
+        for order in (_LAZY, _LAZY[::-1]):
+            space = split_along_crack(mesh, k)
+            assert not set(_LAZY) & set(vars(space))  # built on first read
+            for name in order:
+                got, want = getattr(space, name), ref[name]
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                else:
+                    assert got == want, name
+
+
+@pytest.mark.parametrize("mesh_name", ["grid", "strip"])
+def test_energy_cache_matches_a_solve_per_crack_set(mesh_name):
+    mesh, _ = _workload_mesh(mesh_name)
+    load = _skewed_load(mesh)
+    cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+    cracks = _space_sharing_cracks(mesh, 23)
+    # the second pass reads the crack-set memo
+    for k in cracks + cracks[::-1]:
+        assert cache._entry(k) == oracle.reference_energy_entry(mesh, load, k)
+    assert len(cache._entries) == len({k.bits for k in cracks})
+    assert len(cache._by_space) < len(cache._entries)
+
+
+def test_energy_cache_on_cracked_dirichlet_edges_and_a_pinch_vertex(grid4_tb):
+    rng = np.random.default_rng(31)
+    pinched = _two_squares_at_a_corner()
+    pinch_star = [e for e, pair in enumerate(pinched.edges.tolist()) if 0 in pair]
+    for mesh, edges in ((grid4_tb, grid4_tb.dirichlet_edges().tolist()),
+                        (pinched, pinched.dirichlet_edges().tolist() + pinch_star)):
+        load = _skewed_load(mesh)
+        cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+        for mask in range(1 << len(edges)):
+            k = CrackSet.of_edges(mesh, [e for i, e in enumerate(edges) if (mask >> i) & 1])
+            for crack in (k, k.with_edges([int(rng.integers(mesh.n_edges))])):
+                assert cache._entry(crack) == oracle.reference_energy_entry(mesh, load, crack)
+        assert len(cache._by_space) < len(cache._entries)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from vefrac.dissipation import (
     hop_cost,
     var_along,
 )
-from vefrac.elastic import ElasticError, solve_energy
+from vefrac.elastic import ElasticError, solve_energy, solve_on_space
 from vefrac.evolution import (
     DiscreteEvolution,
     JumpRecord,
@@ -340,13 +340,18 @@ def _bench_workloads():
     return sys.modules[name]
 
 
+def _workload_run(workload, work):
+    """The run context of a benchmark workload's config, not yet run."""
+    inputs = _bench_workloads().generate(workload, work, 1)
+    return build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
+                     inputs.config.parent.resolve())
+
+
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
 def test_workload_hops_match_the_reference_pricing(workload, tmp_path):
     # every hop a benchmark run looks up, in the step, the ledger and the
     # audits, is the record the reference pricing gives, bit for bit
-    inputs = _bench_workloads().generate(workload, tmp_path, 1)
-    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
-                    inputs.config.parent.resolve())
+    ctx = _workload_run(workload, tmp_path)
     inst = ctx.instance
     table_hop = inst.hop
     records = {}
@@ -366,6 +371,40 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path):
             continue
         assert (record.h1, record.sweep, record.alpha) == \
             (expected.h1, expected.sweep, expected.alpha)
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path):
+    # every crack set a benchmark run looks up gets the (E1, p1) of a
+    # space built and solved for that set alone, bit for bit
+    ctx = _workload_run(workload, tmp_path)
+    _run_to_archive(ctx, tmp_path / "out")
+    cache = ctx.instance.energy.__self__
+    assert len(cache._entries) > len(cache._by_space) > 1
+    for bits, entry in cache._entries.items():
+        crack = CrackSet(ctx.mesh, bits)
+        assert entry == oracle.reference_energy_entry(ctx.mesh, ctx.load, crack)
+
+
+@pytest.mark.parametrize("workload, crack_sets, solves",
+                         [("strip", 163, 45), ("grid", 1267, 470), ("fine", 14, 6)])
+def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
+                                                 tmp_path, monkeypatch):
+    import vefrac.evolution as evolution
+
+    solved = []
+
+    def counted(t, space, load):
+        solved.append(space.key)
+        return solve_on_space(t, space, load)
+
+    monkeypatch.setattr(evolution, "solve_on_space", counted)
+    for run in ("first", "second"):
+        solved.clear()
+        ctx = _workload_run(workload, tmp_path / run)
+        _run_to_archive(ctx, tmp_path / run / "out")
+        assert len(ctx.instance.energy.__self__._entries) == crack_sets
+        assert len(solved) == len(set(solved)) == solves
 
 
 def test_hop_table_rejects_another_mesh():

@@ -12,12 +12,15 @@ so sums along a chain stay +infinity once one hop is illegal. None
 marks a missing record only: hop_cost returns None for H ⊄ K.
 
 A hop H -> K is priced into a HopCost record (new length, sweep
-integral, nucleation count) by a HopPricer of its source H, which keeps
-what every hop out of H shares: H's vertices and segments and a table of
-quadrature distance rows per new edge. hop_cost, atw_integral and alpha
-read one fresh pricer; the fracture instance keeps the pricer of its
-current source. HopCost.charges turns a record into d, delta and D, the
-only place that arithmetic is written.
+integral, nucleation count) by a HopPricer of its mesh. The pricer keeps
+what every hop out of its current source H shares: H's vertices and
+segments, a table of quadrature distance rows per new edge, and the
+record of each target already priced; a hop from another source resets
+all of it. hop_cost is a fresh pricer's hop, and atw_integral reads the
+sweep off that record; alpha shares the pricer's nucleation count and
+computes no sweep. The fracture instance keeps one pricer for the whole
+run. HopCost.charges turns a record into d, delta and D, the only place
+that arithmetic is written.
 """
 from __future__ import annotations
 
@@ -31,6 +34,8 @@ import numpy as np
 
 from .geometry import (
     CrackSet,
+    Mesh,
+    MeshError,
     _require_same_mesh,
     dist_points_to_segments,
     h1_diff,
@@ -121,8 +126,25 @@ def alpha(h: CrackSet, k: CrackSet) -> float:
     the new edges K \\ H, and a component of the new edges that touches
     no vertex of H is one of K. alpha is therefore the number of
     components of K \\ H touching no vertex of H, which is how
-    HopPricer counts it."""
-    return HopPricer(h).alpha(k)
+    _nucleations counts it."""
+    if not h.issubset(k):
+        return math.inf
+    mesh = h.mesh
+    h_vertices = frozenset(mesh.edges[list(h.edge_ids)].ravel().tolist())
+    return _nucleations(mesh, h_vertices, k.minus(h).edge_ids)
+
+
+def _nucleations(mesh: Mesh, h_vertices: frozenset, new_ids: tuple) -> float:
+    """The components of the new edges that touch none of h_vertices,
+    by a union-find in which those vertices are one node."""
+    # -1 stands for all of H's vertices at once
+    links = [(-1 if a in h_vertices else a, -1 if b in h_vertices else b)
+             for a, b in mesh.edges[list(new_ids)].tolist()]
+    nodes = list(dict.fromkeys(itertools.chain.from_iterable(links)))
+    count = len(union_groups(nodes, links))
+    if -1 in nodes:
+        count -= 1
+    return float(count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,7 +167,8 @@ def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     Distance to the empty set is the domain diameter, so
     Delta(empty, K) = diam * H1(K) without any quadrature error.
     """
-    return HopPricer(h, params).sweep(k)
+    hop = hop_cost(h, k, params)
+    return math.inf if hop is None else hop.sweep
 
 
 class HopCharges(NamedTuple):
@@ -190,82 +213,69 @@ class HopCost:
 def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
     """Price the hop H -> K: one alpha, one sweep integral and one H1
     difference. None when H ⊄ K, where every cost of the hop is +inf."""
-    return HopPricer(h, params).hop(k)
+    return HopPricer(h.mesh, params).hop(h, k)
 
 
 class HopPricer:
-    """Prices the hops H -> K out of one source H.
+    """Prices the hops H -> K on one mesh.
 
     Every quantity of a hop is read off its new edges K \\ H. h1 is the
-    fsum of their lengths. alpha counts their components that touch no
-    vertex of H, by a union-find in which H's vertices are one node.
-    The sweep integral weighs, per new edge, the distances dist(., H)
-    at the quadrature points of `_atw_rule` (a row) by the rule's
-    weights. A row is computed point by point, so its bits do not depend
-    on the batch it was computed in, and rows are kept per edge. The
-    weighted sum `rows @ w` is a gemv whose rounding depends on how many
-    rows it takes, so each hop runs it on the block of its own new
-    edges, in ascending order, as pricing that hop alone would.
+    fsum of their lengths and alpha is _nucleations of them against H's
+    vertices. The sweep integral weighs, per new edge, the distances
+    dist(., H) at the quadrature points of `_atw_rule` (a row) by the
+    rule's weights. A row is computed point by point, so its bits do not
+    depend on the batch it was computed in, and rows are kept per edge.
+    The weighted sum `rows @ w` is a gemv whose rounding depends on how
+    many rows it takes, so each hop runs it on the block of its own new
+    edges, in ascending order, as pricing that hop alone would. A hop
+    computes the rows of its new edges that no earlier hop of this
+    source needed, in one batch.
 
-    A hop computes the rows of its new edges that no earlier hop of
-    this source needed, in one batch. params may be None for a pricer
-    that only counts alpha.
+    The scheme asks for the hops out of one state many times over, so
+    the pricer keeps H's vertices, segments, rows and records (by the
+    target's bits) until a hop from another source resets them. Records
+    are pure functions of (H, K, params), so instances copied by
+    dataclasses.replace may share a pricer.
     """
 
-    def __init__(self, h: CrackSet, params: DissipationParams | None = None):
-        self.source = h
+    def __init__(self, mesh: Mesh, params: DissipationParams):
+        self.mesh = mesh
         self.params = params
-        mesh = self.mesh = h.mesh
-        self._h_ids = h.edge_ids
-        self._h_vertices = frozenset(mesh.edges[list(self._h_ids)].ravel().tolist())
+        self._reset(CrackSet.empty(mesh))
+
+    def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
+        """The HopCost record of H -> K; None when H ⊄ K."""
+        if not (h.mesh is k.mesh is self.mesh):
+            raise MeshError("crack sets belong to different meshes")
+        if h.bits != self._source.bits:
+            self._reset(h)
+        hops = self._hops
+        if k.bits not in hops:
+            hops[k.bits] = self._price(k)
+        return hops[k.bits]
+
+    def _reset(self, h: CrackSet) -> None:
+        self._source = h
+        self._h_vertices = frozenset(self.mesh.edges[list(h.edge_ids)].ravel().tolist())
+        self._h_segments = self.mesh.segment_endpoints(h.edge_ids)
         self._slots: dict[int, int] = {}
         self._rows = np.empty((0, 0))
+        self._hops: dict[int, HopCost | None] = {}
 
-    def _new_edges(self, k: CrackSet) -> tuple | None:
-        """Edge ids of K \\ H, ascending; None when H ⊄ K."""
-        _require_same_mesh(self.source, k)
-        h = self.source.bits
+    def _price(self, k: CrackSet) -> HopCost | None:
+        h = self._source.bits
         if k.bits & h != h:
             return None
-        return CrackSet(self.mesh, k.bits & ~h).edge_ids
-
-    def hop(self, k: CrackSet) -> HopCost | None:
-        """The HopCost record of H -> K; None when H ⊄ K."""
-        new_ids = self._new_edges(k)
-        if new_ids is None:
-            return None
+        new_ids = CrackSet(self.mesh, k.bits & ~h).edge_ids
         lengths = self.mesh.edge_lengths[list(new_ids)]
         return HopCost(h1=math.fsum(lengths),
                        sweep=self._sweep(new_ids, lengths),
-                       alpha=self._alpha(new_ids))
-
-    def alpha(self, k: CrackSet) -> float:
-        """alpha(H, K), +infinity when H ⊄ K."""
-        new_ids = self._new_edges(k)
-        return math.inf if new_ids is None else self._alpha(new_ids)
-
-    def sweep(self, k: CrackSet) -> float:
-        """Delta(H, K), +infinity when H ⊄ K."""
-        new_ids = self._new_edges(k)
-        if new_ids is None:
-            return math.inf
-        return self._sweep(new_ids, self.mesh.edge_lengths[list(new_ids)])
-
-    def _alpha(self, new_ids: tuple) -> float:
-        h_vertices = self._h_vertices
-        # -1 stands for all of H's vertices at once
-        links = [(-1 if a in h_vertices else a, -1 if b in h_vertices else b)
-                 for a, b in self.mesh.edges[list(new_ids)].tolist()]
-        nodes = list(dict.fromkeys(itertools.chain.from_iterable(links)))
-        count = len(union_groups(nodes, links))
-        if -1 in nodes:
-            count -= 1
-        return float(count)
+                       alpha=_nucleations(self.mesh, self._h_vertices, new_ids))
 
     def _sweep(self, new_ids: tuple, lengths: np.ndarray) -> float:
         if not new_ids:
             return 0.0
-        if self.source.is_empty:
+        if self._source.is_empty:
             return self.mesh.domain_diameter * math.fsum(lengths)
         # Composite rule: dist(., H) is only piecewise smooth along an edge
         # (the nearest feature of H changes), so a single Gauss panel stalls
@@ -285,7 +295,7 @@ class HopPricer:
             return
         a, b = self.mesh.segment_endpoints(missing)
         pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        ha, hb = self.mesh.segment_endpoints(self._h_ids)
+        ha, hb = self._h_segments
         dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
         rows = dists.reshape(len(missing), len(t))
         self._rows = np.concatenate([self._rows, rows]) if self._slots else rows

@@ -35,7 +35,15 @@ from scipy.sparse._sparsetools import (
 )
 from scipy.sparse.csgraph import connected_components as connected_components_graph
 
-from .geometry import INTERIOR, CrackSet, Mesh, MeshError, connected_components, union_groups
+from .geometry import (
+    INTERIOR,
+    CrackSet,
+    Mesh,
+    MeshError,
+    connected_components,
+    dist_points_to_segments,
+    union_groups,
+)
 
 __all__ = [
     "ElasticError",
@@ -683,7 +691,6 @@ def fit_sif(solution: EnergySolution, tip_point, tip_direction,
     others = [c for c in comps if not any(c.bits == o.bits for o in own)]
     for c in others:
         a, b = mesh.segment_endpoints(c.edge_ids)
-        from .geometry import dist_points_to_segments
         if float(dist_points_to_segments(tip[None, :], a, b).min()) <= r_outer:
             raise ElasticError("annulus intersects another crack branch")
 

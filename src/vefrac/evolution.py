@@ -16,16 +16,12 @@ the elastic energy into a RisInstance. The factory caches one FEM solve
 per distinct cracked space (fan numbering plus released Dirichlet
 edges): the datum scales linearly with the amplitude, so
 E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value. Its hop callback prices each hop once per source
-state: the scheme asks for the hops out of one state many times over
-(the step, its ledger row, the residual R of a frozen state, the next
-step from it), so the instance keeps one HopCost record per competitor
-K for the most recent source H. The records come from one HopPricer of
-H, which keeps the ATW distance rows of the new edges its hops have
-needed and prices each hop from the rows of its new edges, bit for bit
-as hop_cost does. The energetic mode is the same instance with its
-viscous flag off, charging the same records without their sweep
-integral and mu term.
+bilinear value. Its hop callback is one HopPricer of the mesh, which
+keeps the HopCost record of each competitor K of the most recent source
+H and the ATW distance rows of the new edges its hops have needed, and
+prices each hop bit for bit as hop_cost does. The energetic mode is the
+same instance with its viscous flag off, charging the same records
+without their sweep integral and mu term.
 """
 from __future__ import annotations
 
@@ -35,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dissipation import DissipationParams, HopCost, HopPricer
+from .dissipation import DissipationParams, HopPricer
 from .elastic import (
     BoundaryLoad,
     ElasticError,
@@ -44,7 +40,7 @@ from .elastic import (
     solve_on_space,
     split_along_crack,
 )
-from .geometry import CrackSet, Mesh, MeshError, connected_components, hausdorff
+from .geometry import CrackSet, Mesh, connected_components, hausdorff
 from .ve_core import RisInstance, incremental_step, residual_stability
 
 __all__ = [
@@ -347,33 +343,6 @@ _UNIT_AMPLITUDE = LinearAmplitude(1.0, 0.0)
 ENERGY_FLOOR = -1e-12
 
 
-class _HopTable:
-    """HopCost records of the hops out of the most recent source state,
-    keyed by the target's bits, and the HopPricer they come from. Asking
-    for a hop from another source replaces both, so the table never
-    holds more than one state's competitors. Records are pure functions
-    of (H, K, params), which is what lets an instance copied by
-    dataclasses.replace (as energetic_mode makes) share them."""
-
-    def __init__(self, mesh: Mesh, params: DissipationParams):
-        self.mesh = mesh
-        self.params = params
-        self._pricer: HopPricer | None = None
-        self._hops: dict[int, HopCost | None] = {}
-
-    def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
-        if not (h.mesh is k.mesh is self.mesh):
-            raise MeshError("crack sets belong to different meshes")
-        pricer = self._pricer
-        if pricer is None or h.bits != pricer.source.bits:
-            pricer = self._pricer = HopPricer(h, self.params)
-            self._hops = {}
-        hops = self._hops
-        if k.bits not in hops:
-            hops[k.bits] = pricer.hop(k)
-        return hops[k.bits]
-
-
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       pool: CrackSet, budget: int = 3, search: str = "exhaustive",
                       stability_rtol: float = 1e-9, viscous: bool = True) -> RisInstance:
@@ -383,12 +352,11 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
     ENERGY_FLOOR, which lets the competitor scans skip whatever D alone
     prices out."""
     cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
-    hops = _HopTable(mesh, params)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        hop=hops.hop,
+        hop=HopPricer(mesh, params).hop,
         params=params,
         budget=budget,
         search=search,

@@ -160,7 +160,11 @@ def track_tips(evolution, paths: Sequence[TipPath]) -> np.ndarray:
     partition time, shape (n_tips, n_times). Nondecreasing row-wise
     because runs are irreversible. Growth anywhere off the paths, or a
     non-prefix occupation of a path, raises GriffithError."""
-    counts = _prefix_counts(evolution, paths)
+    return _arclengths(paths, _prefix_counts(evolution, paths))
+
+
+def _arclengths(paths: Sequence[TipPath], counts: np.ndarray) -> np.ndarray:
+    """Each path's cumulative arclength at its prefix counts, row by row."""
     return np.array([[float(p.sigma_grid[k]) for k in row]
                      for p, row in zip(paths, counts)])
 
@@ -221,8 +225,7 @@ def griffith_report(evolution, load, paths: Sequence[TipPath],
         raise ValueError(f"unknown estimator {estimator!r}")
     counts = _prefix_counts(evolution, paths)
     times = np.asarray(evolution.partition.times, dtype=float)
-    sigma = np.array([[float(p.sigma_grid[k]) for k in row]
-                      for p, row in zip(paths, counts)])
+    sigma = _arclengths(paths, counts)
     sigmadot = np.zeros_like(sigma)
     dt = np.diff(times)
     sigmadot[:, :-1] = np.diff(sigma, axis=1) / dt

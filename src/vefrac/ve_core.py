@@ -21,15 +21,15 @@ that we provide
 The step and R are one minimization, E(t,K') + D(K,K') over the
 competitors K' of K, so one private scan holds that loop and its
 tie-break (fewer edges, then lexicographic). D needs no energy
-evaluation, so when the instance declares a floor under its energies
-the scan prices every hop first, evaluates E in increasing D, and stops
-at the first competitor whose D alone already puts it above the best
+evaluation, so the scan prices every hop first, evaluates E in
+increasing D, and stops at the first competitor whose D plus the
+instance's floor under its energies already puts it above the best
 value; only strict excess is skipped, so minimum and winners are those
 of the full scan, and a report's examined count still counts every
-competitor. The step's first scan is
-R's scan of its old state, and every complete scan is kept in the
-instance's residual memo, so a step that keeps its state has shown
-R = 0 there and the audits read R(t_i, K_{i-1}) without scanning again.
+competitor. The step's first scan is R's scan of its old state, and
+every complete scan is kept in the instance's residual memo, so a step
+that keeps its state has shown R = 0 there and the audits read
+R(t_i, K_{i-1}) without scanning again.
 
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
@@ -87,11 +87,10 @@ class RisInstance:
     is the same in both modes. Records are nonnegative, which is what
     lets jump_cost cut off a lattice node from part of its scan.
 
-    energy_floor, when given, is a lower bound on every value energy
-    returns. It lets a scan evaluate E in increasing D and stop once D
-    alone puts a competitor above the best value (see _scan). None, the
-    default, promises nothing, and scans then evaluate every competitor
-    in enumeration order.
+    energy_floor is a lower bound on every value energy returns. Scans
+    evaluate E in increasing D and stop once D plus the floor puts a
+    competitor above the best value (see _scan). The default, -infinity,
+    promises nothing, so such a scan evaluates every competitor.
 
     residuals memoizes R(t,K) reports by (t, K.bits) and assumes energy
     and hop are pure. dataclasses.replace starts the copy with an empty
@@ -108,7 +107,7 @@ class RisInstance:
     stability_rtol: float = 1e-9
     power_bound: float | None = None
     viscous: bool = True
-    energy_floor: float | None = None
+    energy_floor: float = -math.inf
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
@@ -185,18 +184,17 @@ def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
     skipped. With `stop`, the scan ends at the first value v with
     stop(v) true and returns None.
 
-    Without an energy floor the scan prices and evaluates the
-    candidates one by one, in their given order. With a floor f (every
-    E >= f), a full scan first prices every hop, then evaluates E in
-    increasing D (stable, so equal D keep their order) and stops at the
-    first candidate with D + f > best: by monotone rounding its value,
-    and every later one's, is strictly above the best so far. A `stop`
-    scan keeps its order and skips such candidates instead: the stop
-    rules of _residual test a bound on E(t,K) - v that only falls as v
-    grows, so a value above one that did not trip `stop` cannot trip it
-    either. Only strict excess is passed over, so the minimum, its
-    winners and their order are those of the plain scan, and examined
-    still counts every candidate."""
+    With the instance's energy floor f (every E >= f), a full scan
+    first prices every hop, then evaluates E in increasing D (stable, so
+    equal D keep their order) and stops at the first candidate with
+    D + f > best: by monotone rounding its value, and every later one's,
+    is strictly above the best so far. A `stop` scan keeps its order and
+    skips such candidates instead: the stop rules of _residual test a
+    bound on E(t,K) - v that only falls as v grows, so a value above one
+    that did not trip `stop` cannot trip it either. Only strict excess
+    is passed over, so the minimum, its winners and their order are
+    those of the plain scan, and examined still counts every candidate.
+    A floor of -infinity skips nothing."""
     floor = instance.energy_floor
     examined = 0
 
@@ -209,13 +207,13 @@ def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
                 yield charged.big_d, comp
 
     order: Iterable[tuple[float, CrackSet]] = priced()
-    if floor is not None and stop is None:
+    if stop is None:
         order = sorted(order, key=lambda pair: pair[0])
     best = math.inf
     winners: list[CrackSet] = []
     own = None
     for big_d, comp in order:
-        if floor is not None and big_d + floor > best:
+        if big_d + floor > best:
             if stop is None:
                 break
             continue

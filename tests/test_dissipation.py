@@ -258,17 +258,17 @@ def assert_same_record(got, expected):
     assert all(type(x) is float for x in (got.h1, got.sweep, got.alpha))
 
 
-def assert_prices_as_reference(pricer, k):
-    """Every reading of one pricer, and the public functions, against
-    the reference pricing of the hop."""
-    h = pricer.source
+def assert_prices_as_reference(pricer, h, k):
+    """Every reading of one pricer's record, and the public functions,
+    against the reference pricing of the hop."""
     expected = oracle.reference_hop_cost(h, k, PARAMS)
-    assert_same_record(pricer.hop(k), expected)
+    record = pricer.hop(h, k)
+    assert_same_record(record, expected)
     assert_same_record(hop_cost(h, k, PARAMS), expected)
     ref_alpha = oracle.reference_alpha(h, k)
     ref_sweep = oracle.reference_atw_integral(h, k, PARAMS)
-    assert pricer.alpha(k) == alpha(h, k) == ref_alpha
-    assert pricer.sweep(k) == atw_integral(h, k, PARAMS) == ref_sweep
+    read = (math.inf, math.inf) if record is None else (record.alpha, record.sweep)
+    assert read == (alpha(h, k), atw_integral(h, k, PARAMS)) == (ref_alpha, ref_sweep)
 
 
 @pytest.mark.parametrize("mesh", [rect_grid_mesh(6, 3, width=2.0, height=1.0),
@@ -283,7 +283,7 @@ def test_pricer_matches_reference_on_random_crack_sets(mesh):
         h = CrackSet(mesh, int(rng.integers(0, 2**n)) & int(rng.integers(0, 2**n))
                      & int(rng.integers(0, 2**n)))
         pool = int(rng.integers(0, 2**n))
-        pricer = HopPricer(h, PARAMS)
+        pricer = HopPricer(mesh, PARAMS)
         for _ in range(12):
             new = int(rng.integers(0, 2**n))
             for _ in range(int(rng.integers(0, 3))):
@@ -291,7 +291,7 @@ def test_pricer_matches_reference_on_random_crack_sets(mesh):
             if rng.random() < 0.6:
                 new &= pool
             k = CrackSet(mesh, new | (h.bits if rng.random() < 0.85 else 0))
-            assert_prices_as_reference(pricer, k)
+            assert_prices_as_reference(pricer, h, k)
 
 
 def test_pricer_edge_cases(grid3):
@@ -302,16 +302,16 @@ def test_pricer_edge_cases(grid3):
                            (k, h), (h, CrackSet.of_edges(grid3, [0, 4])),
                            (h, empty)):
         # a fresh pricer, and one whose rows are all filled already
-        warm = HopPricer(source, PARAMS)
-        warm.sweep(CrackSet(grid3, (1 << grid3.n_edges) - 1))
-        for pricer in (HopPricer(source, PARAMS), warm):
-            assert_prices_as_reference(pricer, target)
-    assert HopPricer(h, PARAMS).hop(h) == HopCost(0.0, 0.0, 0.0)
-    assert HopPricer(k, PARAMS).hop(h) is None
-    assert HopPricer(k).alpha(h) == math.inf
-    assert HopPricer(k, PARAMS).sweep(h) == math.inf
+        warm = HopPricer(grid3, PARAMS)
+        warm.hop(source, CrackSet(grid3, (1 << grid3.n_edges) - 1))
+        for pricer in (HopPricer(grid3, PARAMS), warm):
+            assert_prices_as_reference(pricer, source, target)
+    assert HopPricer(grid3, PARAMS).hop(h, h) == HopCost(0.0, 0.0, 0.0)
+    assert HopPricer(grid3, PARAMS).hop(k, h) is None
+    assert alpha(k, h) == math.inf
+    assert atw_integral(k, h, PARAMS) == math.inf
     # from the empty set the sweep is the diameter times the new length
-    assert HopPricer(empty, PARAMS).sweep(h) == \
+    assert HopPricer(grid3, PARAMS).hop(empty, h).sweep == \
         grid3.domain_diameter * math.fsum(grid3.edge_lengths[list(h.edge_ids)])
 
 
@@ -326,11 +326,11 @@ def test_pricer_counts_new_edges_by_how_they_meet_h(grid3):
         "two separate components": ([(8, 12), (10, 11)], 2.0),
         "separate plus touching": ([(9, 13), (3, 7)], 1.0),
     }
-    pricer = HopPricer(h, PARAMS)
+    pricer = HopPricer(grid3, PARAMS)
     for name, (pairs, count) in shapes.items():
         k = h.union(CrackSet.of_vertex_pairs(grid3, pairs))
-        assert pricer.alpha(k) == count, name
-        assert_prices_as_reference(pricer, k)
+        assert pricer.hop(h, k).alpha == count, name
+        assert_prices_as_reference(pricer, h, k)
 
 
 def test_rows_do_not_depend_on_the_batch_that_fills_them():
@@ -346,16 +346,41 @@ def test_rows_do_not_depend_on_the_batch_that_fills_them():
     targets = [h.with_edges(c) for size in (1, 2, 3)
                for c in itertools.combinations(free, size)][::7]
     expected = [oracle.reference_hop_cost(h, k, PARAMS) for k in targets]
-    batched = HopPricer(h, PARAMS)
-    batched.sweep(pool.union(h))
-    records = {"one batch": [batched.hop(k) for k in targets]}
-    in_order = HopPricer(h, PARAMS)
-    records["hop by hop"] = [in_order.hop(k) for k in targets]
-    reversed_ = HopPricer(h, PARAMS)
-    records["hop by hop, reversed"] = [reversed_.hop(k) for k in targets[::-1]][::-1]
+    batched = HopPricer(mesh, PARAMS)
+    batched.hop(h, pool.union(h))
+    records = {"one batch": [batched.hop(h, k) for k in targets]}
+    in_order = HopPricer(mesh, PARAMS)
+    records["hop by hop"] = [in_order.hop(h, k) for k in targets]
+    reversed_ = HopPricer(mesh, PARAMS)
+    records["hop by hop, reversed"] = [reversed_.hop(h, k) for k in targets[::-1]][::-1]
     for name, got in records.items():
         for record, ref in zip(got, expected):
             assert_same_record(record, ref)
+
+
+def test_one_pricer_switches_sources_and_back(grid3):
+    # a pricer priced from A, then B, then A again holds only the last
+    # source's rows and records, yet every record equals a fresh
+    # pricer's and the reference's
+    rng = np.random.default_rng(7)
+    n = grid3.n_edges
+    a = CrackSet.of_edges(grid3, [0, 4, 9])
+    b = a.with_edges([20])
+    pricer = HopPricer(grid3, PARAMS)
+    for source in (a, b, a):
+        targets = [CrackSet(grid3, source.bits | (int(rng.integers(0, 2**n))
+                                                  & int(rng.integers(0, 2**n))))
+                   for _ in range(6)] + [a, b, CrackSet.empty(grid3)]
+        for k in targets + targets[::-1]:
+            expected = oracle.reference_hop_cost(source, k, PARAMS)
+            got = pricer.hop(source, k)
+            assert got == HopPricer(grid3, PARAMS).hop(source, k)
+            assert_same_record(got, expected)
+    other = square_grid_mesh(3)
+    for h, k in ((CrackSet(other, a.bits), CrackSet(other, b.bits)),
+                 (a, CrackSet(other, b.bits)), (CrackSet(other, a.bits), b)):
+        with pytest.raises(MeshError, match="different meshes"):
+            pricer.hop(h, k)
 
 
 def test_atw_rule_is_built_once_and_read_only():

@@ -291,7 +291,7 @@ def test_energy_below_the_floor_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# hop table
+# the instance's hop pricer
 # ---------------------------------------------------------------------------
 
 def test_hop_table_matches_direct_pricing():
@@ -412,7 +412,7 @@ def test_hop_table_rejects_another_mesh():
     other, _, _ = nucleation_well()
     h = CrackSet.empty(inst.mesh)
     k = inst.pool
-    inst.hop(h, k)  # the table now holds (empty -> pool)
+    inst.hop(h, k)  # the pricer now holds (empty -> pool)
     h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
     for a, b in ((h2, k2), (h, k2), (h2, k)):
         for cost in (inst.hop, inst.charges):
@@ -425,8 +425,8 @@ def test_hop_table_rejects_another_mesh():
 # ---------------------------------------------------------------------------
 
 def test_energetic_mode_ignores_a_warm_hop_table():
-    # A VE run fills the hop table with sweep integrals; neither
-    # energetic_mode nor a non-viscous copy sharing the table may
+    # A VE run fills the hop pricer with sweep integrals; neither
+    # energetic_mode nor a non-viscous copy sharing the pricer may
     # charge them.
     inst, load = well_instance()
     part = TimePartition.uniform(load.horizon, 60)

@@ -129,9 +129,7 @@ def alpha(h: CrackSet, k: CrackSet) -> float:
     _nucleations counts it."""
     if not h.issubset(k):
         return math.inf
-    mesh = h.mesh
-    h_vertices = frozenset(mesh.edges[list(h.edge_ids)].ravel().tolist())
-    return _nucleations(mesh, h_vertices, k.minus(h).edge_ids)
+    return _nucleations(h.mesh, h.vertex_ids(), k.minus(h).edge_ids)
 
 
 def _nucleations(mesh: Mesh, h_vertices: frozenset, new_ids: tuple) -> float:
@@ -256,10 +254,9 @@ class HopPricer:
 
     def _reset(self, h: CrackSet) -> None:
         self._source = h
-        self._h_vertices = frozenset(self.mesh.edges[list(h.edge_ids)].ravel().tolist())
+        self._h_vertices = h.vertex_ids()
         self._h_segments = self.mesh.segment_endpoints(h.edge_ids)
-        self._slots: dict[int, int] = {}
-        self._rows = np.empty((0, 0))
+        self._rows: dict[int, np.ndarray] = {}
         self._hops: dict[int, HopCost | None] = {}
 
     def _price(self, k: CrackSet) -> HopCost | None:
@@ -283,24 +280,16 @@ class HopPricer:
         # requested order per panel stay exact for linear integrands and
         # push the kink error below the dense-sampling oracle's tolerance.
         t, w = _atw_rule(self.params.quadrature_order)
-        self._fill(new_ids, t)
-        slots = self._slots
-        dists = self._rows[[slots[e] for e in new_ids]]
-        return math.fsum(lengths * (dists @ w))
-
-    def _fill(self, edge_ids: tuple, t: np.ndarray) -> None:
-        """Compute the missing rows of `edge_ids` in one batch."""
-        missing = [e for e in edge_ids if e not in self._slots]
-        if not missing:
-            return
-        a, b = self.mesh.segment_endpoints(missing)
-        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        ha, hb = self._h_segments
-        dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
-        rows = dists.reshape(len(missing), len(t))
-        self._rows = np.concatenate([self._rows, rows]) if self._slots else rows
-        for e in missing:
-            self._slots[e] = len(self._slots)
+        rows = self._rows
+        missing = [e for e in new_ids if e not in rows]
+        if missing:
+            a, b = self.mesh.segment_endpoints(missing)
+            pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+            ha, hb = self._h_segments
+            dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
+            rows.update(zip(missing, dists.reshape(len(missing), len(t))))
+        block = np.array([rows[e] for e in new_ids])
+        return math.fsum(lengths * (block @ w))
 
 
 def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:

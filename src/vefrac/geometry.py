@@ -439,12 +439,7 @@ class CrackSet:
 
     def vertex_ids(self) -> frozenset:
         """Endpoints of all member edges."""
-        out = set()
-        for e in self.edge_ids:
-            va, vb = self.mesh.edges[e]
-            out.add(int(va))
-            out.add(int(vb))
-        return frozenset(out)
+        return frozenset(self.mesh.edges[list(self.edge_ids)].ravel().tolist())
 
     def sort_key(self):
         """Deterministic tie-break key: cardinality, then lexicographic edges."""

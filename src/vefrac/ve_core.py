@@ -27,9 +27,11 @@ instance's floor under its energies already puts it above the best
 value; only strict excess is skipped, so minimum and winners are those
 of the full scan, and a report's examined count still counts every
 competitor. The step's first scan is R's scan of its old state, and
-every complete scan is kept in the instance's residual memo, so a step
-that keeps its state has shown R = 0 there and the audits read
-R(t_i, K_{i-1}) without scanning again.
+every R scan is kept in the instance's residual memo, so a step that
+keeps its state has shown R = 0 there and the audits read
+R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
+every lattice node it expands; a node whose one value at K+ already
+prices it out of the search is cut off without a scan.
 
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
@@ -85,7 +87,8 @@ class RisInstance:
     mu*alpha, or, when False, the energetic D = d. Only charges() reads
     it, and HopCost.charges does the arithmetic, so every algorithm below
     is the same in both modes. Records are nonnegative, which is what
-    lets jump_cost cut off a lattice node from part of its scan.
+    lets jump_cost cut off a lattice node by the value of its witness
+    K+ alone.
 
     energy_floor is a lower bound on every value energy returns. Scans
     evaluate E in increasing D and stop once D plus the floor puts a
@@ -173,56 +176,42 @@ class StabilityReport:
 
 
 def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
-          instance: RisInstance, stop: Callable[[float], bool] | None = None,
-          ) -> tuple[float, list[CrackSet], int, float | None] | None:
+          instance: RisInstance) -> tuple[float, list[CrackSet], int, float | None]:
     """The one competitor loop: min over candidates K of
     E(t,K) + D(source,K). Returns the minimum, the candidates attaining
     it sorted by the tie-break (fewer edges, then lexicographic), the
     number of candidates examined (every candidate, priced or not), and
     E(t, source) when the source is a candidate (None otherwise). A
     candidate that does not contain `source` costs +infinity and is
-    skipped. With `stop`, the scan ends at the first value v with
-    stop(v) true and returns None.
+    skipped.
 
-    With the instance's energy floor f (every E >= f), a full scan
-    first prices every hop, then evaluates E in increasing D (stable, so
-    equal D keep their order) and stops at the first candidate with
+    With the instance's energy floor f (every E >= f), the scan first
+    prices every hop, then evaluates E in increasing D (stable, so equal
+    D keep their order) and stops at the first candidate with
     D + f > best: by monotone rounding its value, and every later one's,
-    is strictly above the best so far. A `stop` scan keeps its order and
-    skips such candidates instead: the stop rules of _residual test a
-    bound on E(t,K) - v that only falls as v grows, so a value above one
-    that did not trip `stop` cannot trip it either. Only strict excess
-    is passed over, so the minimum, its winners and their order are
-    those of the plain scan, and examined still counts every candidate.
-    A floor of -infinity skips nothing."""
+    is strictly above the best so far. Only strict excess is passed
+    over, so the minimum, its winners and their order are those of the
+    plain scan, and examined still counts every candidate. A floor of
+    -infinity skips nothing."""
     floor = instance.energy_floor
+    priced = []
     examined = 0
-
-    def priced() -> Iterator[tuple[float, CrackSet]]:
-        nonlocal examined
-        for comp in candidates:
-            examined += 1
-            charged = instance.charges(source, comp)
-            if charged is not None:
-                yield charged.big_d, comp
-
-    order: Iterable[tuple[float, CrackSet]] = priced()
-    if stop is None:
-        order = sorted(order, key=lambda pair: pair[0])
+    for comp in candidates:
+        examined += 1
+        charged = instance.charges(source, comp)
+        if charged is not None:
+            priced.append((charged.big_d, comp))
+    priced.sort(key=lambda pair: pair[0])
     best = math.inf
     winners: list[CrackSet] = []
     own = None
-    for big_d, comp in order:
+    for big_d, comp in priced:
         if big_d + floor > best:
-            if stop is None:
-                break
-            continue
+            break
         energy = instance.energy(t, comp)
         if comp.bits == source.bits:
             own = energy
         value = energy + big_d
-        if stop is not None and stop(value):
-            return None
         if value < best:
             best = value
             winners = [comp]
@@ -232,32 +221,19 @@ def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
     return best, winners, examined, own
 
 
-def _residual(t: float, state: CrackSet, instance: RisInstance,
-              witness: CrackSet | None = None,
-              cut: Callable[[float], bool] | None = None) -> StabilityReport | None:
-    """R(t,K) through the instance's residual memo; a scan that runs to
-    the end is memoized. With `cut`, `witness` (a competitor of K, or
-    None) is scanned first, and the scan gives up, returning None, at
-    the first competitor value v with cut(E(t,K) - v) true. Every value
-    bounds the minimum from above, so E(t,K) - v bounds R from below."""
+def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
+    """R(t,K) = E(t,K) - min over competitors K' of E(t,K') + D(K,K').
+
+    K' = K itself is always enumerated and has D = 0, so the minimum
+    never exceeds E(t,K) and R is nonnegative without clamping. Each
+    (t, K) is scanned once per instance: the report is kept in the
+    instance's residual memo.
+    """
     key = (t, state.bits)
     report = instance.residuals.get(key)
     if report is not None:
         return report
-    candidates, stop = instance.competitors(state), None
-    if cut is not None:
-        own = instance.energy(t, state)
-
-        def stop(value: float) -> bool:
-            return cut(own - value)
-
-        if witness is not None:
-            candidates = itertools.chain(
-                [witness], (c for c in candidates if c.bits != witness.bits))
-    scanned = _scan(t, state, candidates, instance, stop)
-    if scanned is None:
-        return None
-    best, winners, examined, own = scanned
+    best, winners, examined, own = _scan(t, state, instance.competitors(state), instance)
     if own is None or best > own:
         raise AssertionError(
             "competitor enumeration missed the state itself "
@@ -266,16 +242,6 @@ def _residual(t: float, state: CrackSet, instance: RisInstance,
                              examined=examined)
     instance.residuals[key] = report
     return report
-
-
-def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
-    """R(t,K) = E(t,K) - min over competitors K' of E(t,K') + D(K,K').
-
-    K' = K itself is always enumerated and has D = 0, so the minimum
-    never exceeds E(t,K) and R is nonnegative without clamping. Each
-    (t, K) is scanned once per instance.
-    """
-    return _residual(t, state, instance)
 
 
 def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSet:
@@ -336,7 +302,7 @@ class HopLedger:
 class JumpCostResult:
     """The jump cost with its optimal chain and per-hop ledger. expanded
     counts the lattice nodes whose full R was taken and whose successors
-    were pushed; pruned counts those cut off by part of their scan."""
+    were pushed; pruned counts those cut off by their witness K+."""
 
     cost: float
     chain: MonotoneChain | None
@@ -356,16 +322,17 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     not charged, as in the transition-cost sum. Ties prefer shorter
     chains, then the smaller tuple of node bitmasks.
 
-    K- is scanned in full, which prices the direct hop to K+ and so
-    gives a best known cost C. An intermediate node reached at cost c
-    scans its competitors, K+ first when it is one, only until some
-    value v has c + (E(t, node) - v) > C. R(node) >= E(t, node) - v and
-    the charges are nonnegative, so under monotone rounding every chain
-    through the node costs strictly more than C: the node is cut off
-    without its full R or its successors. Only strict excess is cut, so
-    the cost, the chain, its tie-break and every r_start are those of
-    the full search. Nodes on the returned chain all had their full R,
-    so their r_start is read from the instance's residual memo.
+    Expanding K- prices the direct hop to K+ and so gives a best known
+    cost C. An intermediate node reached at cost c that has K+ as a
+    competitor (its witness) reads v = E(t, K+) + D(node, K+), and is
+    cut off without its R or its successors when
+    c + (E(t, node) - v) > C. v is one of the values R minimizes over,
+    so R(node) >= E(t, node) - v, and the charges are nonnegative:
+    under monotone rounding every chain through the node costs strictly
+    more than C. Only strict excess is cut, so the cost, the chain, its
+    tie-break and every r_start are those of the unpruned search. Every
+    other node takes its full R from residual_stability, so the nodes
+    on the returned chain read their r_start from the residual memo.
     """
     if not k_minus.issubset(k_plus):
         return JumpCostResult(cost=math.inf, chain=None, hops=())
@@ -391,16 +358,13 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
         if node == full:
             break
         here = CrackSet(mesh, node)
-        if node == start:
-            report = residual_stability(t, here, instance)
-        else:
-            bound = best[full][0]
-            witness = k_plus if instance.is_competitor(here, k_plus) else None
-            report = _residual(t, here, instance, witness,
-                               cut=lambda drop: cost + drop > bound)
-            if report is None:
+        if node != start and instance.is_competitor(here, k_plus):
+            own = instance.energy(t, here)
+            v = instance.energy(t, k_plus) + instance.charges(here, k_plus).big_d
+            if cost + (own - v) > best[full][0]:
                 pruned += 1
                 continue
+        report = residual_stability(t, here, instance)
         expanded += 1
         rest = full & ~node
         sub = rest

@@ -245,12 +245,11 @@ def competitors_by_sets(pool, state, search, budget):
     return out
 
 
-def reference_scan(t, source, candidates, instance, stop=None):
+def reference_scan(t, source, candidates, instance):
     """The competitor loop without any skipping: min over candidates K of
     E(t,K) + D(source,K), pricing and evaluating every candidate in the
     given order. Returns (minimum, winners sorted by the tie-break,
-    candidates examined, E(t, source) or None), or None at the first
-    value v with stop(v) true."""
+    candidates examined, E(t, source) or None)."""
     best = math.inf
     winners = []
     examined = 0
@@ -264,8 +263,6 @@ def reference_scan(t, source, candidates, instance, stop=None):
         if comp.bits == source.bits:
             own = energy
         value = energy + charged.big_d
-        if stop is not None and stop(value):
-            return None
         if value < best:
             best = value
             winners = [comp]

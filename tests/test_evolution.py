@@ -407,6 +407,34 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
         assert len(solved) == len(set(solved)) == solves
 
 
+@pytest.mark.parametrize("workload, counts",
+                         [("strip", [(1, 0)] * 8), ("grid", [(1, 2), (1, 1)]),
+                          ("fine", [(1, 2), (1, 1)])],
+                         ids=["strip", "grid", "fine"])
+def test_workload_jump_costs_cut_by_the_witness(workload, counts, tmp_path,
+                                                monkeypatch):
+    # (expanded, pruned) of every jump_cost call a benchmark run makes, in
+    # call order: every node that is cut off is cut by its witness K+
+    import vefrac.cli_io as cli_io
+    import vefrac.ve_core as ve_core
+
+    search = ve_core.jump_cost
+    seen = []
+
+    def counted(*args):
+        result = search(*args)
+        seen.append((result.expanded, result.pruned))
+        return result
+
+    for module in (ve_core, cli_io):
+        monkeypatch.setattr(module, "jump_cost", counted)
+    for run in ("first", "second"):
+        seen.clear()
+        ctx = _workload_run(workload, tmp_path / run)
+        _run_to_archive(ctx, tmp_path / run / "out")
+        assert seen == counts
+
+
 def test_hop_table_rejects_another_mesh():
     inst, _ = well_instance()
     other, _, _ = nucleation_well()

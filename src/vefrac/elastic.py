@@ -156,7 +156,11 @@ class _MeshTables:
     pinch vertex whose star is already split (two triangles meeting only
     at that vertex). Base DOF n is the n-th fan in (vertex, smallest
     triangle) order, the numbering CrackedSpace keeps. The per-vertex
-    walks of a crack read the Python-list copies (`*_list`).
+    walks of a crack read flat Python int lists (`*_list`): the edge
+    ends `edge_a_list`/`edge_b_list`, and per link, grouped by vertex
+    through `link_ptr_list`, its edge and two corners
+    (`link_edge_list`, `link_a_list`, `link_b_list`). No container is
+    kept per edge or per link.
     """
 
     def __init__(self, mesh: Mesh):
@@ -209,15 +213,15 @@ class _MeshTables:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        self.edge_list = mesh.edges.tolist()
+        self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
         self.corner_vertex_list = self.corner_vertex.tolist()
         self.corner_order_list = corner_order.tolist()
         self.corner_ptr_list = np.searchsorted(self.corner_vertex[corner_order],
                                                np.arange(nv + 1)).tolist()
-        self.link_list = list(zip(link_edge[by_vertex].tolist(),
-                                  map(tuple, link_corners.tolist())))
+        self.link_edge_list = link_edge[by_vertex].tolist()
+        self.link_a_list, self.link_b_list = link_corners.T.tolist()
         self.link_ptr_list = np.searchsorted(link_vertex[by_vertex],
                                              np.arange(nv + 1)).tolist()
 
@@ -289,16 +293,18 @@ class CrackedSpace:
     def _build_dofs(self, tables: _MeshTables, crack_ids: tuple):
         fans = tables.base_fans.copy()
         rank = tables.base_rank.copy()
-        split = sorted({v for e in crack_ids for v in tables.edge_list[e]})
+        ends_a, ends_b = tables.edge_a_list, tables.edge_b_list
+        split = sorted({ends_a[e] for e in crack_ids} | {ends_b[e] for e in crack_ids})
         if split:
             bits = self.crack.bits
             order, ptr = tables.corner_order_list, tables.corner_ptr_list
-            link_list, link_ptr = tables.link_list, tables.link_ptr_list
+            link_edge, link_ptr = tables.link_edge_list, tables.link_ptr_list
+            link_a, link_b = tables.link_a_list, tables.link_b_list
             corners, links = [], []
             for v in split:
                 corners += order[ptr[v]:ptr[v + 1]]
-                links += [pair for e, pair in link_list[link_ptr[v]:link_ptr[v + 1]]
-                          if not (bits >> e) & 1]
+                links += [(link_a[i], link_b[i]) for i in range(link_ptr[v], link_ptr[v + 1])
+                          if not (bits >> link_edge[i]) & 1]
             # groups come by vertex, then by smallest triangle
             fans_at, moved, moved_rank = {}, [], []
             for group in union_groups(corners, links):
@@ -331,7 +337,7 @@ class CrackedSpace:
         links = []
         for e in self._crack_ids:
             if tables.is_interior_list[e]:
-                a, b = tables.edge_list[e]
+                a, b = tables.edge_a_list[e], tables.edge_b_list[e]
                 links.append((-1 if on_boundary[a] else a, -1 if on_boundary[b] else b))
         nodes = sorted({v for link in links for v in link})
         if len(links) == len(nodes) - len(union_groups(nodes, links)):

@@ -16,6 +16,8 @@ same thing in every run that uses the same mesh.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -61,7 +63,9 @@ class Mesh:
     of side k of triangle t, which joins its corners k and k + 1 mod 3.
     An edge belongs to two triangles exactly when its tag is INTERIOR,
     and to one otherwise. Other layers read incidences from these two
-    arrays rather than deriving their own.
+    arrays rather than deriving their own. `edge_index` maps a sorted
+    vertex pair to its edge by a binary search in the sorted edge keys,
+    so no per-edge object is kept.
     """
 
     vertices: np.ndarray        # (nv, 2) float
@@ -70,7 +74,7 @@ class Mesh:
     edge_lengths: np.ndarray    # (ne,) float
     edge_tags: np.ndarray       # (ne,) int, INTERIOR / DIRICHLET / NEUMANN
     tri_edges: np.ndarray       # (nt, 3) int, read-only: edge of side k (corners k, k+1 mod 3)
-    edge_index: dict            # sorted vertex pair -> edge index
+    edge_index: _EdgeIndex      # sorted vertex pair -> edge index, read-only
     domain_diameter: float
     triangle_areas: np.ndarray  # (nt,) float
 
@@ -109,6 +113,38 @@ class Mesh:
         """Coordinate arrays (a, b) for the given edges."""
         ids = np.asarray(edge_ids, dtype=int)
         return self.vertices[self.edges[ids, 0]], self.vertices[self.edges[ids, 1]]
+
+
+class _EdgeIndex(Mapping):
+    """Read-only map from a sorted vertex pair (lo, hi) to its edge index.
+
+    Edge i has the key lo * nv + hi, and the keys ascend with i. A pair
+    is looked up only when 0 <= lo < hi < nv, the range in which the key
+    determines the pair; anything else, such as (-1, nv + 1), whose key
+    is that of (0, 1), or a triple, raises KeyError.
+    """
+
+    def __init__(self, keys: np.ndarray, nv: int):
+        self._keys = keys
+        self._nv = nv
+
+    def __getitem__(self, pair) -> int:
+        try:
+            lo, hi = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise KeyError(pair) from None
+        if 0 <= lo < hi < self._nv:
+            key = lo * self._nv + hi
+            i = int(np.searchsorted(self._keys, key))
+            if i < len(self._keys) and self._keys[i] == key:
+                return i
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return (divmod(key, self._nv) for key in self._keys.tolist())
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -232,14 +268,16 @@ def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
     vv = order[slots]
     keep = (edges[ev, 0] != vv) & (edges[ev, 1] != vv)
     ev, vv = ev[keep], vv[keep]
-    p = vertices[vv]
-    d = b[ev] - a[ev]
-    l2 = np.einsum("ij,ij->i", d, d)
-    ap = p - a[ev]
-    t = np.einsum("ij,ij->i", ap, d) / l2
+    # the arithmetic of dist_points_to_segments on x and y columns, where
+    # a 2-vector's einsum is x * x + y * y
+    px, py = vertices[vv, 0], vertices[vv, 1]
+    ax, ay = a[ev, 0], a[ev, 1]
+    dx, dy = b[ev, 0] - ax, b[ev, 1] - ay
+    l2 = dx * dx + dy * dy
+    t = ((px - ax) * dx + (py - ay) * dy) / l2
     np.clip(t, 0.0, 1.0, out=t)
-    diff = p - (a[ev] + t[:, None] * d)
-    bad = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    bad = np.flatnonzero(np.sqrt(ex * ex + ey * ey) <= tol)
     if not bad.size:
         return None
     k = bad[np.lexsort((ev[bad], vv[bad]))[0]]
@@ -285,13 +323,18 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
 
     Parameters
     ----------
-    vertices : sequence of coordinate pairs or Point2
+    vertices : (nv, 2) array, or sequence of coordinate pairs or Point2
     triangles : sequence of vertex index triples, positively oriented
     dirichlet_marker : see :func:`_dirichlet_predicate`; selects the
         Dirichlet part among the boundary edges. Must select at least one.
     """
-    verts = np.array([[p.x, p.y] if isinstance(p, Point2) else [p[0], p[1]]
-                      for p in vertices], dtype=float)
+    if isinstance(vertices, np.ndarray):
+        verts = np.array(vertices, dtype=float)
+        if verts.ndim != 2 or verts.shape[1] != 2:
+            raise MeshError("vertices must be coordinate pairs")
+    else:
+        verts = np.array([[p.x, p.y] if isinstance(p, Point2) else [p[0], p[1]]
+                          for p in vertices], dtype=float)
     if len(verts) < 3:
         raise MeshError("mesh needs at least 3 vertices")
     if not np.all(np.isfinite(verts)):
@@ -335,8 +378,8 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         e = shared[0]
         raise MeshError(f"edge {tuple(edges[e].tolist())} belongs to {int(owners[e])} "
                         "triangles: non-conforming mesh")
-    edge_list = edges.tolist()
-    edge_index = {(va, vb): i for i, (va, vb) in enumerate(edge_list)}
+    keys.setflags(write=False)
+    edge_index = _EdgeIndex(keys, nv)
 
     lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
 
@@ -345,12 +388,13 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
     tags = np.full(len(edges), INTERIOR, dtype=int)
     predicate = _dirichlet_predicate(dirichlet_marker)
     for p in getattr(predicate, "pairs", ()):
-        if p not in edge_index:
+        e = edge_index.get(p)
+        if e is None:
             raise MeshError(f"dirichlet pair {p} is not a mesh edge")
-        if owners[edge_index[p]] != 1:
+        if owners[e] != 1:
             raise MeshError(f"dirichlet pair {p} is not a boundary edge")
-    for i in np.flatnonzero(owners == 1).tolist():
-        va, vb = edge_list[i]
+    boundary = np.flatnonzero(owners == 1)
+    for i, (va, vb) in zip(boundary.tolist(), edges[boundary].tolist()):
         tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
     if not np.any(tags == DIRICHLET):
         raise MeshError("empty Dirichlet set")
@@ -396,9 +440,10 @@ class CrackSet:
         ids = []
         for p in pairs:
             key = tuple(sorted(map(int, p)))
-            if key not in mesh.edge_index:
+            e = mesh.edge_index.get(key)
+            if e is None:
                 raise MeshError(f"vertex pair {key} is not a mesh edge")
-            ids.append(mesh.edge_index[key])
+            ids.append(e)
         return cls.of_edges(mesh, ids)
 
     @property
@@ -561,10 +606,55 @@ def hausdorff(h: CrackSet, k: CrackSet, resolution: float = None) -> float:
 
 # ---------------------------------------------------------------------------
 # Mesh file format: header "ve-mesh 1", then "v x y", "t i j k" and
-# "dirichlet ..." lines. Indices are 0-based; floats parse bit-exactly.
+# "dirichlet ..." lines. Indices are 0-based. Numbers read as Python's
+# float() and int() read them, so floats parse bit-exactly and "1_000.5"
+# or "+4" are accepted. A line with a wrong number of fields or a number
+# that does not read raises MeshError("malformed <kind> line: ..."),
+# which `vefrac run` reports with exit code 1.
 # ---------------------------------------------------------------------------
 
 MESH_FORMAT = "ve-mesh 1"
+
+# directive -> (its name in messages, number type, test of the number count)
+_DIRECTIVES = {
+    "v": ("vertex", float, lambda n: n == 2),
+    "t": ("triangle", int, lambda n: n == 3),
+    "dirichlet bbox": ("dirichlet bbox", float, lambda n: n == 4),
+    "dirichlet pairs": ("dirichlet pairs", int, lambda n: n > 0 and n % 2 == 0),
+}
+
+
+def _parse_line(ln: str):
+    """Directive and numbers of one stripped, non-blank line after the
+    header; raises MeshError if the line is not one the format allows."""
+    fields = ln.split()
+    if fields[0] == "dirichlet":
+        if len(fields) < 2 or fields[1] not in ("bbox", "pairs"):
+            raise MeshError(f"unknown dirichlet selector in line: {ln!r}")
+        fields[:2] = [f"dirichlet {fields[1]}"]
+    if fields[0] not in _DIRECTIVES:
+        raise MeshError(f"unknown mesh file directive {fields[0]!r}")
+    name, number, fits = _DIRECTIVES[fields[0]]
+    try:
+        values = list(map(number, fields[1:]))
+    except ValueError:
+        values = None
+    if values is None or not fits(len(values)):
+        raise MeshError(f"malformed {name} line: {ln!r}")
+    return fields[0], values
+
+
+def _number_block(lines: list, number, width: int) -> np.ndarray:
+    """The numbers of `lines`, each a one-letter directive and `width`
+    numbers, as a (len(lines), width) array; ValueError if a line is
+    malformed. The block is split once. With (width + 1) tokens per line
+    on average, a line of another length puts some directive where a
+    number belongs, and no directive reads as a number."""
+    tokens = " ".join(lines).split()
+    if len(tokens) != (width + 1) * len(lines):
+        raise ValueError("malformed line in block")
+    del tokens[::width + 1]
+    return np.array(list(map(number, tokens)), dtype=number).reshape(-1, width)
 
 
 def parse_mesh_text(text: str) -> Mesh:
@@ -572,37 +662,33 @@ def parse_mesh_text(text: str) -> Mesh:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != MESH_FORMAT:
         raise MeshError(f"unsupported mesh format (expected header '{MESH_FORMAT}')")
-    verts, tris, bboxes, pairs = [], [], [], []
+    # one pass sorts the lines by directive; "v" and "t" lines are read
+    # in bulk, the few others one by one
+    blocks = {"v": [], "t": []}
+    others = []
     for ln in lines[1:]:
-        fields = ln.split()
-        kind, args = fields[0], fields[1:]
-        if kind == "v":
-            if len(args) != 2:
-                raise MeshError(f"malformed vertex line: {ln!r}")
-            verts.append((float(args[0]), float(args[1])))
-        elif kind == "t":
-            if len(args) != 3:
-                raise MeshError(f"malformed triangle line: {ln!r}")
-            tris.append(tuple(int(a) for a in args))
-        elif kind == "dirichlet":
-            if args and args[0] == "bbox":
-                if len(args) != 5:
-                    raise MeshError(f"malformed dirichlet bbox line: {ln!r}")
-                bboxes.append(tuple(float(a) for a in args[1:]))
-            elif args and args[0] == "pairs":
-                vals = [int(a) for a in args[1:]]
-                if not vals or len(vals) % 2:
-                    raise MeshError(f"malformed dirichlet pairs line: {ln!r}")
-                pairs.extend((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
-            else:
-                raise MeshError(f"unknown dirichlet selector in line: {ln!r}")
-        else:
-            raise MeshError(f"unknown mesh file directive {kind!r}")
+        block = blocks.get(ln[0]) if ln[1:2].isspace() else None
+        (others if block is None else block).append(ln)
+    try:
+        verts = _number_block(blocks["v"], float, 2)
+        tris = _number_block(blocks["t"], int, 3)
+        selectors = {"dirichlet bbox": [], "dirichlet pairs": []}
+        for ln in others:
+            kind, values = _parse_line(ln)
+            selectors[kind].append(values)
+    except (ValueError, MeshError):
+        # some line is malformed: name the first one in file order
+        for ln in lines[1:]:
+            _parse_line(ln)
+        raise
 
+    bboxes, pairs = selectors["dirichlet bbox"], selectors["dirichlet pairs"]
     if not bboxes and not pairs:
         raise MeshError("mesh file declares no dirichlet selector")
     selector = _DirichletSelector(
-        pairs=frozenset(tuple(sorted(p)) for p in pairs), boxes=tuple(bboxes))
+        pairs=frozenset(tuple(sorted(vals[i:i + 2]))
+                        for vals in pairs for i in range(0, len(vals), 2)),
+        boxes=tuple(map(tuple, bboxes)))
     return build_mesh(verts, tris, selector)
 
 

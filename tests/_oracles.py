@@ -730,3 +730,48 @@ def reference_energy_entry(mesh, load, k):
     sol = solve_on_space(1.0, space, unit)
     g = load.profile[space.dof_vertex]
     return sol.energy, float(g @ sol.au)
+
+
+def reference_parse_mesh_text(text: str):
+    """The mesh file parser line by line: one tuple per vertex and
+    triangle line, each number read by float() or int() as it comes, so
+    a number that does not read raises a bare ValueError. Errors come in
+    file order. Builds through build_mesh's sequence-of-pairs path."""
+    from vefrac.geometry import MESH_FORMAT, MeshError, _DirichletSelector, build_mesh
+
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0] != MESH_FORMAT:
+        raise MeshError(f"unsupported mesh format (expected header '{MESH_FORMAT}')")
+    verts, tris, bboxes, pairs = [], [], [], []
+    for ln in lines[1:]:
+        fields = ln.split()
+        kind, args = fields[0], fields[1:]
+        if kind == "v":
+            if len(args) != 2:
+                raise MeshError(f"malformed vertex line: {ln!r}")
+            verts.append((float(args[0]), float(args[1])))
+        elif kind == "t":
+            if len(args) != 3:
+                raise MeshError(f"malformed triangle line: {ln!r}")
+            tris.append(tuple(int(a) for a in args))
+        elif kind == "dirichlet":
+            if args and args[0] == "bbox":
+                if len(args) != 5:
+                    raise MeshError(f"malformed dirichlet bbox line: {ln!r}")
+                bboxes.append(tuple(float(a) for a in args[1:]))
+            elif args and args[0] == "pairs":
+                vals = [int(a) for a in args[1:]]
+                if not vals or len(vals) % 2:
+                    raise MeshError(f"malformed dirichlet pairs line: {ln!r}")
+                pairs.extend((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
+            else:
+                raise MeshError(f"unknown dirichlet selector in line: {ln!r}")
+        else:
+            raise MeshError(f"unknown mesh file directive {kind!r}")
+
+    if not bboxes and not pairs:
+        raise MeshError("mesh file declares no dirichlet selector")
+    selector = _DirichletSelector(
+        pairs=frozenset(tuple(sorted(p)) for p in pairs), boxes=tuple(bboxes))
+    return build_mesh(verts, tris, selector)

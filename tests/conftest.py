@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -32,3 +33,16 @@ def grid3():
 def grid4_tb():
     """4x4 unit grid with top and bottom rows Dirichlet."""
     return square_grid_mesh(4, dirichlet="topbottom")
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """bench/workloads.py, which writes the benchmark's inputs."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -337,6 +337,18 @@ def test_cli_refuses_a_bad_load_before_running(workdir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_names_a_malformed_mesh_line(workdir, tmp_path, capsys):
+    lines = (workdir["root"] / "well.mesh").read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("v "))
+    lines[first] = "v 1.0 x"
+    (tmp_path / "well.mesh").write_text("\n".join(lines) + "\n")
+    (tmp_path / "run.ini").write_text(WELL_INI.format(mode="ve", output="out"))
+    assert cli_dispatch(["run", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().out.strip() == \
+        "error: malformed vertex line: 'v 1.0 x'"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # archives
 # ---------------------------------------------------------------------------

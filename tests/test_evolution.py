@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,30 +325,18 @@ def test_hop_table_matches_direct_pricing():
         assert charged.alpha == alpha(h, k)
 
 
-def _bench_workloads():
-    """bench/workloads.py, which writes the benchmark's inputs."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # dataclasses look their module up here
-        spec.loader.exec_module(module)
-    return sys.modules[name]
-
-
-def _workload_run(workload, work):
+def _workload_run(bench_workloads, workload, work):
     """The run context of a benchmark workload's config, not yet run."""
-    inputs = _bench_workloads().generate(workload, work, 1)
+    inputs = bench_workloads.generate(workload, work, 1)
     return build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
                      inputs.config.parent.resolve())
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
-def test_workload_hops_match_the_reference_pricing(workload, tmp_path):
+def test_workload_hops_match_the_reference_pricing(workload, tmp_path, bench_workloads):
     # every hop a benchmark run looks up, in the step, the ledger and the
     # audits, is the record the reference pricing gives, bit for bit
-    ctx = _workload_run(workload, tmp_path)
+    ctx = _workload_run(bench_workloads, workload, tmp_path)
     inst = ctx.instance
     table_hop = inst.hop
     records = {}
@@ -374,10 +359,11 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path):
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
-def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path):
+def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path,
+                                                       bench_workloads):
     # every crack set a benchmark run looks up gets the (E1, p1) of a
     # space built and solved for that set alone, bit for bit
-    ctx = _workload_run(workload, tmp_path)
+    ctx = _workload_run(bench_workloads, workload, tmp_path)
     _run_to_archive(ctx, tmp_path / "out")
     cache = ctx.instance.energy.__self__
     assert len(cache._entries) > len(cache._by_space) > 1
@@ -389,7 +375,7 @@ def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path):
 @pytest.mark.parametrize("workload, crack_sets, solves",
                          [("strip", 163, 45), ("grid", 1267, 470), ("fine", 14, 6)])
 def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, monkeypatch, bench_workloads):
     import vefrac.evolution as evolution
 
     solved = []
@@ -401,7 +387,7 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
     monkeypatch.setattr(evolution, "solve_on_space", counted)
     for run in ("first", "second"):
         solved.clear()
-        ctx = _workload_run(workload, tmp_path / run)
+        ctx = _workload_run(bench_workloads, workload, tmp_path / run)
         _run_to_archive(ctx, tmp_path / run / "out")
         assert len(ctx.instance.energy.__self__._entries) == crack_sets
         assert len(solved) == len(set(solved)) == solves
@@ -412,7 +398,7 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
                           ("fine", [(1, 2), (1, 1)])],
                          ids=["strip", "grid", "fine"])
 def test_workload_jump_costs_cut_by_the_witness(workload, counts, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, bench_workloads):
     # (expanded, pruned) of every jump_cost call a benchmark run makes, in
     # call order: every node that is cut off is cut by its witness K+
     import vefrac.cli_io as cli_io
@@ -430,7 +416,7 @@ def test_workload_jump_costs_cut_by_the_witness(workload, counts, tmp_path,
         monkeypatch.setattr(module, "jump_cost", counted)
     for run in ("first", "second"):
         seen.clear()
-        ctx = _workload_run(workload, tmp_path / run)
+        ctx = _workload_run(bench_workloads, workload, tmp_path / run)
         _run_to_archive(ctx, tmp_path / run / "out")
         assert seen == counts
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -31,7 +32,7 @@ from vefrac.geometry import (
 )
 
 import _oracles as oracle
-from vefrac import geometry
+from vefrac import elastic, geometry
 
 
 # ---------------------------------------------------------------------------
@@ -687,3 +688,194 @@ def test_mesh_file_malformed_lines():
         parse_mesh_text(head + "q 1 2\n")
     with pytest.raises(MeshError, match="no dirichlet"):
         parse_mesh_text(head)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("v 1.0 x", "malformed vertex line: 'v 1.0 x'"),
+    ("t 0 1 2.0", "malformed triangle line: 't 0 1 2.0'"),
+    ("dirichlet pairs 0 x", "malformed dirichlet pairs line: 'dirichlet pairs 0 x'"),
+    ("dirichlet bbox 0 0 1 y", "malformed dirichlet bbox line: 'dirichlet bbox 0 0 1 y'"),
+], ids=["vertex", "triangle", "pairs", "bbox"])
+def test_mesh_file_malformed_numbers_name_their_line(line, message):
+    # the line-by-line reference raises a bare ValueError that names no line
+    text = SQUARE_TEXT + line + "\ndirichlet pairs 0 1\n"
+    with pytest.raises(ValueError) as bare:
+        oracle.reference_parse_mesh_text(text)
+    assert not isinstance(bare.value, MeshError)
+    with pytest.raises(MeshError) as caught:
+        parse_mesh_text(text)
+    assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# mesh file parsing against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+def assert_same_parsed_mesh(got, want):
+    """Bit-equal vertices, equal integer arrays, and an edge_index that is
+    the dict of the edge list."""
+    assert got.vertices.dtype == want.vertices.dtype == np.float64
+    assert np.array_equal(got.vertices.view(np.uint64), want.vertices.view(np.uint64))
+    for name in ("triangles", "edges", "edge_tags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.edge_index == {tuple(p): i for i, p in enumerate(want.edges.tolist())}
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_bench_meshes_parse_as_the_reference(workload, tmp_path, bench_workloads):
+    bench_workloads.generate(workload, tmp_path, 1)
+    text = (tmp_path / f"{workload}.mesh").read_text(encoding="utf-8")
+    assert_same_parsed_mesh(parse_mesh_text(text),
+                            oracle.reference_parse_mesh_text(text))
+
+
+# A unit-ish square whose numbers take every form float() and int() read:
+# underscores, explicit signs, a negative zero, a subnormal and
+# non-ASCII digits.
+EDGE_CASE_TEXTS = {
+    "comments-blanks-tabs": "\n".join([
+        "# leading comment", "", "ve-mesh 1", "   ", "# inner comment",
+        "v\t-0.0\t1e-320", "v 1_000.5   0", "  v 1_000.5 +4  ", "v 0 4",
+        "t\t0 1 2", "t +0 2 ３", "dirichlet pairs 0 1", ""]),
+    "crlf-interleaved": "\r\n".join([
+        "ve-mesh 1", "v -0.0 1e-320", "t 0 1 2", "v 1_000.5 0", "t 0_0 2 3",
+        "v 1_000.5 +4", "dirichlet bbox -1 -1 2000 0.5", "v 0 4", "\r\n"]),
+    "bbox-and-pairs": "\n".join([
+        "ve-mesh 1", "v -0.0 1e-320", "v 1_000.5 0", "v 1_000.5 +4", "v 0 4",
+        "t 0 1 2", "t 0 2 3", "dirichlet bbox -1 -1 2000 0.5",
+        "dirichlet pairs 3 2 0 3", "dirichlet pairs 2 1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_TEXTS))
+def test_edge_case_mesh_texts_parse_as_the_reference(name):
+    text = EDGE_CASE_TEXTS[name]
+    mesh = parse_mesh_text(text)
+    assert_same_parsed_mesh(mesh, oracle.reference_parse_mesh_text(text))
+    assert math.copysign(1.0, mesh.vertices[0, 0]) == -1.0
+    assert mesh.vertices[0, 1] == 1e-320 and mesh.vertices[1, 0] == 1000.5
+
+
+MALFORMED_TEXTS = [
+    "ve-mesh 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\n",
+    "v 0 0\n",
+    "ve-mesh 1\nv 0 0\nv 1 0 2\nv 0 1\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nv 1 1 2\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1\nv 0 1 5\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv\nv 0 0\nv 1 0\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1\nt 0 1 2 3\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\ndirichlet pairs 0\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\ndirichlet bbox 0 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\ndirichlet box 0 0 1 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\ndirichlet\n",
+    "ve-mesh 1\nv 0 0\nvv 1 0\nv 0 1\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nq 1 2\nt 0 1\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1\nq 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\nt 0 1 2\ndirichlet pairs 0 1\n",
+    "ve-mesh 1\nv 0 0\nv 1 0\nv 0 1\nt 0 1 2\ndirichlet pairs 0 9\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TEXTS)
+def test_malformed_mesh_texts_fail_as_the_reference(text):
+    with pytest.raises(MeshError) as want:
+        oracle.reference_parse_mesh_text(text)
+    with pytest.raises(MeshError) as got:
+        parse_mesh_text(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v 0 0\nv 1 x\nq 1 2\nt 0 1 2\n", "malformed vertex line: 'v 1 x'"),
+    ("v 0 0\nt 0 1 x\nv 1 x\nt 0 1 2\n", "malformed triangle line: 't 0 1 x'"),
+    ("v 0 0\nv 1 0\ndirichlet bbox 0 0 x 1\nv 0 y\n",
+     "malformed dirichlet bbox line: 'dirichlet bbox 0 0 x 1'"),
+    ("v 0 0\nv 1 0\nq\nv 0 y\n", "unknown mesh file directive 'q'"),
+    ("v 0 0\nv 1 0 0\nv 0 y\n", "malformed vertex line: 'v 1 0 0'"),
+], ids=["number-before-directive", "triangle-before-vertex", "bbox-before-vertex",
+        "directive-before-number", "count-before-number"])
+def test_the_first_malformed_line_is_named(text, message):
+    # the bulk read of the vertex and triangle blocks still reports the
+    # first bad line in file order, as a line-by-line read does
+    with pytest.raises(MeshError) as caught:
+        parse_mesh_text("ve-mesh 1\n" + text + "dirichlet pairs 0 1\n")
+    assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# edge lookup
+# ---------------------------------------------------------------------------
+
+def test_edge_index_is_the_dict_of_the_edge_list():
+    mesh = square_grid_mesh(5)
+    assert mesh.edge_index == {tuple(p): i for i, p in enumerate(mesh.edges.tolist())}
+    assert len(mesh.edge_index) == mesh.n_edges
+    assert mesh.edge_index[(np.int64(0), np.int64(1))] == 0
+    assert mesh.edge_index.get((1, 0)) is None
+
+
+def mesh_text(mesh) -> str:
+    """The vertex and triangle lines of a mesh file, no Dirichlet line."""
+    lines = ["ve-mesh 1"]
+    lines += [f"v {x!r} {y!r}" for x, y in mesh.vertices.tolist()]
+    lines += ["t {} {} {}".format(*t) for t in mesh.triangles.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_edge_index_rejects_pairs_outside_the_vertex_range():
+    mesh = square_grid_mesh(5)
+    nv = mesh.n_vertices
+    # (-1, nv + 1) has the key lo * nv + hi of the edge (0, 1)
+    assert -1 * nv + (nv + 1) == 0 * nv + 1 and (0, 1) in mesh.edge_index
+    text = mesh_text(mesh)
+    for pair in [(-1, nv + 1), (nv, nv + 1), (3, 3), (0, 1, 2)]:
+        assert pair not in mesh.edge_index
+        with pytest.raises(KeyError):
+            mesh.edge_index[pair]
+        with pytest.raises(MeshError, match=r"vertex pair .* is not a mesh edge"):
+            CrackSet.of_vertex_pairs(mesh, [pair])
+        with pytest.raises(MeshError, match=r"dirichlet pair .* is not a mesh edge"):
+            build_mesh(mesh.vertices, mesh.triangles, [pair])
+        if len(pair) == 2:
+            with pytest.raises(MeshError, match=r"dirichlet pair .* is not a mesh edge"):
+                parse_mesh_text(text + "dirichlet pairs {} {}\n".format(*pair))
+
+
+def test_build_mesh_takes_a_vertex_array_as_it_is():
+    mesh = square_grid_mesh(3)
+    again = build_mesh(mesh.vertices, mesh.triangles, lambda pa, pb: True)
+    assert np.array_equal(again.vertices, mesh.vertices)
+    assert again.vertices is not mesh.vertices
+    with pytest.raises(MeshError, match="coordinate pairs"):
+        build_mesh(np.zeros((4, 3)), mesh.triangles[:1], lambda pa, pb: True)
+
+
+# ---------------------------------------------------------------------------
+# set-up allocations
+# ---------------------------------------------------------------------------
+
+def _setup_object_growth(text: str) -> int:
+    """How many GC-tracked objects parsing `text` and building its mesh
+    tables leave alive, counted with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        mesh = parse_mesh_text(text)
+        elastic._mesh_tables(mesh)
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+def test_setup_keeps_no_object_per_line_or_edge(tmp_path):
+    texts = {}
+    for n in (4, 24, 48):
+        write_mesh(square_grid_mesh(n), tmp_path / f"g{n}.mesh")
+        texts[n] = (tmp_path / f"g{n}.mesh").read_text(encoding="utf-8")
+    _setup_object_growth(texts[4])  # first-call caches
+    small, large = _setup_object_growth(texts[24]), _setup_object_growth(texts[48])
+    # a 48 x 48 grid has four times the lines, edges and links of 24 x 24
+    assert large - small <= 50, (small, large)

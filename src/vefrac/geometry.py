@@ -204,7 +204,7 @@ def dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
 
 
 # Most (vertex, edge) candidate pairs _check_hanging_nodes measures at once.
-_HANGING_BLOCK = 1 << 16
+_HANGING_BLOCK = 1 << 13
 
 
 def _check_hanging_nodes(vertices, edges, lengths):
@@ -609,8 +609,9 @@ def hausdorff(h: CrackSet, k: CrackSet, resolution: float = None) -> float:
 # "dirichlet ..." lines. Indices are 0-based. Numbers read as Python's
 # float() and int() read them, so floats parse bit-exactly and "1_000.5"
 # or "+4" are accepted. A line with a wrong number of fields or a number
-# that does not read raises MeshError("malformed <kind> line: ..."),
-# which `vefrac run` reports with exit code 1.
+# that does not read raises MeshError("malformed <kind> line: ..."), and
+# an index outside the int64 range raises MeshError("vertex index out of
+# range in <kind> line: ..."); `vefrac run` reports both with exit code 1.
 # ---------------------------------------------------------------------------
 
 MESH_FORMAT = "ve-mesh 1"
@@ -622,6 +623,7 @@ _DIRECTIVES = {
     "dirichlet bbox": ("dirichlet bbox", float, lambda n: n == 4),
     "dirichlet pairs": ("dirichlet pairs", int, lambda n: n > 0 and n % 2 == 0),
 }
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_line(ln: str):
@@ -641,6 +643,8 @@ def _parse_line(ln: str):
         values = None
     if values is None or not fits(len(values)):
         raise MeshError(f"malformed {name} line: {ln!r}")
+    if number is int and not all(_INT64.min <= v <= _INT64.max for v in values):
+        raise MeshError(f"vertex index out of range in {name} line: {ln!r}")
     return fields[0], values
 
 
@@ -676,8 +680,9 @@ def parse_mesh_text(text: str) -> Mesh:
         for ln in others:
             kind, values = _parse_line(ln)
             selectors[kind].append(values)
-    except (ValueError, MeshError):
-        # some line is malformed: name the first one in file order
+    except (ValueError, OverflowError, MeshError):
+        # some line is malformed or holds an index past int64: name the
+        # first one in file order
         for ln in lines[1:]:
             _parse_line(ln)
         raise

@@ -503,6 +503,23 @@ def reference_space(mesh, crack) -> dict:
     }
 
 
+def reference_component_labels(n: int, links) -> np.ndarray:
+    """Connected-component label of each of n nodes joined by the (m, 2)
+    links, by scipy's csgraph, relabelled 0, 1, ... in order of each
+    component's first node."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    links = np.asarray(links, dtype=int).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])),
+                          shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    first = np.unique(labels, return_index=True)[1]
+    relabel = np.empty(first.size, dtype=int)
+    relabel[labels[np.sort(first)]] = np.arange(first.size)
+    return relabel[labels]
+
+
 def reference_stiffness(mesh, tri_dofs, n_dofs):
     """P1 stiffness assembled from freshly computed element matrices."""
     import scipy.sparse as sp

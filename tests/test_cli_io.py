@@ -349,6 +349,18 @@ def test_cli_names_a_malformed_mesh_line(workdir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_names_a_mesh_index_past_int64(workdir, tmp_path, capsys):
+    lines = (workdir["root"] / "well.mesh").read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("t "))
+    lines[first] = "t 0 1 99999999999999999999"
+    (tmp_path / "well.mesh").write_text("\n".join(lines) + "\n")
+    (tmp_path / "run.ini").write_text(WELL_INI.format(mode="ve", output="out"))
+    assert cli_dispatch(["run", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().out.strip() == ("error: vertex index out of range in "
+                                               "triangle line: 't 0 1 99999999999999999999'")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # archives
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +31,9 @@ from vefrac.elastic import (
     solve_on_space,
     split_along_crack,
 )
+from vefrac.cli_io import _run_to_archive, build_run, parse_config
 from vefrac.evolution import ENERGY_FLOOR, _ScaledEnergyCache
-from vefrac.geometry import CrackSet, build_mesh
+from vefrac.geometry import CrackSet, build_mesh, read_mesh
 
 import _oracles as oracle
 
@@ -209,6 +214,131 @@ def test_space_matches_reference_on_pinched_and_edgeless_meshes():
     for mesh in (bow_tie, triangle, pinched):
         for bits in range(min(1 << mesh.n_edges, 512)):
             assert_space_matches_reference(mesh, CrackSet(mesh, bits))
+
+
+# ---------------------------------------------------------------------------
+# connected components in numpy against scipy's csgraph
+# ---------------------------------------------------------------------------
+
+def assert_labels_match_reference(n, links):
+    links = np.asarray(links, dtype=int).reshape(-1, 2)
+    got = elastic._component_labels(n, links)
+    want = oracle.reference_component_labels(n, links)
+    assert got.shape == (n,) and np.array_equal(got, want)
+
+
+def test_component_labels_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3, 7, 30, 200, 2000]:
+        for density in [0.0, 0.3, 0.6, 1.0, 2.0]:
+            links = rng.integers(0, n, size=(int(density * n), 2))
+            assert_labels_match_reference(n, links)
+
+
+def test_component_labels_match_scipy_on_a_randomly_numbered_path():
+    rng = np.random.default_rng(6)
+    n = 20_000
+    order = rng.permutation(n)
+    links = np.column_stack([order[:-1], order[1:]])
+    flip = rng.random(n - 1) < 0.5
+    links[flip] = links[flip][:, ::-1]
+    links = links[rng.permutation(n - 1)]
+    assert_labels_match_reference(n, links)
+    assert np.array_equal(elastic._component_labels(n, links), np.zeros(n, dtype=int))
+
+
+def test_component_labels_on_isolated_nodes_repeats_and_self_loops():
+    assert_labels_match_reference(0, [])
+    assert_labels_match_reference(5, [])
+    assert np.array_equal(elastic._component_labels(5, np.zeros((0, 2), dtype=int)),
+                          np.arange(5))
+    # repeated links, both ways round, and self-loops among isolated nodes
+    links = [(4, 1), (1, 4), (4, 1), (3, 3), (6, 2), (2, 6), (0, 0), (6, 6)]
+    assert_labels_match_reference(8, links)
+    assert elastic._component_labels(8, np.array(links)).tolist() == \
+        [0, 1, 2, 3, 1, 4, 2, 5]
+    assert_labels_match_reference(3, [(2, 2)] * 4)
+
+
+def test_component_labels_match_scipy_on_a_star():
+    # the centre is the largest node, its leaves listed both ways
+    n = 500
+    star = np.column_stack([np.full(n - 1, n - 1), np.arange(n - 1)])
+    assert_labels_match_reference(n, star)
+    assert_labels_match_reference(n, star[::-1, ::-1])
+
+
+def _bench_mesh(bench_workloads, workload, work):
+    bench_workloads.generate(workload, work, 1)
+    return read_mesh(work / f"{workload}.mesh")
+
+
+@pytest.mark.parametrize("mesh_name", ["strip", "grid", "fine", "pinched"])
+def test_mesh_tables_match_tables_built_from_scipy_labels(mesh_name, tmp_path,
+                                                          monkeypatch, bench_workloads):
+    mesh = (_two_squares_at_a_corner() if mesh_name == "pinched"
+            else _bench_mesh(bench_workloads, mesh_name, tmp_path))
+    got = elastic._MeshTables(mesh)
+    monkeypatch.setattr(elastic, "_component_labels", oracle.reference_component_labels)
+    want = elastic._MeshTables(mesh)
+    for name in ("base_fans", "base_rank", "base_tri_component"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.base_fans.sum() == mesh.n_vertices + 1) == (mesh_name == "pinched")
+
+
+def test_grid_run_triangle_components_match_scipy(tmp_path, monkeypatch, bench_workloads):
+    # every crack set the grid workload looks up; on those that close a
+    # loop, tri_component relabels through _component_labels
+    inputs = bench_workloads.generate("grid", tmp_path, 1)
+    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
+                    inputs.config.parent.resolve())
+    _run_to_archive(ctx, tmp_path / "out")
+    mesh = ctx.mesh
+    tables = elastic._mesh_tables(mesh)
+    labels, labelled = elastic._component_labels, []
+
+    def counted(n, links):
+        labelled.append(n)
+        return labels(n, links)
+
+    monkeypatch.setattr(elastic, "_component_labels", counted)
+    for bits in ctx.instance.energy.__self__._entries:
+        crack = CrackSet(mesh, bits)
+        space = split_along_crack(mesh, crack)
+        before = len(labelled)
+        got = space.tri_component
+        kept = [i for i, e in enumerate(tables.interior_edges.tolist())
+                if not (bits >> e) & 1]
+        want = oracle.reference_component_labels(mesh.n_triangles, tables.tri_links[kept])
+        assert np.array_equal(got, want)
+        if len(labelled) == before:
+            assert got is tables.base_tri_component
+    assert 0 < len(labelled) < len(ctx.instance.energy.__self__._entries)
+
+
+def test_package_imports_no_csgraph_or_dense_linalg(tmp_path, bench_workloads):
+    # the package's only scipy import is scipy.sparse, for its CSR kernels;
+    # vefrac.__main__ imports cli_io and runs the command line, so the
+    # subprocess imports every other module and runs the grid workload
+    inputs = bench_workloads.generate("grid", tmp_path, 1)
+    src = Path(elastic.__file__).resolve().parents[1]
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import vefrac\n"
+        "for info in pkgutil.iter_modules(vefrac.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module('vefrac.' + info.name)\n"
+        "from vefrac.cli_io import cli_dispatch\n"
+        "assert cli_dispatch(['run', sys.argv[1]]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith(\n"
+        "    ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg'))))\n")
+    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    proc = subprocess.run([sys.executable, "-c", code, str(inputs.config)],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert inputs.archive.exists()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def _graded_fan(n, planted=()):
     return vertices, edges, vertex_edges, lengths
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("block", [7, 1 << 13, 1 << 16])
 def test_hanging_node_check_on_a_graded_mesh(monkeypatch, block):
     monkeypatch.setattr(geometry, "_HANGING_BLOCK", block)
     # on a long fan edge, on grid edges, and off every edge
@@ -705,6 +705,31 @@ def test_mesh_file_malformed_numbers_name_their_line(line, message):
     with pytest.raises(MeshError) as caught:
         parse_mesh_text(text)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("line", [
+    "t 0 1 99999999999999999999", "t 0 -99999999999999999999 2",
+    "t 0 1 9223372036854775808", "t 0 1 -9223372036854775809",
+], ids=["huge", "huge-negative", "int64-max-plus-1", "int64-min-minus-1"])
+def test_mesh_file_index_past_int64_names_its_line(line):
+    text = SQUARE_TEXT + line + "\ndirichlet pairs 0 1\n"
+    with pytest.raises(MeshError) as caught:
+        parse_mesh_text(text)
+    assert str(caught.value) == f"vertex index out of range in triangle line: {line!r}"
+    # an earlier malformed line is still named first
+    with pytest.raises(MeshError, match="^malformed vertex line: 'v 1.0 x'$"):
+        parse_mesh_text(SQUARE_TEXT.replace("v 1.0 1.0", "v 1.0 x") + line
+                        + "\ndirichlet pairs 0 1\n")
+    # an index that fits int64 but names no vertex is caught by build_mesh
+    with pytest.raises(MeshError, match="^triangle vertex index out of range$"):
+        parse_mesh_text(SQUARE_TEXT + "t 0 1 9223372036854775807\ndirichlet pairs 0 1\n")
+
+
+def test_mesh_file_pair_index_past_int64_names_its_line():
+    line = "dirichlet pairs 0 99999999999999999999"
+    with pytest.raises(MeshError) as caught:
+        parse_mesh_text(SQUARE_TEXT + line + "\n")
+    assert str(caught.value) == f"vertex index out of range in dirichlet pairs line: {line!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +52,7 @@ __all__ = [
     "CrackedSpace",
     "EnergySolution",
     "split_along_crack",
+    "space_key",
     "solve_energy",
     "power",
     "power_bound_constant",
@@ -163,6 +164,10 @@ class _MeshTables:
     grouped by vertex through `link_ptr_list`, its edge and two corners
     (`link_edge_list`, `link_a_list`, `link_b_list`). No container is
     kept per edge or per link.
+
+    A crack's fans at a vertex depend only on which edges through it
+    are cut, so `fans` keeps them per (vertex, cut) as the pattern is
+    first met; see `_Fans`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -226,6 +231,68 @@ class _MeshTables:
         self.link_a_list, self.link_b_list = link_corners.T.tolist()
         self.link_ptr_list = np.searchsorted(link_vertex[by_vertex],
                                              np.arange(nv + 1)).tolist()
+        self._fans: dict[tuple[int, int], _Fans] = {}
+
+    def cuts(self, crack_ids: Sequence[int]) -> dict[int, int]:
+        """Per vertex that a cracked interior edge ends at, the mask of
+        the cracked interior edges through it. Every other vertex keeps
+        its base fans."""
+        cuts: dict[int, int] = {}
+        interior, ends_a, ends_b = self.is_interior_list, self.edge_a_list, self.edge_b_list
+        for e in crack_ids:
+            if interior[e]:
+                bit = 1 << e
+                a, b = ends_a[e], ends_b[e]
+                cuts[a] = cuts.get(a, 0) | bit
+                cuts[b] = cuts.get(b, 0) | bit
+        return cuts
+
+    def fans(self, v: int, cut: int) -> "_Fans":
+        """The fans of vertex v once the interior edges of the mask `cut`,
+        all through v, are cracked: its corners grouped by the links of
+        its uncut edges, groups ordered by smallest triangle."""
+        fans = self._fans.get((v, cut))
+        if fans is None:
+            lo, hi = self.link_ptr_list[v], self.link_ptr_list[v + 1]
+            link_edge, link_a, link_b = self.link_edge_list, self.link_a_list, self.link_b_list
+            corners = self.corner_order_list[self.corner_ptr_list[v]:self.corner_ptr_list[v + 1]]
+            groups = union_groups(corners, [(link_a[i], link_b[i]) for i in range(lo, hi)
+                                            if not (cut >> link_edge[i]) & 1])
+            fan_of, moved, ranks = {}, [], []
+            for r, group in enumerate(groups):
+                moved += group
+                ranks += [r] * len(group)
+                fan_of.update(dict.fromkeys(group, r))
+            separating = 0
+            for i in range(lo, hi):
+                if fan_of[link_a[i]] != fan_of[link_b[i]]:
+                    separating |= 1 << link_edge[i]
+            fans = self._fans[v, cut] = _Fans(len(groups), tuple(moved), tuple(ranks),
+                                              separating)
+        return fans
+
+    def space_key(self, crack: CrackSet) -> int:
+        """The key of the space cut along `crack`, read off the fan memo
+        without building the space; see `space_key`."""
+        key = crack.bits & self.dirichlet_bits
+        for v, cut in self.cuts(crack.edge_ids).items():
+            key |= self.fans(v, cut).separating
+        return key
+
+
+class _Fans(NamedTuple):
+    """The fans of one vertex under one cut: how many, the vertex's
+    corners in fan order with the rank of each corner's fan, and the
+    separating mask, the cut edges whose two corners at the vertex lie
+    in different fans. Only a cut edge can separate, and a cut edge that
+    does not separate merges nothing when its link is put back, so the
+    fans are the components of the vertex's links minus the separating
+    ones, and in turn fix them."""
+
+    count: int
+    corners: tuple[int, ...]
+    ranks: tuple[int, ...]
+    separating: int
 
 
 _TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
@@ -280,23 +347,25 @@ class CrackedSpace:
     vertex (star still connected) keeps a single DOF. DOFs are numbered
     by vertex, then by the smallest triangle of the fan.
 
-    Only the vertices on the crack can have other fans than the mesh's
-    base fans, so only they are regrouped; every array follows from the
-    per-vertex fan counts and the mesh tables.
+    Only the vertices of cracked interior edges can have other fans
+    than the mesh's base fans; each reads its fans from the mesh tables'
+    memo by the cut edges through it, and every array follows from the
+    per-vertex fan counts and ranks.
 
     The constructor builds the fan numbering (`tri_dofs`, `dof_vertex`,
-    `n_dofs`) and `key`; the triangle components and the Dirichlet and
-    pinned DOFs are built on first read. `key` is the fan numbering's
-    bytes and the crack's Dirichlet edges, and two spaces with equal
-    keys are the same space: equal stiffness, constraints and data.
-    The stiffness reads `tri_dofs` alone. `dof_vertex` is the vertex of
-    each DOF's corners. `dirichlet_dofs` are the DOFs at the corners of
-    the Dirichlet edges the crack leaves. Two triangles are in one
-    component exactly when a chain of triangles sharing a DOF joins
-    them: an uncracked interior edge puts its two triangles in one fan
-    at both of its ends, and the triangles of a fan are joined through
-    its uncracked edges. So the components, their first DOFs, the
-    pinned DOFs and `constrained_mask` follow from the key too.
+    `n_dofs`); the triangle components and the Dirichlet and pinned
+    DOFs are built on first read. Two spaces with equal `tri_dofs` that
+    release the same Dirichlet edges, exactly the spaces with equal
+    `space_key`, are the same space: equal stiffness, constraints and
+    data. The stiffness reads `tri_dofs` alone.
+    `dof_vertex` is the vertex of each DOF's corners. `dirichlet_dofs`
+    are the DOFs at the corners of the Dirichlet edges the crack leaves.
+    Two triangles are in one component exactly when a chain of triangles
+    sharing a DOF joins them: an uncracked interior edge puts its two
+    triangles in one fan at both of its ends, and the triangles of a fan
+    are joined through its uncracked edges. So the components, their
+    first DOFs, the pinned DOFs and `constrained_mask` follow from
+    `tri_dofs` and the released Dirichlet edges too.
     """
 
     def __init__(self, mesh: Mesh, crack: CrackSet):
@@ -304,35 +373,22 @@ class CrackedSpace:
         self.crack = crack
         self._tables = tables = _mesh_tables(mesh)
         self._crack_ids = crack.edge_ids
-        self._build_dofs(tables, self._crack_ids)
-        self.key = (self.tri_dofs.tobytes(), crack.bits & tables.dirichlet_bits)
+        self._build_dofs(tables)
         self._csr = None
         self._stiffness = None
 
-    def _build_dofs(self, tables: _MeshTables, crack_ids: tuple):
+    def _build_dofs(self, tables: _MeshTables):
         fans = tables.base_fans.copy()
         rank = tables.base_rank.copy()
-        ends_a, ends_b = tables.edge_a_list, tables.edge_b_list
-        split = sorted({ends_a[e] for e in crack_ids} | {ends_b[e] for e in crack_ids})
-        if split:
-            bits = self.crack.bits
-            order, ptr = tables.corner_order_list, tables.corner_ptr_list
-            link_edge, link_ptr = tables.link_edge_list, tables.link_ptr_list
-            link_a, link_b = tables.link_a_list, tables.link_b_list
-            corners, links = [], []
-            for v in split:
-                corners += order[ptr[v]:ptr[v + 1]]
-                links += [(link_a[i], link_b[i]) for i in range(link_ptr[v], link_ptr[v + 1])
-                          if not (bits >> link_edge[i]) & 1]
-            # groups come by vertex, then by smallest triangle
-            fans_at, moved, moved_rank = {}, [], []
-            for group in union_groups(corners, links):
-                v = tables.corner_vertex_list[group[0]]
-                r = fans_at.get(v, 0)
-                fans_at[v] = r + 1
-                moved += group
-                moved_rank += [r] * len(group)
-            fans[list(fans_at)] = list(fans_at.values())
+        cuts = tables.cuts(self._crack_ids)
+        if cuts:
+            counts, moved, moved_rank = [], [], []
+            for v, cut in cuts.items():
+                got = tables.fans(v, cut)
+                counts.append(got.count)
+                moved += got.corners
+                moved_rank += got.ranks
+            fans[list(cuts)] = counts
             rank[moved] = moved_rank
         start = np.zeros(self.mesh.n_vertices + 1, dtype=int)
         np.cumsum(fans, out=start[1:])
@@ -441,6 +497,18 @@ def split_along_crack(mesh: Mesh, crack: CrackSet) -> CrackedSpace:
     if crack.mesh is not mesh:
         raise MeshError("crack set does not belong to this mesh")
     return CrackedSpace(mesh, crack)
+
+
+def space_key(mesh: Mesh, crack: CrackSet) -> int:
+    """The key of split_along_crack(mesh, crack), without building it:
+    the mask of the cracked edges that separate fans at either end,
+    OR-ed with the crack's Dirichlet edges. Each vertex's fans are the
+    components of its links minus the separating ones, so two cracks
+    have equal keys exactly when their spaces have equal `tri_dofs` and
+    release the same Dirichlet edges."""
+    if crack.mesh is not mesh:
+        raise MeshError("crack set does not belong to this mesh")
+    return _mesh_tables(mesh).space_key(crack)
 
 
 def _p1_gradients(mesh: Mesh) -> np.ndarray:

@@ -13,13 +13,14 @@ Also here: jump detection on the discrete history, the connected-
 component bound, the energetic (non-viscous) comparison mode, the
 refinement study over a list of step sizes, and the factory that wires
 the elastic energy into a RisInstance. The factory caches one FEM solve
-per distinct cracked space (fan numbering plus released Dirichlet
-edges): the datum scales linearly with the amplitude, so
-E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value. Its hop callback is one HopPricer of the mesh, which
-keeps the HopCost record of each competitor K of the most recent source
-H and the ATW distance rows of the new edges its hops have needed, and
-prices each hop bit for bit as hop_cost does. The energetic mode is the
+per distinct cracked space, known before it is built by its key (the
+crack edges that split fans plus the released Dirichlet edges): the
+datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
+the power is a(t) adot(t) times a cached bilinear value. Its hop
+callback is one HopPricer of the mesh, which keeps the HopCost record of
+each competitor K of the most recent source H and the ATW distance rows
+of the new edges its hops have needed, and prices each hop bit for bit
+as hop_cost does. The energetic mode is the
 same instance with its viscous flag off, charging the same records
 without their sweep integral and mu term.
 """
@@ -38,6 +39,7 @@ from .elastic import (
     LinearAmplitude,
     power_bound_constant,
     solve_on_space,
+    space_key,
     split_along_crack,
 )
 from .geometry import CrackSet, Mesh, connected_components, hausdorff
@@ -293,10 +295,11 @@ class _ScaledEnergyCache:
     dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing.
 
     E1 and p1 depend on K only through the space cut along K, so a crack
-    set missing from the per-set memo builds its fan numbering and looks
-    its `CrackedSpace.key` up in a second memo; only a new space is
-    solved. Many competitors share a space: an isolated interior edge,
-    for one, leaves the stars of both of its ends connected."""
+    set missing from the per-set memo reads its space's key off the
+    mesh's per-vertex fan memo (`space_key`) and looks it up in a
+    second memo; only a new space is built and solved. Many competitors
+    share a space: an isolated interior edge, for one, leaves the stars
+    of both of its ends connected."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
@@ -306,17 +309,18 @@ class _ScaledEnergyCache:
         self.unit = BoundaryLoad(profile=load.profile,
                                  amplitude=_UNIT_AMPLITUDE, horizon=load.horizon)
         self._entries: dict[int, tuple[float, float]] = {}
-        self._by_space: dict[tuple[bytes, int], tuple[float, float]] = {}
+        self._by_space: dict[int, tuple[float, float]] = {}
 
     def _entry(self, k: CrackSet) -> tuple[float, float]:
         got = self._entries.get(k.bits)
         if got is None:
-            space = split_along_crack(self.mesh, k)
-            got = self._by_space.get(space.key)
+            key = space_key(self.mesh, k)
+            got = self._by_space.get(key)
             if got is None:
+                space = split_along_crack(self.mesh, k)
                 sol = solve_on_space(1.0, space, self.unit)
                 g = self.load.profile[space.dof_vertex]
-                got = self._by_space[space.key] = (sol.energy, float(g @ sol.au))
+                got = self._by_space[key] = (sol.energy, float(g @ sol.au))
             self._entries[k.bits] = got
         return got
 

@@ -21,17 +21,19 @@ that we provide
 The step and R are one minimization, E(t,K') + D(K,K') over the
 competitors K' of K, so one private scan holds that loop and its
 tie-break (fewer edges, then lexicographic). D needs no energy
-evaluation, so the scan prices every hop first, evaluates E in
-increasing D, and stops at the first competitor whose D plus the
-instance's floor under its energies already puts it above the best
-value; only strict excess is skipped, so minimum and winners are those
-of the full scan, and a report's examined count still counts every
-competitor. The step's first scan is R's scan of its old state, and
-every R scan is kept in the instance's residual memo, so a step that
-keeps its state has shown R = 0 there and the audits read
-R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
-every lattice node it expands; a node whose one value at K+ already
-prices it out of the search is cut off without a scan.
+evaluation and does not depend on t, so a scan has two halves: the
+ranking prices every hop and sorts the competitors by D, once per
+(source, state) while the instance keeps it, and the evaluation, run
+for each t, evaluates E in increasing D and stops at the first
+competitor whose D plus the instance's floor under its energies already
+puts it above the best value; only strict excess is skipped, so minimum
+and winners are those of the full scan, and a report's examined count
+still counts every competitor. The step's first scan is R's scan of
+its old state, and every R scan is kept in the instance's residual
+memo, so a step that keeps its state has shown R = 0 there and the
+audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the
+full R of every lattice node it expands; a node whose one value at K+
+already prices it out of the search is cut off without a scan.
 
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
@@ -44,7 +46,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,8 +98,13 @@ class RisInstance:
     promises nothing, so such a scan evaluates every competitor.
 
     residuals memoizes R(t,K) reports by (t, K.bits) and assumes energy
-    and hop are pure. dataclasses.replace starts the copy with an empty
-    memo, since the copy may charge differently.
+    and hop are pure. ranking(source, state) ranks the competitors of
+    state by their D from source, which does not depend on t, and keeps
+    the most recent (source, state) ranking, for R scans and greedy
+    rescans alike: the R scan of a step that follows a frozen step, or
+    the R scan of its own new state, only evaluates energies.
+    dataclasses.replace starts the copy with both memos empty, since
+    the copy may charge differently.
     """
 
     pool: CrackSet
@@ -116,6 +123,8 @@ class RisInstance:
     load: object | None = None
     residuals: dict[tuple[float, int], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _ranked: tuple[int, int, _Ranking] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.budget < 0:
@@ -163,6 +172,17 @@ class RisInstance:
         hop = self.hop(h, k)
         return None if hop is None else hop.charges(self.params, self.viscous)
 
+    def ranking(self, source: CrackSet, state: CrackSet) -> _Ranking:
+        """The competitors of `state` ranked by D(source, .) (see _rank);
+        the most recent (source, state) ranking is reused."""
+        memo = self._ranked
+        if memo is not None and memo[0] == source.bits and memo[1] == state.bits:
+            return memo[2]
+        self._ranked = None  # so two rankings are never held at once
+        ranking = _rank(source, self.competitors(state), self)
+        self._ranked = (source.bits, state.bits, ranking)
+        return ranking
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -175,25 +195,22 @@ class StabilityReport:
     examined: int
 
 
-def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
-          instance: RisInstance) -> tuple[float, list[CrackSet], int, float | None]:
-    """The one competitor loop: min over candidates K of
-    E(t,K) + D(source,K). Returns the minimum, the candidates attaining
-    it sorted by the tie-break (fewer edges, then lexicographic), the
-    number of candidates examined (every candidate, priced or not), and
-    E(t, source) when the source is a candidate (None otherwise). A
-    candidate that does not contain `source` costs +infinity and is
-    skipped.
+class _Ranking(NamedTuple):
+    """Candidates ranked for a scan out of `source`: (D, K) for every
+    candidate K containing source, in increasing D, and the number of
+    candidates examined, priced or not."""
 
-    With the instance's energy floor f (every E >= f), the scan first
-    prices every hop, then evaluates E in increasing D (stable, so equal
-    D keep their order) and stops at the first candidate with
-    D + f > best: by monotone rounding its value, and every later one's,
-    is strictly above the best so far. Only strict excess is passed
-    over, so the minimum, its winners and their order are those of the
-    plain scan, and examined still counts every candidate. A floor of
-    -infinity skips nothing."""
-    floor = instance.energy_floor
+    source: CrackSet
+    priced: list[tuple[float, CrackSet]]
+    examined: int
+
+
+def _rank(source: CrackSet, candidates: Iterable[CrackSet],
+          instance: RisInstance) -> _Ranking:
+    """The t-free half of a scan: price every candidate's hop from
+    source and sort by D, stably, so equal D keep their order. A
+    candidate that does not contain `source` costs +infinity and is
+    left out."""
     priced = []
     examined = 0
     for comp in candidates:
@@ -202,14 +219,34 @@ def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
         if charged is not None:
             priced.append((charged.big_d, comp))
     priced.sort(key=lambda pair: pair[0])
+    return _Ranking(source, priced, examined)
+
+
+def _scan(t: float, ranking: _Ranking,
+          instance: RisInstance) -> tuple[float, list[CrackSet], int, float | None]:
+    """The one competitor loop: min over the ranked candidates K of
+    E(t,K) + D(source,K). Returns the minimum, the candidates attaining
+    it sorted by the tie-break (fewer edges, then lexicographic), the
+    number of candidates examined (every candidate, priced or not), and
+    E(t, source) when the source is a candidate (None otherwise).
+
+    With the instance's energy floor f (every E >= f), the scan
+    evaluates E in increasing D and stops at the first candidate with
+    D + f > best: by monotone rounding its value, and every later one's,
+    is strictly above the best so far. Only strict excess is passed
+    over, so the minimum, its winners and their order are those of the
+    plain scan. A floor of -infinity skips nothing. Only E depends on t,
+    so one ranking serves scans at any number of times."""
+    floor = instance.energy_floor
+    source_bits = ranking.source.bits
     best = math.inf
     winners: list[CrackSet] = []
     own = None
-    for big_d, comp in priced:
+    for big_d, comp in ranking.priced:
         if big_d + floor > best:
             break
         energy = instance.energy(t, comp)
-        if comp.bits == source.bits:
+        if comp.bits == source_bits:
             own = energy
         value = energy + big_d
         if value < best:
@@ -218,7 +255,7 @@ def _scan(t: float, source: CrackSet, candidates: Iterable[CrackSet],
         elif value == best:
             winners.append(comp)
     winners.sort(key=lambda c: c.sort_key())
-    return best, winners, examined, own
+    return best, winners, ranking.examined, own
 
 
 def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:
@@ -233,7 +270,7 @@ def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> Stab
     report = instance.residuals.get(key)
     if report is not None:
         return report
-    best, winners, examined, own = _scan(t, state, instance.competitors(state), instance)
+    best, winners, examined, own = _scan(t, instance.ranking(state, state), instance)
     if own is None or best > own:
         raise AssertionError(
             "competitor enumeration missed the state itself "
@@ -257,7 +294,7 @@ def incremental_step(t: float, prev: CrackSet, instance: RisInstance) -> CrackSe
     state, winner = prev, residual_stability(t, prev, instance).minimizers[0]
     while instance.search == "greedy" and winner.bits != state.bits:
         state = winner
-        winner = _scan(t, prev, instance.competitors(state), instance)[1][0]
+        winner = _scan(t, instance.ranking(prev, state), instance)[1][0]
     return winner
 
 

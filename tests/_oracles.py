@@ -398,16 +398,17 @@ def reference_mesh_topology(vertices, triangles, dirichlet_marker) -> dict:
     }
 
 
-def reference_space(mesh, crack) -> dict:
-    """The arrays of the P1 space cut along a crack, by a union-find over
-    the star of every vertex and over all triangles: DOF n is the n-th fan
-    met in (vertex, triangle) order; components are labelled in order of
-    their smallest triangle."""
-    topo = reference_mesh_topology(
+def reference_topology(mesh) -> dict:
+    """reference_mesh_topology of a built mesh."""
+    return reference_mesh_topology(
         mesh.vertices, mesh.triangles,
         [tuple(map(int, mesh.edges[e])) for e in mesh.dirichlet_edges()])
+
+
+def _reference_fans(mesh, topo, crack_bits):
+    """(tri_dofs, dof_vertex, n_dofs) by a union-find over the star of
+    every vertex: DOF n is the n-th fan met in (vertex, triangle) order."""
     edge_triangles = topo["edge_triangles"]
-    crack_bits = crack.bits
     tri_dofs = np.full((mesh.n_triangles, 3), -1, dtype=int)
     dof_vertex = []
     n = 0
@@ -439,6 +440,28 @@ def reference_space(mesh, crack) -> dict:
                 n += 1
             slot = list(mesh.triangles[t]).index(v)
             tri_dofs[t, slot] = fan_dof[root]
+    return tri_dofs, dof_vertex, n
+
+
+def reference_space_key(mesh, crack, topo=None):
+    """The space key as (tri_dofs bytes, crack's Dirichlet edge bits):
+    equal exactly for equal spaces. `topo`, the mesh's
+    reference_mesh_topology, may be passed in to key many cracks."""
+    topo = reference_topology(mesh) if topo is None else topo
+    dirichlet_bits = sum(1 << int(e) for e in mesh.dirichlet_edges())
+    tri_dofs = _reference_fans(mesh, topo, crack.bits)[0]
+    return tri_dofs.tobytes(), crack.bits & dirichlet_bits
+
+
+def reference_space(mesh, crack) -> dict:
+    """The arrays of the P1 space cut along a crack, by a union-find over
+    the star of every vertex and over all triangles: DOF n is the n-th fan
+    met in (vertex, triangle) order; components are labelled in order of
+    their smallest triangle."""
+    topo = reference_topology(mesh)
+    edge_triangles = topo["edge_triangles"]
+    crack_bits = crack.bits
+    tri_dofs, dof_vertex, n = _reference_fans(mesh, topo, crack_bits)
 
     parent = list(range(mesh.n_triangles))
 

@@ -29,6 +29,7 @@ from vefrac.elastic import (
     power_bound_constant,
     solve_energy,
     solve_on_space,
+    space_key,
     split_along_crack,
 )
 from vefrac.cli_io import _run_to_archive, build_run, parse_config
@@ -503,17 +504,64 @@ def _assert_same_space(first, space):
         assert a.tobytes() == b.tobytes()
 
 
+def assert_keys_match_the_reference(mesh, cracks) -> int:
+    """Equal keys exactly when the reference keys (tri_dofs bytes and
+    released Dirichlet edges) are equal; returns the number of spaces."""
+    topo = oracle.reference_topology(mesh)
+    reference_of, key_of = {}, {}
+    for crack in cracks:
+        key = space_key(mesh, crack)
+        reference = oracle.reference_space_key(mesh, crack, topo)
+        assert reference_of.setdefault(key, reference) == reference
+        assert key_of.setdefault(reference, key) == key
+    return len(key_of)
+
+
 @pytest.mark.parametrize("mesh_name", ["grid", "strip"])
 def test_equal_space_keys_give_equal_spaces(mesh_name):
     mesh, _ = _workload_mesh(mesh_name)
     first_of, cracks_of = {}, {}
-    for crack in _space_sharing_cracks(mesh, 5):
+    cracks = _space_sharing_cracks(mesh, 5)
+    for crack in cracks:
         space = split_along_crack(mesh, crack)
-        cracks_of.setdefault(space.key, set()).add(crack.bits)
-        _assert_same_space(first_of.setdefault(space.key, space), space)
+        key = space_key(mesh, crack)
+        cracks_of.setdefault(key, set()).add(crack.bits)
+        _assert_same_space(first_of.setdefault(key, space), space)
     shared = sum(len(bits) > 1 for bits in cracks_of.values())
     assert shared >= 10
     assert sum(len(space.pinned_dofs) > 0 for space in first_of.values()) >= 10
+    # and the converse: equal spaces have equal keys
+    assert assert_keys_match_the_reference(mesh, cracks) == len(first_of)
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_workload_space_keys_match_the_reference(workload, tmp_path, bench_workloads):
+    # every crack set a benchmark run looks up: two have equal space keys
+    # exactly when the reference keys are equal
+    inputs = bench_workloads.generate(workload, tmp_path, 1)
+    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
+                    inputs.config.parent.resolve())
+    _run_to_archive(ctx, tmp_path / "out")
+    cache = ctx.instance.energy.__self__
+    cracks = [CrackSet(ctx.mesh, bits) for bits in cache._entries]
+    assert assert_keys_match_the_reference(ctx.mesh, cracks) == len(cache._by_space)
+
+
+def test_space_keys_match_the_reference_on_every_pinched_crack():
+    # every subset of 14 edges of the two squares that share only vertex
+    # 0: both interior edges of its star, one of its Neumann edges, a
+    # Dirichlet edge and ten more interior edges, four of them around
+    # the pinch in the lower square. The Neumann edge changes no space,
+    # and every interior edge here ends at a boundary vertex, whose star
+    # any cut link splits, so the other 13 edges give 2^13 spaces
+    mesh = _two_squares_at_a_corner()
+    picked = [0, 2, 5, 7, 8, 10, 12, 13, 14, 15, 17, 20, 23, 26]
+    cracks = [CrackSet.of_edges(mesh, [e for i, e in enumerate(picked) if n >> i & 1])
+              for n in range(1 << len(picked))]
+    assert assert_keys_match_the_reference(mesh, cracks) == 1 << 13
+    tables = elastic._mesh_tables(mesh)
+    assert sum(key == 0 for key in map(tables.space_key, cracks)) > 1
+    assert len(tables._fans) < 300
 
 
 def test_a_released_dirichlet_edge_changes_the_key(grid4_tb):
@@ -525,7 +573,8 @@ def test_a_released_dirichlet_edge_changes_the_key(grid4_tb):
     slit = CrackSet.of_vertex_pairs(grid4_tb, [(11, 12)])
     spaces = [split_along_crack(grid4_tb, k) for k in (empty, released, slit)]
     assert len({space.tri_dofs.tobytes() for space in spaces}) == 1
-    assert spaces[1].key != spaces[0].key == spaces[2].key
+    keys = [space_key(grid4_tb, k) for k in (empty, released, slit)]
+    assert keys[1] != keys[0] == keys[2]
     assert len(spaces[1].dirichlet_dofs) == len(spaces[0].dirichlet_dofs) - 1
     load = _skewed_load(grid4_tb)
     cache = _ScaledEnergyCache(grid4_tb, load, ENERGY_FLOOR)

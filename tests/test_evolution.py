@@ -19,7 +19,7 @@ from vefrac.dissipation import (
     hop_cost,
     var_along,
 )
-from vefrac.elastic import ElasticError, solve_energy, solve_on_space
+from vefrac.elastic import ElasticError, solve_energy, solve_on_space, space_key
 from vefrac.evolution import (
     DiscreteEvolution,
     JumpRecord,
@@ -381,7 +381,7 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
     solved = []
 
     def counted(t, space, load):
-        solved.append(space.key)
+        solved.append(space_key(space.mesh, space.crack))
         return solve_on_space(t, space, load)
 
     monkeypatch.setattr(evolution, "solve_on_space", counted)
@@ -391,6 +391,47 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
         _run_to_archive(ctx, tmp_path / run / "out")
         assert len(ctx.instance.energy.__self__._entries) == crack_sets
         assert len(solved) == len(set(solved)) == solves
+
+
+@pytest.mark.parametrize("workload, expected", [
+    ("strip", {"solves": 45, "builds": 45, "priced": 264, "lookups": 340,
+               "enumerations": 9}),
+    ("grid", {"solves": 470, "builds": 470, "priced": 3262, "lookups": 3270,
+              "enumerations": 3}),
+    ("fine", {"solves": 6, "builds": 6, "priced": 28, "lookups": 90,
+              "enumerations": 3}),
+], ids=["strip", "grid", "fine"])
+def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
+                                     bench_workloads):
+    # per run in this process: one space build and one FEM solve per
+    # distinct cracked space, hops priced once per (source, target), and
+    # competitors enumerated once per (source, state) the scans rank;
+    # every count repeats exactly
+    import vefrac.evolution as evolution
+    from vefrac.dissipation import HopPricer
+    from vefrac.ve_core import RisInstance
+
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evolution, "solve_on_space",
+                        counted("solves", evolution.solve_on_space))
+    monkeypatch.setattr(evolution, "split_along_crack",
+                        counted("builds", evolution.split_along_crack))
+    monkeypatch.setattr(HopPricer, "_price", counted("priced", HopPricer._price))
+    monkeypatch.setattr(HopPricer, "hop", counted("lookups", HopPricer.hop))
+    monkeypatch.setattr(RisInstance, "competitors",
+                        counted("enumerations", RisInstance.competitors))
+    for run in ("first", "second"):
+        counts.update(dict.fromkeys(expected, 0))
+        ctx = _workload_run(bench_workloads, workload, tmp_path / run)
+        _run_to_archive(ctx, tmp_path / run / "out")
+        assert counts == expected
 
 
 @pytest.mark.parametrize("workload, counts",

@@ -23,6 +23,7 @@ from vefrac.geometry import CrackSet, h1_diff, h1_measure
 from vefrac.ve_core import (
     MAX_COMPETITORS,
     RisInstance,
+    _rank,
     _scan,
     audit_balance,
     audit_jump_conditions,
@@ -417,7 +418,7 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
             expected = oracle.reference_scan(t, source, candidates, inst)
             reference_asks = list(asked)
             asked.clear()
-            got = _scan(t, source, candidates, inst)
+            got = _scan(t, _rank(source, candidates, inst), inst)
             assert_same_scan(got, expected)
             if inst.energy_floor > -math.inf:
                 assert set(asked) <= set(reference_asks)
@@ -440,6 +441,79 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
             later = state.with_edges([free[int(rng.integers(0, len(free)))]])
             skipped += both(t, state, inst.competitors(later))[1]
     assert skipped > 0
+
+
+def counting(calls, fn):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_a_second_scan_at_another_time_reuses_the_ranking(rect9, search, viscous):
+    # R's scan of one state at a second t enumerates no competitor and
+    # prices no hop, and still equals the reference scan at that t
+    for seed in range(2):
+        for inst in (grid_fracture_instance(seed, search, viscous),
+                     small_table_instance(rect9, seed, counted_hop, 0.0, search=search,
+                                          viscous=viscous)):
+            hops = []
+            inst = replace(inst, hop=counting(hops, inst.hop))
+            rng = np.random.default_rng(seed)
+            state = CrackSet.of_edges(inst.mesh, rng.choice(inst.pool.edge_ids, 2,
+                                                            replace=False))
+            residual_stability(0.25, state, inst)
+            assert hops
+            for t in (0.5, 0.75):
+                hops.clear()
+                ranking = inst._ranked
+                report = residual_stability(t, state, inst)
+                assert hops == [] and inst._ranked is ranking
+                expected = oracle.reference_scan(t, state, inst.competitors(state), inst)
+                assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
+                assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
+                assert report.examined == expected[2]
+
+
+def test_a_replaced_copy_ranks_afresh(rect9, monkeypatch):
+    # dataclasses.replace, as energetic_mode uses it, starts the copy
+    # without the ranking of the instance it was copied from
+    enumerated = []
+    monkeypatch.setattr(RisInstance, "competitors",
+                        counting(enumerated, RisInstance.competitors))
+    inst = grid_fracture_instance(3, "exhaustive", True)
+    state = CrackSet.of_edges(inst.mesh, inst.pool.edge_ids[:1])
+    viscous = residual_stability(0.5, state, inst)
+    assert len(enumerated) == 1 and inst._ranked is not None
+    energetic = replace(inst, viscous=False)
+    assert energetic._ranked is None and energetic.residuals == {}
+    report = residual_stability(0.5, state, energetic)
+    assert len(enumerated) == 2
+    expected = oracle.reference_scan(0.5, state, inst.competitors(state), energetic)
+    assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
+    assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
+    # the two modes rank by different D
+    assert [d for d, _ in energetic._ranked[2].priced] != \
+        [d for d, _ in inst._ranked[2].priced]
+    assert residual_stability(0.5, state, inst) is viscous
+
+
+@pytest.mark.parametrize("viscous", [True, False])
+def test_greedy_steps_of_a_run_match_the_reference_step(rect9, viscous):
+    # a greedy run reuses rankings across its frozen steps and rescans;
+    # every step is still the reference step from the same state
+    rng = np.random.default_rng(8)
+    table = {bits: float(rng.integers(0, 3)) for bits in range(2**9)}
+    slope = {bits: float(bin(bits).count("1")) for bits in range(2**9)}
+    inst = table_instance(rect9, table, t_slope=slope, search="greedy", viscous=viscous)
+    partition = TimePartition.uniform(3.0, 12)
+    evo = run_scheme(inst, partition, CrackSet.empty(rect9))
+    for t, prev, nxt in zip(partition.times[1:], evo.states, evo.states[1:]):
+        assert nxt.bits == oracle.reference_step(float(t), prev, replace(inst)).bits
+    changing = len(evo.changing_steps())
+    assert 0 < changing < 12
 
 
 @pytest.mark.parametrize("viscous", [True, False])

@@ -804,6 +804,8 @@ def _cmd_jumpcost(args) -> int:
     except ValueError:
         raise ConfigError(
             f"malformed time {options['--time']!r}") from None
+    if not math.isfinite(t):
+        raise ConfigError(f"jumpcost --time must be a finite number, got {t!r}")
     left = CrackSet.of_edges(ctx.mesh, _edge_list(options["--left"]))
     right = CrackSet.of_edges(ctx.mesh, _edge_list(options["--right"]))
     result = jump_cost(t, left, right, ctx.instance)
@@ -934,6 +936,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
 
     base_cfg, base = _read_config(positional[0])
+    if section == "partition" and base_cfg.times is not None:
+        # explicit times fix the partition whatever steps or horizon say
+        raise ConfigError(f"sweep over {param} changes nothing: the config "
+                          "sets partition.times")
     # every swept config is validated before the first run
     configs = [replace(base_cfg, **{field: value}) for value in values]
     for value, cfg in zip(values, configs):

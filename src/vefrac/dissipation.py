@@ -14,13 +14,14 @@ marks a missing record only: hop_cost returns None for H ⊄ K.
 A hop H -> K is priced into a HopCost record (new length, sweep
 integral, nucleation count) by a HopPricer of its mesh. The pricer keeps
 what every hop out of its current source H shares: H's vertices and
-segments, a table of quadrature distance rows per new edge, and the
-record of each target already priced; a hop from another source resets
-all of it. hop_cost is a fresh pricer's hop, and atw_integral reads the
-sweep off that record; alpha shares the pricer's nucleation count and
-computes no sweep. The fracture instance keeps one pricer for the whole
-run. HopCost.charges turns a record into d, delta and D, the only place
-that arithmetic is written.
+segments and a table of quadrature distance rows per new edge; a hop
+from another source resets all of it. It keeps no records: each hop
+asked for is priced, and a scan keeps its prices in its ranking.
+hop_cost is a fresh pricer's hop, and atw_integral reads the sweep off
+that record; alpha shares the pricer's nucleation count and computes
+no sweep. The fracture instance keeps one pricer for the whole run.
+HopCost.charges turns a record into d, delta and D, the only place that
+arithmetic is written.
 """
 from __future__ import annotations
 
@@ -229,11 +230,12 @@ class HopPricer:
     computes the rows of its new edges that no earlier hop of this
     source needed, in one batch.
 
-    The scheme asks for the hops out of one state many times over, so
-    the pricer keeps H's vertices, segments, rows and records (by the
-    target's bits) until a hop from another source resets them. Records
-    are pure functions of (H, K, params), so instances copied by
-    dataclasses.replace may share a pricer.
+    The scheme prices many hops out of one state, so the pricer keeps
+    H's vertices, segments and rows until a hop from another source
+    resets them. It keeps no record: every hop is priced afresh, and a
+    scan keeps its prices in its ranking. Records are pure functions of
+    (H, K, params), so instances copied by dataclasses.replace may share
+    a pricer.
     """
 
     def __init__(self, mesh: Mesh, params: DissipationParams):
@@ -247,17 +249,13 @@ class HopPricer:
             raise MeshError("crack sets belong to different meshes")
         if h.bits != self._source.bits:
             self._reset(h)
-        hops = self._hops
-        if k.bits not in hops:
-            hops[k.bits] = self._price(k)
-        return hops[k.bits]
+        return self._price(k)
 
     def _reset(self, h: CrackSet) -> None:
         self._source = h
         self._h_vertices = h.vertex_ids()
         self._h_segments = self.mesh.segment_endpoints(h.edge_ids)
         self._rows: dict[int, np.ndarray] = {}
-        self._hops: dict[int, HopCost | None] = {}
 
     def _price(self, k: CrackSet) -> HopCost | None:
         h = self._source.bits

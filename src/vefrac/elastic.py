@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -223,7 +222,6 @@ class _MeshTables:
         self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
-        self.corner_vertex_list = self.corner_vertex.tolist()
         self.corner_order_list = corner_order.tolist()
         self.corner_ptr_list = np.searchsorted(self.corner_vertex[corner_order],
                                                np.arange(nv + 1)).tolist()
@@ -353,11 +351,16 @@ class CrackedSpace:
     per-vertex fan counts and ranks.
 
     The constructor builds the fan numbering (`tri_dofs`, `dof_vertex`,
-    `n_dofs`); the triangle components and the Dirichlet and pinned
-    DOFs are built on first read. Two spaces with equal `tri_dofs` that
-    release the same Dirichlet edges, exactly the spaces with equal
-    `space_key`, are the same space: equal stiffness, constraints and
-    data. The stiffness reads `tri_dofs` alone.
+    `n_dofs`) and then the constraints, since every space a run builds
+    is solved: `dirichlet_dofs`, the triangle components, and a pinned
+    DOF per component the data cannot see. `tri_component` labels the
+    triangles by smallest triangle, two sharing a label when a chain of
+    uncracked interior edges joins them; it is the mesh's base labelling
+    unless the crack closes a loop, and only then is it relabelled by
+    `_component_labels` over the uncracked links. Two spaces with equal
+    `tri_dofs` that release the same Dirichlet edges, exactly the spaces
+    with equal `space_key`, are the same space: equal stiffness,
+    constraints and data. The stiffness reads `tri_dofs` alone.
     `dof_vertex` is the vertex of each DOF's corners. `dirichlet_dofs`
     are the DOFs at the corners of the Dirichlet edges the crack leaves.
     Two triangles are in one component exactly when a chain of triangles
@@ -371,16 +374,11 @@ class CrackedSpace:
     def __init__(self, mesh: Mesh, crack: CrackSet):
         self.mesh = mesh
         self.crack = crack
-        self._tables = tables = _mesh_tables(mesh)
-        self._crack_ids = crack.edge_ids
-        self._build_dofs(tables)
-        self._csr = None
-        self._stiffness = None
-
-    def _build_dofs(self, tables: _MeshTables):
+        tables = _mesh_tables(mesh)
+        crack_ids = crack.edge_ids
         fans = tables.base_fans.copy()
         rank = tables.base_rank.copy()
-        cuts = tables.cuts(self._crack_ids)
+        cuts = tables.cuts(crack_ids)
         if cuts:
             counts, moved, moved_rank = [], [], []
             for v, cut in cuts.items():
@@ -390,77 +388,48 @@ class CrackedSpace:
                 moved_rank += got.ranks
             fans[list(cuts)] = counts
             rank[moved] = moved_rank
-        start = np.zeros(self.mesh.n_vertices + 1, dtype=int)
+        start = np.zeros(mesh.n_vertices + 1, dtype=int)
         np.cumsum(fans, out=start[1:])
         self.tri_dofs = (start[tables.corner_vertex] + rank).reshape(-1, 3)
-        self.dof_vertex = np.repeat(np.arange(self.mesh.n_vertices), fans)
-        self.n_dofs = int(start[-1])
+        self.dof_vertex = np.repeat(np.arange(mesh.n_vertices), fans)
+        self.n_dofs = n = int(start[-1])
 
-    @cached_property
-    def _cracked(self) -> np.ndarray:
-        cracked = np.zeros(self.mesh.n_edges, dtype=bool)
-        cracked[list(self._crack_ids)] = True
-        return cracked
-
-    @cached_property
-    def tri_component(self) -> np.ndarray:
-        """Component label of each triangle, numbered by smallest
-        triangle: two triangles share a label when a chain of uncracked
-        interior edges joins them. Mostly the mesh's base components;
-        only a crack that closes a loop relabels the triangles, by
-        `_component_labels` over the uncracked links."""
+        cracked = np.zeros(mesh.n_edges, dtype=bool)
+        cracked[list(crack_ids)] = True
+        # a cracked boundary edge releases its constraint
+        kept = tables.dirichlet_corners[~cracked[tables.dirichlet_edges]]
+        mask = np.zeros(n, dtype=bool)
+        mask[self.tri_dofs.ravel()[kept]] = True
+        self.dirichlet_dofs = np.flatnonzero(mask)
         # Cutting interior edges can split a triangle component only if
         # they close a loop once all boundary vertices are merged into one
         # node (-1); a forest of them leaves the base components.
-        tables = self._tables
         on_boundary = tables.on_boundary_list
         links = []
-        for e in self._crack_ids:
+        for e in crack_ids:
             if tables.is_interior_list[e]:
                 a, b = tables.edge_a_list[e], tables.edge_b_list[e]
                 links.append((-1 if on_boundary[a] else a, -1 if on_boundary[b] else b))
         nodes = sorted({v for link in links for v in link})
         if len(links) == len(nodes) - len(union_groups(nodes, links)):
-            return tables.base_tri_component
-        kept = tables.tri_links[~self._cracked[tables.interior_edges]]
-        return _component_labels(self.mesh.n_triangles, kept)
-
-    @cached_property
-    def n_components(self) -> int:
-        return int(self.tri_component.max()) + 1
-
-    @cached_property
-    def dof_component(self) -> np.ndarray:
-        dof_component = np.empty(self.n_dofs, dtype=int)
-        dof_component[self.tri_dofs.ravel()] = np.repeat(self.tri_component, 3)
-        return dof_component
-
-    @cached_property
-    def dirichlet_dofs(self) -> np.ndarray:
-        # a cracked boundary edge releases its constraint
-        tables = self._tables
-        kept = tables.dirichlet_corners[~self._cracked[tables.dirichlet_edges]]
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.tri_dofs.ravel()[kept]] = True
-        return np.flatnonzero(mask)
-
-    @cached_property
-    def pinned_dofs(self) -> np.ndarray:
+            self.tri_component = tables.base_tri_component
+        else:
+            kept = tables.tri_links[~cracked[tables.interior_edges]]
+            self.tri_component = _component_labels(mesh.n_triangles, kept)
+        self.n_components = int(self.tri_component.max()) + 1
+        self.dof_component = np.empty(n, dtype=int)
+        self.dof_component[self.tri_dofs.ravel()] = np.repeat(self.tri_component, 3)
         # one pinned DOF per component that the Dirichlet data cannot see
         seen = np.zeros(self.n_components, dtype=bool)
         seen[self.dof_component[self.dirichlet_dofs]] = True
         unseen = np.flatnonzero(~seen)
-        first = np.full(self.n_components, self.n_dofs)
+        first = np.full(self.n_components, n)
         if unseen.size:
-            np.minimum.at(first, self.dof_component, np.arange(self.n_dofs))
-        return first[unseen]
-
-    @cached_property
-    def constrained_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = True
+            np.minimum.at(first, self.dof_component, np.arange(n))
+        self.pinned_dofs = first[unseen]
         mask[self.pinned_dofs] = True
-        return mask
+        self.constrained_mask = mask
+        self._csr = None
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stiffness as raw CSR arrays (indptr, indices, data), the
@@ -470,11 +439,8 @@ class CrackedSpace:
         return self._csr
 
     def stiffness(self) -> sp.csr_matrix:
-        if self._stiffness is None:
-            indptr, indices, data = self.csr_arrays()
-            self._stiffness = sp.csr_matrix((data, indices, indptr),
-                                            shape=(self.n_dofs, self.n_dofs))
-        return self._stiffness
+        indptr, indices, data = self.csr_arrays()
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dofs, self.n_dofs))
 
     def dof_positions(self) -> np.ndarray:
         return self.mesh.vertices[self.dof_vertex]

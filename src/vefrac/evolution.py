@@ -3,11 +3,11 @@
 run_scheme iterates the viscously corrected incremental minimization
 over a time partition, recording a per-step ledger (energy, power, the
 dissipation split d / Delta / alpha of each hop, and the residual
-stability of the chosen state, which is 0 without a second scan when
-the step keeps its state). The crack history is monotone by
-construction and is read back as the right-continuous piecewise
-constant interpolant: the state decided by the minimization at t_i
-holds on [t_i, t_{i+1}).
+stability of the chosen state; a step that keeps its state writes
+zeros for its hop and R without pricing or scanning). The crack
+history is monotone by construction and is read back as the
+right-continuous piecewise constant interpolant: the state decided by
+the minimization at t_i holds on [t_i, t_{i+1}).
 
 Also here: jump detection on the discrete history, the connected-
 component bound, the energetic (non-viscous) comparison mode, the
@@ -17,12 +17,12 @@ per distinct cracked space, known before it is built by its key (the
 crack edges that split fans plus the released Dirichlet edges): the
 datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
 the power is a(t) adot(t) times a cached bilinear value. Its hop
-callback is one HopPricer of the mesh, which keeps the HopCost record of
-each competitor K of the most recent source H and the ATW distance rows
-of the new edges its hops have needed, and prices each hop bit for bit
-as hop_cost does. The energetic mode is the
-same instance with its viscous flag off, charging the same records
-without their sweep integral and mu term.
+callback is one HopPricer of the mesh, which keeps the ATW distance
+rows of the new edges that hops from the most recent source H have
+needed and prices each hop it is asked for bit for bit as hop_cost
+does; the instance's ranking keeps a scan's prices. The energetic mode
+is the same instance with its viscous flag off, charging the same
+records without their sweep integral and mu term.
 """
 from __future__ import annotations
 
@@ -169,13 +169,14 @@ def run_scheme(instance: RisInstance, partition: TimePartition,
         led.energy[i] = instance.energy(t, nxt)
         led.power[i] = instance.power(t, nxt)
         led.power_pre[i] = instance.power(t, prev)
-        charged = instance.charges(prev, nxt)
-        led.d[i] = charged.d
-        led.delta[i] = charged.sweep
-        led.alpha[i] = charged.alpha
-        # a step that stays put has already run R's scan of prev at t,
-        # and prev won it with D(prev, prev) = 0: R is exactly 0
+        # a step that stays put is charged +0.0 throughout, and it has
+        # already run R's scan of prev at t, which prev won with
+        # D(prev, prev) = 0: R is exactly 0
         if nxt.bits != prev.bits:
+            charged = instance.charges(prev, nxt)
+            led.d[i] = charged.d
+            led.delta[i] = charged.sweep
+            led.alpha[i] = charged.alpha
             led.r[i] = residual_stability(t, nxt, instance).residual
     return DiscreteEvolution(partition=partition, states=states, ledger=led)
 

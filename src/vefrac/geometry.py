@@ -156,27 +156,16 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _diameter(vertices: np.ndarray) -> float:
-    # Max pairwise distance is attained on the convex hull; tiny inputs
-    # take the direct scan.
-    pts = vertices if len(vertices) <= 16 else _convex_hull(vertices)
+    # Max pairwise distance is attained on the convex hull
+    pts = _convex_hull(vertices)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Corners of the convex hull by Andrew's monotone chain; points on a
-    hull edge are dropped, so collinear input gives its two ends. Points
-    strictly inside the quadrilateral of four extreme points (leftmost,
-    lowest, rightmost, highest; ties broken toward distinct corners)
-    cannot be corners and are discarded before the chain (Akl-Toussaint)."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    x, y = pts[:, 0], pts[:, 1]
-    quad = pts[[0, np.lexsort((-x, y))[0], -1, np.lexsort((x, -y))[0]]]
-    inside = np.ones(len(pts), dtype=bool)
-    for p, q in zip(quad, np.roll(quad, -1, axis=0)):
-        inside &= ((q[0] - p[0]) * (pts[:, 1] - p[1])
-                   - (q[1] - p[1]) * (pts[:, 0] - p[0])) > 0
-    rest = pts[~inside].tolist()
+    hull edge are dropped, so collinear input gives its two ends."""
+    rest = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
 
     def chain(seq):
         out = []
@@ -402,7 +391,8 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
     return Mesh(vertices=verts, triangles=tris, edges=edges,
                 edge_lengths=lengths, edge_tags=tags, tri_edges=tri_edges,
                 edge_index=edge_index,
-                domain_diameter=_diameter(verts),
+                # every corner of the hull ends an edge of one triangle
+                domain_diameter=_diameter(verts[np.unique(edges[boundary])]),
                 triangle_areas=areas)
 
 

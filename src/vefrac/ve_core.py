@@ -82,7 +82,7 @@ LATTICE_CAP = 16
 class RisInstance:
     """The driving system handed to the lattice algorithms.
 
-    hop prices a hop H -> K once into a HopCost record, or returns None
+    hop prices a hop H -> K into a HopCost record, or returns None
     exactly when the inclusion H <= K fails (every cost is +infinity
     there). viscous selects what the records charge: the VE dissipation
     D = d + delta, with d = H1(K\\H) + lam*alpha and delta = Delta +

@@ -536,6 +536,14 @@ def test_cli_jumpcost(well_archive, capsys):
     assert "needs --right" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_cli_jumpcost_refuses_a_non_finite_time(well_archive, time, capsys):
+    assert cli_dispatch(["jumpcost", str(well_archive), "--time", time,
+                         "--left", "", "--right", "29,32"]) == 1
+    assert capsys.readouterr().out == (
+        f"error: jumpcost --time must be a finite number, got {float(time)!r}\n")
+
+
 def test_cli_jumpcost_reports_lattice_nodes(well_archive, capsys):
     # the node counts are deterministic: two calls print the same line
     lines = []
@@ -640,6 +648,24 @@ def test_cli_sweep_checks_every_value_before_the_first_run(workdir, capsys):
     assert capsys.readouterr().out == (
         "error: mode must be 've' or 'energetic', got 'frantic'\n")
     assert not (root / "out" / "sweep-mode-ve").exists()
+
+
+@pytest.mark.parametrize("param, values", [("horizon", "1,5"), ("steps", "2,8")],
+                         ids=["horizon", "steps"])
+def test_cli_sweep_refuses_partition_params_over_explicit_times(tmp_path, workdir, param,
+                                                                values, capsys):
+    # explicit times fix the partition, so every swept run would be the same
+    root = tmp_path / "timed"
+    root.mkdir()
+    (root / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
+    ini = WELL_INI.format(mode="ve", output="out").replace(
+        "steps = 24\nhorizon = 12", "times = 0, 2, 4")
+    (root / "well.ini").write_text(ini)
+    assert cli_dispatch(["sweep", str(root / "well.ini"), "--param", param,
+                         "--values", values]) == 1
+    assert capsys.readouterr().out == (
+        f"error: sweep over {param} changes nothing: the config sets partition.times\n")
+    assert not list(root.rglob("sweep-*"))
 
 
 def test_cli_usage_and_unknowns(capsys):

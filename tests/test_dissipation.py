@@ -360,8 +360,8 @@ def test_rows_do_not_depend_on_the_batch_that_fills_them():
 
 def test_one_pricer_switches_sources_and_back(grid3):
     # a pricer priced from A, then B, then A again holds only the last
-    # source's rows and records, yet every record equals a fresh
-    # pricer's and the reference's
+    # source's rows, yet every record equals a fresh pricer's and the
+    # reference's
     rng = np.random.default_rng(7)
     n = grid3.n_edges
     a = CrackSet.of_edges(grid3, [0, 4, 9])

@@ -289,7 +289,7 @@ def test_mesh_tables_match_tables_built_from_scipy_labels(mesh_name, tmp_path,
 
 def test_grid_run_triangle_components_match_scipy(tmp_path, monkeypatch, bench_workloads):
     # every crack set the grid workload looks up; on those that close a
-    # loop, tri_component relabels through _component_labels
+    # loop, building the space relabels through _component_labels
     inputs = bench_workloads.generate("grid", tmp_path, 1)
     ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
                     inputs.config.parent.resolve())
@@ -305,9 +305,8 @@ def test_grid_run_triangle_components_match_scipy(tmp_path, monkeypatch, bench_w
     monkeypatch.setattr(elastic, "_component_labels", counted)
     for bits in ctx.instance.energy.__self__._entries:
         crack = CrackSet(mesh, bits)
-        space = split_along_crack(mesh, crack)
         before = len(labelled)
-        got = space.tri_component
+        got = split_along_crack(mesh, crack).tri_component
         kept = [i for i, e in enumerate(tables.interior_edges.tolist())
                 if not (bits >> e) & 1]
         want = oracle.reference_component_labels(mesh.n_triangles, tables.tri_links[kept])
@@ -469,8 +468,8 @@ def test_dirichlet_release_on_cracked_boundary_edge(grid4_tb):
 # the space key, and one solve per cracked space
 # ---------------------------------------------------------------------------
 
-_LAZY = ("tri_component", "n_components", "dof_component", "dirichlet_dofs",
-         "pinned_dofs", "constrained_mask")
+_CONSTRAINTS = ("tri_component", "n_components", "dof_component", "dirichlet_dofs",
+                "pinned_dofs", "constrained_mask")
 
 
 def _skewed_load(mesh):
@@ -585,19 +584,17 @@ def test_a_released_dirichlet_edge_changes_the_key(grid4_tb):
     assert len(cache._by_space) == 2
 
 
-def test_lazy_space_attributes_match_the_reference_in_any_order():
+def test_space_constraints_match_the_reference():
     mesh, crack = _workload_mesh("grid")
     for k in _space_sharing_cracks(mesh, 7)[:12] + [crack]:
         ref = oracle.reference_space(mesh, k)
-        for order in (_LAZY, _LAZY[::-1]):
-            space = split_along_crack(mesh, k)
-            assert not set(_LAZY) & set(vars(space))  # built on first read
-            for name in order:
-                got, want = getattr(space, name), ref[name]
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), name
-                else:
-                    assert got == want, name
+        space = split_along_crack(mesh, k)
+        for name in _CONSTRAINTS:
+            got, want = getattr(space, name), ref[name]
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            else:
+                assert got == want, name
 
 
 @pytest.mark.parametrize("mesh_name", ["grid", "strip"])

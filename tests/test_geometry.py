@@ -48,10 +48,9 @@ def test_unit_square_edge_count_and_diameter(square2):
     assert all(square2.edge_tags[i] == DIRICHLET for i in (0, 2, 3, 4))
 
 
-def test_collinear_diameter_falls_back_to_direct_scan():
-    # More than 16 points take the convex-hull path. Collinear points
-    # have no 2-d hull: qhull refuses them, the monotone chain keeps the
-    # two ends.
+def test_collinear_diameter_is_measured_between_the_two_ends():
+    # Collinear points have no 2-d hull: qhull refuses them, the
+    # monotone chain keeps the two ends.
     from scipy.spatial import ConvexHull, QhullError
 
     s = np.linspace(0.0, 3.0, 20)
@@ -78,6 +77,26 @@ def test_diameter_matches_qhull_hull():
                        np.column_stack([s, np.full(n, 0.5)])])
     for pts in clouds:
         assert _diameter(pts) == oracle.qhull_diameter(pts)
+
+
+def test_domain_diameter_is_measured_on_the_boundary():
+    # build_mesh measures the diameter over the ends of the boundary
+    # edges, which hold every corner of the vertices' hull: on a mesh
+    # whose every vertex is on the boundary, on two triangles meeting at
+    # one vertex, and on the graded fan beside a refined grid
+    every = lambda pa, pb: True  # noqa: E731
+    pinched = build_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)],
+                         [(0, 1, 2), (0, 3, 4)], every)
+    grid = square_grid_mesh(6)
+    right = np.flatnonzero(grid.vertices[:, 0] == 1.0)
+    right = right[np.argsort(grid.vertices[right, 1])]
+    far = np.full(right.size - 1, grid.n_vertices)
+    fan = build_mesh(_graded_fan(6)[0],
+                     np.concatenate([grid.triangles,
+                                     np.column_stack([right[:-1], far, right[1:]])]),
+                     every)
+    for mesh in (rect_grid_mesh(40, 1), pinched, fan):
+        assert mesh.domain_diameter == oracle.qhull_diameter(mesh.vertices)
 
 
 def _hanging_outcome(check, *args):

@@ -808,7 +808,21 @@ def _cmd_jumpcost(args) -> int:
         raise ConfigError(f"jumpcost --time must be a finite number, got {t!r}")
     left = CrackSet.of_edges(ctx.mesh, _edge_list(options["--left"]))
     right = CrackSet.of_edges(ctx.mesh, _edge_list(options["--right"]))
+    # a huge finite t can overflow a(t)^2, and R's arithmetic turns an
+    # infinite energy into a NaN cost
+    a = ctx.load.amplitude(t)
+    if not math.isfinite(a * a):
+        raise ConfigError(f"jumpcost cannot price t={t!r}: a(t)^2 = {a * a!r} "
+                          "is not finite")
+    for name, k in (("--left", left), ("--right", right)):
+        energy = ctx.instance.energy(t, k)
+        if not math.isfinite(energy):
+            raise ConfigError(f"jumpcost cannot price t={t!r}: the energy of "
+                              f"{name} is {energy!r}, not finite")
     result = jump_cost(t, left, right, ctx.instance)
+    if result.chain is not None and not math.isfinite(result.cost):
+        raise ConfigError(f"jumpcost cannot price t={t!r}: the cost is "
+                          f"{result.cost!r}, not finite")
     print(f"jump cost at t={t:.6g}: {result.cost:.17g}")
     if result.chain is not None:
         states = " -> ".join(

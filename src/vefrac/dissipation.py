@@ -17,11 +17,19 @@ what every hop out of its current source H shares: H's vertices and
 segments and a table of quadrature distance rows per new edge; a hop
 from another source resets all of it. It keeps no records: each hop
 asked for is priced, and a scan keeps its prices in its ranking.
-hop_cost is a fresh pricer's hop, and atw_integral reads the sweep off
-that record; alpha shares the pricer's nucleation count and computes
-no sweep. The fracture instance keeps one pricer for the whole run.
+HopPricer.hops prices a ranking's hops out of one source at once, as
+arrays: it fills the rows of all their new edges at once, in batches of
+bounded size, runs each hop's own gemv in chunks of HOP_CHUNK hops, and
+counts nucleations in closed form for hops of up to two new edges.
+Every entry equals the single hop's record bit for bit, and
+HopPricer.hop is the batch of one. hop_cost is a fresh pricer's hop,
+and atw_integral reads the sweep off that record; alpha counts by
+_nucleations, the union-find the pricer uses for larger hops, and
+computes no sweep. The fracture instance keeps one pricer for the
+whole run.
 HopCost.charges turns a record into d, delta and D, the only place that
-arithmetic is written.
+arithmetic is written; it runs on a batch's arrays as on one record's
+floats.
 """
 from __future__ import annotations
 
@@ -45,6 +53,10 @@ from .geometry import (
 
 # Uniform panels per edge in the composite ATW quadrature.
 ATW_PANELS = 16
+# Hops whose quadrature blocks HopPricer.hops gathers at once.
+HOP_CHUNK = 64
+# Point-segment distances one fill of HopPricer's rows measures at most.
+_FILL_PAIRS = 1 << 11
 
 __all__ = [
     "DissipationParams",
@@ -188,7 +200,9 @@ class HopCost:
     """The priced parts of a hop H -> K with H ⊆ K: the new length
     h1 = H1(K\\H), the pure sweep integral Delta(H,K) and the nucleation
     count alpha(H,K). charges() turns them into d, delta and D, so the
-    costs agree bit for bit wherever they are read."""
+    costs agree bit for bit wherever they are read. HopPricer.hops fills
+    the fields with float arrays, one entry per hop, and charges() then
+    works entry by entry with the same IEEE operations."""
 
     h1: float
     sweep: float
@@ -216,19 +230,32 @@ def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | N
 
 
 class HopPricer:
-    """Prices the hops H -> K on one mesh.
+    """Prices the hops H -> K on one mesh, one at a time or a ranking's
+    worth at once.
 
     Every quantity of a hop is read off its new edges K \\ H. h1 is the
-    fsum of their lengths and alpha is _nucleations of them against H's
-    vertices. The sweep integral weighs, per new edge, the distances
-    dist(., H) at the quadrature points of `_atw_rule` (a row) by the
-    rule's weights. A row is computed point by point, so its bits do not
+    fsum of their lengths. The sweep integral weighs, per new edge, the
+    distances dist(., H) at the quadrature points of `_atw_rule` (a row)
+    by the rule's weights, and takes the fsum of the weighted sums times
+    the lengths. A row is computed point by point, so its bits do not
     depend on the batch it was computed in, and rows are kept per edge.
-    The weighted sum `rows @ w` is a gemv whose rounding depends on how
+    The weighted sum `block @ w` is a gemv whose rounding depends on how
     many rows it takes, so each hop runs it on the block of its own new
-    edges, in ascending order, as pricing that hop alone would. A hop
-    computes the rows of its new edges that no earlier hop of this
-    source needed, in one batch.
+    edges, in ascending order, as pricing that hop alone would.
+
+    `hops` prices N hops out of one source that each add m edges, given
+    as an (N, m) array. It fills the rows of all their new edges that no
+    earlier hop of this source needed, in batches of at most _FILL_PAIRS
+    point-segment distances, and gathers the blocks of HOP_CHUNK hops at
+    a time into one (n, m, points) array: numpy's matmul runs one m-row
+    gemv per hop on it, so every hop's weighted sums are those of its
+    own block. alpha is the number of components of the new edges that touch
+    no vertex of H (see `alpha`). For m <= 2 that is closed form: a lone
+    edge counts 1 unless it touches H; two edges that share a vertex
+    count 1 unless either touches H, and two apart count one each that
+    does not. Larger hops go through _nucleations' union-find. So every
+    entry equals the record `hop` gives bit for bit, and `hop` is the
+    batch of one.
 
     The scheme prices many hops out of one state, so the pricer keeps
     H's vertices, segments and rows until a hop from another source
@@ -247,47 +274,105 @@ class HopPricer:
         """The HopCost record of H -> K; None when H ⊄ K."""
         if not (h.mesh is k.mesh is self.mesh):
             raise MeshError("crack sets belong to different meshes")
+        if k.bits & h.bits != h.bits:
+            return None
+        new = CrackSet(self.mesh, k.bits & ~h.bits).edge_ids
+        priced = self.hops(h, np.array(new, dtype=np.intp).reshape(1, len(new)))
+        return HopCost(*(float(x[0]) for x in (priced.h1, priced.sweep, priced.alpha)))
+
+    def hops(self, h: CrackSet, new: np.ndarray) -> HopCost:
+        """The hops out of H that add the edges of each row of `new`, an
+        (N, m) int array of edges outside H, ascending per row: a HopCost
+        whose fields are float arrays of N entries, each the field of
+        that hop's record."""
+        if h.mesh is not self.mesh:
+            raise MeshError("crack sets belong to different meshes")
         if h.bits != self._source.bits:
             self._reset(h)
-        return self._price(k)
+        lengths = self.mesh.edge_lengths[new]
+        h1 = _row_fsums(lengths)
+        return HopCost(h1=h1, sweep=self._sweeps(new, lengths, h1),
+                       alpha=self._nucleation_counts(new))
 
     def _reset(self, h: CrackSet) -> None:
+        mesh = self.mesh
         self._source = h
         self._h_vertices = h.vertex_ids()
-        self._h_segments = self.mesh.segment_endpoints(h.edge_ids)
-        self._rows: dict[int, np.ndarray] = {}
+        self._touches_h = np.zeros(mesh.n_vertices, dtype=bool)
+        self._touches_h[list(self._h_vertices)] = True
+        self._h_segments = mesh.segment_endpoints(h.edge_ids)
+        # the rows filled so far, and the index of each edge's row or -1
+        self._rows = np.empty((0, ATW_PANELS * self.params.quadrature_order))
+        self._row_of = np.full(mesh.n_edges, -1, dtype=np.intp)
 
-    def _price(self, k: CrackSet) -> HopCost | None:
-        h = self._source.bits
-        if k.bits & h != h:
-            return None
-        new_ids = CrackSet(self.mesh, k.bits & ~h).edge_ids
-        lengths = self.mesh.edge_lengths[list(new_ids)]
-        return HopCost(h1=math.fsum(lengths),
-                       sweep=self._sweep(new_ids, lengths),
-                       alpha=_nucleations(self.mesh, self._h_vertices, new_ids))
-
-    def _sweep(self, new_ids: tuple, lengths: np.ndarray) -> float:
-        if not new_ids:
-            return 0.0
+    def _sweeps(self, new: np.ndarray, lengths: np.ndarray,
+                h1: np.ndarray) -> np.ndarray:
+        n, m = new.shape
+        if m == 0:
+            return np.zeros(n)
         if self._source.is_empty:
-            return self.mesh.domain_diameter * math.fsum(lengths)
+            return self.mesh.domain_diameter * h1
         # Composite rule: dist(., H) is only piecewise smooth along an edge
         # (the nearest feature of H changes), so a single Gauss panel stalls
         # at a few percent no matter the order. Uniform panels with the
         # requested order per panel stay exact for linear integrands and
         # push the kink error below the dense-sampling oracle's tolerance.
-        t, w = _atw_rule(self.params.quadrature_order)
-        rows = self._rows
-        missing = [e for e in new_ids if e not in rows]
-        if missing:
-            a, b = self.mesh.segment_endpoints(missing)
+        _, w = _atw_rule(self.params.quadrature_order)
+        self._fill(new)
+        rows, row_of = self._rows, self._row_of
+        sweeps = np.empty(n)
+        for start in range(0, n, HOP_CHUNK):
+            part = slice(start, start + HOP_CHUNK)
+            sweeps[part] = _row_fsums(lengths[part] * (rows[row_of[new[part]]] @ w))
+        return sweeps
+
+    def _fill(self, ids: np.ndarray) -> None:
+        """Append the rows of the edges in `ids` that this source lacks."""
+        wanted = np.zeros(self.mesh.n_edges, dtype=bool)
+        wanted[ids] = True
+        missing = np.flatnonzero(wanted & (self._row_of < 0))
+        if not missing.size:
+            return
+        t, _ = _atw_rule(self.params.quadrature_order)
+        ha, hb = self._h_segments
+        step = max(1, _FILL_PAIRS // (len(t) * len(ha)))
+        rows = [self._rows]
+        for start in range(0, len(missing), step):
+            part = missing[start:start + step]
+            a, b = self.mesh.segment_endpoints(part)
             pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-            ha, hb = self._h_segments
             dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
-            rows.update(zip(missing, dists.reshape(len(missing), len(t))))
-        block = np.array([rows[e] for e in new_ids])
-        return math.fsum(lengths * (block @ w))
+            rows.append(dists.reshape(len(part), len(t)))
+        filled = len(self._rows)
+        self._rows = np.concatenate(rows)
+        self._row_of[missing] = np.arange(filled, filled + len(missing))
+
+    def _nucleation_counts(self, new: np.ndarray) -> np.ndarray:
+        n, m = new.shape
+        if m > 2:
+            return np.array([_nucleations(self.mesh, self._h_vertices, row)
+                             for row in new.tolist()], dtype=float).reshape(n)
+        ends = self.mesh.edges[new]                    # (n, m, 2)
+        apart = ~self._touches_h[ends].any(axis=2)     # (n, m)
+        if m < 2:
+            return apart.sum(axis=1, dtype=float)
+        first, second = ends[:, 0], ends[:, 1]
+        shared = (first[:, :, None] == second[:, None, :]).any(axis=(1, 2))
+        return np.where(shared, apart[:, 0] & apart[:, 1],
+                        apart.sum(axis=1, dtype=float))
+
+
+def _row_fsums(values: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of an (n, m) array of nonnegative finite
+    floats, bit for bit. fsum rounds the exact sum once, to nearest even,
+    so a row of one float sums to itself and a row of two to their IEEE
+    sum; only longer rows call fsum."""
+    n, m = values.shape
+    if m == 1:
+        return values[:, 0].copy()
+    if m == 2:
+        return values[:, 0] + values[:, 1]
+    return np.array([math.fsum(row) for row in values.tolist()], dtype=float).reshape(n)
 
 
 def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:

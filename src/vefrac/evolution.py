@@ -16,11 +16,12 @@ the elastic energy into a RisInstance. The factory caches one FEM solve
 per distinct cracked space, known before it is built by its key (the
 crack edges that split fans plus the released Dirichlet edges): the
 datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
-the power is a(t) adot(t) times a cached bilinear value. Its hop
-callback is one HopPricer of the mesh, which keeps the ATW distance
-rows of the new edges that hops from the most recent source H have
-needed and prices each hop it is asked for bit for bit as hop_cost
-does; the instance's ranking keeps a scan's prices. The energetic mode
+the power is a(t) adot(t) times a cached bilinear value. Its hop and
+hops callbacks are one HopPricer of the mesh, which keeps the ATW
+distance rows of the new edges that hops from the most recent source H
+have needed and prices each hop it is asked for, alone or in a
+ranking's batch, bit for bit as hop_cost does; the instance's ranking
+keeps a scan's prices. The energetic mode
 is the same instance with its viscous flag off, charging the same
 records without their sweep integral and mu term.
 """
@@ -157,10 +158,11 @@ def run_scheme(instance: RisInstance, partition: TimePartition,
     n = len(times)
     states = [k0]
     led = StepLedger(*(np.zeros(n) for _ in range(7)))
-    led.energy[0] = instance.energy(times[0], k0)
-    led.power[0] = instance.power(times[0], k0)
+    t = float(times[0])
+    led.energy[0] = instance.energy(t, k0)
+    led.power[0] = instance.power(t, k0)
     led.power_pre[0] = led.power[0]
-    led.r[0] = residual_stability(times[0], k0, instance).residual
+    led.r[0] = residual_stability(t, k0, instance).residual
     for i in range(1, n):
         t = float(times[i])
         prev = states[-1]
@@ -357,11 +359,13 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
     ENERGY_FLOOR, which lets the competitor scans skip whatever D alone
     prices out."""
     cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+    pricer = HopPricer(mesh, params)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        hop=HopPricer(mesh, params).hop,
+        hop=pricer.hop,
+        hops=pricer.hops,
         params=params,
         budget=budget,
         search=search,

@@ -3,10 +3,11 @@
 Everything here is generic in the driving system: a RisInstance carries
 the energy/power callbacks, one dissipation callback `hop` that prices a
 hop H -> K into a HopCost record (new length, sweep integral, nucleation
-count), the `viscous` flag that turns records into the charged costs
-(the VE dissipation D = d + delta, or D = d for energetic solutions),
-and the competitors of a state over an admissible edge pool. On top of
-that we provide
+count), optionally a `hops` callback that prices many hops out of one
+source at once into a HopCost of arrays, the `viscous` flag that turns
+records into the charged costs (the VE dissipation D = d + delta, or
+D = d for energetic solutions), and the competitors of a state over an
+admissible edge pool. On top of that we provide
 
   * the residual stability function R and the minimal-set witness M,
   * the viscously corrected incremental minimization step,
@@ -22,16 +23,23 @@ The step and R are one minimization, E(t,K') + D(K,K') over the
 competitors K' of K, so one private scan holds that loop and its
 tie-break (fewer edges, then lexicographic). D needs no energy
 evaluation and does not depend on t, so a scan has two halves: the
-ranking prices every hop and sorts the competitors by D, once per
-(source, state) while the instance keeps it, and the evaluation, run
-for each t, evaluates E in increasing D and stops at the first
-competitor whose D plus the instance's floor under its energies already
-puts it above the best value; only strict excess is skipped, so minimum
-and winners are those of the full scan, and a report's examined count
-still counts every competitor. The step's first scan is R's scan of
-its old state, and every R scan is kept in the instance's residual
-memo, so a step that keeps its state has shown R = 0 there and the
-audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the
+ranking prices every competitor's hop and sorts the competitors by D,
+once per (source, state) while the instance keeps it, and the
+evaluation, run for each t, evaluates E in increasing D and stops at
+the first competitor whose D plus the instance's floor under its
+energies already puts it above the best value; only strict excess is
+skipped, so minimum and winners are those of the full scan, and a
+report's examined count still counts every competitor. An instance
+with `hops` ranks in one batch: each group of competitors adding as
+many edges is one array of new edges, priced by `hops` and charged by
+HopCost.charges, then sorted by a stable argsort, and a competitor's
+CrackSet is built only when a scan reaches it. Generic instances rank
+by the per-competitor loop over `hop`, which is also the batch's
+reference: both give the same D, bit for bit, in the same order. The
+step's first scan is R's scan of its old state, and every R scan is
+kept in the instance's residual memo, so a step that keeps its state
+has shown R = 0 there and the audits read R(t_i, K_{i-1}) without
+scanning again. jump_cost takes the
 full R of every lattice node it expands; a node whose one value at K+
 already prices it out of the search is cut off without a scan.
 
@@ -46,7 +54,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -90,7 +98,8 @@ class RisInstance:
     it, and HopCost.charges does the arithmetic, so every algorithm below
     is the same in both modes. Records are nonnegative, which is what
     lets jump_cost cut off a lattice node by the value of its witness
-    K+ alone.
+    K+ alone. hops, when given, prices a ranking's hops in one batch
+    (see _rank_batch) and must give hop's records entry by entry.
 
     energy_floor is a lower bound on every value energy returns. Scans
     evaluate E in increasing D and stop once D plus the floor puts a
@@ -121,6 +130,10 @@ class RisInstance:
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
+    # prices a ranking's hops out of one source at once (see _rank_batch):
+    # given H and an (N, m) array of the edges each hop adds, ascending
+    # per row, a HopCost of arrays whose entries equal hop's records
+    hops: Callable[[CrackSet, np.ndarray], HopCost] | None = None
     residuals: dict[tuple[float, int], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _ranked: tuple[int, int, _Ranking] | None = field(
@@ -142,23 +155,27 @@ class RisInstance:
     def competitors(self, state: CrackSet) -> Iterator[CrackSet]:
         """Supersets of `state` inside the pool; `state` comes first."""
         mesh, base = state.mesh, state.bits
-        masks = [1 << e for e in self.pool.minus(state).edge_ids]
+        for group in self._additions(state):
+            for added in group:
+                yield CrackSet(mesh, base | _mask(added))
+
+    def _additions(self, state: CrackSet) -> list[list[tuple[int, ...]]]:
+        """The edges each competitor adds to `state`, in competitors()
+        order, grouped by how many: () for the state itself, then every
+        free pool edge alone (greedy) or every combination of up to
+        budget of them, in itertools.combinations order. Raises
+        ValueError when exhaustive search would enumerate more than
+        MAX_COMPETITORS."""
+        free = self.pool.minus(state).edge_ids
         if self.search == "greedy":
-            yield state
-            for mask in masks:
-                yield CrackSet(mesh, base | mask)
-            return
-        budget = min(self.budget, len(masks))
-        total = sum(math.comb(len(masks), k) for k in range(budget + 1))
+            return [[()], [(e,) for e in free]] if free else [[()]]
+        budget = min(self.budget, len(free))
+        total = sum(math.comb(len(free), k) for k in range(budget + 1))
         if total > MAX_COMPETITORS:
             raise ValueError(
-                f"budget {self.budget} over a pool of {len(masks)} free edges "
+                f"budget {self.budget} over a pool of {len(free)} free edges "
                 f"enumerates {total} competitors; exceeds {MAX_COMPETITORS}")
-        yield state
-        for k in range(1, budget + 1):
-            for combo in itertools.combinations(masks, k):
-                # the masks are distinct single bits, so their sum is their union
-                yield CrackSet(mesh, base | sum(combo))
+        return [list(itertools.combinations(free, k)) for k in range(budget + 1)]
 
     def is_competitor(self, state: CrackSet, k: CrackSet) -> bool:
         """Whether a superset k of `state` is one of competitors(state),
@@ -173,15 +190,24 @@ class RisInstance:
         return None if hop is None else hop.charges(self.params, self.viscous)
 
     def ranking(self, source: CrackSet, state: CrackSet) -> _Ranking:
-        """The competitors of `state` ranked by D(source, .) (see _rank);
-        the most recent (source, state) ranking is reused."""
+        """The competitors of `state` ranked by D(source, .) (see _rank
+        and _rank_batch); the most recent (source, state) ranking is
+        reused."""
         memo = self._ranked
         if memo is not None and memo[0] == source.bits and memo[1] == state.bits:
             return memo[2]
         self._ranked = None  # so two rankings are never held at once
-        ranking = _rank(source, self.competitors(state), self)
+        if self.hops is not None and source.issubset(state):
+            ranking = _rank_batch(source, state, self)
+        else:
+            ranking = _rank(source, self.competitors(state), self)
         self._ranked = (source.bits, state.bits, ranking)
         return ranking
+
+
+def _mask(edge_ids: Iterable[int]) -> int:
+    # the edges are distinct, so the sum of their bits is their union
+    return sum(1 << e for e in edge_ids)
 
 
 @dataclass(frozen=True)
@@ -195,14 +221,27 @@ class StabilityReport:
     examined: int
 
 
-class _Ranking(NamedTuple):
-    """Candidates ranked for a scan out of `source`: (D, K) for every
-    candidate K containing source, in increasing D, and the number of
-    candidates examined, priced or not."""
+class _Ranking:
+    """Candidates ranked for a scan out of `source`: big_d lists the D of
+    every candidate K containing source, in increasing D, and iterating
+    gives the (D, K) pairs in that order. examined counts the candidates
+    examined, priced or not. A candidate is built by `make(i)`, from its
+    index i in the ranking, the first time a scan reaches it, and kept."""
 
-    source: CrackSet
-    priced: list[tuple[float, CrackSet]]
-    examined: int
+    def __init__(self, source: CrackSet, big_d: list[float], examined: int,
+                 cracks: list[CrackSet], make: Callable[[int], CrackSet] | None = None):
+        self.source = source
+        self.big_d = big_d
+        self.examined = examined
+        self._cracks = cracks
+        self._make = make
+
+    def __iter__(self) -> Iterator[tuple[float, CrackSet]]:
+        cracks = self._cracks
+        for i, big_d in enumerate(self.big_d):
+            if i == len(cracks):
+                cracks.append(self._make(i))
+            yield big_d, cracks[i]
 
 
 def _rank(source: CrackSet, candidates: Iterable[CrackSet],
@@ -210,7 +249,7 @@ def _rank(source: CrackSet, candidates: Iterable[CrackSet],
     """The t-free half of a scan: price every candidate's hop from
     source and sort by D, stably, so equal D keep their order. A
     candidate that does not contain `source` costs +infinity and is
-    left out."""
+    left out. This per-candidate loop is the reference for _rank_batch."""
     priced = []
     examined = 0
     for comp in candidates:
@@ -219,7 +258,35 @@ def _rank(source: CrackSet, candidates: Iterable[CrackSet],
         if charged is not None:
             priced.append((charged.big_d, comp))
     priced.sort(key=lambda pair: pair[0])
-    return _Ranking(source, priced, examined)
+    return _Ranking(source, [d for d, _ in priced], examined,
+                    [comp for _, comp in priced])
+
+
+def _rank_batch(source: CrackSet, state: CrackSet,
+                instance: RisInstance) -> _Ranking:
+    """_rank of the competitors of `state` ⊇ source, priced as arrays.
+
+    Each group of competitors adding the same number of edges to state
+    is one (N, m) array of the edges they add to source, passed to the
+    instance's `hops`, and HopCost.charges turns the priced arrays into
+    D as it does a single record. The candidates keep competitors()
+    order, and a stable argsort keeps equal D in it, so the ranking is
+    _rank's: the same D, as Python floats, in the same order."""
+    groups = instance._additions(state)
+    base = np.array(state.minus(source).edge_ids, dtype=np.intp)
+    big_d = []
+    for group in groups:
+        added = np.array(group, dtype=np.intp)
+        new = np.sort(np.hstack([np.broadcast_to(base, (len(group), len(base))),
+                                 added]), axis=1)
+        charged = instance.hops(source, new).charges(instance.params, instance.viscous)
+        big_d.append(charged.big_d)
+    big_d = np.concatenate(big_d)
+    order = np.argsort(big_d, kind="stable")
+    flat = [added for group in groups for added in group]
+    mesh, bits, at = state.mesh, state.bits, order.tolist()
+    return _Ranking(source, big_d[order].tolist(), len(flat), [],
+                    lambda i: CrackSet(mesh, bits | _mask(flat[at[i]])))
 
 
 def _scan(t: float, ranking: _Ranking,
@@ -242,7 +309,7 @@ def _scan(t: float, ranking: _Ranking,
     best = math.inf
     winners: list[CrackSet] = []
     own = None
-    for big_d, comp in ranking.priced:
+    for big_d, comp in ranking:
         if big_d + floor > best:
             break
         energy = instance.energy(t, comp)
@@ -542,7 +609,7 @@ def audit_balance(evolution, instance: RisInstance,
         lam_sum_alpha[i] = lam_sum_alpha[i - 1]
         viscous_part[i] = viscous_part[i - 1]
         if states[i].bits != states[i - 1].bits:
-            c = jump_cost(times[i], states[i - 1], states[i], instance).cost
+            c = jump_cost(float(times[i]), states[i - 1], states[i], instance).cost
             charged = instance.charges(states[i - 1], states[i])
             # a non-nested step already has an infinite jump cost
             a = 0.0 if charged is None else charged.alpha

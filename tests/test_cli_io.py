@@ -544,6 +544,19 @@ def test_cli_jumpcost_refuses_a_non_finite_time(well_archive, time, capsys):
         f"error: jumpcost --time must be a finite number, got {float(time)!r}\n")
 
 
+def test_cli_jumpcost_refuses_a_time_whose_load_overflows(well_archive, capsys):
+    # a(1e200)^2 overflows to inf, which priced a NaN cost; a finite t
+    # outside the run's partition is priced like any other
+    assert cli_dispatch(["jumpcost", str(well_archive), "--time", "1e200",
+                         "--left", "", "--right", "29,32"]) == 1
+    assert capsys.readouterr().out == (
+        "error: jumpcost cannot price t=1e+200: a(t)^2 = inf is not finite\n")
+    assert cli_dispatch(["jumpcost", str(well_archive), "--time", "-5",
+                         "--left", "", "--right", "29,32"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("jump cost at t=-5: ") and "nan" not in out
+
+
 def test_cli_jumpcost_reports_lattice_nodes(well_archive, capsys):
     # the node counts are deterministic: two calls print the same line
     lines = []

@@ -334,21 +334,29 @@ def _workload_run(bench_workloads, workload, work):
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
 def test_workload_hops_match_the_reference_pricing(workload, tmp_path, bench_workloads):
-    # every hop a benchmark run looks up, in the step, the ledger and the
-    # audits, is the record the reference pricing gives, bit for bit
+    # every hop a benchmark run prices, one at a time in the step, the
+    # ledger and the audits, or as a candidate of a ranking's batch, is
+    # the record the reference pricing gives, and charges the reference
+    # record's D, bit for bit
     ctx = _workload_run(bench_workloads, workload, tmp_path)
     inst = ctx.instance
-    table_hop = inst.hop
+    table_hop, batch_hops = inst.hop, inst.hops
     records = {}
+    batches = []
 
     def hop(h, k):
         record = table_hop(h, k)
         records.setdefault((h.bits, k.bits), (h, k, record))
         return record
 
-    inst.hop = hop
+    def hops(h, new):
+        priced = batch_hops(h, new)
+        batches.append((h, new.copy(), priced))
+        return priced
+
+    inst.hop, inst.hops = hop, hops
     _run_to_archive(ctx, tmp_path / "out")
-    assert len(records) > 10
+    assert len(records) == {"strip": 9, "grid": 10, "fine": 10}[workload]
     for h, k, record in records.values():
         expected = oracle.reference_hop_cost(h, k, inst.params)
         if expected is None:
@@ -356,6 +364,16 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, bench_wor
             continue
         assert (record.h1, record.sweep, record.alpha) == \
             (expected.h1, expected.sweep, expected.alpha)
+    candidates = 0
+    for h, new, priced in batches:
+        big_d = priced.charges(inst.params, inst.viscous).big_d.tolist()
+        for i, row in enumerate(new.tolist()):
+            expected = oracle.reference_hop_cost(h, h.with_edges(row), inst.params)
+            assert (priced.h1[i], priced.sweep[i], priced.alpha[i]) == \
+                (expected.h1, expected.sweep, expected.alpha)
+            assert big_d[i] == expected.charges(inst.params, inst.viscous).big_d
+            candidates += 1
+    assert candidates == {"strip": 255, "grid": 3250, "fine": 16}[workload]
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
@@ -394,29 +412,30 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
 
 
 @pytest.mark.parametrize("workload, expected", [
-    ("strip", {"solves": 45, "builds": 45, "priced": 288, "lookups": 288,
-               "enumerations": 9}),
-    ("grid", {"solves": 470, "builds": 470, "priced": 3266, "lookups": 3266,
-              "enumerations": 3}),
-    ("fine", {"solves": 6, "builds": 6, "priced": 32, "lookups": 32,
-              "enumerations": 3}),
+    ("strip", {"solves": 45, "builds": 45, "rankings": 9, "priced": 288,
+               "lookups": 33}),
+    ("grid", {"solves": 470, "builds": 470, "rankings": 3, "priced": 3266,
+              "lookups": 16}),
+    ("fine", {"solves": 6, "builds": 6, "rankings": 3, "priced": 32,
+              "lookups": 16}),
 ], ids=["strip", "grid", "fine"])
 def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                                      bench_workloads):
     # per run in this process: one space build and one FEM solve per
-    # distinct cracked space, every hop looked up priced (the rankings
-    # keep a scan's prices, and a step that keeps its state looks up
-    # none), and competitors enumerated once per (source, state) the
-    # scans rank; every count repeats exactly
+    # distinct cracked space, one batch ranking per (source, state) the
+    # scans rank, and every hop priced once: a ranking's candidates in
+    # its batch, and each hop looked up outside a ranking (the step's
+    # ledger row and the audits; a step that keeps its state looks up
+    # none) as a batch of one. Every count repeats exactly
     import vefrac.evolution as evolution
+    import vefrac.ve_core as ve_core
     from vefrac.dissipation import HopPricer
-    from vefrac.ve_core import RisInstance
 
     counts = dict.fromkeys(expected, 0)
 
-    def counted(name, fn):
+    def counted(name, fn, size=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += size(*args)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -424,10 +443,10 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                         counted("solves", evolution.solve_on_space))
     monkeypatch.setattr(evolution, "split_along_crack",
                         counted("builds", evolution.split_along_crack))
-    monkeypatch.setattr(HopPricer, "_price", counted("priced", HopPricer._price))
+    monkeypatch.setattr(ve_core, "_rank_batch", counted("rankings", ve_core._rank_batch))
+    monkeypatch.setattr(HopPricer, "hops",
+                        counted("priced", HopPricer.hops, lambda _, h, new: len(new)))
     monkeypatch.setattr(HopPricer, "hop", counted("lookups", HopPricer.hop))
-    monkeypatch.setattr(RisInstance, "competitors",
-                        counted("enumerations", RisInstance.competitors))
     for run in ("first", "second"):
         counts.update(dict.fromkeys(expected, 0))
         ctx = _workload_run(bench_workloads, workload, tmp_path / run)

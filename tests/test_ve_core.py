@@ -454,13 +454,15 @@ def counting(calls, fn):
 @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
 def test_a_second_scan_at_another_time_reuses_the_ranking(rect9, search, viscous):
     # R's scan of one state at a second t enumerates no competitor and
-    # prices no hop, and still equals the reference scan at that t
+    # prices no hop, one at a time or in a batch, and still equals the
+    # reference scan at that t
     for seed in range(2):
         for inst in (grid_fracture_instance(seed, search, viscous),
                      small_table_instance(rect9, seed, counted_hop, 0.0, search=search,
                                           viscous=viscous)):
             hops = []
-            inst = replace(inst, hop=counting(hops, inst.hop))
+            inst = replace(inst, hop=counting(hops, inst.hop),
+                           hops=None if inst.hops is None else counting(hops, inst.hops))
             rng = np.random.default_rng(seed)
             state = CrackSet.of_edges(inst.mesh, rng.choice(inst.pool.edge_ids, 2,
                                                             replace=False))
@@ -480,23 +482,23 @@ def test_a_second_scan_at_another_time_reuses_the_ranking(rect9, search, viscous
 def test_a_replaced_copy_ranks_afresh(rect9, monkeypatch):
     # dataclasses.replace, as energetic_mode uses it, starts the copy
     # without the ranking of the instance it was copied from
-    enumerated = []
-    monkeypatch.setattr(RisInstance, "competitors",
-                        counting(enumerated, RisInstance.competitors))
+    import vefrac.ve_core as ve_core
+
+    ranked = []
+    monkeypatch.setattr(ve_core, "_rank_batch", counting(ranked, ve_core._rank_batch))
     inst = grid_fracture_instance(3, "exhaustive", True)
     state = CrackSet.of_edges(inst.mesh, inst.pool.edge_ids[:1])
     viscous = residual_stability(0.5, state, inst)
-    assert len(enumerated) == 1 and inst._ranked is not None
+    assert len(ranked) == 1 and inst._ranked is not None
     energetic = replace(inst, viscous=False)
     assert energetic._ranked is None and energetic.residuals == {}
     report = residual_stability(0.5, state, energetic)
-    assert len(enumerated) == 2
+    assert len(ranked) == 2
     expected = oracle.reference_scan(0.5, state, inst.competitors(state), energetic)
     assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
     assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
     # the two modes rank by different D
-    assert [d for d, _ in energetic._ranked[2].priced] != \
-        [d for d, _ in inst._ranked[2].priced]
+    assert energetic._ranked[2].big_d != inst._ranked[2].big_d
     assert residual_stability(0.5, state, inst) is viscous
 
 

@@ -21,12 +21,13 @@ HopPricer.hops prices a ranking's hops out of one source at once, as
 arrays: it fills the rows of all their new edges at once, in batches of
 bounded size, runs each hop's own gemv in chunks of HOP_CHUNK hops, and
 counts nucleations in closed form for hops of up to two new edges.
-Every entry equals the single hop's record bit for bit, and
-HopPricer.hop is the batch of one. hop_cost is a fresh pricer's hop,
-and atw_integral reads the sweep off that record; alpha counts by
-_nucleations, the union-find the pricer uses for larger hops, and
-computes no sweep. The fracture instance keeps one pricer for the
-whole run.
+Every entry equals the single hop's record bit for bit. single_hop,
+the one single-hop path, prices a hop as the batch of one of any such
+`hops` callback; HopPricer.hop, hop_cost (a fresh pricer's hop) and
+RisInstance.charges call it. atw_integral reads the sweep off
+hop_cost's record; alpha counts by _nucleations, the union-find the
+pricer uses for larger hops, and computes no sweep. The fracture
+instance keeps one pricer for the whole run.
 HopCost.charges turns a record into d, delta and D, the only place that
 arithmetic is written; it runs on a batch's arrays as on one record's
 floats.
@@ -37,7 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
     "HopCost",
     "HopCharges",
     "hop_cost",
+    "single_hop",
     "HopPricer",
     "alpha",
     "dist_d",
@@ -223,10 +225,23 @@ class HopCost:
                           self.alpha)
 
 
+def single_hop(hops: Callable[[CrackSet, np.ndarray], HopCost],
+               h: CrackSet, k: CrackSet) -> HopCost | None:
+    """The HopCost record of H -> K, priced by a `hops` callback (see
+    HopPricer.hops) as a batch of one, with Python float fields; None
+    when H ⊄ K, without calling `hops`."""
+    _require_same_mesh(h, k)
+    if k.bits & h.bits != h.bits:
+        return None
+    new = CrackSet(h.mesh, k.bits & ~h.bits).edge_ids
+    priced = hops(h, np.array(new, dtype=np.intp).reshape(1, len(new)))
+    return HopCost(*(float(x[0]) for x in (priced.h1, priced.sweep, priced.alpha)))
+
+
 def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
     """Price the hop H -> K: one alpha, one sweep integral and one H1
     difference. None when H ⊄ K, where every cost of the hop is +inf."""
-    return HopPricer(h.mesh, params).hop(h, k)
+    return single_hop(HopPricer(h.mesh, params).hops, h, k)
 
 
 class HopPricer:
@@ -255,7 +270,7 @@ class HopPricer:
     count 1 unless either touches H, and two apart count one each that
     does not. Larger hops go through _nucleations' union-find. So every
     entry equals the record `hop` gives bit for bit, and `hop` is the
-    batch of one.
+    batch of one (see single_hop).
 
     The scheme prices many hops out of one state, so the pricer keeps
     H's vertices, segments and rows until a hop from another source
@@ -272,13 +287,9 @@ class HopPricer:
 
     def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
         """The HopCost record of H -> K; None when H ⊄ K."""
-        if not (h.mesh is k.mesh is self.mesh):
+        if h.mesh is not self.mesh:
             raise MeshError("crack sets belong to different meshes")
-        if k.bits & h.bits != h.bits:
-            return None
-        new = CrackSet(self.mesh, k.bits & ~h.bits).edge_ids
-        priced = self.hops(h, np.array(new, dtype=np.intp).reshape(1, len(new)))
-        return HopCost(*(float(x[0]) for x in (priced.h1, priced.sweep, priced.alpha)))
+        return single_hop(self.hops, h, k)
 
     def hops(self, h: CrackSet, new: np.ndarray) -> HopCost:
         """The hops out of H that add the edges of each row of `new`, an

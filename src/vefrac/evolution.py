@@ -16,12 +16,12 @@ the elastic energy into a RisInstance. The factory caches one FEM solve
 per distinct cracked space, known before it is built by its key (the
 crack edges that split fans plus the released Dirichlet edges): the
 datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
-the power is a(t) adot(t) times a cached bilinear value. Its hop and
-hops callbacks are one HopPricer of the mesh, which keeps the ATW
-distance rows of the new edges that hops from the most recent source H
-have needed and prices each hop it is asked for, alone or in a
-ranking's batch, bit for bit as hop_cost does; the instance's ranking
-keeps a scan's prices. The energetic mode
+the power is a(t) adot(t) times a cached bilinear value. Its one
+dissipation callback is the `hops` of a HopPricer of the mesh, which
+keeps the ATW distance rows of the new edges that hops from the most
+recent source H have needed and prices each hop it is asked for, in a
+ranking's batch or alone as a batch of one, bit for bit as hop_cost
+does; the instance's ranking keeps a scan's prices. The energetic mode
 is the same instance with its viscous flag off, charging the same
 records without their sweep integral and mu term.
 """
@@ -364,7 +364,6 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        hop=pricer.hop,
         hops=pricer.hops,
         params=params,
         budget=budget,

@@ -1,13 +1,13 @@
 """Visco-energetic machinery over a finite crack lattice.
 
 Everything here is generic in the driving system: a RisInstance carries
-the energy/power callbacks, one dissipation callback `hop` that prices a
-hop H -> K into a HopCost record (new length, sweep integral, nucleation
-count), optionally a `hops` callback that prices many hops out of one
-source at once into a HopCost of arrays, the `viscous` flag that turns
-records into the charged costs (the VE dissipation D = d + delta, or
-D = d for energetic solutions), and the competitors of a state over an
-admissible edge pool. On top of that we provide
+the energy/power callbacks, one dissipation callback `hops` that prices
+hops out of one source H into a HopCost (new length, sweep integral,
+nucleation count) of arrays, one entry per hop, the `viscous` flag that
+turns records into the charged costs (the VE dissipation D = d + delta,
+or D = d for energetic solutions), and the competitors of a state over
+an admissible edge pool. A single hop H -> K is the batch of one
+(dissipation.single_hop). On top of that we provide
 
   * the residual stability function R and the minimal-set witness M,
   * the viscously corrected incremental minimization step,
@@ -29,19 +29,16 @@ evaluation, run for each t, evaluates E in increasing D and stops at
 the first competitor whose D plus the instance's floor under its
 energies already puts it above the best value; only strict excess is
 skipped, so minimum and winners are those of the full scan, and a
-report's examined count still counts every competitor. An instance
-with `hops` ranks in one batch: each group of competitors adding as
-many edges is one array of new edges, priced by `hops` and charged by
-HopCost.charges, then sorted by a stable argsort, and a competitor's
-CrackSet is built only when a scan reaches it. Generic instances rank
-by the per-competitor loop over `hop`, which is also the batch's
-reference: both give the same D, bit for bit, in the same order. The
-step's first scan is R's scan of its old state, and every R scan is
-kept in the instance's residual memo, so a step that keeps its state
-has shown R = 0 there and the audits read R(t_i, K_{i-1}) without
-scanning again. jump_cost takes the
-full R of every lattice node it expands; a node whose one value at K+
-already prices it out of the search is cut off without a scan.
+report's examined count still counts every competitor. A ranking is
+one batch: each group of competitors adding as many edges is one array
+of new edges, priced by `hops` and charged by HopCost.charges, then
+sorted by a stable argsort, and a competitor's CrackSet is built only
+when a scan reaches it. The step's first scan is R's scan of its old
+state, and every R scan is kept in the instance's residual memo, so a
+step that keeps its state has shown R = 0 there and the audits read
+R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
+every lattice node it expands; a node whose one value at K+ already
+prices it out of the search is cut off without a scan.
 
 States in a transition between K- and K+ live on the interval lattice
 {S : K- <= S <= K+}; on a finite lattice every transition is a pure-jump
@@ -58,7 +55,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dissipation import DissipationParams, HopCharges, HopCost, MonotoneChain
+from .dissipation import DissipationParams, HopCharges, HopCost, MonotoneChain, single_hop
 from .geometry import CrackSet, h1_diff
 
 __all__ = [
@@ -90,16 +87,18 @@ LATTICE_CAP = 16
 class RisInstance:
     """The driving system handed to the lattice algorithms.
 
-    hop prices a hop H -> K into a HopCost record, or returns None
-    exactly when the inclusion H <= K fails (every cost is +infinity
-    there). viscous selects what the records charge: the VE dissipation
-    D = d + delta, with d = H1(K\\H) + lam*alpha and delta = Delta +
-    mu*alpha, or, when False, the energetic D = d. Only charges() reads
-    it, and HopCost.charges does the arithmetic, so every algorithm below
-    is the same in both modes. Records are nonnegative, which is what
-    lets jump_cost cut off a lattice node by the value of its witness
-    K+ alone. hops, when given, prices a ranking's hops in one batch
-    (see _rank_batch) and must give hop's records entry by entry.
+    hops is the one dissipation callback: given H and an (N, m) int
+    array of the edges each of N hops adds to H, ascending per row, it
+    returns a HopCost whose fields are float arrays of N entries, each
+    entry the record of that hop alone (HopPricer.hops is one). A
+    ranking prices its competitors in one call (see _rank), and
+    charges() prices one hop as the batch of one. viscous selects what
+    the records charge: the VE dissipation D = d + delta, with
+    d = H1(K\\H) + lam*alpha and delta = Delta + mu*alpha, or, when
+    False, the energetic D = d. HopCost.charges does the arithmetic, so
+    every algorithm below is the same in both modes. Records are
+    nonnegative, which is what lets jump_cost cut off a lattice node by
+    the value of its witness K+ alone.
 
     energy_floor is a lower bound on every value energy returns. Scans
     evaluate E in increasing D and stop once D plus the floor puts a
@@ -107,7 +106,7 @@ class RisInstance:
     promises nothing, so such a scan evaluates every competitor.
 
     residuals memoizes R(t,K) reports by (t, K.bits) and assumes energy
-    and hop are pure. ranking(source, state) ranks the competitors of
+    and hops are pure. ranking(source, state) ranks the competitors of
     state by their D from source, which does not depend on t, and keeps
     the most recent (source, state) ranking, for R scans and greedy
     rescans alike: the R scan of a step that follows a frozen step, or
@@ -119,7 +118,7 @@ class RisInstance:
     pool: CrackSet
     energy: Callable[[float, CrackSet], float]
     power: Callable[[float, CrackSet], float]
-    hop: Callable[[CrackSet, CrackSet], HopCost | None]
+    hops: Callable[[CrackSet, np.ndarray], HopCost]
     params: DissipationParams
     budget: int = 3
     search: str = "exhaustive"
@@ -130,10 +129,6 @@ class RisInstance:
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
-    # prices a ranking's hops out of one source at once (see _rank_batch):
-    # given H and an (N, m) array of the edges each hop adds, ascending
-    # per row, a HopCost of arrays whose entries equal hop's records
-    hops: Callable[[CrackSet, np.ndarray], HopCost] | None = None
     residuals: dict[tuple[float, int], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _ranked: tuple[int, int, _Ranking] | None = field(
@@ -186,21 +181,21 @@ class RisInstance:
 
     def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
         """The charges of the hop H -> K; None when H <= K fails."""
-        hop = self.hop(h, k)
+        hop = single_hop(self.hops, h, k)
         return None if hop is None else hop.charges(self.params, self.viscous)
 
     def ranking(self, source: CrackSet, state: CrackSet) -> _Ranking:
-        """The competitors of `state` ranked by D(source, .) (see _rank
-        and _rank_batch); the most recent (source, state) ranking is
-        reused."""
+        """The competitors of `state` ranked by D(source, .) (see _rank);
+        the most recent (source, state) ranking is reused. Raises
+        ValueError when source <= state fails: every competitor of state
+        would cost +infinity."""
         memo = self._ranked
         if memo is not None and memo[0] == source.bits and memo[1] == state.bits:
             return memo[2]
+        if not source.issubset(state):
+            raise ValueError("a ranking's source must lie inside its state")
         self._ranked = None  # so two rankings are never held at once
-        if self.hops is not None and source.issubset(state):
-            ranking = _rank_batch(source, state, self)
-        else:
-            ranking = _rank(source, self.competitors(state), self)
+        ranking = _rank(source, state, self)
         self._ranked = (source.bits, state.bits, ranking)
         return ranking
 
@@ -223,17 +218,16 @@ class StabilityReport:
 
 class _Ranking:
     """Candidates ranked for a scan out of `source`: big_d lists the D of
-    every candidate K containing source, in increasing D, and iterating
-    gives the (D, K) pairs in that order. examined counts the candidates
-    examined, priced or not. A candidate is built by `make(i)`, from its
-    index i in the ranking, the first time a scan reaches it, and kept."""
+    every candidate, in increasing D, and iterating gives the (D, K)
+    pairs in that order. A candidate is built by `make(i)`, from its
+    index i in the ranking, the first time a scan reaches it, and
+    kept."""
 
-    def __init__(self, source: CrackSet, big_d: list[float], examined: int,
-                 cracks: list[CrackSet], make: Callable[[int], CrackSet] | None = None):
+    def __init__(self, source: CrackSet, big_d: list[float],
+                 make: Callable[[int], CrackSet]):
         self.source = source
         self.big_d = big_d
-        self.examined = examined
-        self._cracks = cracks
+        self._cracks: list[CrackSet] = []
         self._make = make
 
     def __iter__(self) -> Iterator[tuple[float, CrackSet]]:
@@ -244,34 +238,17 @@ class _Ranking:
             yield big_d, cracks[i]
 
 
-def _rank(source: CrackSet, candidates: Iterable[CrackSet],
-          instance: RisInstance) -> _Ranking:
-    """The t-free half of a scan: price every candidate's hop from
-    source and sort by D, stably, so equal D keep their order. A
-    candidate that does not contain `source` costs +infinity and is
-    left out. This per-candidate loop is the reference for _rank_batch."""
-    priced = []
-    examined = 0
-    for comp in candidates:
-        examined += 1
-        charged = instance.charges(source, comp)
-        if charged is not None:
-            priced.append((charged.big_d, comp))
-    priced.sort(key=lambda pair: pair[0])
-    return _Ranking(source, [d for d, _ in priced], examined,
-                    [comp for _, comp in priced])
-
-
-def _rank_batch(source: CrackSet, state: CrackSet,
-                instance: RisInstance) -> _Ranking:
-    """_rank of the competitors of `state` ⊇ source, priced as arrays.
+def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
+    """The t-free half of a scan: the competitors of `state` ⊇ source,
+    priced from source as arrays and sorted by D.
 
     Each group of competitors adding the same number of edges to state
     is one (N, m) array of the edges they add to source, passed to the
     instance's `hops`, and HopCost.charges turns the priced arrays into
     D as it does a single record. The candidates keep competitors()
     order, and a stable argsort keeps equal D in it, so the ranking is
-    _rank's: the same D, as Python floats, in the same order."""
+    that of pricing each candidate alone through charges() and sorting
+    stably: the same D, as Python floats, in the same order."""
     groups = instance._additions(state)
     base = np.array(state.minus(source).edge_ids, dtype=np.intp)
     big_d = []
@@ -285,7 +262,7 @@ def _rank_batch(source: CrackSet, state: CrackSet,
     order = np.argsort(big_d, kind="stable")
     flat = [added for group in groups for added in group]
     mesh, bits, at = state.mesh, state.bits, order.tolist()
-    return _Ranking(source, big_d[order].tolist(), len(flat), [],
+    return _Ranking(source, big_d[order].tolist(),
                     lambda i: CrackSet(mesh, bits | _mask(flat[at[i]])))
 
 
@@ -294,7 +271,7 @@ def _scan(t: float, ranking: _Ranking,
     """The one competitor loop: min over the ranked candidates K of
     E(t,K) + D(source,K). Returns the minimum, the candidates attaining
     it sorted by the tie-break (fewer edges, then lexicographic), the
-    number of candidates examined (every candidate, priced or not), and
+    number of candidates examined (every candidate, evaluated or not), and
     E(t, source) when the source is a candidate (None otherwise).
 
     With the instance's energy floor f (every E >= f), the scan
@@ -322,7 +299,7 @@ def _scan(t: float, ranking: _Ranking,
         elif value == best:
             winners.append(comp)
     winners.sort(key=lambda c: c.sort_key())
-    return best, winners, ranking.examined, own
+    return best, winners, len(ranking.big_d), own
 
 
 def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:

@@ -272,6 +272,53 @@ def reference_scan(t, source, candidates, instance):
     return best, winners, examined, own
 
 
+class ReferenceRanking:
+    """What reference_rank returns: the source, the D of every ranked
+    candidate, the candidates in that order and how many were examined.
+    Iterating gives the (D, K) pairs."""
+
+    def __init__(self, source, big_d, examined, cracks):
+        self.source = source
+        self.big_d = big_d
+        self.examined = examined
+        self.cracks = cracks
+
+    def __iter__(self):
+        return zip(self.big_d, self.cracks)
+
+
+def reference_rank(source, candidates, instance):
+    """The t-free half of a scan, one candidate at a time: price every
+    candidate's hop from source and sort by D, stably, so equal D keep
+    their order. A candidate that does not contain `source` costs
+    +infinity and is left out."""
+    priced = []
+    examined = 0
+    for comp in candidates:
+        examined += 1
+        charged = instance.charges(source, comp)
+        if charged is not None:
+            priced.append((charged.big_d, comp))
+    priced.sort(key=lambda pair: pair[0])
+    return ReferenceRanking(source, [d for d, _ in priced], examined,
+                            [comp for _, comp in priced])
+
+
+def per_hop(hop):
+    """A `hops` callback made of a per-hop function hop(H, K) -> HopCost:
+    each row of `new` is priced alone, as hop(H, H plus the row's edges),
+    and the records' fields are stacked into float arrays."""
+    from vefrac.dissipation import HopCost
+
+    def hops(h, new):
+        records = [hop(h, h.with_edges(row)) for row in new.tolist()]
+        return HopCost(*(np.array([getattr(r, name) for r in records], dtype=float)
+                         .reshape(len(records))
+                         for name in ("h1", "sweep", "alpha")))
+
+    return hops
+
+
 def reference_step(t, prev, instance):
     """The incremental step as a min over (objective, *sort_key) tuples:
     exhaustive mode takes the smallest key over the competitors of

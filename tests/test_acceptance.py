@@ -331,7 +331,7 @@ def test_06_jump_cost_oracle():
             while e:
                 nxt = m | e
                 outs.append(nxt)
-                rec = inst.hop(states[m], states[nxt])
+                rec = inst.charges(states[m], states[nxt])
                 hop[(m, nxt)] = (rec.sweep, rec.alpha)
                 e = (e - 1) & (full ^ m)
             supersets[m] = outs

@@ -17,6 +17,7 @@ from vefrac.dissipation import (
     delta_atw,
     dist_d,
     hop_cost,
+    single_hop,
     var_along,
 )
 from vefrac.elastic import ElasticError, solve_energy, solve_on_space, space_key
@@ -312,7 +313,7 @@ def test_hop_table_matches_direct_pricing():
     rng.shuffle(order)
     assert any(not h.issubset(k) for h, k in order)
     for h, k in order:
-        assert inst.hop(h, k) == hop_cost(h, k, params)
+        assert single_hop(inst.hops, h, k) == hop_cost(h, k, params)
         charged = inst.charges(h, k)
         if not h.issubset(k):
             assert charged is None and big_d(h, k, params) == math.inf
@@ -333,19 +334,23 @@ def _workload_run(bench_workloads, workload, work):
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
-def test_workload_hops_match_the_reference_pricing(workload, tmp_path, bench_workloads):
+def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypatch,
+                                                   bench_workloads):
     # every hop a benchmark run prices, one at a time in the step, the
     # ledger and the audits, or as a candidate of a ranking's batch, is
     # the record the reference pricing gives, and charges the reference
     # record's D, bit for bit
+    import vefrac.ve_core as ve_core
+
     ctx = _workload_run(bench_workloads, workload, tmp_path)
     inst = ctx.instance
-    table_hop, batch_hops = inst.hop, inst.hops
+    batch_hops = inst.hops
     records = {}
     batches = []
 
-    def hop(h, k):
-        record = table_hop(h, k)
+    def one(_, h, k):
+        # priced by the run's own pricer, so `batches` holds rankings only
+        record = single_hop(batch_hops, h, k)
         records.setdefault((h.bits, k.bits), (h, k, record))
         return record
 
@@ -354,7 +359,8 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, bench_wor
         batches.append((h, new.copy(), priced))
         return priced
 
-    inst.hop, inst.hops = hop, hops
+    monkeypatch.setattr(ve_core, "single_hop", one)
+    inst.hops = hops
     _run_to_archive(ctx, tmp_path / "out")
     assert len(records) == {"strip": 9, "grid": 10, "fine": 10}[workload]
     for h, k, record in records.values():
@@ -427,6 +433,7 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
     # its batch, and each hop looked up outside a ranking (the step's
     # ledger row and the audits; a step that keeps its state looks up
     # none) as a batch of one. Every count repeats exactly
+    import vefrac.dissipation as dissipation
     import vefrac.evolution as evolution
     import vefrac.ve_core as ve_core
     from vefrac.dissipation import HopPricer
@@ -443,10 +450,11 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                         counted("solves", evolution.solve_on_space))
     monkeypatch.setattr(evolution, "split_along_crack",
                         counted("builds", evolution.split_along_crack))
-    monkeypatch.setattr(ve_core, "_rank_batch", counted("rankings", ve_core._rank_batch))
+    monkeypatch.setattr(ve_core, "_rank", counted("rankings", ve_core._rank))
     monkeypatch.setattr(HopPricer, "hops",
                         counted("priced", HopPricer.hops, lambda _, h, new: len(new)))
-    monkeypatch.setattr(HopPricer, "hop", counted("lookups", HopPricer.hop))
+    for module in (ve_core, dissipation):
+        monkeypatch.setattr(module, "single_hop", counted("lookups", single_hop))
     for run in ("first", "second"):
         counts.update(dict.fromkeys(expected, 0))
         ctx = _workload_run(bench_workloads, workload, tmp_path / run)
@@ -487,10 +495,10 @@ def test_hop_table_rejects_another_mesh():
     other, _, _ = nucleation_well()
     h = CrackSet.empty(inst.mesh)
     k = inst.pool
-    inst.hop(h, k)  # the pricer now holds (empty -> pool)
+    inst.charges(h, k)  # the pricer now holds (empty -> pool)
     h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
     for a, b in ((h2, k2), (h, k2), (h2, k)):
-        for cost in (inst.hop, inst.charges):
+        for cost in (inst.charges, inst.ranking):
             with pytest.raises(MeshError, match="different meshes"):
                 cost(a, b)
 

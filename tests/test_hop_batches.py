@@ -1,10 +1,11 @@
 """Batch pricing of a ranking against the per-hop reference.
 
 HopPricer.hops prices every candidate of a ranking at once, and
-ve_core._rank_batch ranks the candidates by the D it charges. Both must
+ve_core._rank ranks the candidates by the D it charges. Both must
 equal, bit for bit, the reference pricing of each hop alone
-(`reference_hop_cost`) and the per-candidate ranking loop (`_rank`)
-that generic instances still use.
+(`reference_hop_cost`) and the per-candidate ranking loop
+(`reference_rank`), run on an instance whose `hops` prices each row
+alone (`per_hop`).
 """
 from __future__ import annotations
 
@@ -21,16 +22,10 @@ from hypothesis import strategies as st
 
 import vefrac.dissipation as dissipation
 from vefrac.benchmarks import ramp_load, rect_grid_mesh, square_grid_mesh
-from vefrac.dissipation import DissipationParams, HopCost, HopPricer
+from vefrac.dissipation import DissipationParams, HopCost, HopPricer, single_hop
 from vefrac.evolution import TimePartition, fracture_instance, run_scheme
 from vefrac.geometry import CrackSet
-from vefrac.ve_core import (
-    MAX_COMPETITORS,
-    RisInstance,
-    _rank,
-    jump_cost,
-    residual_stability,
-)
+from vefrac.ve_core import MAX_COMPETITORS, RisInstance, jump_cost, residual_stability
 
 import _oracles as oracle
 
@@ -48,15 +43,16 @@ def zero(t, k):
 
 def batch_instance(pool, pricer, **kw):
     """An instance whose rankings are priced in batches by `pricer`."""
-    return RisInstance(pool=pool, energy=zero, power=zero, hop=pricer.hop,
-                       hops=pricer.hops, params=PARAMS, **kw)
+    return RisInstance(pool=pool, energy=zero, power=zero, hops=pricer.hops,
+                       params=PARAMS, **kw)
 
 
-def reference_instance(inst):
-    """The same instance ranked by the per-candidate loop, each hop
-    priced by the reference pricing alone."""
-    return replace(inst, hop=lambda h, k: oracle.reference_hop_cost(h, k, PARAMS),
-                   hops=None)
+def reference_ranking(inst, source, state):
+    """The competitors of `state` ranked by the per-candidate loop, each
+    hop priced by the reference pricing alone."""
+    reference = replace(inst, hops=oracle.per_hop(
+        lambda h, k: oracle.reference_hop_cost(h, k, PARAMS)))
+    return oracle.reference_rank(source, reference.competitors(state), reference)
 
 
 def hex_list(values):
@@ -92,7 +88,8 @@ def assert_same_ranking(ranking, reference):
     assert hex_list(ranking.big_d) == hex_list(reference.big_d)
     assert all(type(d) is float for d in ranking.big_d)
     assert [k.bits for _, k in ranking] == [k.bits for _, k in reference]
-    assert ranking.examined == reference.examined
+    # the reference loop examined every candidate, and priced each one
+    assert len(ranking.big_d) == reference.examined
 
 
 @st.composite
@@ -117,9 +114,8 @@ def test_batch_ranking_is_the_reference_loop(case):
     mesh, source, pool, state, budget, search, viscous = case
     pricer = HopPricer(mesh, PARAMS)
     inst = batch_instance(pool, pricer, budget=budget, search=search, viscous=viscous)
-    reference = reference_instance(inst)
     assert_same_ranking(inst.ranking(source, state),
-                        _rank(source, reference.competitors(state), reference))
+                        reference_ranking(inst, source, state))
     # every candidate's record, in batches as large as the ranking's, of
     # one hop, and of chunks of one and three hops, with rows filled one
     # edge at a time: the same bits whatever the batch
@@ -186,14 +182,12 @@ def test_batch_ranking_keeps_the_loop_order_of_exact_ties(search):
     interior = [e for e in range(mesh.n_edges) if e not in set(mesh.dirichlet_edges())]
     pool = CrackSet.of_edges(mesh, interior)
     inst = batch_instance(pool, HopPricer(mesh, PARAMS), budget=2, search=search)
-    reference = reference_instance(inst)
     empty = CrackSet.empty(mesh)
     h = CrackSet.of_edges(mesh, interior[3:5])
     for source, state in ((empty, empty), (empty, CrackSet.of_edges(mesh, interior[:1])),
                           (h, h)):
         ranking = inst.ranking(source, state)
-        assert_same_ranking(ranking, _rank(source, reference.competitors(state),
-                                           reference))
+        assert_same_ranking(ranking, reference_ranking(inst, source, state))
         if source == empty:
             assert any(a == b for a, b in zip(ranking.big_d, ranking.big_d[1:]))
 
@@ -226,18 +220,31 @@ def test_batch_ranking_refuses_what_the_loop_refuses():
     assert messages[0] == messages[1] == messages[2]
 
 
-def test_a_source_outside_the_state_ranks_by_the_loop():
-    # a candidate that does not contain the source is left out, as the
-    # loop leaves it out; the batch only prices supersets of the source
+def test_a_ranking_refuses_a_source_outside_its_state():
+    # every competitor of such a state would cost +infinity; no scan of
+    # the scheme asks for one, since a greedy rescan's state contains
+    # the step's start. A refused ranking prices nothing and keeps the
+    # memo of the last one
     mesh = square_grid_mesh(3)
     pool = CrackSet.of_edges(mesh, range(8))
-    inst = batch_instance(pool, HopPricer(mesh, PARAMS), budget=2)
+    pricer = HopPricer(mesh, PARAMS)
+    priced = []
+
+    def hops(h, new):
+        priced.append(len(new))
+        return pricer.hops(h, new)
+
+    inst = RisInstance(pool=pool, energy=zero, power=zero, hops=hops, params=PARAMS,
+                       budget=2)
     source, state = CrackSet.of_edges(mesh, [1]), CrackSet.of_edges(mesh, [2])
-    reference = reference_instance(inst)
-    ranking = inst.ranking(source, state)
-    assert_same_ranking(ranking, _rank(source, reference.competitors(state), reference))
-    assert all(k.bits & source.bits for _, k in ranking)
-    assert ranking.examined > len(ranking.big_d)
+    kept = inst.ranking(state, state)
+    priced.clear()
+    for h, k in ((source, state), (source, CrackSet.empty(mesh)),
+                 (state, CrackSet.of_edges(mesh, [1, 3]))):
+        with pytest.raises(ValueError, match="source must lie inside its state"):
+            inst.ranking(h, k)
+    assert priced == [] and inst._ranked[2] is kept
+    assert inst.ranking(source, source.union(state)).big_d
 
 
 def test_reports_and_ledgers_hold_python_floats():
@@ -262,5 +269,7 @@ def test_reports_and_ledgers_hold_python_floats():
         assert all(type(x) is float for x in (hop.delta, hop.alpha, hop.r_start))
     charged = inst.charges(evo.states[0], evo.states[-1])
     assert all(type(x) is float for x in charged)
-    assert type(inst.hop(evo.states[0], evo.states[-1])) is HopCost
+    record = single_hop(inst.hops, evo.states[0], evo.states[-1])
+    assert type(record) is HopCost and all(type(x) is float for x in
+                                          (record.h1, record.sweep, record.alpha))
     assert math.isfinite(result.cost)

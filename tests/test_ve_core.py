@@ -19,11 +19,10 @@ from vefrac.dissipation import (
     hop_cost,
 )
 from vefrac.evolution import TimePartition, fracture_instance, run_scheme
-from vefrac.geometry import CrackSet, h1_diff, h1_measure
+from vefrac.geometry import CrackSet, MeshError, h1_diff, h1_measure
 from vefrac.ve_core import (
     MAX_COMPETITORS,
     RisInstance,
-    _rank,
     _scan,
     audit_balance,
     audit_jump_conditions,
@@ -38,6 +37,10 @@ from vefrac.ve_core import (
 import _oracles as oracle
 
 PARAMS = DissipationParams(lam=0.1, mu=0.05)
+
+
+def real_hop(h, k):
+    return hop_cost(h, k, PARAMS)
 
 
 def table_instance(mesh, energy_table, pool=None, t_slope=None, **kw):
@@ -57,7 +60,7 @@ def table_instance(mesh, energy_table, pool=None, t_slope=None, **kw):
     kw.setdefault("budget", mesh.n_edges)
     return RisInstance(
         pool=pool, energy=energy, power=power,
-        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, **kw)
+        hops=oracle.per_hop(real_hop), params=PARAMS, **kw)
 
 
 def random_table(mesh, seed, scale=1.0):
@@ -129,7 +132,7 @@ def test_exhaustive_budget_overflow(grid3):
     inst = RisInstance(
         pool=CrackSet(grid3, (1 << grid3.n_edges) - 1),
         energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
-        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, budget=20)
+        hops=oracle.per_hop(real_hop), params=PARAMS, budget=20)
     with pytest.raises(ValueError, match="exceeds"):
         residual_stability(0.0, CrackSet.empty(grid3), inst)
 
@@ -191,7 +194,7 @@ def test_greedy_agrees_on_separable_drive(grid3):
         return sum(r for e, r in reward.items() if e not in k)
 
     common = dict(energy=energy, power=lambda t, k: 0.0,
-                  hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS)
+                  hops=oracle.per_hop(real_hop), params=PARAMS)
     exhaustive = RisInstance(pool=pool, budget=3, search="exhaustive", **common)
     greedy = RisInstance(pool=pool, budget=3, search="greedy", **common)
     prev = CrackSet.empty(grid3)
@@ -209,7 +212,7 @@ def test_competitor_sequences_match_set_difference(grid3):
         state = CrackSet(grid3, int(rng.integers(0, full + 1)) & int(rng.integers(0, full + 1)))
         for search, budget in (("exhaustive", 0), ("exhaustive", 2), ("greedy", 3)):
             inst = RisInstance(pool=pool, energy=lambda t, k: 0.0,
-                               power=lambda t, k: 0.0, hop=None,
+                               power=lambda t, k: 0.0, hops=None,
                                params=PARAMS, budget=budget,
                                search=search)
             expected = oracle.competitors_by_sets(pool, state, search, budget)
@@ -229,14 +232,14 @@ def test_competitor_bitmasks_match_the_reference_enumeration(grid3):
         for search in ("exhaustive", "greedy"):
             for budget in (0, 2, free + 3):
                 inst = RisInstance(pool=pool, energy=lambda t, k: 0.0,
-                                   power=lambda t, k: 0.0, hop=None,
+                                   power=lambda t, k: 0.0, hops=None,
                                    params=PARAMS, budget=budget, search=search)
                 got = [c.bits for c in inst.competitors(state)]
                 expected = [c.bits for c in oracle.reference_competitors(inst, state)]
                 assert got == expected
                 assert got[0] == state.bits
     big = RisInstance(pool=full, energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
-                      hop=None, params=PARAMS, budget=6)
+                      hops=None, params=PARAMS, budget=6)
     messages = []
     for enumerate_ in (big.competitors, lambda s: oracle.reference_competitors(big, s)):
         with pytest.raises(ValueError, match=f"exceeds {MAX_COMPETITORS}") as exc:
@@ -264,7 +267,7 @@ def test_greedy_step_examines_set_difference_candidates(grid3):
     pool = CrackSet.of_edges(grid3, rng.choice(grid3.n_edges, 12, replace=False))
     prev = CrackSet.of_edges(grid3, [pool.edge_ids[0]])
     inst = RisInstance(pool=pool, energy=energy, power=lambda t, k: 0.0,
-                       hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS,
+                       hops=oracle.per_hop(real_hop), params=PARAMS,
                        search="greedy")
     result = incremental_step(0.0, prev, inst)
 
@@ -305,7 +308,7 @@ def integer_instance(mesh, seed, hop, **kw):
     kw.setdefault("budget", mesh.n_edges)
     return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
                        energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
-                       hop=hop, params=PARAMS, **kw)
+                       hops=oracle.per_hop(hop), params=PARAMS, **kw)
 
 
 @pytest.mark.parametrize("viscous", [True, False])
@@ -313,7 +316,6 @@ def integer_instance(mesh, seed, hop, **kw):
 def test_step_matches_reference_step_on_ties(rect9, search, viscous):
     # integer energies make many competitors tie on the objective, so
     # the winner rests on the tie-break (fewer edges, then lexicographic)
-    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
     tied = moved = 0
     for seed in range(5):
         for hop in (real_hop, counted_hop):
@@ -385,11 +387,11 @@ def small_table_instance(mesh, seed, hop, floor, **kw):
     table = {bits: float(rng.integers(0, 4)) for bits in range(1 << mesh.n_edges)}
     return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
                        energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
-                       hop=hop, params=PARAMS, budget=3, energy_floor=floor, **kw)
+                       hops=oracle.per_hop(hop), params=PARAMS, budget=3,
+                       energy_floor=floor, **kw)
 
 
 def scan_cases(rect9, search, viscous):
-    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
     for seed in range(3):
         yield grid_fracture_instance(seed, search, viscous)
         for hop in (real_hop, counted_hop):
@@ -412,13 +414,12 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
         pool = inst.pool.edge_ids
         mesh = inst.mesh
 
-        def both(t, source, candidates):
-            candidates = list(candidates)
+        def both(t, source, state):
             asked.clear()
-            expected = oracle.reference_scan(t, source, candidates, inst)
+            expected = oracle.reference_scan(t, source, inst.competitors(state), inst)
             reference_asks = list(asked)
             asked.clear()
-            got = _scan(t, _rank(source, candidates, inst), inst)
+            got = _scan(t, inst.ranking(source, state), inst)
             assert_same_scan(got, expected)
             if inst.energy_floor > -math.inf:
                 assert set(asked) <= set(reference_asks)
@@ -431,7 +432,7 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
             t = float(rng.uniform(0.2, 1.0))
             state = CrackSet.of_edges(
                 mesh, rng.choice(pool, int(rng.integers(0, 3)), replace=False))
-            expected, saved = both(t, state, inst.competitors(state))
+            expected, saved = both(t, state, state)
             skipped += saved
             report = residual_stability(t, state, inst)
             assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
@@ -439,7 +440,7 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
             assert report.examined == expected[2]
             free = inst.pool.minus(state).edge_ids
             later = state.with_edges([free[int(rng.integers(0, len(free)))]])
-            skipped += both(t, state, inst.competitors(later))[1]
+            skipped += both(t, state, later)[1]
     assert skipped > 0
 
 
@@ -454,15 +455,13 @@ def counting(calls, fn):
 @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
 def test_a_second_scan_at_another_time_reuses_the_ranking(rect9, search, viscous):
     # R's scan of one state at a second t enumerates no competitor and
-    # prices no hop, one at a time or in a batch, and still equals the
-    # reference scan at that t
+    # prices no hop, and still equals the reference scan at that t
     for seed in range(2):
         for inst in (grid_fracture_instance(seed, search, viscous),
                      small_table_instance(rect9, seed, counted_hop, 0.0, search=search,
                                           viscous=viscous)):
             hops = []
-            inst = replace(inst, hop=counting(hops, inst.hop),
-                           hops=None if inst.hops is None else counting(hops, inst.hops))
+            inst = replace(inst, hops=counting(hops, inst.hops))
             rng = np.random.default_rng(seed)
             state = CrackSet.of_edges(inst.mesh, rng.choice(inst.pool.edge_ids, 2,
                                                             replace=False))
@@ -485,7 +484,7 @@ def test_a_replaced_copy_ranks_afresh(rect9, monkeypatch):
     import vefrac.ve_core as ve_core
 
     ranked = []
-    monkeypatch.setattr(ve_core, "_rank_batch", counting(ranked, ve_core._rank_batch))
+    monkeypatch.setattr(ve_core, "_rank", counting(ranked, ve_core._rank))
     inst = grid_fracture_instance(3, "exhaustive", True)
     state = CrackSet.of_edges(inst.mesh, inst.pool.edge_ids[:1])
     viscous = residual_stability(0.5, state, inst)
@@ -555,8 +554,8 @@ def test_scan_keeps_an_exact_tie_between_different_dissipations(rect9):
     asked = []
     inst = RisInstance(pool=CrackSet.of_edges(rect9, [0, 1, 2]),
                        energy=lambda t, k: asked.append(k.bits) or table[k.bits],
-                       power=lambda t, k: 0.0, hop=hop, params=PARAMS, budget=1,
-                       energy_floor=0.0)
+                       power=lambda t, k: 0.0, hops=oracle.per_hop(hop), params=PARAMS,
+                       budget=1, energy_floor=0.0)
     empty = CrackSet.empty(rect9)
     expected = oracle.reference_scan(0.0, empty, inst.competitors(empty), inst)
     assert asked == [0b000, 0b001, 0b010, 0b100]
@@ -611,6 +610,55 @@ def test_charges_read_one_hop_record_in_both_modes(rect9):
                                       hop.sweep, lam + mu, hop.alpha)
         assert inst.charges(h, k).big_d == big_d(h, k, PARAMS)
         assert energetic.charges(h, k) == (d, 0.0, d, 0.0, lam, hop.alpha)
+
+
+def test_charges_of_a_hop_out_of_h_ask_hops_nothing(rect9):
+    # charges(h, k) with H not inside K is None before any pricing; a hop
+    # inside is priced as one batch of one row, its new edges ascending
+    asked = []
+
+    def hop(h, k):
+        asked.append((h.bits, k.bits))
+        return counted_hop(h, k)
+
+    batches = []
+    per_row = oracle.per_hop(hop)
+
+    def hops(h, new):
+        batches.append(new.tolist())
+        return per_row(h, new)
+
+    inst = replace(integer_instance(rect9, 0, hop), hops=hops)
+    h = CrackSet.of_edges(rect9, [1, 4])
+    for k in (CrackSet.of_edges(rect9, [1, 3, 7]), CrackSet.empty(rect9),
+              CrackSet.of_edges(rect9, [4])):
+        assert inst.charges(h, k) is None
+    assert asked == [] and batches == []
+    k = h.with_edges([7, 3])
+    charged = inst.charges(h, k)
+    assert batches == [[[3, 7]]] and asked == [(h.bits, k.bits)]
+    assert charged == counted_hop(h, k).charges(PARAMS)
+    assert all(type(x) is float for x in charged)
+
+
+def test_a_per_hop_instance_rejects_another_mesh(rect9):
+    # as the fracture instance does: a hop or a ranking across meshes
+    # raises before anything is priced
+    asked = []
+
+    def hop(h, k):
+        asked.append((h, k))
+        return counted_hop(h, k)
+
+    inst = integer_instance(rect9, 0, hop)
+    other = rect_grid_mesh(2, 1, width=2.0, height=1.0)
+    h, k = CrackSet.of_edges(rect9, [1]), CrackSet.of_edges(rect9, [1, 3])
+    h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
+    for a, b in ((h, k2), (h2, k)):
+        for cost in (inst.charges, inst.ranking):
+            with pytest.raises(MeshError, match="different meshes"):
+                cost(a, b)
+    assert asked == []
 
 
 def test_energetic_transitions_charge_lam_per_nucleation(rect9):
@@ -703,7 +751,7 @@ def test_jump_cost_cap():
         raise AssertionError("energy evaluated past the lattice cap")
 
     inst = RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1), energy=energy,
-                       power=lambda t, k: 0.0, hop=lambda h, k: hop_cost(h, k, PARAMS),
+                       power=lambda t, k: 0.0, hops=oracle.per_hop(real_hop),
                        params=PARAMS)
     k_minus = CrackSet.of_edges(mesh, [0])
     with pytest.raises(ValueError) as exc:
@@ -777,7 +825,6 @@ def assert_same_jump_cost(t, k_minus, k_plus, inst):
 @pytest.mark.parametrize("search,budget", [("exhaustive", 9), ("exhaustive", 2),
                                            ("exhaustive", 1), ("greedy", 3)])
 def test_jump_cost_matches_the_unpruned_search(rect9, search, budget, viscous):
-    real_hop = lambda h, k: hop_cost(h, k, PARAMS)  # noqa: E731
     rng = np.random.default_rng(17)
     pruned = outside = 0
     for seed in range(3):
@@ -844,7 +891,8 @@ def test_jump_cost_keeps_a_tie_at_the_bound(rect9):
     table = {0b00: 3.0, 0b01: 2.0, 0b10: 3.0, 0b11: 0.0}
     km, kp = CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0, 1])
     inst = RisInstance(pool=kp, energy=lambda t, k: table[k.bits],
-                       power=lambda t, k: 0.0, hop=hop, params=PARAMS)
+                       power=lambda t, k: 0.0, hops=oracle.per_hop(hop),
+                       params=PARAMS)
     got = assert_same_jump_cost(0.0, km, kp, inst)
     assert got.cost == 2.0
     assert [s.bits for s in got.chain] == [0b00, 0b01, 0b11]
@@ -855,7 +903,7 @@ def test_jump_cost_overflow_raises_as_the_unpruned_search(grid3):
     inst = RisInstance(
         pool=CrackSet(grid3, (1 << grid3.n_edges) - 1),
         energy=lambda t, k: 0.0, power=lambda t, k: 0.0,
-        hop=lambda h, k: hop_cost(h, k, PARAMS), params=PARAMS, budget=20)
+        hops=oracle.per_hop(real_hop), params=PARAMS, budget=20)
     km = CrackSet.of_edges(grid3, [0])
     kp = km.with_edges([1, 2])
     messages = []

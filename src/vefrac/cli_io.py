@@ -32,6 +32,7 @@ from .elastic import (
     BoundaryLoad,
     ElasticError,
     LinearAmplitude,
+    NumericalError,
     TableAmplitude,
 )
 from .evolution import (
@@ -973,12 +974,10 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
 }
 
-# ElasticError messages that report a failed computation (exit 2), not
-# an input the run cannot take (exit 1)
-_NUMERICAL_FAILURES = ("CG failed", "energy floor")
-
+# inputs a run cannot take (exit 1); a NumericalError is an ElasticError
+# that reports a failed computation (exit 2), so it is caught first
 _VALIDATION_ERRORS = (ConfigError, ArchiveError, MeshError, GriffithError,
-                      ValueError, OSError)
+                      ElasticError, ValueError, OSError)
 
 
 def cli_dispatch(argv) -> int:
@@ -997,12 +996,9 @@ def cli_dispatch(argv) -> int:
         return 1
     try:
         return handler(argv[1:])
-    except ElasticError as exc:
-        if str(exc).startswith(_NUMERICAL_FAILURES):
-            print(f"numerical failure: {exc}")
-            return 2
-        print(f"error: {exc}")
-        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}")
+        return 2
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}")
         return 1

@@ -13,21 +13,19 @@ marks a missing record only: hop_cost returns None for H ⊄ K.
 
 A hop H -> K is priced into a HopCost record (new length, sweep
 integral, nucleation count) by a HopPricer of its mesh. The pricer keeps
-what every hop out of its current source H shares: H's vertices and
-segments and a table of quadrature distance rows per new edge; a hop
-from another source resets all of it. It keeps no records: each hop
-asked for is priced, and a scan keeps its prices in its ranking.
+what every hop out of its current source H shares: a mask of H's
+vertices, H's segments and a table of quadrature distance rows per new
+edge; a hop from another source resets all of it. It keeps no records.
 HopPricer.hops prices a ranking's hops out of one source at once, as
 arrays: it fills the rows of all their new edges at once, in batches of
-bounded size, runs each hop's own gemv in chunks of HOP_CHUNK hops, and
-counts nucleations in closed form for hops of up to two new edges.
+bounded size, and runs each hop's own gemv in chunks of HOP_CHUNK hops.
 Every entry equals the single hop's record bit for bit. single_hop,
 the one single-hop path, prices a hop as the batch of one of any such
-`hops` callback; HopPricer.hop, hop_cost (a fresh pricer's hop) and
-RisInstance.charges call it. atw_integral reads the sweep off
-hop_cost's record; alpha counts by _nucleations, the union-find the
-pricer uses for larger hops, and computes no sweep. The fracture
-instance keeps one pricer for the whole run.
+`hops` callback; hop_cost (a fresh pricer's hop) and
+RisInstance.charges call it. _nucleations is the one nucleation count:
+the pricer's batches and alpha, its batch of one, call it. atw_integral
+reads the sweep off hop_cost's record. The fracture instance keeps one
+pricer for the whole run.
 HopCost.charges turns a record into d, delta and D, the only place that
 arithmetic is written; it runs on a batch's arrays as on one record's
 floats.
@@ -140,24 +138,45 @@ def alpha(h: CrackSet, k: CrackSet) -> float:
     Such a component holds no edge of H, so it is also a component of
     the new edges K \\ H, and a component of the new edges that touches
     no vertex of H is one of K. alpha is therefore the number of
-    components of K \\ H touching no vertex of H, which is how
-    _nucleations counts it."""
+    components of K \\ H touching no vertex of H, which _nucleations
+    counts."""
     if not h.issubset(k):
         return math.inf
-    return _nucleations(h.mesh, h.vertex_ids(), k.minus(h).edge_ids)
+    new = np.array(k.minus(h).edge_ids, dtype=np.intp).reshape(1, -1)
+    return float(_nucleations(h.mesh, _touch_mask(h), new)[0])
 
 
-def _nucleations(mesh: Mesh, h_vertices: frozenset, new_ids: tuple) -> float:
-    """The components of the new edges that touch none of h_vertices,
-    by a union-find in which those vertices are one node."""
-    # -1 stands for all of H's vertices at once
-    links = [(-1 if a in h_vertices else a, -1 if b in h_vertices else b)
-             for a, b in mesh.edges[list(new_ids)].tolist()]
-    nodes = list(dict.fromkeys(itertools.chain.from_iterable(links)))
-    count = len(union_groups(nodes, links))
-    if -1 in nodes:
-        count -= 1
-    return float(count)
+def _touch_mask(h: CrackSet) -> np.ndarray:
+    """Which vertices of the mesh are endpoints of edges of H."""
+    touches = np.zeros(h.mesh.n_vertices, dtype=bool)
+    touches[h.mesh.edges[list(h.edge_ids)]] = True
+    return touches
+
+
+def _nucleations(mesh: Mesh, touches_h: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Per row of `new`, an (N, m) array of the edges hops out of H add,
+    the components of those edges touching no vertex of H (touches_h).
+    For m <= 2 that is closed form: a lone edge counts 1 unless it
+    touches H; two edges that share a vertex count 1 unless either
+    touches H, and two apart count one each that does not. Larger hops
+    go through a union-find in which H's vertices are one node."""
+    n, m = new.shape
+    ends = mesh.edges[new]                      # (n, m, 2)
+    touching = touches_h[ends]
+    if m > 2:
+        counts = []
+        # -1 stands for all of H's vertices at once
+        for links in np.where(touching, -1, ends).tolist():
+            nodes = list(dict.fromkeys(itertools.chain.from_iterable(links)))
+            counts.append(len(union_groups(nodes, links)) - (-1 in nodes))
+        return np.array(counts, dtype=float).reshape(n)
+    apart = ~touching.any(axis=2)               # (n, m)
+    if m < 2:
+        return apart.sum(axis=1, dtype=float)
+    first, second = ends[:, 0], ends[:, 1]
+    shared = (first[:, :, None] == second[:, None, :]).any(axis=(1, 2))
+    return np.where(shared, apart[:, 0] & apart[:, 1],
+                    apart.sum(axis=1, dtype=float))
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,8 +264,7 @@ def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | N
 
 
 class HopPricer:
-    """Prices the hops H -> K on one mesh, one at a time or a ranking's
-    worth at once.
+    """Prices the hops H -> K on one mesh, a ranking's worth at once.
 
     Every quantity of a hop is read off its new edges K \\ H. h1 is the
     fsum of their lengths. The sweep integral weighs, per new edge, the
@@ -264,16 +282,11 @@ class HopPricer:
     point-segment distances, and gathers the blocks of HOP_CHUNK hops at
     a time into one (n, m, points) array: numpy's matmul runs one m-row
     gemv per hop on it, so every hop's weighted sums are those of its
-    own block. alpha is the number of components of the new edges that touch
-    no vertex of H (see `alpha`). For m <= 2 that is closed form: a lone
-    edge counts 1 unless it touches H; two edges that share a vertex
-    count 1 unless either touches H, and two apart count one each that
-    does not. Larger hops go through _nucleations' union-find. So every
-    entry equals the record `hop` gives bit for bit, and `hop` is the
-    batch of one (see single_hop).
+    own block, and every entry equals the record of pricing that hop
+    alone. alpha is counted by _nucleations from the mask of H's vertices.
 
     The scheme prices many hops out of one state, so the pricer keeps
-    H's vertices, segments and rows until a hop from another source
+    H's vertex mask, segments and rows until a hop from another source
     resets them. It keeps no record: every hop is priced afresh, and a
     scan keeps its prices in its ranking. Records are pure functions of
     (H, K, params), so instances copied by dataclasses.replace may share
@@ -284,12 +297,6 @@ class HopPricer:
         self.mesh = mesh
         self.params = params
         self._reset(CrackSet.empty(mesh))
-
-    def hop(self, h: CrackSet, k: CrackSet) -> HopCost | None:
-        """The HopCost record of H -> K; None when H ⊄ K."""
-        if h.mesh is not self.mesh:
-            raise MeshError("crack sets belong to different meshes")
-        return single_hop(self.hops, h, k)
 
     def hops(self, h: CrackSet, new: np.ndarray) -> HopCost:
         """The hops out of H that add the edges of each row of `new`, an
@@ -303,14 +310,12 @@ class HopPricer:
         lengths = self.mesh.edge_lengths[new]
         h1 = _row_fsums(lengths)
         return HopCost(h1=h1, sweep=self._sweeps(new, lengths, h1),
-                       alpha=self._nucleation_counts(new))
+                       alpha=_nucleations(self.mesh, self._touches_h, new))
 
     def _reset(self, h: CrackSet) -> None:
         mesh = self.mesh
         self._source = h
-        self._h_vertices = h.vertex_ids()
-        self._touches_h = np.zeros(mesh.n_vertices, dtype=bool)
-        self._touches_h[list(self._h_vertices)] = True
+        self._touches_h = _touch_mask(h)
         self._h_segments = mesh.segment_endpoints(h.edge_ids)
         # the rows filled so far, and the index of each edge's row or -1
         self._rows = np.empty((0, ATW_PANELS * self.params.quadrature_order))
@@ -357,20 +362,6 @@ class HopPricer:
         filled = len(self._rows)
         self._rows = np.concatenate(rows)
         self._row_of[missing] = np.arange(filled, filled + len(missing))
-
-    def _nucleation_counts(self, new: np.ndarray) -> np.ndarray:
-        n, m = new.shape
-        if m > 2:
-            return np.array([_nucleations(self.mesh, self._h_vertices, row)
-                             for row in new.tolist()], dtype=float).reshape(n)
-        ends = self.mesh.edges[new]                    # (n, m, 2)
-        apart = ~self._touches_h[ends].any(axis=2)     # (n, m)
-        if m < 2:
-            return apart.sum(axis=1, dtype=float)
-        first, second = ends[:, 0], ends[:, 1]
-        shared = (first[:, :, None] == second[:, None, :]).any(axis=(1, 2))
-        return np.where(shared, apart[:, 0] & apart[:, 1],
-                        apart.sum(axis=1, dtype=float))
 
 
 def _row_fsums(values: np.ndarray) -> np.ndarray:

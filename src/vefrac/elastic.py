@@ -45,6 +45,7 @@ from .geometry import (
 
 __all__ = [
     "ElasticError",
+    "NumericalError",
     "LinearAmplitude",
     "TableAmplitude",
     "BoundaryLoad",
@@ -65,6 +66,10 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 
 class ElasticError(Exception):
     """Raised for invalid loads/spaces and for solver non-convergence."""
+
+
+class NumericalError(ElasticError):
+    """A failed computation: CG not converging, or an energy under the floor."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,12 @@ class BoundaryLoad:
         object.__setattr__(self, "profile", prof)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ElasticError("load horizon must be positive")
+
+    def unit(self) -> BoundaryLoad:
+        """The same profile and horizon at amplitude a = 1."""
+        return BoundaryLoad(profile=self.profile,
+                            amplitude=LinearAmplitude(1.0, 0.0),
+                            horizon=self.horizon)
 
     def check_mesh(self, mesh: Mesh) -> None:
         if self.profile.shape[0] != mesh.n_vertices:
@@ -621,7 +632,7 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     res = _matvec(*block, x) - b
     residual = math.sqrt(res.dot(res)) / bnorm
     if info != 0:
-        raise ElasticError(f"CG failed to converge (info={info}, residual={residual:.3e})")
+        raise NumericalError(f"CG failed to converge (info={info}, residual={residual:.3e})")
     u[free] = x
     return u, residual
 

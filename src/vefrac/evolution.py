@@ -36,14 +36,13 @@ import numpy as np
 from .dissipation import DissipationParams, HopPricer
 from .elastic import (
     BoundaryLoad,
-    ElasticError,
-    LinearAmplitude,
+    NumericalError,
     power_bound_constant,
     solve_on_space,
     space_key,
     split_along_crack,
 )
-from .geometry import CrackSet, Mesh, connected_components, hausdorff
+from .geometry import CrackSet, Mesh, MeshError, connected_components, hausdorff
 from .ve_core import RisInstance, incremental_step, residual_stability
 
 __all__ = [
@@ -302,19 +301,21 @@ class _ScaledEnergyCache:
     mesh's per-vertex fan memo (`space_key`) and looks it up in a
     second memo; only a new space is built and solved. Many competitors
     share a space: an isolated interior edge, for one, leaves the stars
-    of both of its ends connected."""
+    of both of its ends connected. The memos key on bits, so a crack set
+    of another mesh is refused first."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
         self.mesh = mesh
         self.load = load
         self.floor = floor
-        self.unit = BoundaryLoad(profile=load.profile,
-                                 amplitude=_UNIT_AMPLITUDE, horizon=load.horizon)
+        self.unit = load.unit()
         self._entries: dict[int, tuple[float, float]] = {}
         self._by_space: dict[int, tuple[float, float]] = {}
 
     def _entry(self, k: CrackSet) -> tuple[float, float]:
+        if k.mesh is not self.mesh:
+            raise MeshError("crack set belongs to another mesh")
         got = self._entries.get(k.bits)
         if got is None:
             key = space_key(self.mesh, k)
@@ -332,7 +333,7 @@ class _ScaledEnergyCache:
         value = a * a * self._entry(k)[0]
         if value < self.floor:
             # the scans skip competitors on the promise E >= floor
-            raise ElasticError(
+            raise NumericalError(
                 f"energy floor {self.floor!r} undercut: E = {float(value)!r} "
                 f"at t = {float(t)!r} on crack edges {list(k.edge_ids)}")
         return value
@@ -341,8 +342,6 @@ class _ScaledEnergyCache:
         a = self.load.amplitude(t)
         return self.load.amplitude.derivative(t) * a * self._entry(k)[1]
 
-
-_UNIT_AMPLITUDE = LinearAmplitude(1.0, 0.0)
 
 # Lower bound on every elastic energy. E = 0.5 u.Au is nonnegative up to
 # rounding, and the most negative value seen on any workload or test is

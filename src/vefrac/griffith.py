@@ -219,7 +219,7 @@ def griffith_report(evolution, load, paths: Sequence[TipPath],
     kappa2 comes either from the annulus fit of the displacement field
     at each tip ("sif") or from the energy slope along the remaining
     path edges ("release"); both scale with the load amplitude squared,
-    so one unit-amplitude solve per distinct crack state suffices.
+    so one solve per distinct crack state under load.unit() suffices.
     """
     if estimator not in ("sif", "release"):
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -231,12 +231,13 @@ def griffith_report(evolution, load, paths: Sequence[TipPath],
     sigmadot[:, :-1] = np.diff(sigma, axis=1) / dt
 
     mesh = evolution.states[0].mesh
+    unit = load.unit()
     unit_kappa2: dict[int, np.ndarray] = {}
     for j, state in enumerate(evolution.states):
         if state.bits in unit_kappa2:
             continue
         per_tip = np.empty(len(paths))
-        solution = solve_energy(1.0, state, load) if estimator == "sif" else None
+        solution = solve_energy(1.0, state, unit) if estimator == "sif" else None
         for i, p in enumerate(paths):
             k = int(counts[i, j])
             if estimator == "sif":
@@ -250,7 +251,7 @@ def griffith_report(evolution, load, paths: Sequence[TipPath],
                         f"tip {i} exhausts its declared path inside the "
                         "window; extend the path or shorten the window")
                 per_tip[i] = energy_release(
-                    1.0, state, load, remaining,
+                    1.0, state, unit, remaining,
                     h_steps=min(h_steps, len(remaining)))
         unit_kappa2[state.bits] = per_tip
 

@@ -34,9 +34,9 @@ one batch: each group of competitors adding as many edges is one array
 of new edges, priced by `hops` and charged by HopCost.charges, then
 sorted by a stable argsort, and a competitor's CrackSet is built only
 when a scan reaches it. The step's first scan is R's scan of its old
-state, and every R scan is kept in the instance's residual memo, so a
-step that keeps its state has shown R = 0 there and the audits read
-R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
+state, and residual_stability keeps every R scan in the instance's
+memo, so a step that keeps its state has shown R = 0 there and the
+audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
 every lattice node it expands; a node whose one value at K+ already
 prices it out of the search is cut off without a scan.
 
@@ -105,14 +105,14 @@ class RisInstance:
     competitor above the best value (see _scan). The default, -infinity,
     promises nothing, so such a scan evaluates every competitor.
 
-    residuals memoizes R(t,K) reports by (t, K.bits) and assumes energy
-    and hops are pure. ranking(source, state) ranks the competitors of
-    state by their D from source, which does not depend on t, and keeps
-    the most recent (source, state) ranking, for R scans and greedy
-    rescans alike: the R scan of a step that follows a frozen step, or
-    the R scan of its own new state, only evaluates energies.
-    dataclasses.replace starts the copy with both memos empty, since
-    the copy may charge differently.
+    residuals, read only by residual_stability, memoizes R(t,K) reports
+    by (t, K) and assumes energy and hops are pure. ranking(source,
+    state) ranks the competitors of state by their D from source, which
+    does not depend on t, and keeps the most recent ranking (which knows
+    its source and state), for R scans and greedy rescans alike: the R
+    scan of a step that follows a frozen step, or of its own new state,
+    only evaluates energies. Both memos match crack sets, mesh included.
+    dataclasses.replace starts the copy with both memos empty.
     """
 
     pool: CrackSet
@@ -129,9 +129,9 @@ class RisInstance:
     # the boundary load behind the energy callback, when there is one;
     # tip probes need the displacement field, not just energy values
     load: object | None = None
-    residuals: dict[tuple[float, int], StabilityReport] = field(
+    residuals: dict[tuple[float, CrackSet], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _ranked: tuple[int, int, _Ranking] | None = field(
+    _ranked: _Ranking | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,14 +190,13 @@ class RisInstance:
         ValueError when source <= state fails: every competitor of state
         would cost +infinity."""
         memo = self._ranked
-        if memo is not None and memo[0] == source.bits and memo[1] == state.bits:
-            return memo[2]
+        if memo is not None and memo.source == source and memo.state == state:
+            return memo
         if not source.issubset(state):
             raise ValueError("a ranking's source must lie inside its state")
         self._ranked = None  # so two rankings are never held at once
-        ranking = _rank(source, state, self)
-        self._ranked = (source.bits, state.bits, ranking)
-        return ranking
+        self._ranked = _rank(source, state, self)
+        return self._ranked
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
@@ -217,15 +216,15 @@ class StabilityReport:
 
 
 class _Ranking:
-    """Candidates ranked for a scan out of `source`: big_d lists the D of
-    every candidate, in increasing D, and iterating gives the (D, K)
-    pairs in that order. A candidate is built by `make(i)`, from its
-    index i in the ranking, the first time a scan reaches it, and
-    kept."""
+    """The competitors of `state` ranked for a scan out of `source`:
+    big_d lists their D in increasing order, and iterating gives the
+    (D, K) pairs in that order. A candidate is built by `make(i)`, from
+    its index i, the first time a scan reaches it, and kept."""
 
-    def __init__(self, source: CrackSet, big_d: list[float],
+    def __init__(self, source: CrackSet, state: CrackSet, big_d: list[float],
                  make: Callable[[int], CrackSet]):
         self.source = source
+        self.state = state
         self.big_d = big_d
         self._cracks: list[CrackSet] = []
         self._make = make
@@ -262,7 +261,7 @@ def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
     order = np.argsort(big_d, kind="stable")
     flat = [added for group in groups for added in group]
     mesh, bits, at = state.mesh, state.bits, order.tolist()
-    return _Ranking(source, big_d[order].tolist(),
+    return _Ranking(source, state, big_d[order].tolist(),
                     lambda i: CrackSet(mesh, bits | _mask(flat[at[i]])))
 
 
@@ -310,7 +309,7 @@ def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> Stab
     (t, K) is scanned once per instance: the report is kept in the
     instance's residual memo.
     """
-    key = (t, state.bits)
+    key = (t, state)
     report = instance.residuals.get(key)
     if report is not None:
         return report
@@ -413,7 +412,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     more than C. Only strict excess is cut, so the cost, the chain, its
     tie-break and every r_start are those of the unpruned search. Every
     other node takes its full R from residual_stability, so the nodes
-    on the returned chain read their r_start from the residual memo.
+    on the returned chain read their r_start through it from its memo.
     """
     if not k_minus.issubset(k_plus):
         return JumpCostResult(cost=math.inf, chain=None, hops=())
@@ -465,7 +464,7 @@ def jump_cost(t: float, k_minus: CrackSet, k_plus: CrackSet,
     for a, b in zip(chain.states, chain.states[1:]):
         charged = instance.charges(a, b)
         hops.append(HopLedger(delta=charged.sweep, alpha=charged.alpha,
-                              r_start=instance.residuals[t, a.bits].residual))
+                              r_start=residual_stability(t, a, instance).residual))
     return JumpCostResult(cost=cost, chain=chain, hops=tuple(hops),
                           expanded=expanded, pruned=pruned)
 

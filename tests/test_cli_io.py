@@ -20,7 +20,7 @@ from vefrac.cli_io import (
     parse_config,
     save_archive,
 )
-from vefrac.elastic import ElasticError, LinearAmplitude, TableAmplitude
+from vefrac.elastic import ElasticError, LinearAmplitude, NumericalError, TableAmplitude
 from vefrac.evolution import (
     DiscreteEvolution,
     StepLedger,
@@ -701,7 +701,7 @@ def test_cli_exit_codes_by_failure_kind(workdir, capsys, monkeypatch):
     import vefrac.cli_io as cli
 
     def solver_blowup(path):
-        raise ElasticError("CG failed to converge (info=30, residual=1.0e+00)")
+        raise NumericalError("CG failed to converge (info=30, residual=1.0e+00)")
 
     monkeypatch.setattr(cli, "read_mesh", solver_blowup)
     assert cli_dispatch(["run", str(root / "well.ini")]) == 2
@@ -713,6 +713,26 @@ def test_cli_exit_codes_by_failure_kind(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "read_mesh", other_elastic)
     assert cli_dispatch(["run", str(root / "well.ini")]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_exit_code_follows_the_error_type_not_its_message(workdir, capsys,
+                                                              monkeypatch):
+    # a NumericalError is a failed computation whatever it says, and any
+    # other ElasticError is an input the run cannot take, even one whose
+    # message reads like a solver failure
+    root = workdir["root"]
+    import vefrac.cli_io as cli
+
+    for error, code in ((NumericalError("solver diverged"), 2),
+                        (ElasticError("CG failed to converge (info=30)"), 1),
+                        (ElasticError("energy floor 0.0 undercut"), 1)):
+        def fail(path):
+            raise error
+
+        monkeypatch.setattr(cli, "read_mesh", fail)
+        assert cli_dispatch(["run", str(root / "well.ini")]) == code
+        prefix = "numerical failure: " if code == 2 else "error: "
+        assert capsys.readouterr().out == f"{prefix}{error}\n"
 
 
 def test_cli_exits_2_when_cg_hits_its_cap(workdir, capsys, monkeypatch):

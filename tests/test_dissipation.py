@@ -22,6 +22,7 @@ from vefrac.dissipation import (
     delta_atw,
     dist_d,
     hop_cost,
+    single_hop,
     var_along,
 )
 from vefrac.geometry import CrackSet, MeshError, h1_diff, h1_measure, hausdorff
@@ -262,7 +263,7 @@ def assert_prices_as_reference(pricer, h, k):
     """Every reading of one pricer's record, and the public functions,
     against the reference pricing of the hop."""
     expected = oracle.reference_hop_cost(h, k, PARAMS)
-    record = pricer.hop(h, k)
+    record = single_hop(pricer.hops, h, k)
     assert_same_record(record, expected)
     assert_same_record(hop_cost(h, k, PARAMS), expected)
     ref_alpha = oracle.reference_alpha(h, k)
@@ -303,15 +304,15 @@ def test_pricer_edge_cases(grid3):
                            (h, empty)):
         # a fresh pricer, and one whose rows are all filled already
         warm = HopPricer(grid3, PARAMS)
-        warm.hop(source, CrackSet(grid3, (1 << grid3.n_edges) - 1))
+        single_hop(warm.hops, source, CrackSet(grid3, (1 << grid3.n_edges) - 1))
         for pricer in (HopPricer(grid3, PARAMS), warm):
             assert_prices_as_reference(pricer, source, target)
-    assert HopPricer(grid3, PARAMS).hop(h, h) == HopCost(0.0, 0.0, 0.0)
-    assert HopPricer(grid3, PARAMS).hop(k, h) is None
+    assert single_hop(HopPricer(grid3, PARAMS).hops, h, h) == HopCost(0.0, 0.0, 0.0)
+    assert single_hop(HopPricer(grid3, PARAMS).hops, k, h) is None
     assert alpha(k, h) == math.inf
     assert atw_integral(k, h, PARAMS) == math.inf
     # from the empty set the sweep is the diameter times the new length
-    assert HopPricer(grid3, PARAMS).hop(empty, h).sweep == \
+    assert single_hop(HopPricer(grid3, PARAMS).hops, empty, h).sweep == \
         grid3.domain_diameter * math.fsum(grid3.edge_lengths[list(h.edge_ids)])
 
 
@@ -329,7 +330,7 @@ def test_pricer_counts_new_edges_by_how_they_meet_h(grid3):
     pricer = HopPricer(grid3, PARAMS)
     for name, (pairs, count) in shapes.items():
         k = h.union(CrackSet.of_vertex_pairs(grid3, pairs))
-        assert pricer.hop(h, k).alpha == count, name
+        assert single_hop(pricer.hops, h, k).alpha == count, name
         assert_prices_as_reference(pricer, h, k)
 
 
@@ -347,12 +348,13 @@ def test_rows_do_not_depend_on_the_batch_that_fills_them():
                for c in itertools.combinations(free, size)][::7]
     expected = [oracle.reference_hop_cost(h, k, PARAMS) for k in targets]
     batched = HopPricer(mesh, PARAMS)
-    batched.hop(h, pool.union(h))
-    records = {"one batch": [batched.hop(h, k) for k in targets]}
+    single_hop(batched.hops, h, pool.union(h))
+    records = {"one batch": [single_hop(batched.hops, h, k) for k in targets]}
     in_order = HopPricer(mesh, PARAMS)
-    records["hop by hop"] = [in_order.hop(h, k) for k in targets]
+    records["hop by hop"] = [single_hop(in_order.hops, h, k) for k in targets]
     reversed_ = HopPricer(mesh, PARAMS)
-    records["hop by hop, reversed"] = [reversed_.hop(h, k) for k in targets[::-1]][::-1]
+    records["hop by hop, reversed"] = [single_hop(reversed_.hops, h, k)
+                                       for k in targets[::-1]][::-1]
     for name, got in records.items():
         for record, ref in zip(got, expected):
             assert_same_record(record, ref)
@@ -373,14 +375,14 @@ def test_one_pricer_switches_sources_and_back(grid3):
                    for _ in range(6)] + [a, b, CrackSet.empty(grid3)]
         for k in targets + targets[::-1]:
             expected = oracle.reference_hop_cost(source, k, PARAMS)
-            got = pricer.hop(source, k)
-            assert got == HopPricer(grid3, PARAMS).hop(source, k)
+            got = single_hop(pricer.hops, source, k)
+            assert got == single_hop(HopPricer(grid3, PARAMS).hops, source, k)
             assert_same_record(got, expected)
     other = square_grid_mesh(3)
     for h, k in ((CrackSet(other, a.bits), CrackSet(other, b.bits)),
                  (a, CrackSet(other, b.bits)), (CrackSet(other, a.bits), b)):
         with pytest.raises(MeshError, match="different meshes"):
-            pricer.hop(h, k)
+            single_hop(pricer.hops, h, k)
 
 
 def test_atw_rule_is_built_once_and_read_only():

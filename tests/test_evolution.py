@@ -33,7 +33,7 @@ from vefrac.evolution import (
     run_scheme,
 )
 from vefrac.geometry import CrackSet, MeshError, h1_diff
-from vefrac.ve_core import audit_balance, audit_jump_conditions
+from vefrac.ve_core import audit_balance, audit_jump_conditions, residual_stability
 
 import _oracles as oracle
 
@@ -501,6 +501,24 @@ def test_hop_table_rejects_another_mesh():
         for cost in (inst.charges, inst.ranking):
             with pytest.raises(MeshError, match="different meshes"):
                 cost(a, b)
+
+
+def test_memos_refuse_a_crack_set_of_another_mesh():
+    # the ranking memo, the residual memo and the energy cache each hold
+    # an entry for a state with the same bits as s2, a crack set of a
+    # separately built mesh; none of them may answer for it
+    inst, _ = well_instance()
+    other, _, _ = nucleation_well()
+    state = CrackSet.of_edges(inst.mesh, inst.pool.edge_ids[:1])
+    residual_stability(0.5, state, inst)
+    s2 = CrackSet(other, state.bits)
+    for read in (lambda: inst.ranking(s2, s2),
+                 lambda: residual_stability(0.5, s2, inst),
+                 lambda: inst.energy(0.5, s2)):
+        with pytest.raises(MeshError):
+            read()
+    assert inst.ranking(state, state) is inst._ranked
+    assert (0.5, state) in inst.residuals and (0.5, s2) not in inst.residuals
 
 
 # ---------------------------------------------------------------------------

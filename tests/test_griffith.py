@@ -7,6 +7,7 @@ import pytest
 
 from vefrac.benchmarks import growth_strip, rect_grid_mesh, symmetric_strip
 from vefrac.dissipation import DissipationParams
+from vefrac.elastic import BoundaryLoad, LinearAmplitude
 from vefrac.evolution import TimePartition, fracture_instance, run_scheme
 from vefrac.geometry import CrackSet
 from vefrac.griffith import (
@@ -220,6 +221,20 @@ def test_report_amplitude_squared_scaling(strip, strip_path):
         rep.kappa2[0, j] * (tk / tj) ** 2, rel=1e-12)
     # amplitude zero at t=0 with the ramp load
     assert rep.kappa2[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("estimator", ["sif", "release"])
+def test_report_reads_the_datum_not_how_it_is_split(strip, strip_path, estimator):
+    """The datum a(t) G is the same as (a(t) / c) (c G): written as
+    (G/2, amplitude 2t) it gives the kappa2 of (G, t), although a(1) is
+    2 and not 1."""
+    _, load, _, _, _, _, evo = strip
+    split = BoundaryLoad(profile=load.profile / 2.0,
+                         amplitude=LinearAmplitude(0.0, 2.0), horizon=load.horizon)
+    base = griffith_report(evo, load, [strip_path], estimator=estimator)
+    other = griffith_report(evo, split, [strip_path], estimator=estimator)
+    assert np.any(base.kappa2 > 0.0)
+    np.testing.assert_allclose(other.kappa2, base.kappa2, rtol=1e-12, atol=0.0)
 
 
 def test_report_estimator_dispatch(strip, strip_path):

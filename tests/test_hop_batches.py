@@ -243,7 +243,7 @@ def test_a_ranking_refuses_a_source_outside_its_state():
                  (state, CrackSet.of_edges(mesh, [1, 3]))):
         with pytest.raises(ValueError, match="source must lie inside its state"):
             inst.ranking(h, k)
-    assert priced == [] and inst._ranked[2] is kept
+    assert priced == [] and inst._ranked is kept
     assert inst.ranking(source, source.union(state)).big_d
 
 
@@ -262,7 +262,7 @@ def test_reports_and_ledgers_hold_python_floats():
         report = residual_stability(float(t), state, inst)
         assert type(report.residual) is float
         assert all(type(k) is CrackSet for k in report.minimizers)
-        assert all(type(d) is float for d in inst._ranked[2].big_d)
+        assert all(type(d) is float for d in inst._ranked.big_d)
     result = jump_cost(1.0, evo.states[0], evo.states[-1], inst)
     assert type(result.cost) is float and result.hops
     for hop in result.hops:

@@ -497,7 +497,7 @@ def test_a_replaced_copy_ranks_afresh(rect9, monkeypatch):
     assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
     assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
     # the two modes rank by different D
-    assert energetic._ranked[2].big_d != inst._ranked[2].big_d
+    assert energetic._ranked.big_d != inst._ranked.big_d
     assert residual_stability(0.5, state, inst) is viscous
 
 
@@ -863,13 +863,13 @@ def test_jump_cost_reads_every_r_start_from_the_residual_memo(rect9):
                 km, kp = CrackSet(rect9, minus_bits), CrackSet(rect9, plus_bits)
                 got = assert_same_jump_cost(0.0, km, kp, inst)
                 # the memo holds the start node and every expanded node
-                assert (0.0, km.bits) in inst.residuals
+                assert (0.0, km) in inst.residuals
                 assert len(inst.residuals) == got.expanded
                 for ledger, state in zip(got.hops, got.chain.states):
-                    assert ledger.r_start == inst.residuals[0.0, state.bits].residual
+                    assert ledger.r_start == inst.residuals[0.0, state].residual
                 unwitnessed += sum(
-                    not inst.is_competitor(CrackSet(rect9, bits), kp)
-                    for _, bits in inst.residuals if bits != km.bits)
+                    not inst.is_competitor(node, kp)
+                    for _, node in inst.residuals if node != km)
                 cases += 1
     assert cases > 0 and unwitnessed > 0
 
@@ -949,7 +949,7 @@ def test_pruned_node_stops_at_its_witness(rect9):
     assert sorted(asked[0::2]) == middle
     assert asked[1::2] == [kp.bits, kp.bits]
     # a pruned node leaves no report behind
-    assert set(counted.residuals) == {(0.0, km.bits)}
+    assert set(counted.residuals) == {(0.0, km)}
 
 
 def test_residual_memo_hands_the_step_scan_to_the_audit(rect9):
@@ -961,7 +961,7 @@ def test_residual_memo_hands_the_step_scan_to_the_audit(rect9):
     prev = CrackSet.of_edges(rect9, [2])
     nxt = incremental_step(0.5, prev, counted)
     assert nxt.bits != prev.bits
-    report = counted.residuals[0.5, prev.bits]
+    report = counted.residuals[0.5, prev]
     assert report.minimizers[0].bits == nxt.bits
     asked.clear()
     assert residual_stability(0.5, prev, counted) is report

@@ -955,10 +955,10 @@ def _cmd_sweep(args) -> int:
         # explicit times fix the partition whatever steps or horizon say
         raise ConfigError(f"sweep over {param} changes nothing: the config "
                           "sets partition.times")
-    # every swept config is validated before the first run
-    configs = [replace(base_cfg, **{field: value}) for value in values]
-    for value, cfg in zip(values, configs):
-        ctx = build_run(cfg, base)
+    # every swept run is built, and so validated, before the first one
+    runs = [(value, build_run(replace(base_cfg, **{field: value}), base))
+            for value in values]
+    for value, ctx in runs:
         out_dir = _resolve(ctx.config.output, base) / f"sweep-{param}-{value}"
         evolution, jumps, _, _ = _run_to_archive(ctx, out_dir)
         print(f"{param}={value}: {_growth(evolution)}, jumps {len(jumps)}")

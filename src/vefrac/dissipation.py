@@ -12,27 +12,23 @@ so sums along a chain stay +infinity once one hop is illegal. None
 marks a missing record only: hop_cost returns None for H ⊄ K.
 
 A hop H -> K is priced into a HopCost record (new length, sweep
-integral, nucleation count) by a HopPricer of its mesh. The pricer keeps
-what every hop out of its current source H shares: a mask of H's
-vertices, H's segments and a table of quadrature distance rows per new
-edge; a hop from another source resets all of it. It keeps no records.
-HopPricer.hops prices a ranking's hops out of one source at once, as
-arrays: it fills the rows of all their new edges at once, in batches of
-bounded size, and runs each hop's own gemv in chunks of HOP_CHUNK hops.
-Every entry equals the single hop's record bit for bit. single_hop,
-the one single-hop path, prices a hop as the batch of one of any such
-`hops` callback; hop_cost (a fresh pricer's hop) and
-RisInstance.charges call it. _nucleations is the one nucleation count:
-the pricer's batches and alpha, its batch of one, call it. atw_integral
-reads the sweep off hop_cost's record. The fracture instance keeps one
-pricer for the whole run.
+integral, nucleation count), a pure function of H and K \\ H.
+price_hops prices a ranking's hops out of one source at once, as
+arrays, and keeps nothing between calls: it measures the ATW distance
+rows of the distinct new edges of its call once, in batches of bounded
+size, and runs each hop's own gemv in chunks of HOP_CHUNK hops. Every
+entry equals the single hop's record bit for bit. single_hop, the one
+single-hop path, prices a hop as the batch of one of any such `hops`
+callback; hop_cost (price_hops' hop) and RisInstance.charges call it.
+_nucleations is the one nucleation count: price_hops and alpha, its
+batch of one, call it. atw_integral reads the sweep off hop_cost's
+record. The fracture instance's `hops` is price_hops itself.
 HopCost.charges turns a record into d, delta and D, the only place that
 arithmetic is written; it runs on a batch's arrays as on one record's
 floats.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +39,6 @@ import numpy as np
 from .geometry import (
     CrackSet,
     Mesh,
-    MeshError,
     _require_same_mesh,
     dist_points_to_segments,
     h1_diff,
@@ -52,10 +47,26 @@ from .geometry import (
 
 # Uniform panels per edge in the composite ATW quadrature.
 ATW_PANELS = 16
-# Hops whose quadrature blocks HopPricer.hops gathers at once.
+# Hops whose quadrature blocks price_hops gathers at once.
 HOP_CHUNK = 64
-# Point-segment distances one fill of HopPricer's rows measures at most.
+# Point-segment distances one batch of distance rows measures at most.
 _FILL_PAIRS = 1 << 11
+
+# The ATW rule: composite Gauss-Legendre on [0, 1], ATW_PANELS uniform
+# panels of three nodes each, as read-only nodes and weights. dist(., H)
+# is only piecewise smooth along an edge (the nearest feature of H
+# changes), so a single Gauss panel stalls at a few percent whatever its
+# order; uniform panels stay exact for linear integrands and push the
+# kink error below the dense-sampling oracle's tolerance. The three-point
+# rule on [-1, 1] is written out as numpy.polynomial.legendre.leggauss(3)
+# returns it, so importing vefrac does not load numpy.polynomial (1.7 MB).
+_nodes = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_weights = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+_ATW_NODES = ((np.arange(ATW_PANELS) + 0.5)[:, None] / ATW_PANELS
+              + (0.5 * _nodes)[None, :] / ATW_PANELS).ravel()
+_ATW_WEIGHTS = np.tile(0.5 * _weights / ATW_PANELS, ATW_PANELS)
+_ATW_NODES.flags.writeable = _ATW_WEIGHTS.flags.writeable = False
+del _nodes, _weights
 
 __all__ = [
     "DissipationParams",
@@ -64,7 +75,7 @@ __all__ = [
     "HopCharges",
     "hop_cost",
     "single_hop",
-    "HopPricer",
+    "price_hops",
     "alpha",
     "dist_d",
     "atw_integral",
@@ -77,20 +88,16 @@ __all__ = [
 @dataclass(frozen=True)
 class DissipationParams:
     """Constants of the dissipation: lam and mu are the nucleation costs
-    entering d and delta respectively (the paper-level lambda and mu);
-    quadrature_order is the Gauss-Legendre order for the ATW integral."""
+    entering d and delta respectively (the paper-level lambda and mu)."""
 
     lam: float
     mu: float
-    quadrature_order: int = 3
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lambda must be positive")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be positive")
-        if int(self.quadrature_order) != self.quadrature_order or self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be an integer >= 1")
 
 
 class MonotoneChain:
@@ -179,27 +186,14 @@ def _nucleations(mesh: Mesh, touches_h: np.ndarray, new: np.ndarray) -> np.ndarr
                     apart.sum(axis=1, dtype=float))
 
 
-@functools.lru_cache(maxsize=None)
-def _atw_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1]: ATW_PANELS uniform
-    panels of `order` nodes each, as read-only (nodes, weights)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    offsets = (np.arange(ATW_PANELS) + 0.5) / ATW_PANELS
-    t = (offsets[:, None] + (0.5 * nodes)[None, :] / ATW_PANELS).ravel()
-    w = np.tile(0.5 * weights / ATW_PANELS, ATW_PANELS)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
-
-
-def atw_integral(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
+def atw_integral(h: CrackSet, k: CrackSet) -> float:
     """The pure sweep integral Delta(H,K) = integral over K\\H of
-    dist(x, H), by Gauss-Legendre quadrature on each new edge.
+    dist(x, H), by the composite Gauss-Legendre rule on each new edge.
 
     Distance to the empty set is the domain diameter, so
     Delta(empty, K) = diam * H1(K) without any quadrature error.
     """
-    hop = hop_cost(h, k, params)
+    hop = hop_cost(h, k)
     return math.inf if hop is None else hop.sweep
 
 
@@ -221,8 +215,8 @@ class HopCost:
     """The priced parts of a hop H -> K with H ⊆ K: the new length
     h1 = H1(K\\H), the pure sweep integral Delta(H,K) and the nucleation
     count alpha(H,K). charges() turns them into d, delta and D, so the
-    costs agree bit for bit wherever they are read. HopPricer.hops fills
-    the fields with float arrays, one entry per hop, and charges() then
+    costs agree bit for bit wherever they are read. price_hops fills the
+    fields with float arrays, one entry per hop, and charges() then
     works entry by entry with the same IEEE operations."""
 
     h1: float
@@ -247,7 +241,7 @@ class HopCost:
 def single_hop(hops: Callable[[CrackSet, np.ndarray], HopCost],
                h: CrackSet, k: CrackSet) -> HopCost | None:
     """The HopCost record of H -> K, priced by a `hops` callback (see
-    HopPricer.hops) as a batch of one, with Python float fields; None
+    price_hops) as a batch of one, with Python float fields; None
     when H ⊄ K, without calling `hops`."""
     _require_same_mesh(h, k)
     if k.bits & h.bits != h.bits:
@@ -257,111 +251,70 @@ def single_hop(hops: Callable[[CrackSet, np.ndarray], HopCost],
     return HopCost(*(float(x[0]) for x in (priced.h1, priced.sweep, priced.alpha)))
 
 
-def hop_cost(h: CrackSet, k: CrackSet, params: DissipationParams) -> HopCost | None:
+def hop_cost(h: CrackSet, k: CrackSet) -> HopCost | None:
     """Price the hop H -> K: one alpha, one sweep integral and one H1
     difference. None when H ⊄ K, where every cost of the hop is +inf."""
-    return single_hop(HopPricer(h.mesh, params).hops, h, k)
+    return single_hop(price_hops, h, k)
 
 
-class HopPricer:
-    """Prices the hops H -> K on one mesh, a ranking's worth at once.
+def price_hops(h: CrackSet, new: np.ndarray) -> HopCost:
+    """The hops out of H that add the edges of each row of `new`, an
+    (N, m) int array of edges outside H, ascending per row: a HopCost
+    whose fields are float arrays of N entries, each the field of that
+    hop's record.
 
     Every quantity of a hop is read off its new edges K \\ H. h1 is the
-    fsum of their lengths. The sweep integral weighs, per new edge, the
-    distances dist(., H) at the quadrature points of `_atw_rule` (a row)
-    by the rule's weights, and takes the fsum of the weighted sums times
-    the lengths. A row is computed point by point, so its bits do not
-    depend on the batch it was computed in, and rows are kept per edge.
-    The weighted sum `block @ w` is a gemv whose rounding depends on how
-    many rows it takes, so each hop runs it on the block of its own new
-    edges, in ascending order, as pricing that hop alone would.
-
-    `hops` prices N hops out of one source that each add m edges, given
-    as an (N, m) array. It fills the rows of all their new edges that no
-    earlier hop of this source needed, in batches of at most _FILL_PAIRS
-    point-segment distances, and gathers the blocks of HOP_CHUNK hops at
-    a time into one (n, m, points) array: numpy's matmul runs one m-row
-    gemv per hop on it, so every hop's weighted sums are those of its
-    own block, and every entry equals the record of pricing that hop
-    alone. alpha is counted by _nucleations from the mask of H's vertices.
-
-    The scheme prices many hops out of one state, so the pricer keeps
-    H's vertex mask, segments and rows until a hop from another source
-    resets them. It keeps no record: every hop is priced afresh, and a
-    scan keeps its prices in its ranking. Records are pure functions of
-    (H, K, params), so instances copied by dataclasses.replace may share
-    a pricer.
+    fsum of their lengths, and alpha is counted by _nucleations from the
+    mask of H's vertices. The sweep integral weighs, per new edge, the
+    distances dist(., H) at the ATW nodes (a row) by the ATW weights, and
+    takes the fsum of the weighted sums times the lengths. The rows of
+    the distinct edges of `new` are measured once per call, point by
+    point, so their bits do not depend on the call. The weighted sum
+    `block @ w` is a gemv whose rounding depends on how many rows it
+    takes, so the blocks of HOP_CHUNK hops at a time are gathered into
+    one (n, m, points) array, on which numpy's matmul runs one m-row
+    gemv per hop: every entry equals the record of pricing that hop
+    alone. Nothing is kept between calls.
     """
+    mesh = h.mesh
+    lengths = mesh.edge_lengths[new]
+    h1 = _row_fsums(lengths)
+    return HopCost(h1=h1, sweep=_sweeps(h, new, lengths, h1),
+                   alpha=_nucleations(mesh, _touch_mask(h), new))
 
-    def __init__(self, mesh: Mesh, params: DissipationParams):
-        self.mesh = mesh
-        self.params = params
-        self._reset(CrackSet.empty(mesh))
 
-    def hops(self, h: CrackSet, new: np.ndarray) -> HopCost:
-        """The hops out of H that add the edges of each row of `new`, an
-        (N, m) int array of edges outside H, ascending per row: a HopCost
-        whose fields are float arrays of N entries, each the field of
-        that hop's record."""
-        if h.mesh is not self.mesh:
-            raise MeshError("crack sets belong to different meshes")
-        if h.bits != self._source.bits:
-            self._reset(h)
-        lengths = self.mesh.edge_lengths[new]
-        h1 = _row_fsums(lengths)
-        return HopCost(h1=h1, sweep=self._sweeps(new, lengths, h1),
-                       alpha=_nucleations(self.mesh, self._touches_h, new))
+def _sweeps(h: CrackSet, new: np.ndarray, lengths: np.ndarray,
+            h1: np.ndarray) -> np.ndarray:
+    n, m = new.shape
+    if m == 0:
+        return np.zeros(n)
+    if h.is_empty:
+        return h.mesh.domain_diameter * h1
+    wanted = np.zeros(h.mesh.n_edges, dtype=bool)
+    wanted[new] = True
+    rows = _distance_rows(h, np.flatnonzero(wanted))
+    row_of = np.cumsum(wanted) - 1  # the row of each wanted edge
+    sweeps = np.empty(n)
+    for start in range(0, n, HOP_CHUNK):
+        part = slice(start, start + HOP_CHUNK)
+        sweeps[part] = _row_fsums(lengths[part] * (rows[row_of[new[part]]] @ _ATW_WEIGHTS))
+    return sweeps
 
-    def _reset(self, h: CrackSet) -> None:
-        mesh = self.mesh
-        self._source = h
-        self._touches_h = _touch_mask(h)
-        self._h_segments = mesh.segment_endpoints(h.edge_ids)
-        # the rows filled so far, and the index of each edge's row or -1
-        self._rows = np.empty((0, ATW_PANELS * self.params.quadrature_order))
-        self._row_of = np.full(mesh.n_edges, -1, dtype=np.intp)
 
-    def _sweeps(self, new: np.ndarray, lengths: np.ndarray,
-                h1: np.ndarray) -> np.ndarray:
-        n, m = new.shape
-        if m == 0:
-            return np.zeros(n)
-        if self._source.is_empty:
-            return self.mesh.domain_diameter * h1
-        # Composite rule: dist(., H) is only piecewise smooth along an edge
-        # (the nearest feature of H changes), so a single Gauss panel stalls
-        # at a few percent no matter the order. Uniform panels with the
-        # requested order per panel stay exact for linear integrands and
-        # push the kink error below the dense-sampling oracle's tolerance.
-        _, w = _atw_rule(self.params.quadrature_order)
-        self._fill(new)
-        rows, row_of = self._rows, self._row_of
-        sweeps = np.empty(n)
-        for start in range(0, n, HOP_CHUNK):
-            part = slice(start, start + HOP_CHUNK)
-            sweeps[part] = _row_fsums(lengths[part] * (rows[row_of[new[part]]] @ w))
-        return sweeps
-
-    def _fill(self, ids: np.ndarray) -> None:
-        """Append the rows of the edges in `ids` that this source lacks."""
-        wanted = np.zeros(self.mesh.n_edges, dtype=bool)
-        wanted[ids] = True
-        missing = np.flatnonzero(wanted & (self._row_of < 0))
-        if not missing.size:
-            return
-        t, _ = _atw_rule(self.params.quadrature_order)
-        ha, hb = self._h_segments
-        step = max(1, _FILL_PAIRS // (len(t) * len(ha)))
-        rows = [self._rows]
-        for start in range(0, len(missing), step):
-            part = missing[start:start + step]
-            a, b = self.mesh.segment_endpoints(part)
-            pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-            dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
-            rows.append(dists.reshape(len(part), len(t)))
-        filled = len(self._rows)
-        self._rows = np.concatenate(rows)
-        self._row_of[missing] = np.arange(filled, filled + len(missing))
+def _distance_rows(h: CrackSet, edges: np.ndarray) -> np.ndarray:
+    """dist(., H) at the ATW nodes of each of `edges`, one row per edge,
+    measured in batches of at most _FILL_PAIRS point-segment distances."""
+    mesh = h.mesh
+    ha, hb = mesh.segment_endpoints(h.edge_ids)
+    step = max(1, _FILL_PAIRS // (len(_ATW_NODES) * len(ha)))
+    rows = np.empty((len(edges), len(_ATW_NODES)))
+    for start in range(0, len(edges), step):
+        part = slice(start, start + step)
+        a, b = mesh.segment_endpoints(edges[part])
+        pts = a[:, None, :] + _ATW_NODES[None, :, None] * (b - a)[:, None, :]
+        dists = dist_points_to_segments(pts.reshape(-1, 2), ha, hb).min(axis=1)
+        rows[part] = dists.reshape(-1, len(_ATW_NODES))
+    return rows
 
 
 def _row_fsums(values: np.ndarray) -> np.ndarray:
@@ -379,20 +332,20 @@ def _row_fsums(values: np.ndarray) -> np.ndarray:
 
 def dist_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Quasi-distance d(H,K) = H1(K\\H) + lam * alpha(H,K), +inf if H ⊄ K."""
-    hop = hop_cost(h, k, params)
+    hop = hop_cost(h, k)
     return math.inf if hop is None else hop.charges(params).d
 
 
 def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Viscous correction delta(H,K) = Delta(H,K) + mu * alpha(H,K)."""
-    hop = hop_cost(h, k, params)
+    hop = hop_cost(h, k)
     return math.inf if hop is None else hop.charges(params).delta
 
 
 def big_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Corrected dissipation D = d + delta
     = H1(K\\H) + Delta(H,K) + (lam + mu) * alpha(H,K)."""
-    hop = hop_cost(h, k, params)
+    hop = hop_cost(h, k)
     return math.inf if hop is None else hop.charges(params).big_d
 
 

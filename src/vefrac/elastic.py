@@ -137,6 +137,14 @@ class BoundaryLoad:
         object.__setattr__(self, "profile", prof)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ElasticError("load horizon must be positive")
+        amp = self.amplitude
+        # outside its table a(t) is held constant while the slope is not
+        if isinstance(amp, TableAmplitude) and not (
+                amp.times[0] <= 0.0 and self.horizon <= amp.times[-1]):
+            raise ElasticError(
+                f"amplitude table spans [{float(amp.times[0])!r}, "
+                f"{float(amp.times[-1])!r}], which does not cover the run's "
+                f"[0, {float(self.horizon)!r}]")
 
     def unit(self) -> BoundaryLoad:
         """The same profile and horizon at amplitude a = 1."""

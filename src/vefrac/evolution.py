@@ -17,13 +17,12 @@ per distinct cracked space, known before it is built by its key (the
 crack edges that split fans plus the released Dirichlet edges): the
 datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
 the power is a(t) adot(t) times a cached bilinear value. Its one
-dissipation callback is the `hops` of a HopPricer of the mesh, which
-keeps the ATW distance rows of the new edges that hops from the most
-recent source H have needed and prices each hop it is asked for, in a
-ranking's batch or alone as a batch of one, bit for bit as hop_cost
-does; the instance's ranking keeps a scan's prices. The energetic mode
-is the same instance with its viscous flag off, charging the same
-records without their sweep integral and mu term.
+dissipation callback `hops` is dissipation.price_hops, a pure function
+that prices each hop it is asked for, in a ranking's batch or alone as
+a batch of one, bit for bit as hop_cost does; the instance's ranking
+keeps a scan's prices. The energetic mode is the same instance with its
+viscous flag off, charging the same records without their sweep
+integral and mu term.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dissipation import DissipationParams, HopPricer
+from .dissipation import DissipationParams, price_hops
 from .elastic import (
     BoundaryLoad,
     NumericalError,
@@ -358,12 +357,11 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
     ENERGY_FLOOR, which lets the competitor scans skip whatever D alone
     prices out."""
     cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
-    pricer = HopPricer(mesh, params)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        hops=pricer.hops,
+        hops=price_hops,
         params=params,
         budget=budget,
         search=search,

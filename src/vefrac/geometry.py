@@ -577,10 +577,13 @@ def hausdorff(h: CrackSet, k: CrackSet, resolution: float = None) -> float:
     nonempty set it is the domain diameter.
     """
     _require_same_mesh(h, k)
-    if h.bits == k.bits:
-        return 0.0
     if resolution is None:
         resolution = h.mesh.hausdorff_resolution
+    elif not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(
+            f"hausdorff resolution must be positive and finite, got {resolution!r}")
+    if h.bits == k.bits:
+        return 0.0
 
     def directed(src: CrackSet, dst: CrackSet) -> float:
         if src.is_empty:

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dissipation import DissipationParams, HopCharges, HopCost, MonotoneChain, single_hop
-from .geometry import CrackSet, h1_diff
+from .geometry import CrackSet, _require_same_mesh, h1_diff
 
 __all__ = [
     "RisInstance",
@@ -90,8 +90,8 @@ class RisInstance:
     hops is the one dissipation callback: given H and an (N, m) int
     array of the edges each of N hops adds to H, ascending per row, it
     returns a HopCost whose fields are float arrays of N entries, each
-    entry the record of that hop alone (HopPricer.hops is one). A
-    ranking prices its competitors in one call (see _rank), and
+    entry the record of that hop alone (dissipation.price_hops is one).
+    A ranking prices its competitors in one call (see _rank), and
     charges() prices one hop as the batch of one. viscous selects what
     the records charge: the VE dissipation D = d + delta, with
     d = H1(K\\H) + lam*alpha and delta = Delta + mu*alpha, or, when
@@ -180,7 +180,9 @@ class RisInstance:
         return new.issubset(self.pool) and new.cardinality <= limit
 
     def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
-        """The charges of the hop H -> K; None when H <= K fails."""
+        """The charges of the hop H -> K; None when H <= K fails. H must
+        lie on the pool's mesh: `hops` need not check meshes."""
+        _require_same_mesh(h, self.pool)
         hop = single_hop(self.hops, h, k)
         return None if hop is None else hop.charges(self.params, self.viscous)
 

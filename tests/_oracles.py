@@ -766,10 +766,10 @@ def reference_alpha(h, k) -> float:
     return float(count)
 
 
-def reference_atw_integral(h, k, params) -> float:
+def reference_atw_integral(h, k) -> float:
     """Delta(H,K) by the composite Gauss-Legendre rule, measured on the
     new edges of this one hop in one batch."""
-    from vefrac.dissipation import _atw_rule
+    from vefrac.dissipation import _ATW_NODES, _ATW_WEIGHTS
     from vefrac.geometry import _require_same_mesh, dist_points_to_segments
 
     _require_same_mesh(h, k)
@@ -782,7 +782,7 @@ def reference_atw_integral(h, k, params) -> float:
     lengths = mesh.edge_lengths[list(new_ids)]
     if h.is_empty:
         return mesh.domain_diameter * math.fsum(lengths)
-    t, w = _atw_rule(params.quadrature_order)
+    t, w = _ATW_NODES, _ATW_WEIGHTS
     a, b = mesh.segment_endpoints(new_ids)
     pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
     ha, hb = mesh.segment_endpoints(h.edge_ids)
@@ -792,7 +792,7 @@ def reference_atw_integral(h, k, params) -> float:
     return math.fsum(per_edge)
 
 
-def reference_hop_cost(h, k, params):
+def reference_hop_cost(h, k):
     """The HopCost of H -> K from reference_alpha, h1_diff and
     reference_atw_integral; None when H is not contained in K."""
     from vefrac.dissipation import HopCost
@@ -801,7 +801,7 @@ def reference_hop_cost(h, k, params):
     a = reference_alpha(h, k)
     if a == math.inf:
         return None
-    return HopCost(h1=h1_diff(h, k), sweep=reference_atw_integral(h, k, params),
+    return HopCost(h1=h1_diff(h, k), sweep=reference_atw_integral(h, k),
                    alpha=a)
 
 

@@ -159,7 +159,7 @@ def test_02_higher_order_bound():
         keep = rng.random(len(k_ids)) < 0.5
         h = CrackSet.of_edges(mesh, [e for e, f in zip(k_ids, keep) if f])
         k = CrackSet.of_edges(mesh, k_ids)
-        delta = atw_integral(h, k, PARAMS)
+        delta = atw_integral(h, k)
         length = h1_diff(h, k)
         slack = hausdorff(h, k, resolution=resolution) * length - delta
         tol = resolution * length + 1e-9 * (1.0 + delta)
@@ -245,7 +245,7 @@ def test_05_scheme_optimality_and_search_agreement():
             t = float(partition.times[i])
             prev, chosen = evo.states[i - 1], evo.states[i]
             own = energy(t, chosen) + dist_d(prev, chosen, PARAMS) \
-                + atw_integral(prev, chosen, PARAMS) \
+                + atw_integral(prev, chosen) \
                 + PARAMS.mu * alpha(prev, chosen)
             free = sorted(set(pool.edge_ids) - set(prev.edge_ids))
             for n_extra in range(0, min(budget, len(free)) + 1):
@@ -253,7 +253,7 @@ def test_05_scheme_optimality_and_search_agreement():
                     comp = prev.with_edges(combo)
                     value = energy(t, comp) \
                         + dist_d(prev, comp, PARAMS) \
-                        + atw_integral(prev, comp, PARAMS) \
+                        + atw_integral(prev, comp) \
                         + PARAMS.mu * alpha(prev, comp)
                     compared += 1
                     worst = min(worst, value - own + 1e-12 * (1.0 + abs(value)))

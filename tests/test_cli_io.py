@@ -663,6 +663,29 @@ def test_cli_sweep_checks_every_value_before_the_first_run(workdir, capsys):
     assert not (root / "out" / "sweep-mode-ve").exists()
 
 
+def test_cli_refuses_an_amplitude_table_shorter_than_the_run(workdir, tmp_path, capsys):
+    # a table over [0, 3] with horizon 6 held E constant on [3, 6] while
+    # the archive's power column kept the last slope; run and sweep both
+    # refuse it before anything is written
+    (tmp_path / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
+    (tmp_path / "amp.tab").write_text("0 0\n3 3\n")
+    ini = WELL_INI.format(mode="ve", output="out").replace(
+        "amplitude = linear(0, 1)", "amplitude = table(amp.tab)").replace(
+        "horizon = 12", "horizon = 6")
+    (tmp_path / "well.ini").write_text(ini)
+    message = ("error: amplitude table spans [0.0, 3.0], which does not cover "
+               "the run's [0, {}]\n")
+    assert cli_dispatch(["run", str(tmp_path / "well.ini")]) == 1
+    assert capsys.readouterr().out == message.format(6.0)
+    assert cli_dispatch(["sweep", str(tmp_path / "well.ini"), "--param", "horizon",
+                         "--values", "2,3,4"]) == 1
+    assert capsys.readouterr().out == message.format(4.0)
+    assert not (tmp_path / "out").exists()
+    assert cli_dispatch(["sweep", str(tmp_path / "well.ini"), "--param", "horizon",
+                         "--values", "3"]) == 0
+    assert (tmp_path / "out" / "sweep-horizon-3.0" / "archive.json").exists()
+
+
 @pytest.mark.parametrize("param, values", [("horizon", "1,5"), ("steps", "2,8")],
                          ids=["horizon", "steps"])
 def test_cli_sweep_refuses_partition_params_over_explicit_times(tmp_path, workdir, param,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,18 +11,20 @@ from hypothesis import strategies as st
 
 from vefrac.benchmarks import rect_grid_mesh, square_grid_mesh
 from vefrac.dissipation import (
+    ATW_PANELS,
     DissipationParams,
     HopCharges,
     HopCost,
-    HopPricer,
     MonotoneChain,
-    _atw_rule,
+    _ATW_NODES,
+    _ATW_WEIGHTS,
     alpha,
     atw_integral,
     big_d,
     delta_atw,
     dist_d,
     hop_cost,
+    price_hops,
     single_hop,
     var_along,
 )
@@ -41,8 +44,8 @@ def test_params_validation():
         DissipationParams(lam=0.0, mu=1.0)
     with pytest.raises(ValueError, match="mu must be positive"):
         DissipationParams(lam=1.0, mu=-2.0)
-    with pytest.raises(ValueError, match="quadrature_order"):
-        DissipationParams(lam=1.0, mu=1.0, quadrature_order=0)
+    # the ATW rule is fixed, so lam and mu are the only constants
+    assert [f.name for f in fields(DissipationParams)] == ["lam", "mu"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +153,7 @@ def test_delta_collinear_extension_is_half_square(rect9):
     h = CrackSet.of_vertex_pairs(rect9, [(0, 1)])
     k = h.union(CrackSet.of_vertex_pairs(rect9, [(1, 2)]))
     ell = 1.0
-    for order in (1, 2, 3, 5):
-        p = DissipationParams(lam=0.1, mu=0.1, quadrature_order=order)
-        got = atw_integral(h, k, p)
-        assert math.isclose(got, ell * ell / 2.0, rel_tol=1e-14)
+    assert math.isclose(atw_integral(h, k), ell * ell / 2.0, rel_tol=1e-14)
     # alpha = 0, so delta is the pure integral
     assert math.isclose(delta_atw(h, k, PARAMS), 0.5, rel_tol=1e-14)
 
@@ -161,7 +161,7 @@ def test_delta_collinear_extension_is_half_square(rect9):
 def test_delta_from_empty_uses_diameter(rect9):
     k = CrackSet.of_edges(rect9, [0, 1])
     expected = rect9.domain_diameter * h1_measure(k)
-    assert math.isclose(atw_integral(CrackSet.empty(rect9), k, PARAMS),
+    assert math.isclose(atw_integral(CrackSet.empty(rect9), k),
                         expected, rel_tol=1e-15)
 
 
@@ -169,7 +169,7 @@ def test_delta_infinite_without_inclusion(rect9):
     h = CrackSet.of_edges(rect9, [0])
     k = CrackSet.of_edges(rect9, [1])
     assert delta_atw(h, k, PARAMS) == math.inf
-    assert atw_integral(h, k, PARAMS) == math.inf
+    assert atw_integral(h, k) == math.inf
 
 
 def test_atw_matches_dense_sampling_oracle(grid3):
@@ -182,7 +182,7 @@ def test_atw_matches_dense_sampling_oracle(grid3):
             continue
         dense = oracle.dense_atw_integral(grid3, h.edge_ids, k.edge_ids,
                                           n_per_edge=1000)
-        got = atw_integral(h, k, PARAMS)
+        got = atw_integral(h, k)
         assert math.isclose(got, dense, rel_tol=1e-3, abs_tol=1e-12)
 
 
@@ -191,7 +191,7 @@ def test_atw_matches_dense_sampling_oracle(grid3):
 def test_higher_order_bound(rect9, h_sel, extra):
     h = CrackSet(rect9, h_sel)
     k = CrackSet(rect9, h_sel | extra)
-    delta = atw_integral(h, k, PARAMS)
+    delta = atw_integral(h, k)
     haus = hausdorff(h, k)
     growth = h1_diff(h, k)
     eps = rect9.hausdorff_resolution
@@ -225,8 +225,8 @@ def test_hop_cost_views_keep_the_direct_arithmetic(grid3):
         k = CrackSet(grid3, int(rng.integers(0, 2**33)))
         if rng.random() < 0.7:
             k = k.union(h)
-        hop = hop_cost(h, k, PARAMS)
-        costs = (alpha(h, k), atw_integral(h, k, PARAMS), dist_d(h, k, PARAMS),
+        hop = hop_cost(h, k)
+        costs = (alpha(h, k), atw_integral(h, k), dist_d(h, k, PARAMS),
                  delta_atw(h, k, PARAMS), big_d(h, k, PARAMS),
                  var_along([h, k], "d", PARAMS), var_along([h, k], "alpha"),
                  var_along([h, k], "h1"))
@@ -259,32 +259,29 @@ def assert_same_record(got, expected):
     assert all(type(x) is float for x in (got.h1, got.sweep, got.alpha))
 
 
-def assert_prices_as_reference(pricer, h, k):
-    """Every reading of one pricer's record, and the public functions,
-    against the reference pricing of the hop."""
-    expected = oracle.reference_hop_cost(h, k, PARAMS)
-    record = single_hop(pricer.hops, h, k)
+def assert_prices_as_reference(h, k):
+    """Every reading of the record, from price_hops and the public
+    functions, against the reference pricing of the hop."""
+    expected = oracle.reference_hop_cost(h, k)
+    record = single_hop(price_hops, h, k)
     assert_same_record(record, expected)
-    assert_same_record(hop_cost(h, k, PARAMS), expected)
+    assert_same_record(hop_cost(h, k), expected)
     ref_alpha = oracle.reference_alpha(h, k)
-    ref_sweep = oracle.reference_atw_integral(h, k, PARAMS)
+    ref_sweep = oracle.reference_atw_integral(h, k)
     read = (math.inf, math.inf) if record is None else (record.alpha, record.sweep)
-    assert read == (alpha(h, k), atw_integral(h, k, PARAMS)) == (ref_alpha, ref_sweep)
+    assert read == (alpha(h, k), atw_integral(h, k)) == (ref_alpha, ref_sweep)
 
 
 @pytest.mark.parametrize("mesh", [rect_grid_mesh(6, 3, width=2.0, height=1.0),
                                   square_grid_mesh(4, dirichlet="topbottom")],
                          ids=["rect", "grid"])
 def test_pricer_matches_reference_on_random_crack_sets(mesh):
-    # one pricer per source, asked for many targets in turn, so a hop
-    # reads rows filled by earlier hops beside rows it fills itself
     rng = np.random.default_rng(23)
     n = mesh.n_edges
     for _ in range(25):
         h = CrackSet(mesh, int(rng.integers(0, 2**n)) & int(rng.integers(0, 2**n))
                      & int(rng.integers(0, 2**n)))
         pool = int(rng.integers(0, 2**n))
-        pricer = HopPricer(mesh, PARAMS)
         for _ in range(12):
             new = int(rng.integers(0, 2**n))
             for _ in range(int(rng.integers(0, 3))):
@@ -292,7 +289,7 @@ def test_pricer_matches_reference_on_random_crack_sets(mesh):
             if rng.random() < 0.6:
                 new &= pool
             k = CrackSet(mesh, new | (h.bits if rng.random() < 0.85 else 0))
-            assert_prices_as_reference(pricer, h, k)
+            assert_prices_as_reference(h, k)
 
 
 def test_pricer_edge_cases(grid3):
@@ -302,17 +299,13 @@ def test_pricer_edge_cases(grid3):
     for source, target in ((empty, empty), (empty, h), (h, h), (h, k),
                            (k, h), (h, CrackSet.of_edges(grid3, [0, 4])),
                            (h, empty)):
-        # a fresh pricer, and one whose rows are all filled already
-        warm = HopPricer(grid3, PARAMS)
-        single_hop(warm.hops, source, CrackSet(grid3, (1 << grid3.n_edges) - 1))
-        for pricer in (HopPricer(grid3, PARAMS), warm):
-            assert_prices_as_reference(pricer, source, target)
-    assert single_hop(HopPricer(grid3, PARAMS).hops, h, h) == HopCost(0.0, 0.0, 0.0)
-    assert single_hop(HopPricer(grid3, PARAMS).hops, k, h) is None
+        assert_prices_as_reference(source, target)
+    assert single_hop(price_hops, h, h) == HopCost(0.0, 0.0, 0.0)
+    assert single_hop(price_hops, k, h) is None
     assert alpha(k, h) == math.inf
-    assert atw_integral(k, h, PARAMS) == math.inf
+    assert atw_integral(k, h) == math.inf
     # from the empty set the sweep is the diameter times the new length
-    assert single_hop(HopPricer(grid3, PARAMS).hops, empty, h).sweep == \
+    assert single_hop(price_hops, empty, h).sweep == \
         grid3.domain_diameter * math.fsum(grid3.edge_lengths[list(h.edge_ids)])
 
 
@@ -327,18 +320,18 @@ def test_pricer_counts_new_edges_by_how_they_meet_h(grid3):
         "two separate components": ([(8, 12), (10, 11)], 2.0),
         "separate plus touching": ([(9, 13), (3, 7)], 1.0),
     }
-    pricer = HopPricer(grid3, PARAMS)
     for name, (pairs, count) in shapes.items():
         k = h.union(CrackSet.of_vertex_pairs(grid3, pairs))
-        assert single_hop(pricer.hops, h, k).alpha == count, name
-        assert_prices_as_reference(pricer, h, k)
+        assert single_hop(price_hops, h, k).alpha == count, name
+        assert_prices_as_reference(h, k)
 
 
 def test_rows_do_not_depend_on_the_batch_that_fills_them():
-    # The same rows filled all in one batch, hop by hop in order, and
-    # hop by hop in reverse order give identical records. A table of
-    # per-edge weighted sums would not: a k-row gemv does not round
-    # each row as a one-row gemv does.
+    # The same hops priced in one batch per size, hop by hop in order, and
+    # hop by hop in reverse order give identical records, although each call
+    # measures the rows of its own new edges. A table of per-edge
+    # weighted sums would not: a k-row gemv does not round each row as a
+    # one-row gemv does.
     mesh = square_grid_mesh(4, dirichlet="topbottom")
     interior = [e for e in range(mesh.n_edges) if e not in set(mesh.dirichlet_edges())]
     pool = CrackSet.of_edges(mesh, interior)
@@ -346,48 +339,63 @@ def test_rows_do_not_depend_on_the_batch_that_fills_them():
     free = pool.minus(h).edge_ids
     targets = [h.with_edges(c) for size in (1, 2, 3)
                for c in itertools.combinations(free, size)][::7]
-    expected = [oracle.reference_hop_cost(h, k, PARAMS) for k in targets]
-    batched = HopPricer(mesh, PARAMS)
-    single_hop(batched.hops, h, pool.union(h))
-    records = {"one batch": [single_hop(batched.hops, h, k) for k in targets]}
-    in_order = HopPricer(mesh, PARAMS)
-    records["hop by hop"] = [single_hop(in_order.hops, h, k) for k in targets]
-    reversed_ = HopPricer(mesh, PARAMS)
-    records["hop by hop, reversed"] = [single_hop(reversed_.hops, h, k)
-                                       for k in targets[::-1]][::-1]
+    expected = [oracle.reference_hop_cost(h, k) for k in targets]
+    records = {"hop by hop": [single_hop(price_hops, h, k) for k in targets],
+               "hop by hop, reversed": [single_hop(price_hops, h, k)
+                                        for k in targets[::-1]][::-1],
+               "one batch per size": []}
+    for size in (1, 2, 3):
+        new = [k.minus(h).edge_ids for k in targets
+               if k.cardinality == h.cardinality + size]
+        priced = price_hops(h, np.array(new, dtype=np.intp))
+        records["one batch per size"] += [
+            HopCost(*map(float, entry))
+            for entry in zip(priced.h1, priced.sweep, priced.alpha)]
     for name, got in records.items():
+        assert len(got) == len(expected), name
         for record, ref in zip(got, expected):
             assert_same_record(record, ref)
 
 
-def test_one_pricer_switches_sources_and_back(grid3):
-    # a pricer priced from A, then B, then A again holds only the last
-    # source's rows, yet every record equals a fresh pricer's and the
-    # reference's
+def test_pricing_does_not_depend_on_earlier_sources(grid3):
+    # hops from A, then B, then A again, one at a time and in batches:
+    # every record is the reference's, whatever was priced before
     rng = np.random.default_rng(7)
     n = grid3.n_edges
     a = CrackSet.of_edges(grid3, [0, 4, 9])
     b = a.with_edges([20])
-    pricer = HopPricer(grid3, PARAMS)
     for source in (a, b, a):
         targets = [CrackSet(grid3, source.bits | (int(rng.integers(0, 2**n))
                                                   & int(rng.integers(0, 2**n))))
                    for _ in range(6)] + [a, b, CrackSet.empty(grid3)]
         for k in targets + targets[::-1]:
-            expected = oracle.reference_hop_cost(source, k, PARAMS)
-            got = single_hop(pricer.hops, source, k)
-            assert got == single_hop(HopPricer(grid3, PARAMS).hops, source, k)
-            assert_same_record(got, expected)
+            assert_same_record(single_hop(price_hops, source, k),
+                               oracle.reference_hop_cost(source, k))
+        singles = np.array([[e] for e in range(n) if e not in source], dtype=np.intp)
+        priced = price_hops(source, singles)
+        for e, h1, sweep, count in zip(singles[:, 0].tolist(), priced.h1.tolist(),
+                                       priced.sweep.tolist(), priced.alpha.tolist()):
+            expected = oracle.reference_hop_cost(source, source.with_edges([e]))
+            assert (h1, sweep, count) == (expected.h1, expected.sweep, expected.alpha)
+    # the function keeps no mesh: it prices another mesh's hop as well,
+    # and single_hop refuses a hop across meshes
     other = square_grid_mesh(3)
-    for h, k in ((CrackSet(other, a.bits), CrackSet(other, b.bits)),
-                 (a, CrackSet(other, b.bits)), (CrackSet(other, a.bits), b)):
+    a2, b2 = CrackSet(other, a.bits), CrackSet(other, b.bits)
+    assert_same_record(single_hop(price_hops, a2, b2), oracle.reference_hop_cost(a2, b2))
+    for h, k in ((a, b2), (a2, b)):
         with pytest.raises(MeshError, match="different meshes"):
-            single_hop(pricer.hops, h, k)
+            single_hop(price_hops, h, k)
 
 
-def test_atw_rule_is_built_once_and_read_only():
-    t, w = _atw_rule(3)
-    assert _atw_rule(3)[0] is t
+def test_atw_rule_is_fixed_and_read_only():
+    # 16 panels of numpy's three-point Gauss-Legendre rule, bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    offsets = (np.arange(ATW_PANELS) + 0.5) / ATW_PANELS
+    t, w = _ATW_NODES, _ATW_WEIGHTS
+    assert t.tobytes() == (offsets[:, None]
+                           + (0.5 * nodes)[None, :] / ATW_PANELS).ravel().tobytes()
+    assert w.tobytes() == np.tile(0.5 * weights / ATW_PANELS, ATW_PANELS).tobytes()
+    assert t.shape == w.shape == (48,)
     assert not t.flags.writeable and not w.flags.writeable
     assert math.isclose(float(w.sum()), 1.0, rel_tol=1e-14)
     assert np.all((t > 0.0) & (t < 1.0))
@@ -407,7 +415,7 @@ def test_big_d_closed_form(grid3):
         de = delta_atw(h, k, PARAMS)
         total = big_d(h, k, PARAMS)
         assert math.isclose(total, d + de, rel_tol=1e-14, abs_tol=1e-15)
-        closed = (h1_diff(h, k) + atw_integral(h, k, PARAMS)
+        closed = (h1_diff(h, k) + atw_integral(h, k)
                   + (PARAMS.lam + PARAMS.mu) * alpha(h, k))
         assert math.isclose(total, closed, rel_tol=1e-14, abs_tol=1e-15)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -734,6 +735,23 @@ def test_table_amplitude_power(grid3):
     a_quarter, a_three = amp(0.25), amp(0.75)
     assert math.isclose(p_left, 2.0 * a_quarter * 1.0, rel_tol=1e-10)
     assert math.isclose(p_right, 1.0 * a_three * 1.0, rel_tol=1e-10)
+
+
+def test_a_load_refuses_a_table_that_does_not_span_the_run(grid3):
+    # past its last row a(t) is held constant while derivative() keeps
+    # the last slope, so the power would be wrong there
+    profile = linear_y_profile(grid3)
+    for times, horizon in (([0.0, 3.0], 6.0), ([0.5, 3.0], 2.0),
+                           ([0.5, 3.0], 6.0)):
+        amp = TableAmplitude(times, [0.0, 3.0])
+        with pytest.raises(ElasticError, match=re.escape(
+                f"amplitude table spans [{times[0]!r}, {times[1]!r}], which does "
+                f"not cover the run's [0, {horizon!r}]")):
+            BoundaryLoad(profile=profile, amplitude=amp, horizon=horizon)
+    for times, horizon in (([0.0, 3.0], 3.0), ([-1.0, 3.0], 2.5)):
+        load = BoundaryLoad(profile=profile, amplitude=TableAmplitude(times, [0.0, 3.0]),
+                            horizon=horizon)
+        assert load.unit().horizon == horizon
 
 
 # ---------------------------------------------------------------------------

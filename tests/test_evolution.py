@@ -136,7 +136,7 @@ def test_ledger_matches_dissipation_recomputation():
     for i in range(1, len(evo.states)):
         prev, cur = evo.states[i - 1], evo.states[i]
         assert evo.ledger.d[i] == dist_d(prev, cur, inst.params)
-        assert evo.ledger.delta[i] == atw_integral(prev, cur, inst.params)
+        assert evo.ledger.delta[i] == atw_integral(prev, cur)
         assert evo.ledger.alpha[i] == alpha(prev, cur)
 
 
@@ -165,7 +165,7 @@ def test_smooth_growth_is_monotone_and_onset_bracketed():
     drop = (solve_energy(1.0, k0, load).energy
             - solve_energy(1.0, grown, load).energy)
     cost = (dist_d(k0, grown, inst.params)
-            + atw_integral(k0, grown, inst.params))
+            + atw_integral(k0, grown))
     t_pred = math.sqrt(cost / drop)
     onset = evo.changing_steps()[0]
     assert part.times[onset - 1] < t_pred <= part.times[onset]
@@ -289,7 +289,7 @@ def test_energy_below_the_floor_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the instance's hop pricer
+# the instance's hop pricing
 # ---------------------------------------------------------------------------
 
 def test_hop_table_matches_direct_pricing():
@@ -313,7 +313,7 @@ def test_hop_table_matches_direct_pricing():
     rng.shuffle(order)
     assert any(not h.issubset(k) for h, k in order)
     for h, k in order:
-        assert single_hop(inst.hops, h, k) == hop_cost(h, k, params)
+        assert single_hop(inst.hops, h, k) == hop_cost(h, k)
         charged = inst.charges(h, k)
         if not h.issubset(k):
             assert charged is None and big_d(h, k, params) == math.inf
@@ -322,7 +322,7 @@ def test_hop_table_matches_direct_pricing():
         assert charged.big_d == big_d(h, k, params)
         assert charged.big_d == (dist_d(h, k, params)
                                  + delta_atw(h, k, params))
-        assert charged.sweep == atw_integral(h, k, params)
+        assert charged.sweep == atw_integral(h, k)
         assert charged.alpha == alpha(h, k)
 
 
@@ -349,7 +349,7 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypat
     batches = []
 
     def one(_, h, k):
-        # priced by the run's own pricer, so `batches` holds rankings only
+        # priced by the run's own `hops`, so `batches` holds rankings only
         record = single_hop(batch_hops, h, k)
         records.setdefault((h.bits, k.bits), (h, k, record))
         return record
@@ -364,7 +364,7 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypat
     _run_to_archive(ctx, tmp_path / "out")
     assert len(records) == {"strip": 9, "grid": 10, "fine": 10}[workload]
     for h, k, record in records.values():
-        expected = oracle.reference_hop_cost(h, k, inst.params)
+        expected = oracle.reference_hop_cost(h, k)
         if expected is None:
             assert record is None
             continue
@@ -374,7 +374,7 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypat
     for h, new, priced in batches:
         big_d = priced.charges(inst.params, inst.viscous).big_d.tolist()
         for i, row in enumerate(new.tolist()):
-            expected = oracle.reference_hop_cost(h, h.with_edges(row), inst.params)
+            expected = oracle.reference_hop_cost(h, h.with_edges(row))
             assert (priced.h1[i], priced.sweep[i], priced.alpha[i]) == \
                 (expected.h1, expected.sweep, expected.alpha)
             assert big_d[i] == expected.charges(inst.params, inst.viscous).big_d
@@ -436,7 +436,6 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
     import vefrac.dissipation as dissipation
     import vefrac.evolution as evolution
     import vefrac.ve_core as ve_core
-    from vefrac.dissipation import HopPricer
 
     counts = dict.fromkeys(expected, 0)
 
@@ -451,8 +450,8 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
     monkeypatch.setattr(evolution, "split_along_crack",
                         counted("builds", evolution.split_along_crack))
     monkeypatch.setattr(ve_core, "_rank", counted("rankings", ve_core._rank))
-    monkeypatch.setattr(HopPricer, "hops",
-                        counted("priced", HopPricer.hops, lambda _, h, new: len(new)))
+    monkeypatch.setattr(evolution, "price_hops",
+                        counted("priced", evolution.price_hops, lambda h, new: len(new)))
     for module in (ve_core, dissipation):
         monkeypatch.setattr(module, "single_hop", counted("lookups", single_hop))
     for run in ("first", "second"):
@@ -495,7 +494,7 @@ def test_hop_table_rejects_another_mesh():
     other, _, _ = nucleation_well()
     h = CrackSet.empty(inst.mesh)
     k = inst.pool
-    inst.charges(h, k)  # the pricer now holds (empty -> pool)
+    inst.charges(h, k)
     h2, k2 = CrackSet(other, h.bits), CrackSet(other, k.bits)
     for a, b in ((h2, k2), (h, k2), (h2, k)):
         for cost in (inst.charges, inst.ranking):
@@ -526,8 +525,8 @@ def test_memos_refuse_a_crack_set_of_another_mesh():
 # ---------------------------------------------------------------------------
 
 def test_energetic_mode_ignores_a_warm_hop_table():
-    # A VE run fills the hop pricer with sweep integrals; neither
-    # energetic_mode nor a non-viscous copy sharing the pricer may
+    # A VE run prices hops with their sweep integrals; neither
+    # energetic_mode nor a non-viscous copy sharing its `hops` may
     # charge them.
     inst, load = well_instance()
     part = TimePartition.uniform(load.horizon, 60)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -596,6 +597,20 @@ def test_hausdorff_empty_conventions(square2):
     assert hausdorff(empty, empty) == 0.0
     assert hausdorff(empty, k) == square2.domain_diameter
     assert hausdorff(k, empty) == square2.domain_diameter
+
+
+def test_hausdorff_refuses_a_resolution_that_is_not_positive_and_finite(grid3):
+    # 0 raised ZeroDivisionError and nan failed to convert; -1 and inf sampled
+    # only each edge's endpoints
+    h = CrackSet.of_edges(grid3, [0])
+    k = CrackSet.of_edges(grid3, [0, 5, 9])
+    for resolution in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for a, b in ((h, k), (k, k)):
+            with pytest.raises(ValueError, match=(
+                    "hausdorff resolution must be positive and finite, got "
+                    + re.escape(repr(resolution)))):
+                hausdorff(a, b, resolution)
+    assert hausdorff(h, k, 0.05) > 0.0
 
 
 def test_hausdorff_parallel_offset_segments():

@@ -1,6 +1,6 @@
 """Batch pricing of a ranking against the per-hop reference.
 
-HopPricer.hops prices every candidate of a ranking at once, and
+dissipation.price_hops prices every candidate of a ranking at once, and
 ve_core._rank ranks the candidates by the D it charges. Both must
 equal, bit for bit, the reference pricing of each hop alone
 (`reference_hop_cost`) and the per-candidate ranking loop
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import vefrac.dissipation as dissipation
 from vefrac.benchmarks import ramp_load, rect_grid_mesh, square_grid_mesh
-from vefrac.dissipation import DissipationParams, HopCost, HopPricer, single_hop
+from vefrac.dissipation import DissipationParams, HopCost, price_hops, single_hop
 from vefrac.evolution import TimePartition, fracture_instance, run_scheme
 from vefrac.geometry import CrackSet
 from vefrac.ve_core import MAX_COMPETITORS, RisInstance, jump_cost, residual_stability
@@ -41,9 +41,9 @@ def zero(t, k):
     return 0.0
 
 
-def batch_instance(pool, pricer, **kw):
-    """An instance whose rankings are priced in batches by `pricer`."""
-    return RisInstance(pool=pool, energy=zero, power=zero, hops=pricer.hops,
+def batch_instance(pool, **kw):
+    """An instance whose rankings are priced in batches by price_hops."""
+    return RisInstance(pool=pool, energy=zero, power=zero, hops=price_hops,
                        params=PARAMS, **kw)
 
 
@@ -51,7 +51,7 @@ def reference_ranking(inst, source, state):
     """The competitors of `state` ranked by the per-candidate loop, each
     hop priced by the reference pricing alone."""
     reference = replace(inst, hops=oracle.per_hop(
-        lambda h, k: oracle.reference_hop_cost(h, k, PARAMS)))
+        lambda h, k: oracle.reference_hop_cost(h, k)))
     return oracle.reference_rank(source, reference.competitors(state), reference)
 
 
@@ -69,15 +69,15 @@ def new_edge_groups(source, candidates):
             for m, rows in groups.items()}
 
 
-def assert_batch_is_reference(pricer, source, new, viscous):
+def assert_batch_is_reference(source, new, viscous):
     """Every entry of a batch equals the reference record of its hop
     alone, and so does the D that HopCost.charges makes of it."""
-    priced = pricer.hops(source, new)
+    priced = price_hops(source, new)
     assert all(isinstance(x, np.ndarray) and x.shape == (len(new),)
                for x in (priced.h1, priced.sweep, priced.alpha))
     big_d = priced.charges(PARAMS, viscous).big_d.tolist()
     for i, row in enumerate(new.tolist()):
-        expected = oracle.reference_hop_cost(source, source.with_edges(row), PARAMS)
+        expected = oracle.reference_hop_cost(source, source.with_edges(row))
         assert (priced.h1[i], priced.sweep[i], priced.alpha[i]) == \
             (expected.h1, expected.sweep, expected.alpha)
         assert float.hex(big_d[i]) == float.hex(expected.charges(PARAMS, viscous).big_d)
@@ -112,20 +112,19 @@ def ranking_cases(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_batch_ranking_is_the_reference_loop(case):
     mesh, source, pool, state, budget, search, viscous = case
-    pricer = HopPricer(mesh, PARAMS)
-    inst = batch_instance(pool, pricer, budget=budget, search=search, viscous=viscous)
+    inst = batch_instance(pool, budget=budget, search=search, viscous=viscous)
     assert_same_ranking(inst.ranking(source, state),
                         reference_ranking(inst, source, state))
     # every candidate's record, in batches as large as the ranking's, of
-    # one hop, and of chunks of one and three hops, with rows filled one
-    # edge at a time: the same bits whatever the batch
+    # one hop, and of chunks of one and three hops, with rows measured
+    # one edge at a time: the same bits whatever the batch
     groups = new_edge_groups(source, inst.competitors(state))
     for m, new in groups.items():
-        whole = assert_batch_is_reference(HopPricer(mesh, PARAMS), source, new, viscous)
+        whole = assert_batch_is_reference(source, new, viscous)
         for chunk, pairs in ((1, 1), (3, 1 << 11)):
             with mock.patch.object(dissipation, "HOP_CHUNK", chunk), \
                     mock.patch.object(dissipation, "_FILL_PAIRS", pairs):
-                part = HopPricer(mesh, PARAMS).hops(source, new)
+                part = price_hops(source, new)
             for name in ("h1", "sweep", "alpha"):
                 assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
 
@@ -133,21 +132,20 @@ def test_batch_ranking_is_the_reference_loop(case):
 def test_batches_cover_every_way_new_edges_meet_h():
     # H has two components on the bottom row of a 3x3 grid: (0,1) and
     # (2,3). All hops adding one, two or three free edges, in one batch
-    # per size against a pricer warmed by the other sizes' rows
+    # per size
     mesh = square_grid_mesh(3)
     h = CrackSet.of_vertex_pairs(mesh, [(0, 1), (2, 3)])
     free = CrackSet(mesh, (1 << mesh.n_edges) - 1).minus(h).edge_ids
-    pricer = HopPricer(mesh, PARAMS)
     touching = np.isin(mesh.edges, list(h.vertex_ids())).any(axis=1)
     seen = set()
     for m in (1, 2, 3):
         new = np.array(list(itertools.combinations(free, m)), dtype=np.intp)
-        priced = assert_batch_is_reference(pricer, h, new, viscous=True)
+        priced = assert_batch_is_reference(h, new, viscous=True)
         for row, count in zip(new.tolist(), priced.alpha.tolist()):
             shared = len(set(mesh.edges[row].ravel().tolist())) < 2 * m
             seen.add((m, shared, int(touching[row].sum()), count))
     bridge = CrackSet.of_vertex_pairs(mesh, [(1, 2)]).edge_ids[0]
-    assert pricer.hops(h, np.array([[bridge]])).alpha.tolist() == [0.0]
+    assert price_hops(h, np.array([[bridge]])).alpha.tolist() == [0.0]
     # one edge touching H or apart; two sharing a vertex, neither, one
     # or both touching H; two apart, each touching H or not
     assert {(1, False, 1, 0.0), (1, False, 0, 1.0),
@@ -162,14 +160,13 @@ def test_a_batch_of_none_and_an_empty_source():
     h = CrackSet.of_edges(mesh, [0, 4, 9])
     singles = np.array([[e] for e in range(mesh.n_edges) if e not in h], dtype=np.intp)
     for source in (empty, h):
-        pricer = HopPricer(mesh, PARAMS)
         for n, m in ((0, 0), (0, 1), (0, 2), (0, 3), (2, 0)):
-            priced = pricer.hops(source, np.zeros((n, m), dtype=np.intp))
+            priced = price_hops(source, np.zeros((n, m), dtype=np.intp))
             for x in (priced.h1, priced.sweep, priced.alpha):
                 assert x.shape == (n,) and x.tolist() == [0.0] * n
-        assert_batch_is_reference(pricer, source, singles, viscous=True)
+        assert_batch_is_reference(source, singles, viscous=True)
     # from the empty set the sweep is the diameter times the new length
-    assert HopPricer(mesh, PARAMS).hops(empty, singles).sweep.tolist() == \
+    assert price_hops(empty, singles).sweep.tolist() == \
         [mesh.domain_diameter * mesh.edge_lengths[e] for e in singles[:, 0].tolist()]
 
 
@@ -181,7 +178,7 @@ def test_batch_ranking_keeps_the_loop_order_of_exact_ties(search):
     mesh = square_grid_mesh(4, dirichlet="topbottom")
     interior = [e for e in range(mesh.n_edges) if e not in set(mesh.dirichlet_edges())]
     pool = CrackSet.of_edges(mesh, interior)
-    inst = batch_instance(pool, HopPricer(mesh, PARAMS), budget=2, search=search)
+    inst = batch_instance(pool, budget=2, search=search)
     empty = CrackSet.empty(mesh)
     h = CrackSet.of_edges(mesh, interior[3:5])
     for source, state in ((empty, empty), (empty, CrackSet.of_edges(mesh, interior[:1])),
@@ -195,7 +192,7 @@ def test_batch_ranking_keeps_the_loop_order_of_exact_ties(search):
 def test_batch_ranking_builds_a_candidate_only_when_a_scan_reaches_it():
     mesh = square_grid_mesh(3)
     pool = CrackSet(mesh, (1 << mesh.n_edges) - 1)
-    inst = batch_instance(pool, HopPricer(mesh, PARAMS), budget=2)
+    inst = batch_instance(pool, budget=2)
     empty = CrackSet.empty(mesh)
     ranking = inst.ranking(empty, empty)
     assert ranking._cracks == []
@@ -208,7 +205,7 @@ def test_batch_ranking_builds_a_candidate_only_when_a_scan_reaches_it():
 def test_batch_ranking_refuses_what_the_loop_refuses():
     mesh = square_grid_mesh(3)
     pool = CrackSet(mesh, (1 << mesh.n_edges) - 1)
-    inst = batch_instance(pool, HopPricer(mesh, PARAMS), budget=6)
+    inst = batch_instance(pool, budget=6)
     state = CrackSet.empty(mesh)
     messages = []
     for enumerate_ in (lambda: inst.ranking(state, state),
@@ -227,12 +224,11 @@ def test_a_ranking_refuses_a_source_outside_its_state():
     # memo of the last one
     mesh = square_grid_mesh(3)
     pool = CrackSet.of_edges(mesh, range(8))
-    pricer = HopPricer(mesh, PARAMS)
     priced = []
 
     def hops(h, new):
         priced.append(len(new))
-        return pricer.hops(h, new)
+        return price_hops(h, new)
 
     inst = RisInstance(pool=pool, energy=zero, power=zero, hops=hops, params=PARAMS,
                        budget=2)

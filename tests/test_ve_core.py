@@ -40,7 +40,7 @@ PARAMS = DissipationParams(lam=0.1, mu=0.05)
 
 
 def real_hop(h, k):
-    return hop_cost(h, k, PARAMS)
+    return hop_cost(h, k)
 
 
 def table_instance(mesh, energy_table, pool=None, t_slope=None, **kw):
@@ -152,7 +152,7 @@ def test_step_threshold_for_single_candidate(rect9):
     pool = CrackSet.of_edges(rect9, [e_star])
     cut = CrackSet.of_edges(rect9, [e_star])
     barrier = (h1_measure(cut) + PARAMS.lam
-               + atw_integral(CrackSet.empty(rect9), cut, PARAMS)
+               + atw_integral(CrackSet.empty(rect9), cut)
                + PARAMS.mu)
 
     def make(c):
@@ -583,7 +583,7 @@ def test_trc_two_stable_states_is_hop_cost(rect9):
     a = CrackSet.empty(rect9)
     b = CrackSet.of_edges(rect9, [0])
     got = trc_chain(0.0, MonotoneChain([a, b]), inst)
-    expected = (atw_integral(a, b, PARAMS)
+    expected = (atw_integral(a, b)
                 + (PARAMS.lam + PARAMS.mu) * alpha(a, b))
     assert math.isclose(got, expected, rel_tol=1e-14)
 
@@ -599,7 +599,7 @@ def test_charges_read_one_hop_record_in_both_modes(rect9):
     for _ in range(60):
         h = CrackSet(rect9, int(rng.integers(0, 2**9)))
         k = CrackSet(rect9, int(rng.integers(0, 2**9)) | (h.bits if rng.random() < 0.8 else 0))
-        hop = hop_cost(h, k, PARAMS)
+        hop = hop_cost(h, k)
         if hop is None:
             assert inst.charges(h, k) is None and energetic.charges(h, k) is None
             continue
@@ -669,7 +669,7 @@ def test_energetic_transitions_charge_lam_per_nucleation(rect9):
     energetic = replace(flat, viscous=False)
     a, b = CrackSet.empty(rect9), CrackSet.of_edges(rect9, [0])
     assert alpha(a, b) == 1.0
-    sweep = atw_integral(a, b, PARAMS)
+    sweep = atw_integral(a, b)
     for inst, expected, delta in ((energetic, PARAMS.lam, 0.0),
                                   (flat, sweep + (PARAMS.lam + PARAMS.mu), sweep)):
         assert trc_chain(0.0, [a, b], inst) == expected
@@ -684,7 +684,7 @@ def test_trc_matches_termwise_ledger(rect9):
     got = trc_chain(0.4, states, inst)
     expected = 0.0
     for a, b in zip(states, states[1:]):
-        expected += atw_integral(a, b, PARAMS)
+        expected += atw_integral(a, b)
         expected += (PARAMS.lam + PARAMS.mu) * alpha(a, b)
     for s in states[:-1]:
         expected += residual_stability(0.4, s, inst).residual
@@ -720,7 +720,7 @@ def brute_jump_cost(t, k_minus, k_plus, instance):
     def hop(u, v):
         if (u, v) not in hop_memo:
             a = alpha(state(u), state(v))
-            d = atw_integral(state(u), state(v), PARAMS)
+            d = atw_integral(state(u), state(v))
             hop_memo[(u, v)] = d + (PARAMS.lam + PARAMS.mu) * a
         return hop_memo[(u, v)]
 

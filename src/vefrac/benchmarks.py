@@ -13,15 +13,15 @@ import numpy as np
 from .geometry import Mesh, build_mesh
 
 
-def unit_square_mesh(dirichlet: str = "all") -> Mesh:
-    """The 2-triangle unit square. 5 edges, diameter sqrt(2)."""
+def unit_square_mesh() -> Mesh:
+    """The 2-triangle unit square, all Dirichlet. 5 edges, diameter sqrt(2)."""
     vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     triangles = [(0, 1, 2), (0, 2, 3)]
-    return build_mesh(vertices, triangles, _square_marker(dirichlet, 0.0, 1.0))
+    return build_mesh(vertices, triangles, _square_marker("all", 0.0, 1.0))
 
 
 def rect_grid_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0,
-                   dirichlet: str = "all", x0: float = 0.0, y0: float = 0.0) -> Mesh:
+                   dirichlet: str = "all") -> Mesh:
     """Structured grid of nx-by-ny cells, each split along one diagonal.
 
     The n-by-n unit case has 3n^2 + 2n edges. The "topbottom" Dirichlet
@@ -31,20 +31,18 @@ def rect_grid_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0,
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one cell per direction")
     dx, dy = width / nx, height / ny
-    vertices = [(x0 + i * dx, y0 + j * dy)
-                for j in range(ny + 1) for i in range(nx + 1)]
+    vertices = [(i * dx, j * dy) for j in range(ny + 1) for i in range(nx + 1)]
     triangles = []
     for j in range(ny):
         for i in range(nx):
             v = j * (nx + 1) + i
             triangles.append((v, v + 1, v + nx + 2))
             triangles.append((v, v + nx + 2, v + nx + 1))
-    return build_mesh(vertices, triangles,
-                      _square_marker(dirichlet, y0, y0 + height))
+    return build_mesh(vertices, triangles, _square_marker(dirichlet, 0.0, height))
 
 
-def square_grid_mesh(n: int, size: float = 1.0, dirichlet: str = "all") -> Mesh:
-    return rect_grid_mesh(n, n, size, size, dirichlet)
+def square_grid_mesh(n: int, dirichlet: str = "all") -> Mesh:
+    return rect_grid_mesh(n, n, dirichlet=dirichlet)
 
 
 def _square_marker(dirichlet: str, ybot: float, ytop: float):
@@ -60,13 +58,12 @@ def _square_marker(dirichlet: str, ybot: float, ytop: float):
 
 
 def mirrored_strip_mesh(nx: int, ny: int, width: float = 1.0,
-                        height: float = 1.0,
-                        dirichlet: str = "topbottom") -> Mesh:
+                        height: float = 1.0) -> Mesh:
     """Structured grid whose cell diagonals flip orientation at the
     vertical midline, making the triangulation mirror symmetric about
-    x = width/2. nx must be even. Pick width/nx as an exact binary
-    fraction and the vertex coordinates mirror exactly in floating
-    point as well.
+    x = width/2, with its top and bottom rows Dirichlet. nx must be
+    even. Pick width/nx as an exact binary fraction and the vertex
+    coordinates mirror exactly in floating point as well.
     """
     if nx < 2 or nx % 2:
         raise ValueError("mirrored strip needs an even number of columns")
@@ -84,7 +81,7 @@ def mirrored_strip_mesh(nx: int, ny: int, width: float = 1.0,
             else:
                 triangles.append((v, v + 1, v + nx + 1))
                 triangles.append((v + 1, v + nx + 2, v + nx + 1))
-    return build_mesh(vertices, triangles, _square_marker(dirichlet, 0.0, height))
+    return build_mesh(vertices, triangles, _square_marker("topbottom", 0.0, height))
 
 
 def symmetric_strip(nx: int = 12, ny: int = 6, width: float = 3.0,
@@ -132,7 +129,7 @@ def ramp_load(mesh, horizon: float = 1.0, c0: float = 0.0, c1: float = 1.0):
                         amplitude=LinearAmplitude(c0, c1), horizon=horizon)
 
 
-def nucleation_well(horizon: float = 12.0):
+def nucleation_well():
     """Square under a y-ramp with a two-edge admissible crack on the
     midline, away from the boundary. Two connected edges are the smallest
     crack that actually opens: a lone edge duplicates no vertex, so its
@@ -145,7 +142,7 @@ def nucleation_well(horizon: float = 12.0):
     from .geometry import CrackSet
 
     mesh = square_grid_mesh(4, dirichlet="topbottom")
-    load = ramp_load(mesh, horizon=horizon)
+    load = ramp_load(mesh, horizon=12.0)
     pool = CrackSet.of_vertex_pairs(mesh, [(11, 12), (12, 13)])
     return mesh, load, pool
 

@@ -526,10 +526,15 @@ def _archive_from_document(doc: dict) -> EvolutionArchive:
         raise ArchiveError(
             f"unsupported archive schema {schema!r}; this build reads "
             f"{SCHEMA_TAG!r}")
+    for key in ("partition", "steps", "jumps"):
+        if key not in doc:
+            raise ArchiveError(f"archive lacks {key!r}")
+        if not isinstance(doc[key], list):
+            raise ArchiveError(f"archive {key!r} must be a list, not {type(doc[key]).__name__}")
     return EvolutionArchive(
         schema=schema, config=doc.get("config"),
         times=np.array(doc["partition"], dtype=float),
-        steps=list(doc["steps"]), jumps=list(doc.get("jumps") or []),
+        steps=doc["steps"], jumps=doc["jumps"],
         audits=doc.get("audits"), griffith=doc.get("griffith"))
 
 

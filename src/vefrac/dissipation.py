@@ -13,11 +13,13 @@ marks a missing record only: hop_cost returns None for H ⊄ K.
 
 A hop H -> K is priced into a HopCost record (new length, sweep
 integral, nucleation count), a pure function of H and K \\ H.
-price_hops prices a ranking's hops out of one source at once, as
-arrays, and keeps nothing between calls: it measures the ATW distance
-rows of the distinct new edges of its call once, in batches of bounded
-size, and runs each hop's own gemv in chunks of HOP_CHUNK hops. Every
-entry equals the single hop's record bit for bit. single_hop, the one
+price_hops prices the hops of a ranking out of one source in one call,
+each given by its ascending new edges, and keeps nothing between calls:
+it measures the ATW distance rows of the call's distinct new edges once,
+in batches of bounded size, and prices the hops of each width as one
+block (the only code that groups hops by width), each hop with its own
+gemv, in chunks of HOP_CHUNK hops. Every entry, in the call's order,
+equals the single hop's record bit for bit. single_hop, the one
 single-hop path, prices a hop as the batch of one of any such `hops`
 callback; hop_cost (price_hops' hop) and RisInstance.charges call it.
 _nucleations is the one nucleation count: price_hops and alpha, its
@@ -59,7 +61,8 @@ _FILL_PAIRS = 1 << 11
 # order; uniform panels stay exact for linear integrands and push the
 # kink error below the dense-sampling oracle's tolerance. The three-point
 # rule on [-1, 1] is written out as numpy.polynomial.legendre.leggauss(3)
-# returns it, so importing vefrac does not load numpy.polynomial (1.7 MB).
+# returns it: leggauss runs numpy.linalg.eigvalsh, which at import cost
+# about 0.6-0.8 MB of peak RSS.
 _nodes = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
 _weights = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
 _ATW_NODES = ((np.arange(ATW_PANELS) + 0.5)[:, None] / ATW_PANELS
@@ -238,7 +241,7 @@ class HopCost:
                           self.alpha)
 
 
-def single_hop(hops: Callable[[CrackSet, np.ndarray], HopCost],
+def single_hop(hops: Callable[[CrackSet, Sequence[Sequence[int]]], HopCost],
                h: CrackSet, k: CrackSet) -> HopCost | None:
     """The HopCost record of H -> K, priced by a `hops` callback (see
     price_hops) as a batch of one, with Python float fields; None
@@ -246,8 +249,7 @@ def single_hop(hops: Callable[[CrackSet, np.ndarray], HopCost],
     _require_same_mesh(h, k)
     if k.bits & h.bits != h.bits:
         return None
-    new = CrackSet(h.mesh, k.bits & ~h.bits).edge_ids
-    priced = hops(h, np.array(new, dtype=np.intp).reshape(1, len(new)))
+    priced = hops(h, [CrackSet(h.mesh, k.bits & ~h.bits).edge_ids])
     return HopCost(*(float(x[0]) for x in (priced.h1, priced.sweep, priced.alpha)))
 
 
@@ -257,11 +259,11 @@ def hop_cost(h: CrackSet, k: CrackSet) -> HopCost | None:
     return single_hop(price_hops, h, k)
 
 
-def price_hops(h: CrackSet, new: np.ndarray) -> HopCost:
-    """The hops out of H that add the edges of each row of `new`, an
-    (N, m) int array of edges outside H, ascending per row: a HopCost
-    whose fields are float arrays of N entries, each the field of that
-    hop's record.
+def price_hops(h: CrackSet, new: Sequence[Sequence[int]]) -> HopCost:
+    """The hops out of H that add the edges of each of `new`, a sequence
+    of ascending edge sequences outside H of any lengths (an (N, m) int
+    array is one): a HopCost whose fields are float arrays of N entries,
+    in the order of `new`, each the field of that hop's record.
 
     Every quantity of a hop is read off its new edges K \\ H. h1 is the
     fsum of their lengths, and alpha is counted by _nucleations from the
@@ -271,33 +273,41 @@ def price_hops(h: CrackSet, new: np.ndarray) -> HopCost:
     the distinct edges of `new` are measured once per call, point by
     point, so their bits do not depend on the call. The weighted sum
     `block @ w` is a gemv whose rounding depends on how many rows it
-    takes, so the blocks of HOP_CHUNK hops at a time are gathered into
-    one (n, m, points) array, on which numpy's matmul runs one m-row
-    gemv per hop: every entry equals the record of pricing that hop
-    alone. Nothing is kept between calls.
+    takes, so the hops adding m edges form one (n, m) block, priced
+    HOP_CHUNK hops at a time as one (n, m, points) array, on which
+    numpy's matmul runs one m-row gemv per hop. Every entry equals the
+    record of pricing that hop alone. Nothing is kept between calls.
     """
     mesh = h.mesh
-    lengths = mesh.edge_lengths[new]
-    h1 = _row_fsums(lengths)
-    return HopCost(h1=h1, sweep=_sweeps(h, new, lengths, h1),
-                   alpha=_nucleations(mesh, _touch_mask(h), new))
-
-
-def _sweeps(h: CrackSet, new: np.ndarray, lengths: np.ndarray,
-            h1: np.ndarray) -> np.ndarray:
-    n, m = new.shape
-    if m == 0:
-        return np.zeros(n)
-    if h.is_empty:
-        return h.mesh.domain_diameter * h1
-    wanted = np.zeros(h.mesh.n_edges, dtype=bool)
-    wanted[new] = True
-    rows = _distance_rows(h, np.flatnonzero(wanted))
+    widths = np.fromiter(map(len, new), dtype=np.intp, count=len(new))
+    blocks = []
+    for m in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == m)
+        blocks.append((at, np.array([new[i] for i in at.tolist()],
+                                    dtype=np.intp).reshape(len(at), m)))
+    wanted = np.zeros(mesh.n_edges, dtype=bool)
+    for _, block in blocks:
+        wanted[block] = True
+    rows = None if h.is_empty else _distance_rows(h, np.flatnonzero(wanted))
     row_of = np.cumsum(wanted) - 1  # the row of each wanted edge
-    sweeps = np.empty(n)
-    for start in range(0, n, HOP_CHUNK):
+    touches = _touch_mask(h)
+    h1, sweep, alpha = np.empty((3, len(new)))
+    for at, block in blocks:
+        lengths = mesh.edge_lengths[block]
+        h1[at] = _row_fsums(lengths)
+        sweep[at] = (mesh.domain_diameter * h1[at] if rows is None
+                     else _sweeps(rows, row_of[block], lengths))
+        alpha[at] = _nucleations(mesh, touches, block)
+    return HopCost(h1=h1, sweep=sweep, alpha=alpha)
+
+
+def _sweeps(rows: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sweep of each hop of an (n, m) block whose edges' distance
+    rows are rows[at], one m-row gemv per hop."""
+    sweeps = np.empty(len(at))
+    for start in range(0, len(at), HOP_CHUNK):
         part = slice(start, start + HOP_CHUNK)
-        sweeps[part] = _row_fsums(lengths[part] * (rows[row_of[new[part]]] @ _ATW_WEIGHTS))
+        sweeps[part] = _row_fsums(lengths[part] * (rows[at[part]] @ _ATW_WEIGHTS))
     return sweeps
 
 

@@ -370,9 +370,11 @@ class CrackedSpace:
     per-vertex fan counts and ranks.
 
     The constructor builds the fan numbering (`tri_dofs`, `dof_vertex`,
-    `n_dofs`) and then the constraints, since every space a run builds
-    is solved: `dirichlet_dofs`, the triangle components, and a pinned
-    DOF per component the data cannot see. `tri_component` labels the
+    `n_dofs`), then the constraints (`dirichlet_dofs`, the triangle
+    components, and a pinned DOF per component the data cannot see) and
+    the stiffness `csr`, as the raw arrays (indptr, indices, data) that
+    `coo_matrix(...).tocsr()` would hold, since every space the program
+    builds is solved or assembled for C_P. `tri_component` labels the
     triangles by smallest triangle, two sharing a label when a chain of
     uncracked interior edges joins them; it is the mesh's base labelling
     unless the crack closes a loop, and only then is it relabelled by
@@ -448,17 +450,10 @@ class CrackedSpace:
         self.pinned_dofs = first[unseen]
         mask[self.pinned_dofs] = True
         self.constrained_mask = mask
-        self._csr = None
-
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stiffness as raw CSR arrays (indptr, indices, data), the
-        bytes `coo_matrix(...).tocsr()` would hold."""
-        if self._csr is None:
-            self._csr = _assemble_csr(self)
-        return self._csr
+        self.csr = _assemble_csr(self)
 
     def stiffness(self) -> sp.csr_matrix:
-        indptr, indices, data = self.csr_arrays()
+        indptr, indices, data = self.csr
         return sp.csr_matrix((data, indices, indptr), shape=(self.n_dofs, self.n_dofs))
 
     def dof_positions(self) -> np.ndarray:
@@ -617,7 +612,7 @@ def _solve_constrained(space: CrackedSpace, values: np.ndarray,
     DOFs (by default Dirichlet + pinned; probes pass their own mask).
     Returns the full field and the relative residual of the reduced
     system."""
-    indptr, indices, data = space.csr_arrays()
+    indptr, indices, data = space.csr
     if mask is None:
         mask = space.constrained_mask
     n = space.n_dofs
@@ -664,7 +659,7 @@ def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergyS
     values = np.zeros(space.n_dofs)
     values[space.dirichlet_dofs] = at * load.profile[space.dof_vertex[space.dirichlet_dofs]]
     u, residual = _solve_constrained(space, values)
-    au = _matvec(*space.csr_arrays(), u)
+    au = _matvec(*space.csr, u)
     return EnergySolution(energy=0.5 * float(u @ au), u=u, residual=residual,
                           space=space, au=au)
 

@@ -18,11 +18,11 @@ crack edges that split fans plus the released Dirichlet edges): the
 datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
 the power is a(t) adot(t) times a cached bilinear value. Its one
 dissipation callback `hops` is dissipation.price_hops, a pure function
-that prices each hop it is asked for, in a ranking's batch or alone as
-a batch of one, bit for bit as hop_cost does; the instance's ranking
-keeps a scan's prices. The energetic mode is the same instance with its
-viscous flag off, charging the same records without their sweep
-integral and mu term.
+that prices each hop it is asked for, among all of a ranking's hops in
+one call or alone as a call of one, bit for bit as hop_cost does; the
+instance's ranking keeps a scan's prices. The energetic mode is the
+same instance with its viscous flag off, charging the same records
+without their sweep integral and mu term.
 """
 from __future__ import annotations
 

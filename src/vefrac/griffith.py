@@ -211,9 +211,7 @@ class GriffithReport:
 
 
 def griffith_report(evolution, load, paths: Sequence[TipPath],
-                    estimator: str = "sif", h_steps: int = 3,
-                    r_inner: float | None = None,
-                    r_outer: float | None = None) -> GriffithReport:
+                    estimator: str = "sif", h_steps: int = 3) -> GriffithReport:
     """Assemble the sampled Griffith data for a run.
 
     kappa2 comes either from the annulus fit of the displacement field
@@ -241,8 +239,7 @@ def griffith_report(evolution, load, paths: Sequence[TipPath],
         for i, p in enumerate(paths):
             k = int(counts[i, j])
             if estimator == "sif":
-                kappa = fit_sif(solution, p.point(k), p.heading(k),
-                                r_inner=r_inner, r_outer=r_outer)
+                kappa = fit_sif(solution, p.point(k), p.heading(k))
                 per_tip[i] = kappa * kappa
             else:
                 remaining = list(p.edge_ids[k:])

@@ -2,8 +2,8 @@
 
 Everything here is generic in the driving system: a RisInstance carries
 the energy/power callbacks, one dissipation callback `hops` that prices
-hops out of one source H into a HopCost (new length, sweep integral,
-nucleation count) of arrays, one entry per hop, the `viscous` flag that
+hops out of one source H, given by their new edges, into a HopCost of
+arrays (new length, sweep integral, nucleation count), the `viscous` flag that
 turns records into the charged costs (the VE dissipation D = d + delta,
 or D = d for energetic solutions), and the competitors of a state over
 an admissible edge pool. A single hop H -> K is the batch of one
@@ -30,10 +30,10 @@ the first competitor whose D plus the instance's floor under its
 energies already puts it above the best value; only strict excess is
 skipped, so minimum and winners are those of the full scan, and a
 report's examined count still counts every competitor. A ranking is
-one batch: each group of competitors adding as many edges is one array
-of new edges, priced by `hops` and charged by HopCost.charges, then
-sorted by a stable argsort, and a competitor's CrackSet is built only
-when a scan reaches it. The step's first scan is R's scan of its old
+one `hops` call: the new edges of every competitor, whatever their
+number, in competitors() order, priced and charged by HopCost.charges,
+then sorted by a stable argsort, and a competitor's CrackSet is built
+only when a scan reaches it. The step's first scan is R's scan of its old
 state, and residual_stability keeps every R scan in the instance's
 memo, so a step that keeps its state has shown R = 0 there and the
 audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
@@ -51,7 +51,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,12 +87,12 @@ LATTICE_CAP = 16
 class RisInstance:
     """The driving system handed to the lattice algorithms.
 
-    hops is the one dissipation callback: given H and an (N, m) int
-    array of the edges each of N hops adds to H, ascending per row, it
-    returns a HopCost whose fields are float arrays of N entries, each
-    entry the record of that hop alone (dissipation.price_hops is one).
-    A ranking prices its competitors in one call (see _rank), and
-    charges() prices one hop as the batch of one. viscous selects what
+    hops is the one dissipation callback: given H and the new edges of
+    N hops out of H, N ascending edge sequences of any lengths (an (N, m)
+    int array is one), it returns a HopCost of float arrays of N entries,
+    in that order, each the record of that hop alone (price_hops is one).
+    A ranking prices all its competitors in one call (see _rank), and
+    charges() prices one hop as the call of one. viscous selects what
     the records charge: the VE dissipation D = d + delta, with
     d = H1(K\\H) + lam*alpha and delta = Delta + mu*alpha, or, when
     False, the energetic D = d. HopCost.charges does the arithmetic, so
@@ -118,7 +118,7 @@ class RisInstance:
     pool: CrackSet
     energy: Callable[[float, CrackSet], float]
     power: Callable[[float, CrackSet], float]
-    hops: Callable[[CrackSet, np.ndarray], HopCost]
+    hops: Callable[[CrackSet, Sequence[Sequence[int]]], HopCost]
     params: DissipationParams
     budget: int = 3
     search: str = "exhaustive"
@@ -150,27 +150,27 @@ class RisInstance:
     def competitors(self, state: CrackSet) -> Iterator[CrackSet]:
         """Supersets of `state` inside the pool; `state` comes first."""
         mesh, base = state.mesh, state.bits
-        for group in self._additions(state):
-            for added in group:
-                yield CrackSet(mesh, base | _mask(added))
+        for added in self._additions(state):
+            yield CrackSet(mesh, base | _mask(added))
 
-    def _additions(self, state: CrackSet) -> list[list[tuple[int, ...]]]:
-        """The edges each competitor adds to `state`, in competitors()
-        order, grouped by how many: () for the state itself, then every
-        free pool edge alone (greedy) or every combination of up to
-        budget of them, in itertools.combinations order. Raises
+    def _additions(self, state: CrackSet) -> list[tuple[int, ...]]:
+        """The edges each competitor adds to `state`, ascending, in
+        competitors() order: () for the state itself, then every free
+        pool edge alone (greedy) or every combination of up to budget of
+        them, by size and in itertools.combinations order. Raises
         ValueError when exhaustive search would enumerate more than
         MAX_COMPETITORS."""
         free = self.pool.minus(state).edge_ids
         if self.search == "greedy":
-            return [[()], [(e,) for e in free]] if free else [[()]]
+            return [(), *((e,) for e in free)]
         budget = min(self.budget, len(free))
         total = sum(math.comb(len(free), k) for k in range(budget + 1))
         if total > MAX_COMPETITORS:
             raise ValueError(
                 f"budget {self.budget} over a pool of {len(free)} free edges "
                 f"enumerates {total} competitors; exceeds {MAX_COMPETITORS}")
-        return [list(itertools.combinations(free, k)) for k in range(budget + 1)]
+        return [added for k in range(budget + 1)
+                for added in itertools.combinations(free, k)]
 
     def is_competitor(self, state: CrackSet, k: CrackSet) -> bool:
         """Whether a superset k of `state` is one of competitors(state),
@@ -241,30 +241,23 @@ class _Ranking:
 
 def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
     """The t-free half of a scan: the competitors of `state` ⊇ source,
-    priced from source as arrays and sorted by D.
+    priced from source in one `hops` call and sorted by D.
 
-    Each group of competitors adding the same number of edges to state
-    is one (N, m) array of the edges they add to source, passed to the
-    instance's `hops`, and HopCost.charges turns the priced arrays into
-    D as it does a single record. The candidates keep competitors()
-    order, and a stable argsort keeps equal D in it, so the ranking is
-    that of pricing each candidate alone through charges() and sorting
-    stably: the same D, as Python floats, in the same order."""
-    groups = instance._additions(state)
-    base = np.array(state.minus(source).edge_ids, dtype=np.intp)
-    big_d = []
-    for group in groups:
-        added = np.array(group, dtype=np.intp)
-        new = np.sort(np.hstack([np.broadcast_to(base, (len(group), len(base))),
-                                 added]), axis=1)
-        charged = instance.hops(source, new).charges(instance.params, instance.viscous)
-        big_d.append(charged.big_d)
-    big_d = np.concatenate(big_d)
+    The call takes, in competitors() order, the edges each competitor
+    adds to source: those it adds to state, merged with those state adds
+    to source (a greedy rescan's). HopCost.charges turns the priced
+    arrays into D as it does a single record, and a stable argsort keeps
+    equal D in competitors() order, so the ranking is that of pricing
+    each candidate alone through charges() and sorting stably: the same
+    D, as Python floats, in the same order."""
+    added = instance._additions(state)
+    base = state.minus(source).edge_ids
+    new = [tuple(sorted(base + edges)) for edges in added] if base else added
+    big_d = instance.hops(source, new).charges(instance.params, instance.viscous).big_d
     order = np.argsort(big_d, kind="stable")
-    flat = [added for group in groups for added in group]
     mesh, bits, at = state.mesh, state.bits, order.tolist()
     return _Ranking(source, state, big_d[order].tolist(),
-                    lambda i: CrackSet(mesh, bits | _mask(flat[at[i]])))
+                    lambda i: CrackSet(mesh, bits | _mask(added[at[i]])))
 
 
 def _scan(t: float, ranking: _Ranking,

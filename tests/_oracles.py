@@ -306,12 +306,12 @@ def reference_rank(source, candidates, instance):
 
 def per_hop(hop):
     """A `hops` callback made of a per-hop function hop(H, K) -> HopCost:
-    each row of `new` is priced alone, as hop(H, H plus the row's edges),
-    and the records' fields are stacked into float arrays."""
+    each edge sequence of `new` is priced alone, as hop(H, H plus its
+    edges), and the records' fields are stacked into float arrays."""
     from vefrac.dissipation import HopCost
 
     def hops(h, new):
-        records = [hop(h, h.with_edges(row)) for row in new.tolist()]
+        records = [hop(h, h.with_edges(edges)) for edges in new]
         return HopCost(*(np.array([getattr(r, name) for r in records], dtype=float)
                          .reshape(len(records))
                          for name in ("h1", "sweep", "alpha")))

@@ -417,6 +417,29 @@ def test_archive_rejects_other_schema(well_run, tmp_path):
         load_archive(path)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"steps": [], "jumps": []}, "archive lacks 'partition'"),
+    ({"partition": [0.0], "jumps": []}, "archive lacks 'steps'"),
+    ({"partition": [0.0], "steps": []}, "archive lacks 'jumps'"),
+    ({"partition": 0.0, "steps": [], "jumps": []},
+     "archive 'partition' must be a list, not float"),
+    ({"partition": [0.0], "steps": 3, "jumps": []},
+     "archive 'steps' must be a list, not int"),
+    ({"partition": [0.0], "steps": [], "jumps": None},
+     "archive 'jumps' must be a list, not NoneType"),
+], ids=["no-partition", "no-steps", "no-jumps", "partition-float", "steps-int",
+        "jumps-null"])
+def test_cli_refuses_an_archive_without_its_lists(doc, message, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"schema": "ve-fracture/1", **doc}))
+    for argv in (["audit", str(path)],
+                 ["jumpcost", str(path), "--time", "1.0", "--left", "",
+                  "--right", "1"],
+                 ["griffith", str(path), "--paths", "1"]):
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+
+
 def test_minimal_archive_of_an_empty_run(workdir, tmp_path):
     root = workdir["root"]
     cfg = parse_config(MINIMAL)

@@ -32,6 +32,9 @@ from vefrac.geometry import CrackSet, MeshError, h1_diff, h1_measure, hausdorff
 
 import _oracles as oracle
 
+# every record here is compared bit for bit, and batches run gemvs
+pytestmark = pytest.mark.blas_rounding
+
 PARAMS = DissipationParams(lam=0.1, mu=0.1)
 
 

@@ -119,7 +119,7 @@ def assert_space_matches_reference(mesh, crack):
     a = space.stiffness()
     want_a = oracle.reference_stiffness(mesh, ref["tri_dofs"], ref["n_dofs"])
     assert_csr_equal(a, want_a)
-    for got, name in zip(space.csr_arrays(), ("indptr", "indices", "data")):
+    for got, name in zip(space.csr, ("indptr", "indices", "data")):
         want = getattr(want_a, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     mask = ref["constrained_mask"]
@@ -421,7 +421,7 @@ def test_cg_matches_scipy_at_every_iteration_cap(mesh_name):
     values[space.dirichlet_dofs] = linear_y_profile(mesh)[space.dof_vertex[space.dirichlet_dofs]]
     mask = space.constrained_mask
     _, free, aff, b = oracle.reference_reduced_system(a, mask, values)
-    block = elastic._free_block(*space.csr_arrays(), ~mask, free)
+    block = elastic._free_block(*space.csr, ~mask, free)
     for got, name in zip(block, ("indptr", "indices", "data")):
         assert np.array_equal(got, getattr(aff, name)), name
     assert block[2].tobytes() == aff.data.tobytes()
@@ -500,7 +500,7 @@ def _assert_same_space(first, space):
     for name in ("tri_dofs", "dof_vertex", "dirichlet_dofs", "constrained_mask"):
         assert np.array_equal(getattr(first, name), getattr(space, name)), name
     assert set(first.pinned_dofs.tolist()) == set(space.pinned_dofs.tolist())
-    for a, b in zip(first.csr_arrays(), space.csr_arrays()):
+    for a, b in zip(first.csr, space.csr):
         assert a.tobytes() == b.tobytes()
 
 

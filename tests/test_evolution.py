@@ -333,6 +333,7 @@ def _workload_run(bench_workloads, workload, work):
                      inputs.config.parent.resolve())
 
 
+@pytest.mark.blas_rounding
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
 def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypatch,
                                                    bench_workloads):
@@ -356,7 +357,7 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypat
 
     def hops(h, new):
         priced = batch_hops(h, new)
-        batches.append((h, new.copy(), priced))
+        batches.append((h, list(new), priced))
         return priced
 
     monkeypatch.setattr(ve_core, "single_hop", one)
@@ -373,13 +374,43 @@ def test_workload_hops_match_the_reference_pricing(workload, tmp_path, monkeypat
     candidates = 0
     for h, new, priced in batches:
         big_d = priced.charges(inst.params, inst.viscous).big_d.tolist()
-        for i, row in enumerate(new.tolist()):
+        for i, row in enumerate(new):
             expected = oracle.reference_hop_cost(h, h.with_edges(row))
             assert (priced.h1[i], priced.sweep[i], priced.alpha[i]) == \
                 (expected.h1, expected.sweep, expected.alpha)
             assert big_d[i] == expected.charges(inst.params, inst.viscous).big_d
             candidates += 1
     assert candidates == {"strip": 255, "grid": 3250, "fine": 16}[workload]
+
+
+@pytest.mark.blas_rounding
+@pytest.mark.parametrize("workload, rankings", [("strip", 9), ("grid", 3), ("fine", 3)])
+def test_workload_rankings_call_hops_once(workload, rankings, tmp_path, monkeypatch,
+                                          bench_workloads):
+    # every ranking of a benchmark run prices all its competitors, of
+    # every width, in one `hops` call in competitors() order
+    import vefrac.ve_core as ve_core
+
+    ctx = _workload_run(bench_workloads, workload, tmp_path)
+    inst = ctx.instance
+    batch_hops, rank = inst.hops, ve_core._rank
+    calls, seen = [], []
+
+    def hops(h, new):
+        calls.append([len(edges) for edges in new])
+        return batch_hops(h, new)
+
+    def ranked(source, state, instance):
+        calls.clear()
+        ranking = rank(source, state, instance)
+        widths = [k.minus(source).cardinality for k in instance.competitors(state)]
+        seen.append(calls == [widths])
+        return ranking
+
+    monkeypatch.setattr(ve_core, "_rank", ranked)
+    inst.hops = hops
+    _run_to_archive(ctx, tmp_path / "out")
+    assert seen == [True] * rankings
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
@@ -419,20 +450,21 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
 
 @pytest.mark.parametrize("workload, expected", [
     ("strip", {"solves": 45, "builds": 45, "rankings": 9, "priced": 288,
-               "lookups": 33}),
+               "lookups": 33, "hops": 42}),
     ("grid", {"solves": 470, "builds": 470, "rankings": 3, "priced": 3266,
-              "lookups": 16}),
+              "lookups": 16, "hops": 19}),
     ("fine", {"solves": 6, "builds": 6, "rankings": 3, "priced": 32,
-              "lookups": 16}),
+              "lookups": 16, "hops": 19}),
 ], ids=["strip", "grid", "fine"])
 def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                                      bench_workloads):
     # per run in this process: one space build and one FEM solve per
     # distinct cracked space, one batch ranking per (source, state) the
     # scans rank, and every hop priced once: a ranking's candidates in
-    # its batch, and each hop looked up outside a ranking (the step's
-    # ledger row and the audits; a step that keeps its state looks up
-    # none) as a batch of one. Every count repeats exactly
+    # its one `hops` call, and each hop looked up outside a ranking (the
+    # step's ledger row and the audits; a step that keeps its state
+    # looks up none) as a call of one, so `hops` calls are rankings plus
+    # lookups. Every count repeats exactly
     import vefrac.dissipation as dissipation
     import vefrac.evolution as evolution
     import vefrac.ve_core as ve_core
@@ -451,7 +483,8 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                         counted("builds", evolution.split_along_crack))
     monkeypatch.setattr(ve_core, "_rank", counted("rankings", ve_core._rank))
     monkeypatch.setattr(evolution, "price_hops",
-                        counted("priced", evolution.price_hops, lambda h, new: len(new)))
+                        counted("hops", counted("priced", evolution.price_hops,
+                                                lambda h, new: len(new))))
     for module in (ve_core, dissipation):
         monkeypatch.setattr(module, "single_hop", counted("lookups", single_hop))
     for run in ("first", "second"):

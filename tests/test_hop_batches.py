@@ -1,10 +1,10 @@
 """Batch pricing of a ranking against the per-hop reference.
 
-dissipation.price_hops prices every candidate of a ranking at once, and
-ve_core._rank ranks the candidates by the D it charges. Both must
-equal, bit for bit, the reference pricing of each hop alone
-(`reference_hop_cost`) and the per-candidate ranking loop
-(`reference_rank`), run on an instance whose `hops` prices each row
+dissipation.price_hops prices every candidate of a ranking in one call,
+whatever their widths, and ve_core._rank ranks the candidates by the D
+it charges. Both must equal, bit for bit, the reference pricing of each
+hop alone (`reference_hop_cost`) and the per-candidate ranking loop
+(`reference_rank`), run on an instance whose `hops` prices each hop
 alone (`per_hop`).
 """
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -28,6 +29,8 @@ from vefrac.geometry import CrackSet
 from vefrac.ve_core import MAX_COMPETITORS, RisInstance, jump_cost, residual_stability
 
 import _oracles as oracle
+
+pytestmark = pytest.mark.blas_rounding
 
 PARAMS = DissipationParams(lam=0.1, mu=0.05)
 
@@ -76,7 +79,7 @@ def assert_batch_is_reference(source, new, viscous):
     assert all(isinstance(x, np.ndarray) and x.shape == (len(new),)
                for x in (priced.h1, priced.sweep, priced.alpha))
     big_d = priced.charges(PARAMS, viscous).big_d.tolist()
-    for i, row in enumerate(new.tolist()):
+    for i, row in enumerate(new):
         expected = oracle.reference_hop_cost(source, source.with_edges(row))
         assert (priced.h1[i], priced.sweep[i], priced.alpha[i]) == \
             (expected.h1, expected.sweep, expected.alpha)
@@ -152,6 +155,30 @@ def test_batches_cover_every_way_new_edges_meet_h():
             (2, True, 0, 1.0), (2, True, 1, 0.0), (2, True, 2, 0.0),
             (2, False, 0, 2.0), (2, False, 1, 1.0), (2, False, 2, 0.0)} <= seen
     assert {count for m, *_, count in seen if m == 3} == {0.0, 1.0, 2.0, 3.0}
+
+
+@pytest.mark.parametrize("source_edges", [(), (0, 4, 9)], ids=["empty", "three"])
+def test_a_ragged_batch_prices_each_width_as_its_own_block(source_edges):
+    # one call whose hops add 0 to 3 edges, the widths interleaved in
+    # shuffled order and each width spanning more than one HOP_CHUNK:
+    # every entry is the reference record of its hop alone, and has the
+    # bits of pricing the same hops in one (N, m) array per width
+    mesh = square_grid_mesh(3)
+    source = CrackSet.of_edges(mesh, source_edges)
+    free = CrackSet(mesh, (1 << mesh.n_edges) - 1).minus(source).edge_ids
+    rng = random.Random(3)
+    new = [tuple(sorted(rng.sample(free, m)))
+           for m in range(4) for _ in range(dissipation.HOP_CHUNK + 5)]
+    rng.shuffle(new)
+    widths = [len(edges) for edges in new]
+    assert widths != sorted(widths)
+    for viscous in (True, False):
+        priced = assert_batch_is_reference(source, new, viscous)
+    for m in range(4):
+        at = [i for i, width in enumerate(widths) if width == m]
+        block = price_hops(source, np.array([new[i] for i in at], dtype=np.intp))
+        for name in ("h1", "sweep", "alpha"):
+            assert getattr(block, name).tobytes() == getattr(priced, name)[at].tobytes()
 
 
 def test_a_batch_of_none_and_an_empty_source():

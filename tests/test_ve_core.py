@@ -400,6 +400,7 @@ def scan_cases(rect9, search, viscous):
                                            viscous=viscous)
 
 
+@pytest.mark.blas_rounding
 @pytest.mark.parametrize("viscous", [True, False])
 @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
 def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, viscous):
@@ -625,7 +626,7 @@ def test_charges_of_a_hop_out_of_h_ask_hops_nothing(rect9):
     per_row = oracle.per_hop(hop)
 
     def hops(h, new):
-        batches.append(new.tolist())
+        batches.append([list(edges) for edges in new])
         return per_row(h, new)
 
     inst = replace(integer_instance(rect9, 0, hop), hops=hops)

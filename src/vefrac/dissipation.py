@@ -281,7 +281,7 @@ def price_hops(h: CrackSet, new: Sequence[Sequence[int]]) -> HopCost:
     mesh = h.mesh
     widths = np.fromiter(map(len, new), dtype=np.intp, count=len(new))
     blocks = []
-    for m in np.unique(widths).tolist():
+    for m in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique imports numpy.ma
         at = np.flatnonzero(widths == m)
         blocks.append((at, np.array([new[i] for i in at.tolist()],
                                     dtype=np.intp).reshape(len(at), m)))

@@ -14,24 +14,25 @@ Also here: the power (time derivative of E along the loading), the a
 priori constant bounding it, and two independent estimators of the
 energy release rate at a crack tip (finite differences in crack length,
 and the stress intensity factor from an annulus fit).
+
+Assembly and CG run on six C kernels of scipy's `_sparsetools`
+extension, which this module loads by file, without importing the
+`scipy` or `scipy.sparse` packages: those would add some 320 modules
+and 22 MB of peak memory to every run, for code no run calls.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 import weakref
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import (
-    coo_tocsr,
-    csr_diagonal,
-    csr_has_sorted_indices,
-    csr_matvec,
-    csr_sort_indices,
-    csr_sum_duplicates,
-)
 
 from .geometry import (
     INTERIOR,
@@ -59,6 +60,40 @@ __all__ = [
     "energy_release",
     "fit_sif",
 ]
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools(scipy_dirs: Sequence[str] | None) -> ModuleType:
+    """scipy's C sparse kernels, from `sparse/_sparsetools*.so` in the
+    first of `scipy_dirs` (the locations of the scipy package) that has
+    it, loaded without running the `__init__` of `scipy` or
+    `scipy.sparse`. An already imported `_sparsetools`, as a
+    `scipy.sparse` imported first holds, is reused, so the process has
+    one kernel module."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is not None:
+        return module
+    for scipy_dir in scipy_dirs or ():
+        finder = FileFinder(os.path.join(scipy_dir, "sparse"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_SPARSETOOLS)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_SPARSETOOLS] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"vefrac needs scipy >= 1.12: no {_SPARSETOOLS} extension found")
+
+
+_kernels = _load_sparsetools(getattr(importlib.util.find_spec("scipy"),
+                                     "submodule_search_locations", None))
+coo_tocsr = _kernels.coo_tocsr
+csr_diagonal = _kernels.csr_diagonal
+csr_has_sorted_indices = _kernels.csr_has_sorted_indices
+csr_matvec = _kernels.csr_matvec
+csr_sort_indices = _kernels.csr_sort_indices
+csr_sum_duplicates = _kernels.csr_sum_duplicates
 
 CG_RTOL = 1e-10
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -452,9 +487,15 @@ class CrackedSpace:
         self.constrained_mask = mask
         self.csr = _assemble_csr(self)
 
-    def stiffness(self) -> sp.csr_matrix:
+    def stiffness(self) -> scipy.sparse.csr_matrix:
+        """`csr` as a scipy matrix. No run calls it: `bench/layers.py`
+        wraps it to time assembly, and `tests/test_elastic.py` compares
+        it with the reference stiffness. It imports `scipy.sparse`."""
+        import scipy.sparse
+
         indptr, indices, data = self.csr
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dofs, self.n_dofs))
+        return scipy.sparse.csr_matrix((data, indices, indptr),
+                                       shape=(self.n_dofs, self.n_dofs))
 
     def dof_positions(self) -> np.ndarray:
         return self.mesh.vertices[self.dof_vertex]
@@ -686,7 +727,7 @@ def power_bound_constant(load: BoundaryLoad, mesh: Mesh) -> float:
     load.check_mesh(mesh)
     space = split_along_crack(mesh, CrackSet.empty(mesh))
     g = load.profile[space.dof_vertex]
-    grad_norm = math.sqrt(max(float(g @ (space.stiffness() @ g)), 0.0))
+    grad_norm = math.sqrt(max(float(g @ _matvec(*space.csr, g)), 0.0))
     rate = load.amplitude.max_abs_derivative(load.horizon)
     return rate * grad_norm * max(0.5 * mesh.area, 1.0)
 

@@ -328,8 +328,12 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         raise MeshError("mesh needs at least 3 vertices")
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
-    # -0.0 + 0.0 is 0.0: signed zeros are one point however rows compare
-    if len(np.unique(verts + 0.0, axis=0)) != len(verts):
+    # equal points are neighbours in lexicographic order (np.unique over
+    # rows would import numpy.ma); -0.0 + 0.0 is 0.0, so signed zeros are
+    # one point however rows compare
+    points = verts + 0.0
+    rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise MeshError("duplicate vertex coordinates")
 
     tris = np.array(triangles, dtype=int)
@@ -387,12 +391,14 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
     if not np.any(tags == DIRICHLET):
         raise MeshError("empty Dirichlet set")
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[edges[boundary]] = True
 
     return Mesh(vertices=verts, triangles=tris, edges=edges,
                 edge_lengths=lengths, edge_tags=tags, tri_edges=tri_edges,
                 edge_index=edge_index,
                 # every corner of the hull ends an edge of one triangle
-                domain_diameter=_diameter(verts[np.unique(edges[boundary])]),
+                domain_diameter=_diameter(verts[on_boundary]),
                 triangle_areas=areas)
 
 

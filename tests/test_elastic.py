@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -317,29 +318,75 @@ def test_grid_run_triangle_components_match_scipy(tmp_path, monkeypatch, bench_w
     assert 0 < len(labelled) < len(ctx.instance.energy.__self__._entries)
 
 
-def test_package_imports_no_csgraph_or_dense_linalg(tmp_path, bench_workloads):
-    # the package's only scipy import is scipy.sparse, for its CSR kernels;
-    # vefrac.__main__ imports cli_io and runs the command line, so the
-    # subprocess imports every other module and runs the grid workload
-    inputs = bench_workloads.generate("grid", tmp_path, 1)
+def _python(code, cwd, *args):
+    """Run `code` in a fresh interpreter that imports vefrac from src."""
     src = Path(elastic.__file__).resolve().parents[1]
+    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_run_loads_only_the_sparse_kernels_of_scipy(workload, tmp_path, bench_workloads):
+    # elastic loads scipy's _sparsetools extension by file, so a run
+    # imports no other scipy module; where `import numpy` leaves numpy.ma
+    # to its first use, as numpy >= 2 does, the run does not load it
+    # either (a 10 ms import). vefrac.__main__ imports cli_io and runs the
+    # command line, so the subprocess imports every other module and runs
+    # the workload
+    inputs = bench_workloads.generate(workload, tmp_path, 1)
     code = (
-        "import importlib, pkgutil, sys\n"
+        "import importlib, json, pkgutil, sys\n"
+        "import numpy\n"
+        "lazy_ma = 'numpy.ma' not in sys.modules\n"
         "import vefrac\n"
         "for info in pkgutil.iter_modules(vefrac.__path__):\n"
         "    if info.name != '__main__':\n"
         "        importlib.import_module('vefrac.' + info.name)\n"
         "from vefrac.cli_io import cli_dispatch\n"
         "assert cli_dispatch(['run', sys.argv[1]]) == 0\n"
-        "print(sorted(name for name in sys.modules if name.startswith(\n"
-        "    ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg'))))\n")
-    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    proc = subprocess.run([sys.executable, "-c", code, str(inputs.config)],
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-                          capture_output=True, text=True, timeout=300)
+        "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "                  'lazy_ma': lazy_ma, 'ma': 'numpy.ma' in sys.modules}))\n")
+    proc = _python(code, tmp_path, str(inputs.config))
     assert proc.returncode == 0, proc.stderr
     assert inputs.archive.exists()
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["scipy"] == ["scipy.sparse._sparsetools"]
+    if loaded["lazy_ma"]:
+        assert not loaded["ma"]
+
+
+def test_missing_scipy_kernels_name_the_requirement(tmp_path, monkeypatch):
+    # no scipy package, or one without the extension: an ImportError that
+    # says what to install, also when importing vefrac.elastic
+    monkeypatch.delitem(sys.modules, elastic._SPARSETOOLS)
+    (tmp_path / "sparse").mkdir()
+    for scipy_dirs in (None, [], [str(tmp_path)]):
+        with pytest.raises(ImportError, match=r"^vefrac needs scipy >= 1\.12"):
+            elastic._load_sparsetools(scipy_dirs)
+    assert elastic._SPARSETOOLS not in sys.modules
+    proc = _python("import sys\n"
+                   "sys.modules['scipy'] = None\n"
+                   "import vefrac.elastic\n", tmp_path)
+    assert proc.returncode != 0
+    assert "ImportError: vefrac needs scipy >= 1.12" in proc.stderr
+
+
+@pytest.mark.parametrize("first", ["scipy", "vefrac"])
+def test_one_kernel_module_whichever_is_imported_first(first, tmp_path):
+    # a scipy.sparse imported before vefrac lends it its _sparsetools;
+    # one imported after finds vefrac's in sys.modules and uses it too
+    imports = ["import scipy.sparse", "from vefrac import elastic"]
+    if first == "vefrac":
+        imports.reverse()
+    proc = _python("import sys\n" + "\n".join(imports) + "\n"
+                   "kernels = sys.modules['scipy.sparse._sparsetools']\n"
+                   "assert elastic._kernels is kernels\n"
+                   "assert elastic.csr_matvec is kernels.csr_matvec\n"
+                   "a = scipy.sparse.csr_matrix([[2.0, 1.0], [0.0, 3.0]])\n"
+                   "assert (a @ [1.0, 1.0]).tolist() == [3.0, 3.0]\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +827,25 @@ def test_power_constant_table_matches_dense_grid(grid3):
     grad = math.sqrt(sum(
         grid3.triangle_areas))  # |grad y| = 1 on every triangle
     assert math.isclose(got, dense * grad * max(0.5 * grid3.area, 1.0), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_power_constant_is_the_stiffness_form_bit_for_bit(workload, tmp_path, bench_workloads):
+    # C_P multiplies by the CSR arrays directly; the scipy matrix product
+    # runs the same csr_matvec into zeros, and the matrix is the oracle's
+    inputs = bench_workloads.generate(workload, tmp_path, 1)
+    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")),
+                    inputs.config.parent.resolve())
+    mesh, load = ctx.mesh, ctx.load
+    space = split_along_crack(mesh, CrackSet.empty(mesh))
+    a = space.stiffness()
+    assert_csr_equal(a, oracle.reference_stiffness(mesh, space.tri_dofs, space.n_dofs))
+    g = load.profile[space.dof_vertex]
+    grad_norm = math.sqrt(max(float(g @ (a @ g)), 0.0))
+    want = (load.amplitude.max_abs_derivative(load.horizon) * grad_norm
+            * max(0.5 * mesh.area, 1.0))
+    assert power_bound_constant(load, mesh) == want
+    assert ctx.instance.power_bound == want
 
 
 def test_power_bound_inequality_holds(grid4_tb):

@@ -20,6 +20,7 @@ from vefrac.dissipation import (
     single_hop,
     var_along,
 )
+from vefrac import evolution as evolution_module
 from vefrac.elastic import ElasticError, solve_energy, solve_on_space, space_key
 from vefrac.evolution import (
     DiscreteEvolution,
@@ -217,6 +218,35 @@ def test_two_well_single_jump_with_one_nucleation():
     assert math.isclose(rec.magnitude,
                         dist_d(rec.left, rec.at, inst.params),
                         rel_tol=1e-15)
+
+
+def test_typical_d_is_numpys_median_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in [1, 2, 3, 4, 5, 8, 9, 40, 41]:
+        for _ in range(50):
+            values = rng.random(n) * 10.0 ** rng.integers(-12, 12, n)
+            values[rng.random(n) < 0.2] = values[0]
+            if rng.random() < 0.2:
+                values[rng.integers(n)] = math.inf
+            got = evolution_module._median(values)
+            assert got.hex() == float(np.median(values)).hex()
+
+
+def test_jump_records_match_those_judged_by_numpys_median(monkeypatch):
+    # strip growth changes 8 steps, so each is judged by the median of 7
+    # others; dropping one step's d leaves 6, an even count
+    mesh, load, k0, pool, path = growth_strip()
+    inst = fracture_instance(mesh, load, PARAMS, pool, budget=2)
+    evo = run_scheme(inst, TimePartition.uniform(load.horizon, 40), k0)
+    d = evo.ledger.d.copy()
+    d[np.flatnonzero(d > 0.0)[3]] = 0.0
+    dropped = replace(evo, ledger=replace(evo.ledger, d=d))
+    for run in (evo, dropped):
+        for threshold in (0.0, 1.0, 1.5, 10.0):
+            got = detect_jumps(run, threshold=threshold)
+            with monkeypatch.context() as m:
+                m.setattr(evolution_module, "_median", lambda v: float(np.median(v)))
+                assert detect_jumps(run, threshold=threshold) == got
 
 
 def test_jump_record_validates_nesting():

@@ -242,9 +242,33 @@ def test_repeated_vertex_rejected():
 @pytest.mark.parametrize("twin", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
 def test_signed_zero_duplicates_rejected(twin):
     # -0.0 == 0.0, so a signed-zero twin of the origin is the same point
-    with pytest.raises(MeshError, match="duplicate vertex coordinates"):
+    with pytest.raises(MeshError) as exc:
         build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), twin],
                    [(0, 1, 2), (3, 1, 2)], lambda pa, pb: True)
+    assert str(exc.value) == "duplicate vertex coordinates"
+
+
+def test_duplicate_vertex_check_matches_unique_rows():
+    # the check sorts rows lexicographically and compares neighbours; it
+    # must find a duplicate exactly when np.unique over the rows would,
+    # signed zeros included, with the same message. Triangle (0, 0, 0)
+    # fails the next check, so every vertex set reaches a MeshError
+    rng = np.random.default_rng(23)
+    every = lambda pa, pb: True  # noqa: E731
+    for _ in range(300):
+        n = int(rng.integers(3, 10))
+        verts = rng.integers(-2, 3, (n, 2)).astype(float)
+        verts[rng.random((n, 2)) < 0.5] *= -1.0
+        duplicate = len(np.unique(verts + 0.0, axis=0)) != n
+        with pytest.raises(MeshError) as exc:
+            build_mesh(verts, [(0, 0, 0)], every)
+        assert str(exc.value) == ("duplicate vertex coordinates" if duplicate
+                                  else "triangle (0, 0, 0) repeats a vertex")
+    # points one ulp apart are distinct
+    with pytest.raises(MeshError) as exc:
+        build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (np.nextafter(0.0, 1.0), -0.0)],
+                   [(0, 0, 0)], every)
+    assert str(exc.value) == "triangle (0, 0, 0) repeats a vertex"
 
 
 def test_unreferenced_vertex_rejected():
@@ -787,6 +811,17 @@ def test_bench_meshes_parse_as_the_reference(workload, tmp_path, bench_workloads
     text = (tmp_path / f"{workload}.mesh").read_text(encoding="utf-8")
     assert_same_parsed_mesh(parse_mesh_text(text),
                             oracle.reference_parse_mesh_text(text))
+
+
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_bench_mesh_diameters_are_measured_on_the_boundary_vertices(workload, tmp_path,
+                                                                   bench_workloads):
+    # build_mesh marks the ends of the boundary edges in a mask; the
+    # diameter is the one measured over their sorted distinct ids
+    bench_workloads.generate(workload, tmp_path, 1)
+    mesh = read_mesh(tmp_path / f"{workload}.mesh")
+    ends = np.unique(mesh.edges[mesh.boundary_edges()])
+    assert mesh.domain_diameter == _diameter(mesh.vertices[ends])
 
 
 # A unit-ish square whose numbers take every form float() and int() read:

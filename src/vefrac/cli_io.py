@@ -572,12 +572,18 @@ def collect_audits(evolution: DiscreteEvolution, instance, jumps,
             {"time": a.time, "res_left": a.res_left,
              "res_right": a.res_right, "res_across": a.res_across}
             for a in identities],
-        "component_bound": {
-            "bound": float(comp.bound),
-            "worst": float(comp.counts.max()),
-            "ok": bool(comp.ok),
-        },
+        "component_bound": _component_bound_entry(comp),
     }
+
+
+def _component_bound_entry(comp) -> dict:
+    """The bound as a float, or, past the largest float, as null beside
+    its finite natural log."""
+    if math.isfinite(comp.bound):
+        bound = {"bound": float(comp.bound)}
+    else:
+        bound = {"bound": None, "log_bound": float(comp.log_bound)}
+    return {**bound, "worst": float(comp.counts.max()), "ok": bool(comp.ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +772,10 @@ def _audit_lines(archive: EvolutionArchive) -> list[str]:
         lines.append("jump identities: PASS (no jumps)")
     comp = audits.get("component_bound")
     if comp:
+        bound = (f"{comp['bound']:.3g}" if comp["bound"] is not None
+                 else f"exp({comp['log_bound']:.6g})")
         lines.append(f"component bound: {'PASS' if comp['ok'] else 'FAIL'} "
-                     f"(worst {comp['worst']:.0f} vs bound {comp['bound']:.3g})")
+                     f"(worst {comp['worst']:.0f} vs bound {bound})")
     return lines
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .geometry import (
     Mesh,
     _require_same_mesh,
     dist_points_to_segments,
-    h1_diff,
     union_groups,
 )
 
@@ -83,8 +82,6 @@ __all__ = [
     "dist_d",
     "atw_integral",
     "delta_atw",
-    "big_d",
-    "var_along",
 ]
 
 
@@ -106,9 +103,9 @@ class DissipationParams:
 class MonotoneChain:
     """An ordered tuple of crack sets meant to increase along the index.
 
-    Same-mesh is enforced here; the inclusions themselves are checked
-    lazily so that variation queries can report +infinity for a chain
-    that breaks monotonicity instead of refusing to exist.
+    Same-mesh is enforced here; the inclusions are not: a chain that
+    breaks monotonicity still exists, and trc_chain prices it at
+    +infinity.
     """
 
     def __init__(self, states: Iterable[CrackSet]):
@@ -118,14 +115,6 @@ class MonotoneChain:
         for s in states[1:]:
             _require_same_mesh(states[0], s)
         self.states = states
-
-    @property
-    def mesh(self):
-        return self.states[0].mesh
-
-    @property
-    def is_monotone(self) -> bool:
-        return all(a.issubset(b) for a, b in zip(self.states, self.states[1:]))
 
     def __len__(self):
         return len(self.states)
@@ -350,38 +339,3 @@ def delta_atw(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
     """Viscous correction delta(H,K) = Delta(H,K) + mu * alpha(H,K)."""
     hop = hop_cost(h, k)
     return math.inf if hop is None else hop.charges(params).delta
-
-
-def big_d(h: CrackSet, k: CrackSet, params: DissipationParams) -> float:
-    """Corrected dissipation D = d + delta
-    = H1(K\\H) + Delta(H,K) + (lam + mu) * alpha(H,K)."""
-    hop = hop_cost(h, k)
-    return math.inf if hop is None else hop.charges(params).big_d
-
-
-def var_along(chain: MonotoneChain | Sequence[CrackSet],
-              which: Literal["d", "alpha", "h1"],
-              params: DissipationParams | None = None) -> float:
-    """Total variation of d, alpha or H1 along a chain.
-
-    For monotone chains the triangle inequality saturates on the full
-    refinement, so the variation is just the sum over consecutive hops.
-    A hop violating inclusion makes it +infinity.
-    """
-    if not isinstance(chain, MonotoneChain):
-        chain = MonotoneChain(chain)
-    if which == "d":
-        if params is None:
-            raise ValueError("variation of d needs DissipationParams")
-        hop = lambda a, b: dist_d(a, b, params)
-    elif which == "alpha":
-        hop = alpha
-    elif which == "h1":
-        def hop(a, b):
-            return h1_diff(a, b) if a.issubset(b) else math.inf
-    else:
-        raise ValueError(f"unknown variation kind {which!r}")
-    total = 0.0
-    for a, b in zip(chain.states, chain.states[1:]):
-        total += hop(a, b)
-    return total

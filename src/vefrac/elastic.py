@@ -30,7 +30,7 @@ import weakref
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import ModuleType
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -547,19 +547,6 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return grads
 
 
-def energy_on_triangles(space: CrackedSpace, u: np.ndarray, tri_ids) -> float:
-    """Dirichlet energy of the nodal field u restricted to a triangle
-    subset. Used by the localized stability probes."""
-    tri_ids = np.asarray(tri_ids, dtype=int)
-    if tri_ids.size == 0:
-        return 0.0
-    grads = _mesh_tables(space.mesh).grads[tri_ids]
-    uv = u[space.tri_dofs[tri_ids]]  # (m, 3)
-    g = np.einsum("tid,ti->td", grads, uv)
-    area = space.mesh.triangle_areas[tri_ids]
-    return 0.5 * float(np.einsum("td,td,t->", g, g, area))
-
-
 def _assemble_csr(space: CrackedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the element matrices with the kernels `coo_matrix.tocsr`
     calls, in its order, so the CSR bytes are scipy's own: bucket by row,
@@ -647,15 +634,14 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return x, maxiter
 
 
-def _solve_constrained(space: CrackedSpace, values: np.ndarray,
-                       mask: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Minimize the quadratic form subject to u = values on constrained
-    DOFs (by default Dirichlet + pinned; probes pass their own mask).
+def _solve_constrained(space: CrackedSpace,
+                       values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize the quadratic form subject to u = values on the
+    constrained DOFs, space.constrained_mask (Dirichlet + pinned).
     Returns the full field and the relative residual of the reduced
     system."""
     indptr, indices, data = space.csr
-    if mask is None:
-        mask = space.constrained_mask
+    mask = space.constrained_mask
     n = space.n_dofs
     u = np.zeros(n)
     u[mask] = values[mask]

@@ -10,25 +10,24 @@ right-continuous piecewise constant interpolant: the state decided by
 the minimization at t_i holds on [t_i, t_{i+1}).
 
 Also here: jump detection on the discrete history, the connected-
-component bound, the energetic (non-viscous) comparison mode, the
-refinement study over a list of step sizes, and the factory that wires
-the elastic energy into a RisInstance. The factory caches one FEM solve
-per distinct cracked space, known before it is built by its key (the
-crack edges that split fans plus the released Dirichlet edges): the
-datum scales linearly with the amplitude, so E(t,K) = a(t)^2 E1(K) and
-the power is a(t) adot(t) times a cached bilinear value. Its one
-dissipation callback `hops` is dissipation.price_hops, a pure function
-that prices each hop it is asked for, among all of a ranking's hops in
-one call or alone as a call of one, bit for bit as hop_cost does; the
-instance's ranking keeps a scan's prices. The energetic mode is the
-same instance with its viscous flag off, charging the same records
-without their sweep integral and mu term.
+component bound, the energetic (non-viscous) comparison mode, and the
+factory that wires the elastic energy into a RisInstance. The factory
+caches one FEM solve per distinct cracked space, known before it is
+built by its key (the crack edges that split fans plus the released
+Dirichlet edges): the datum scales linearly with the amplitude, so
+E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
+bilinear value. Its one dissipation callback `hops` is
+dissipation.price_hops, a pure function that prices each hop it is
+asked for, among all of a ranking's hops in one call or alone as a call
+of one, bit for bit as hop_cost does; the instance's ranking keeps a
+scan's prices. The energetic mode is the same instance with its viscous
+flag off, charging the same records without their sweep integral and
+mu term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .elastic import (
     space_key,
     split_along_crack,
 )
-from .geometry import CrackSet, Mesh, MeshError, connected_components, hausdorff
+from .geometry import CrackSet, Mesh, MeshError, connected_components
 from .ve_core import RisInstance, incremental_step, residual_stability
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "component_bound_check",
     "ComponentBoundReport",
     "energetic_mode",
-    "refine_study",
-    "RefineReport",
     "fracture_instance",
 ]
 
@@ -135,14 +132,6 @@ class DiscreteEvolution:
     partition: TimePartition
     states: list[CrackSet]
     ledger: StepLedger
-
-    def state_at(self, t: float) -> CrackSet:
-        """Right-continuous interpolant: the state minimized at t_i
-        holds on [t_i, t_{i+1})."""
-        times = self.partition.times
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.states) - 1)
-        return self.states[i]
 
     def changing_steps(self) -> list[int]:
         return [i for i in range(1, len(self.states))
@@ -236,7 +225,11 @@ def detect_jumps(evolution: DiscreteEvolution, threshold: float = 10.0) -> list[
 
 @dataclass(frozen=True)
 class ComponentBoundReport:
+    """log_bound is the natural log of bound. It stays finite where
+    bound, past the largest float, is inf."""
+
     bound: float
+    log_bound: float
     counts: np.ndarray
     ok: bool
     slack: float
@@ -246,7 +239,12 @@ def component_bound_check(evolution: DiscreteEvolution,
                           instance: RisInstance) -> ComponentBoundReport:
     """Check #components(K(t)) <= h + exp(C_P T)(E_0 + 1)/rate with h
     the component count of the initial state and rate the charge per
-    nucleation (lam + mu in the VE scheme, lam when energetic)."""
+    nucleation (lam + mu in the VE scheme, lam when energetic).
+
+    A fast enough load puts the bound past the largest float. It then
+    holds for every finite count, and log_bound keeps its size as
+    C_P T + log((E_0 + 1)/rate): next to a bound that large, h is below
+    the rounding of that log."""
     if instance.power_bound is None:
         raise ValueError("instance.power_bound (the constant C_P) is required")
     k0 = evolution.states[0]
@@ -254,12 +252,20 @@ def component_bound_check(evolution: DiscreteEvolution,
     e0 = float(evolution.ledger.energy[0])
     horizon = evolution.partition.horizon
     rate = instance.charges(k0, k0).rate
-    bound = h + math.exp(instance.power_bound * horizon) * (e0 + 1.0) / rate
+    growth = instance.power_bound * horizon
+    try:
+        bound = h + math.exp(growth) * (e0 + 1.0) / rate
+    except OverflowError:
+        bound = math.inf
     counts = np.array([len(connected_components(k)) for k in evolution.states],
                       dtype=float)
     worst = float(counts.max())
-    return ComponentBoundReport(bound=bound, counts=counts,
-                                ok=worst <= bound, slack=bound - worst)
+    if math.isfinite(bound):
+        log_bound, ok = math.log(bound), worst <= bound
+    else:
+        log_bound, ok = growth + math.log((e0 + 1.0) / rate), True
+    return ComponentBoundReport(bound=bound, log_bound=log_bound, counts=counts,
+                                ok=ok, slack=bound - worst)
 
 
 def energetic_mode(instance: RisInstance, partition: TimePartition,
@@ -269,35 +275,6 @@ def energetic_mode(instance: RisInstance, partition: TimePartition,
     keeps charging new length and lam per nucleation. Audits of the run
     must be priced by that same non-viscous instance."""
     return run_scheme(replace(instance, viscous=False), partition, k0)
-
-
-@dataclass(frozen=True)
-class RefineReport:
-    """Hausdorff distances between interpolants of consecutive
-    refinements, sampled on a fixed time grid. Stabilization under
-    refinement is expected off the jump brackets; near a jump the
-    distances legitimately stay at the jump size."""
-
-    taus: tuple[float, ...]
-    sample_times: np.ndarray
-    distances: np.ndarray  # (len(taus) - 1, len(sample_times))
-
-
-def refine_study(instance: RisInstance, k0: CrackSet, tau_list: Sequence[float],
-                 horizon: float, n_samples: int = 11) -> RefineReport:
-    taus = tuple(tau_list)
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau_list must be strictly decreasing")
-    samples = np.linspace(0.0, horizon, n_samples)
-    runs = []
-    for tau in taus:
-        n_steps = max(1, math.ceil(horizon / tau))
-        runs.append(run_scheme(instance, TimePartition.uniform(horizon, n_steps), k0))
-    dists = np.zeros((len(taus) - 1, len(samples)))
-    for r, (coarse, fine) in enumerate(zip(runs, runs[1:])):
-        for c, t in enumerate(samples):
-            dists[r, c] = hausdorff(coarse.state_at(t), fine.state_at(t))
-    return RefineReport(taus=taus, sample_times=samples, distances=dists)
 
 
 class _ScaledEnergyCache:
@@ -379,5 +356,4 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         viscous=viscous,
         energy_floor=ENERGY_FLOOR,
         power_bound=power_bound_constant(load, mesh),
-        load=load,
     )

@@ -36,21 +36,6 @@ class MeshError(Exception):
     """Raised when a mesh or crack set fails validation."""
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point of the closed domain, in length units."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise MeshError("point coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
 @dataclass(eq=False)
 class Mesh:
     """Conforming triangulation with deterministic edge enumeration.
@@ -312,7 +297,7 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
 
     Parameters
     ----------
-    vertices : (nv, 2) array, or sequence of coordinate pairs or Point2
+    vertices : (nv, 2) array, or sequence of coordinate pairs
     triangles : sequence of vertex index triples, positively oriented
     dirichlet_marker : see :func:`_dirichlet_predicate`; selects the
         Dirichlet part among the boundary edges. Must select at least one.
@@ -322,8 +307,7 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError("vertices must be coordinate pairs")
     else:
-        verts = np.array([[p.x, p.y] if isinstance(p, Point2) else [p[0], p[1]]
-                          for p in vertices], dtype=float)
+        verts = np.array([[p[0], p[1]] for p in vertices], dtype=float)
     if len(verts) < 3:
         raise MeshError("mesh needs at least 3 vertices")
     if not np.all(np.isfinite(verts)):
@@ -546,18 +530,6 @@ def connected_components(k: CrackSet) -> list:
             if first != e:
                 links.append((first, e))
     return [CrackSet.of_edges(k.mesh, group) for group in union_groups(edge_ids, links)]
-
-
-def dist_point_to_crack(x, k: CrackSet) -> float:
-    """Distance from a point to the crack; diam(domain) when K is empty."""
-    if k.is_empty:
-        return k.mesh.domain_diameter
-    if isinstance(x, Point2):
-        p = x.as_array()
-    else:
-        p = np.asarray(x, dtype=float)
-    a, b = k.mesh.segment_endpoints(k.edge_ids)
-    return float(dist_points_to_segments(p[None, :], a, b).min())
 
 
 def sample_crack_points(k: CrackSet, resolution: float) -> np.ndarray:

@@ -8,10 +8,6 @@ below the threshold, and the factor sits exactly at the threshold
 whenever the tip actually moves. Both the tracking and the checks work
 on sampled runs, so every derivative is a difference quotient and every
 tolerance carries the mesh size and the step size.
-
-The module also provides a localized stability probe: the global
-stability inequality restricted to a ball around a tip, evaluated by
-refreezing the displacement outside the ball and re-solving inside.
 """
 
 from __future__ import annotations
@@ -21,20 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .elastic import (
-    _solve_constrained,
-    energy_on_triangles,
-    energy_release,
-    fit_sif,
-    solve_energy,
-    split_along_crack,
-)
-from .geometry import CrackSet, Mesh, dist_points_to_segments
+from .elastic import energy_release, fit_sif, solve_energy
+from .geometry import Mesh
 
 
 class GriffithError(Exception):
-    """A run violates the declared tip structure, or a probe is asked
-    for in a place it cannot work."""
+    """A tip path is malformed, or a run violates the declared tip
+    structure."""
 
 
 # ---------------------------------------------------------------------------
@@ -304,109 +293,3 @@ def check_kkt(report: GriffithReport, tol: float | None = None) -> KktCheck:
         worst_rate=worst_rate,
         worst_slack=worst_slack,
         worst_complementarity=worst_compl)
-
-
-# ---------------------------------------------------------------------------
-# localized stability probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of a localized stability probe. residuals[i] is the
-    amount by which competitor i fails to improve on the current state
-    inside the ball; stability predicts every entry nonnegative."""
-
-    center: tuple[float, float]
-    radius: float
-    energy: float
-    competitors: tuple[tuple[int, ...], ...]
-    residuals: tuple[float, ...]
-
-    @property
-    def residual(self) -> float:
-        return min(self.residuals)
-
-
-def local_stability_probe(t: float, crack: CrackSet, center, radius: float,
-                          instance, competitors=None) -> ProbeReport:
-    """Evaluate the stability inequality restricted to a ball.
-
-    The displacement is frozen at its global values outside the ball
-    and re-minimized inside with each competitor crack; the energies
-    are then compared on the ball's triangles only, against the
-    instance's dissipation D of the added edges measured relative to
-    the crack piece inside the ball. Competitors are tuples of new edge
-    ids wholly inside the ball (the empty tuple probes the state against
-    itself and scores exactly zero); by default every single pool edge
-    touching the crack inside the ball is tried.
-    """
-    mesh = crack.mesh
-    load = instance.load
-    if load is None:
-        raise GriffithError("instance carries no boundary load; build it "
-                            "with fracture_instance")
-    if radius <= 0:
-        raise GriffithError("probe radius must be positive")
-    center = np.asarray(center, dtype=float)
-
-    diri = np.asarray(mesh.dirichlet_edges(), dtype=int)
-    if diri.size:
-        a, b = mesh.segment_endpoints(diri)
-        if float(dist_points_to_segments(center[None, :], a, b).min()) < radius:
-            raise GriffithError("probe ball touches the Dirichlet boundary")
-
-    vdist = np.linalg.norm(mesh.vertices - center, axis=1)
-    in_ball = vdist[mesh.triangles].max(axis=1) <= radius
-    tri_ids = np.flatnonzero(in_ball)
-    if tri_ids.size == 0:
-        raise GriffithError("probe ball contains no triangles")
-    # every vertex has a triangle, so a vertex is inner exactly when no
-    # triangle outside the ball uses it
-    inner = np.bincount(mesh.triangles[~in_ball].ravel(), minlength=mesh.n_vertices) == 0
-
-    if competitors is None:
-        competitors = []
-        crack_vertices = set(crack.vertex_ids())
-        for e in instance.pool.edge_ids:
-            if e in crack:
-                continue
-            va, vb = map(int, mesh.edges[e])
-            if inner[va] and inner[vb] and (va in crack_vertices
-                                            or vb in crack_vertices):
-                competitors.append((int(e),))
-        if not competitors:
-            competitors = [()]
-
-    base = solve_energy(t, crack, load)
-    e_base = energy_on_triangles(base.space, base.u, tri_ids)
-
-    ball_edges = set(mesh.tri_edges[in_ball].ravel().tolist())
-    h_loc = CrackSet.of_edges(mesh, ball_edges.intersection(crack.edge_ids))
-
-    normalized: list[tuple[int, ...]] = []
-    residuals: list[float] = []
-    for comp in competitors:
-        new = tuple(sorted({int(e) for e in comp} - set(crack.edge_ids)))
-        normalized.append(new)
-        if not new:
-            residuals.append(0.0)
-            continue
-        for e in new:
-            va, vb = map(int, mesh.edges[e])
-            if not (inner[va] and inner[vb]):
-                raise GriffithError(
-                    f"competitor edge {e} leaves the probe ball")
-        grown = crack.with_edges(new)
-        space = split_along_crack(mesh, grown)
-        values = np.zeros(space.n_dofs)
-        values[space.tri_dofs.ravel()] = base.u[base.space.tri_dofs.ravel()]
-        mask = ~inner[space.dof_vertex]
-        w, _ = _solve_constrained(space, values, mask=mask)
-        e_comp = energy_on_triangles(space, w, tri_ids)
-        cost = instance.charges(h_loc, h_loc.with_edges(new)).big_d
-        residuals.append(e_comp + cost - e_base)
-
-    return ProbeReport(
-        center=(float(center[0]), float(center[1])), radius=float(radius),
-        energy=e_base, competitors=tuple(normalized),
-        residuals=tuple(residuals))

@@ -71,7 +71,6 @@ __all__ = [
     "incremental_step",
     "trc_chain",
     "jump_cost",
-    "jump_variation",
     "audit_balance",
     "audit_jump_conditions",
     "decompose_transition",
@@ -113,6 +112,10 @@ class RisInstance:
     scan of a step that follows a frozen step, or of its own new state,
     only evaluates energies. Both memos match crack sets, mesh included.
     dataclasses.replace starts the copy with both memos empty.
+
+    The instance holds no state of the driving system beyond its
+    callbacks: evolution.fracture_instance closes the boundary load into
+    energy and power.
     """
 
     pool: CrackSet
@@ -126,9 +129,6 @@ class RisInstance:
     power_bound: float | None = None
     viscous: bool = True
     energy_floor: float = -math.inf
-    # the boundary load behind the energy callback, when there is one;
-    # tip probes need the displacement field, not just energy values
-    load: object | None = None
     residuals: dict[tuple[float, CrackSet], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _ranked: _Ranking | None = field(
@@ -508,19 +508,6 @@ def decompose_transition(chain, t: float, instance: RisInstance) -> list[Transit
             recursion_violations=tuple(violations)))
         start = stop + 1
     return segments
-
-
-def jump_variation(jumps, instance: RisInstance) -> float:
-    """Total cost charged at the jumps: c(t, left, at) + c(t, at, right)
-    per jump record (either half drops out when the states agree)."""
-    total = 0.0
-    for rec in jumps:
-        t = rec.time
-        if rec.left.bits != rec.at.bits:
-            total += jump_cost(t, rec.left, rec.at, instance).cost
-        if rec.at.bits != rec.right.bits:
-            total += jump_cost(t, rec.at, rec.right, instance).cost
-    return total
 
 
 @dataclass(frozen=True)

@@ -805,6 +805,14 @@ def reference_hop_cost(h, k):
                    alpha=a)
 
 
+def reference_big_d(h, k, params) -> float:
+    """Corrected dissipation D = H1(K\\H) + Delta(H,K) + (lam + mu) alpha(H,K)
+    of reference_hop_cost's record; +infinity when H is not contained
+    in K."""
+    hop = reference_hop_cost(h, k)
+    return math.inf if hop is None else hop.charges(params).big_d
+
+
 def reference_energy_entry(mesh, load, k):
     """(E1, p1) of one crack set from a space built and solved for that
     set alone: the energy at unit amplitude and the pairing of the

@@ -548,6 +548,25 @@ def test_cli_audit_passes_an_energetic_archive(workdir, capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("rate", ["1e3", "1e6"])
+def test_cli_run_keeps_the_archive_of_a_fast_load(rate, tmp_path, capsys, bench_workloads):
+    # C_P T reaches 6e3 and 6e6: exp overflows, and the bound is stored
+    # as null beside its finite log
+    inputs = bench_workloads.generate("grid", tmp_path, 1)
+    text = inputs.config.read_text(encoding="utf-8")
+    assert "amplitude = linear(0, 1)\n" in text
+    inputs.config.write_text(text.replace("amplitude = linear(0, 1)\n",
+                                          f"amplitude = linear(0, {rate})\n"),
+                             encoding="utf-8")
+    assert cli_dispatch(["run", str(inputs.config)]) == 0
+    bound = json.loads(inputs.archive.read_text())["audits"]["component_bound"]
+    assert bound["bound"] is None and bound["ok"] is True
+    assert 6.0 * float(rate) < bound["log_bound"] < 6.1 * float(rate)
+    capsys.readouterr()
+    assert cli_dispatch(["audit", str(inputs.archive)]) == 0
+    assert "component bound: PASS (worst 1 vs bound exp(" in capsys.readouterr().out
+
+
 def test_cli_jumpcost(well_archive, capsys):
     code = cli_dispatch(["jumpcost", str(well_archive),
                          "--time", "6.5", "--left", "", "--right", "29,32"])

@@ -437,15 +437,19 @@ def test_solve_early_returns_match_reference(grid4_tb, monkeypatch):
         raise AssertionError("CG must not run")
 
     monkeypatch.setattr(elastic, "_cg", no_cg)
-    space = split_along_crack(grid4_tb, CrackSet.of_vertex_pairs(grid4_tb, [(11, 12)]))
-    want_a = oracle.reference_stiffness(grid4_tb, space.tri_dofs, space.n_dofs)
+    # every DOF Dirichlet (one cell, all boundary Dirichlet): the field
+    # is the data
+    cell = square_grid_mesh(1)
+    space = split_along_crack(cell, CrackSet.empty(cell))
+    assert space.constrained_mask.all()
+    want_a = oracle.reference_stiffness(cell, space.tri_dofs, space.n_dofs)
     values = np.random.default_rng(3).normal(size=space.n_dofs)
-    # every DOF constrained: the field is the data
-    everything = np.ones(space.n_dofs, dtype=bool)
-    u, residual = elastic._solve_constrained(space, values, mask=everything)
-    want_u, want_residual = oracle.reference_solve(want_a, everything, values)
+    u, residual = elastic._solve_constrained(space, values)
+    want_u, want_residual = oracle.reference_solve(want_a, space.constrained_mask, values)
     assert u.tobytes() == want_u.tobytes() == values.tobytes()
     assert residual == want_residual == 0.0
+    space = split_along_crack(grid4_tb, CrackSet.of_vertex_pairs(grid4_tb, [(11, 12)]))
+    want_a = oracle.reference_stiffness(grid4_tb, space.tri_dofs, space.n_dofs)
     # zero data: b = 0
     zero = np.zeros(space.n_dofs)
     u, residual = elastic._solve_constrained(space, zero)

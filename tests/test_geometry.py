@@ -18,12 +18,11 @@ from vefrac.geometry import (
     NEUMANN,
     CrackSet,
     MeshError,
-    Point2,
     _check_hanging_nodes,
     _diameter,
     build_mesh,
     connected_components,
-    dist_point_to_crack,
+    dist_points_to_segments,
     h1_diff,
     h1_measure,
     hausdorff,
@@ -423,9 +422,11 @@ def test_invalid_meshes_fail_like_the_reference():
         assert want is not None and got == want
 
 
-def test_point2_requires_finite():
-    with pytest.raises(MeshError):
-        Point2(float("nan"), 0.0)
+def test_build_mesh_refuses_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MeshError, match="vertex coordinates must be finite"):
+            build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, bad)], [(0, 1, 2)],
+                       lambda pa, pb: True)
 
 
 # ---------------------------------------------------------------------------
@@ -581,29 +582,33 @@ def test_components_partition_property(rect9, bits):
 # distances
 # ---------------------------------------------------------------------------
 
-def test_dist_point_to_empty_is_diameter(square2):
-    assert dist_point_to_crack((0.3, 0.3), CrackSet.empty(square2)) == math.sqrt(2.0)
-
-
 def test_dist_point_on_edge_is_zero(square2):
-    k = CrackSet.of_edges(square2, [0])
-    assert dist_point_to_crack((0.25, 0.0), k) == 0.0
+    k = CrackSet.of_edges(square2, [0])  # segment (0,0)-(1,0)
+    a, b = square2.segment_endpoints(k.edge_ids)
+    on = np.array([(0.25, 0.0), (0.0, 0.0), (1.0, 0.0)])
+    assert dist_points_to_segments(on, a, b).tolist() == [[0.0], [0.0], [0.0]]
 
 
 def test_dist_point_analytic(square2):
+    # above the segment, then past either end: the nearest point is an
+    # endpoint there
     k = CrackSet.of_edges(square2, [0])  # segment (0,0)-(1,0)
-    assert dist_point_to_crack(Point2(0.0, 1.0), k) == 1.0
+    a, b = square2.segment_endpoints(k.edge_ids)
+    points = np.array([(0.0, 1.0), (2.0, 0.0), (-3.0, 4.0), (4.0, -4.0)])
+    assert dist_points_to_segments(points, a, b).tolist() == [[1.0], [1.0], [5.0], [5.0]]
 
 
 def test_dist_matches_naive_oracle(grid3):
     rng = np.random.default_rng(3)
     k = CrackSet.of_edges(grid3, [1, 7, 20])
+    a, b = grid3.segment_endpoints(k.edge_ids)
     for _ in range(25):
         p = rng.uniform(-0.5, 1.5, size=2)
         expected = min(oracle.point_segment_distance(
             p, grid3.vertices[int(grid3.edges[e][0])],
             grid3.vertices[int(grid3.edges[e][1])]) for e in k.edge_ids)
-        assert math.isclose(dist_point_to_crack(p, k), expected, rel_tol=1e-12)
+        got = float(dist_points_to_segments(p[None, :], a, b).min())
+        assert math.isclose(got, expected, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,8 @@ class _MeshTables:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+        self.n_base_dofs = int(self.base_fans.sum())
+        self.base_fans_list = self.base_fans.tolist()
         self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
@@ -331,6 +333,21 @@ class _MeshTables:
             key |= self.fans(v, cut).separating
         return key
 
+    def plan(self, crack: CrackSet) -> SpacePlan:
+        """How `crack` changes the base fans, and so its space's DOF
+        count, read off the fan memo."""
+        crack_ids = crack.edge_ids
+        verts, counts, corners, ranks = [], [], [], []
+        n_dofs = self.n_base_dofs
+        for v, cut in self.cuts(crack_ids).items():
+            fans = self.fans(v, cut)
+            verts.append(v)
+            counts.append(fans.count)
+            corners += fans.corners
+            ranks += fans.ranks
+            n_dofs += fans.count - self.base_fans_list[v]
+        return SpacePlan(crack, crack_ids, verts, counts, corners, ranks, n_dofs)
+
 
 class _Fans(NamedTuple):
     """The fans of one vertex under one cut: how many, the vertex's
@@ -345,6 +362,22 @@ class _Fans(NamedTuple):
     corners: tuple[int, ...]
     ranks: tuple[int, ...]
     separating: int
+
+
+class SpacePlan(NamedTuple):
+    """A crack set, its edge ids, and how it changes the base fans: the
+    vertices whose fans it changes (the ends of its cracked interior
+    edges) with their fan counts, the corners of those vertices with the
+    rank of each corner's fan, and the DOF count of its space. Every
+    other vertex keeps its base fans."""
+
+    crack: CrackSet
+    crack_ids: tuple[int, ...]
+    verts: list[int]
+    counts: list[int]
+    corners: list[int]
+    ranks: list[int]
+    n_dofs: int
 
 
 _TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
@@ -431,19 +464,13 @@ class CrackedSpace:
         self.mesh = mesh
         self.crack = crack
         tables = _mesh_tables(mesh)
-        crack_ids = crack.edge_ids
+        plan = tables.plan(crack)
+        crack_ids = plan.crack_ids
         fans = tables.base_fans.copy()
         rank = tables.base_rank.copy()
-        cuts = tables.cuts(crack_ids)
-        if cuts:
-            counts, moved, moved_rank = [], [], []
-            for v, cut in cuts.items():
-                got = tables.fans(v, cut)
-                counts.append(got.count)
-                moved += got.corners
-                moved_rank += got.ranks
-            fans[list(cuts)] = counts
-            rank[moved] = moved_rank
+        if plan.verts:
+            fans[plan.verts] = plan.counts
+            rank[plan.corners] = plan.ranks
         start = np.zeros(mesh.n_vertices + 1, dtype=int)
         np.cumsum(fans, out=start[1:])
         self.tri_dofs = (start[tables.corner_vertex] + rank).reshape(-1, 3)
@@ -485,7 +512,7 @@ class CrackedSpace:
         self.pinned_dofs = first[unseen]
         mask[self.pinned_dofs] = True
         self.constrained_mask = mask
-        self.csr = _assemble_csr(self)
+        self.csr = _assemble_csr(self.tri_dofs, tables.local, (0, n))
 
     def stiffness(self) -> scipy.sparse.csr_matrix:
         """`csr` as a scipy matrix. No run calls it: `bench/layers.py`
@@ -547,15 +574,24 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return grads
 
 
-def _assemble_csr(space: CrackedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the element matrices with the kernels `coo_matrix.tocsr`
-    calls, in its order, so the CSR bytes are scipy's own: bucket by row,
-    sort each row's columns unless all rows are sorted already, then sum
-    duplicates in place."""
-    n = space.n_dofs
-    local = _mesh_tables(space.mesh).local
+def _assemble_csr(tri_dofs: np.ndarray, local: np.ndarray,
+                  offsets: np.ndarray | tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Assemble the element matrices `local` of the triangles' DOFs
+    `tri_dofs` with the kernels `coo_matrix.tocsr` calls, in its order,
+    so the CSR bytes are scipy's own: bucket by row, sort each row's
+    columns unless all rows are sorted already, then sum duplicates in
+    place.
+
+    The DOFs may be those of several spaces, space s owning the DOFs
+    offsets[s] to offsets[s+1] - 1 (an array for more than one space)
+    and the rows that couple them. Each space's rows are then sorted
+    when, and only when, they would be if it were assembled alone:
+    csr_sort_indices's std::sort may reorder equal columns, and with
+    them the sums of duplicates. Every DOF has entries, so no row is
+    empty."""
+    n = int(offsets[-1])
     idx = np.int32 if max(local.size, n) <= _INT32_MAX else np.int64
-    tri_dofs = space.tri_dofs.astype(idx)
+    tri_dofs = tri_dofs.astype(idx).reshape(-1, 3)
     # entry 9*t + 3*i + j of the element matrices is (slot i, slot j)
     rows = tri_dofs[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     cols = tri_dofs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
@@ -563,8 +599,21 @@ def _assemble_csr(space: CrackedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     indices = np.empty(local.size, dtype=idx)
     data = np.empty(local.size)
     coo_tocsr(n, n, local.size, rows, cols, local, indptr, indices, data)
-    if not csr_has_sorted_indices(n, indptr, indices):
-        csr_sort_indices(n, indptr, indices, data)
+    if len(offsets) == 2:
+        if not csr_has_sorted_indices(n, indptr, indices):
+            csr_sort_indices(n, indptr, indices, data)
+    else:
+        # a descending pair of neighbour entries in one row
+        down = indices[1:] < indices[:-1]
+        down[indptr[1:-1] - 1] = False
+        unsorted = np.zeros(len(offsets) - 1, dtype=bool)
+        unsorted[np.searchsorted(indptr[offsets], down.nonzero()[0], side="right") - 1] = True
+        if unsorted.all():
+            csr_sort_indices(n, indptr, indices, data)
+        else:
+            for s in unsorted.nonzero()[0].tolist():
+                lo, hi = offsets[s], offsets[s + 1]
+                csr_sort_indices(hi - lo, indptr[lo:hi + 1], indices, data)
     csr_sum_duplicates(n, n, indptr, indices, data)
     nnz = int(indptr[-1])
     return indptr, indices[:nnz], data[:nnz]
@@ -634,6 +683,10 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return x, maxiter
 
 
+def _cg_failure(info: int, residual: float) -> NumericalError:
+    return NumericalError(f"CG failed to converge (info={info}, residual={residual:.3e})")
+
+
 def _solve_constrained(space: CrackedSpace,
                        values: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize the quadratic form subject to u = values on the
@@ -662,7 +715,7 @@ def _solve_constrained(space: CrackedSpace,
     res = _matvec(*block, x) - b
     residual = math.sqrt(res.dot(res)) / bnorm
     if info != 0:
-        raise NumericalError(f"CG failed to converge (info={info}, residual={residual:.3e})")
+        raise _cg_failure(info, residual)
     u[free] = x
     return u, residual
 

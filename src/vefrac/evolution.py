@@ -16,7 +16,9 @@ caches one FEM solve per distinct cracked space, known before it is
 built by its key (the crack edges that split fans plus the released
 Dirichlet edges): the datum scales linearly with the amplitude, so
 E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value. Its one dissipation callback `hops` is
+bilinear value. The instance's prefetch solves the new spaces of a
+scan's chunk together, as block-diagonal systems (`blocks`), bit for
+bit as each alone. Its one dissipation callback `hops` is
 dissipation.price_hops, a pure function that prices each hop it is
 asked for, among all of a ranking's hops in one call or alone as a call
 of one, bit for bit as hop_cost does; the instance's ranking keeps a
@@ -28,9 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
+from .blocks import Entry, pack_blocks, solve_block
 from .dissipation import DissipationParams, price_hops
 from .elastic import (
     BoundaryLoad,
@@ -288,7 +292,16 @@ class _ScaledEnergyCache:
     second memo; only a new space is built and solved. Many competitors
     share a space: an isolated interior edge, for one, leaves the stars
     of both of its ends connected. The memos key on bits, so a crack set
-    of another mesh is refused first."""
+    of another mesh is refused first.
+
+    `prefetch`, the scans' batch callback, solves the new spaces of a
+    chunk of candidates together: `pack_blocks` packs them into blocks
+    and `solve_block` solves a block of two or more as one system, bit
+    for bit as each space alone. A space alone in its block, or first
+    met by a lookup, is built and solved alone. A space whose CG fails
+    is stored as its NumericalError, which a lookup of one of its crack
+    sets raises, so a scan that stops before such a candidate ends as it
+    would have without the batch."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
@@ -297,7 +310,16 @@ class _ScaledEnergyCache:
         self.floor = floor
         self.unit = load.unit()
         self._entries: dict[int, tuple[float, float]] = {}
-        self._by_space: dict[int, tuple[float, float]] = {}
+        self._by_space: dict[int, Entry] = {}
+
+    def _solve_alone(self, k: CrackSet) -> Entry:
+        space = split_along_crack(self.mesh, k)
+        try:
+            sol = solve_on_space(1.0, space, self.unit)
+        except NumericalError as err:
+            return err
+        g = self.load.profile[space.dof_vertex]
+        return sol.energy, float(g @ sol.au)
 
     def _entry(self, k: CrackSet) -> tuple[float, float]:
         if k.mesh is not self.mesh:
@@ -307,12 +329,42 @@ class _ScaledEnergyCache:
             key = space_key(self.mesh, k)
             got = self._by_space.get(key)
             if got is None:
-                space = split_along_crack(self.mesh, k)
-                sol = solve_on_space(1.0, space, self.unit)
-                g = self.load.profile[space.dof_vertex]
-                got = self._by_space[key] = (sol.energy, float(g @ sol.au))
+                got = self._by_space[key] = self._solve_alone(k)
+            if isinstance(got, NumericalError):
+                raise NumericalError(*got.args)
             self._entries[k.bits] = got
         return got
+
+    def prefetch(self, cracks: Sequence[CrackSet]) -> None:
+        """Solve the new spaces of the crack sets that a scan is about to
+        read, and file the entry of each crack set whose space is then
+        solved. Crack sets of another mesh are left to `energy` to
+        refuse."""
+        mesh, entries, by_space = self.mesh, self._entries, self._by_space
+        waiting: dict[int, list[int]] = {}
+        new = []
+        for k in cracks:
+            if k.mesh is not mesh or k.bits in entries:
+                continue
+            key = space_key(mesh, k)
+            got = by_space.get(key)
+            if got is None:
+                if key not in waiting:
+                    waiting[key] = []
+                    new.append(k)
+                waiting[key].append(k.bits)
+            elif not isinstance(got, NumericalError):
+                entries[k.bits] = got
+        solved: list[Entry] = []
+        for block in pack_blocks(mesh, new):
+            if len(block) == 1:
+                solved.append(self._solve_alone(block[0].crack))
+            else:
+                solved += solve_block(block, self.unit)
+        for (key, bits), got in zip(waiting.items(), solved):
+            by_space[key] = got
+            if not isinstance(got, NumericalError):
+                entries.update(dict.fromkeys(bits, got))
 
     def energy(self, t: float, k: CrackSet) -> float:
         a = self.load.amplitude(t)
@@ -348,6 +400,7 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         pool=pool,
         energy=cache.energy,
         power=cache.power,
+        prefetch=cache.prefetch,
         hops=price_hops,
         params=params,
         budget=budget,

@@ -177,65 +177,76 @@ def dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     return np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
 
 
-# Most (vertex, edge) candidate pairs _check_hanging_nodes measures at once.
+# Most (vertex, edge) candidate pairs, and (edge, column) ranges,
+# that _check_hanging_nodes takes at once.
 _HANGING_BLOCK = 1 << 13
 
 
 def _check_hanging_nodes(vertices, edges, lengths):
     # A vertex lying in the interior of a non-incident edge means the
     # triangulation is not conforming. Vertices are bucketed on a grid of
-    # cells as wide as the longest edge, and each edge is measured only
-    # against the vertices in the (at most 3 x 3) cells its padded bounding
-    # box meets. On a graded mesh those cells may hold most vertices, so
-    # the candidate pairs are measured in blocks of bounded size. The
-    # distances use the arithmetic of dist_points_to_segments, and the
-    # smallest offending (vertex, edge) pair is reported, as a scan over
-    # all pairs would.
+    # cells as wide as a typical (the median) edge, sorted by cell key
+    # column * stride + row, and each edge is measured only against the
+    # vertices in the cells its padded bounding box meets. Those cells of
+    # one column hold one run of the sorted vertices, so an edge takes
+    # one (edge, column) range per occupied column its box spans: a short
+    # edge one to three, a long one every column it crosses. Edges and
+    # candidate pairs are taken in blocks of bounded size. The distances
+    # use the arithmetic of dist_points_to_segments, and the smallest
+    # offending (vertex, edge) pair is reported, as a scan over all pairs
+    # would.
     tol = 1e-12 * max(1.0, float(lengths.max()))
     a = vertices[edges[:, 0]]
     b = vertices[edges[:, 1]]
-    width = float(lengths.max())
+    mid = lengths.size // 2
+    width = float(np.partition(lengths, mid)[mid])
     origin = vertices.min(axis=0) - width
     vcell = np.floor((vertices - origin) / width).astype(np.int64)
     stride = int(vcell[:, 1].max()) + 3
     vkey = vcell[:, 0] * stride + vcell[:, 1]
     order = np.argsort(vkey, kind="stable")
     sorted_keys = vkey[order]
+    columns = sorted_keys // stride
+    occupied = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
     pad = 0.25 * width
     lo = np.floor((np.minimum(a, b) - pad - origin) / width).astype(np.int64)
     hi = np.floor((np.maximum(a, b) + pad - origin) / width).astype(np.int64)
-    pair_e, pair_keys = [], []
-    for dx in range(3):
-        for dy in range(3):
-            meets = np.flatnonzero((lo[:, 0] + dx <= hi[:, 0]) & (lo[:, 1] + dy <= hi[:, 1]))
-            pair_e.append(meets)
-            pair_keys.append((lo[meets, 0] + dx) * stride + lo[meets, 1] + dy)
-    pair_e = np.concatenate(pair_e)
-    pair_keys = np.concatenate(pair_keys)
-    first = np.searchsorted(sorted_keys, pair_keys, side="left")
-    count = np.searchsorted(sorted_keys, pair_keys, side="right") - first
-    ends = np.cumsum(count)
-    lowest = None
-    i = 0
-    while i < len(count):
-        # (edge, cell) pairs i..j-1 hold at most _HANGING_BLOCK candidates,
-        # or one pair alone if its cell holds more
-        done = int(ends[i - 1]) if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, done + _HANGING_BLOCK, side="right")))
-        found = _first_on_edge(vertices, edges, a, b, tol, order,
-                               pair_e[i:j], first[i:j], count[i:j])
-        if found is not None and (lowest is None or found < lowest):
-            lowest = found
-        i = j
+    # edge e spans the occupied columns occupied[col_lo[e]:col_lo[e] + n_cols[e]]
+    col_lo = np.searchsorted(occupied, lo[:, 0])
+    n_cols = np.searchsorted(occupied, hi[:, 0], side="right") - col_lo
+    found = []
+    for e, f in _chunks(n_cols):
+        n = n_cols[e:f]
+        pair_e = np.repeat(np.arange(e, f), n)
+        col = occupied[np.arange(int(n.sum())) + np.repeat(col_lo[e:f] - (np.cumsum(n) - n), n)]
+        first = np.searchsorted(sorted_keys, col * stride + lo[pair_e, 1])
+        count = np.searchsorted(sorted_keys, col * stride + hi[pair_e, 1], side="right") - first
+        for i, j in _chunks(count):
+            found.append(_first_on_edge(vertices, edges, a, b, tol, order,
+                                        pair_e[i:j], first[i:j], count[i:j]))
+    lowest = min(filter(None, found), default=None)
     if lowest is not None:
         v, e = lowest
         raise MeshError(
             f"vertex {v} lies on edge {tuple(map(int, edges[e]))}: non-conforming mesh")
 
 
+def _chunks(sizes):
+    """Consecutive ranges (i, j) of the items whose sizes add up to at
+    most _HANGING_BLOCK, or of one item alone that is larger."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(sizes):
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + _HANGING_BLOCK, side="right")))
+        yield i, j
+        i = j
+
+
 def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
     """Smallest (vertex, edge) among the candidates of the given (edge,
-    cell) pairs where the vertex lies on the non-incident edge, or None."""
+    column) ranges where the vertex lies on the non-incident edge, or
+    None."""
     starts = np.cumsum(count) - count
     slots = np.arange(int(count.sum())) - np.repeat(starts - first, count)
     ev = np.repeat(pair_e, count)

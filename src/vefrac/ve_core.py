@@ -33,8 +33,9 @@ report's examined count still counts every competitor. A ranking is
 one `hops` call: the new edges of every competitor, whatever their
 number, in competitors() order, priced and charged by HopCost.charges,
 then sorted by a stable argsort, and a competitor's CrackSet is built
-only when a scan reaches it. The step's first scan is R's scan of its old
-state, and residual_stability keeps every R scan in the instance's
+only when a scan reaches it or hands it to the instance's prefetch
+callback in a chunk of candidates. The step's first scan is R's scan
+of its old state, and residual_stability keeps every R scan in the instance's
 memo, so a step that keeps its state has shown R = 0 there and the
 audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
 every lattice node it expands; a node whose one value at K+ already
@@ -104,6 +105,15 @@ class RisInstance:
     competitor above the best value (see _scan). The default, -infinity,
     promises nothing, so such a scan evaluates every competitor.
 
+    prefetch, when set, is the scans' batch callback: before a scan
+    reads the energy of a candidate past the chunks it has handed out,
+    it hands prefetch the next chunk (see _scan), so that the instance
+    can compute many energies at once. energy must return the same
+    value whether or not prefetch saw the crack set, and raise what it
+    would have raised: a failure met ahead of a scan's stop waits for a
+    read. The fracture instance's prefetch solves a chunk's new
+    cracked spaces as one block-diagonal system.
+
     residuals, read only by residual_stability, memoizes R(t,K) reports
     by (t, K) and assumes energy and hops are pure. ranking(source,
     state) ranks the competitors of state by their D from source, which
@@ -129,6 +139,7 @@ class RisInstance:
     power_bound: float | None = None
     viscous: bool = True
     energy_floor: float = -math.inf
+    prefetch: Callable[[Sequence[CrackSet]], None] | None = None
     residuals: dict[tuple[float, CrackSet], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _ranked: _Ranking | None = field(
@@ -221,7 +232,8 @@ class _Ranking:
     """The competitors of `state` ranked for a scan out of `source`:
     big_d lists their D in increasing order, and iterating gives the
     (D, K) pairs in that order. A candidate is built by `make(i)`, from
-    its index i, the first time a scan reaches it, and kept."""
+    its index i, the first time a scan reaches it or hands it out in a
+    chunk (`cracks`), and kept."""
 
     def __init__(self, source: CrackSet, state: CrackSet, big_d: list[float],
                  make: Callable[[int], CrackSet]):
@@ -232,11 +244,15 @@ class _Ranking:
         self._make = make
 
     def __iter__(self) -> Iterator[tuple[float, CrackSet]]:
-        cracks = self._cracks
         for i, big_d in enumerate(self.big_d):
-            if i == len(cracks):
-                cracks.append(self._make(i))
-            yield big_d, cracks[i]
+            yield big_d, self.cracks(i + 1)[i]
+
+    def cracks(self, stop: int) -> list[CrackSet]:
+        """The first `stop` candidates, in ranked order."""
+        cracks = self._cracks
+        while len(cracks) < stop:
+            cracks.append(self._make(len(cracks)))
+        return cracks
 
 
 def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
@@ -274,15 +290,35 @@ def _scan(t: float, ranking: _Ranking,
     is strictly above the best so far. Only strict excess is passed
     over, so the minimum, its winners and their order are those of the
     plain scan. A floor of -infinity skips nothing. Only E depends on t,
-    so one ranking serves scans at any number of times."""
-    floor = instance.energy_floor
+    so one ranking serves scans at any number of times.
+
+    With a prefetch callback, the scan hands it the candidates in
+    chunks, each before the first of its energies is read: chunk k, from
+    the first candidate not yet handed out, holds at most 2^k of them,
+    cut at the first whose D + f exceeds the best value so far. A chunk
+    may reach past the candidate where the scan stops; reads, values
+    and the stop are those of the scan without prefetch."""
+    floor, prefetch, big_ds = instance.energy_floor, instance.prefetch, ranking.big_d
     source_bits = ranking.source.bits
     best = math.inf
     winners: list[CrackSet] = []
     own = None
-    for big_d, comp in ranking:
+    ahead, chunk = 0, 1
+    for i, big_d in enumerate(big_ds):
         if big_d + floor > best:
             break
+        if i == ahead:
+            # the next chunk: up to `chunk` candidates that the floor test
+            # admits against the best value so far (one at a time when
+            # there is no prefetch to hand them to)
+            ahead, stop = i + 1, min(i + chunk, len(big_ds))
+            while ahead < stop and big_ds[ahead] + floor <= best:
+                ahead += 1
+            cracks = ranking.cracks(ahead)
+            if prefetch is not None:
+                prefetch(cracks[i:ahead])
+                chunk *= 2
+        comp = cracks[i]
         energy = instance.energy(t, comp)
         if comp.bits == source_bits:
             own = energy

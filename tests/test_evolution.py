@@ -19,7 +19,7 @@ from vefrac.dissipation import (
     single_hop,
 )
 from vefrac import evolution as evolution_module
-from vefrac.elastic import ElasticError, solve_energy, solve_on_space, space_key
+from vefrac.elastic import ElasticError, solve_energy, space_key
 from vefrac.evolution import (
     DiscreteEvolution,
     JumpRecord,
@@ -485,39 +485,67 @@ def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path,
         assert entry == oracle.reference_energy_entry(ctx.mesh, ctx.load, crack)
 
 
-@pytest.mark.parametrize("workload, crack_sets, solves",
-                         [("strip", 163, 45), ("grid", 1267, 470), ("fine", 14, 6)])
-def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
-                                                 tmp_path, monkeypatch, bench_workloads):
+def _count_space_solves(monkeypatch, counts, key=None):
+    """Count, under counts["builds"], ["solves"] and ["blocks"], the
+    spaces that the fracture instance's energy cache builds and solves,
+    alone or in the blocks of `solve_block`, and the blocks. With `key`,
+    also list key(crack) of every space solved, in either path."""
     import vefrac.evolution as evolution
 
-    solved = []
+    build, solve, block_solve = (evolution.split_along_crack, evolution.solve_on_space,
+                                 evolution.solve_block)
 
-    def counted(t, space, load):
-        solved.append(space_key(space.mesh, space.crack))
-        return solve_on_space(t, space, load)
+    def split_along_crack(mesh, crack):
+        counts["builds"] += 1
+        return build(mesh, crack)
 
-    monkeypatch.setattr(evolution, "solve_on_space", counted)
+    def solve_on_space(t, space, load):
+        counts["solves"] += 1
+        if key is not None:
+            counts["solved"].append(key(space.crack))
+        return solve(t, space, load)
+
+    def solve_block(block, load):
+        counts["builds"] += len(block)
+        counts["solves"] += len(block)
+        counts["blocks"] += 1
+        if key is not None:
+            counts["solved"] += [key(plan.crack) for plan in block]
+        return block_solve(block, load)
+
+    monkeypatch.setattr(evolution, "split_along_crack", split_along_crack)
+    monkeypatch.setattr(evolution, "solve_on_space", solve_on_space)
+    monkeypatch.setattr(evolution, "solve_block", solve_block)
+
+
+@pytest.mark.parametrize("workload, crack_sets, solves",
+                         [("strip", 163, 45), ("grid", 1303, 499), ("fine", 14, 6)])
+def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
+                                                 tmp_path, monkeypatch, bench_workloads):
+    # alone or in a block, every space that a run solves is new
+    counts = {}
+    _count_space_solves(monkeypatch, counts, lambda crack: space_key(crack.mesh, crack))
     for run in ("first", "second"):
-        solved.clear()
+        counts.update(builds=0, solves=0, blocks=0, solved=[])
         ctx = _workload_run(bench_workloads, workload, tmp_path / run)
         _run_to_archive(ctx, tmp_path / run / "out")
         assert len(ctx.instance.energy.__self__._entries) == crack_sets
-        assert len(solved) == len(set(solved)) == solves
+        assert len(counts["solved"]) == len(set(counts["solved"])) == solves
 
 
 @pytest.mark.parametrize("workload, expected", [
-    ("strip", {"solves": 45, "builds": 45, "rankings": 9, "priced": 288,
+    ("strip", {"solves": 45, "builds": 45, "blocks": 9, "rankings": 9, "priced": 288,
                "lookups": 33, "hops": 42}),
-    ("grid", {"solves": 470, "builds": 470, "rankings": 3, "priced": 3266,
+    ("grid", {"solves": 499, "builds": 499, "blocks": 17, "rankings": 3, "priced": 3266,
               "lookups": 16, "hops": 19}),
-    ("fine", {"solves": 6, "builds": 6, "rankings": 3, "priced": 32,
+    ("fine", {"solves": 6, "builds": 6, "blocks": 0, "rankings": 3, "priced": 32,
               "lookups": 16, "hops": 19}),
 ], ids=["strip", "grid", "fine"])
 def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                                      bench_workloads):
     # per run in this process: one space build and one FEM solve per
-    # distinct cracked space, one batch ranking per (source, state) the
+    # distinct cracked space, alone or in one of the blocks that the
+    # scans' prefetches solve, one batch ranking per (source, state) the
     # scans rank, and every hop priced once: a ranking's candidates in
     # its one `hops` call, and each hop looked up outside a ranking (the
     # step's ledger row and the audits; a step that keeps its state
@@ -535,10 +563,7 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(evolution, "solve_on_space",
-                        counted("solves", evolution.solve_on_space))
-    monkeypatch.setattr(evolution, "split_along_crack",
-                        counted("builds", evolution.split_along_crack))
+    _count_space_solves(monkeypatch, counts)
     monkeypatch.setattr(ve_core, "_rank", counted("rankings", ve_core._rank))
     monkeypatch.setattr(evolution, "price_hops",
                         counted("hops", counted("priced", evolution.price_hops,

@@ -186,6 +186,25 @@ def test_hanging_node_check_memory_is_bounded_on_a_graded_mesh():
     assert peak < 32e6
 
 
+def test_hanging_node_check_scales_with_the_graded_mesh(monkeypatch):
+    # cells as wide as a typical edge: the candidate pairs grow with the
+    # edges, not with vertices times edges (17 million on the 48 fan when
+    # the cells were as wide as the longest edge)
+    measured = []
+    first_on_edge = geometry._first_on_edge
+
+    def counted(*args):
+        measured.append(int(args[-1].sum()))
+        return first_on_edge(*args)
+
+    monkeypatch.setattr(geometry, "_first_on_edge", counted)
+    for n in (12, 24, 48):
+        measured.clear()
+        vertices, edges, _, lengths = _graded_fan(n)
+        _check_hanging_nodes(vertices, edges, lengths)
+        assert sum(measured) < 16 * len(edges)
+
+
 def test_hanging_node_message_names_first_vertex_and_edge():
     # two T-junctions; both checks report the lowest vertex and its edge
     vertices = [(0, 0), (2, 0), (0, 2), (1, 0), (1, -1), (0, 1), (-1, 1)]

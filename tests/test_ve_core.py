@@ -457,6 +457,41 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
     assert skipped > 0
 
 
+def test_scan_prefetches_doubling_chunks_that_the_floor_admits(rect9):
+    # before it reads a candidate, a scan hands `prefetch` the chunk that
+    # starts there: the next 1, 2, 4, ... candidates in ranked order,
+    # cut at the first whose D plus the floor exceeds the best value so
+    # far. The scan's result is the one it gives without prefetch
+    chunks = cut = 0
+    for seed in range(6):
+        inst = small_table_instance(rect9, seed, real_hop, 0.0)
+        events = []
+        energy = inst.energy
+        batched = replace(inst, energy=lambda t, k: events.append(k.bits) or energy(t, k),
+                          prefetch=lambda cracks: events.append([k.bits for k in cracks]))
+        state = CrackSet.of_edges(rect9, [seed % rect9.n_edges])
+        ranking = batched.ranking(state, state)
+        assert_same_scan(_scan(0.5, ranking, batched), _scan(0.5, inst.ranking(state, state), inst))
+        order = [k.bits for _, k in ranking]
+        best, handed, quota = math.inf, 0, 1
+        for event in events:
+            if isinstance(event, list):
+                assert event == order[handed:handed + len(event)]
+                assert 0 < len(event) <= quota
+                assert all(d + 0.0 <= best for d in ranking.big_d[handed:handed + len(event)])
+                handed += len(event)
+                if len(event) < quota and handed < len(order):
+                    assert ranking.big_d[handed] + 0.0 > best
+                    cut += 1
+                quota *= 2
+                chunks += 1
+            else:
+                at = order.index(event)
+                assert at < handed
+                best = min(best, energy(0.5, CrackSet(rect9, event)) + ranking.big_d[at])
+    assert chunks >= 12 and cut > 0, (chunks, cut)
+
+
 def counting(calls, fn):
     def wrapper(*args):
         calls.append(args)

@@ -21,6 +21,7 @@ from .elastic import (
     BoundaryLoad,
     NumericalError,
     SpacePlan,
+    SpaceWalk,
     _assemble_csr,
     _cg,
     _cg_failure,
@@ -31,7 +32,7 @@ from .elastic import (
     _mesh_tables,
     csr_diagonal,
 )
-from .geometry import CrackSet, Mesh, MeshError
+from .geometry import Mesh, MeshError
 
 __all__ = ["BLOCK_DOFS", "Entry", "pack_blocks", "solve_block"]
 
@@ -42,17 +43,18 @@ BLOCK_DOFS = 2048
 Entry = tuple[float, float] | NumericalError
 
 
-def pack_blocks(mesh: Mesh, cracks: Sequence[CrackSet]) -> list[list[SpacePlan]]:
-    """The spaces cut along `cracks` packed, in order, into blocks of at
-    most BLOCK_DOFS DOFs (a space with more is a block alone), for
-    `solve_block` to solve a block of two or more spaces at once."""
-    if any(crack.mesh is not mesh for crack in cracks):
+def pack_blocks(mesh: Mesh, walks: Sequence[SpaceWalk]) -> list[list[SpacePlan]]:
+    """The spaces of the walked cracks (see `elastic.space_walk`),
+    planned and packed, in order, into blocks of at most BLOCK_DOFS DOFs
+    (a space with more is a block alone), for `solve_block` to solve a
+    block of two or more spaces at once."""
+    if any(walk[0].mesh is not mesh for walk in walks):
         raise MeshError("crack set does not belong to this mesh")
     tables = _mesh_tables(mesh)
     blocks: list[list[SpacePlan]] = []
     size = BLOCK_DOFS
-    for crack in cracks:
-        plan = tables.plan(crack)
+    for walk in walks:
+        plan = tables.plan(walk)
         size += plan.n_dofs
         if size > BLOCK_DOFS:
             blocks.append([])

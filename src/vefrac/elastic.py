@@ -54,6 +54,7 @@ __all__ = [
     "EnergySolution",
     "split_along_crack",
     "space_key",
+    "space_walk",
     "solve_energy",
     "power",
     "power_bound_constant",
@@ -212,54 +213,52 @@ class _MeshTables:
     components of the corner links, and `base_tri_component` labels the
     components of the triangles joined by interior edges, numbered by
     smallest triangle; both come from `_component_labels`, a union-find
-    in numpy. The per-vertex walks of a crack read flat Python int lists
-    (`*_list`): the edge ends `edge_a_list`/`edge_b_list`, and per link,
-    grouped by vertex through `link_ptr_list`, its edge and two corners
-    (`link_edge_list`, `link_a_list`, `link_b_list`). No container is
-    kept per edge or per link.
+    in numpy. A crack's cuts are read off flat Python int lists of the
+    edge ends (`edge_a_list`/`edge_b_list`) and interior flags; no
+    container is kept per edge or per link.
 
     A crack's fans at a vertex depend only on which edges through it
     are cut, so `fans` keeps them per (vertex, cut) as the pattern is
-    first met; see `_Fans`.
+    first met; see `_Fans`. The vertex's star, its corners and its
+    links with their edges, is read off the arrays the first time
+    `fans` needs that vertex and kept; a run needs few vertices.
     """
 
     def __init__(self, mesh: Mesh):
-        nv, nt, ne = mesh.n_vertices, mesh.n_triangles, mesh.n_edges
+        nv, nt = mesh.n_vertices, mesh.n_triangles
         self.corner_vertex = mesh.triangles.ravel()
         corner_order = np.argsort(self.corner_vertex, kind="stable")
-        # half-edges h = 3*t + k join the corners at slots k and k+1 mod 3
-        ca = np.arange(3 * nt)
-        cb = ca + np.tile([1, 1, -2], nt)
-        va, vb = self.corner_vertex[ca], self.corner_vertex[cb]
-        c_lo = np.where(va < vb, ca, cb)
-        c_hi = np.where(va < vb, cb, ca)
-        half_edge = mesh.tri_edges.ravel()
-        by_edge = np.argsort(half_edge, kind="stable")
-        first = np.searchsorted(half_edge[by_edge], np.arange(ne))
+        # the half-edges of edge e are by_edge[first[e]:first[e] + owners[e]]
+        by_edge = np.argsort(mesh.tri_edges.ravel(), kind="stable")
         is_interior = mesh.edge_tags == INTERIOR
+        owners = 1 + is_interior
+        first = np.cumsum(owners) - owners
         self.interior_edges = np.flatnonzero(is_interior)
         h1 = by_edge[first[self.interior_edges]]
         h2 = by_edge[first[self.interior_edges] + 1]
         self.tri_links = np.column_stack([h1 // 3, h2 // 3])
         # the corner links of each interior edge at both ends, by vertex
+        lo1, hi1 = _half_edge_corners(self.corner_vertex, h1)
+        lo2, hi2 = _half_edge_corners(self.corner_vertex, h2)
         link_edge = np.concatenate([self.interior_edges, self.interior_edges])
-        link_corners = np.column_stack([np.concatenate([c_lo[h1], c_hi[h1]]),
-                                        np.concatenate([c_lo[h2], c_hi[h2]])])
-        link_vertex = self.corner_vertex[link_corners[:, 0]]
-        by_vertex = np.argsort(link_vertex, kind="stable")
-        link_corners = link_corners[by_vertex]
+        link_corners = np.stack([np.concatenate([lo1, hi1]), np.concatenate([lo2, hi2])]).T
+        link_vertex = mesh.edges[self.interior_edges].T.ravel()
         # the two corners of each Dirichlet edge in its single triangle
         self.dirichlet_edges = mesh.dirichlet_edges()
         self.dirichlet_bits = sum(1 << e for e in self.dirichlet_edges.tolist())
-        h = by_edge[first[self.dirichlet_edges]]
-        self.dirichlet_corners = np.column_stack([c_lo[h], c_hi[h]])
+        self.dirichlet_corners = np.column_stack(
+            _half_edge_corners(self.corner_vertex, by_edge[first[self.dirichlet_edges]]))
         on_boundary = np.zeros(nv, dtype=bool)
         on_boundary[mesh.edges[~is_interior]] = True
         # base fans: the first corner of each fan in (vertex, triangle)
         # order opens the next DOF
-        fan = _component_labels(3 * nt, link_corners)[corner_order]
-        opens = np.zeros(3 * nt, dtype=bool)
-        opens[np.unique(fan, return_index=True)[1]] = True
+        labels = _component_labels(3 * nt, link_corners)
+        # a fan's first corner in that order is its smallest, the first
+        # corner of its label, since labels are numbered by smallest node
+        first = np.empty(3 * nt, dtype=bool)
+        first[0] = True
+        np.greater(labels[1:], np.maximum.accumulate(labels)[:-1], out=first[1:])
+        fan, opens = labels[corner_order], first[corner_order]
         fan_dof = np.empty(3 * nt, dtype=int)
         fan_dof[fan[opens]] = np.arange(int(opens.sum()))
         base_dof = np.empty(3 * nt, dtype=int)
@@ -267,9 +266,20 @@ class _MeshTables:
         self.base_fans = np.bincount(self.corner_vertex[corner_order[opens]], minlength=nv)
         self.base_rank = base_dof - (np.cumsum(self.base_fans) - self.base_fans)[self.corner_vertex]
         self.base_tri_component = _component_labels(nt, self.tri_links)
-        self.grads = _p1_gradients(mesh)
-        self.local = (np.einsum("tid,tjd->tij", self.grads, self.grads)
-                      * mesh.triangle_areas[:, None, None]).ravel()
+        grads = _p1_gradients(mesh)
+        local = np.einsum("tid,tjd->tij", grads, grads)
+        local *= mesh.triangle_areas[:, None, None]
+        self.local = local.ravel()
+        # vertex v's corners are corner_order[corner_ptr[v]:corner_ptr[v + 1]]
+        # and its links by_vertex[link_ptr[v]:link_ptr[v + 1]], read by
+        # fans() when it first needs the vertex
+        self._corner_order = corner_order
+        self._corner_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.corner_vertex,
+                                                                      minlength=nv))])
+        self._link_edge = link_edge
+        self._link_corners = link_corners
+        self._by_vertex = np.argsort(link_vertex, kind="stable")
+        self._link_ptr = np.concatenate([[0], np.cumsum(np.bincount(link_vertex, minlength=nv))])
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -278,13 +288,7 @@ class _MeshTables:
         self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
-        self.corner_order_list = corner_order.tolist()
-        self.corner_ptr_list = np.searchsorted(self.corner_vertex[corner_order],
-                                               np.arange(nv + 1)).tolist()
-        self.link_edge_list = link_edge[by_vertex].tolist()
-        self.link_a_list, self.link_b_list = link_corners.T.tolist()
-        self.link_ptr_list = np.searchsorted(link_vertex[by_vertex],
-                                             np.arange(nv + 1)).tolist()
+        self._stars: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
         self._fans: dict[tuple[int, int], _Fans] = {}
 
     def cuts(self, crack_ids: Sequence[int]) -> dict[int, int]:
@@ -307,46 +311,68 @@ class _MeshTables:
         its uncut edges, groups ordered by smallest triangle."""
         fans = self._fans.get((v, cut))
         if fans is None:
-            lo, hi = self.link_ptr_list[v], self.link_ptr_list[v + 1]
-            link_edge, link_a, link_b = self.link_edge_list, self.link_a_list, self.link_b_list
-            corners = self.corner_order_list[self.corner_ptr_list[v]:self.corner_ptr_list[v + 1]]
-            groups = union_groups(corners, [(link_a[i], link_b[i]) for i in range(lo, hi)
-                                            if not (cut >> link_edge[i]) & 1])
+            corners, link_edge, link_a, link_b = self._star(v)
+            groups = union_groups(corners, [(a, b) for e, a, b in zip(link_edge, link_a, link_b)
+                                            if not (cut >> e) & 1])
             fan_of, moved, ranks = {}, [], []
             for r, group in enumerate(groups):
                 moved += group
                 ranks += [r] * len(group)
                 fan_of.update(dict.fromkeys(group, r))
             separating = 0
-            for i in range(lo, hi):
-                if fan_of[link_a[i]] != fan_of[link_b[i]]:
-                    separating |= 1 << link_edge[i]
+            for e, a, b in zip(link_edge, link_a, link_b):
+                if fan_of[a] != fan_of[b]:
+                    separating |= 1 << e
             fans = self._fans[v, cut] = _Fans(len(groups), tuple(moved), tuple(ranks),
                                               separating)
         return fans
 
-    def space_key(self, crack: CrackSet) -> int:
-        """The key of the space cut along `crack`, read off the fan memo
-        without building the space; see `space_key`."""
-        key = crack.bits & self.dirichlet_bits
-        for v, cut in self.cuts(crack.edge_ids).items():
-            key |= self.fans(v, cut).separating
-        return key
+    def _star(self, v: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Vertex v's corners in triangle order, and its links: their
+        edges and their two corners."""
+        star = self._stars.get(v)
+        if star is None:
+            links = self._by_vertex[self._link_ptr[v]:self._link_ptr[v + 1]]
+            star = self._stars[v] = (
+                self._corner_order[self._corner_ptr[v]:self._corner_ptr[v + 1]].tolist(),
+                self._link_edge[links].tolist(), *self._link_corners[links].T.tolist())
+        return star
 
-    def plan(self, crack: CrackSet) -> SpacePlan:
-        """How `crack` changes the base fans, and so its space's DOF
-        count, read off the fan memo."""
+    def walk(self, crack: CrackSet) -> tuple[int, SpaceWalk]:
+        """The key of the space cut along `crack`, read off the fan memo
+        without building the space (see `space_key`), and what `plan`
+        reads of the crack: its edge ids, its cuts and their fans."""
         crack_ids = crack.edge_ids
-        verts, counts, corners, ranks = [], [], [], []
+        cuts = self.cuts(crack_ids)
+        key = crack.bits & self.dirichlet_bits
+        memo, fans = self._fans, []
+        for vertex_cut in cuts.items():
+            f = memo.get(vertex_cut) or self.fans(*vertex_cut)
+            fans.append(f)
+            key |= f.separating
+        return key, (crack, crack_ids, cuts, fans)
+
+    def plan(self, walk: SpaceWalk) -> SpacePlan:
+        """How a walked crack changes the base fans, and so its space's
+        DOF count."""
+        crack, crack_ids, cuts, fans = walk
+        counts, corners, ranks = [], [], []
         n_dofs = self.n_base_dofs
-        for v, cut in self.cuts(crack_ids).items():
-            fans = self.fans(v, cut)
-            verts.append(v)
-            counts.append(fans.count)
-            corners += fans.corners
-            ranks += fans.ranks
-            n_dofs += fans.count - self.base_fans_list[v]
-        return SpacePlan(crack, crack_ids, verts, counts, corners, ranks, n_dofs)
+        for v, f in zip(cuts, fans):
+            counts.append(f.count)
+            corners += f.corners
+            ranks += f.ranks
+            n_dofs += f.count - self.base_fans_list[v]
+        return SpacePlan(crack, crack_ids, list(cuts), counts, corners, ranks, n_dofs)
+
+
+def _half_edge_corners(corner_vertex: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The corners that the half-edges h join, at the lower and at the
+    higher vertex of their edge: half-edge h = 3*t + k joins corner h and
+    corner 3*t + (k + 1) % 3."""
+    other = h + np.where(h % 3 == 2, -2, 1)
+    lower = corner_vertex[h] < corner_vertex[other]
+    return np.where(lower, h, other), np.where(lower, other, h)
 
 
 class _Fans(NamedTuple):
@@ -379,6 +405,11 @@ class SpacePlan(NamedTuple):
     ranks: list[int]
     n_dofs: int
 
+
+# A crack set as _MeshTables.walk reads it off the fan memo: the crack,
+# its edge ids, the cracked interior edges (a mask) through each vertex
+# whose fans it changes, and those fans, in the order of the cuts
+SpaceWalk = tuple[CrackSet, tuple[int, ...], dict[int, int], list[_Fans]]
 
 _TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
 
@@ -464,7 +495,7 @@ class CrackedSpace:
         self.mesh = mesh
         self.crack = crack
         tables = _mesh_tables(mesh)
-        plan = tables.plan(crack)
+        plan = tables.plan(tables.walk(crack)[1])
         crack_ids = plan.crack_ids
         fans = tables.base_fans.copy()
         rank = tables.base_rank.copy()
@@ -547,29 +578,34 @@ def split_along_crack(mesh: Mesh, crack: CrackSet) -> CrackedSpace:
     return CrackedSpace(mesh, crack)
 
 
-def space_key(mesh: Mesh, crack: CrackSet) -> int:
+def space_walk(mesh: Mesh, crack: CrackSet) -> tuple[int, SpaceWalk]:
     """The key of split_along_crack(mesh, crack), without building it:
     the mask of the cracked edges that separate fans at either end,
     OR-ed with the crack's Dirichlet edges. Each vertex's fans are the
     components of its links minus the separating ones, so two cracks
     have equal keys exactly when their spaces have equal `tri_dofs` and
-    release the same Dirichlet edges."""
+    release the same Dirichlet edges. With the key comes the walk that
+    `blocks.pack_blocks` plans the space from."""
     if crack.mesh is not mesh:
         raise MeshError("crack set does not belong to this mesh")
-    return _mesh_tables(mesh).space_key(crack)
+    return _mesh_tables(mesh).walk(crack)
+
+
+def space_key(mesh: Mesh, crack: CrackSet) -> int:
+    """The key of split_along_crack(mesh, crack); see `space_walk`."""
+    return space_walk(mesh, crack)[0]
 
 
 def _p1_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric basis functions, (nt, 3, 2)."""
-    pts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    # gradients of the barycentric functions: rotate opposite edges
-    e0 = pts[:, 2] - pts[:, 1]
-    e1 = pts[:, 0] - pts[:, 2]
-    e2 = pts[:, 1] - pts[:, 0]
-    edges = np.stack([e0, e1, e2], axis=1)  # (nt, 3, 2)
-    grads = np.empty_like(edges)
-    grads[:, :, 0] = -edges[:, :, 1]
-    grads[:, :, 1] = edges[:, :, 0]
+    """Gradients of the three barycentric basis functions, (nt, 3, 2):
+    the side opposite corner i, (x, y) = p[i+2] - p[i+1], rotated to
+    (-y, x) and divided by twice the area."""
+    tris = mesh.triangles
+    x, y = mesh.vertices[:, 0][tris], mesh.vertices[:, 1][tris]
+    nxt, prv = [2, 0, 1], [1, 2, 0]
+    grads = np.empty(tris.shape + (2,))
+    np.negative(y[:, nxt] - y[:, prv], out=grads[:, :, 0])
+    np.subtract(x[:, nxt], x[:, prv], out=grads[:, :, 1])
     grads /= (2.0 * mesh.triangle_areas)[:, None, None]
     return grads
 

@@ -42,6 +42,7 @@ from .elastic import (
     power_bound_constant,
     solve_on_space,
     space_key,
+    space_walk,
     split_along_crack,
 )
 from .geometry import CrackSet, Mesh, MeshError, connected_components
@@ -295,13 +296,14 @@ class _ScaledEnergyCache:
     of another mesh is refused first.
 
     `prefetch`, the scans' batch callback, solves the new spaces of a
-    chunk of candidates together: `pack_blocks` packs them into blocks
-    and `solve_block` solves a block of two or more as one system, bit
-    for bit as each space alone. A space alone in its block, or first
-    met by a lookup, is built and solved alone. A space whose CG fails
-    is stored as its NumericalError, which a lookup of one of its crack
-    sets raises, so a scan that stops before such a candidate ends as it
-    would have without the batch."""
+    chunk of candidates together: it keys each crack set by
+    `space_walk`, `pack_blocks` plans each new space from its walk and
+    packs them into blocks, and `solve_block` solves a block of two or
+    more as one system, bit for bit as each space alone. A space alone
+    in its block, or first met by a lookup, is built and solved alone. A
+    space whose CG fails is stored as its NumericalError, which a lookup
+    of one of its crack sets raises, so a scan that stops before such a
+    candidate ends as it would have without the batch."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
         load.check_mesh(mesh)
@@ -346,12 +348,12 @@ class _ScaledEnergyCache:
         for k in cracks:
             if k.mesh is not mesh or k.bits in entries:
                 continue
-            key = space_key(mesh, k)
+            key, walk = space_walk(mesh, k)
             got = by_space.get(key)
             if got is None:
                 if key not in waiting:
                     waiting[key] = []
-                    new.append(k)
+                    new.append(walk)
                 waiting[key].append(k.bits)
             elif not isinstance(got, NumericalError):
                 entries[k.bits] = got

@@ -19,7 +19,8 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,11 +134,9 @@ class _EdgeIndex(Mapping):
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def _diameter(vertices: np.ndarray) -> float:
@@ -185,44 +184,64 @@ _HANGING_BLOCK = 1 << 13
 def _check_hanging_nodes(vertices, edges, lengths):
     # A vertex lying in the interior of a non-incident edge means the
     # triangulation is not conforming. Vertices are bucketed on a grid of
-    # cells as wide as a typical (the median) edge, sorted by cell key
-    # column * stride + row, and each edge is measured only against the
-    # vertices in the cells its padded bounding box meets. Those cells of
-    # one column hold one run of the sorted vertices, so an edge takes
-    # one (edge, column) range per occupied column its box spans: a short
-    # edge one to three, a long one every column it crosses. Edges and
-    # candidate pairs are taken in blocks of bounded size. The distances
-    # use the arithmetic of dist_points_to_segments, and the smallest
-    # offending (vertex, edge) pair is reported, as a scan over all pairs
-    # would.
+    # cells as wide as a typical (the median) edge, shifted by half a
+    # width so that the vertices of a structured grid sit mid-cell,
+    # sorted by cell key column * stride + row, and each edge is
+    # measured only against the vertices in the cells its padded
+    # bounding box meets. Those cells of one column hold one run of the
+    # sorted vertices, so an edge takes one (edge, column) range per
+    # occupied column its box spans: a short edge one or two, a long one
+    # every column it crosses. Edges and candidate pairs are taken in
+    # blocks of bounded size. The distances use the arithmetic of
+    # dist_points_to_segments, and the smallest offending (vertex, edge)
+    # pair is reported, as a scan over all pairs would.
+    #
+    # The pad: with u = 2**-53 and M the largest |coordinate|, the foot
+    # point a + t (b - a) that the test computes lies within 6 u M of the
+    # edge's box, and the difference, squares, sum and root after it err
+    # by at most 3 u relatively. A vertex further than pad = tol + 16 u
+    # (M + tol) outside the box in x or y is thus measured further than
+    # tol from the edge. Rounding is monotone, so such a box, and the
+    # floor of (p - origin) / width, keep every vertex within pad of the
+    # box in the cells the box meets.
     tol = 1e-12 * max(1.0, float(lengths.max()))
-    a = vertices[edges[:, 0]]
-    b = vertices[edges[:, 1]]
+    x, y = vertices[:, 0].copy(), vertices[:, 1].copy()
+    pad = tol + 16 * 2.0 ** -53 * (max(-x.min(), x.max(), -y.min(), y.max()) + tol)
+    ends_a, ends_b = edges[:, 0].copy(), edges[:, 1].copy()
+    ax, ay, bx, by = x[ends_a], y[ends_a], x[ends_b], y[ends_b]
+    # cells as wide as the median edge, but at most 2**30 of them across
+    # the mesh, so that the cell keys stay far inside int64
     mid = lengths.size // 2
-    width = float(np.partition(lengths, mid)[mid])
-    origin = vertices.min(axis=0) - width
-    vcell = np.floor((vertices - origin) / width).astype(np.int64)
-    stride = int(vcell[:, 1].max()) + 3
-    vkey = vcell[:, 0] * stride + vcell[:, 1]
+    span = max(float(x.max() - x.min()), float(y.max() - y.min()))
+    width = max(float(np.partition(lengths, mid)[mid]), span * 2.0 ** -30)
+    x0, y0 = x.min() - 0.5 * width, y.min() - 0.5 * width
+    rows = np.floor((y - y0) / width).astype(np.int64)
+    stride = int(rows.max()) + 3
+    vkey = np.floor((x - x0) / width).astype(np.int64) * stride + rows
     order = np.argsort(vkey, kind="stable")
     sorted_keys = vkey[order]
     columns = sorted_keys // stride
     occupied = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
-    pad = 0.25 * width
-    lo = np.floor((np.minimum(a, b) - pad - origin) / width).astype(np.int64)
-    hi = np.floor((np.maximum(a, b) + pad - origin) / width).astype(np.int64)
+    lo_x = np.floor((np.minimum(ax, bx) - pad - x0) / width).astype(np.int64)
+    hi_x = np.floor((np.maximum(ax, bx) + pad - x0) / width).astype(np.int64)
+    lo_y = np.floor((np.minimum(ay, by) - pad - y0) / width).astype(np.int64)
+    hi_y = np.floor((np.maximum(ay, by) + pad - y0) / width).astype(np.int64)
     # edge e spans the occupied columns occupied[col_lo[e]:col_lo[e] + n_cols[e]]
-    col_lo = np.searchsorted(occupied, lo[:, 0])
-    n_cols = np.searchsorted(occupied, hi[:, 0], side="right") - col_lo
+    col_lo = np.searchsorted(occupied, lo_x)
+    n_cols = np.searchsorted(occupied, hi_x, side="right") - col_lo
     found = []
     for e, f in _chunks(n_cols):
         n = n_cols[e:f]
         pair_e = np.repeat(np.arange(e, f), n)
         col = occupied[np.arange(int(n.sum())) + np.repeat(col_lo[e:f] - (np.cumsum(n) - n), n)]
-        first = np.searchsorted(sorted_keys, col * stride + lo[pair_e, 1])
-        count = np.searchsorted(sorted_keys, col * stride + hi[pair_e, 1], side="right") - first
+        first = np.searchsorted(sorted_keys, col * stride + lo_y[pair_e])
+        count = np.searchsorted(sorted_keys, col * stride + hi_y[pair_e], side="right") - first
+        # the box holds both ends of its edge: only an edge whose cells
+        # hold more than two vertices has a candidate to measure
+        busy = (np.add.reduceat(count, np.cumsum(n) - n) > 2)[pair_e - e]
+        pair_e, first, count = pair_e[busy], first[busy], count[busy]
         for i, j in _chunks(count):
-            found.append(_first_on_edge(vertices, edges, a, b, tol, order,
+            found.append(_first_on_edge((x, y), (ends_a, ends_b), (ax, ay, bx, by), tol, order,
                                         pair_e[i:j], first[i:j], count[i:j]))
     lowest = min(filter(None, found), default=None)
     if lowest is not None:
@@ -243,21 +262,23 @@ def _chunks(sizes):
         i = j
 
 
-def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
+def _first_on_edge(points, ends, segments, tol, order, pair_e, first, count):
     """Smallest (vertex, edge) among the candidates of the given (edge,
     column) ranges where the vertex lies on the non-incident edge, or
-    None."""
+    None. `points` are the vertex coordinates (x, y), `ends` the two
+    end vertices of every edge and `segments` their coordinates (ax,
+    ay, bx, by)."""
     starts = np.cumsum(count) - count
     slots = np.arange(int(count.sum())) - np.repeat(starts - first, count)
     ev = np.repeat(pair_e, count)
     vv = order[slots]
-    keep = (edges[ev, 0] != vv) & (edges[ev, 1] != vv)
+    keep = (ends[0][ev] != vv) & (ends[1][ev] != vv)
     ev, vv = ev[keep], vv[keep]
     # the arithmetic of dist_points_to_segments on x and y columns, where
     # a 2-vector's einsum is x * x + y * y
-    px, py = vertices[vv, 0], vertices[vv, 1]
-    ax, ay = a[ev, 0], a[ev, 1]
-    dx, dy = b[ev, 0] - ax, b[ev, 1] - ay
+    px, py = points[0][vv], points[1][vv]
+    ax, ay = segments[0][ev], segments[1][ev]
+    dx, dy = segments[2][ev] - ax, segments[3][ev] - ay
     l2 = dx * dx + dy * dy
     t = ((px - ax) * dx + (py - ay) * dy) / l2
     np.clip(t, 0.0, 1.0, out=t)
@@ -272,31 +293,49 @@ def _first_on_edge(vertices, edges, a, b, tol, order, pair_e, first, count):
 @dataclass(frozen=True)
 class _DirichletSelector:
     """The boundary edges whose endpoints are a listed vertex pair or
-    lie together inside one of the boxes (xmin, ymin, xmax, ymax).
-    build_mesh checks every listed pair against the boundary."""
+    lie together inside one of the boxes (xmin, ymin, xmax, ymax)."""
 
     pairs: frozenset = frozenset()
     boxes: tuple = ()
 
-    def __call__(self, va, vb, pa, pb) -> bool:
-        if (min(va, vb), max(va, vb)) in self.pairs:
-            return True
-        return any(xmin <= pa[0] <= xmax and ymin <= pa[1] <= ymax
-                   and xmin <= pb[0] <= xmax and ymin <= pb[1] <= ymax
-                   for xmin, ymin, xmax, ymax in self.boxes)
+    def select(self, vertices: np.ndarray, edges: np.ndarray, keys: np.ndarray,
+               owners: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+        """Which of the `boundary` edges are selected, as a mask. The
+        pairs are looked up in the sorted edge keys lo * nv + hi in one
+        binary search, and the first one in the set's order that is not
+        a boundary edge raises MeshError."""
+        nv = len(vertices)
+        picked = np.zeros(len(edges), dtype=bool)
+        if self.pairs:
+            pairs = list(self.pairs)
+            want = np.array([p[0] * nv + p[1] if len(p) == 2 and 0 <= p[0] < p[1] < nv
+                             else -1 for p in pairs], dtype=np.int64)
+            e = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            is_edge = keys[e] == want
+            bad = np.flatnonzero(~is_edge | (owners[e] != 1))
+            if bad.size:
+                kind = "boundary" if is_edge[bad[0]] else "mesh"
+                raise MeshError(f"dirichlet pair {pairs[bad[0]]} is not a {kind} edge")
+            picked[e] = True
+        picked = picked[boundary]
+        if self.boxes:
+            ends = vertices[edges[boundary]]
+            x, y = ends[..., 0], ends[..., 1]
+            for xmin, ymin, xmax, ymax in self.boxes:
+                picked |= ((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)).all(axis=1)
+        return picked
 
 
-def _dirichlet_predicate(marker) -> Callable[[int, int, np.ndarray, np.ndarray], bool]:
-    """Normalize the marker argument to a predicate on boundary edges.
+def _dirichlet_selector(marker):
+    """Normalize the marker argument to a _DirichletSelector, or to a
+    callable on the two endpoint coordinate arrays of a boundary edge.
 
-    Accepted forms: a callable on the two endpoint coordinate arrays, a
-    bounding box tuple ("bbox", xmin, ymin, xmax, ymax), an iterable of
-    explicit vertex index pairs, or a _DirichletSelector.
+    Accepted forms: such a callable, a bounding box tuple ("bbox", xmin,
+    ymin, xmax, ymax), an iterable of explicit vertex index pairs, or a
+    _DirichletSelector.
     """
-    if isinstance(marker, _DirichletSelector):
+    if isinstance(marker, _DirichletSelector) or callable(marker):
         return marker
-    if callable(marker):
-        return lambda va, vb, pa, pb: bool(marker(pa, pb))
     if isinstance(marker, tuple) and len(marker) == 5 and marker[0] == "bbox":
         return _DirichletSelector(boxes=(marker[1:],))
     return _DirichletSelector(
@@ -310,7 +349,7 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
     ----------
     vertices : (nv, 2) array, or sequence of coordinate pairs
     triangles : sequence of vertex index triples, positively oriented
-    dirichlet_marker : see :func:`_dirichlet_predicate`; selects the
+    dirichlet_marker : see :func:`_dirichlet_selector`; selects the
         Dirichlet part among the boundary edges. Must select at least one.
     """
     if isinstance(vertices, np.ndarray):
@@ -336,8 +375,8 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
         raise MeshError("triangles must be vertex index triples")
     if tris.min() < 0 or tris.max() >= len(verts):
         raise MeshError("triangle vertex index out of range")
-    corners = np.sort(tris, axis=1)
-    repeats = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
+    a, b, c = tris.T
+    repeats = np.flatnonzero((a == b) | (b == c) | (c == a))
     if repeats.size:
         raise MeshError(f"triangle {tuple(tris[repeats[0]].tolist())} repeats a vertex")
     areas = _signed_areas(verts, tris)
@@ -355,9 +394,15 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
     # the order of the key lo * nv + hi.
     nv = len(verts)
     ends = tris[:, [1, 2, 0]]
-    keys, tri_edges = np.unique((np.minimum(tris, ends) * nv + np.maximum(tris, ends)).ravel(),
-                                return_inverse=True)
+    sides = (np.minimum(tris, ends) * nv + np.maximum(tris, ends)).ravel()
+    by_key = np.argsort(sides, kind="stable")
+    opens = np.empty(sides.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(sides[by_key[1:]], sides[by_key[:-1]], out=opens[1:])
+    keys = sides[by_key[opens]]
     edges = np.column_stack([keys // nv, keys % nv])
+    tri_edges = np.empty(sides.size, dtype=np.intp)
+    tri_edges[by_key] = np.cumsum(opens) - 1
     tri_edges = tri_edges.reshape(-1, 3)
     tri_edges.setflags(write=False)
     owners = np.bincount(tri_edges.ravel(), minlength=len(edges))
@@ -369,21 +414,19 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
     keys.setflags(write=False)
     edge_index = _EdgeIndex(keys, nv)
 
-    lengths = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
+    d = verts[edges[:, 1]] - verts[edges[:, 0]]
+    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
     _check_hanging_nodes(verts, edges, lengths)
 
-    tags = np.full(len(edges), INTERIOR, dtype=int)
-    predicate = _dirichlet_predicate(dirichlet_marker)
-    for p in getattr(predicate, "pairs", ()):
-        e = edge_index.get(p)
-        if e is None:
-            raise MeshError(f"dirichlet pair {p} is not a mesh edge")
-        if owners[e] != 1:
-            raise MeshError(f"dirichlet pair {p} is not a boundary edge")
+    selector = _dirichlet_selector(dirichlet_marker)
     boundary = np.flatnonzero(owners == 1)
-    for i, (va, vb) in zip(boundary.tolist(), edges[boundary].tolist()):
-        tags[i] = DIRICHLET if predicate(va, vb, verts[va], verts[vb]) else NEUMANN
+    if isinstance(selector, _DirichletSelector):
+        picked = selector.select(verts, edges, keys, owners, boundary)
+    else:
+        picked = [bool(selector(verts[va], verts[vb])) for va, vb in edges[boundary].tolist()]
+    tags = np.full(len(edges), INTERIOR, dtype=int)
+    tags[boundary] = np.where(picked, DIRICHLET, NEUMANN)
     if not np.any(tags == DIRICHLET):
         raise MeshError("empty Dirichlet set")
     on_boundary = np.zeros(nv, dtype=bool)
@@ -588,12 +631,23 @@ def hausdorff(h: CrackSet, k: CrackSet, resolution: float = None) -> float:
 
 # ---------------------------------------------------------------------------
 # Mesh file format: header "ve-mesh 1", then "v x y", "t i j k" and
-# "dirichlet ..." lines. Indices are 0-based. Numbers read as Python's
-# float() and int() read them, so floats parse bit-exactly and "1_000.5"
-# or "+4" are accepted. A line with a wrong number of fields or a number
-# that does not read raises MeshError("malformed <kind> line: ..."), and
-# an index outside the int64 range raises MeshError("vertex index out of
-# range in <kind> line: ..."); `vefrac run` reports both with exit code 1.
+# "dirichlet ..." lines in any order; every line is stripped, and blank
+# lines and lines starting with "#" are skipped. Indices are 0-based.
+# Numbers read as Python's float() and int() read them, so floats parse
+# bit-exactly and "1_000.5" or "+4" are accepted. A line with a wrong
+# number of fields or a number that does not read raises
+# MeshError("malformed <kind> line: ..."), an index outside the int64
+# range raises MeshError("vertex index out of range in <kind> line:
+# ..."), and a NaN bound raises MeshError("NaN bound in dirichlet bbox
+# line: ..."); `vefrac run` reports all three with exit code 1.
+#
+# The file is read in bulk: a stable sort by first character groups the
+# lines after the header into blocks, each in file order. The "v" and
+# "t" blocks are each split once; a "t" block whose every line holds
+# three plain ASCII digit strings of at most 18 characters (so inside
+# int64) is read by one numpy text conversion, any other by int(). Only
+# when something does not read are the lines taken one by one, to name
+# the first bad one in file order.
 # ---------------------------------------------------------------------------
 
 MESH_FORMAT = "ve-mesh 1"
@@ -605,7 +659,8 @@ _DIRECTIVES = {
     "dirichlet bbox": ("dirichlet bbox", float, lambda n: n == 4),
     "dirichlet pairs": ("dirichlet pairs", int, lambda n: n > 0 and n % 2 == 0),
 }
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_FIRST = operator.itemgetter(0)
 
 
 def _parse_line(ln: str):
@@ -625,48 +680,73 @@ def _parse_line(ln: str):
         values = None
     if values is None or not fits(len(values)):
         raise MeshError(f"malformed {name} line: {ln!r}")
-    if number is int and not all(_INT64.min <= v <= _INT64.max for v in values):
+    if number is int and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
         raise MeshError(f"vertex index out of range in {name} line: {ln!r}")
+    if number is float and any(map(math.isnan, values)):
+        raise MeshError(f"NaN bound in {name} line: {ln!r}")
     return fields[0], values
 
 
-def _number_block(lines: list, number, width: int) -> np.ndarray:
-    """The numbers of `lines`, each a one-letter directive and `width`
-    numbers, as a (len(lines), width) array; ValueError if a line is
-    malformed. The block is split once. With (width + 1) tokens per line
-    on average, a line of another length puts some directive where a
-    number belongs, and no directive reads as a number."""
+def _number_block(lines: list, directive: str, number, width: int) -> np.ndarray:
+    """The numbers of `lines`, each `directive` and `width` numbers, as
+    a (len(lines), width) array; ValueError if a line is malformed. The
+    block is split once. Every line starts with the directive's letter,
+    and no such word reads as a number, so a line of another length
+    puts a word where a number belongs."""
     tokens = " ".join(lines).split()
-    if len(tokens) != (width + 1) * len(lines):
-        raise ValueError("malformed line in block")
+    n = len(lines)
+    if len(tokens) != (width + 1) * n or tokens[::width + 1].count(directive) != n:
+        raise ValueError(f"malformed {directive!r} line in block")
     del tokens[::width + 1]
     return np.array(list(map(number, tokens)), dtype=number).reshape(-1, width)
 
 
+def _triangle_block(lines: list) -> np.ndarray:
+    """The indices of the lines `lines`, all starting with "t", as
+    _number_block reads them. When every line is "t" and three plain
+    ASCII digit strings of at most 18 characters, which int64 holds,
+    apart by spaces or tabs, one numpy text conversion reads them
+    (np.fromstring would read an index past int64 without an error)."""
+    n = len(lines)
+    text = "\n" + "\n".join(lines) + "\n"
+    if n and text.isascii() and text.count("t") == n:
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        digit = (chars >= ord("0")) & (chars <= ord("9"))
+        # the digit runs, and the newlines before and after every line;
+        # every character is a digit, a blank, a newline or a line's "t"
+        starts = (digit[1:] > digit[:-1]).nonzero()[0] + 1
+        ends = (digit[:-1] > digit[1:]).nonzero()[0] + 1
+        breaks = (chars == ord("\n")).nonzero()[0]
+        if (np.count_nonzero(digit) + text.count(" ") + text.count("\t") + 2 * n + 1 == len(text)
+                and starts.size == 3 * n and (ends - starts).max() <= 18
+                # three runs on each line, the first past its "t" and a blank
+                and (starts[::3] > breaks[:-1] + 2).all() and (starts[2::3] < breaks[1:]).all()):
+            return np.fromstring(text.replace("t", " "), dtype=np.int64, sep=" ").reshape(n, 3)
+    return _number_block(lines, "t", int, 3)
+
+
 def parse_mesh_text(text: str) -> Mesh:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != MESH_FORMAT:
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    head = next((i for i, ln in enumerate(lines) if ln[0] != "#"), len(lines))
+    if lines[head:head + 1] != [MESH_FORMAT]:
         raise MeshError(f"unsupported mesh format (expected header '{MESH_FORMAT}')")
-    # one pass sorts the lines by directive; "v" and "t" lines are read
-    # in bulk, the few others one by one
-    blocks = {"v": [], "t": []}
-    others = []
-    for ln in lines[1:]:
-        block = blocks.get(ln[0]) if ln[1:2].isspace() else None
-        (others if block is None else block).append(ln)
+    lines = lines[head + 1:]
+    blocks = {kind: list(group) for kind, group in groupby(sorted(lines, key=_FIRST), _FIRST)}
+    blocks.pop("#", None)
     try:
-        verts = _number_block(blocks["v"], float, 2)
-        tris = _number_block(blocks["t"], int, 3)
+        verts = _number_block(blocks.pop("v", []), "v", float, 2)
+        tris = _triangle_block(blocks.pop("t", []))
         selectors = {"dirichlet bbox": [], "dirichlet pairs": []}
-        for ln in others:
-            kind, values = _parse_line(ln)
-            selectors[kind].append(values)
+        for group in blocks.values():
+            for ln in group:
+                kind, values = _parse_line(ln)
+                selectors[kind].append(values)
     except (ValueError, OverflowError, MeshError):
         # some line is malformed or holds an index past int64: name the
         # first one in file order
-        for ln in lines[1:]:
-            _parse_line(ln)
+        for ln in lines:
+            if ln[0] != "#":
+                _parse_line(ln)
         raise
 
     bboxes, pairs = selectors["dirichlet bbox"], selectors["dirichlet pairs"]

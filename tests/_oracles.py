@@ -360,7 +360,7 @@ def reference_mesh_topology(vertices, triangles, dirichlet_marker) -> dict:
     plus the incidence tuples `edge_triangles`, `vertex_edges` and
     `vertex_triangles`."""
     from vefrac.geometry import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
-                                 _dirichlet_predicate)
+                                 _dirichlet_selector, _DirichletSelector)
 
     verts = np.array([[float(p[0]), float(p[1])] for p in vertices], dtype=float)
     if len(verts) < 3:
@@ -420,14 +420,23 @@ def reference_mesh_topology(vertices, triangles, dirichlet_marker) -> dict:
 
     dense_hanging_node_check(verts, edges, vertex_edges, lengths)
 
-    predicate = _dirichlet_predicate(dirichlet_marker)
+    selector = _dirichlet_selector(dirichlet_marker)
     boundary = [i for i, owners in enumerate(edge_triangles) if len(owners) == 1]
-    if hasattr(predicate, "pairs"):
-        for p in predicate.pairs:
+    if isinstance(selector, _DirichletSelector):
+        for p in selector.pairs:
             if p not in edge_index:
                 raise MeshError(f"dirichlet pair {p} is not a mesh edge")
             if edge_index[p] not in boundary:
                 raise MeshError(f"dirichlet pair {p} is not a boundary edge")
+
+        def predicate(va, vb, pa, pb):
+            return (va, vb) in selector.pairs or any(
+                xmin <= pa[0] <= xmax and ymin <= pa[1] <= ymax
+                and xmin <= pb[0] <= xmax and ymin <= pb[1] <= ymax
+                for xmin, ymin, xmax, ymax in selector.boxes)
+    else:
+        def predicate(va, vb, pa, pb):
+            return bool(selector(pa, pb))
     tags = [INTERIOR] * len(pairs)
     for i in boundary:
         va, vb = pairs[i]
@@ -830,9 +839,16 @@ def reference_energy_entry(mesh, load, k):
 def reference_parse_mesh_text(text: str):
     """The mesh file parser line by line: one tuple per vertex and
     triangle line, each number read by float() or int() as it comes, so
-    a number that does not read raises a bare ValueError. Errors come in
-    file order. Builds through build_mesh's sequence-of-pairs path."""
+    a number that does not read raises a bare ValueError. An index past
+    int64 and a NaN bbox bound raise the parser's MeshError naming the
+    line. Errors come in file order. Builds through build_mesh's
+    sequence-of-pairs path."""
     from vefrac.geometry import MESH_FORMAT, MeshError, _DirichletSelector, build_mesh
+
+    def indices(name, ln, vals):
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in vals):
+            raise MeshError(f"vertex index out of range in {name} line: {ln!r}")
+        return vals
 
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -849,16 +865,20 @@ def reference_parse_mesh_text(text: str):
         elif kind == "t":
             if len(args) != 3:
                 raise MeshError(f"malformed triangle line: {ln!r}")
-            tris.append(tuple(int(a) for a in args))
+            tris.append(tuple(indices("triangle", ln, [int(a) for a in args])))
         elif kind == "dirichlet":
             if args and args[0] == "bbox":
                 if len(args) != 5:
                     raise MeshError(f"malformed dirichlet bbox line: {ln!r}")
-                bboxes.append(tuple(float(a) for a in args[1:]))
+                box = tuple(float(a) for a in args[1:])
+                if any(math.isnan(b) for b in box):
+                    raise MeshError(f"NaN bound in dirichlet bbox line: {ln!r}")
+                bboxes.append(box)
             elif args and args[0] == "pairs":
                 vals = [int(a) for a in args[1:]]
                 if not vals or len(vals) % 2:
                     raise MeshError(f"malformed dirichlet pairs line: {ln!r}")
+                indices("dirichlet pairs", ln, vals)
                 pairs.extend((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
             else:
                 raise MeshError(f"unknown dirichlet selector in line: {ln!r}")

@@ -29,6 +29,7 @@ from vefrac.elastic import (
     _cg,
     _matvec,
     space_key,
+    space_walk,
     split_along_crack,
 )
 from vefrac.geometry import CrackSet
@@ -43,7 +44,7 @@ def solve_all(mesh, load, cracks):
     one solved alone as the energy cache does, and the block sizes."""
     cache = evolution._ScaledEnergyCache(mesh, load, evolution.ENERGY_FLOOR)
     entries, sizes = [], []
-    for block in pack_blocks(mesh, cracks):
+    for block in pack_blocks(mesh, [space_walk(mesh, crack)[1] for crack in cracks]):
         sizes.append(len(block))
         if len(block) == 1:
             entries.append(cache._solve_alone(block[0].crack))

@@ -361,6 +361,17 @@ def test_cli_names_a_mesh_index_past_int64(workdir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_refuses_a_nan_dirichlet_bbox(workdir, tmp_path, capsys):
+    # the bbox line selects nothing, and the pairs beside it would run
+    text = (workdir["root"] / "well.mesh").read_text()
+    (tmp_path / "well.mesh").write_text(text + "dirichlet bbox nan 0 1 1\n")
+    (tmp_path / "run.ini").write_text(WELL_INI.format(mode="ve", output="out"))
+    assert cli_dispatch(["run", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().out.strip() == \
+        "error: NaN bound in dirichlet bbox line: 'dirichlet bbox nan 0 1 1'"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # archives
 # ---------------------------------------------------------------------------

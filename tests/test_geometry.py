@@ -173,6 +173,23 @@ def test_hanging_node_check_on_a_graded_mesh(monkeypatch, block):
     assert got is None
 
 
+def test_hanging_node_check_keeps_cell_keys_inside_int64():
+    # unit edges beside two vertices 3e10 away: cells as wide as the
+    # median edge would number about 6e10 per side, and their keys
+    # column * stride + row would wrap past int64 and lose the grid
+    # vertices that lie on the long diagonal edge from the origin
+    grid = square_grid_mesh(20)
+    for far in (3e4, 3e10, 2e11):
+        vertices = np.concatenate([grid.vertices * 20.0, [[far, far], [-far, far]]])
+        nv = len(grid.vertices)
+        edges = np.concatenate([grid.edges, [[0, nv], [nv, nv + 1]]])
+        vertex_edges, lengths = _edges_of(vertices, edges)
+        want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                vertices, edges, vertex_edges, lengths)
+        assert want == f"vertex 22 lies on edge (0, {nv}): non-conforming mesh"
+        assert _hanging_outcome(_check_hanging_nodes, vertices, edges, lengths) == want
+
+
 def test_hanging_node_check_memory_is_bounded_on_a_graded_mesh():
     # nearly every (vertex, edge) pair is a candidate here: about 1.1e6
     # of them, which measured at once would allocate over 100 MB
@@ -203,6 +220,129 @@ def test_hanging_node_check_scales_with_the_graded_mesh(monkeypatch):
         vertices, edges, _, lengths = _graded_fan(n)
         _check_hanging_nodes(vertices, edges, lengths)
         assert sum(measured) < 16 * len(edges)
+
+
+def _edges_of(vertices, edges):
+    vertex_edges = [[] for _ in range(len(vertices))]
+    for i, (va, vb) in enumerate(edges.tolist()):
+        vertex_edges[va].append(i)
+        vertex_edges[vb].append(i)
+    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
+    return vertex_edges, lengths
+
+
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (-3e3, 1e3), (0.5, 1e-9)],
+                         ids=["unit", "far", "large", "tiny"])
+def test_hanging_node_check_at_the_tolerance(offset, scale):
+    # points planted at distances 0, tol (1 - 1e-6), tol, tol (1 + 1e-6) and
+    # 2 tol from an edge, and 1, 4 and 64 spacings of the largest coordinate:
+    # beside its midpoint and beyond an end. Far from the origin the
+    # distance test's rounding exceeds tol, and the cells are padded for
+    # it; near it the planted distances are exact.
+    mesh = square_grid_mesh(4)
+    base = mesh.vertices * scale + offset
+    edges = mesh.edges
+    _, lengths = _edges_of(base, edges)
+    tol = 1e-12 * max(1.0, float(lengths.max()))
+    spacing = float(np.spacing(np.abs(base).max()))
+    outcomes = set()
+    for e in (0, 1, 5, int(np.argmax(lengths))):
+        a, b = base[edges[e]]
+        along = (b - a) / np.linalg.norm(b - a)
+        normal = np.array([-along[1], along[0]])
+        for d in (0.0, tol * (1 - 1e-6), tol, tol * (1 + 1e-6), 2 * tol, spacing,
+                  4 * spacing, 64 * spacing):
+            for point in (0.5 * (a + b) + d * normal, b + d * along):
+                vertices = np.concatenate([base, [point]])
+                vertex_edges, _ = _edges_of(vertices, edges)
+                want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                        vertices, edges, vertex_edges, lengths)
+                got = _hanging_outcome(_check_hanging_nodes, vertices, edges, lengths)
+                assert got == want, (e, d, point)
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+    # on the axis-parallel edge (0, 1) from the origin the distances are exact
+    if offset == 0.0:
+        on, off = np.array([[0.5 * base[1, 0], tol]]), np.array([[0.5 * base[1, 0], tol * (1 + 1e-6)]])
+        assert _hanging_outcome(_check_hanging_nodes, np.concatenate([base, on]), edges,
+                                lengths) == f"vertex {len(base)} lies on edge (0, 1): non-conforming mesh"
+        assert _hanging_outcome(_check_hanging_nodes, np.concatenate([base, off]), edges,
+                                lengths) is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_hanging_node_check_on_cell_lines(n):
+    # The cells are as wide as the median edge, the grid spacing here, and
+    # start half a width before the lowest vertex. Edge midpoints sit on
+    # the cell lines of that origin (x of a horizontal edge's midpoint) and
+    # on those of an origin a whole width before it (y of the same
+    # midpoint), and so do the grid vertices; a point a quarter width off
+    # a midpoint lies on no edge.
+    mesh = square_grid_mesh(n)
+    edges = mesh.edges
+    _, lengths = _edges_of(mesh.vertices, edges)
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    rng = np.random.default_rng(n)
+    for e in rng.choice(len(edges), size=8, replace=False).tolist():
+        for planted in (mids[e], mids[e] + [0.25 / n, 0.0], mids[e] + [0.0, 0.25 / n]):
+            vertices = np.concatenate([mesh.vertices, [planted]])
+            vertex_edges, _ = _edges_of(vertices, edges)
+            want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                    vertices, edges, vertex_edges, lengths)
+            got = _hanging_outcome(_check_hanging_nodes, vertices, edges, lengths)
+            assert got == want
+    # every midpoint at once: the lowest planted vertex on its edge
+    vertices = np.concatenate([mesh.vertices, mids])
+    vertex_edges, _ = _edges_of(vertices, edges)
+    want = _hanging_outcome(oracle.dense_hanging_node_check, vertices, edges, vertex_edges, lengths)
+    assert _hanging_outcome(_check_hanging_nodes, vertices, edges, lengths) == want
+    assert want == f"vertex {mesh.n_vertices} lies on edge {tuple(edges[0].tolist())}: " \
+        "non-conforming mesh"
+
+
+def test_hanging_node_check_pads_boxes_that_end_on_a_cell_line():
+    # A unit lattice has cells one wide with lines at half-integers. An
+    # extra edge on the line x = 1.5 (or y = 1.5) has a box of zero width
+    # there; a point just across the line, within tol of the edge, lies
+    # in a cell that only the padded box meets.
+    lattice = square_grid_mesh(3)
+    base, edges = lattice.vertices * 3.0, lattice.edges
+    for p, q, across in [((1.5, 0.1), (1.5, 0.4), (-1.0, 0.0)), ((0.1, 1.5), (0.4, 1.5), (0.0, -1.0)),
+                         ((1.5, 0.1), (1.5, 0.4), (1.0, 0.0))]:
+        nv = len(base)
+        extra = np.concatenate([edges, [[nv, nv + 1]]])
+        _, lengths = _edges_of(np.concatenate([base, [p, q]]), extra)
+        tol = 1e-12 * max(1.0, float(lengths.max()))
+        for d in (0.0, 0.5 * tol, tol * (1 - 1e-6), 2 * tol):
+            planted = 0.5 * (np.array(p) + np.array(q)) + d * np.array(across)
+            vertices = np.concatenate([base, [p, q, planted]])
+            vertex_edges, _ = _edges_of(vertices, extra)
+            want = _hanging_outcome(oracle.dense_hanging_node_check,
+                                    vertices, extra, vertex_edges, lengths)
+            assert _hanging_outcome(_check_hanging_nodes, vertices, extra, lengths) == want
+            assert want == (None if d > tol else
+                            f"vertex {nv + 2} lies on edge ({nv}, {nv + 1}): non-conforming mesh")
+
+
+def test_hanging_node_check_of_the_fine_mesh_takes_few_candidates(monkeypatch, tmp_path,
+                                                                  bench_workloads):
+    # the fine grid's vertices sit mid-cell and its boxes are padded by
+    # little more than tol, so a horizontal or vertical edge meets the two
+    # cells of its ends and a diagonal four, 2.66 candidates per edge; only
+    # a diagonal's cells hold more than its ends, and its 4 candidates,
+    # 1.32 per edge, are measured
+    bench_workloads.generate("fine", tmp_path, 1)
+    mesh = read_mesh(tmp_path / "fine.mesh")
+    measured = []
+    first_on_edge = geometry._first_on_edge
+
+    def counted(*args):
+        measured.append(int(args[-1].sum()))
+        return first_on_edge(*args)
+
+    monkeypatch.setattr(geometry, "_first_on_edge", counted)
+    _check_hanging_nodes(mesh.vertices, mesh.edges, mesh.edge_lengths)
+    assert sum(measured) <= 1.5 * mesh.n_edges
 
 
 def test_hanging_node_message_names_first_vertex_and_edge():
@@ -757,6 +897,28 @@ def test_mesh_file_bbox_and_pairs_select_their_union():
     assert mesh.edge_tags[mesh.edge_index[(0, 3)]] == NEUMANN
 
 
+@pytest.mark.parametrize("line", [
+    "dirichlet bbox nan 0 1 1", "dirichlet bbox -1 -1 2 NaN", "dirichlet bbox 0 -nan 1 1",
+], ids=["xmin", "ymax", "negative-ymin"])
+def test_mesh_file_refuses_a_nan_bbox_bound(line):
+    # a NaN bound selects nothing; beside a pairs line it would vanish
+    text = SQUARE_TEXT + line + "\ndirichlet pairs 0 1\n"
+    for parse in (parse_mesh_text, oracle.reference_parse_mesh_text):
+        with pytest.raises(MeshError) as caught:
+            parse(text)
+        assert str(caught.value) == f"NaN bound in dirichlet bbox line: {line!r}"
+    # an earlier malformed line is still named first
+    with pytest.raises(MeshError, match="^malformed vertex line: 'v 1.0 x'$"):
+        parse_mesh_text(SQUARE_TEXT.replace("v 1.0 1.0", "v 1.0 x") + line + "\n")
+
+
+def test_mesh_file_infinite_bbox_selects_every_boundary_edge():
+    mesh = parse_mesh_text(SQUARE_TEXT + "dirichlet bbox -inf -inf inf inf\n")
+    assert list(mesh.dirichlet_edges()) == list(mesh.boundary_edges())
+    assert_same_parsed_mesh(mesh, oracle.reference_parse_mesh_text(
+        SQUARE_TEXT + "dirichlet bbox -inf -inf inf inf\n"))
+
+
 def test_mesh_file_bad_header():
     with pytest.raises(MeshError, match="unsupported mesh format"):
         parse_mesh_text("ve-mesh 2\nv 0 0\n")
@@ -920,6 +1082,106 @@ def test_the_first_malformed_line_is_named(text, message):
     with pytest.raises(MeshError) as caught:
         parse_mesh_text("ve-mesh 1\n" + text + "dirichlet pairs 0 1\n")
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# mesh file parsing against the reference on re-presented files
+# ---------------------------------------------------------------------------
+
+_BLANKS = [" ", "  ", "\t", " \t ", "\u3000", "\xa0"]
+
+
+def _respelled(token: str, rnd, index: bool) -> str:
+    """The same number as float() or int() reads it, spelled another way:
+    a "+", an underscore between two digits, non-ASCII digits, or (for
+    an index) leading zeros up to 19 or more characters."""
+    how = rnd.randrange(6)
+    if how == 0 and token[0] != "-":
+        return "+" + token
+    pairs = [i for i in range(1, len(token)) if token[i - 1].isdigit() and token[i].isdigit()]
+    if how == 1 and pairs:
+        i = rnd.choice(pairs)
+        return token[:i] + "_" + token[i:]
+    if how == 2:
+        zero = rnd.choice([0xFF10, 0x0660])  # fullwidth, Arabic-Indic
+        return "".join(chr(zero + int(c)) if c in "0123456789" else c for c in token)
+    if how == 3 and index:
+        sign = "-" if token[0] == "-" else ""
+        return sign + token.lstrip("-").zfill(rnd.randrange(19, 23))
+    return token
+
+
+def _represented(text: str, rnd, plain_triangles: bool, defect: str | None) -> str:
+    """`text`, a file write_mesh wrote, with its lines re-presented:
+    numbers respelled, fields apart by other blanks, lines padded, each
+    kind of line interleaved with the others in its own order, comments
+    and blank lines between them, and CRLF, CR or LF endings. A defect
+    adds a bad index or a bbox line."""
+    header, *lines = text.splitlines()
+    by_kind = {"v": [], "t": [], "d": []}
+    for ln in lines:
+        by_kind[ln[0]].append(ln.split())
+    if defect in ("past-int64", "negative"):
+        row = rnd.choice(by_kind["t"])
+        row[rnd.randrange(1, 4)] = "9" * 20 if defect == "past-int64" else "-1"
+    elif defect in ("nan-bbox", "infinite-bbox"):
+        bound = "nan" if defect == "nan-bbox" else "inf"
+        by_kind["d"].insert(rnd.randrange(len(by_kind["d"]) + 1),
+                            ["dirichlet", "bbox", "-inf", "-inf", "inf", bound])
+    for kind, rows in by_kind.items():
+        for row in rows:
+            if kind == "t" and plain_triangles:
+                continue
+            start = 1 if kind != "d" else 2
+            for i in range(start, len(row)):
+                if row[i] not in ("inf", "-inf", "nan"):
+                    row[i] = _respelled(row[i], rnd, kind != "v")
+    queues = {kind: list(rows) for kind, rows in by_kind.items()}
+    out = ["# written by write_mesh", "", "  " + header]
+    while any(queues.values()):
+        kind = rnd.choice([k for k, rows in queues.items() if rows])
+        row = queues[kind].pop(0)
+        blanks = ["\t", " "] if kind == "t" and plain_triangles else _BLANKS
+        line = "".join(field + rnd.choice(blanks) for field in row).rstrip(" \t\u3000\xa0")
+        pad = rnd.choice(["", " ", "\t", "\u3000"])
+        out.append(pad + line + rnd.choice(["", " ", "\t"]))
+        if rnd.random() < 0.05:
+            out.append(rnd.choice(["", "   ", "# a comment", "  #indented comment"]))
+    ending = rnd.choice(["\n", "\r\n", "\r"])
+    return ending.join(out) + ending
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MeshError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(nx=st.integers(1, 5), ny=st.integers(1, 4),
+       dirichlet=st.sampled_from(["all", "topbottom"]),
+       plain_triangles=st.booleans(),
+       defect=st.sampled_from([None, None, "past-int64", "negative", "nan-bbox",
+                               "infinite-bbox"]),
+       rnd=st.randoms(use_true_random=False))
+def test_re_presented_mesh_files_parse_as_the_reference(nx, ny, dirichlet, plain_triangles,
+                                                        defect, rnd):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/grid.mesh"
+        write_mesh(rect_grid_mesh(nx, ny, width=3.0, dirichlet=dirichlet), path)
+        with open(path, encoding="utf-8") as fh:
+            text = _represented(fh.read(), rnd, plain_triangles, defect)
+    got = _parse_outcome(parse_mesh_text, text)
+    want = _parse_outcome(oracle.reference_parse_mesh_text, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_same_parsed_mesh(got, want)
+        assert defect in (None, "infinite-bbox")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ of the boundary not released by the crack. Cracks are mesh edges; the
 field may jump across them, which we realize by duplicating vertex DOFs
 per fan of triangles around each split vertex.
 
-Also here: the power (time derivative of E along the loading), the a
-priori constant bounding it, and two independent estimators of the
-energy release rate at a crack tip (finite differences in crack length,
-and the stress intensity factor from an annulus fit).
+Also here: the a priori constant C_P bounding the power (the time
+derivative of E along the loading, which a run reads off the fracture
+instance's energy cache), and two independent estimators of the energy
+release rate at a crack tip (finite differences in crack length, and
+the stress intensity factor from an annulus fit).
 
+`blocks` builds, assembles and solves every cracked space, one or many
+at a time; `CrackedSpace` and `solve_on_space` are its block of one.
 Assembly and CG run on six C kernels of scipy's `_sparsetools`
 extension, which this module loads by file, without importing the
 `scipy` or `scipy.sparse` packages: those would add some 320 modules
@@ -56,7 +59,6 @@ __all__ = [
     "space_key",
     "space_walk",
     "solve_energy",
-    "power",
     "power_bound_constant",
     "energy_release",
     "fit_sif",
@@ -97,7 +99,6 @@ csr_sort_indices = _kernels.csr_sort_indices
 csr_sum_duplicates = _kernels.csr_sum_duplicates
 
 CG_RTOL = 1e-10
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class ElasticError(Exception):
@@ -197,7 +198,7 @@ class BoundaryLoad:
 
 class _MeshTables:
     """Crack-independent tables of one mesh, built once by array
-    operations and shared by every CrackedSpace on that mesh.
+    operations and shared by every cracked space on that mesh.
 
     They read the mesh's topology and do not derive it again: half-edge
     3*t + k is side k of triangle t, so its edge is `mesh.tri_edges[t, k]`,
@@ -209,13 +210,13 @@ class _MeshTables:
     base fans are those of the empty crack: one per vertex, except at a
     pinch vertex whose star is already split (two triangles meeting only
     at that vertex). Base DOF n is the n-th fan in (vertex, smallest
-    triangle) order, the numbering CrackedSpace keeps. The fans are the
-    components of the corner links, and `base_tri_component` labels the
-    components of the triangles joined by interior edges, numbered by
-    smallest triangle; both come from `_component_labels`, a union-find
-    in numpy. A crack's cuts are read off flat Python int lists of the
-    edge ends (`edge_a_list`/`edge_b_list`) and interior flags; no
-    container is kept per edge or per link.
+    triangle) order, the numbering every cracked space keeps. The fans
+    are the components of the corner links, and `base_tri_component`
+    labels the components of the triangles joined by interior edges,
+    numbered by smallest triangle; both come from `_component_labels`,
+    a union-find in numpy. A crack's cuts are read off flat Python int
+    lists of the edge ends (`edge_a_list`/`edge_b_list`) and interior
+    flags; no container is kept per edge or per link.
 
     A crack's fans at a vertex depend only on which edges through it
     are cut, so `fans` keeps them per (vertex, cut) as the pattern is
@@ -463,27 +464,20 @@ class CrackedSpace:
     vertex (star still connected) keeps a single DOF. DOFs are numbered
     by vertex, then by the smallest triangle of the fan.
 
-    Only the vertices of cracked interior edges can have other fans
-    than the mesh's base fans; each reads its fans from the mesh tables'
-    memo by the cut edges through it, and every array follows from the
-    per-vertex fan counts and ranks.
-
-    The constructor builds the fan numbering (`tri_dofs`, `dof_vertex`,
-    `n_dofs`), then the constraints (`dirichlet_dofs`, the triangle
-    components, and a pinned DOF per component the data cannot see) and
-    the stiffness `csr`, as the raw arrays (indptr, indices, data) that
-    `coo_matrix(...).tocsr()` would hold, since every space the program
-    builds is solved or assembled for C_P. `tri_component` labels the
-    triangles by smallest triangle, two sharing a label when a chain of
-    uncracked interior edges joins them; it is the mesh's base labelling
-    unless the crack closes a loop, and only then is it relabelled by
-    `_component_labels` over the uncracked links. Two spaces with equal
+    The space is `blocks._build_spaces` of a block of one, the builder
+    of every space the program solves: the fan numbering (`tri_dofs`,
+    `dof_vertex`, `n_dofs`), the constraints (`dirichlet_dofs`, the DOFs
+    at the corners of the Dirichlet edges the crack leaves, and
+    `pinned_dofs`, one per component the data cannot see, in component
+    order; `constrained_mask` marks both) and `tri_component`, which
+    labels the triangles by smallest triangle, two sharing a label when
+    a chain of uncracked interior edges joins them. The stiffness `csr`
+    holds the raw arrays (indptr, indices, data) that
+    `coo_matrix(...).tocsr()` would hold. Two spaces with equal
     `tri_dofs` that release the same Dirichlet edges, exactly the spaces
     with equal `space_key`, are the same space: equal stiffness,
-    constraints and data. The stiffness reads `tri_dofs` alone.
-    `dof_vertex` is the vertex of each DOF's corners. `dirichlet_dofs`
-    are the DOFs at the corners of the Dirichlet edges the crack leaves.
-    Two triangles are in one component exactly when a chain of triangles
+    constraints and data. The stiffness reads `tri_dofs` alone. Two
+    triangles are in one component exactly when a chain of triangles
     sharing a DOF joins them: an uncracked interior edge puts its two
     triangles in one fan at both of its ends, and the triangles of a fan
     are joined through its uncracked edges. So the components, their
@@ -492,58 +486,20 @@ class CrackedSpace:
     """
 
     def __init__(self, mesh: Mesh, crack: CrackSet):
+        from .blocks import _assemble_csr, _build_spaces
+
         self.mesh = mesh
         self.crack = crack
         tables = _mesh_tables(mesh)
-        plan = tables.plan(tables.walk(crack)[1])
-        crack_ids = plan.crack_ids
-        fans = tables.base_fans.copy()
-        rank = tables.base_rank.copy()
-        if plan.verts:
-            fans[plan.verts] = plan.counts
-            rank[plan.corners] = plan.ranks
-        start = np.zeros(mesh.n_vertices + 1, dtype=int)
-        np.cumsum(fans, out=start[1:])
-        self.tri_dofs = (start[tables.corner_vertex] + rank).reshape(-1, 3)
-        self.dof_vertex = np.repeat(np.arange(mesh.n_vertices), fans)
-        self.n_dofs = n = int(start[-1])
-
-        cracked = np.zeros(mesh.n_edges, dtype=bool)
-        cracked[list(crack_ids)] = True
-        # a cracked boundary edge releases its constraint
-        kept = tables.dirichlet_corners[~cracked[tables.dirichlet_edges]]
-        mask = np.zeros(n, dtype=bool)
-        mask[self.tri_dofs.ravel()[kept]] = True
-        self.dirichlet_dofs = np.flatnonzero(mask)
-        # Cutting interior edges can split a triangle component only if
-        # they close a loop once all boundary vertices are merged into one
-        # node (-1); a forest of them leaves the base components.
-        on_boundary = tables.on_boundary_list
-        links = []
-        for e in crack_ids:
-            if tables.is_interior_list[e]:
-                a, b = tables.edge_a_list[e], tables.edge_b_list[e]
-                links.append((-1 if on_boundary[a] else a, -1 if on_boundary[b] else b))
-        nodes = sorted({v for link in links for v in link})
-        if len(links) == len(nodes) - len(union_groups(nodes, links)):
-            self.tri_component = tables.base_tri_component
-        else:
-            kept = tables.tri_links[~cracked[tables.interior_edges]]
-            self.tri_component = _component_labels(mesh.n_triangles, kept)
-        self.n_components = int(self.tri_component.max()) + 1
-        self.dof_component = np.empty(n, dtype=int)
-        self.dof_component[self.tri_dofs.ravel()] = np.repeat(self.tri_component, 3)
-        # one pinned DOF per component that the Dirichlet data cannot see
-        seen = np.zeros(self.n_components, dtype=bool)
-        seen[self.dof_component[self.dirichlet_dofs]] = True
-        unseen = np.flatnonzero(~seen)
-        first = np.full(self.n_components, n)
-        if unseen.size:
-            np.minimum.at(first, self.dof_component, np.arange(n))
-        self.pinned_dofs = first[unseen]
-        mask[self.pinned_dofs] = True
-        self.constrained_mask = mask
-        self.csr = _assemble_csr(self.tri_dofs, tables.local, (0, n))
+        spaces = _build_spaces([tables.plan(tables.walk(crack)[1])])
+        self.tri_dofs = spaces.tri_dofs.reshape(-1, 3)
+        self.dof_vertex = spaces.dof_vertex
+        self.n_dofs = int(spaces.offsets[-1])
+        self.dirichlet_dofs = spaces.dirichlet
+        self.pinned_dofs = spaces.pinned
+        self.constrained_mask = spaces.constrained
+        self.tri_component = spaces.tri_component
+        self.csr = _assemble_csr(spaces.tri_dofs, tables.local, spaces.offsets)
 
     def stiffness(self) -> scipy.sparse.csr_matrix:
         """`csr` as a scipy matrix. No run calls it: `bench/layers.py`
@@ -610,51 +566,6 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return grads
 
 
-def _assemble_csr(tri_dofs: np.ndarray, local: np.ndarray,
-                  offsets: np.ndarray | tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Assemble the element matrices `local` of the triangles' DOFs
-    `tri_dofs` with the kernels `coo_matrix.tocsr` calls, in its order,
-    so the CSR bytes are scipy's own: bucket by row, sort each row's
-    columns unless all rows are sorted already, then sum duplicates in
-    place.
-
-    The DOFs may be those of several spaces, space s owning the DOFs
-    offsets[s] to offsets[s+1] - 1 (an array for more than one space)
-    and the rows that couple them. Each space's rows are then sorted
-    when, and only when, they would be if it were assembled alone:
-    csr_sort_indices's std::sort may reorder equal columns, and with
-    them the sums of duplicates. Every DOF has entries, so no row is
-    empty."""
-    n = int(offsets[-1])
-    idx = np.int32 if max(local.size, n) <= _INT32_MAX else np.int64
-    tri_dofs = tri_dofs.astype(idx).reshape(-1, 3)
-    # entry 9*t + 3*i + j of the element matrices is (slot i, slot j)
-    rows = tri_dofs[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-    cols = tri_dofs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    indptr = np.empty(n + 1, dtype=idx)
-    indices = np.empty(local.size, dtype=idx)
-    data = np.empty(local.size)
-    coo_tocsr(n, n, local.size, rows, cols, local, indptr, indices, data)
-    if len(offsets) == 2:
-        if not csr_has_sorted_indices(n, indptr, indices):
-            csr_sort_indices(n, indptr, indices, data)
-    else:
-        # a descending pair of neighbour entries in one row
-        down = indices[1:] < indices[:-1]
-        down[indptr[1:-1] - 1] = False
-        unsorted = np.zeros(len(offsets) - 1, dtype=bool)
-        unsorted[np.searchsorted(indptr[offsets], down.nonzero()[0], side="right") - 1] = True
-        if unsorted.all():
-            csr_sort_indices(n, indptr, indices, data)
-        else:
-            for s in unsorted.nonzero()[0].tolist():
-                lo, hi = offsets[s], offsets[s + 1]
-                csr_sort_indices(hi - lo, indptr[lo:hi + 1], indices, data)
-    csr_sum_duplicates(n, n, indptr, indices, data)
-    nnz = int(indptr[-1])
-    return indptr, indices[:nnz], data[:nnz]
-
-
 @dataclass(frozen=True)
 class EnergySolution:
     """Energy value, nodal field per DOF, solver residual, the space the
@@ -675,87 +586,6 @@ def _matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return y
 
 
-def _free_block(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                free_mask: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The free x free block of a square CSR matrix as `a[free][:, free]`
-    holds it: the kept entries copied in row order, columns renumbered."""
-    kept = (np.repeat(free_mask, indptr[1:] - indptr[:-1])
-            & free_mask[indices]).nonzero()[0]
-    renumber = np.empty(free_mask.size, dtype=np.intp)
-    renumber[free] = np.arange(free.size)
-    starts = indptr[np.concatenate((free, [free_mask.size]))]
-    return np.searchsorted(kept, starts), renumber[indices[kept]], data[kept]
-
-
-def _cg_maxiter(n_free: int) -> int:
-    return max(2000, 20 * n_free)
-
-
-def _cg(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-        b: np.ndarray, diag: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
-    """`spla.cg(A, b, rtol=CG_RTOL, atol=0, M=x -> x / diag, maxiter)` on
-    a CSR matrix, operation for operation, so x and info are scipy's bit
-    for bit: the same products, reductions and updates in the same order,
-    without its operator wrappers."""
-    atol = max(0.0, CG_RTOL * math.sqrt(b.dot(b)))
-    x = np.zeros(b.size)
-    r = b.copy()
-    p = rho_prev = None
-    for iteration in range(maxiter):
-        if math.sqrt(r.dot(r)) < atol:
-            return x, 0
-        z = r / diag
-        rho_cur = r.dot(z)
-        if iteration > 0:
-            p *= rho_cur / rho_prev
-            p += z
-        else:
-            p = z
-        q = _matvec(indptr, indices, data, p)
-        alpha = rho_cur / p.dot(q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho_cur
-    return x, maxiter
-
-
-def _cg_failure(info: int, residual: float) -> NumericalError:
-    return NumericalError(f"CG failed to converge (info={info}, residual={residual:.3e})")
-
-
-def _solve_constrained(space: CrackedSpace,
-                       values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize the quadratic form subject to u = values on the
-    constrained DOFs, space.constrained_mask (Dirichlet + pinned).
-    Returns the full field and the relative residual of the reduced
-    system."""
-    indptr, indices, data = space.csr
-    mask = space.constrained_mask
-    n = space.n_dofs
-    u = np.zeros(n)
-    u[mask] = values[mask]
-    free_mask = ~mask
-    free = free_mask.nonzero()[0]
-    if free.size == 0:
-        return u, 0.0
-    # u is +0 on the free DOFs, so only the constrained columns add; a
-    # row's sum does not depend on which other rows are computed
-    b = -_matvec(indptr, indices, data, u)[free]
-    bnorm = math.sqrt(b.dot(b))
-    if bnorm == 0.0:
-        return u, 0.0
-    diag = np.empty(n)
-    csr_diagonal(0, n, n, indptr, indices, data, diag)
-    block = _free_block(indptr, indices, data, free_mask, free)
-    x, info = _cg(*block, b, diag[free], _cg_maxiter(free.size))
-    res = _matvec(*block, x) - b
-    residual = math.sqrt(res.dot(res)) / bnorm
-    if info != 0:
-        raise _cg_failure(info, residual)
-    u[free] = x
-    return u, residual
-
-
 def solve_energy(t: float, crack: CrackSet, load: BoundaryLoad) -> EnergySolution:
     """Minimum elastic energy at time t with the given crack.
 
@@ -770,30 +600,21 @@ def solve_energy(t: float, crack: CrackSet, load: BoundaryLoad) -> EnergySolutio
 
 
 def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergySolution:
-    """Same as solve_energy, reusing an already-built space."""
-    at = load.amplitude(t)
-    values = np.zeros(space.n_dofs)
-    values[space.dirichlet_dofs] = at * load.profile[space.dof_vertex[space.dirichlet_dofs]]
-    u, residual = _solve_constrained(space, values)
-    au = _matvec(*space.csr, u)
-    return EnergySolution(energy=0.5 * float(u @ au), u=u, residual=residual,
+    """Same as solve_energy, reusing an already-built space: the space
+    solved at amplitude a(t) by `blocks._solve`, the core of every solve,
+    which gives its field, A u and the residual of its reduced system."""
+    from .blocks import _solve
+
+    dirichlet = space.dirichlet_dofs
+    u = np.zeros(space.n_dofs)
+    u[dirichlet] = load.amplitude(t) * load.profile[space.dof_vertex[dirichlet]]
+    n_free = np.array([space.n_dofs - np.count_nonzero(space.constrained_mask)])
+    au, errors, residual = _solve(space.csr, space.constrained_mask, u, n_free,
+                                  all_residuals=True)
+    if errors[0]:
+        raise errors[0]
+    return EnergySolution(energy=0.5 * float(u @ au), u=u, residual=residual[0],
                           space=space, au=au)
-
-
-def power(t: float, crack: CrackSet, load: BoundaryLoad,
-          solution: EnergySolution | None = None) -> float:
-    """Time derivative of E along the loading.
-
-    At the minimizer the residual of the stiffness system vanishes on
-    free DOFs, so (A u) pairs only against the Dirichlet trace of the
-    variation; any extension of G gives the same value. We use the nodal
-    profile itself.
-    """
-    if solution is None:
-        solution = solve_energy(t, crack, load)
-    space = solution.space
-    g = load.profile[space.dof_vertex]
-    return load.amplitude.derivative(t) * float(g @ solution.au)
 
 
 def power_bound_constant(load: BoundaryLoad, mesh: Mesh) -> float:

@@ -18,7 +18,8 @@ Dirichlet edges): the datum scales linearly with the amplitude, so
 E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
 bilinear value. The instance's prefetch solves the new spaces of a
 scan's chunk together, as block-diagonal systems (`blocks`), bit for
-bit as each alone. Its one dissipation callback `hops` is
+bit whatever else a block holds; a lookup of a crack set not yet
+solved is a prefetch of one. Its one dissipation callback `hops` is
 dissipation.price_hops, a pure function that prices each hop it is
 asked for, among all of a ranking's hops in one call or alone as a call
 of one, bit for bit as hop_cost does; the instance's ranking keeps a
@@ -36,15 +37,7 @@ import numpy as np
 
 from .blocks import Entry, pack_blocks, solve_block
 from .dissipation import DissipationParams, price_hops
-from .elastic import (
-    BoundaryLoad,
-    NumericalError,
-    power_bound_constant,
-    solve_on_space,
-    space_key,
-    space_walk,
-    split_along_crack,
-)
+from .elastic import BoundaryLoad, NumericalError, power_bound_constant, space_key, space_walk
 from .geometry import CrackSet, Mesh, MeshError, connected_components
 from .ve_core import RisInstance, incremental_step, residual_stability
 
@@ -287,20 +280,20 @@ class _ScaledEnergyCache:
     minimizer scales linearly in a(t), so E(t,K) = a(t)^2 E1(K) and
     dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing.
 
-    E1 and p1 depend on K only through the space cut along K, so a crack
-    set missing from the per-set memo reads its space's key off the
-    mesh's per-vertex fan memo (`space_key`) and looks it up in a
-    second memo; only a new space is built and solved. Many competitors
-    share a space: an isolated interior edge, for one, leaves the stars
-    of both of its ends connected. The memos key on bits, so a crack set
-    of another mesh is refused first.
+    E1 and p1 depend on K only through the space cut along K, so the
+    per-set memo is backed by a second memo keyed by the space's key,
+    read off the mesh's per-vertex fan memo (`space_walk`); only a new
+    space is built and solved. Many competitors share a space: an
+    isolated interior edge, for one, leaves the stars of both of its
+    ends connected. The memos key on bits, so a crack set of another
+    mesh is refused first.
 
-    `prefetch`, the scans' batch callback, solves the new spaces of a
-    chunk of candidates together: it keys each crack set by
-    `space_walk`, `pack_blocks` plans each new space from its walk and
-    packs them into blocks, and `solve_block` solves a block of two or
-    more as one system, bit for bit as each space alone. A space alone
-    in its block, or first met by a lookup, is built and solved alone. A
+    `prefetch`, the scans' batch callback, is the one place the cache
+    solves: it keys each crack set by `space_walk`, `pack_blocks` plans
+    each new space from its walk and packs them into blocks, and
+    `solve_block` solves each block as one system, bit for bit whatever
+    else the block holds. A lookup of a crack set not yet filed is the
+    prefetch of that one set, whose new space is a block of one. A
     space whose CG fails is stored as its NumericalError, which a lookup
     of one of its crack sets raises, so a scan that stops before such a
     candidate ends as it would have without the batch."""
@@ -314,27 +307,15 @@ class _ScaledEnergyCache:
         self._entries: dict[int, tuple[float, float]] = {}
         self._by_space: dict[int, Entry] = {}
 
-    def _solve_alone(self, k: CrackSet) -> Entry:
-        space = split_along_crack(self.mesh, k)
-        try:
-            sol = solve_on_space(1.0, space, self.unit)
-        except NumericalError as err:
-            return err
-        g = self.load.profile[space.dof_vertex]
-        return sol.energy, float(g @ sol.au)
-
     def _entry(self, k: CrackSet) -> tuple[float, float]:
         if k.mesh is not self.mesh:
             raise MeshError("crack set belongs to another mesh")
         got = self._entries.get(k.bits)
         if got is None:
-            key = space_key(self.mesh, k)
-            got = self._by_space.get(key)
+            self.prefetch([k])
+            got = self._entries.get(k.bits)
             if got is None:
-                got = self._by_space[key] = self._solve_alone(k)
-            if isinstance(got, NumericalError):
-                raise NumericalError(*got.args)
-            self._entries[k.bits] = got
+                raise NumericalError(*self._by_space[space_key(self.mesh, k)].args)
         return got
 
     def prefetch(self, cracks: Sequence[CrackSet]) -> None:
@@ -359,10 +340,7 @@ class _ScaledEnergyCache:
                 entries[k.bits] = got
         solved: list[Entry] = []
         for block in pack_blocks(mesh, new):
-            if len(block) == 1:
-                solved.append(self._solve_alone(block[0].crack))
-            else:
-                solved += solve_block(block, self.unit)
+            solved += solve_block(block, self.unit)
         for (key, bits), got in zip(waiting.items(), solved):
             by_space[key] = got
             if not isinstance(got, NumericalError):
@@ -379,6 +357,10 @@ class _ScaledEnergyCache:
         return value
 
     def power(self, t: float, k: CrackSet) -> float:
+        """dE/dt along the loading. At the minimizer A u vanishes on the
+        free DOFs, so it pairs only against the Dirichlet trace of the
+        variation, and any extension of G gives the same value: p1 pairs
+        it with the nodal profile itself."""
         a = self.load.amplitude(t)
         return self.load.amplitude.derivative(t) * a * self._entry(k)[1]
 

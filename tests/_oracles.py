@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -454,11 +455,19 @@ def reference_mesh_topology(vertices, triangles, dirichlet_marker) -> dict:
     }
 
 
+_TOPOLOGIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def reference_topology(mesh) -> dict:
-    """reference_mesh_topology of a built mesh."""
-    return reference_mesh_topology(
-        mesh.vertices, mesh.triangles,
-        [tuple(map(int, mesh.edges[e])) for e in mesh.dirichlet_edges()])
+    """reference_mesh_topology of a built mesh, derived once per mesh:
+    its hanging-node check alone takes most of a second on a 48x48 grid,
+    and the reference spaces of a run read it for every crack set."""
+    topo = _TOPOLOGIES.get(mesh)
+    if topo is None:
+        topo = _TOPOLOGIES[mesh] = reference_mesh_topology(
+            mesh.vertices, mesh.triangles,
+            [tuple(map(int, mesh.edges[e])) for e in mesh.dirichlet_edges()])
+    return topo
 
 
 def _reference_fans(mesh, topo, crack_bits):
@@ -823,17 +832,17 @@ def reference_big_d(h, k, params) -> float:
 
 
 def reference_energy_entry(mesh, load, k):
-    """(E1, p1) of one crack set from a space built and solved for that
-    set alone: the energy at unit amplitude and the pairing of the
-    profile with A u."""
-    from vefrac.elastic import BoundaryLoad, LinearAmplitude, solve_on_space, split_along_crack
-
-    unit = BoundaryLoad(profile=load.profile, amplitude=LinearAmplitude(1.0, 0.0),
-                        horizon=load.horizon)
-    space = split_along_crack(mesh, k)
-    sol = solve_on_space(1.0, space, unit)
-    g = load.profile[space.dof_vertex]
-    return sol.energy, float(g @ sol.au)
+    """(E1, p1) of one crack set from the reference space built and
+    solved by scipy for that set alone: the energy at unit amplitude
+    and the pairing of the profile with A u."""
+    space = reference_space(mesh, k)
+    a = reference_stiffness(mesh, space["tri_dofs"], space["n_dofs"])
+    dirichlet, dof_vertex = space["dirichlet_dofs"], space["dof_vertex"]
+    values = np.zeros(space["n_dofs"])
+    values[dirichlet] = load.profile[dof_vertex[dirichlet]]
+    u, _ = reference_solve(a, space["constrained_mask"], values)
+    au = a @ u
+    return 0.5 * float(u @ au), float(load.profile[dof_vertex] @ au)
 
 
 def reference_parse_mesh_text(text: str):

@@ -2,11 +2,12 @@
 
 blocks.pack_blocks packs the new spaces of a scan's chunk into blocks,
 and blocks.solve_block numbers, constrains, assembles and solves a
-block of two or more as one system. Every (E1, p1) it stores must equal,
-bit for bit, the space built and solved alone (the energy cache's lone
-path) and `reference_energy_entry`. Its dot products are BLAS calls, so
-these tests carry the blas_rounding marker. The failure tests check that
-a space solved ahead of a scan's stop point raises only when read.
+block of one or more as one system. Every (E1, p1) it stores must equal,
+bit for bit, the space solved alone, as a block of one, and
+`reference_energy_entry`, a solve by scipy of the reference space. Its
+dot products are BLAS calls, so these tests carry the blas_rounding
+marker. The failure tests check that a space solved ahead of a scan's
+stop point raises only when read.
 """
 from __future__ import annotations
 
@@ -16,17 +17,14 @@ import numpy as np
 import pytest
 
 import vefrac.blocks as blocks
-import vefrac.elastic as elastic
 import vefrac.evolution as evolution
 from vefrac.benchmarks import growth_strip, ramp_load, square_grid_mesh, unit_square_mesh
 from vefrac.cli_io import _run_to_archive, build_run, cli_dispatch, parse_config
-from vefrac.blocks import _block_cg, pack_blocks, solve_block
+from vefrac.blocks import _assemble_csr, _block_cg, _cg, pack_blocks, solve_block
 from vefrac.elastic import (
     BoundaryLoad,
     LinearAmplitude,
     NumericalError,
-    _assemble_csr,
-    _cg,
     _matvec,
     space_key,
     space_walk,
@@ -39,26 +37,27 @@ import _oracles as oracle
 pytestmark = pytest.mark.blas_rounding
 
 
+def solve_alone(mesh, load, crack):
+    """The entry of a crack set's space solved as a block of one."""
+    (block,) = pack_blocks(mesh, [space_walk(mesh, crack)[1]])
+    return solve_block(block, load.unit())[0]
+
+
 def solve_all(mesh, load, cracks):
-    """Every crack set's entry from pack_blocks and solve_block, blocks of
-    one solved alone as the energy cache does, and the block sizes."""
-    cache = evolution._ScaledEnergyCache(mesh, load, evolution.ENERGY_FLOOR)
+    """Every crack set's entry from pack_blocks and solve_block, and the
+    block sizes."""
     entries, sizes = [], []
     for block in pack_blocks(mesh, [space_walk(mesh, crack)[1] for crack in cracks]):
         sizes.append(len(block))
-        if len(block) == 1:
-            entries.append(cache._solve_alone(block[0].crack))
-        else:
-            entries += solve_block(block, load.unit())
+        entries += solve_block(block, load.unit())
     return entries, sizes
 
 
 def assert_lone_entries(mesh, load, cracks, entries):
-    cache = evolution._ScaledEnergyCache(mesh, load, evolution.ENERGY_FLOOR)
     for crack, entry in zip(cracks, entries, strict=True):
         expected = oracle.reference_energy_entry(mesh, load, crack)
         assert type(entry) is tuple and all(type(v) is float for v in entry)
-        assert entry == expected == cache._solve_alone(crack)
+        assert entry == expected == solve_alone(mesh, load, crack)
         assert [v.hex() for v in entry] == [v.hex() for v in expected]
 
 
@@ -79,35 +78,33 @@ def _workload_run(bench_workloads, workload, work):
 
 
 def record_solves(monkeypatch):
-    """Record each crack set whose space the energy cache solves, and
-    its entry, as [(crack, entry, in_block)]."""
+    """Record each crack set whose space the energy cache solves, its
+    entry, and the size of the block it is solved in, as
+    [(crack, entry, block size)]."""
     solved = []
-    alone, block_solve = evolution._ScaledEnergyCache._solve_alone, evolution.solve_block
-
-    def solve_alone(cache, k):
-        entry = alone(cache, k)
-        solved.append((k, entry, False))
-        return entry
+    block_solve = evolution.solve_block
 
     def solve_block_(block, load):
         entries = block_solve(block, load)
-        solved.extend((plan.crack, entry, True) for plan, entry in zip(block, entries))
+        solved.extend((plan.crack, entry, len(block)) for plan, entry in zip(block, entries))
         return entries
 
-    monkeypatch.setattr(evolution._ScaledEnergyCache, "_solve_alone", solve_alone)
     monkeypatch.setattr(evolution, "solve_block", solve_block_)
     return solved
 
 
-@pytest.mark.parametrize("workload, in_blocks", [("strip", 32), ("grid", 496), ("fine", 0)])
-def test_workload_spaces_match_the_lone_path(workload, in_blocks, tmp_path, monkeypatch,
+@pytest.mark.parametrize("workload, alone, shared",
+                         [("strip", 13, 32), ("grid", 3, 496), ("fine", 6, 0)])
+def test_workload_spaces_match_the_lone_path(workload, alone, shared, tmp_path, monkeypatch,
                                              bench_workloads):
-    # every space a benchmark run solves, alone or in a block, stores the
-    # (E1, p1) of that space solved alone
+    # every space a benchmark run solves, in a block of one or of many,
+    # stores the (E1, p1) of that space solved alone; each fine space
+    # has more DOFs than a block holds
     solved = record_solves(monkeypatch)
     ctx = _workload_run(bench_workloads, workload, tmp_path)
     _run_to_archive(ctx, tmp_path / "out")
-    assert sum(in_block for _, _, in_block in solved) == in_blocks
+    sizes = [size for _, _, size in solved]
+    assert (sizes.count(1), len(sizes) - sizes.count(1)) == (alone, shared)
     cracks = [crack for crack, _, _ in solved]
     assert_lone_entries(ctx.mesh, ctx.load, cracks, [entry for _, entry, _ in solved])
 
@@ -135,16 +132,16 @@ def random_cracks(mesh, rng, count, most):
 
 def describe(mesh, load, crack):
     """The cases a block must get right, as flags of one space."""
-    space = split_along_crack(mesh, crack)
-    base = split_along_crack(mesh, CrackSet.empty(mesh))
+    space = oracle.reference_space(mesh, crack)
+    base = oracle.reference_space(mesh, CrackSet.empty(mesh))
     rhs = rhs_of(mesh, load, crack)
     return {
-        "loop": space.n_components > base.n_components,
+        "loop": space["n_components"] > base["n_components"],
         "released": bool(crack.bits & sum(1 << int(e) for e in mesh.dirichlet_edges())),
-        "pinned": space.pinned_dofs.size > 0,
-        "no free": bool(space.constrained_mask.all()),
+        "pinned": space["pinned_dofs"].size > 0,
+        "no free": bool(space["constrained_mask"].all()),
         "zero rhs": rhs.size > 0 and not rhs.any(),
-        "free": int((~space.constrained_mask).sum()),
+        "free": int((~space["constrained_mask"]).sum()),
     }
 
 
@@ -194,6 +191,37 @@ def test_random_blocks_match_the_lone_path():
             start += size
     assert min(seen.values()) > 0, seen
     assert mixed > 0
+
+
+def test_only_a_crack_that_closes_a_loop_labels_components(monkeypatch):
+    # cuts that close no loop leave every space of a block the mesh's
+    # base components, tiled without a `_component_labels` call; one
+    # crack of the block that closes a loop labels the whole block in one
+    # call. Either way each space's labels are the reference's, after the
+    # components of the spaces before it
+    mesh = square_grid_mesh(4, dirichlet="topbottom")
+    labels, labelled = blocks._component_labels, []
+
+    def counted(n, links):
+        labelled.append(n)
+        return labels(n, links)
+
+    monkeypatch.setattr(blocks, "_component_labels", counted)
+    cracks = crafted_cracks(mesh)
+    loops = [cracks[0], cracks[4]]  # a ring around a cell, a cut across
+    forests = [k for k in cracks if k not in loops]
+    nt = mesh.n_triangles
+    for block, calls in ((forests, 0), (forests[:1], 0), (forests + loops[1:], 1),
+                         (loops[:1], 1)):
+        labelled.clear()
+        (plans,) = pack_blocks(mesh, [space_walk(mesh, crack)[1] for crack in block])
+        components = blocks._build_spaces(plans).tri_component
+        assert len(labelled) == calls
+        first = 0
+        for s, crack in enumerate(block):
+            want = oracle.reference_space(mesh, crack)["tri_component"]
+            assert np.array_equal(components[s * nt:(s + 1) * nt], first + want)
+            first += int(want.max()) + 1
 
 
 def test_block_assembly_sorts_the_rows_of_each_space_as_alone():
@@ -285,7 +313,7 @@ def rhs_of(mesh, load, crack):
 def fail_cg_on(monkeypatch, target):
     """Stub both CGs so that the system whose right-hand side is
     `target`, bit for bit, reports that it ran out of iterations."""
-    block_cg, cg = blocks._block_cg, elastic._cg
+    block_cg, cg = blocks._block_cg, blocks._cg
 
     def stub_block_cg(indptr, indices, data, b, diag, maxiter):
         x, info = block_cg(indptr, indices, data, b, diag, maxiter)
@@ -299,8 +327,7 @@ def fail_cg_on(monkeypatch, target):
         return x, maxiter if b.tobytes() == target.tobytes() else info
 
     monkeypatch.setattr(blocks, "_block_cg", stub_block_cg)
-    for module in (blocks, elastic):
-        monkeypatch.setattr(module, "_cg", stub_cg)
+    monkeypatch.setattr(blocks, "_cg", stub_cg)
 
 
 def reads_and_block_spaces(bench_workloads, work, monkeypatch):
@@ -325,8 +352,8 @@ def reads_and_block_spaces(bench_workloads, work, monkeypatch):
     # the CG stubs find a space by its right-hand side, which must then
     # be that space's alone
     rhs = [rhs_of(ctx.mesh, ctx.load, crack).tobytes() for crack, _, _ in solved]
-    in_blocks = [crack for (crack, _, in_block), b in zip(solved, rhs)
-                 if in_block and rhs.count(b) == 1]
+    in_blocks = [crack for (crack, _, size), b in zip(solved, rhs)
+                 if size > 1 and rhs.count(b) == 1]
     return path.read_bytes(), read, in_blocks
 
 
@@ -353,8 +380,7 @@ def test_a_failure_that_a_scan_reads_exits_2_with_the_lone_message(
     ctx = _workload_run(bench_workloads, "grid", tmp_path / "b")
     target = CrackSet(ctx.mesh, target.bits)
     fail_cg_on(monkeypatch, rhs_of(ctx.mesh, ctx.load, target))
-    lone = evolution._ScaledEnergyCache(ctx.mesh, ctx.load, evolution.ENERGY_FLOOR)
-    expected = lone._solve_alone(target)
+    expected = solve_alone(ctx.mesh, ctx.load, target)
     assert isinstance(expected, NumericalError)
     assert str(expected).startswith("CG failed to converge (info=2000, residual=")
     config = bench_workloads.generate("grid", tmp_path / "c", 1).config
@@ -364,18 +390,13 @@ def test_a_failure_that_a_scan_reads_exits_2_with_the_lone_message(
 
 
 def undercut(monkeypatch, key):
-    """Store E1 = -1 for the space `key` whichever path solves it."""
-    alone, block_solve = evolution._ScaledEnergyCache._solve_alone, evolution.solve_block
-
-    def solve_alone(cache, k):
-        entry = alone(cache, k)
-        return (-1.0, entry[1]) if space_key(k.mesh, k) == key else entry
+    """Store E1 = -1 for the space `key` whichever block solves it."""
+    block_solve = evolution.solve_block
 
     def solve_block_(block, load):
         return [(-1.0, entry[1]) if space_key(plan.crack.mesh, plan.crack) == key else entry
                 for plan, entry in zip(block, block_solve(block, load))]
 
-    monkeypatch.setattr(evolution._ScaledEnergyCache, "_solve_alone", solve_alone)
     monkeypatch.setattr(evolution, "solve_block", solve_block_)
 
 

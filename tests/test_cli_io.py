@@ -811,10 +811,12 @@ def test_cli_exit_code_follows_the_error_type_not_its_message(workdir, capsys,
         assert capsys.readouterr().out == f"{prefix}{error}\n"
 
 
+@pytest.mark.blas_rounding
 def test_cli_exits_2_when_cg_hits_its_cap(workdir, capsys, monkeypatch):
-    import vefrac.elastic as elastic
+    # every solve of a run is a block solve, whose CG then stops at once
+    import vefrac.blocks as blocks
 
-    monkeypatch.setattr(elastic, "_cg_maxiter", lambda n_free: 1)
+    monkeypatch.setattr(blocks, "_cg_maxiter", lambda n_free: 1)
     root = workdir["root"]
     assert cli_dispatch(["run", str(root / "well.ini")]) == 2
     assert re.fullmatch(
@@ -835,26 +837,27 @@ def test_cli_exits_2_when_an_energy_undercuts_the_floor(workdir, capsys,
         "numerical failure: energy floor 1.0 undercut: E = ")
 
 
+@pytest.mark.blas_rounding
 def test_cli_exits_2_when_an_undercut_is_served_from_the_space_memo(
         workdir, capsys, monkeypatch):
     # a lone interior edge of the well leaves every star connected, so
     # it has the empty crack's space: warmed with it, the cache serves
     # the run's first energy, E(0, {}) = 0, without a solve of its own
     import vefrac.evolution as evolution
-    from vefrac.elastic import solve_on_space
 
     solved = []
+    solve_block = evolution.solve_block
 
-    def counted(t, space, load):
-        solved.append(space.crack.bits)
-        return solve_on_space(t, space, load)
+    def counted(block, load):
+        solved.extend(plan.crack.bits for plan in block)
+        return solve_block(block, load)
 
     class WarmCache(evolution._ScaledEnergyCache):
         def __init__(self, mesh, load, floor):
             super().__init__(mesh, load, floor)
             self._entry(CrackSet.of_vertex_pairs(mesh, [(11, 12)]))
 
-    monkeypatch.setattr(evolution, "solve_on_space", counted)
+    monkeypatch.setattr(evolution, "solve_block", counted)
     monkeypatch.setattr(evolution, "_ScaledEnergyCache", WarmCache)
     monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
     assert cli_dispatch(["run", str(workdir["root"] / "well.ini")]) == 2

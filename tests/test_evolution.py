@@ -471,6 +471,7 @@ def test_workload_rankings_call_hops_once(workload, rankings, tmp_path, monkeypa
     assert seen == [True] * rankings
 
 
+@pytest.mark.blas_rounding
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
 def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path,
                                                        bench_workloads):
@@ -485,25 +486,47 @@ def test_workload_energies_match_a_solve_per_crack_set(workload, tmp_path,
         assert entry == oracle.reference_energy_entry(ctx.mesh, ctx.load, crack)
 
 
+@pytest.mark.blas_rounding
+@pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
+def test_workload_runs_solve_every_space_in_blocks(workload, tmp_path, monkeypatch,
+                                                   bench_workloads):
+    # past the set-up, which builds the empty crack's space for C_P, a
+    # benchmark run builds and solves every space through `solve_block`:
+    # with the lone entry points raising in every module that binds
+    # them, it writes the archive of the benchmark's references
+    import hashlib
+    import json
+    import sys
+    from pathlib import Path
+
+    inputs = bench_workloads.generate(workload, tmp_path, 1)
+    base = inputs.config.parent.resolve()
+    ctx = build_run(parse_config(inputs.config.read_text(encoding="utf-8")), base)
+
+    def lone(*args):
+        raise AssertionError("a run built or solved a space outside solve_block")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vefrac":
+            for attr in ("split_along_crack", "solve_on_space"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, lone)
+    text = _run_to_archive(ctx, tmp_path / "out")[3].read_text(encoding="utf-8")
+    echo = '"base": ' + json.dumps(str(base))
+    assert echo in text
+    digest = hashlib.sha256(text.replace(echo, '"base": "."', 1).encode("utf-8")).hexdigest()
+    references = Path(bench_workloads.__file__).with_name("references.json")
+    assert digest == json.loads(references.read_text(encoding="utf-8"))[workload]["archive_sha256"]
+
+
 def _count_space_solves(monkeypatch, counts, key=None):
     """Count, under counts["builds"], ["solves"] and ["blocks"], the
-    spaces that the fracture instance's energy cache builds and solves,
-    alone or in the blocks of `solve_block`, and the blocks. With `key`,
-    also list key(crack) of every space solved, in either path."""
+    spaces that the fracture instance's energy cache builds and solves
+    in the blocks of `solve_block`, and the blocks. With `key`, also
+    list key(crack) of every space solved."""
     import vefrac.evolution as evolution
 
-    build, solve, block_solve = (evolution.split_along_crack, evolution.solve_on_space,
-                                 evolution.solve_block)
-
-    def split_along_crack(mesh, crack):
-        counts["builds"] += 1
-        return build(mesh, crack)
-
-    def solve_on_space(t, space, load):
-        counts["solves"] += 1
-        if key is not None:
-            counts["solved"].append(key(space.crack))
-        return solve(t, space, load)
+    block_solve = evolution.solve_block
 
     def solve_block(block, load):
         counts["builds"] += len(block)
@@ -513,16 +536,15 @@ def _count_space_solves(monkeypatch, counts, key=None):
             counts["solved"] += [key(plan.crack) for plan in block]
         return block_solve(block, load)
 
-    monkeypatch.setattr(evolution, "split_along_crack", split_along_crack)
-    monkeypatch.setattr(evolution, "solve_on_space", solve_on_space)
     monkeypatch.setattr(evolution, "solve_block", solve_block)
 
 
+@pytest.mark.blas_rounding
 @pytest.mark.parametrize("workload, crack_sets, solves",
                          [("strip", 163, 45), ("grid", 1303, 499), ("fine", 14, 6)])
 def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
                                                  tmp_path, monkeypatch, bench_workloads):
-    # alone or in a block, every space that a run solves is new
+    # in a block of one or of many, every space that a run solves is new
     counts = {}
     _count_space_solves(monkeypatch, counts, lambda crack: space_key(crack.mesh, crack))
     for run in ("first", "second"):
@@ -533,19 +555,20 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
         assert len(counts["solved"]) == len(set(counts["solved"])) == solves
 
 
+@pytest.mark.blas_rounding
 @pytest.mark.parametrize("workload, expected", [
-    ("strip", {"solves": 45, "builds": 45, "blocks": 9, "rankings": 9, "priced": 288,
+    ("strip", {"solves": 45, "builds": 45, "blocks": 22, "rankings": 9, "priced": 288,
                "lookups": 33, "hops": 42}),
-    ("grid", {"solves": 499, "builds": 499, "blocks": 17, "rankings": 3, "priced": 3266,
+    ("grid", {"solves": 499, "builds": 499, "blocks": 20, "rankings": 3, "priced": 3266,
               "lookups": 16, "hops": 19}),
-    ("fine", {"solves": 6, "builds": 6, "blocks": 0, "rankings": 3, "priced": 32,
+    ("fine", {"solves": 6, "builds": 6, "blocks": 6, "rankings": 3, "priced": 32,
               "lookups": 16, "hops": 19}),
 ], ids=["strip", "grid", "fine"])
 def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                                      bench_workloads):
     # per run in this process: one space build and one FEM solve per
-    # distinct cracked space, alone or in one of the blocks that the
-    # scans' prefetches solve, one batch ranking per (source, state) the
+    # distinct cracked space, in a block of one or in one of the larger
+    # blocks that the scans' prefetches solve, one batch ranking per (source, state) the
     # scans rank, and every hop priced once: a ranking's candidates in
     # its one `hops` call, and each hop looked up outside a ranking (the
     # step's ledger row and the audits; a step that keeps its state

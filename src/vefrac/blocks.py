@@ -146,8 +146,9 @@ def _build_spaces(block: Sequence[SpacePlan]) -> _Spaces:
     cracked = np.zeros((n_spaces, mesh.n_edges), dtype=bool)
     cracked.ravel()[np.repeat(spaces * mesh.n_edges, n_edges) + np.array(crack_ids, dtype=int)] = True
     kept = ~cracked[:, tables.dirichlet_edges]
+    data_corners = (tables.dirichlet_corners + (spaces * nc)[:, None, None])[kept]
     constrained = np.zeros(n, dtype=bool)
-    constrained[tri_dofs[(tables.dirichlet_corners + (spaces * nc)[:, None, None])[kept]]] = True
+    constrained[tri_dofs[data_corners]] = True
     dirichlet = constrained.nonzero()[0]
     if any(_closes_loop(tables, plan.crack_ids) for plan in block):
         links = (tables.tri_links + (spaces * nt)[:, None, None])[~cracked[:, tables.interior_edges]]
@@ -155,13 +156,15 @@ def _build_spaces(block: Sequence[SpacePlan]) -> _Spaces:
     else:
         base = tables.base_tri_component
         components = (base + (int(base.max()) + 1) * spaces[:, None]).ravel()
-    dof_component = np.empty(n, dtype=int)
-    dof_component[tri_dofs] = np.repeat(components, 3)
-    # one pinned DOF per component that the Dirichlet data cannot see
+    # one pinned DOF per component that the Dirichlet data cannot see;
+    # the triangles sharing a DOF are one component, so a component sees
+    # the data when one of its triangles holds a Dirichlet corner
     seen = np.zeros(int(components.max()) + 1, dtype=bool)
-    seen[dof_component[dirichlet]] = True
+    seen[components[data_corners // 3]] = True
     pinned = (~seen).nonzero()[0]
     if pinned.size:
+        dof_component = np.empty(n, dtype=int)
+        dof_component[tri_dofs] = np.repeat(components, 3)
         lowest = np.full(seen.size, n)
         np.minimum.at(lowest, dof_component, np.arange(n))
         pinned = lowest[pinned]
@@ -396,10 +399,15 @@ def solve_block(block: Sequence[SpacePlan], load: BoundaryLoad) -> list[Entry]:
     for s, size in enumerate(np.diff(offsets).tolist()):
         by_size.setdefault(size, []).append(s)
     for size, group in by_size.items():
-        at = offsets[group][:, None] + np.arange(size)
-        au_at = au[at]
-        energy[group] = _rowdots(u[at], au_at)
-        pairing[group] = _rowdots(g[at], au_at)
+        if len(group) == len(block):
+            # every space has this size (a block of one among them): the
+            # rows lie in place
+            u_at, au_at, g_at = u.reshape(-1, size), au.reshape(-1, size), g.reshape(-1, size)
+        else:
+            at = offsets[group][:, None] + np.arange(size)
+            u_at, au_at, g_at = u[at], au[at], g[at]
+        energy[group] = _rowdots(u_at, au_at)
+        pairing[group] = _rowdots(g_at, au_at)
     entries: list[Entry] = [None] * len(block)
     for s, (where, e, p) in enumerate(zip(order.tolist(), energy.tolist(), pairing.tolist())):
         entries[where] = errors[s] or (0.5 * e, p)

@@ -17,6 +17,7 @@ problems, 2 when the solver gives up.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import json
 import math
@@ -472,8 +473,50 @@ def _document(evolution: DiscreteEvolution, audits, config, jumps, griffith) -> 
     }
 
 
+@functools.lru_cache(maxsize=1024)
+def _key_text(key) -> str:
+    """A dict key as archive text, with the colon that follows it."""
+    return json.dumps(str(key)) + ": "
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ArchiveError(f"archives cannot hold non-finite floats ({x})")
+    return format(x, ".17g")
+
+
 def _json_text(obj, indent: int = 0) -> str:
-    pad = " " * indent
+    """obj as archive text. The shapes an archive is made of, Python
+    floats and lists and dicts of them, are written by exact type; any
+    other value goes through the general chain below, which writes them
+    to the same bytes."""
+    kind = type(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is list or kind is tuple or kind is np.ndarray:
+        items = list(obj)
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            if not all(map(math.isfinite, items)):
+                for x in items:
+                    _float_text(x)
+            return "[" + ", ".join([format(x, ".17g") for x in items]) + "]"
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, items)) + "]"
+        pad = " " * indent
+        if any(issubclass(k, (dict, list, tuple, np.ndarray)) for k in kinds):
+            inner = (",\n" + pad + "  ").join(
+                _json_text(x, indent + 2) for x in items)
+            return "[\n" + pad + "  " + inner + "\n" + pad + "]"
+        return "[" + ", ".join(_json_text(x, indent) for x in items) + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        pad = " " * indent
+        rows = (",\n" + pad + "  ").join([
+            _key_text(k) + (_float_text(v) if type(v) is float else _json_text(v, indent + 2))
+            for k, v in obj.items()])
+        return "{\n" + pad + "  " + rows + "\n" + pad + "}"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -481,26 +524,12 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ArchiveError(f"archives cannot hold non-finite floats ({x})")
-        return format(x, ".17g")
+        return _float_text(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if any(isinstance(x, (dict, list, tuple, np.ndarray)) for x in items):
-            inner = (",\n" + pad + "  ").join(
-                _json_text(x, indent + 2) for x in items)
-            return "[\n" + pad + "  " + inner + "\n" + pad + "]" if items else "[]"
-        return "[" + ", ".join(_json_text(x, indent) for x in items) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = (",\n" + pad + "  ").join(
-            f"{json.dumps(str(k))}: {_json_text(v, indent + 2)}"
-            for k, v in obj.items())
-        return "{\n" + pad + "  " + rows + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray, dict)):
+        # a subclass of a container: written as its base type
+        return _json_text(dict(obj) if isinstance(obj, dict) else list(obj), indent)
     raise ArchiveError(f"cannot serialize {type(obj).__name__} into an archive")
 
 

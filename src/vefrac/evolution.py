@@ -19,13 +19,16 @@ E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
 bilinear value. The instance's prefetch solves the new spaces of a
 scan's chunk together, as block-diagonal systems (`blocks`), bit for
 bit whatever else a block holds; a lookup of a crack set not yet
-solved is a prefetch of one. Its one dissipation callback `hops` is
-dissipation.price_hops, a pure function that prices each hop it is
-asked for, among all of a ranking's hops in one call or alone as a call
-of one, bit for bit as hop_cost does; the instance's ranking keeps a
-scan's prices. The energetic mode is the same instance with its viscous
-flag off, charging the same records without their sweep integral and
-mu term.
+solved is a prefetch of one. Its energy floor under the competitors of
+K is a(t)^2 (E1(K ∪ pool) - m), read from the same cache: cutting more
+edges never raises the energy, so a scan stops at the first competitor
+whose D plus the floor prices it out. Its one dissipation callback
+`hops` is dissipation.price_hops, a pure function that prices each hop
+it is asked for, among all of a ranking's hops in one call or alone as
+a call of one, bit for bit as hop_cost does; the instance's ranking
+keeps a scan's prices, and its charges memo each hop priced alone. The
+energetic mode is the same instance with its viscous flag off, charging
+the same records without their sweep integral and mu term.
 """
 from __future__ import annotations
 
@@ -246,7 +249,12 @@ def component_bound_check(evolution: DiscreteEvolution,
     if instance.power_bound is None:
         raise ValueError("instance.power_bound (the constant C_P) is required")
     k0 = evolution.states[0]
-    h = len(connected_components(k0))
+    # a run's states repeat while it is frozen: count each distinct one once
+    count: dict[int, int] = {}
+    for k in evolution.states:
+        if k.bits not in count:
+            count[k.bits] = len(connected_components(k))
+    h = count[k0.bits]
     e0 = float(evolution.ledger.energy[0])
     horizon = evolution.partition.horizon
     rate = instance.charges(k0, k0).rate
@@ -255,8 +263,7 @@ def component_bound_check(evolution: DiscreteEvolution,
         bound = h + math.exp(growth) * (e0 + 1.0) / rate
     except OverflowError:
         bound = math.inf
-    counts = np.array([len(connected_components(k)) for k in evolution.states],
-                      dtype=float)
+    counts = np.array([count[k.bits] for k in evolution.states], dtype=float)
     worst = float(counts.max())
     if math.isfinite(bound):
         log_bound, ok = math.log(bound), worst <= bound
@@ -286,7 +293,8 @@ class _ScaledEnergyCache:
     space is built and solved. Many competitors share a space: an
     isolated interior edge, for one, leaves the stars of both of its
     ends connected. The memos key on bits, so a crack set of another
-    mesh is refused first.
+    mesh is refused first. Every E1 read is checked against E1_FLOOR,
+    so the check scales with a(t)^2 as E does.
 
     `prefetch`, the scans' batch callback, is the one place the cache
     solves: it keys each crack set by `space_walk`, `pack_blocks` plans
@@ -296,13 +304,22 @@ class _ScaledEnergyCache:
     prefetch of that one set, whose new space is a block of one. A
     space whose CG fails is stored as its NumericalError, which a lookup
     of one of its crack sets raises, so a scan that stops before such a
-    candidate ends as it would have without the batch."""
+    candidate ends as it would have without the batch.
 
-    def __init__(self, mesh: Mesh, load: BoundaryLoad, floor: float):
+    `floor` is the instance's energy floor: a(t)^2 (E1(K ∪ pool) - m)
+    for the competitors of K, which all lie inside K ∪ pool. A prefetch
+    also solves the space of its first crack set united with the pool,
+    when it is new: a run's states all lie inside k0 ∪ pool, so that is
+    one space per run, which shares the block of the run's first lookup,
+    E(0, k0), read before any scan."""
+
+    def __init__(self, mesh: Mesh, load: BoundaryLoad, pool: CrackSet):
         load.check_mesh(mesh)
+        if pool.mesh is not mesh:
+            raise MeshError("the pool belongs to another mesh")
         self.mesh = mesh
         self.load = load
-        self.floor = floor
+        self.pool = pool
         self.unit = load.unit()
         self._entries: dict[int, tuple[float, float]] = {}
         self._by_space: dict[int, Entry] = {}
@@ -320,10 +337,14 @@ class _ScaledEnergyCache:
 
     def prefetch(self, cracks: Sequence[CrackSet]) -> None:
         """Solve the new spaces of the crack sets that a scan is about to
-        read, and file the entry of each crack set whose space is then
-        solved. Crack sets of another mesh are left to `energy` to
-        refuse."""
+        read, and of the first one united with the pool, and file the
+        entry of each crack set whose space is then solved. Crack sets of
+        another mesh are left to `energy` to refuse."""
         mesh, entries, by_space = self.mesh, self._entries, self._by_space
+        if cracks and cracks[0].mesh is mesh:
+            top = cracks[0].bits | self.pool.bits
+            if top not in entries:
+                cracks = [*cracks, CrackSet(mesh, top)]
         waiting: dict[int, list[int]] = {}
         new = []
         for k in cracks:
@@ -347,14 +368,34 @@ class _ScaledEnergyCache:
                 entries.update(dict.fromkeys(bits, got))
 
     def energy(self, t: float, k: CrackSet) -> float:
-        a = self.load.amplitude(t)
-        value = a * a * self._entry(k)[0]
-        if value < self.floor:
-            # the scans skip competitors on the promise E >= floor
+        e1 = self._entry(k)[0]
+        if e1 < E1_FLOOR:
+            # E = 0.5 u.Au is nonnegative up to rounding: a broken solve
             raise NumericalError(
-                f"energy floor {self.floor!r} undercut: E = {float(value)!r} "
+                f"E1 floor {E1_FLOOR!r} undercut: E1 = {float(e1)!r} "
                 f"at t = {float(t)!r} on crack edges {list(k.edge_ids)}")
-        return value
+        a = self.load.amplitude(t)
+        return a * a * e1
+
+    def floor(self, t: float, state: CrackSet) -> float:
+        """A number no larger than E(t, K) for every K with
+        state <= K <= state ∪ pool: a(t)^2 (E1(state ∪ pool) - m), with
+        the margin m = FLOOR_MARGIN (1 + |E1(state ∪ pool)|). The space
+        cut along more edges holds that of fewer, and releases more
+        Dirichlet DOFs, so its minimum is no larger; a CG iterate's
+        energy only exceeds its minimum (the error vanishes on the
+        constrained DOFs), and m covers the rounding of the dot
+        products. a^2 x rounds monotonically in x, so E(t, K) >= the
+        floor whenever E1(K) >= E1(state ∪ pool) - m. If the space of
+        state ∪ pool fails to solve, the floor is a(t)^2 E1_FLOOR, which
+        every read E1 is checked against."""
+        try:
+            top = self._entry(state.union(self.pool))[0]
+            e1 = top - FLOOR_MARGIN * (1.0 + abs(top))
+        except NumericalError:
+            e1 = E1_FLOOR
+        a = self.load.amplitude(t)
+        return a * a * e1
 
     def power(self, t: float, k: CrackSet) -> float:
         """dE/dt along the loading. At the minimizer A u vanishes on the
@@ -365,10 +406,19 @@ class _ScaledEnergyCache:
         return self.load.amplitude.derivative(t) * a * self._entry(k)[1]
 
 
-# Lower bound on every elastic energy. E = 0.5 u.Au is nonnegative up to
-# rounding, and the most negative value seen on any workload or test is
-# -2.0e-15, so this leaves 500x room while still catching a broken solve.
-ENERGY_FLOOR = -1e-12
+# Lower bound on every E1, the energy at unit amplitude. E1 = 0.5 u.Au
+# is nonnegative up to rounding, and the most negative value a benchmark
+# workload reads is -5.6e-17, so this leaves wide room while still
+# catching a broken solve; E = a(t)^2 E1 is then checked at every scale.
+E1_FLOOR = -1e-12
+# Relative margin m / (1 + |E1|) of the floor E1(K ∪ pool) - m under the
+# competitors of K. It covers the rounding of the dot products, which
+# alone can lower a computed energy, and the CG error that raises the
+# computed E1(K ∪ pool), 0.5 r.A^-1 r for the final residual r: on the
+# benchmark workloads a dense solve of that space differs by 1.1e-15 at
+# most, and the worst slack E1(K) - E1(K ∪ pool) is -5.6e-17, where E1
+# is about 0.
+FLOOR_MARGIN = 1e-9
 
 
 def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
@@ -376,10 +426,11 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
                       stability_rtol: float = 1e-9, viscous: bool = True) -> RisInstance:
     """Wire the elastic energy and the edge dissipation into an
     instance the scheme can drive; viscous=False gives the energetic
-    scheme. Its energies are declared, and checked, to be at least
-    ENERGY_FLOOR, which lets the competitor scans skip whatever D alone
-    prices out."""
-    cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+    scheme. Its energy floor, a(t)^2 (E1(K ∪ pool) - m), lets the
+    competitor scans of K skip whatever D alone prices out (see
+    _ScaledEnergyCache.floor), and every E1 it reads is checked against
+    E1_FLOOR."""
+    cache = _ScaledEnergyCache(mesh, load, pool)
     return RisInstance(
         pool=pool,
         energy=cache.energy,
@@ -391,6 +442,6 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         search=search,
         stability_rtol=stability_rtol,
         viscous=viscous,
-        energy_floor=ENERGY_FLOOR,
+        energy_floor=cache.floor,
         power_bound=power_bound_constant(load, mesh),
     )

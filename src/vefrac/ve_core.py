@@ -26,18 +26,20 @@ evaluation and does not depend on t, so a scan has two halves: the
 ranking prices every competitor's hop and sorts the competitors by D,
 once per (source, state) while the instance keeps it, and the
 evaluation, run for each t, evaluates E in increasing D and stops at
-the first competitor whose D plus the instance's floor under its
-energies already puts it above the best value; only strict excess is
-skipped, so minimum and winners are those of the full scan, and a
-report's examined count still counts every competitor. A ranking is
-one `hops` call: the new edges of every competitor, whatever their
-number, in competitors() order, priced and charged by HopCost.charges,
-then sorted by a stable argsort, and a competitor's CrackSet is built
-only when a scan reaches it or hands it to the instance's prefetch
-callback in a chunk of candidates. The step's first scan is R's scan
-of its old state, and residual_stability keeps every R scan in the instance's
-memo, so a step that keeps its state has shown R = 0 there and the
-audits read R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
+the first competitor whose D plus the instance's floor of (t, state),
+a number no larger than any competitor's energy, already puts it above
+the best value; only strict excess is skipped, so minimum and winners
+are those of the full scan, and a report's examined count still counts
+every competitor. A read energy below its floor breaks that promise
+and raises NumericalError. A ranking is one `hops` call: the new edges
+of every competitor, whatever their number, in competitors() order,
+priced and charged by HopCost.charges, then sorted by a stable argsort,
+and a competitor's CrackSet is built only when a scan reaches it or
+hands it to the instance's prefetch callback in a chunk of candidates.
+The step's first scan is R's scan of its old state, and
+residual_stability keeps every R scan in the instance's memo, so a step
+that keeps its state has shown R = 0 there and the audits read
+R(t_i, K_{i-1}) without scanning again. jump_cost takes the full R of
 every lattice node it expands; a node whose one value at K+ already
 prices it out of the search is cut off without a scan.
 
@@ -57,6 +59,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dissipation import DissipationParams, HopCharges, HopCost, MonotoneChain, single_hop
+from .elastic import NumericalError
 from .geometry import CrackSet, _require_same_mesh, h1_diff
 
 __all__ = [
@@ -83,6 +86,11 @@ MAX_COMPETITORS = 500_000
 LATTICE_CAP = 16
 
 
+def _no_floor(t: float, state: CrackSet) -> float:
+    """The energy floor that promises nothing."""
+    return -math.inf
+
+
 @dataclass
 class RisInstance:
     """The driving system handed to the lattice algorithms.
@@ -100,10 +108,15 @@ class RisInstance:
     nonnegative, which is what lets jump_cost cut off a lattice node by
     the value of its witness K+ alone.
 
-    energy_floor is a lower bound on every value energy returns. Scans
-    evaluate E in increasing D and stop once D plus the floor puts a
-    competitor above the best value (see _scan). The default, -infinity,
-    promises nothing, so such a scan evaluates every competitor.
+    energy_floor(t, state) is a number no larger than E(t, K) for every
+    competitor K of state. Scans evaluate E in increasing D and stop
+    once D plus the floor puts a competitor above the best value (see
+    _scan); a scan that reads an energy below its floor raises
+    NumericalError. The default, -infinity, promises nothing, so such a
+    scan evaluates every competitor. The fracture instance declares
+    a(t)^2 (E1(state ∪ pool) - m): cutting more edges never raises the
+    elastic energy, and every competitor lies inside state ∪ pool (see
+    evolution.fracture_instance).
 
     prefetch, when set, is the scans' batch callback: before a scan
     reads the energy of a candidate past the chunks it has handed out,
@@ -115,13 +128,17 @@ class RisInstance:
     cracked spaces as one block-diagonal system.
 
     residuals, read only by residual_stability, memoizes R(t,K) reports
-    by (t, K) and assumes energy and hops are pure. ranking(source,
-    state) ranks the competitors of state by their D from source, which
-    does not depend on t, and keeps the most recent ranking (which knows
-    its source and state), for R scans and greedy rescans alike: the R
-    scan of a step that follows a frozen step, or of its own new state,
-    only evaluates energies. Both memos match crack sets, mesh included.
-    dataclasses.replace starts the copy with both memos empty.
+    by (t, K) and assumes energy and hops are pure. _charged, read only
+    by charges(), memoizes each hop's HopCharges by (H, K): a scan files
+    those of its winners from its ranking's call, so the hop of a step,
+    which its ledger and the audits look up, is priced once.
+    ranking(source, state) ranks the competitors of state by their D
+    from source, which does not depend on t, and keeps the most recent
+    ranking (which knows its source and state), for R scans and greedy
+    rescans alike: the R scan of a step that follows a frozen step, or
+    of its own new state, only evaluates energies. The memos match crack
+    sets, mesh included. dataclasses.replace starts the copy with every
+    memo empty.
 
     The instance holds no state of the driving system beyond its
     callbacks: evolution.fracture_instance closes the boundary load into
@@ -138,9 +155,11 @@ class RisInstance:
     stability_rtol: float = 1e-9
     power_bound: float | None = None
     viscous: bool = True
-    energy_floor: float = -math.inf
+    energy_floor: Callable[[float, CrackSet], float] = _no_floor
     prefetch: Callable[[Sequence[CrackSet]], None] | None = None
     residuals: dict[tuple[float, CrackSet], StabilityReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _charged: dict[tuple[CrackSet, CrackSet], HopCharges | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _ranked: _Ranking | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -192,10 +211,19 @@ class RisInstance:
 
     def charges(self, h: CrackSet, k: CrackSet) -> HopCharges | None:
         """The charges of the hop H -> K; None when H <= K fails. H must
-        lie on the pool's mesh: `hops` need not check meshes."""
+        lie on the pool's mesh: `hops` need not check meshes. Each hop is
+        priced once per instance."""
         _require_same_mesh(h, self.pool)
-        hop = single_hop(self.hops, h, k)
-        return None if hop is None else hop.charges(self.params, self.viscous)
+        key = (h, k)
+        if key not in self._charged:
+            self._file_charges(h, k, single_hop(self.hops, h, k))
+        return self._charged[key]
+
+    def _file_charges(self, h: CrackSet, k: CrackSet, hop: HopCost | None) -> None:
+        """Keep the charges of the hop H -> K, priced as `hop`, unless
+        they are kept already."""
+        if (h, k) not in self._charged:
+            self._charged[h, k] = None if hop is None else hop.charges(self.params, self.viscous)
 
     def ranking(self, source: CrackSet, state: CrackSet) -> _Ranking:
         """The competitors of `state` ranked by D(source, .) (see _rank);
@@ -233,13 +261,16 @@ class _Ranking:
     big_d lists their D in increasing order, and iterating gives the
     (D, K) pairs in that order. A candidate is built by `make(i)`, from
     its index i, the first time a scan reaches it or hands it out in a
-    chunk (`cracks`), and kept."""
+    chunk (`cracks`), and kept. `record(i)` is the HopCost of candidate
+    i's hop out of source, with Python float fields, as single_hop
+    gives it."""
 
     def __init__(self, source: CrackSet, state: CrackSet, big_d: list[float],
-                 make: Callable[[int], CrackSet]):
+                 make: Callable[[int], CrackSet], record: Callable[[int], HopCost]):
         self.source = source
         self.state = state
         self.big_d = big_d
+        self.record = record
         self._cracks: list[CrackSet] = []
         self._make = make
 
@@ -265,15 +296,20 @@ def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
     arrays into D as it does a single record, and a stable argsort keeps
     equal D in competitors() order, so the ranking is that of pricing
     each candidate alone through charges() and sorting stably: the same
-    D, as Python floats, in the same order."""
+    D, as Python floats, in the same order. Each record of the call is
+    that hop's record alone (the `hops` contract), so a candidate's
+    record is read off the call's arrays."""
     added = instance._additions(state)
     base = state.minus(source).edge_ids
     new = [tuple(sorted(base + edges)) for edges in added] if base else added
-    big_d = instance.hops(source, new).charges(instance.params, instance.viscous).big_d
+    priced = instance.hops(source, new)
+    big_d = priced.charges(instance.params, instance.viscous).big_d
     order = np.argsort(big_d, kind="stable")
     mesh, bits, at = state.mesh, state.bits, order.tolist()
+    fields = (priced.h1, priced.sweep, priced.alpha)
     return _Ranking(source, state, big_d[order].tolist(),
-                    lambda i: CrackSet(mesh, bits | _mask(added[at[i]])))
+                    lambda i: CrackSet(mesh, bits | _mask(added[at[i]])),
+                    lambda i: HopCost(*(float(x[at[i]]) for x in fields)))
 
 
 def _scan(t: float, ranking: _Ranking,
@@ -284,13 +320,17 @@ def _scan(t: float, ranking: _Ranking,
     number of candidates examined (every candidate, evaluated or not), and
     E(t, source) when the source is a candidate (None otherwise).
 
-    With the instance's energy floor f (every E >= f), the scan
-    evaluates E in increasing D and stops at the first candidate with
-    D + f > best: by monotone rounding its value, and every later one's,
-    is strictly above the best so far. Only strict excess is passed
-    over, so the minimum, its winners and their order are those of the
-    plain scan. A floor of -infinity skips nothing. Only E depends on t,
-    so one ranking serves scans at any number of times.
+    With the instance's floor f = energy_floor(t, state), no larger than
+    any candidate's E, the scan evaluates E in increasing D and stops at
+    the first candidate with D + f > best: by monotone rounding its
+    value, and every later one's, is strictly above the best so far.
+    Only strict excess is passed over, so the minimum, its winners and
+    their order are those of the plain scan. A floor of -infinity skips
+    nothing. An energy read below the floor breaks the promise the stop
+    rests on and raises NumericalError. Only E depends on t, so one
+    ranking serves scans at any number of times. The charges of each
+    winner's hop are filed with the instance, read off the ranking's
+    `hops` call, for the step's ledger and the audits.
 
     With a prefetch callback, the scan hands it the candidates in
     chunks, each before the first of its energies is read: chunk k, from
@@ -298,10 +338,12 @@ def _scan(t: float, ranking: _Ranking,
     cut at the first whose D + f exceeds the best value so far. A chunk
     may reach past the candidate where the scan stops; reads, values
     and the stop are those of the scan without prefetch."""
-    floor, prefetch, big_ds = instance.energy_floor, instance.prefetch, ranking.big_d
+    prefetch, big_ds = instance.prefetch, ranking.big_d
     source_bits = ranking.source.bits
+    floor = instance.energy_floor(t, ranking.state)
     best = math.inf
     winners: list[CrackSet] = []
+    won: list[int] = []
     own = None
     ahead, chunk = 0, 1
     for i, big_d in enumerate(big_ds):
@@ -320,14 +362,21 @@ def _scan(t: float, ranking: _Ranking,
                 chunk *= 2
         comp = cracks[i]
         energy = instance.energy(t, comp)
+        if energy < floor:
+            raise NumericalError(
+                f"energy floor {float(floor)!r} undercut: E = {float(energy)!r} "
+                f"at t = {float(t)!r} on crack edges {list(comp.edge_ids)}")
         if comp.bits == source_bits:
             own = energy
         value = energy + big_d
         if value < best:
             best = value
-            winners = [comp]
+            winners, won = [comp], [i]
         elif value == best:
             winners.append(comp)
+            won.append(i)
+    for comp, i in zip(winners, won):
+        instance._file_charges(ranking.source, comp, ranking.record(i))
     winners.sort(key=lambda c: c.sort_key())
     return best, winners, len(ranking.big_d), own
 

@@ -94,7 +94,7 @@ def record_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, alone, shared",
-                         [("strip", 13, 32), ("grid", 3, 496), ("fine", 6, 0)])
+                         [("strip", 11, 19), ("grid", 2, 498), ("fine", 6, 0)])
 def test_workload_spaces_match_the_lone_path(workload, alone, shared, tmp_path, monkeypatch,
                                              bench_workloads):
     # every space a benchmark run solves, in a block of one or of many,
@@ -406,7 +406,6 @@ def test_an_undercut_raises_only_where_it_is_read(tmp_path, monkeypatch, bench_w
     # archive as it is; read, it ends the run as it does without batches
     archive, read, in_blocks = reads_and_block_spaces(bench_workloads, tmp_path, monkeypatch)
     ahead = next(k for k in in_blocks if space_key(k.mesh, k) not in read)
-    # E = a(t)^2 E1 is -0.0 at a(0) = 0, which the floor admits
     seen = next(k for k in in_blocks if read.get(space_key(k.mesh, k), 0.0) > 0.0)
     with monkeypatch.context() as patch:
         undercut(patch, space_key(ahead.mesh, ahead))
@@ -417,7 +416,7 @@ def test_an_undercut_raises_only_where_it_is_read(tmp_path, monkeypatch, bench_w
     ctx.instance.prefetch = None
     with pytest.raises(NumericalError) as lone:
         _run_to_archive(ctx, tmp_path / "c" / "out")
-    assert str(lone.value).startswith("energy floor -1e-12 undercut: E = -")
+    assert str(lone.value).startswith("E1 floor -1e-12 undercut: E1 = -1.0 at t = ")
     config = bench_workloads.generate("grid", tmp_path / "d", 1).config
     capsys.readouterr()
     assert cli_dispatch(["run", str(config)]) == 2

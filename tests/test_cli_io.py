@@ -826,23 +826,25 @@ def test_cli_exits_2_when_cg_hits_its_cap(workdir, capsys, monkeypatch):
 
 def test_cli_exits_2_when_an_energy_undercuts_the_floor(workdir, capsys,
                                                       monkeypatch):
-    # the scans skip competitors on the promise E >= floor; a run whose
-    # energies break it is a numerical failure, reported with the floor
+    # E1 = 0.5 u.Au is nonnegative up to rounding; a run whose E1 falls
+    # below the declared E1 floor is a numerical failure, reported with
+    # the floor
     import vefrac.evolution as evolution
 
-    monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
+    monkeypatch.setattr(evolution, "E1_FLOOR", 1.0)
     root = workdir["root"]
     assert cli_dispatch(["run", str(root / "well.ini")]) == 2
     assert capsys.readouterr().out.startswith(
-        "numerical failure: energy floor 1.0 undercut: E = ")
+        "numerical failure: E1 floor 1.0 undercut: E1 = ")
 
 
 @pytest.mark.blas_rounding
 def test_cli_exits_2_when_an_undercut_is_served_from_the_space_memo(
         workdir, capsys, monkeypatch):
     # a lone interior edge of the well leaves every star connected, so
-    # it has the empty crack's space: warmed with it, the cache serves
-    # the run's first energy, E(0, {}) = 0, without a solve of its own
+    # it has the empty crack's space: warmed with it (and with the pool
+    # that holds it, the floor's space), the cache serves the run's first
+    # lookup, E1({}) = 0.5, without a solve of its own
     import vefrac.evolution as evolution
 
     solved = []
@@ -853,18 +855,18 @@ def test_cli_exits_2_when_an_undercut_is_served_from_the_space_memo(
         return solve_block(block, load)
 
     class WarmCache(evolution._ScaledEnergyCache):
-        def __init__(self, mesh, load, floor):
-            super().__init__(mesh, load, floor)
+        def __init__(self, mesh, load, pool):
+            super().__init__(mesh, load, pool)
             self._entry(CrackSet.of_vertex_pairs(mesh, [(11, 12)]))
 
     monkeypatch.setattr(evolution, "solve_block", counted)
     monkeypatch.setattr(evolution, "_ScaledEnergyCache", WarmCache)
-    monkeypatch.setattr(evolution, "ENERGY_FLOOR", 1.0)
+    monkeypatch.setattr(evolution, "E1_FLOOR", 1.0)
     assert cli_dispatch(["run", str(workdir["root"] / "well.ini")]) == 2
-    assert capsys.readouterr().out.startswith(
-        "numerical failure: energy floor 1.0 undercut: E = 0.0 at t = 0.0 "
-        "on crack edges []")
-    assert len(solved) == 1 and solved[0] != 0
+    assert re.fullmatch(
+        r"numerical failure: E1 floor 1\.0 undercut: E1 = 0\.49999\d* at t = 0\.0 "
+        r"on crack edges \[\]\n", capsys.readouterr().out)
+    assert len(solved) == 2 and 0 not in solved
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from vefrac.elastic import (
     split_along_crack,
 )
 from vefrac.cli_io import _run_to_archive, build_run, parse_config
-from vefrac.evolution import ENERGY_FLOOR, _ScaledEnergyCache, fracture_instance
+from vefrac.evolution import _ScaledEnergyCache, fracture_instance
 from vefrac.geometry import CrackSet, build_mesh, read_mesh
 
 import _oracles as oracle
@@ -638,7 +638,7 @@ def test_a_released_dirichlet_edge_changes_the_key(grid4_tb):
     assert keys[1] != keys[0] == keys[2]
     assert len(spaces[1].dirichlet_dofs) == len(spaces[0].dirichlet_dofs) - 1
     load = _skewed_load(grid4_tb)
-    cache = _ScaledEnergyCache(grid4_tb, load, ENERGY_FLOOR)
+    cache = _ScaledEnergyCache(grid4_tb, load, empty)
     entries = [cache._entry(k) for k in (empty, released, slit)]
     assert entries == [oracle.reference_energy_entry(grid4_tb, load, k)
                        for k in (empty, released, slit)]
@@ -664,7 +664,7 @@ def test_space_constraints_match_the_reference():
 def test_energy_cache_matches_a_solve_per_crack_set(mesh_name):
     mesh, _ = _workload_mesh(mesh_name)
     load = _skewed_load(mesh)
-    cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+    cache = _ScaledEnergyCache(mesh, load, CrackSet.empty(mesh))
     cracks = _space_sharing_cracks(mesh, 23)
     # the second pass reads the crack-set memo
     for k in cracks + cracks[::-1]:
@@ -681,7 +681,7 @@ def test_energy_cache_on_cracked_dirichlet_edges_and_a_pinch_vertex(grid4_tb):
     for mesh, edges in ((grid4_tb, grid4_tb.dirichlet_edges().tolist()),
                         (pinched, pinched.dirichlet_edges().tolist() + pinch_star)):
         load = _skewed_load(mesh)
-        cache = _ScaledEnergyCache(mesh, load, ENERGY_FLOOR)
+        cache = _ScaledEnergyCache(mesh, load, CrackSet.empty(mesh))
         for mask in range(1 << len(edges)):
             k = CrackSet.of_edges(mesh, [e for i, e in enumerate(edges) if (mask >> i) & 1])
             for crack in (k, k.with_edges([int(rng.integers(mesh.n_edges))])):

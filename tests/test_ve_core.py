@@ -400,7 +400,7 @@ def small_table_instance(mesh, seed, hop, floor, **kw):
     return RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1),
                        energy=lambda t, k: table[k.bits], power=lambda t, k: 0.0,
                        hops=oracle.per_hop(hop), params=PARAMS, budget=3,
-                       energy_floor=floor, **kw)
+                       energy_floor=lambda t, k: floor, **kw)
 
 
 def scan_cases(rect9, search, viscous):
@@ -434,7 +434,7 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
             asked.clear()
             got = _scan(t, inst.ranking(source, state), inst)
             assert_same_scan(got, expected)
-            if inst.energy_floor > -math.inf:
+            if inst.energy_floor(t, state) > -math.inf:
                 assert set(asked) <= set(reference_asks)
             else:
                 # nothing is skipped, but a scan runs in increasing D
@@ -579,7 +579,7 @@ def test_jump_cost_with_a_floor_matches_the_plain_search(rect9, search, viscous)
             kp = km.with_edges(gap[1:])
             t = float(rng.uniform(0.2, 1.0))
             expected = oracle.reference_jump_cost(
-                t, km, kp, replace(inst, energy_floor=-math.inf))
+                t, km, kp, replace(inst, energy_floor=lambda t, k: -math.inf))
             got = jump_cost(t, km, kp, inst)
             assert float_bits(got.cost) == float_bits(expected.cost)
             assert [s.bits for s in got.chain] == [s.bits for s in expected.chain]
@@ -603,7 +603,7 @@ def test_scan_keeps_an_exact_tie_between_different_dissipations(rect9):
     inst = RisInstance(pool=CrackSet.of_edges(rect9, [0, 1, 2]),
                        energy=lambda t, k: asked.append(k.bits) or table[k.bits],
                        power=lambda t, k: 0.0, hops=oracle.per_hop(hop), params=PARAMS,
-                       budget=1, energy_floor=0.0)
+                       budget=1, energy_floor=lambda t, k: 0.0)
     empty = CrackSet.empty(rect9)
     expected = oracle.reference_scan(0.0, empty, inst.competitors(empty), inst)
     assert asked == [0b000, 0b001, 0b010, 0b100]

@@ -1,9 +1,10 @@
 """Cracked spaces built, assembled and solved, one or many at a time.
 
 This module is the one code that numbers, constrains, assembles and
-solves a cracked space. A scan's prefetch hands the energy cache the new
-spaces of a chunk of candidates; `pack_blocks` packs them, in order,
-into blocks of at most BLOCK_DOFS DOFs, and `solve_block` solves a block
+solves a cracked space. A scan hands the energy cache's batch a chunk of
+candidates, and the cache walks their new spaces; `pack_blocks` packs
+them, in order, into blocks of at most BLOCK_DOFS DOFs, and
+`solve_block` solves a block
 as one system: one fan numbering, one coo_tocsr, one free-block
 extraction, and one block CG per run of equal free size. A space alone,
 met first by a lookup or too large to share a block, is a block of one.

@@ -44,7 +44,6 @@ from .geometry import (
     MeshError,
     connected_components,
     dist_points_to_segments,
-    union_groups,
 )
 
 __all__ = [
@@ -223,6 +222,19 @@ class _MeshTables:
     first met; see `_Fans`. The vertex's star, its corners and its
     links with their edges, is read off the arrays the first time
     `fans` needs that vertex and kept; a run needs few vertices.
+
+    A space's key needs only the separating mask of each vertex's cut
+    (`separating`). For a cut of one edge it is tabulated per edge end
+    (the masks `lone_a`/`lone_b`, at the edge's first and second
+    vertex): a vertex's corner links form paths and cycles, since a
+    corner has two sides through the vertex, and cutting one link
+    separates its two corners exactly when its fan is a path. That
+    covers boundary vertices and pinches alike, with no rule assumed. A
+    cut of two or more edges at a vertex of one base fan separates them
+    all, so only a pinch's cuts of many edges read the fan memo. `key`
+    keys one crack this way, and `keys` the cracks of a ranking, a
+    state plus the edges each candidate adds to it: only the ends of the
+    added edges change their cuts.
     """
 
     def __init__(self, mesh: Mesh):
@@ -254,6 +266,21 @@ class _MeshTables:
         # base fans: the first corner of each fan in (vertex, triangle)
         # order opens the next DOF
         labels = _component_labels(3 * nt, link_corners)
+        # a corner has two sides through its vertex, so a fan's links form
+        # a path or a cycle: a path when one of its corners has a side on
+        # the boundary. Cutting one link separates its two corners exactly
+        # on a path, so only a link at a boundary vertex can, and there
+        # its fan's label tells a pinch's path from its cycle
+        on_path = np.zeros(3 * nt, dtype=bool)
+        boundary_sides = by_edge[first[~is_interior]]
+        on_path[labels[np.concatenate(_half_edge_corners(self.corner_vertex, boundary_sides))]] = True
+        at = np.flatnonzero(on_boundary[link_vertex])
+        at = at[on_path[labels[link_corners[at, 0]]]]
+        lone = []
+        for end in (at[at < link_edge.size // 2], at[at >= link_edge.size // 2]):
+            row = np.zeros(mesh.n_edges, dtype=bool)
+            row[link_edge[end]] = True
+            lone.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
         # a fan's first corner in that order is its smallest, the first
         # corner of its label, since labels are numbered by smallest node
         first = np.empty(3 * nt, dtype=bool)
@@ -289,8 +316,10 @@ class _MeshTables:
         self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
-        self._stars: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+        self.lone_a, self.lone_b = lone
+        self._stars: dict[int, tuple] = {}
         self._fans: dict[tuple[int, int], _Fans] = {}
+        self._states: dict[int, _StateCuts] = {}
 
     def cuts(self, crack_ids: Sequence[int]) -> dict[int, int]:
         """Per vertex that a cracked interior edge ends at, the mask of
@@ -312,59 +341,200 @@ class _MeshTables:
         its uncut edges, groups ordered by smallest triangle."""
         fans = self._fans.get((v, cut))
         if fans is None:
-            corners, link_edge, link_a, link_b = self._star(v)
-            groups = union_groups(corners, [(a, b) for e, a, b in zip(link_edge, link_a, link_b)
-                                            if not (cut >> e) & 1])
-            fan_of, moved, ranks = {}, [], []
-            for r, group in enumerate(groups):
-                moved += group
-                ranks += [r] * len(group)
-                fan_of.update(dict.fromkeys(group, r))
+            corners, links, pairs = self._star(v)
+            # label each corner by its group, walking the uncut links from
+            # the smallest unlabelled corner
+            label = [-1] * len(corners)
+            count = 0
+            for i in range(len(corners)):
+                if label[i] < 0:
+                    label[i], todo = count, [i]
+                    while todo:
+                        for bit, j in links[todo.pop()]:
+                            if label[j] < 0 and not cut & bit:
+                                label[j] = count
+                                todo.append(j)
+                    count += 1
             separating = 0
-            for e, a, b in zip(link_edge, link_a, link_b):
-                if fan_of[a] != fan_of[b]:
-                    separating |= 1 << e
-            fans = self._fans[v, cut] = _Fans(len(groups), tuple(moved), tuple(ranks),
-                                              separating)
+            for bit, i, j in pairs:
+                if cut & bit and label[i] != label[j]:
+                    separating |= bit
+            fans = self._fans[v, cut] = _Fans(count, corners, tuple(label), separating)
         return fans
 
-    def _star(self, v: int) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Vertex v's corners in triangle order, and its links: their
-        edges and their two corners."""
+    def _star(self, v: int) -> tuple[tuple[int, ...], list[list[tuple[int, int]]],
+                                     list[tuple[int, int, int]]]:
+        """Vertex v's corners in triangle order, the links of each (the
+        bit of the link's edge and the other corner's index in that
+        order), and every link as (bit, index, index)."""
         star = self._stars.get(v)
         if star is None:
-            links = self._by_vertex[self._link_ptr[v]:self._link_ptr[v + 1]]
-            star = self._stars[v] = (
-                self._corner_order[self._corner_ptr[v]:self._corner_ptr[v + 1]].tolist(),
-                self._link_edge[links].tolist(), *self._link_corners[links].T.tolist())
+            corners = self._corner_order[self._corner_ptr[v]:self._corner_ptr[v + 1]].tolist()
+            at = {c: i for i, c in enumerate(corners)}
+            ids = self._by_vertex[self._link_ptr[v]:self._link_ptr[v + 1]]
+            pairs = [(1 << e, at[a], at[b]) for e, a, b in
+                     zip(self._link_edge[ids].tolist(), *self._link_corners[ids].T.tolist())]
+            links: list[list[tuple[int, int]]] = [[] for _ in corners]
+            for bit, i, j in pairs:
+                links[i].append((bit, j))
+                links[j].append((bit, i))
+            star = self._stars[v] = (tuple(corners), links, pairs)
         return star
 
+    def separating(self, v: int, cut: int) -> int:
+        """`fans(v, cut).separating`, without the fans where the tables
+        tell: a cut of one edge separates it by the lone-cut table, and at
+        a vertex of one base fan a cut of two or more edges separates
+        them all, since a path of corner links splits at every cut link
+        and a cycle at every one once two are cut."""
+        if cut & (cut - 1):
+            if self.base_fans_list[v] == 1:
+                return cut
+            return self.fans(v, cut).separating
+        return cut & (self.lone_a if self.edge_a_list[cut.bit_length() - 1] == v else self.lone_b)
+
+    def key(self, bits: int) -> int:
+        """The key of the space cut along the crack `bits` (see
+        `space_key`), from the separating masks of its cuts."""
+        key = bits & self.dirichlet_bits
+        for v, cut in self.cuts(_bit_ids(bits)).items():
+            key |= self.separating(v, cut)
+        return key
+
+    def keys(self, base: int, added: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+        """The bits and the space keys of the cracks `base` plus each
+        edge sequence of `added`, edges not in `base`. A key is the crack's
+        Dirichlet edges OR-ed with the separating mask of every vertex's
+        cut, and only the ends of the added edges change their cuts: the
+        masks of base's other vertices are kept, split by the end that
+        separates (`_StateCuts`), and each added edge brings its
+        separating masks with base's cuts at its ends. Where added edges
+        meet at a vertex, that vertex's cut with all of them is keyed
+        too: cutting more links only splits fans further, so the masks of
+        each edge alone there hold nothing the full cut does not."""
+        state = self.state(base)
+        edge = state.edge
+        bits_out, keys_out = [], []
+        for edges in added:
+            bits, key, lo, hi, seen, met = base, state.dirichlet, state.lo, state.hi, 0, 0
+            for e in edges:
+                bit, own, keep_lo, keep_hi, ends = edge.get(e) or state.add(e)
+                bits |= bit
+                key |= own
+                lo &= keep_lo
+                hi &= keep_hi
+                met |= seen & ends
+                seen |= ends
+            while met:
+                low = met & -met
+                v = low.bit_length() - 1
+                cut = state.cuts.get(v, 0)
+                for e in edges:
+                    if edge[e][4] & low:
+                        cut |= 1 << e
+                key |= self.separating(v, cut)
+                met ^= low
+            bits_out.append(bits)
+            keys_out.append(key | lo | hi)
+        return bits_out, keys_out
+
+    def state(self, base: int) -> _StateCuts:
+        """The crack `base` as `keys` reads it, kept per base."""
+        state = self._states.get(base)
+        if state is None:
+            state = self._states[base] = _StateCuts(self, base)
+        return state
+
     def walk(self, crack: CrackSet) -> tuple[int, SpaceWalk]:
-        """The key of the space cut along `crack`, read off the fan memo
-        without building the space (see `space_key`), and what `plan`
-        reads of the crack: its edge ids, its cuts and their fans."""
+        """The key of the space cut along `crack` (see `key`), and what
+        `plan` reads of the crack: its edge ids and the fans of each
+        vertex whose cut separates. Every other vertex keeps its base
+        fans, the components of all its links."""
         crack_ids = crack.edge_ids
-        cuts = self.cuts(crack_ids)
         key = crack.bits & self.dirichlet_bits
-        memo, fans = self._fans, []
-        for vertex_cut in cuts.items():
-            f = memo.get(vertex_cut) or self.fans(*vertex_cut)
-            fans.append(f)
-            key |= f.separating
-        return key, (crack, crack_ids, cuts, fans)
+        split = {}
+        for v, cut in self.cuts(crack_ids).items():
+            separating = self.separating(v, cut)
+            if separating:
+                key |= separating
+                split[v] = self.fans(v, cut)
+        return key, (crack, crack_ids, split)
 
     def plan(self, walk: SpaceWalk) -> SpacePlan:
         """How a walked crack changes the base fans, and so its space's
         DOF count."""
-        crack, crack_ids, cuts, fans = walk
+        crack, crack_ids, split = walk
         counts, corners, ranks = [], [], []
         n_dofs = self.n_base_dofs
-        for v, f in zip(cuts, fans):
+        for v, f in split.items():
             counts.append(f.count)
             corners += f.corners
             ranks += f.ranks
             n_dofs += f.count - self.base_fans_list[v]
-        return SpacePlan(crack, crack_ids, list(cuts), counts, corners, ranks, n_dofs)
+        return SpacePlan(crack, crack_ids, list(split), counts, corners, ranks, n_dofs)
+
+
+class _StateCuts:
+    """A crack `base` as `_MeshTables.keys` reads it: the cut of each
+    vertex, its Dirichlet edges, and the OR of its vertices' separating
+    masks split by the end that separates, `lo` at an edge's first
+    vertex and `hi` at its second. `edge` keeps, per edge e added to it,
+    (bit, own, keep_lo, keep_hi, ends): e's bit; e's part of the key,
+    its Dirichlet bit or the separating masks of its two ends once their
+    cuts gain e; the masks that keep in lo and hi only the edges whose
+    separating end is not an end of e, since e decides those ends anew;
+    and the bits of e's ends, by which added edges that meet are found."""
+
+    def __init__(self, tables: _MeshTables, base: int):
+        self.tables = tables
+        self.cuts = tables.cuts(_bit_ids(base))
+        self.dirichlet = base & tables.dirichlet_bits
+        self.lo = self.hi = 0
+        for v, cut in self.cuts.items():
+            lo, hi = self._split(v, tables.separating(v, cut))
+            self.lo |= lo
+            self.hi |= hi
+        self.edge: dict[int, tuple[int, int, int, int, int]] = {}
+
+    def _split(self, v: int, mask: int) -> tuple[int, int]:
+        """The edges of `mask`, all through v, whose first vertex is v,
+        and those whose second is."""
+        ends_a, lo, hi = self.tables.edge_a_list, 0, 0
+        while mask:
+            low = mask & -mask
+            if ends_a[low.bit_length() - 1] == v:
+                lo |= low
+            else:
+                hi |= low
+            mask ^= low
+        return lo, hi
+
+    def add(self, e: int) -> tuple[int, int, int, int, int]:
+        tables, bit = self.tables, 1 << e
+        if not tables.is_interior_list[e]:
+            entry = (bit, bit & tables.dirichlet_bits, -1, -1, 0)
+        else:
+            own = drop_lo = drop_hi = ends = 0
+            for v in (tables.edge_a_list[e], tables.edge_b_list[e]):
+                cut = self.cuts.get(v, 0)
+                own |= tables.separating(v, cut | bit)
+                lo, hi = self._split(v, cut)
+                drop_lo |= lo
+                drop_hi |= hi
+                ends |= 1 << v
+            entry = (bit, own, ~drop_lo, ~drop_hi, ends)
+        self.edge[e] = entry
+        return entry
+
+
+def _bit_ids(bits: int) -> list[int]:
+    """The set bits of `bits`, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def _half_edge_corners(corner_vertex: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +548,7 @@ def _half_edge_corners(corner_vertex: np.ndarray, h: np.ndarray) -> tuple[np.nda
 
 class _Fans(NamedTuple):
     """The fans of one vertex under one cut: how many, the vertex's
-    corners in fan order with the rank of each corner's fan, and the
+    corners in triangle order with the rank of each corner's fan, and the
     separating mask, the cut edges whose two corners at the vertex lie
     in different fans. Only a cut edge can separate, and a cut edge that
     does not separate merges nothing when its link is put back, so the
@@ -393,10 +563,10 @@ class _Fans(NamedTuple):
 
 class SpacePlan(NamedTuple):
     """A crack set, its edge ids, and how it changes the base fans: the
-    vertices whose fans it changes (the ends of its cracked interior
-    edges) with their fan counts, the corners of those vertices with the
-    rank of each corner's fan, and the DOF count of its space. Every
-    other vertex keeps its base fans."""
+    vertices whose cut separates (ends of its cracked interior edges)
+    with their fan counts, the corners of those vertices with the rank
+    of each corner's fan, and the DOF count of its space. Every other
+    vertex keeps its base fans."""
 
     crack: CrackSet
     crack_ids: tuple[int, ...]
@@ -407,10 +577,9 @@ class SpacePlan(NamedTuple):
     n_dofs: int
 
 
-# A crack set as _MeshTables.walk reads it off the fan memo: the crack,
-# its edge ids, the cracked interior edges (a mask) through each vertex
-# whose fans it changes, and those fans, in the order of the cuts
-SpaceWalk = tuple[CrackSet, tuple[int, ...], dict[int, int], list[_Fans]]
+# A crack set as _MeshTables.walk reads it: the crack, its edge ids, and
+# the fans of each vertex whose cut separates, in the order of the cuts
+SpaceWalk = tuple[CrackSet, tuple[int, ...], dict[int, _Fans]]
 
 _TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
 

@@ -14,12 +14,13 @@ component bound, the energetic (non-viscous) comparison mode, and the
 factory that wires the elastic energy into a RisInstance. The factory
 caches one FEM solve per distinct cracked space, known before it is
 built by its key (the crack edges that split fans plus the released
-Dirichlet edges): the datum scales linearly with the amplitude, so
-E(t,K) = a(t)^2 E1(K) and the power is a(t) adot(t) times a cached
-bilinear value. The instance's prefetch solves the new spaces of a
-scan's chunk together, as block-diagonal systems (`blocks`), bit for
-bit whatever else a block holds; a lookup of a crack set not yet
-solved is a prefetch of one. Its energy floor under the competitors of
+Dirichlet edges), read off per-edge masks: the datum scales linearly
+with the amplitude, so E(t,K) = a(t)^2 E1(K), which the cache declares
+to the instance as its scaled energies, and the power is a(t) adot(t)
+times a cached bilinear value. The cache's batch solves the new spaces
+of a scan's chunk together, as block-diagonal systems (`blocks`), bit
+for bit whatever else a block holds; a lookup of a crack set not yet
+solved is a batch of one. Its energy floor under the competitors of
 K is a(t)^2 (E1(K ∪ pool) - m), read from the same cache: cutting more
 edges never raises the energy, so a scan stops at the first competitor
 whose D plus the floor prices it out. Its one dissipation callback
@@ -40,7 +41,7 @@ import numpy as np
 
 from .blocks import Entry, pack_blocks, solve_block
 from .dissipation import DissipationParams, price_hops
-from .elastic import BoundaryLoad, NumericalError, power_bound_constant, space_key, space_walk
+from .elastic import BoundaryLoad, NumericalError, _mesh_tables, power_bound_constant
 from .geometry import CrackSet, Mesh, MeshError, connected_components
 from .ve_core import RisInstance, incremental_step, residual_stability
 
@@ -288,30 +289,35 @@ class _ScaledEnergyCache:
     dE/dt = adot(t) a(t) p1(K) with p1 the cached profile pairing.
 
     E1 and p1 depend on K only through the space cut along K, so the
-    per-set memo is backed by a second memo keyed by the space's key,
-    read off the mesh's per-vertex fan memo (`space_walk`); only a new
-    space is built and solved. Many competitors share a space: an
-    isolated interior edge, for one, leaves the stars of both of its
-    ends connected. The memos key on bits, so a crack set of another
-    mesh is refused first. Every E1 read is checked against E1_FLOOR,
-    so the check scales with a(t)^2 as E does.
+    per-set memo is backed by a second memo keyed by the space's key.
+    Keys are integer work on the mesh's per-edge masks
+    (`_MeshTables.key` and `keys`): a ranking's candidates are keyed from
+    their state and the edges each adds, and a full walk and plan are
+    built only for a space not yet solved. Many competitors share a
+    space: an isolated interior edge, for one, leaves the stars of both
+    of its ends connected. The memos key on bits, so a crack set of
+    another mesh is refused first. Every E1 read is checked against
+    E1_FLOOR, so the check scales with a(t)^2 as E does.
 
-    `prefetch`, the scans' batch callback, is the one place the cache
-    solves: it keys each crack set by `space_walk`, `pack_blocks` plans
-    each new space from its walk and packs them into blocks, and
-    `solve_block` solves each block as one system, bit for bit whatever
-    else the block holds. A lookup of a crack set not yet filed is the
-    prefetch of that one set, whose new space is a block of one. A
-    space whose CG fails is stored as its NumericalError, which a lookup
-    of one of its crack sets raises, so a scan that stops before such a
-    candidate ends as it would have without the batch.
+    The cache is the instance's declaration of scaled energies (see
+    RisInstance.scaled): scale(t) = a(t)^2, and `unit_energies`, the
+    scans' batch, is the one place the cache solves. It keys a chunk's
+    candidates, `pack_blocks` plans the new spaces and packs them into
+    blocks, and `solve_block` solves each block as one system, bit for
+    bit whatever else the block holds. A lookup of a crack set not yet
+    filed is a batch of that one set, whose new space is a block of
+    one. A space whose CG fails is stored as its NumericalError, and
+    unit_energies gives NaN for its crack sets, as for an E1 under
+    E1_FLOOR: the scan then reads that candidate through `energy`, which
+    raises, so a scan that stops before such a candidate ends as it
+    would have without the batch.
 
     `floor` is the instance's energy floor: a(t)^2 (E1(K ∪ pool) - m)
-    for the competitors of K, which all lie inside K ∪ pool. A prefetch
-    also solves the space of its first crack set united with the pool,
-    when it is new: a run's states all lie inside k0 ∪ pool, so that is
-    one space per run, which shares the block of the run's first lookup,
-    E(0, k0), read before any scan."""
+    for the competitors of K, which all lie inside K ∪ pool. A batch
+    also solves the space of its state united with the pool, when it is
+    new: a run's states all lie inside k0 ∪ pool, so that is one space
+    per run, which shares the block of the run's first lookup, E(0, k0),
+    read before any scan."""
 
     def __init__(self, mesh: Mesh, load: BoundaryLoad, pool: CrackSet):
         load.check_mesh(mesh)
@@ -321,6 +327,7 @@ class _ScaledEnergyCache:
         self.load = load
         self.pool = pool
         self.unit = load.unit()
+        self.tables = _mesh_tables(mesh)
         self._entries: dict[int, tuple[float, float]] = {}
         self._by_space: dict[int, Entry] = {}
 
@@ -329,43 +336,59 @@ class _ScaledEnergyCache:
             raise MeshError("crack set belongs to another mesh")
         got = self._entries.get(k.bits)
         if got is None:
-            self.prefetch([k])
+            key = self.tables.key(k.bits)
+            self._file(k.bits, [k.bits], [key])
             got = self._entries.get(k.bits)
             if got is None:
-                raise NumericalError(*self._by_space[space_key(self.mesh, k)].args)
+                raise NumericalError(*self._by_space[key].args)
         return got
 
-    def prefetch(self, cracks: Sequence[CrackSet]) -> None:
-        """Solve the new spaces of the crack sets that a scan is about to
-        read, and of the first one united with the pool, and file the
-        entry of each crack set whose space is then solved. Crack sets of
-        another mesh are left to `energy` to refuse."""
-        mesh, entries, by_space = self.mesh, self._entries, self._by_space
-        if cracks and cracks[0].mesh is mesh:
-            top = cracks[0].bits | self.pool.bits
-            if top not in entries:
-                cracks = [*cracks, CrackSet(mesh, top)]
+    def scale(self, t: float) -> float:
+        """s(t) = a(t)^2, so that E(t, K) = s(t) E1(K)."""
+        a = self.load.amplitude(t)
+        return a * a
+
+    def unit_energies(self, state: CrackSet, added: Sequence[Sequence[int]]) -> list[float]:
+        """E1 of state plus each edge sequence of `added`, in order, with
+        the new spaces among them solved in blocks, and NaN where the
+        space failed or E1 is under E1_FLOOR (see RisInstance.scaled)."""
+        if state.mesh is not self.mesh:
+            raise MeshError("crack set belongs to another mesh")
+        bits, keys = self.tables.keys(state.bits, added)
+        self._file(state.bits, bits, keys)
+        return [math.nan if got is None or not got[0] >= E1_FLOOR else got[0]
+                for got in map(self._entries.get, bits)]
+
+    def _file(self, base: int, bits: list[int], keys: list[int]) -> None:
+        """Solve the new spaces of the crack sets `bits`, whose space keys
+        are `keys`, and of `base` united with the pool, and file the entry
+        of each crack set whose space is then solved."""
+        mesh, tables, entries, by_space = self.mesh, self.tables, self._entries, self._by_space
+        top = base | self.pool.bits
+        if top not in entries:
+            bits, keys = [*bits, top], [*keys, tables.key(top)]
         waiting: dict[int, list[int]] = {}
-        new = []
-        for k in cracks:
-            if k.mesh is not mesh or k.bits in entries:
+        walks = []
+        for b, key in zip(bits, keys):
+            if b in entries:
                 continue
-            key, walk = space_walk(mesh, k)
             got = by_space.get(key)
             if got is None:
                 if key not in waiting:
                     waiting[key] = []
-                    new.append(walk)
-                waiting[key].append(k.bits)
+                    walks.append(tables.walk(CrackSet(mesh, b))[1])
+                waiting[key].append(b)
             elif not isinstance(got, NumericalError):
-                entries[k.bits] = got
+                entries[b] = got
+        if not waiting:
+            return
         solved: list[Entry] = []
-        for block in pack_blocks(mesh, new):
+        for block in pack_blocks(mesh, walks):
             solved += solve_block(block, self.unit)
-        for (key, bits), got in zip(waiting.items(), solved):
+        for (key, cracks), got in zip(waiting.items(), solved):
             by_space[key] = got
             if not isinstance(got, NumericalError):
-                entries.update(dict.fromkeys(bits, got))
+                entries.update(dict.fromkeys(cracks, got))
 
     def energy(self, t: float, k: CrackSet) -> float:
         e1 = self._entry(k)[0]
@@ -374,8 +397,7 @@ class _ScaledEnergyCache:
             raise NumericalError(
                 f"E1 floor {E1_FLOOR!r} undercut: E1 = {float(e1)!r} "
                 f"at t = {float(t)!r} on crack edges {list(k.edge_ids)}")
-        a = self.load.amplitude(t)
-        return a * a * e1
+        return self.scale(t) * e1
 
     def floor(self, t: float, state: CrackSet) -> float:
         """A number no larger than E(t, K) for every K with
@@ -394,8 +416,7 @@ class _ScaledEnergyCache:
             e1 = top - FLOOR_MARGIN * (1.0 + abs(top))
         except NumericalError:
             e1 = E1_FLOOR
-        a = self.load.amplitude(t)
-        return a * a * e1
+        return self.scale(t) * e1
 
     def power(self, t: float, k: CrackSet) -> float:
         """dE/dt along the loading. At the minimizer A u vanishes on the
@@ -435,7 +456,7 @@ def fracture_instance(mesh: Mesh, load: BoundaryLoad, params: DissipationParams,
         pool=pool,
         energy=cache.energy,
         power=cache.power,
-        prefetch=cache.prefetch,
+        scaled=cache,
         hops=price_hops,
         params=params,
         budget=budget,

@@ -33,9 +33,12 @@ are those of the full scan, and a report's examined count still counts
 every competitor. A read energy below its floor breaks that promise
 and raises NumericalError. A ranking is one `hops` call: the new edges
 of every competitor, whatever their number, in competitors() order,
-priced and charged by HopCost.charges, then sorted by a stable argsort,
-and a competitor's CrackSet is built only when a scan reaches it or
-hands it to the instance's prefetch callback in a chunk of candidates.
+priced and charged by HopCost.charges, then sorted by a stable argsort.
+A ranking is held as arrays: D in increasing order, the edges each
+competitor adds, and the energies the instance's one batch contract
+gives for them in chunks (E1 of an energy that t only scales, see
+RisInstance.scaled), so a scan at t computes its values s(t) * E1 + D
+as array operations and builds a CrackSet only for its winners.
 The step's first scan is R's scan of its old state, and
 residual_stability keeps every R scan in the instance's memo, so a step
 that keeps its state has shown R = 0 there and the audits read
@@ -50,11 +53,12 @@ version of the continuum transition-cost infimum.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -64,6 +68,7 @@ from .geometry import CrackSet, _require_same_mesh, h1_diff
 
 __all__ = [
     "RisInstance",
+    "ScaledEnergies",
     "HopCharges",
     "StabilityReport",
     "HopLedger",
@@ -84,11 +89,26 @@ __all__ = [
 MAX_COMPETITORS = 500_000
 # Largest gap, in edges, whose interval lattice jump_cost searches.
 LATTICE_CAP = 16
+# Fewest candidates a scan reads as one run of array operations; a
+# shorter run costs less read one candidate at a time.
+_RUN = 32
 
 
 def _no_floor(t: float, state: CrackSet) -> float:
     """The energy floor that promises nothing."""
     return -math.inf
+
+
+class ScaledEnergies(Protocol):
+    """E(t, K) = scale(t) * E1(K), as an instance declares it (see
+    RisInstance.scaled)."""
+
+    def scale(self, t: float) -> float:
+        ...
+
+    def unit_energies(self, state: CrackSet,
+                      added: Sequence[tuple[int, ...]]) -> Sequence[float]:
+        ...
 
 
 @dataclass
@@ -118,14 +138,22 @@ class RisInstance:
     elastic energy, and every competitor lies inside state ∪ pool (see
     evolution.fracture_instance).
 
-    prefetch, when set, is the scans' batch callback: before a scan
-    reads the energy of a candidate past the chunks it has handed out,
-    it hands prefetch the next chunk (see _scan), so that the instance
-    can compute many energies at once. energy must return the same
-    value whether or not prefetch saw the crack set, and raise what it
-    would have raised: a failure met ahead of a scan's stop waits for a
-    read. The fracture instance's prefetch solves a chunk's new
-    cracked spaces as one block-diagonal system.
+    scaled declares E(t, K) = s(t) * E1(K), an energy that the time
+    only scales: an object whose scale(t) is s(t) and whose
+    unit_energies(state, added) gives E1 of state plus each edge
+    sequence of `added` (ascending, outside state), in order, t-free.
+    energy(t, K) must equal scale(t) * E1(K), bit for bit, and
+    unit_energies must not raise for a candidate: it gives NaN where the
+    energy of K is to be read through energy(t, K), which raises what it
+    raises there (a failed solve, say), so a failure met in a batch is
+    raised only where a scan reads it. That is the scans' one batch
+    contract: a ranking keeps the E1 it was given and a scan at any t
+    computes (s * E1) + D, handing unit_energies the candidates in
+    chunks of 1, 2, 4, ... (see _scan). Without scaled, the default
+    adapter reads energy(t, K) one candidate per batch, s = 1, for one t
+    at a time. The fracture instance declares a(t)^2 times its cached
+    E1, and solves a chunk's new cracked spaces as one block-diagonal
+    system (see evolution._ScaledEnergyCache).
 
     residuals, read only by residual_stability, memoizes R(t,K) reports
     by (t, K) and assumes energy and hops are pure. _charged, read only
@@ -156,7 +184,7 @@ class RisInstance:
     power_bound: float | None = None
     viscous: bool = True
     energy_floor: Callable[[float, CrackSet], float] = _no_floor
-    prefetch: Callable[[Sequence[CrackSet]], None] | None = None
+    scaled: ScaledEnergies | None = None
     residuals: dict[tuple[float, CrackSet], StabilityReport] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _charged: dict[tuple[CrackSet, CrackSet], HopCharges | None] = field(
@@ -257,33 +285,54 @@ class StabilityReport:
 
 
 class _Ranking:
-    """The competitors of `state` ranked for a scan out of `source`:
-    big_d lists their D in increasing order, and iterating gives the
-    (D, K) pairs in that order. A candidate is built by `make(i)`, from
-    its index i, the first time a scan reaches it or hands it out in a
-    chunk (`cracks`), and kept. `record(i)` is the HopCost of candidate
-    i's hop out of source, with Python float fields, as single_hop
-    gives it."""
+    """The competitors of `state` ranked for a scan out of `source`, as
+    arrays: `d` holds their D in increasing order (`big_d` as Python
+    floats), `added` the edges each adds to state, in that order, and
+    `e1` the energies that the instance's batch (see RisInstance) gave
+    for the first `filled` of them (`e1_list` as Python floats), filled
+    in D order as the chunks of the scans reach them. They are t-free,
+    and serve every scan, when the instance declares scaled energies;
+    otherwise they are those at `time`, and a scan at another t reads
+    them afresh. `own` is the index of the source when it is a candidate
+    (None otherwise). A candidate's CrackSet is built by `crack(i)`, for
+    a winner or an energy read alone, and `record(i)` is the HopCost of
+    candidate i's hop out of source, with Python float fields, as
+    single_hop gives it. Iterating gives the (D, K) pairs in ranked
+    order."""
 
-    def __init__(self, source: CrackSet, state: CrackSet, big_d: list[float],
-                 make: Callable[[int], CrackSet], record: Callable[[int], HopCost]):
+    def __init__(self, source: CrackSet, state: CrackSet, d: np.ndarray,
+                 added: list[tuple[int, ...]], own: int | None,
+                 record: Callable[[int], HopCost]):
         self.source = source
         self.state = state
-        self.big_d = big_d
+        self.d = d
+        self.big_d: list[float] = d.tolist()
+        self.added = added
+        self.own = own
         self.record = record
-        self._cracks: list[CrackSet] = []
-        self._make = make
+        self.e1 = np.empty(d.size)
+        self.e1_list: list[float] = []
+        self.filled = 0
+        self.time: float | None = None
 
     def __iter__(self) -> Iterator[tuple[float, CrackSet]]:
         for i, big_d in enumerate(self.big_d):
-            yield big_d, self.cracks(i + 1)[i]
+            yield big_d, self.crack(i)
 
-    def cracks(self, stop: int) -> list[CrackSet]:
-        """The first `stop` candidates, in ranked order."""
-        cracks = self._cracks
-        while len(cracks) < stop:
-            cracks.append(self._make(len(cracks)))
-        return cracks
+    def crack(self, i: int) -> CrackSet:
+        return CrackSet(self.state.mesh, self.state.bits | _mask(self.added[i]))
+
+    def fill(self, t: float, stop: int, instance: RisInstance) -> None:
+        """The energies of candidates `filled` to stop - 1, in one call of
+        the instance's batch: the E1 of its scaled energies, or, by the
+        default adapter, E(t, K) of each read through `energy` (s = 1)."""
+        lo, scaled = self.filled, instance.scaled
+        if scaled is not None:
+            self.e1[lo:stop] = scaled.unit_energies(self.state, self.added[lo:stop])
+        else:
+            self.e1[lo:stop] = [instance.energy(t, self.crack(i)) for i in range(lo, stop)]
+        self.e1_list += self.e1[lo:stop].tolist()
+        self.filled = stop
 
 
 def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
@@ -296,20 +345,122 @@ def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
     arrays into D as it does a single record, and a stable argsort keeps
     equal D in competitors() order, so the ranking is that of pricing
     each candidate alone through charges() and sorting stably: the same
-    D, as Python floats, in the same order. Each record of the call is
-    that hop's record alone (the `hops` contract), so a candidate's
-    record is read off the call's arrays."""
+    D in the same order. Each record of the call is that hop's record
+    alone (the `hops` contract), so a candidate's record is read off the
+    call's arrays."""
     added = instance._additions(state)
     base = state.minus(source).edge_ids
     new = [tuple(sorted(base + edges)) for edges in added] if base else added
     priced = instance.hops(source, new)
     big_d = priced.charges(instance.params, instance.viscous).big_d
     order = np.argsort(big_d, kind="stable")
-    mesh, bits, at = state.mesh, state.bits, order.tolist()
+    at = order.tolist()
+    # the state itself is the first competitor; it is the source in R's scans
+    own = at.index(0) if source.bits == state.bits else None
     fields = (priced.h1, priced.sweep, priced.alpha)
-    return _Ranking(source, state, big_d[order].tolist(),
-                    lambda i: CrackSet(mesh, bits | _mask(added[at[i]])),
+    return _Ranking(source, state, big_d[order], [added[i] for i in at], own,
                     lambda i: HopCost(*(float(x[at[i]]) for x in fields)))
+
+
+class _Reads:
+    """The reads of one scan at t, in ranked order: the best value so far
+    and the candidates attaining it, E(t, source) once read, and, for
+    each candidate read, the best value before it (`before`), which
+    places the chunks of a scan over candidates filled already.
+
+    `read(stop)` reads the candidates up to stop - 1, or to the stop of
+    the scan, the first candidate j with d[j] + floor > the best value
+    before it. The values s * e1 + d of a run of at least _RUN read
+    energies are array operations (`_run`), the same IEEE operations as
+    one candidate at a time (`_one`), and the running minimum, the stop,
+    the winners and the sign of a zero best are those of the loop that
+    keeps a value only when it is strictly below the best. A candidate
+    whose energy is not a number is read alone through `energy(t, K)`,
+    which raises what the instance raises for it; an energy below the
+    floor raises NumericalError."""
+
+    def __init__(self, t: float, ranking: _Ranking, instance: RisInstance,
+                 scale: float, floor: float):
+        self.t, self.ranking, self.instance = t, ranking, instance
+        self.scale, self.floor = scale, floor
+        # a floor that is not a number stops nothing, as -infinity does
+        self.lowest = floor if floor == floor else -math.inf
+        self.best = math.inf
+        self.won: list[int] = []
+        self.own: float | None = None
+        self.pos = 0
+        self.stopped = False
+        self.before: list[float] = []
+
+    def read(self, stop: int) -> None:
+        e1 = self.ranking.e1
+        while self.pos < stop and not self.stopped:
+            lo = self.pos
+            if stop - lo < _RUN:
+                self._one(lo)
+                continue
+            unread = np.isnan(e1[lo:stop])
+            hi = lo + int(unread.argmax()) if unread.any() else stop
+            if hi > lo:
+                self._run(lo, hi)
+            else:
+                self._one(lo)
+
+    def _run(self, lo: int, hi: int) -> None:
+        ranking = self.ranking
+        energy = self.scale * ranking.e1[lo:hi]
+        d = ranking.d[lo:hi]
+        value = energy + d
+        least = np.fmin.accumulate(value)
+        before = np.empty(hi - lo)
+        before[0] = self.best
+        np.fmin(least[:-1], self.best, out=before[1:])
+        past = d + self.lowest > before
+        n = int(past.argmax()) if past.any() else hi - lo
+        under = energy[:n] < self.floor
+        if under.any():
+            j = int(under.argmax())
+            self._undercut(lo + j, float(energy[j]))
+        self.before += before[:n].tolist()
+        self.pos, self.stopped = lo + n, n < hi - lo
+        if not n:
+            return
+        low = least[n - 1]
+        if low <= self.best:
+            tied = (value[:n] == low).nonzero()[0]
+            if low < self.best:
+                self.best, self.won = float(value[tied[0]]), []
+            self.won += (tied + lo).tolist()
+        if ranking.own is not None and lo <= ranking.own < lo + n:
+            self.own = float(energy[ranking.own - lo])
+
+    def _one(self, i: int) -> None:
+        ranking, best = self.ranking, self.best
+        d = ranking.big_d[i]
+        if d + self.lowest > best:
+            self.stopped = True
+            return
+        e1 = ranking.e1_list[i]
+        if e1 == e1:
+            energy = self.scale * e1
+        else:
+            energy = self.instance.energy(self.t, ranking.crack(i))
+        if energy < self.floor:
+            self._undercut(i, energy)
+        value = energy + d
+        if value < best:
+            self.best, self.won = float(value), [i]
+        elif value == best:
+            self.won.append(i)
+        if i == ranking.own:
+            self.own = float(energy)
+        self.before.append(best)
+        self.pos = i + 1
+
+    def _undercut(self, i: int, energy: float):
+        raise NumericalError(
+            f"energy floor {float(self.floor)!r} undercut: E = {float(energy)!r} "
+            f"at t = {float(self.t)!r} on crack edges {list(self.ranking.crack(i).edge_ids)}")
 
 
 def _scan(t: float, ranking: _Ranking,
@@ -327,58 +478,50 @@ def _scan(t: float, ranking: _Ranking,
     Only strict excess is passed over, so the minimum, its winners and
     their order are those of the plain scan. A floor of -infinity skips
     nothing. An energy read below the floor breaks the promise the stop
-    rests on and raises NumericalError. Only E depends on t, so one
-    ranking serves scans at any number of times. The charges of each
-    winner's hop are filed with the instance, read off the ranking's
-    `hops` call, for the step's ledger and the audits.
+    rests on and raises NumericalError. E = s(t) * e1, with e1 the
+    ranking's energies (see _Ranking and RisInstance), so one ranking of
+    scaled energies serves scans at any number of times. The charges of
+    each winner's hop are filed with the instance, read off the
+    ranking's `hops` call, for the step's ledger and the audits; a
+    CrackSet is built only for a winner or a candidate read alone.
 
-    With a prefetch callback, the scan hands it the candidates in
-    chunks, each before the first of its energies is read: chunk k, from
-    the first candidate not yet handed out, holds at most 2^k of them,
-    cut at the first whose D + f exceeds the best value so far. A chunk
-    may reach past the candidate where the scan stops; reads, values
-    and the stop are those of the scan without prefetch."""
-    prefetch, big_ds = instance.prefetch, ranking.big_d
-    source_bits = ranking.source.bits
+    The scan fills the ranking's energies in chunks, each before the
+    first of them is read: chunk k, from the first candidate not yet
+    handed out, holds at most 2^k of them (one, when the energies are
+    read by the default adapter), cut at the first whose D + f exceeds
+    the best value so far. A chunk may reach past the candidate where
+    the scan stops; a failure the instance flags there is never read.
+    Over the candidates an earlier scan filled, the chunks are placed as
+    they would be, so a scan that reaches past them hands the batch the
+    same candidates a scan from scratch would."""
+    scaled = instance.scaled
+    if scaled is None and ranking.time != t:
+        # the default adapter's energies hold at one t
+        ranking.filled, ranking.time = 0, t
+        ranking.e1_list.clear()
     floor = instance.energy_floor(t, ranking.state)
-    best = math.inf
-    winners: list[CrackSet] = []
-    won: list[int] = []
-    own = None
-    ahead, chunk = 0, 1
-    for i, big_d in enumerate(big_ds):
-        if big_d + floor > best:
+    reads = _Reads(t, ranking, instance, 1.0 if scaled is None else scaled.scale(t), floor)
+    reads.read(ranking.filled)
+    big_d, lowest = ranking.big_d, reads.lowest
+    n, start, size = len(big_d), 0, 1
+    while not reads.stopped and start < n:
+        best = reads.before[start] if start < reads.pos else reads.best
+        if big_d[start] + lowest > best:
             break
-        if i == ahead:
-            # the next chunk: up to `chunk` candidates that the floor test
-            # admits against the best value so far (one at a time when
-            # there is no prefetch to hand them to)
-            ahead, stop = i + 1, min(i + chunk, len(big_ds))
-            while ahead < stop and big_ds[ahead] + floor <= best:
-                ahead += 1
-            cracks = ranking.cracks(ahead)
-            if prefetch is not None:
-                prefetch(cracks[i:ahead])
-                chunk *= 2
-        comp = cracks[i]
-        energy = instance.energy(t, comp)
-        if energy < floor:
-            raise NumericalError(
-                f"energy floor {float(floor)!r} undercut: E = {float(energy)!r} "
-                f"at t = {float(t)!r} on crack edges {list(comp.edge_ids)}")
-        if comp.bits == source_bits:
-            own = energy
-        value = energy + big_d
-        if value < best:
-            best = value
-            winners, won = [comp], [i]
-        elif value == best:
-            winners.append(comp)
-            won.append(i)
-    for comp, i in zip(winners, won):
+        # D + floor does not decrease along the ranking
+        cut = bisect.bisect_right(big_d, best, start + 1, key=lambda d: d + lowest)
+        end = min(start + size, cut)
+        if end > reads.pos:
+            ranking.fill(t, end, instance)
+            reads.read(end)
+        start = end
+        if scaled is not None:
+            size *= 2
+    winners = [ranking.crack(i) for i in reads.won]
+    for comp, i in zip(winners, reads.won):
         instance._file_charges(ranking.source, comp, ranking.record(i))
     winners.sort(key=lambda c: c.sort_key())
-    return best, winners, len(ranking.big_d), own
+    return reads.best, winners, n, reads.own
 
 
 def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:

@@ -845,6 +845,56 @@ def reference_energy_entry(mesh, load, k):
     return 0.5 * float(u @ au), float(load.profile[dof_vertex] @ au)
 
 
+def reference_run(mesh, load, params, pool, k0, times, budget, search, viscous):
+    """run_scheme rebuilt from the reference pieces: energies and powers
+    from reference_energy_entry, E = a^2 E1 and P = (a' a) p1 as the
+    fracture instance forms them, every hop priced by
+    per_hop(reference_hop_cost), each step taken by reference_step and
+    each R by reference_scan over every competitor, with no floor. A
+    step that keeps its state is charged +0.0 throughout, R included, as
+    the scheme's ledger records it. Returns the states and the ledger
+    rows (E, power, power_pre, d, delta, alpha, R), one per time."""
+    from vefrac.ve_core import RisInstance
+
+    entries = {}
+
+    def entry(k):
+        if k.bits not in entries:
+            entries[k.bits] = reference_energy_entry(mesh, load, k)
+        return entries[k.bits]
+
+    def energy(t, k):
+        a = load.amplitude(t)
+        return a * a * entry(k)[0]
+
+    def power(t, k):
+        a = load.amplitude(t)
+        return load.amplitude.derivative(t) * a * entry(k)[1]
+
+    instance = RisInstance(pool=pool, energy=energy, power=power,
+                           hops=per_hop(reference_hop_cost), params=params,
+                           budget=budget, search=search, viscous=viscous)
+
+    def residual(t, k):
+        best, _, _, own = reference_scan(t, k, reference_competitors(instance, k), instance)
+        return own - best
+
+    t = float(times[0])
+    states = [k0]
+    rows = [(energy(t, k0), power(t, k0), power(t, k0), 0.0, 0.0, 0.0, residual(t, k0))]
+    for t in map(float, times[1:]):
+        prev = states[-1]
+        nxt = reference_step(t, prev, instance)
+        states.append(nxt)
+        d = delta = alpha = r = 0.0
+        if nxt.bits != prev.bits:
+            charged = instance.charges(prev, nxt)
+            d, delta, alpha = charged.d, charged.sweep, charged.alpha
+            r = residual(t, nxt)
+        rows.append((energy(t, nxt), power(t, nxt), power(t, prev), d, delta, alpha, r))
+    return states, rows
+
+
 def reference_parse_mesh_text(text: str):
     """The mesh file parser line by line: one tuple per vertex and
     triangle line, each number read by float() or int() as it comes, so

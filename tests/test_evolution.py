@@ -568,7 +568,7 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
                                      bench_workloads):
     # per run in this process: one space build and one FEM solve per
     # distinct cracked space, in a block of one or in one of the larger
-    # blocks that the scans' prefetches solve, one batch ranking per (source, state) the
+    # blocks that the scans' batches solve, one batch ranking per (source, state) the
     # scans rank, and every hop priced once: a ranking's candidates in
     # its one `hops` call, whose scan files its winners' charges (the
     # hop a step's ledger row and the audits read), and each other
@@ -599,6 +599,41 @@ def test_workload_work_counts_repeat(workload, expected, tmp_path, monkeypatch,
         ctx = _workload_run(bench_workloads, workload, tmp_path / run)
         _run_to_archive(ctx, tmp_path / run / "out")
         assert counts == expected
+
+
+@pytest.mark.blas_rounding
+@pytest.mark.parametrize("workload, scans, built", [("strip", 69, 69), ("grid", 9, 9),
+                                                    ("fine", 63, 63)])
+def test_workload_scans_build_crack_sets_for_their_winners(workload, scans, built, tmp_path,
+                                                           monkeypatch, bench_workloads):
+    # a scan reads its candidates off a ranking's arrays and builds a
+    # CrackSet for each winner alone: one per scan, as no scan of these
+    # runs ties, though grid's nine scans read 1304 crack sets
+    import vefrac.ve_core as ve_core
+
+    counts = {"scans": 0, "built": 0}
+    scanning = [False]
+
+    def crack_set(mesh, bits):
+        counts["built"] += scanning[0]
+        return CrackSet(mesh, bits)
+
+    def scanned(*args):
+        counts["scans"] += 1
+        scanning[0] = True
+        try:
+            return scan(*args)
+        finally:
+            scanning[0] = False
+
+    scan = ve_core._scan
+    monkeypatch.setattr(ve_core, "CrackSet", crack_set)
+    monkeypatch.setattr(ve_core, "_scan", scanned)
+    for run in ("first", "second"):
+        counts.update(scans=0, built=0)
+        ctx = _workload_run(bench_workloads, workload, tmp_path / run)
+        _run_to_archive(ctx, tmp_path / run / "out")
+        assert counts == {"scans": scans, "built": built}
 
 
 @pytest.mark.parametrize("workload, counts",

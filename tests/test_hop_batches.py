@@ -216,17 +216,41 @@ def test_batch_ranking_keeps_the_loop_order_of_exact_ties(search):
             assert any(a == b for a, b in zip(ranking.big_d, ranking.big_d[1:]))
 
 
-def test_batch_ranking_builds_a_candidate_only_when_a_scan_reaches_it():
+class ZeroScaled:
+    """E = 0 declared as scaled energies: scale 1, every E1 0."""
+
+    def scale(self, t):
+        return 1.0
+
+    def unit_energies(self, state, added):
+        return [0.0] * len(added)
+
+
+def test_a_scan_builds_crack_sets_only_for_its_winners(monkeypatch):
+    # a ranking holds its candidates as the edges each adds; a scan of
+    # declared scaled energies reads them as arrays and builds a
+    # CrackSet for each winner alone. Iterating a ranking builds each
+    # candidate, in ranked order
+    import vefrac.ve_core as ve_core
+
     mesh = square_grid_mesh(3)
     pool = CrackSet(mesh, (1 << mesh.n_edges) - 1)
-    inst = batch_instance(pool, budget=2)
+    inst = batch_instance(pool, budget=2, scaled=ZeroScaled())
     empty = CrackSet.empty(mesh)
+    built = []
+
+    def crack_set(mesh, bits):
+        built.append(bits)
+        return CrackSet(mesh, bits)
+
+    monkeypatch.setattr(ve_core, "CrackSet", crack_set)
     ranking = inst.ranking(empty, empty)
-    assert ranking._cracks == []
+    built.clear()
+    report = residual_stability(0.5, empty, inst)
+    assert report.minimizers == (empty,) and report.examined == len(ranking.big_d) > 1
+    assert built == [empty.bits]
     first = list(itertools.islice(ranking, 3))
-    assert len(ranking._cracks) == 3 and first[0][1] == empty
-    assert [k for _, k in itertools.islice(ranking, 3)] == [k for _, k in first]
-    assert all(a is b for (_, a), (_, b) in zip(first, ranking))
+    assert first[0] == (0.0, empty) and len(built) == 4
 
 
 def test_batch_ranking_refuses_what_the_loop_refuses():

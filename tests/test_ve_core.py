@@ -17,6 +17,7 @@ from vefrac.dissipation import (
     dist_d,
     hop_cost,
 )
+from vefrac.elastic import NumericalError
 from vefrac.evolution import TimePartition, fracture_instance, run_scheme
 from vefrac.geometry import CrackSet, MeshError, h1_diff, h1_measure
 from vefrac.ve_core import (
@@ -457,39 +458,166 @@ def test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, vis
     assert skipped > 0
 
 
-def test_scan_prefetches_doubling_chunks_that_the_floor_admits(rect9):
-    # before it reads a candidate, a scan hands `prefetch` the chunk that
-    # starts there: the next 1, 2, 4, ... candidates in ranked order,
-    # cut at the first whose D plus the floor exceeds the best value so
-    # far. The scan's result is the one it gives without prefetch
-    chunks = cut = 0
+class TableScaled:
+    """E(t, K) = t^2 table[K], declared as scaled energies; records the
+    crack bits of each batch it is handed."""
+
+    def __init__(self, table):
+        self.table = table
+        self.batches = []
+
+    def scale(self, t):
+        return t * t
+
+    def unit_energies(self, state, added):
+        self.batches.append([state.bits | sum(1 << e for e in edges) for edges in added])
+        return [self.table[bits] for bits in self.batches[-1]]
+
+    def energy(self, t, k):
+        return self.scale(t) * self.table[k.bits]
+
+
+def scaled_table_instance(mesh, seed, **kw):
+    """small_table_instance's energies scaled by t^2 and declared so,
+    with the floor 0."""
+    rng = np.random.default_rng(seed)
+    energies = TableScaled({bits: float(rng.integers(0, 4)) for bits in range(1 << mesh.n_edges)})
+    inst = RisInstance(pool=CrackSet(mesh, (1 << mesh.n_edges) - 1), energy=energies.energy,
+                       power=lambda t, k: 0.0, hops=oracle.per_hop(real_hop), params=PARAMS,
+                       budget=3, energy_floor=lambda t, k: 0.0, scaled=energies, **kw)
+    return inst, energies
+
+
+def test_scan_hands_the_batch_doubling_chunks_that_the_floor_admits(rect9):
+    # a scan of declared scaled energies hands their batch the next 1, 2,
+    # 4, ... candidates in ranked order, each chunk before it reads the
+    # first of them, cut at the first whose D plus the floor exceeds the
+    # best value so far. A scan at a second t reuses the energies of the
+    # ranking and hands out only the candidates past them, in the chunks
+    # of a scan from scratch. Its results are those of the default
+    # adapter, which reads energy(t, K) one candidate at a time
+    chunks = cut = reused = 0
     for seed in range(6):
-        inst = small_table_instance(rect9, seed, real_hop, 0.0)
-        events = []
-        energy = inst.energy
-        batched = replace(inst, energy=lambda t, k: events.append(k.bits) or energy(t, k),
-                          prefetch=lambda cracks: events.append([k.bits for k in cracks]))
+        inst, energies = scaled_table_instance(rect9, seed)
         state = CrackSet.of_edges(rect9, [seed % rect9.n_edges])
-        ranking = batched.ranking(state, state)
-        assert_same_scan(_scan(0.5, ranking, batched), _scan(0.5, inst.ranking(state, state), inst))
-        order = [k.bits for _, k in ranking]
-        best, handed, quota = math.inf, 0, 1
-        for event in events:
-            if isinstance(event, list):
+        plain = replace(inst, scaled=None)
+        for t in (1.0, 0.5):
+            fresh, fresh_energies = scaled_table_instance(rect9, seed)
+            ranking = fresh.ranking(state, state)
+            assert_same_scan(_scan(t, ranking, fresh), _scan(t, plain.ranking(state, state), plain))
+            order = [k.bits for _, k in ranking]
+            best, handed, quota = math.inf, 0, 1
+            expected = []
+            for event in fresh_energies.batches:
                 assert event == order[handed:handed + len(event)]
                 assert 0 < len(event) <= quota
                 assert all(d + 0.0 <= best for d in ranking.big_d[handed:handed + len(event)])
+                expected.append(event)
+                best = min([best] + [t * t * fresh_energies.table[bits] + ranking.big_d[handed + i]
+                                     for i, bits in enumerate(event)])
                 handed += len(event)
                 if len(event) < quota and handed < len(order):
                     assert ranking.big_d[handed] + 0.0 > best
                     cut += 1
                 quota *= 2
                 chunks += 1
-            else:
-                at = order.index(event)
-                assert at < handed
-                best = min(best, energy(0.5, CrackSet(rect9, event)) + ranking.big_d[at])
-    assert chunks >= 12 and cut > 0, (chunks, cut)
+            # the same scan on the ranking an earlier scan at another t filled
+            kept = inst.ranking(state, state)
+            filled = kept.filled
+            energies.batches.clear()
+            assert_same_scan(_scan(t, kept, inst), _scan(t, ranking, fresh))
+            past = [[bits for bits in event if order.index(bits) >= filled] for event in expected]
+            assert energies.batches == [event for event in past if event]
+            reused += filled > 0 and energies.batches != expected
+    assert chunks >= 12 and cut > 0 and reused > 0, (chunks, cut, reused)
+
+
+class BrokenScaled(TableScaled):
+    """TableScaled whose `broken` crack sets fail: a batch gives NaN for
+    them, and energy raises for them, naming their edges."""
+
+    def __init__(self, table, broken):
+        super().__init__(table)
+        self.broken = broken
+
+    def unit_energies(self, state, added):
+        values = super().unit_energies(state, added)
+        return [math.nan if bits in self.broken else v for bits, v in zip(self.batches[-1], values)]
+
+    def energy(self, t, k):
+        if k.bits in self.broken:
+            raise NumericalError(f"no energy on crack edges {list(k.edge_ids)}")
+        return super().energy(t, k)
+
+
+def scan_outcome(t, inst, state):
+    """What R's scan of state does: its result, with the winners' bits,
+    or the type and text of what it raises."""
+    try:
+        best, winners, examined, own = _scan(t, inst.ranking(state, state), inst)
+    except NumericalError as exc:
+        return "raised", str(exc)
+    return float_bits(best), [k.bits for k in winners], examined, own
+
+
+def test_failures_in_a_batch_raise_where_the_scan_reads_them():
+    # scans of declared scaled energies against the default adapter,
+    # which reads energy(t, K) one candidate at a time: an energy under
+    # the floor, or a failure that the batch flags, raises the same
+    # NumericalError at the same candidate when the scan reads it, in a
+    # chunk of many and in a run of array reads alike, and failures on
+    # every candidate a batch was handed past the scan's stop are never
+    # raised
+    mesh = rect_grid_mesh(3, 3)
+    undercut = unread = read_in_chunks = 0
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        pool = CrackSet.of_edges(mesh, rng.choice(mesh.n_edges, 12, replace=False))
+        low = -0.125 if seed % 3 == 0 else 0.0
+        floor = -1.0 if seed % 2 else 0.0
+        table = {}
+        state = CrackSet.of_edges(mesh, rng.choice(pool.edge_ids, int(rng.integers(0, 2)),
+                                                   replace=False))
+        t = float(rng.uniform(0.5, 2.0))
+
+        def outcomes(broken):
+            energies = BrokenScaled(table, broken)
+            asked = []
+
+            def energy(t, k):
+                asked.append(k.bits)
+                return energies.energy(t, k)
+
+            inst = RisInstance(pool=pool, energy=energies.energy, power=lambda t, k: 0.0,
+                               hops=oracle.per_hop(real_hop), params=PARAMS, budget=3,
+                               energy_floor=lambda t, k: floor, scaled=energies)
+            got = scan_outcome(t, inst, state)
+            assert got == scan_outcome(t, replace(inst, scaled=None, energy=energy), state)
+            return got, energies.batches, asked
+
+        # energies of 2 to 4, and a tenth of them 0, which drop the best
+        # value inside a chunk
+        for k in RisInstance(pool=pool, energy=None, power=None, hops=None, params=PARAMS,
+                             budget=3).competitors(state):
+            draw = float(np.random.default_rng(k.bits).integers(0, 20))
+            table[k.bits] = (0.0 if draw < 2 else 1.0 + draw / 8) + low
+        clean, batches, asked = outcomes(set())
+        if clean[0] == "raised":
+            assert "energy floor" in clean[1]
+            undercut += 1
+            continue
+        past = {bits for batch in batches for bits in batch} - set(asked)
+        if past:
+            assert outcomes(past)[0] == clean
+            unread += 1
+        chunked = [bits for batch in batches if len(batch) > 1 for bits in batch
+                   if bits in asked]
+        if chunked:
+            failed = chunked[int(rng.integers(0, len(chunked)))]
+            got = outcomes({failed})[0]
+            assert got[0] == "raised" and got[1].startswith("no energy on crack edges")
+            read_in_chunks += 1
+    assert undercut > 5 and unread > 5 and read_in_chunks > 20, (undercut, unread, read_in_chunks)
 
 
 def counting(calls, fn):

@@ -90,7 +90,11 @@ MAX_COMPETITORS = 500_000
 # Largest gap, in edges, whose interval lattice jump_cost searches.
 LATTICE_CAP = 16
 # Fewest candidates a scan reads as one run of array operations; a
-# shorter run costs less read one candidate at a time.
+# shorter run costs less read one candidate at a time: the arrays cost
+# about 8 µs a run, the loop about 0.6 µs a candidate. Reads per strip /
+# fine / grid run (2-core Xeon, OPENBLAS_NUM_THREADS=1): 1.5 / 0.9 /
+# 0.57 ms all as arrays, 0.37 / 0.19 / 0.91 ms all one at a time, and
+# 0.35-0.38 / 0.19 / 0.35-0.38 ms for any threshold from 24 to 64.
 _RUN = 32
 
 
@@ -289,16 +293,15 @@ class _Ranking:
     arrays: `d` holds their D in increasing order (`big_d` as Python
     floats), `added` the edges each adds to state, in that order, and
     `e1` the energies that the instance's batch (see RisInstance) gave
-    for the first `filled` of them (`e1_list` as Python floats), filled
-    in D order as the chunks of the scans reach them. They are t-free,
-    and serve every scan, when the instance declares scaled energies;
-    otherwise they are those at `time`, and a scan at another t reads
-    them afresh. `own` is the index of the source when it is a candidate
-    (None otherwise). A candidate's CrackSet is built by `crack(i)`, for
-    a winner or an energy read alone, and `record(i)` is the HopCost of
-    candidate i's hop out of source, with Python float fields, as
-    single_hop gives it. Iterating gives the (D, K) pairs in ranked
-    order."""
+    for the first `filled` of them, filled in D order as the chunks of
+    the scans reach them. They are t-free, and serve every scan, when
+    the instance declares scaled energies; otherwise they are those at
+    `time`, and a scan at another t reads them afresh. `own` is the
+    index of the source when it is a candidate (None otherwise). A
+    candidate's CrackSet is built by `crack(i)`, for a winner or an
+    energy read alone, and `record(i)` is the HopCost of candidate i's
+    hop out of source, with Python float fields, as single_hop gives it.
+    Iterating gives the (D, K) pairs in ranked order."""
 
     def __init__(self, source: CrackSet, state: CrackSet, d: np.ndarray,
                  added: list[tuple[int, ...]], own: int | None,
@@ -311,7 +314,6 @@ class _Ranking:
         self.own = own
         self.record = record
         self.e1 = np.empty(d.size)
-        self.e1_list: list[float] = []
         self.filled = 0
         self.time: float | None = None
 
@@ -331,7 +333,6 @@ class _Ranking:
             self.e1[lo:stop] = scaled.unit_energies(self.state, self.added[lo:stop])
         else:
             self.e1[lo:stop] = [instance.energy(t, self.crack(i)) for i in range(lo, stop)]
-        self.e1_list += self.e1[lo:stop].tolist()
         self.filled = stop
 
 
@@ -365,19 +366,21 @@ def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
 class _Reads:
     """The reads of one scan at t, in ranked order: the best value so far
     and the candidates attaining it, E(t, source) once read, and, for
-    each candidate read, the best value before it (`before`), which
-    places the chunks of a scan over candidates filled already.
+    each candidate read, the best value before it (`before`, an array
+    over the ranking), which places the chunks of a scan over candidates
+    filled already.
 
     `read(stop)` reads the candidates up to stop - 1, or to the stop of
     the scan, the first candidate j with d[j] + floor > the best value
-    before it. The values s * e1 + d of a run of at least _RUN read
-    energies are array operations (`_run`), the same IEEE operations as
-    one candidate at a time (`_one`), and the running minimum, the stop,
-    the winners and the sign of a zero best are those of the loop that
-    keeps a value only when it is strictly below the best. A candidate
-    whose energy is not a number is read alone through `energy(t, K)`,
-    which raises what the instance raises for it; an energy below the
-    floor raises NumericalError."""
+    before it. The values s * e1 + d of a run of at least _RUN energies
+    the batch gave are array operations (`_run`); a shorter run is read
+    one candidate at a time (`_each`), with the same IEEE operations,
+    and both keep the running minimum, the stop, the winners and the
+    sign of a zero best of the loop that keeps a value only when it is
+    strictly below the best. A candidate whose energy is not a number is
+    read alone, if the scan reaches it, through `energy(t, K)`, which
+    raises what the instance raises for it; an energy below the floor
+    raises NumericalError."""
 
     def __init__(self, t: float, ranking: _Ranking, instance: RisInstance,
                  scale: float, floor: float):
@@ -390,21 +393,21 @@ class _Reads:
         self.own: float | None = None
         self.pos = 0
         self.stopped = False
-        self.before: list[float] = []
+        self.before = np.empty(ranking.d.size)
 
     def read(self, stop: int) -> None:
         e1 = self.ranking.e1
         while self.pos < stop and not self.stopped:
             lo = self.pos
             if stop - lo < _RUN:
-                self._one(lo)
+                self._each(lo, stop)
                 continue
             unread = np.isnan(e1[lo:stop])
             hi = lo + int(unread.argmax()) if unread.any() else stop
             if hi > lo:
                 self._run(lo, hi)
             else:
-                self._one(lo)
+                self._each(lo, lo + 1)
 
     def _run(self, lo: int, hi: int) -> None:
         ranking = self.ranking
@@ -412,7 +415,7 @@ class _Reads:
         d = ranking.d[lo:hi]
         value = energy + d
         least = np.fmin.accumulate(value)
-        before = np.empty(hi - lo)
+        before = self.before[lo:hi]
         before[0] = self.best
         np.fmin(least[:-1], self.best, out=before[1:])
         past = d + self.lowest > before
@@ -421,7 +424,6 @@ class _Reads:
         if under.any():
             j = int(under.argmax())
             self._undercut(lo + j, float(energy[j]))
-        self.before += before[:n].tolist()
         self.pos, self.stopped = lo + n, n < hi - lo
         if not n:
             return
@@ -434,28 +436,28 @@ class _Reads:
         if ranking.own is not None and lo <= ranking.own < lo + n:
             self.own = float(energy[ranking.own - lo])
 
-    def _one(self, i: int) -> None:
-        ranking, best = self.ranking, self.best
-        d = ranking.big_d[i]
-        if d + self.lowest > best:
-            self.stopped = True
-            return
-        e1 = ranking.e1_list[i]
-        if e1 == e1:
-            energy = self.scale * e1
-        else:
-            energy = self.instance.energy(self.t, ranking.crack(i))
-        if energy < self.floor:
-            self._undercut(i, energy)
-        value = energy + d
-        if value < best:
-            self.best, self.won = float(value), [i]
-        elif value == best:
-            self.won.append(i)
-        if i == ranking.own:
-            self.own = float(energy)
-        self.before.append(best)
-        self.pos = i + 1
+    def _each(self, lo: int, hi: int) -> None:
+        ranking, big_d = self.ranking, self.ranking.big_d
+        for i, e1 in enumerate(ranking.e1[lo:hi].tolist(), lo):
+            best, d = self.best, big_d[i]
+            if d + self.lowest > best:
+                self.stopped = True
+                return
+            if e1 == e1:
+                energy = self.scale * e1
+            else:
+                energy = self.instance.energy(self.t, ranking.crack(i))
+            if energy < self.floor:
+                self._undercut(i, energy)
+            value = energy + d
+            if value < best:
+                self.best, self.won = float(value), [i]
+            elif value == best:
+                self.won.append(i)
+            if i == ranking.own:
+                self.own = float(energy)
+            self.before[i] = best
+            self.pos = i + 1
 
     def _undercut(self, i: int, energy: float):
         raise NumericalError(
@@ -498,7 +500,6 @@ def _scan(t: float, ranking: _Ranking,
     if scaled is None and ranking.time != t:
         # the default adapter's energies hold at one t
         ranking.filled, ranking.time = 0, t
-        ranking.e1_list.clear()
     floor = instance.energy_floor(t, ranking.state)
     reads = _Reads(t, ranking, instance, 1.0 if scaled is None else scaled.scale(t), floor)
     reads.read(ranking.filled)

@@ -413,7 +413,7 @@ def test_an_undercut_raises_only_where_it_is_read(tmp_path, monkeypatch, bench_w
         assert _run_to_archive(ctx, tmp_path / "out")[3].read_bytes() == archive
     undercut(monkeypatch, space_key(seen.mesh, seen))
     ctx = _workload_run(bench_workloads, "grid", tmp_path / "c")
-    ctx.instance.prefetch = None
+    ctx.instance.scaled = None
     with pytest.raises(NumericalError) as lone:
         _run_to_archive(ctx, tmp_path / "c" / "out")
     assert str(lone.value).startswith("E1 floor -1e-12 undercut: E1 = -1.0 at t = ")

@@ -620,6 +620,21 @@ def test_failures_in_a_batch_raise_where_the_scan_reads_them():
     assert undercut > 5 and unread > 5 and read_in_chunks > 20, (undercut, unread, read_in_chunks)
 
 
+
+@pytest.mark.blas_rounding
+@pytest.mark.parametrize("run", [1, 10**9], ids=["arrays", "one_at_a_time"])
+def test_both_read_paths_give_the_same_scans(rect9, monkeypatch, run):
+    # a scan reads a run of at least _RUN energies as array operations
+    # and a shorter one candidate at a time; with every run read one way,
+    # the scans still equal the reference scan (the test above compares
+    # a batch's runs with the default adapter's reads one at a time)
+    import vefrac.ve_core as ve_core
+
+    monkeypatch.setattr(ve_core, "_RUN", run)
+    for search in ("exhaustive", "greedy"):
+        for viscous in (True, False):
+            test_scan_in_dissipation_order_matches_the_reference_scan(rect9, search, viscous)
+
 def counting(calls, fn):
     def wrapper(*args):
         calls.append(args)

@@ -37,8 +37,9 @@ priced and charged by HopCost.charges, then sorted by a stable argsort.
 A ranking is held as arrays: D in increasing order, the edges each
 competitor adds, and the energies the instance's one batch contract
 gives for them in chunks (E1 of an energy that t only scales, see
-RisInstance.scaled), so a scan at t computes its values s(t) * E1 + D
-as array operations and builds a CrackSet only for its winners.
+RisInstance.scaled; NaN where none was given, read alone through
+energy(t, K)), so a scan at t computes its values s(t) * E1 + D as
+array operations and builds a CrackSet only for its winners.
 The step's first scan is R's scan of its old state, and
 residual_stability keeps every R scan in the instance's memo, so a step
 that keeps its state has shown R = 0 there and the audits read
@@ -53,7 +54,6 @@ version of the continuum transition-cost infimum.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -153,11 +153,12 @@ class RisInstance:
     raised only where a scan reads it. That is the scans' one batch
     contract: a ranking keeps the E1 it was given and a scan at any t
     computes (s * E1) + D, handing unit_energies the candidates in
-    chunks of 1, 2, 4, ... (see _scan). Without scaled, the default
-    adapter reads energy(t, K) one candidate per batch, s = 1, for one t
-    at a time. The fracture instance declares a(t)^2 times its cached
-    E1, and solves a chunk's new cracked spaces as one block-diagonal
-    system (see evolution._ScaledEnergyCache).
+    chunks of 1, 2, 4, ... (see _scan). Without scaled, nothing is
+    handed to a batch: a scan reads energy(t, K) of each candidate it
+    reaches alone, at every t, as it reads a NaN (scaled is to stay as
+    it was when the ranking was made). The fracture instance declares
+    a(t)^2 times its cached E1, and solves a chunk's new cracked spaces
+    as one block-diagonal system (see evolution._ScaledEnergyCache).
 
     residuals, read only by residual_stability, memoizes R(t,K) reports
     by (t, K) and assumes energy and hops are pure. _charged, read only
@@ -290,50 +291,33 @@ class StabilityReport:
 
 class _Ranking:
     """The competitors of `state` ranked for a scan out of `source`, as
-    arrays: `d` holds their D in increasing order (`big_d` as Python
-    floats), `added` the edges each adds to state, in that order, and
-    `e1` the energies that the instance's batch (see RisInstance) gave
-    for the first `filled` of them, filled in D order as the chunks of
-    the scans reach them. They are t-free, and serve every scan, when
-    the instance declares scaled energies; otherwise they are those at
-    `time`, and a scan at another t reads them afresh. `own` is the
-    index of the source when it is a candidate (None otherwise). A
-    candidate's CrackSet is built by `crack(i)`, for a winner or an
-    energy read alone, and `record(i)` is the HopCost of candidate i's
-    hop out of source, with Python float fields, as single_hop gives it.
-    Iterating gives the (D, K) pairs in ranked order."""
+    arrays: `d` holds their D in increasing order, `added` the edges each
+    adds to state, in that order, and `e1` their energies, NaN where no
+    batch gave one. A scan reads the candidates up to `filled` as they
+    are and hands the instance's batch (see RisInstance) the next chunks
+    past it: the t-free E1 of its scaled energies then serve every scan.
+    Without scaled energies `filled` is every candidate from the start,
+    so every entry stays NaN and a scan reads each energy it reaches
+    alone, at its own t. `own` is the index of the source when it is a
+    candidate (None otherwise). A candidate's CrackSet is built by
+    `crack(i)`, for a winner or an energy read alone, and `record(i)` is
+    the HopCost of candidate i's hop out of source, with Python float
+    fields, as single_hop gives it."""
 
     def __init__(self, source: CrackSet, state: CrackSet, d: np.ndarray,
                  added: list[tuple[int, ...]], own: int | None,
-                 record: Callable[[int], HopCost]):
+                 record: Callable[[int], HopCost], filled: int):
         self.source = source
         self.state = state
         self.d = d
-        self.big_d: list[float] = d.tolist()
         self.added = added
         self.own = own
         self.record = record
-        self.e1 = np.empty(d.size)
-        self.filled = 0
-        self.time: float | None = None
-
-    def __iter__(self) -> Iterator[tuple[float, CrackSet]]:
-        for i, big_d in enumerate(self.big_d):
-            yield big_d, self.crack(i)
+        self.e1 = np.full(d.size, math.nan)
+        self.filled = filled
 
     def crack(self, i: int) -> CrackSet:
         return CrackSet(self.state.mesh, self.state.bits | _mask(self.added[i]))
-
-    def fill(self, t: float, stop: int, instance: RisInstance) -> None:
-        """The energies of candidates `filled` to stop - 1, in one call of
-        the instance's batch: the E1 of its scaled energies, or, by the
-        default adapter, E(t, K) of each read through `energy` (s = 1)."""
-        lo, scaled = self.filled, instance.scaled
-        if scaled is not None:
-            self.e1[lo:stop] = scaled.unit_energies(self.state, self.added[lo:stop])
-        else:
-            self.e1[lo:stop] = [instance.energy(t, self.crack(i)) for i in range(lo, stop)]
-        self.filled = stop
 
 
 def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
@@ -360,40 +344,37 @@ def _rank(source: CrackSet, state: CrackSet, instance: RisInstance) -> _Ranking:
     own = at.index(0) if source.bits == state.bits else None
     fields = (priced.h1, priced.sweep, priced.alpha)
     return _Ranking(source, state, big_d[order], [added[i] for i in at], own,
-                    lambda i: HopCost(*(float(x[at[i]]) for x in fields)))
+                    lambda i: HopCost(*(float(x[at[i]]) for x in fields)),
+                    0 if instance.scaled is not None else len(at))
 
 
 class _Reads:
     """The reads of one scan at t, in ranked order: the best value so far
-    and the candidates attaining it, E(t, source) once read, and, for
-    each candidate read, the best value before it (`before`, an array
-    over the ranking), which places the chunks of a scan over candidates
-    filled already.
+    and the candidates attaining it, and E(t, source) once read.
 
     `read(stop)` reads the candidates up to stop - 1, or to the stop of
-    the scan, the first candidate j with d[j] + floor > the best value
-    before it. The values s * e1 + d of a run of at least _RUN energies
-    the batch gave are array operations (`_run`); a shorter run is read
-    one candidate at a time (`_each`), with the same IEEE operations,
-    and both keep the running minimum, the stop, the winners and the
-    sign of a zero best of the loop that keeps a value only when it is
-    strictly below the best. A candidate whose energy is not a number is
-    read alone, if the scan reaches it, through `energy(t, K)`, which
-    raises what the instance raises for it; an energy below the floor
-    raises NumericalError."""
+    the scan, the first candidate j with limit[j] = d[j] + floor above
+    the best value before it. The values s * e1 + d of a run of at least
+    _RUN energies the batch gave are array operations (`_run`); a
+    shorter run, and every run of NaN, is read one candidate at a time
+    (`_each`), with the same IEEE operations, and both keep the running
+    minimum, the stop, the winners and the sign of a zero best of the
+    loop that keeps a value only when it is strictly below the best. A
+    candidate whose energy is NaN is read alone, if the scan reaches it,
+    through `energy(t, K)`, which raises what the instance raises for
+    it; an energy below the floor raises NumericalError."""
 
     def __init__(self, t: float, ranking: _Ranking, instance: RisInstance,
                  scale: float, floor: float):
         self.t, self.ranking, self.instance = t, ranking, instance
         self.scale, self.floor = scale, floor
         # a floor that is not a number stops nothing, as -infinity does
-        self.lowest = floor if floor == floor else -math.inf
+        self.limit = ranking.d + (floor if floor == floor else -math.inf)
         self.best = math.inf
         self.won: list[int] = []
         self.own: float | None = None
         self.pos = 0
         self.stopped = False
-        self.before = np.empty(ranking.d.size)
 
     def read(self, stop: int) -> None:
         e1 = self.ranking.e1
@@ -403,22 +384,19 @@ class _Reads:
                 self._each(lo, stop)
                 continue
             unread = np.isnan(e1[lo:stop])
-            hi = lo + int(unread.argmax()) if unread.any() else stop
-            if hi > lo:
-                self._run(lo, hi)
-            else:
-                self._each(lo, lo + 1)
+            # the leading run of NaN, or of numbers
+            hi = lo + (int((unread != unread[0]).argmax()) or stop - lo)
+            (self._each if unread[0] else self._run)(lo, hi)
 
     def _run(self, lo: int, hi: int) -> None:
         ranking = self.ranking
         energy = self.scale * ranking.e1[lo:hi]
-        d = ranking.d[lo:hi]
-        value = energy + d
+        value = energy + ranking.d[lo:hi]
         least = np.fmin.accumulate(value)
-        before = self.before[lo:hi]
+        before = np.empty(hi - lo)
         before[0] = self.best
         np.fmin(least[:-1], self.best, out=before[1:])
-        past = d + self.lowest > before
+        past = self.limit[lo:hi] > before
         n = int(past.argmax()) if past.any() else hi - lo
         under = energy[:n] < self.floor
         if under.any():
@@ -437,10 +415,11 @@ class _Reads:
             self.own = float(energy[ranking.own - lo])
 
     def _each(self, lo: int, hi: int) -> None:
-        ranking, big_d = self.ranking, self.ranking.big_d
-        for i, e1 in enumerate(ranking.e1[lo:hi].tolist(), lo):
-            best, d = self.best, big_d[i]
-            if d + self.lowest > best:
+        ranking = self.ranking
+        for i, e1, d, limit in zip(range(lo, hi), ranking.e1[lo:hi].tolist(),
+                                   ranking.d[lo:hi].tolist(), self.limit[lo:hi].tolist()):
+            best = self.best
+            if limit > best:
                 self.stopped = True
                 return
             if e1 == e1:
@@ -456,7 +435,6 @@ class _Reads:
                 self.won.append(i)
             if i == ranking.own:
                 self.own = float(energy)
-            self.before[i] = best
             self.pos = i + 1
 
     def _undercut(self, i: int, energy: float):
@@ -482,47 +460,38 @@ def _scan(t: float, ranking: _Ranking,
     nothing. An energy read below the floor breaks the promise the stop
     rests on and raises NumericalError. E = s(t) * e1, with e1 the
     ranking's energies (see _Ranking and RisInstance), so one ranking of
-    scaled energies serves scans at any number of times. The charges of
-    each winner's hop are filed with the instance, read off the
-    ranking's `hops` call, for the step's ledger and the audits; a
-    CrackSet is built only for a winner or a candidate read alone.
+    scaled energies serves scans at any number of times; an entry that
+    is NaN is read alone through energy(t, K). The charges of each
+    winner's hop are filed with the instance, read off the ranking's
+    `hops` call, for the step's ledger and the audits; a CrackSet is
+    built only for a winner or a candidate read alone.
 
-    The scan fills the ranking's energies in chunks, each before the
-    first of them is read: chunk k, from the first candidate not yet
-    handed out, holds at most 2^k of them (one, when the energies are
-    read by the default adapter), cut at the first whose D + f exceeds
-    the best value so far. A chunk may reach past the candidate where
-    the scan stops; a failure the instance flags there is never read.
-    Over the candidates an earlier scan filled, the chunks are placed as
-    they would be, so a scan that reaches past them hands the batch the
-    same candidates a scan from scratch would."""
+    The scan reads the candidates up to the ranking's `filled`, then
+    hands the batch the next chunk, from `filled` up to 2 * filled + 1
+    and cut at the first candidate whose D + f exceeds the best value so
+    far, before it reads the first of them, until that chunk is empty:
+    from scratch, chunks of 1, 2, 4, ... candidates, and a later scan
+    continues past the candidates an earlier one filled. A chunk may
+    reach past the candidate where the scan stops; a failure the
+    instance flags there is never read."""
     scaled = instance.scaled
-    if scaled is None and ranking.time != t:
-        # the default adapter's energies hold at one t
-        ranking.filled, ranking.time = 0, t
     floor = instance.energy_floor(t, ranking.state)
     reads = _Reads(t, ranking, instance, 1.0 if scaled is None else scaled.scale(t), floor)
     reads.read(ranking.filled)
-    big_d, lowest = ranking.big_d, reads.lowest
-    n, start, size = len(big_d), 0, 1
-    while not reads.stopped and start < n:
-        best = reads.before[start] if start < reads.pos else reads.best
-        if big_d[start] + lowest > best:
-            break
+    while not reads.stopped:
+        lo = ranking.filled
         # D + floor does not decrease along the ranking
-        cut = bisect.bisect_right(big_d, best, start + 1, key=lambda d: d + lowest)
-        end = min(start + size, cut)
-        if end > reads.pos:
-            ranking.fill(t, end, instance)
-            reads.read(end)
-        start = end
-        if scaled is not None:
-            size *= 2
+        hi = min(2 * lo + 1, int(np.searchsorted(reads.limit, reads.best, "right")))
+        if hi <= lo:
+            break
+        ranking.e1[lo:hi] = scaled.unit_energies(ranking.state, ranking.added[lo:hi])
+        ranking.filled = hi
+        reads.read(hi)
     winners = [ranking.crack(i) for i in reads.won]
     for comp, i in zip(winners, reads.won):
         instance._file_charges(ranking.source, comp, ranking.record(i))
     winners.sort(key=lambda c: c.sort_key())
-    return reads.best, winners, n, reads.own
+    return reads.best, winners, len(ranking.d), reads.own
 
 
 def residual_stability(t: float, state: CrackSet, instance: RisInstance) -> StabilityReport:

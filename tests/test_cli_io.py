@@ -578,6 +578,28 @@ def test_cli_run_keeps_the_archive_of_a_fast_load(rate, tmp_path, capsys, bench_
     assert "component bound: PASS (worst 1 vs bound exp(" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rate", ["150", "1e6"])
+def test_cli_audit_scales_the_balance_forms_limit_with_the_energies(rate, tmp_path, capsys,
+                                                                     bench_workloads):
+    # the two balance forms differ by float re-association, which grows
+    # with E ~ a(t)^2: the limit is 1e-12 (1 + max |E|), as the jump
+    # identities' limit is scaled
+    inputs = bench_workloads.generate("grid", tmp_path, 1)
+    text = inputs.config.read_text(encoding="utf-8")
+    inputs.config.write_text(text.replace("amplitude = linear(0, 1)\n",
+                                          f"amplitude = linear(0, {rate})\n"),
+                             encoding="utf-8")
+    assert cli_dispatch(["run", str(inputs.config)]) == 0
+    doc = json.loads(inputs.archive.read_text())
+    diff = doc["audits"]["balance"]["max_form_difference"]
+    limit = 1e-12 * (1.0 + max(abs(s["E"]) for s in doc["steps"]))
+    assert 1e-12 < diff < limit
+    capsys.readouterr()
+    assert cli_dispatch(["audit", str(inputs.archive)]) == 0
+    assert (f"balance forms: PASS (max difference {diff:.3g}, limit {limit:.3g})"
+            in capsys.readouterr().out)
+
+
 def test_cli_jumpcost(well_archive, capsys):
     code = cli_dispatch(["jumpcost", str(well_archive),
                          "--time", "6.5", "--left", "", "--right", "29,32"])

@@ -489,47 +489,73 @@ def scaled_table_instance(mesh, seed, **kw):
 
 
 def test_scan_hands_the_batch_doubling_chunks_that_the_floor_admits(rect9):
-    # a scan of declared scaled energies hands their batch the next 1, 2,
-    # 4, ... candidates in ranked order, each chunk before it reads the
-    # first of them, cut at the first whose D plus the floor exceeds the
-    # best value so far. A scan at a second t reuses the energies of the
-    # ranking and hands out only the candidates past them, in the chunks
-    # of a scan from scratch. Its results are those of the default
-    # adapter, which reads energy(t, K) one candidate at a time
-    chunks = cut = reused = 0
+    # a scan of declared scaled energies reads the energies its ranking
+    # holds, then hands their batch the next chunk in ranked order before
+    # it reads the first of them: from the ranking's `filled`, at most
+    # filled + 1 candidates (1, 2, 4, ... from scratch), cut at the first
+    # whose D plus the floor exceeds the best value so far, and none
+    # past the scan's stop. A scan at a later t reads the energies an
+    # earlier one filled and hands out only the candidates past them. Its
+    # results are those of an instance without scaled energies, which
+    # reads energy(t, K) one candidate at a time
+    chunks = cut = rescans = 0
     for seed in range(6):
         inst, energies = scaled_table_instance(rect9, seed)
         state = CrackSet.of_edges(rect9, [seed % rect9.n_edges])
         plain = replace(inst, scaled=None)
-        for t in (1.0, 0.5):
-            fresh, fresh_energies = scaled_table_instance(rect9, seed)
-            ranking = fresh.ranking(state, state)
-            assert_same_scan(_scan(t, ranking, fresh), _scan(t, plain.ranking(state, state), plain))
-            order = [k.bits for _, k in ranking]
-            best, handed, quota = math.inf, 0, 1
-            expected = []
-            for event in fresh_energies.batches:
-                assert event == order[handed:handed + len(event)]
-                assert 0 < len(event) <= quota
-                assert all(d + 0.0 <= best for d in ranking.big_d[handed:handed + len(event)])
-                expected.append(event)
-                best = min([best] + [t * t * fresh_energies.table[bits] + ranking.big_d[handed + i]
-                                     for i, bits in enumerate(event)])
-                handed += len(event)
-                if len(event) < quota and handed < len(order):
-                    assert ranking.big_d[handed] + 0.0 > best
-                    cut += 1
-                quota *= 2
-                chunks += 1
-            # the same scan on the ranking an earlier scan at another t filled
-            kept = inst.ranking(state, state)
-            filled = kept.filled
+        for t in (0.5, 1.0, 2.0):
+            ranking = inst.ranking(state, state)
+            handed = ranking.filled
             energies.batches.clear()
-            assert_same_scan(_scan(t, kept, inst), _scan(t, ranking, fresh))
-            past = [[bits for bits in event if order.index(bits) >= filled] for event in expected]
-            assert energies.batches == [event for event in past if event]
-            reused += filled > 0 and energies.batches != expected
-    assert chunks >= 12 and cut > 0 and reused > 0, (chunks, cut, reused)
+            assert_same_scan(_scan(t, ranking, inst), _scan(t, plain.ranking(state, state), plain))
+            d = ranking.d.tolist()
+            order = [ranking.crack(i).bits for i in range(len(d))]
+            values = [t * t * energies.table[bits] + d[i] for i, bits in enumerate(order)]
+            rescans += handed > 0 and energies.batches != []
+            for event in energies.batches:
+                best = min(values[:handed], default=math.inf)
+                assert event == order[handed:handed + len(event)]
+                assert 0 < len(event) <= handed + 1
+                assert all(d[i] + 0.0 <= best for i in range(handed, handed + len(event)))
+                if len(event) < handed + 1 and handed + len(event) < len(d):
+                    assert d[handed + len(event)] + 0.0 > best
+                    cut += 1
+                handed += len(event)
+                chunks += 1
+            assert ranking.filled == handed
+            # the scan stopped before the first candidate it did not hand out
+            assert handed == len(d) or d[handed] + 0.0 > min(values[:handed])
+    assert chunks >= 12 and cut > 0 and rescans > 0, (chunks, cut, rescans)
+
+
+def test_a_scan_without_scaled_energies_reads_each_energy_alone(rect9):
+    # without scaled energies a scan hands no batch: it asks energy(t, K)
+    # once for each candidate it reads, in ranked order, asks nothing
+    # past its stop, and a scan at a second t asks again
+    stopped = 0
+    for seed in range(6):
+        inst, energies = scaled_table_instance(rect9, seed)
+        asked = []
+        plain = replace(inst, scaled=None,
+                        energy=lambda t, k: asked.append(k.bits) or energies.energy(t, k))
+        state = CrackSet.of_edges(rect9, [seed % rect9.n_edges])
+        ranking = plain.ranking(state, state)
+        d = ranking.d.tolist()
+        order = [ranking.crack(i).bits for i in range(len(d))]
+        for t in (0.5, 1.0):
+            asked.clear()
+            energies.batches.clear()
+            got = _scan(t, ranking, plain)
+            assert plain._ranked is ranking and energies.batches == []
+            assert asked == order[:len(asked)] and asked
+            values = [t * t * energies.table[bits] + d[i] for i, bits in enumerate(asked)]
+            assert all(d[i] + 0.0 <= min(values[:i], default=math.inf)
+                       for i in range(len(asked)))
+            if len(asked) < len(d):
+                assert d[len(asked)] + 0.0 > min(values)
+                stopped += 1
+            assert_same_scan(got, _scan(t, inst.ranking(state, state), inst))
+    assert stopped > 0
 
 
 class BrokenScaled(TableScaled):
@@ -561,13 +587,13 @@ def scan_outcome(t, inst, state):
 
 
 def test_failures_in_a_batch_raise_where_the_scan_reads_them():
-    # scans of declared scaled energies against the default adapter,
-    # which reads energy(t, K) one candidate at a time: an energy under
-    # the floor, or a failure that the batch flags, raises the same
-    # NumericalError at the same candidate when the scan reads it, in a
-    # chunk of many and in a run of array reads alike, and failures on
-    # every candidate a batch was handed past the scan's stop are never
-    # raised
+    # scans of declared scaled energies against those of an instance
+    # without them, which reads energy(t, K) one candidate at a time: an
+    # energy under the floor, or a failure that the batch flags, raises
+    # the same NumericalError at the same candidate when the scan reads
+    # it, in a chunk of many and in a run of array reads alike, and
+    # failures on every candidate a batch was handed past the scan's
+    # stop are never raised
     mesh = rect_grid_mesh(3, 3)
     undercut = unread = read_in_chunks = 0
     for seed in range(48):
@@ -627,7 +653,7 @@ def test_both_read_paths_give_the_same_scans(rect9, monkeypatch, run):
     # a scan reads a run of at least _RUN energies as array operations
     # and a shorter one candidate at a time; with every run read one way,
     # the scans still equal the reference scan (the test above compares
-    # a batch's runs with the default adapter's reads one at a time)
+    # a batch's runs with reads of energy(t, K) one at a time)
     import vefrac.ve_core as ve_core
 
     monkeypatch.setattr(ve_core, "_RUN", run)
@@ -688,7 +714,7 @@ def test_a_replaced_copy_ranks_afresh(rect9, monkeypatch):
     assert float_bits(report.residual) == float_bits(expected[3] - expected[0])
     assert [m.bits for m in report.minimizers] == [w.bits for w in expected[1]]
     # the two modes rank by different D
-    assert energetic._ranked.big_d != inst._ranked.big_d
+    assert not np.array_equal(energetic._ranked.d, inst._ranked.d)
     assert residual_stability(0.5, state, inst) is viscous
 
 

@@ -2,10 +2,10 @@
 
 This module is the one code that numbers, constrains, assembles and
 solves a cracked space. A scan hands the energy cache's batch a chunk of
-candidates, and the cache walks their new spaces; `pack_blocks` packs
-them, in order, into blocks of at most BLOCK_DOFS DOFs, and
-`solve_block` solves a block
-as one system: one fan numbering, one coo_tocsr, one free-block
+candidates, and the cache hands `pack_blocks` the crack sets of their
+new spaces; it plans each (`_MeshTables.plan`) and packs them, in
+order, into blocks of at most BLOCK_DOFS DOFs, and `solve_block` solves
+a block as one system: one fan numbering, one coo_tocsr, one free-block
 extraction, and one block CG per run of equal free size. A space alone,
 met first by a lookup or too large to share a block, is a block of one.
 Each space gets the same (E, g . Au) in any block, bit for bit, so what
@@ -13,7 +13,8 @@ the cache stores does not depend on the packing.
 
 `elastic.CrackedSpace` is `_build_spaces` of a block of one, and
 `elastic.solve_on_space` solves it through `_solve`, the core that
-`solve_block` runs too.
+`solve_block` runs too. `elastic.power_bound_constant` assembles the
+uncracked stiffness with `_assemble_csr` from the mesh's base numbering.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .elastic import (
     BoundaryLoad,
     NumericalError,
     SpacePlan,
-    SpaceWalk,
     _component_labels,
     _matvec,
     _mesh_tables,
@@ -38,7 +38,7 @@ from .elastic import (
     csr_sort_indices,
     csr_sum_duplicates,
 )
-from .geometry import Mesh, MeshError, union_groups
+from .geometry import CrackSet, Mesh, MeshError, union_groups
 
 __all__ = ["BLOCK_DOFS", "Entry", "pack_blocks", "solve_block"]
 
@@ -51,17 +51,17 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 Entry = tuple[float, float] | NumericalError
 
 
-def pack_blocks(mesh: Mesh, walks: Sequence[SpaceWalk]) -> list[list[SpacePlan]]:
-    """The spaces of the walked cracks (see `elastic.space_walk`),
-    planned and packed, in order, into blocks of at most BLOCK_DOFS DOFs
-    (a space with more is a block alone), for `solve_block`."""
-    if any(walk[0].mesh is not mesh for walk in walks):
+def pack_blocks(mesh: Mesh, cracks: Sequence[CrackSet]) -> list[list[SpacePlan]]:
+    """The spaces of the crack sets, planned (`_MeshTables.plan`) and
+    packed, in order, into blocks of at most BLOCK_DOFS DOFs (a space
+    with more is a block alone), for `solve_block`."""
+    if any(crack.mesh is not mesh for crack in cracks):
         raise MeshError("crack set does not belong to this mesh")
     tables = _mesh_tables(mesh)
     blocks: list[list[SpacePlan]] = []
     size = BLOCK_DOFS
-    for walk in walks:
-        plan = tables.plan(walk)
+    for crack in cracks:
+        plan = tables.plan(crack)
         size += plan.n_dofs
         if size > BLOCK_DOFS:
             blocks.append([])

@@ -764,20 +764,21 @@ def _cmd_run(args) -> int:
     evolution, jumps, audits, path = _run_to_archive(ctx, out_dir)
     for line in _summarize_run(evolution, jumps):
         print(line)
-    bal = audits["balance"]
-    print(f"balance forms differ by {bal['max_form_difference']:.3g}; "
-          f"upper estimate {'ok' if all(bal['upper_ok']) else 'VIOLATED'}")
+    for line in _audit_lines(audits, evolution.ledger.energy.tolist()):
+        print(line)
     print(f"archive: {path}")
     return 0
 
 
-def _audit_lines(archive: EvolutionArchive) -> list[str]:
-    audits = archive.audits
+def _audit_lines(audits: dict | None, energies: list[float]) -> list[str]:
+    """The verdict lines of a run's audits, whose steps have the
+    energies `energies`: what `vefrac audit` prints of an archive and
+    `vefrac run` of the audits it stores."""
     if not audits:
         return ["no audits stored"]
     lines = []
     # the energies' size: limits relative to it hold at any load scale
-    scale = 1.0 + max(abs(s["E"]) for s in archive.steps)
+    scale = 1.0 + max(map(abs, energies))
     bal = audits.get("balance")
     if bal:
         diff = bal["max_form_difference"]
@@ -813,7 +814,7 @@ def _audit_lines(archive: EvolutionArchive) -> list[str]:
 def _cmd_audit(args) -> int:
     positional, _ = _split_args(args, 1, {})
     archive = load_archive(positional[0])
-    for line in _audit_lines(archive):
+    for line in _audit_lines(archive.audits, [s["E"] for s in archive.steps]):
         print(line)
     return 0
 

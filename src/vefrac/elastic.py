@@ -17,7 +17,10 @@ release rate at a crack tip (finite differences in crack length, and
 the stress intensity factor from an annulus fit).
 
 `blocks` builds, assembles and solves every cracked space, one or many
-at a time; `CrackedSpace` and `solve_on_space` are its block of one.
+at a time, from the `SpacePlan` that `_MeshTables.plan` makes of a
+crack; `CrackedSpace` and `solve_on_space` are its block of one. C_P
+assembles the uncracked stiffness from the mesh's base numbering and
+builds no space.
 Assembly and CG run on six C kernels of scipy's `_sparsetools`
 extension, which this module loads by file, without importing the
 `scipy` or `scipy.sparse` packages: those would add some 320 modules
@@ -42,6 +45,7 @@ from .geometry import (
     CrackSet,
     Mesh,
     MeshError,
+    bit_ids,
     connected_components,
     dist_points_to_segments,
 )
@@ -56,7 +60,6 @@ __all__ = [
     "EnergySolution",
     "split_along_crack",
     "space_key",
-    "space_walk",
     "solve_energy",
     "power_bound_constant",
     "energy_release",
@@ -209,13 +212,15 @@ class _MeshTables:
     base fans are those of the empty crack: one per vertex, except at a
     pinch vertex whose star is already split (two triangles meeting only
     at that vertex). Base DOF n is the n-th fan in (vertex, smallest
-    triangle) order, the numbering every cracked space keeps. The fans
-    are the components of the corner links, and `base_tri_component`
-    labels the components of the triangles joined by interior edges,
-    numbered by smallest triangle; both come from `_component_labels`,
-    a union-find in numpy. A crack's cuts are read off flat Python int
-    lists of the edge ends (`edge_a_list`/`edge_b_list`) and interior
-    flags; no container is kept per edge or per link.
+    triangle) order, the numbering every cracked space keeps, and
+    `base_dofs` holds the base DOF of every corner: the uncracked
+    space's numbering, which C_P assembles. The fans are the components
+    of the corner links, and `base_tri_component` labels the components
+    of the triangles joined by interior edges, numbered by smallest
+    triangle; both come from `_component_labels`, a union-find in numpy.
+    A crack's cuts are read off flat Python int lists of the edge ends
+    (`edge_a_list`/`edge_b_list`) and interior flags; no container is
+    kept per edge or per link.
 
     A crack's fans at a vertex depend only on which edges through it
     are cut, so `fans` keeps them per (vertex, cut) as the pattern is
@@ -234,7 +239,8 @@ class _MeshTables:
     all, so only a pinch's cuts of many edges read the fan memo. `key`
     keys one crack this way, and `keys` the cracks of a ranking, a
     state plus the edges each candidate adds to it: only the ends of the
-    added edges change their cuts.
+    added edges change their cuts. `plan` reads the fans of the vertices
+    whose cut separates, the one way from a crack to its `SpacePlan`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -289,7 +295,7 @@ class _MeshTables:
         fan, opens = labels[corner_order], first[corner_order]
         fan_dof = np.empty(3 * nt, dtype=int)
         fan_dof[fan[opens]] = np.arange(int(opens.sum()))
-        base_dof = np.empty(3 * nt, dtype=int)
+        base_dof = self.base_dofs = np.empty(3 * nt, dtype=int)
         base_dof[corner_order] = fan_dof[fan]
         self.base_fans = np.bincount(self.corner_vertex[corner_order[opens]], minlength=nv)
         self.base_rank = base_dof - (np.cumsum(self.base_fans) - self.base_fans)[self.corner_vertex]
@@ -397,7 +403,7 @@ class _MeshTables:
         """The key of the space cut along the crack `bits` (see
         `space_key`), from the separating masks of its cuts."""
         key = bits & self.dirichlet_bits
-        for v, cut in self.cuts(_bit_ids(bits)).items():
+        for v, cut in self.cuts(bit_ids(bits)).items():
             key |= self.separating(v, cut)
         return key
 
@@ -445,33 +451,23 @@ class _MeshTables:
             state = self._states[base] = _StateCuts(self, base)
         return state
 
-    def walk(self, crack: CrackSet) -> tuple[int, SpaceWalk]:
-        """The key of the space cut along `crack` (see `key`), and what
-        `plan` reads of the crack: its edge ids and the fans of each
-        vertex whose cut separates. Every other vertex keeps its base
-        fans, the components of all its links."""
+    def plan(self, crack: CrackSet) -> SpacePlan:
+        """How `crack` changes the base fans, and so its space's DOF
+        count: the fans of each vertex whose cut separates, in the order
+        of the cuts. Every other vertex keeps its base fans, the
+        components of all its links."""
         crack_ids = crack.edge_ids
-        key = crack.bits & self.dirichlet_bits
-        split = {}
-        for v, cut in self.cuts(crack_ids).items():
-            separating = self.separating(v, cut)
-            if separating:
-                key |= separating
-                split[v] = self.fans(v, cut)
-        return key, (crack, crack_ids, split)
-
-    def plan(self, walk: SpaceWalk) -> SpacePlan:
-        """How a walked crack changes the base fans, and so its space's
-        DOF count."""
-        crack, crack_ids, split = walk
-        counts, corners, ranks = [], [], []
+        verts, counts, corners, ranks = [], [], [], []
         n_dofs = self.n_base_dofs
-        for v, f in split.items():
-            counts.append(f.count)
-            corners += f.corners
-            ranks += f.ranks
-            n_dofs += f.count - self.base_fans_list[v]
-        return SpacePlan(crack, crack_ids, list(split), counts, corners, ranks, n_dofs)
+        for v, cut in self.cuts(crack_ids).items():
+            if self.separating(v, cut):
+                f = self.fans(v, cut)
+                verts.append(v)
+                counts.append(f.count)
+                corners += f.corners
+                ranks += f.ranks
+                n_dofs += f.count - self.base_fans_list[v]
+        return SpacePlan(crack, crack_ids, verts, counts, corners, ranks, n_dofs)
 
 
 class _StateCuts:
@@ -487,7 +483,7 @@ class _StateCuts:
 
     def __init__(self, tables: _MeshTables, base: int):
         self.tables = tables
-        self.cuts = tables.cuts(_bit_ids(base))
+        self.cuts = tables.cuts(bit_ids(base))
         self.dirichlet = base & tables.dirichlet_bits
         self.lo = self.hi = 0
         for v, cut in self.cuts.items():
@@ -525,16 +521,6 @@ class _StateCuts:
             entry = (bit, own, ~drop_lo, ~drop_hi, ends)
         self.edge[e] = entry
         return entry
-
-
-def _bit_ids(bits: int) -> list[int]:
-    """The set bits of `bits`, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def _half_edge_corners(corner_vertex: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,10 +562,6 @@ class SpacePlan(NamedTuple):
     ranks: list[int]
     n_dofs: int
 
-
-# A crack set as _MeshTables.walk reads it: the crack, its edge ids, and
-# the fans of each vertex whose cut separates, in the order of the cuts
-SpaceWalk = tuple[CrackSet, tuple[int, ...], dict[int, _Fans]]
 
 _TABLES: "weakref.WeakKeyDictionary[Mesh, _MeshTables]" = weakref.WeakKeyDictionary()
 
@@ -633,8 +615,10 @@ class CrackedSpace:
     vertex (star still connected) keeps a single DOF. DOFs are numbered
     by vertex, then by the smallest triangle of the fan.
 
-    The space is `blocks._build_spaces` of a block of one, the builder
-    of every space the program solves: the fan numbering (`tri_dofs`,
+    The space is `blocks._build_spaces` of the crack's plan
+    (`_MeshTables.plan`) as a block of one, the builder of every space
+    the program solves. A run never builds one: griffith's estimators
+    and the tests do. It holds the fan numbering (`tri_dofs`,
     `dof_vertex`, `n_dofs`), the constraints (`dirichlet_dofs`, the DOFs
     at the corners of the Dirichlet edges the crack leaves, and
     `pinned_dofs`, one per component the data cannot see, in component
@@ -660,7 +644,7 @@ class CrackedSpace:
         self.mesh = mesh
         self.crack = crack
         tables = _mesh_tables(mesh)
-        spaces = _build_spaces([tables.plan(tables.walk(crack)[1])])
+        spaces = _build_spaces([tables.plan(crack)])
         self.tri_dofs = spaces.tri_dofs.reshape(-1, 3)
         self.dof_vertex = spaces.dof_vertex
         self.n_dofs = int(spaces.offsets[-1])
@@ -703,22 +687,16 @@ def split_along_crack(mesh: Mesh, crack: CrackSet) -> CrackedSpace:
     return CrackedSpace(mesh, crack)
 
 
-def space_walk(mesh: Mesh, crack: CrackSet) -> tuple[int, SpaceWalk]:
+def space_key(mesh: Mesh, crack: CrackSet) -> int:
     """The key of split_along_crack(mesh, crack), without building it:
     the mask of the cracked edges that separate fans at either end,
-    OR-ed with the crack's Dirichlet edges. Each vertex's fans are the
-    components of its links minus the separating ones, so two cracks
-    have equal keys exactly when their spaces have equal `tri_dofs` and
-    release the same Dirichlet edges. With the key comes the walk that
-    `blocks.pack_blocks` plans the space from."""
+    OR-ed with the crack's Dirichlet edges (`_MeshTables.key`). Each
+    vertex's fans are the components of its links minus the separating
+    ones, so two cracks have equal keys exactly when their spaces have
+    equal `tri_dofs` and release the same Dirichlet edges."""
     if crack.mesh is not mesh:
         raise MeshError("crack set does not belong to this mesh")
-    return _mesh_tables(mesh).walk(crack)
-
-
-def space_key(mesh: Mesh, crack: CrackSet) -> int:
-    """The key of split_along_crack(mesh, crack); see `space_walk`."""
-    return space_walk(mesh, crack)[0]
+    return _mesh_tables(mesh).key(crack.bits)
 
 
 def _p1_gradients(mesh: Mesh) -> np.ndarray:
@@ -788,11 +766,17 @@ def solve_on_space(t: float, space: CrackedSpace, load: BoundaryLoad) -> EnergyS
 
 def power_bound_constant(load: BoundaryLoad, mesh: Mesh) -> float:
     """The constant C_P with |dE/dt| <= C_P (E + 1): the largest load
-    rate ||grad g_dot|| times max(area/2, 1)."""
+    rate ||grad g_dot|| times max(area/2, 1). The norm is that of the
+    uncracked space, whose DOFs are the mesh's base fans: its stiffness
+    is assembled from the base numbering as `blocks` assembles every
+    space, with no space built."""
+    from .blocks import _assemble_csr
+
     load.check_mesh(mesh)
-    space = split_along_crack(mesh, CrackSet.empty(mesh))
-    g = load.profile[space.dof_vertex]
-    grad_norm = math.sqrt(max(float(g @ _matvec(*space.csr, g)), 0.0))
+    tables = _mesh_tables(mesh)
+    csr = _assemble_csr(tables.base_dofs, tables.local, (0, tables.n_base_dofs))
+    g = load.profile[np.repeat(np.arange(mesh.n_vertices), tables.base_fans)]
+    grad_norm = math.sqrt(max(float(g @ _matvec(*csr, g)), 0.0))
     rate = load.amplitude.max_abs_derivative(load.horizon)
     return rate * grad_norm * max(0.5 * mesh.area, 1.0)
 

@@ -292,8 +292,8 @@ class _ScaledEnergyCache:
     per-set memo is backed by a second memo keyed by the space's key.
     Keys are integer work on the mesh's per-edge masks
     (`_MeshTables.key` and `keys`): a ranking's candidates are keyed from
-    their state and the edges each adds, and a full walk and plan are
-    built only for a space not yet solved. Many competitors share a
+    their state and the edges each adds, and a crack set is built and
+    planned only for a space not yet solved. Many competitors share a
     space: an isolated interior edge, for one, leaves the stars of both
     of its ends connected. The memos key on bits, so a crack set of
     another mesh is refused first. Every E1 read is checked against
@@ -302,15 +302,15 @@ class _ScaledEnergyCache:
     The cache is the instance's declaration of scaled energies (see
     RisInstance.scaled): scale(t) = a(t)^2, and `unit_energies`, the
     scans' batch, is the one place the cache solves. It keys a chunk's
-    candidates, `pack_blocks` plans the new spaces and packs them into
-    blocks, and `solve_block` solves each block as one system, bit for
-    bit whatever else the block holds. A lookup of a crack set not yet
-    filed is a batch of that one set, whose new space is a block of
-    one. A space whose CG fails is stored as its NumericalError, and
-    unit_energies gives NaN for its crack sets, as for an E1 under
-    E1_FLOOR: the scan then reads that candidate through `energy`, which
-    raises, so a scan that stops before such a candidate ends as it
-    would have without the batch.
+    candidates, `pack_blocks` plans the crack sets of the new spaces and
+    packs them into blocks, and `solve_block` solves each block as one
+    system, bit for bit whatever else the block holds. A lookup of a
+    crack set not yet filed is a batch of that one set, whose new space
+    is a block of one. A space whose CG fails is stored as its
+    NumericalError, and unit_energies gives NaN for its crack sets, as
+    for an E1 under E1_FLOOR: the scan then reads that candidate through
+    `energy`, which raises, so a scan that stops before such a candidate
+    ends as it would have without the batch.
 
     `floor` is the instance's energy floor: a(t)^2 (E1(K ∪ pool) - m)
     for the competitors of K, which all lie inside K ∪ pool. A batch
@@ -368,7 +368,7 @@ class _ScaledEnergyCache:
         if top not in entries:
             bits, keys = [*bits, top], [*keys, tables.key(top)]
         waiting: dict[int, list[int]] = {}
-        walks = []
+        new_cracks = []
         for b, key in zip(bits, keys):
             if b in entries:
                 continue
@@ -376,14 +376,14 @@ class _ScaledEnergyCache:
             if got is None:
                 if key not in waiting:
                     waiting[key] = []
-                    walks.append(tables.walk(CrackSet(mesh, b))[1])
+                    new_cracks.append(CrackSet(mesh, b))
                 waiting[key].append(b)
             elif not isinstance(got, NumericalError):
                 entries[b] = got
         if not waiting:
             return
         solved: list[Entry] = []
-        for block in pack_blocks(mesh, walks):
+        for block in pack_blocks(mesh, new_cracks):
             solved += solve_block(block, self.unit)
         for (key, cracks), got in zip(waiting.items(), solved):
             by_space[key] = got

@@ -444,6 +444,16 @@ def build_mesh(vertices, triangles, dirichlet_marker) -> Mesh:
 # Crack sets
 # ---------------------------------------------------------------------------
 
+def bit_ids(bits: int) -> tuple:
+    """The set bits of `bits`, ascending: the edge ids of a crack bitmask."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CrackSet:
     """An edge subset of one mesh, stored as a bitmask over edge indices."""
@@ -483,12 +493,7 @@ class CrackSet:
     @property
     def edge_ids(self) -> tuple:
         """Member edge indices, ascending."""
-        bits, out = self.bits, []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return bit_ids(self.bits)
 
     @property
     def cardinality(self) -> int:

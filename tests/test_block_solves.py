@@ -27,7 +27,6 @@ from vefrac.elastic import (
     NumericalError,
     _matvec,
     space_key,
-    space_walk,
     split_along_crack,
 )
 from vefrac.geometry import CrackSet
@@ -39,7 +38,7 @@ pytestmark = pytest.mark.blas_rounding
 
 def solve_alone(mesh, load, crack):
     """The entry of a crack set's space solved as a block of one."""
-    (block,) = pack_blocks(mesh, [space_walk(mesh, crack)[1]])
+    (block,) = pack_blocks(mesh, [crack])
     return solve_block(block, load.unit())[0]
 
 
@@ -47,7 +46,7 @@ def solve_all(mesh, load, cracks):
     """Every crack set's entry from pack_blocks and solve_block, and the
     block sizes."""
     entries, sizes = [], []
-    for block in pack_blocks(mesh, [space_walk(mesh, crack)[1] for crack in cracks]):
+    for block in pack_blocks(mesh, cracks):
         sizes.append(len(block))
         entries += solve_block(block, load.unit())
     return entries, sizes
@@ -214,7 +213,7 @@ def test_only_a_crack_that_closes_a_loop_labels_components(monkeypatch):
     for block, calls in ((forests, 0), (forests[:1], 0), (forests + loops[1:], 1),
                          (loops[:1], 1)):
         labelled.clear()
-        (plans,) = pack_blocks(mesh, [space_walk(mesh, crack)[1] for crack in block])
+        (plans,) = pack_blocks(mesh, block)
         components = blocks._build_spaces(plans).tri_component
         assert len(labelled) == calls
         first = 0

@@ -583,21 +583,24 @@ def test_cli_audit_scales_the_balance_forms_limit_with_the_energies(rate, tmp_pa
                                                                      bench_workloads):
     # the two balance forms differ by float re-association, which grows
     # with E ~ a(t)^2: the limit is 1e-12 (1 + max |E|), as the jump
-    # identities' limit is scaled
+    # identities' limit is scaled. `run` prints the four verdict lines
+    # that `audit` prints of the archive it wrote, before its path
     inputs = bench_workloads.generate("grid", tmp_path, 1)
     text = inputs.config.read_text(encoding="utf-8")
     inputs.config.write_text(text.replace("amplitude = linear(0, 1)\n",
                                           f"amplitude = linear(0, {rate})\n"),
                              encoding="utf-8")
     assert cli_dispatch(["run", str(inputs.config)]) == 0
+    ran = capsys.readouterr().out.splitlines()
     doc = json.loads(inputs.archive.read_text())
     diff = doc["audits"]["balance"]["max_form_difference"]
     limit = 1e-12 * (1.0 + max(abs(s["E"]) for s in doc["steps"]))
     assert 1e-12 < diff < limit
-    capsys.readouterr()
     assert cli_dispatch(["audit", str(inputs.archive)]) == 0
+    audited = capsys.readouterr().out.splitlines()
     assert (f"balance forms: PASS (max difference {diff:.3g}, limit {limit:.3g})"
-            in capsys.readouterr().out)
+            in audited)
+    assert len(audited) == 4 and ran[-5:] == [*audited, f"archive: {inputs.archive}"]
 
 
 def test_cli_jumpcost(well_archive, capsys):

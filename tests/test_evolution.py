@@ -555,6 +555,37 @@ def test_workload_solves_each_cracked_space_once(workload, crack_sets, solves,
         assert len(counts["solved"]) == len(set(counts["solved"])) == solves
 
 
+def test_a_run_from_the_empty_crack_builds_its_space_once(tmp_path, monkeypatch,
+                                                          bench_workloads):
+    # C_P assembles the uncracked stiffness from the mesh's base
+    # numbering, so set-up builds no space, and a fine run, which starts
+    # from the empty crack, hands that crack's plan to _build_spaces
+    # once: in its first block, with k0 ∪ pool
+    import vefrac.blocks as blocks
+    import vefrac.elastic as elastic
+
+    planned, split = [], []
+    build, split_along = blocks._build_spaces, elastic.split_along_crack
+
+    def counted_build(block):
+        planned.extend(plan.crack.bits for plan in block)
+        return build(block)
+
+    def counted_split(mesh, crack):
+        split.append(crack.bits)
+        return split_along(mesh, crack)
+
+    monkeypatch.setattr(blocks, "_build_spaces", counted_build)
+    monkeypatch.setattr(elastic, "split_along_crack", counted_split)
+    ctx = _workload_run(bench_workloads, "fine", tmp_path)
+    assert ctx.k0.is_empty
+    assert elastic.power_bound_constant(ctx.load, ctx.mesh) == ctx.instance.power_bound
+    assert planned == split == []
+    _run_to_archive(ctx, tmp_path / "out")
+    assert planned[:2] == [0, ctx.pool.bits] and planned.count(0) == 1
+    assert split == []
+
+
 @pytest.mark.blas_rounding
 @pytest.mark.parametrize("workload, expected", [
     ("strip", {"solves": 30, "builds": 30, "blocks": 19, "rankings": 9, "priced": 255,

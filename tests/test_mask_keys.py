@@ -4,13 +4,16 @@ reference space.
 A space's key is the crack's Dirichlet edges OR-ed with the separating
 mask of every vertex's cut. `_MeshTables` tabulates the separating bit
 of a lone cut at each interior edge end, keys a crack from those masks
-(`key`), and keys the candidates of a ranking, a state plus the edges
-each adds, from the state's masks and the added edges' ends (`keys`).
-Both must equal `space_key`, whose walk reads every cut's fans, and two
-keys must be equal exactly when the reference spaces are
-(`reference_space_key`). The keys decide which spaces a run solves, so
-these tests carry the blas_rounding marker with the other differential
-tests of a run.
+(`key`, which `space_key` returns), and keys the candidates of a
+ranking, a state plus the edges each adds, from the state's masks and
+the added edges' ends (`keys`), which must equal `key`. Two checks are
+independent of those masks: every separating mask must be that of the
+fans the memo labels (`fans(v, cut).separating`,
+`test_lone_cuts_and_cuts_of_many_edges_separate_as_the_fans_say`), and
+two keys must be equal exactly when the reference spaces are
+(`reference_space_key`, `assert_keys_match_the_reference`). The keys
+decide which spaces a run solves, so these tests carry the
+blas_rounding marker with the other differential tests of a run.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ import pytest
 from vefrac import elastic
 from vefrac.benchmarks import growth_strip, square_grid_mesh
 from vefrac.cli_io import _run_to_archive
-from vefrac.elastic import space_key
 from vefrac.geometry import CrackSet, build_mesh
 
 from test_elastic import _two_squares_at_a_corner, assert_keys_match_the_reference
@@ -49,13 +51,13 @@ def meshes():
 
 
 def assert_mask_keys(mesh, base, added):
-    """`keys` of base plus each edge sequence of `added`, and `key` of
-    each such crack, equal its space_key; returns the cracks."""
+    """`keys` of base plus each edge sequence of `added` equal the bits
+    and the `key` of each such crack; returns the cracks."""
     tables = elastic._mesh_tables(mesh)
     bits, keys = tables.keys(base.bits, added)
     cracks = [base.with_edges(edges) for edges in added]
     assert bits == [k.bits for k in cracks]
-    assert keys == [space_key(mesh, k) for k in cracks] == [tables.key(k.bits) for k in cracks]
+    assert keys == [tables.key(k.bits) for k in cracks]
     return cracks
 
 
@@ -84,8 +86,8 @@ def test_lone_cuts_and_cuts_of_many_edges_separate_as_the_fans_say(name, mesh):
 def test_workload_mask_keys_match_the_reference(workload, tmp_path, bench_workloads,
                                                 monkeypatch):
     # every crack set a benchmark run files, keyed from its ranking's
-    # state and the edges it adds, or alone: its key is its space_key,
-    # and equal keys are equal reference spaces
+    # state and the edges it adds, or alone: its key is its `key`, and
+    # equal keys are equal reference spaces
     ctx = _workload_run(bench_workloads, workload, tmp_path)
     keys = elastic._MeshTables.keys
     seen = []
@@ -99,15 +101,14 @@ def test_workload_mask_keys_match_the_reference(workload, tmp_path, bench_worklo
     _run_to_archive(ctx, tmp_path / "out")
     mesh, filed = ctx.mesh, ctx.instance.energy.__self__._entries
     assert seen
+    tables = elastic._mesh_tables(mesh)
     keyed_bits = set()
     for base, added, bits, got in seen:
         assert bits == [CrackSet(mesh, base).with_edges(edges).bits for edges in added]
-        assert got == [space_key(mesh, CrackSet(mesh, b)) for b in bits]
+        assert got == [tables.key(b) for b in bits]
         keyed_bits.update(bits)
     assert set(filed) <= keyed_bits | {ctx.k0.bits, ctx.k0.bits | ctx.pool.bits}
-    tables = elastic._mesh_tables(mesh)
     cracks = [CrackSet(mesh, bits) for bits in filed]
-    assert [tables.key(k.bits) for k in cracks] == [space_key(mesh, k) for k in cracks]
     assert assert_keys_match_the_reference(mesh, cracks) == len(ctx.instance.energy.__self__._by_space)
 
 

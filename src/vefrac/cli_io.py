@@ -352,8 +352,15 @@ def build_run(cfg: RunConfig, base) -> RunContext:
     else:
         partition = TimePartition.uniform(cfg.horizon, cfg.steps)
     profile = _read_profile(cfg.profile, mesh, base)
-    load = BoundaryLoad(profile=profile, amplitude=_parse_amplitude(cfg.amplitude, base),
-                        horizon=partition.horizon)
+    amplitude = _parse_amplitude(cfg.amplitude, base)
+    load = BoundaryLoad(profile=profile, amplitude=amplitude, horizon=partition.horizon)
+    # a run scales its energies by a(t)^2 and its powers by a'(t) a(t);
+    # an overflow there would only surface in the archive write
+    for t in partition.times.tolist():
+        a, slope = amplitude(t), amplitude.derivative(t)
+        if not (math.isfinite(a * a) and math.isfinite(slope * a)):
+            raise ConfigError(f"load.amplitude overflows at t={t!r}: a(t)^2 = {a * a!r}, "
+                              f"a'(t)*a(t) = {slope * a!r}")
     pool = _build_pool(cfg, mesh)
     params = DissipationParams(lam=cfg.lam, mu=cfg.mu)
     instance = fracture_instance(
@@ -560,6 +567,14 @@ def _archive_from_document(doc: dict) -> EvolutionArchive:
             raise ArchiveError(f"archive lacks {key!r}")
         if not isinstance(doc[key], list):
             raise ArchiveError(f"archive {key!r} must be a list, not {type(doc[key]).__name__}")
+    if not doc["steps"]:
+        raise ArchiveError("archive has no steps")
+    for i, step in enumerate(doc["steps"]):
+        if not isinstance(step, dict):
+            raise ArchiveError(f"archive step {i} must be an object, not {type(step).__name__}")
+        for key in ("t", "edges", *(key for key, _ in _LEDGER)):
+            if key not in step:
+                raise ArchiveError(f"archive step {i} lacks {key!r}")
     return EvolutionArchive(
         schema=schema, config=doc.get("config"),
         times=np.array(doc["partition"], dtype=float),
@@ -814,7 +829,12 @@ def _audit_lines(audits: dict | None, energies: list[float]) -> list[str]:
 def _cmd_audit(args) -> int:
     positional, _ = _split_args(args, 1, {})
     archive = load_archive(positional[0])
-    for line in _audit_lines(archive.audits, [s["E"] for s in archive.steps]):
+    energies = [s["E"] for s in archive.steps]
+    try:
+        lines = _audit_lines(archive.audits, energies)
+    except KeyError as exc:
+        raise ArchiveError(f"archive audits lack {exc.args[0]!r}") from None
+    for line in lines:
         print(line)
     return 0
 

@@ -228,19 +228,13 @@ class _MeshTables:
     links with their edges, is read off the arrays the first time
     `fans` needs that vertex and kept; a run needs few vertices.
 
-    A space's key needs only the separating mask of each vertex's cut
-    (`separating`). For a cut of one edge it is tabulated per edge end
-    (the masks `lone_a`/`lone_b`, at the edge's first and second
-    vertex): a vertex's corner links form paths and cycles, since a
-    corner has two sides through the vertex, and cutting one link
-    separates its two corners exactly when its fan is a path. That
-    covers boundary vertices and pinches alike, with no rule assumed. A
-    cut of two or more edges at a vertex of one base fan separates them
-    all, so only a pinch's cuts of many edges read the fan memo. `key`
-    keys one crack this way, and `keys` the cracks of a ranking, a
-    state plus the edges each candidate adds to it: only the ends of the
-    added edges change their cuts. `plan` reads the fans of the vertices
-    whose cut separates, the one way from a crack to its `SpacePlan`.
+    A space's key needs only the separating mask of each vertex's cut,
+    `fans(v, cut).separating`, the one rule for which cut edges split
+    fans. `key` keys one crack this way, and `keys` the cracks of a
+    ranking, a state plus the edges each candidate adds to it: only the
+    ends of the added edges change their cuts. `plan` reads the fans of
+    each cut vertex once and keeps those whose cut separates, the one
+    way from a crack to its `SpacePlan`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -272,21 +266,6 @@ class _MeshTables:
         # base fans: the first corner of each fan in (vertex, triangle)
         # order opens the next DOF
         labels = _component_labels(3 * nt, link_corners)
-        # a corner has two sides through its vertex, so a fan's links form
-        # a path or a cycle: a path when one of its corners has a side on
-        # the boundary. Cutting one link separates its two corners exactly
-        # on a path, so only a link at a boundary vertex can, and there
-        # its fan's label tells a pinch's path from its cycle
-        on_path = np.zeros(3 * nt, dtype=bool)
-        boundary_sides = by_edge[first[~is_interior]]
-        on_path[labels[np.concatenate(_half_edge_corners(self.corner_vertex, boundary_sides))]] = True
-        at = np.flatnonzero(on_boundary[link_vertex])
-        at = at[on_path[labels[link_corners[at, 0]]]]
-        lone = []
-        for end in (at[at < link_edge.size // 2], at[at >= link_edge.size // 2]):
-            row = np.zeros(mesh.n_edges, dtype=bool)
-            row[link_edge[end]] = True
-            lone.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
         # a fan's first corner in that order is its smallest, the first
         # corner of its label, since labels are numbered by smallest node
         first = np.empty(3 * nt, dtype=bool)
@@ -322,7 +301,6 @@ class _MeshTables:
         self.edge_a_list, self.edge_b_list = mesh.edges.T.tolist()
         self.is_interior_list = is_interior.tolist()
         self.on_boundary_list = on_boundary.tolist()
-        self.lone_a, self.lone_b = lone
         self._stars: dict[int, tuple] = {}
         self._fans: dict[tuple[int, int], _Fans] = {}
         self._states: dict[int, _StateCuts] = {}
@@ -387,24 +365,12 @@ class _MeshTables:
             star = self._stars[v] = (tuple(corners), links, pairs)
         return star
 
-    def separating(self, v: int, cut: int) -> int:
-        """`fans(v, cut).separating`, without the fans where the tables
-        tell: a cut of one edge separates it by the lone-cut table, and at
-        a vertex of one base fan a cut of two or more edges separates
-        them all, since a path of corner links splits at every cut link
-        and a cycle at every one once two are cut."""
-        if cut & (cut - 1):
-            if self.base_fans_list[v] == 1:
-                return cut
-            return self.fans(v, cut).separating
-        return cut & (self.lone_a if self.edge_a_list[cut.bit_length() - 1] == v else self.lone_b)
-
     def key(self, bits: int) -> int:
         """The key of the space cut along the crack `bits` (see
         `space_key`), from the separating masks of its cuts."""
         key = bits & self.dirichlet_bits
         for v, cut in self.cuts(bit_ids(bits)).items():
-            key |= self.separating(v, cut)
+            key |= self.fans(v, cut).separating
         return key
 
     def keys(self, base: int, added: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -438,7 +404,7 @@ class _MeshTables:
                 for e in edges:
                     if edge[e][4] & low:
                         cut |= 1 << e
-                key |= self.separating(v, cut)
+                key |= self.fans(v, cut).separating
                 met ^= low
             bits_out.append(bits)
             keys_out.append(key | lo | hi)
@@ -460,8 +426,8 @@ class _MeshTables:
         verts, counts, corners, ranks = [], [], [], []
         n_dofs = self.n_base_dofs
         for v, cut in self.cuts(crack_ids).items():
-            if self.separating(v, cut):
-                f = self.fans(v, cut)
+            f = self.fans(v, cut)
+            if f.separating:
                 verts.append(v)
                 counts.append(f.count)
                 corners += f.corners
@@ -487,7 +453,7 @@ class _StateCuts:
         self.dirichlet = base & tables.dirichlet_bits
         self.lo = self.hi = 0
         for v, cut in self.cuts.items():
-            lo, hi = self._split(v, tables.separating(v, cut))
+            lo, hi = self._split(v, tables.fans(v, cut).separating)
             self.lo |= lo
             self.hi |= hi
         self.edge: dict[int, tuple[int, int, int, int, int]] = {}
@@ -513,7 +479,7 @@ class _StateCuts:
             own = drop_lo = drop_hi = ends = 0
             for v in (tables.edge_a_list[e], tables.edge_b_list[e]):
                 cut = self.cuts.get(v, 0)
-                own |= tables.separating(v, cut | bit)
+                own |= tables.fans(v, cut | bit).separating
                 lo, hi = self._split(v, cut)
                 drop_lo |= lo
                 drop_hi |= hi

@@ -319,14 +319,22 @@ def test_build_run_rejects_bad_specs(workdir):
     ("table(nan.tab)", "builtin:linear-y",
      "load.amplitude must be a finite number, got nan"),
     ("linear(0, 1)", "nan.txt", "load.profile must be a finite number, got nan"),
+    # a(0.5)^2 overflows: refused before any solve prints a warning
+    ("linear(0, 1e200)", "builtin:linear-y",
+     "load.amplitude overflows at t=0.5: a(t)^2 = inf, a'(t)*a(t) = inf"),
+    ("table(big.tab)", "builtin:linear-y",
+     "load.amplitude overflows at t=0.5: a(t)^2 = inf, a'(t)*a(t) = inf"),
 ], ids=["nan-coefficient", "inf-coefficient", "table-row", "profile-line",
-        "nan-table-row", "nan-profile-line"])
+        "nan-table-row", "nan-profile-line", "overflowing-coefficient",
+        "overflowing-table-row"])
+@pytest.mark.filterwarnings("error")
 def test_cli_refuses_a_bad_load_before_running(workdir, tmp_path, capsys,
                                                amplitude, profile, message):
     (tmp_path / "well.mesh").write_bytes((workdir["root"] / "well.mesh").read_bytes())
     (tmp_path / "amp.tab").write_text("0 0\n1 x\n")
     (tmp_path / "prof.txt").write_text("0\nx\n")
     (tmp_path / "nan.tab").write_text("0 0\n1 nan\n")
+    (tmp_path / "big.tab").write_text("0 0\n12 1e200\n")
     (tmp_path / "nan.txt").write_text("0\nnan\n")
     ini = WELL_INI.format(mode="ve", output="out").replace(
         "amplitude = linear(0, 1)", f"amplitude = {amplitude}").replace(
@@ -546,6 +554,29 @@ def test_cli_audit_reports_pass_and_fail(workdir, well_archive, capsys):
     tampered.write_text(json.dumps(doc))
     assert cli_dispatch(["audit", str(tampered)]) == 0
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc.update(steps=[]), "archive has no steps"),
+    (lambda doc: doc["steps"][1].pop("E"), "archive step 1 lacks 'E'"),
+    (lambda doc: doc["steps"][0].pop("t"), "archive step 0 lacks 't'"),
+    (lambda doc: doc["steps"][2].pop("edges"), "archive step 2 lacks 'edges'"),
+    (lambda doc: doc["steps"][-1].pop("R"), "archive step 24 lacks 'R'"),
+    (lambda doc: doc["steps"].__setitem__(0, 3), "archive step 0 must be an object, not int"),
+    (lambda doc: doc["audits"]["balance"].pop("upper_ok"), "archive audits lack 'upper_ok'"),
+    (lambda doc: doc["audits"]["component_bound"].pop("worst"), "archive audits lack 'worst'"),
+], ids=["no-steps", "step-without-E", "step-without-t", "step-without-edges",
+        "step-without-R", "step-not-an-object", "balance-without-upper_ok",
+        "component-bound-without-worst"])
+def test_cli_audit_refuses_a_malformed_archive(workdir, well_archive, capsys,
+                                                tamper, message):
+    doc = json.loads(well_archive.read_text())
+    tamper(doc)
+    path = workdir["root"] / "malformed.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_dispatch(["audit", str(path)]) == 1
+    assert capsys.readouterr().out == f"error: {message}\n"
 
 
 def test_cli_audit_passes_an_energetic_archive(workdir, capsys):

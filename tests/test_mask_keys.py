@@ -1,19 +1,20 @@
-"""Space keys read off per-edge masks against the fan memo and the
+"""Space keys read off the fan memo's separating masks against the
 reference space.
 
 A space's key is the crack's Dirichlet edges OR-ed with the separating
-mask of every vertex's cut. `_MeshTables` tabulates the separating bit
-of a lone cut at each interior edge end, keys a crack from those masks
-(`key`, which `space_key` returns), and keys the candidates of a
-ranking, a state plus the edges each adds, from the state's masks and
-the added edges' ends (`keys`), which must equal `key`. Two checks are
-independent of those masks: every separating mask must be that of the
-fans the memo labels (`fans(v, cut).separating`,
-`test_lone_cuts_and_cuts_of_many_edges_separate_as_the_fans_say`), and
+mask of every vertex's cut, which `_MeshTables` reads from the fans it
+memoizes per (vertex, cut) (`fans(v, cut).separating`). It keys a crack
+from those masks (`key`, which `space_key` returns), and keys the
+candidates of a ranking, a state plus the edges each adds, from the
+state's masks and the added edges' ends (`keys`), which must equal
+`key`. Two checks are independent of the keys: the memo's masks must
+follow the shape of a vertex's corner links, paths and cycles
+(`test_lone_cuts_and_cuts_of_many_edges_separate_as_the_fans_say`), and
 two keys must be equal exactly when the reference spaces are
-(`reference_space_key`, `assert_keys_match_the_reference`). The keys
-decide which spaces a run solves, so these tests carry the
-blas_rounding marker with the other differential tests of a run.
+(`reference_space_key`, `assert_keys_match_the_reference`), on grids,
+the benchmark runs and hubs of many spokes. The keys decide which
+spaces a run solves, so these tests carry the blas_rounding marker with
+the other differential tests of a run.
 """
 from __future__ import annotations
 
@@ -63,23 +64,25 @@ def assert_mask_keys(mesh, base, added):
 
 @pytest.mark.parametrize("name, mesh", list(meshes()), ids=[name for name, _ in meshes()])
 def test_lone_cuts_and_cuts_of_many_edges_separate_as_the_fans_say(name, mesh):
-    # every interior edge end's lone-cut bit, and the separating mask of
-    # every cut of a vertex's star, up to all of its edges, is that of
-    # the vertex's fans under the cut. On these meshes a lone cut
-    # separates exactly at a boundary vertex, pinch included
+    # a vertex's corner links form paths and cycles, since a corner has
+    # two sides through the vertex, and cutting one link separates its
+    # two corners exactly on a path: on these meshes a lone cut's fans
+    # separate exactly at a boundary vertex, pinch included. At a vertex
+    # of one base fan, a path splits at every cut link and a cycle at
+    # every one once two are cut, so a cut of two or more edges there
+    # separates them all
     tables = elastic._MeshTables(mesh)
     interior = tables.interior_edges.tolist()
-    for e in interior:
-        for v, lone in ((tables.edge_a_list[e], tables.lone_a >> e & 1),
-                        (tables.edge_b_list[e], tables.lone_b >> e & 1)):
-            assert lone == (tables.fans(v, 1 << e).separating == 1 << e)
-            assert lone == tables.on_boundary_list[v]
     for v in range(mesh.n_vertices):
         star = [e for e in interior if v in (tables.edge_a_list[e], tables.edge_b_list[e])]
-        for size in range(1, len(star) + 1):
-            for cut in itertools.combinations(star, size):
-                mask = sum(1 << e for e in cut)
-                assert tables.separating(v, mask) == tables.fans(v, mask).separating
+        for e in star:
+            separates = tables.fans(v, 1 << e).separating == 1 << e
+            assert separates == tables.on_boundary_list[v]
+        if tables.base_fans_list[v] == 1:
+            for size in range(2, len(star) + 1):
+                for cut in itertools.combinations(star, size):
+                    mask = sum(1 << e for e in cut)
+                    assert tables.fans(v, mask).separating == mask
 
 
 @pytest.mark.parametrize("workload", ["strip", "grid", "fine"])
@@ -151,3 +154,42 @@ def test_mask_keys_match_the_reference_on_random_cracks():
         met += sum(len(set(ends[list(a)].ravel().tolist())) < 2 * len(a) for a in added if a)
         checked += len(cracks)
     assert checked == 40 * 30 and met > 100
+
+
+def wheel_mesh(spokes, half=False):
+    """A hub at the origin joined by `spokes` spokes to a rim of radius
+    1/2, inside a ring of triangles out to the unit circle, whose edges
+    are Dirichlet. The rim vertices are interior, so a spoke's cut
+    separates at the rim only with another cut there, and the key reads
+    the hub's masks. The full wheel's hub is interior and its corner
+    links form one cycle; the half-wheel spans the upper half-plane, its
+    hub is a boundary vertex, and its links form a path."""
+    angle = np.pi / (spokes - 1) if half else 2 * np.pi / spokes
+    vertices = [(0.0, 0.0)] + [(r * np.cos(i * angle), r * np.sin(i * angle))
+                               for r in (0.5, 1.0) for i in range(spokes)]
+    tris = []
+    for i in range(spokes - 1 if half else spokes):
+        j = (i + 1) % spokes
+        tris += [(0, 1 + i, 1 + j), (1 + i, 1 + spokes + i, 1 + spokes + j),
+                 (1 + i, 1 + spokes + j, 1 + j)]
+    return build_mesh(vertices, tris,
+                      lambda pa, pb: min(np.hypot(*pa), np.hypot(*pb)) > 0.75)
+
+
+@pytest.mark.parametrize("spokes, half, n_interior", [(14, False, 14), (14, True, 12)],
+                         ids=["wheel", "half-wheel"])
+def test_mask_keys_match_the_reference_on_high_degree_hubs(spokes, half, n_interior):
+    # every crack of up to three interior spokes, keyed alone and as a
+    # ranking's candidates out of a one-spoke state: the hub's cuts are
+    # answered by the fan memo alone
+    mesh = wheel_mesh(spokes, half)
+    tables = elastic._mesh_tables(mesh)
+    assert tables.base_fans_list[0] == 1 and tables.on_boundary_list[0] == half
+    hub = [e for e in tables.interior_edges.tolist() if 0 in mesh.edges[e]]
+    assert len(hub) == n_interior
+    subsets = [c for size in range(4) for c in itertools.combinations(hub, size)]
+    cracks = assert_mask_keys(mesh, CrackSet.empty(mesh), subsets)
+    assert assert_keys_match_the_reference(mesh, cracks) == len(subsets) - (0 if half else n_interior)
+    base = CrackSet.of_edges(mesh, hub[:1])
+    cracks = assert_mask_keys(mesh, base, [s for s in subsets if hub[0] not in s])
+    assert_keys_match_the_reference(mesh, cracks)
